@@ -1,22 +1,19 @@
 //! Criterion-free simulator speed probe, for recording perf trajectory
 //! across PRs: runs the pipelined-ALU and AES cycle loops plus an N-sweep
-//! over the generator-produced `Systolic[N, 32]` arrays, a shard-count
-//! sweep (`-j1/-j2/-j4`) and a batched-lanes run over `Systolic[8, 32]`,
-//! and prints one line of JSON.
+//! over the generator-produced `Systolic[N, 32]` arrays and a
+//! batched-lanes run over `Systolic[8, 32]`, and prints one line of JSON.
 //!
 //! ```text
 //! cargo run --release -p fil-bench --bin sim_speed
 //! {"alu_cycles_per_sec": 7241329.0, "aes_cycles_per_sec": 10891.2,
 //!  "systolic": [{"n": 2, "cycles_per_sec": ..., "pe_cells_per_sec": ...}, ...],
-//!  "systolic8_pe_cells_per_sec_j1": ..., "systolic8_pe_cells_per_sec_j2": ...,
-//!  "systolic8_pe_cells_per_sec_j4": ..., "systolic8_seq_traces_per_sec": ...,
-//!  "systolic8_batch_traces_per_sec": ...}
+//!  "systolic8_seq_traces_per_sec": ...,
+//!  "systolic8_batch_traces_per_sec_o0": ..., ...}
 //! ```
 //!
 //! `pe_cells_per_sec` is `N² × cycles/sec` — processing-element updates per
-//! wall-clock second, comparable across array sizes. The `_j{K}` keys time
-//! the sharded settle engine at K worker shards; the `_traces_per_sec`
-//! pair compares one 128-lane `BatchSim` pass against 128 back-to-back
+//! wall-clock second, comparable across array sizes. The `_traces_per_sec`
+//! keys compare one 128-lane `BatchSim` pass against 128 back-to-back
 //! scalar runs of the same stimulus.
 //!
 //! The `_o0`/`_o2` key pairs (PR 10) compare the same design built at
@@ -103,8 +100,8 @@ fn main() {
         })
         .collect();
 
-    // Shard sweep and lane-batched throughput, both on Systolic[8, 32]
-    // (64 PEs — the largest array in the N-sweep above).
+    // Lane-batched throughput on Systolic[8, 32] (64 PEs — the largest
+    // array in the N-sweep above).
     let n8 = 8u64;
     let src8 = fil_designs::systolic::source(n8, 32);
     let (net8, _) =
@@ -117,16 +114,6 @@ fn main() {
             sim.poke_by_name(&format!("top_{i}"), Value::from_u64(32, 3 + i + salt));
         }
     };
-    let jrate = |jobs: usize| {
-        measure(sys_cycles, || {
-            let mut sim = Sim::new_with_jobs(&net8, jobs).unwrap();
-            poke_lane(&mut sim, 0);
-            sim.run(sys_cycles).unwrap();
-            std::hint::black_box(sim.peek_by_name("out_0").to_u64());
-        }) * (n8 * n8) as f64
-    };
-    let (j1, j2, j4) = (jrate(1), jrate(2), jrate(4));
-
     // Traces/second: B independent stimulus lanes, each simulated for
     // `sys_cycles` cycles — one BatchSim pass vs B scalar runs.
     let lanes = 128u32;
@@ -184,11 +171,7 @@ fn main() {
     println!(
         "{{\"alu_cycles_per_sec\": {alu_rate:.1}, \"aes_cycles_per_sec\": {aes_rate:.1}, \
          \"systolic\": [{}], \
-         \"systolic8_pe_cells_per_sec_j1\": {j1:.1}, \
-         \"systolic8_pe_cells_per_sec_j2\": {j2:.1}, \
-         \"systolic8_pe_cells_per_sec_j4\": {j4:.1}, \
          \"systolic8_seq_traces_per_sec\": {seq_traces:.1}, \
-         \"systolic8_batch_traces_per_sec\": {batch_traces:.1}, \
          \"systolic8_batch_traces_per_sec_o0\": {batch_traces:.1}, \
          \"systolic8_batch_traces_per_sec_o2\": {batch_traces_o2:.1}, \
          \"systolic8_cells_o0\": {sys_c0}, \"systolic8_cells_o2\": {sys_c2}, \

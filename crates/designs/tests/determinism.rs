@@ -1,7 +1,7 @@
-//! Determinism matrix for the simulator's throughput engines: sharded
-//! settle (`-jK`) and batched lanes must be observably identical to the
-//! sequential scalar engine — values, `was_driven` flags, and errors,
-//! cycle by cycle — over the paper's divider and systolic designs.
+//! Determinism matrix for the simulator's throughput engine: batched lanes
+//! must be observably identical to the scalar engine — values,
+//! `was_driven` flags, and errors, cycle by cycle — over the paper's
+//! divider and systolic designs.
 
 use fil_bits::Value;
 use rtl_sim::{BatchSim, Netlist, Sim, SimError};
@@ -108,45 +108,6 @@ fn build(source: &str, top: &str) -> std::sync::Arc<Netlist> {
     fil_designs::build(source, top).unwrap().0
 }
 
-/// Signal→shard assignment the auto-partitioner would never produce:
-/// round-robin over k shards, splitting combinational paths mid-flight so
-/// every settle needs several boundary-exchange rounds.
-fn round_robin(netlist: &Netlist, k: u32) -> Vec<u32> {
-    (0..netlist.signals().len() as u32).map(|i| i % k).collect()
-}
-
-#[test]
-fn divider_pipelined_shards_agree() {
-    let n = build(&fil_designs::divider::pipelined_source(), "DivPipe");
-    let reference = scalar_trace(&n, Sim::new(&n).unwrap(), 48, 0xfeed);
-    for jobs in [2, 4] {
-        let sharded = scalar_trace(&n, Sim::new_with_jobs(&n, jobs).unwrap(), 48, 0xfeed);
-        assert_traces_equal(&n, &reference, &sharded, &format!("DivPipe j{jobs}"));
-    }
-}
-
-#[test]
-fn divider_iterative_adversarial_partition_agrees() {
-    let n = build(&fil_designs::divider::iterative_source(), "DivIter");
-    let reference = scalar_trace(&n, Sim::new(&n).unwrap(), 48, 0xbead);
-    let part = round_robin(&n, 3);
-    let sim = Sim::new_with_partition(&n, &part).unwrap();
-    assert!(sim.jobs() > 1, "round-robin partition must shard");
-    let sharded = scalar_trace(&n, sim, 48, 0xbead);
-    assert_traces_equal(&n, &reference, &sharded, "DivIter round-robin");
-}
-
-#[test]
-fn systolic_shards_agree() {
-    let n = build(&fil_designs::systolic::source(4, 32), "Sys4");
-    let reference = scalar_trace(&n, Sim::new(&n).unwrap(), 32, 0xace5);
-    let sharded = scalar_trace(&n, Sim::new_with_jobs(&n, 3).unwrap(), 32, 0xace5);
-    assert_traces_equal(&n, &reference, &sharded, "Sys4 j3");
-    let part = round_robin(&n, 4);
-    let adversarial = scalar_trace(&n, Sim::new_with_partition(&n, &part).unwrap(), 32, 0xace5);
-    assert_traces_equal(&n, &reference, &adversarial, "Sys4 round-robin");
-}
-
 #[test]
 fn batch_lanes_match_scalar_divider() {
     let n = build(&fil_designs::divider::pipelined_source(), "DivPipe");
@@ -170,32 +131,14 @@ fn batch_lanes_match_scalar_systolic() {
 }
 
 #[test]
-fn batch_sharded_matches_batch_sequential() {
+fn batch_lanes_match_scalar_ragged_tail() {
     // 67 lanes: two plane words plus a ragged tail, exercising the
     // tail-masking invariant of bit-sliced planes.
     let n = build(&fil_designs::divider::comb_source(), "DivComb");
     let seeds: Vec<u64> = (0..67).map(|l| 0x4242 + l).collect();
-    let sequential = batch_traces(&n, BatchSim::new(&n, 67).unwrap(), 24, &seeds);
-    let jobs = batch_traces(&n, BatchSim::new_with_jobs(&n, 67, 2).unwrap(), 24, &seeds);
-    let part = round_robin(&n, 3);
-    let adversarial = batch_traces(
-        &n,
-        BatchSim::new_with_partition(&n, 67, &part).unwrap(),
-        24,
-        &seeds,
-    );
-    for l in 0..seeds.len() {
-        assert_traces_equal(
-            &n,
-            &sequential[l],
-            &jobs[l],
-            &format!("DivComb j2 lane {l}"),
-        );
-        assert_traces_equal(
-            &n,
-            &sequential[l],
-            &adversarial[l],
-            &format!("DivComb round-robin lane {l}"),
-        );
+    let batched = batch_traces(&n, BatchSim::new(&n, 67).unwrap(), 24, &seeds);
+    for (l, (seed, bt)) in seeds.iter().zip(&batched).enumerate() {
+        let st = scalar_trace(&n, Sim::new(&n).unwrap(), 24, *seed);
+        assert_traces_equal(&n, &st, bt, &format!("DivComb lane {l}"));
     }
 }

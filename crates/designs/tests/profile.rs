@@ -1,8 +1,7 @@
 //! Acceptance tests for the simulator profiler (`Sim::enable_profile` /
-//! `BatchSim::enable_profile`): the sharded engines must attribute work to
-//! shards without changing the totals — per-shard eval counts sum to the
-//! sequential engine's, cell-kind by cell-kind — and batch profiles must
-//! report lane occupancy.
+//! `BatchSim::enable_profile`): under force-full settles the scalar and
+//! batched engines count exactly the same evals, cell-kind by cell-kind,
+//! and batch profiles report lane occupancy.
 
 use fil_bits::Value;
 use rtl_sim::{BatchSim, Netlist, ProfileReport, Sim};
@@ -17,12 +16,6 @@ fn stim(t: u64, i: u64, width: u32) -> Value {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     Value::from_u64(64.min(width), x ^ (x >> 31)).resize(width)
-}
-
-/// Signal→shard assignment the auto-partitioner would never produce:
-/// round-robin over k shards, so every settle does real cross-shard work.
-fn round_robin(netlist: &Netlist, k: u32) -> Vec<u32> {
-    (0..netlist.signals().len() as u32).map(|i| i % k).collect()
 }
 
 fn run_profiled(
@@ -44,30 +37,39 @@ fn run_profiled(
     sim.profile().expect("profiling was enabled")
 }
 
-/// The PR's acceptance design: Systolic[8, 32]. Under force-full settles
-/// every engine evaluates every cell once per settle, so the sharded
-/// per-shard and per-CellKind totals sum to exactly the sequential
-/// sim's. In the default change-propagating mode the sharded engine may
-/// do (and count) *extra* comb evals — cross-shard transients re-dirty
-/// remote readers the glitch-free sequential pass never visits — so
-/// there the counts are bounded below by the sequential ones, never
-/// under-reported.
+/// Drives a batched sim with every lane carrying the same stimulus as
+/// [`run_profiled`]'s scalar run.
+fn run_profiled_batch(
+    netlist: &Netlist,
+    mut sim: BatchSim<'_>,
+    cycles: u64,
+    force_full: bool,
+) -> ProfileReport {
+    sim.set_force_full_settle(force_full);
+    sim.enable_profile();
+    let inputs: Vec<_> = netlist.inputs().collect();
+    for t in 0..cycles {
+        for (i, &sig) in inputs.iter().enumerate() {
+            sim.poke_all(sig, stim(t, i as u64, netlist.signal(sig).width));
+        }
+        sim.settle().unwrap();
+        sim.tick().unwrap();
+    }
+    sim.profile().expect("profiling was enabled")
+}
+
+/// Systolic[8, 32]. Under force-full settles every engine evaluates every
+/// cell once per settle — the batch `Reg` fast path skips the eval stamp
+/// but is visit-counted once per settle — so `BatchSim`'s total and
+/// per-CellKind counts equal `Sim`'s exactly.
 #[test]
-fn systolic8_sharded_totals_match_sequential() {
+fn systolic8_batch_totals_match_scalar() {
     let n = build(&fil_designs::systolic::source(8, 32), "Sys8");
     let cycles = 24;
     let reference = run_profiled(&n, Sim::new(&n).unwrap(), cycles, false);
     assert_eq!(reference.settles, cycles);
     assert_eq!(reference.ticks, cycles);
     assert!(reference.total_evals > 0);
-    assert_eq!(reference.shard_evals.len(), 1);
-    assert_eq!(
-        reference.shard_evals.iter().sum::<u64>(),
-        reference.total_evals
-    );
-    // The histogram must account for every settle (sequential: all 1-round).
-    assert_eq!(reference.round_hist.iter().sum::<u64>(), cycles);
-    assert_eq!(reference.round_hist[0], cycles);
     let ff_reference = run_profiled(&n, Sim::new(&n).unwrap(), cycles, true);
     assert_eq!(
         ff_reference.total_evals,
@@ -75,75 +77,26 @@ fn systolic8_sharded_totals_match_sequential() {
         "force-full: every cell, every settle"
     );
 
-    for k in [2, 4] {
-        let part = round_robin(&n, k);
-        let sim = Sim::new_with_partition(&n, &part).unwrap();
-        assert!(sim.jobs() > 1, "round-robin partition must shard");
+    let ff = run_profiled_batch(&n, BatchSim::new(&n, 67).unwrap(), cycles, true);
+    assert_eq!(
+        ff.total_evals, ff_reference.total_evals,
+        "force-full: batch eval total diverges from scalar"
+    );
+    assert_eq!(
+        ff.kind_evals, ff_reference.kind_evals,
+        "force-full: per-CellKind totals diverge from scalar"
+    );
+    assert_eq!(ff.settles, cycles);
+    assert_eq!(ff.ticks, cycles);
+    assert_eq!(ff.lanes_poked, 67);
 
-        // Exactness: force-full sharded totals equal sequential, per kind.
-        let ff = run_profiled(
-            &n,
-            Sim::new_with_partition(&n, &part).unwrap(),
-            cycles,
-            true,
-        );
-        assert_eq!(
-            ff.total_evals, ff_reference.total_evals,
-            "j{k} force-full: sharded eval total diverges from sequential"
-        );
-        assert_eq!(
-            ff.kind_evals, ff_reference.kind_evals,
-            "j{k} force-full: per-CellKind totals diverge from sequential"
-        );
-        assert_eq!(
-            ff.shard_evals.iter().sum::<u64>(),
-            ff.total_evals,
-            "j{k} force-full: per-shard counts must sum to the total"
-        );
-        let active = ff.shard_evals.iter().filter(|&&e| e > 0).count();
-        assert!(
-            active > 1,
-            "j{k}: round-robin sharding must spread evals, got {:?}",
-            ff.shard_evals
-        );
-
-        // Change-propagating: work is attributed, never under-reported.
-        let sharded = run_profiled(&n, sim, cycles, false);
-        assert_eq!(
-            sharded.shard_evals.iter().sum::<u64>(),
-            sharded.total_evals,
-            "j{k}: per-shard counts must sum to the total"
-        );
-        assert!(
-            sharded.total_evals >= reference.total_evals,
-            "j{k}: sharded engine cannot do less work than sequential"
-        );
-        for (kind, n_seq) in &reference.kind_evals {
-            let n_shd = sharded
-                .kind_evals
-                .iter()
-                .find(|(l, _)| l == kind)
-                .map_or(0, |(_, n)| *n);
-            assert!(
-                n_shd >= *n_seq,
-                "j{k}: {kind} under-reported ({n_shd} < {n_seq})"
-            );
-        }
-        // Sequential (registered) cells have no cross-shard transients:
-        // their counts are exactly the sequential engine's.
-        for kind in ["Reg", "ShiftFsm"] {
-            let get = |r: &ProfileReport| {
-                r.kind_evals
-                    .iter()
-                    .find(|(l, _)| *l == kind)
-                    .map_or(0, |(_, n)| *n)
-            };
-            assert_eq!(get(&sharded), get(&reference), "j{k}: {kind} diverged");
-        }
-        assert_eq!(sharded.round_hist.iter().sum::<u64>(), cycles);
-        assert_eq!(sharded.settles, cycles);
-        assert_eq!(sharded.ticks, cycles);
-    }
+    // Change-propagating: every lane carries the scalar run's stimulus, so
+    // the batch engine dirties and re-evaluates exactly the same cells.
+    let batch = run_profiled_batch(&n, BatchSim::new(&n, 67).unwrap(), cycles, false);
+    assert_eq!(batch.total_evals, reference.total_evals);
+    assert_eq!(batch.kind_evals, reference.kind_evals);
+    assert_eq!(batch.settles, cycles);
+    assert_eq!(batch.ticks, cycles);
 }
 
 /// Force-full settles evaluate every cell once per settle, so the totals
@@ -155,27 +108,26 @@ fn force_full_totals_are_exact() {
     let mut seq = Sim::new(&n).unwrap();
     seq.set_force_full_settle(true);
     seq.enable_profile();
-    let part = round_robin(&n, 3);
-    let mut shd = Sim::new_with_partition(&n, &part).unwrap();
-    shd.set_force_full_settle(true);
-    shd.enable_profile();
+    let mut batch = BatchSim::new(&n, 3).unwrap();
+    batch.set_force_full_settle(true);
+    batch.enable_profile();
     let inputs: Vec<_> = n.inputs().collect();
     for t in 0..cycles {
         for (i, &sig) in inputs.iter().enumerate() {
             let v = stim(t, i as u64, n.signal(sig).width);
             seq.poke(sig, v.clone());
-            shd.poke(sig, v);
+            batch.poke_all(sig, v);
         }
         seq.settle().unwrap();
-        shd.settle().unwrap();
+        batch.settle().unwrap();
         seq.tick().unwrap();
-        shd.tick().unwrap();
+        batch.tick().unwrap();
     }
     let rs = seq.profile().unwrap();
-    let rp = shd.profile().unwrap();
+    let rb = batch.profile().unwrap();
     assert_eq!(rs.total_evals, n.cells().len() as u64 * cycles);
-    assert_eq!(rp.total_evals, rs.total_evals);
-    assert_eq!(rp.kind_evals, rs.kind_evals);
+    assert_eq!(rb.total_evals, rs.total_evals);
+    assert_eq!(rb.kind_evals, rs.kind_evals);
 }
 
 /// A never-profiled sim exposes no report; enabling mid-run starts

@@ -33,12 +33,12 @@
 //! stimulus (one transaction every `delay` cycles, per the component's
 //! timeline signature): `--vcd` dumps an IEEE 1364 waveform of the
 //! top-level ports, `--profile` prints the simulator's hot-path profile
-//! (settle rounds, per-shard work, evals by cell kind).
+//! (settle and tick counts, evals by cell kind).
 //!
 //! `fuzz` runs the generative differential fuzzer: seeded random
 //! parametric programs through the multi-stage oracle (fmt fixpoint,
 //! build determinism, artifact cache, serve daemon, interpreter-vs-Sim
-//! lockstep, BatchSim, sharded settle), shrinking any violation to a
+//! lockstep, BatchSim, `-O2` vs `-O0`), shrinking any violation to a
 //! minimal `.fil` repro. `--replay FILE` re-checks a saved repro,
 //! `--selftest` proves an injected oracle violation is caught and shrunk.
 //!
@@ -411,7 +411,7 @@ fn run_sim(file: &str, comp: &str, flags: &Flags) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut sim = match rtl_sim::Sim::new_with_jobs(&netlist, flags.opts.jobs.max(1)) {
+    let mut sim = match rtl_sim::Sim::new(&netlist) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");

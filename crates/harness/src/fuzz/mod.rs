@@ -10,8 +10,8 @@
 //!   Filament programs,
 //! * [`oracle`] — the multi-stage cross-check pipeline run over each
 //!   generated program (pretty→parse fixpoint, build determinism,
-//!   interpreter-vs-simulator lockstep, scalar vs batch vs sharded,
-//!   `-O2`-optimized vs `-O0` netlist lockstep),
+//!   interpreter-vs-simulator lockstep, scalar vs batch, `-O2`-optimized
+//!   vs `-O0` netlist lockstep),
 //! * [`shrink`] — AST-level reduction of failing programs to minimal
 //!   `.fil` repros,
 //! * [`run_fuzz`] — the driver behind `filament fuzz`.

@@ -15,8 +15,7 @@
 //! 6. **interp** — the reference interpreter and interval-exact `Sim`
 //!    transactions agree on random inputs,
 //! 7. **batch** — `BatchSim` lanes reproduce the scalar results,
-//! 8. **sharded** — a settle-sharded `Sim` reproduces the scalar results,
-//! 9. **opt** — the `-O2`-optimized netlist reproduces the `-O0` lockstep
+//! 8. **opt** — the `-O2`-optimized netlist reproduces the `-O0` lockstep
 //!    results through `Sim` and `BatchSim`, and a full driver `-O2` build
 //!    is `-j1`/`-j2` byte-identical and agrees with them too.
 //!
@@ -28,7 +27,7 @@
 use super::{random_inputs, Mismatch};
 use crate::interp::{ExternFn, Interp};
 use crate::spec::InterfaceSpec;
-use crate::txn::{build_plan, run_transactions, run_transactions_with, poison};
+use crate::txn::{build_plan, poison, run_transactions};
 use fil_bits::Value;
 use fil_build::BuildRequest;
 use filament_core::pretty::print_program;
@@ -56,8 +55,6 @@ pub enum Stage {
     Interp,
     /// `BatchSim` lanes vs scalar results.
     Batch,
-    /// Settle-sharded `Sim` vs sequential results.
-    Sharded,
     /// `-O2`-optimized netlist vs the `-O0` lockstep results.
     Opt,
 }
@@ -73,7 +70,6 @@ impl fmt::Display for Stage {
             Stage::Daemon => "serve-daemon",
             Stage::Interp => "interp-lockstep",
             Stage::Batch => "batch-sim",
-            Stage::Sharded => "sharded-settle",
             Stage::Opt => "opt-lockstep",
         })
     }
@@ -104,7 +100,7 @@ fn fail(stage: Stage, detail: impl Into<String>) -> OracleFailure {
 }
 
 /// Oracle configuration. [`Default`] runs the always-on stages (fixpoint,
-/// build, determinism, interp, batch, sharded); the cache and daemon
+/// build, determinism, interp, batch, opt); the cache and daemon
 /// stages activate when their locations are set.
 #[derive(Clone)]
 pub struct OracleOptions {
@@ -119,8 +115,6 @@ pub struct OracleOptions {
     /// Cross-check against a running `filament serve` daemon at this
     /// socket (Unix only; ignored elsewhere).
     pub daemon: Option<PathBuf>,
-    /// Worker threads for the sharded-settle stage.
-    pub shard_jobs: usize,
     /// Maximum `BatchSim` lanes per batched run.
     pub lanes: u32,
     /// Replace one extern's interpreter semantics (mutation testing: an
@@ -141,7 +135,6 @@ impl Default for OracleOptions {
             txns: 6,
             cache_dir: None,
             daemon: None,
-            shard_jobs: 3,
             lanes: 4,
             tweak: None,
             inject_bad_fold: false,
@@ -256,21 +249,7 @@ pub fn check_source(source: &str, seed: u64, opts: &OracleOptions) -> Result<(),
     // Stage 7: BatchSim lanes vs the scalar results.
     batch_check(&netlist, &spec, &inputs, &got, opts.lanes, Stage::Batch)?;
 
-    // Stage 8: sharded settle vs the sequential results.
-    let sharded = run_transactions_with(&netlist, &spec, &inputs, spec.delay, opts.shard_jobs)
-        .map_err(|e| fail(Stage::Sharded, format!("sharded driving failed: {e}")))?;
-    if sharded != got {
-        let case = got.iter().zip(&sharded).position(|(a, b)| a != b);
-        return Err(fail(
-            Stage::Sharded,
-            format!(
-                "sharded settle (jobs {}) diverges from the sequential run at case {case:?}",
-                opts.shard_jobs
-            ),
-        ));
-    }
-
-    // Stage 9: -O2 vs -O0 lockstep. The -O0 netlist already produced
+    // Stage 8: -O2 vs -O0 lockstep. The -O0 netlist already produced
     // `got`; a level-2 optimized netlist of the same lowered program must
     // reproduce it exactly, scalar and batched.
     let lowered = out.lowered.as_ref().expect("lowered was requested");

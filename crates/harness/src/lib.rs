@@ -106,38 +106,6 @@ fn finish_request(
     Ok((netlist, spec))
 }
 
-/// Compiles a checked Filament program down to a flat netlist plus the
-/// harness-facing interface spec of its top component.
-///
-/// # Errors
-///
-/// Returns a human-readable message for check, lowering, elaboration, or
-/// spec-extraction failures.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `compile_request` with a `fil_build::BuildRequest`"
-)]
-pub fn compile_for_test(
-    program: &filament_core::Program,
-    top: &str,
-    registry: &dyn filament_core::PrimitiveRegistry,
-) -> Result<(Netlist, InterfaceSpec), String> {
-    // The build driver elaborates, checks, and lowers per compile unit
-    // (idempotent on already-concrete programs, so callers may hand in
-    // parametric sources directly), then merges deterministically.
-    let out =
-        fil_build::build_program_serial(program, registry, &fil_build::BuildOptions::default())
-            .map_err(|e| e.to_string())?;
-    let calyx = out.lowered.expect("full builds produce a lowered program");
-    let netlist = calyx.elaborate(top).map_err(|e| e.to_string())?;
-    let sig = out
-        .expanded
-        .sig(top)
-        .ok_or_else(|| format!("unknown component {top}"))?;
-    let spec = InterfaceSpec::from_signature(sig).map_err(|e| e.to_string())?;
-    Ok((netlist, spec))
-}
-
 /// Runs `inputs` through the design as fully pipelined transactions (one
 /// every `spec.delay` cycles) and returns the captured outputs per
 /// transaction.

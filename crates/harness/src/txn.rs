@@ -152,17 +152,6 @@ pub(crate) fn simulate_plan(
     netlist: &Netlist,
     spec: &InterfaceSpec,
     plan: &DrivePlan,
-    observe: impl FnMut(u64, &Sim<'_>),
-) -> Result<(), HarnessError> {
-    simulate_plan_with(netlist, spec, plan, 1, observe)
-}
-
-/// [`simulate_plan`] over a settle-sharded simulator (`jobs` > 1).
-pub(crate) fn simulate_plan_with(
-    netlist: &Netlist,
-    spec: &InterfaceSpec,
-    plan: &DrivePlan,
-    jobs: usize,
     mut observe: impl FnMut(u64, &Sim<'_>),
 ) -> Result<(), HarnessError> {
     // Resolve ports up front.
@@ -189,7 +178,7 @@ pub(crate) fn simulate_plan_with(
         }
     }
 
-    let mut sim = Sim::new_with_jobs(netlist, jobs)?;
+    let mut sim = Sim::new(netlist)?;
     let mut next_go = plan.go_cycles.iter().peekable();
     for t in 0..plan.total_cycles {
         for (i, port) in spec.inputs.iter().enumerate() {
@@ -226,18 +215,6 @@ pub fn run_transactions(
     inputs: &[Vec<Value>],
     period: u64,
 ) -> Result<Vec<Vec<Value>>, HarnessError> {
-    run_transactions_with(netlist, spec, inputs, period, 1)
-}
-
-/// [`run_transactions`] over a settle-sharded simulator (`jobs` worker
-/// threads when > 1); results must be bit-identical to the sequential run.
-pub(crate) fn run_transactions_with(
-    netlist: &Netlist,
-    spec: &InterfaceSpec,
-    inputs: &[Vec<Value>],
-    period: u64,
-    jobs: usize,
-) -> Result<Vec<Vec<Value>>, HarnessError> {
     let plan = build_plan(spec, inputs, period, 0)?;
     let period = period.max(1);
 
@@ -246,7 +223,7 @@ pub(crate) fn run_transactions_with(
         vec![vec![Vec::new(); spec.outputs.len()]; inputs.len()];
     {
         let captured = &mut captured;
-        simulate_plan_with(netlist, spec, &plan, jobs, |t, sim| {
+        simulate_plan(netlist, spec, &plan, |t, sim| {
             for (k, txn) in captured.iter_mut().enumerate() {
                 let t0 = k as u64 * period;
                 for (j, port) in spec.outputs.iter().enumerate() {

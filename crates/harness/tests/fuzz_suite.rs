@@ -2,7 +2,7 @@
 //!
 //! * **Pinned-seed smoke** — a fixed campaign (the same seeds every run)
 //!   must pass every oracle stage clean: interpreter vs scalar `Sim`,
-//!   `BatchSim`, sharded settle, `-j1` vs `-j2` builds, and periodic
+//!   `BatchSim`, `-O2` vs `-O0`, `-j1` vs `-j2` builds, and periodic
 //!   cold/warm artifact-cache builds.
 //! * **Daemon cross-check** — a slice of the campaign builds through an
 //!   in-process `filament serve` daemon and must agree byte-for-byte
@@ -168,6 +168,5 @@ fn oracle_stages_are_ordered_and_reported() {
     // Stage names are stable (they appear in repro file headers and CI
     // logs).
     assert_eq!(Stage::Interp.to_string(), "interp-lockstep");
-    assert_eq!(Stage::Sharded.to_string(), "sharded-settle");
     assert_eq!(Stage::Opt.to_string(), "opt-lockstep");
 }

@@ -45,13 +45,8 @@
 use crate::cell::CellKind;
 use crate::graph::{Driver, FlatGraph};
 use crate::netlist::{Netlist, PortDir, SignalId};
-use crate::shard::{
-    auto_partition, build_plans, enc_idx, enc_is_ext, normalize_partition, Barrier, Plan, Pool,
-    SDriver, SyncCell, NO_GUARD,
-};
 use crate::sim::{conflict_error, Conflict, SimError};
 use fil_bits::{lanes, LaneBuf, Value};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A recorded per-lane write conflict.
 #[derive(Debug, Clone, Copy)]
@@ -68,31 +63,6 @@ fn first_set_lane(words: &[u64]) -> u32 {
         }
     }
     unreachable!("no set lane in a nonzero conflict plane")
-}
-
-/// Per-shard mutable state for the sharded batch engine.
-struct BatchShard {
-    ext_vals: Vec<LaneBuf>,
-    out_changed: Vec<u32>,
-    conflicts: Vec<LaneConflict>,
-    s_active: Vec<u64>,
-    s_drv: Vec<u64>,
-    s_confl: Vec<u64>,
-    /// Profiling (zero when disabled): see `ShardState` in `sim.rs`.
-    evals: u64,
-    resolves: u64,
-    rounds: u32,
-}
-
-/// The sharded batch engine.
-struct ParBatch {
-    k: usize,
-    plans: Vec<Plan>,
-    pool: Pool,
-    barrier: Barrier,
-    more: AtomicBool,
-    boundary: Vec<SyncCell<bool>>,
-    sstates: Vec<SyncCell<BatchShard>>,
 }
 
 /// A batched simulation: B independent traces over one borrowed
@@ -123,7 +93,6 @@ pub struct BatchSim<'n> {
     ones: Vec<u64>,
     dummy: LaneBuf,
     conflicts: Vec<LaneConflict>,
-    par: Option<Box<ParBatch>>,
     /// Profiling counters; `None` (the default) keeps the hot paths at
     /// a single untaken branch. See [`BatchSim::enable_profile`].
     prof: Option<Box<crate::profile::ProfState>>,
@@ -133,8 +102,8 @@ pub struct BatchSim<'n> {
 }
 
 impl<'n> BatchSim<'n> {
-    /// Elaborates a netlist for single-threaded batched simulation with
-    /// `lanes` independent stimulus lanes.
+    /// Elaborates a netlist for batched simulation with `nlanes`
+    /// independent stimulus lanes.
     ///
     /// # Errors
     ///
@@ -144,62 +113,8 @@ impl<'n> BatchSim<'n> {
     ///
     /// # Panics
     ///
-    /// Panics if `lanes == 0`.
-    pub fn new(netlist: &'n Netlist, lanes: u32) -> Result<Self, SimError> {
-        Self::new_with_jobs(netlist, lanes, 1)
-    }
-
-    /// Batched elaboration with a sharded settle over (up to) `jobs`
-    /// shards, combining both throughput multipliers. `jobs == 0` uses the
-    /// machine's available parallelism.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BatchSim::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0`.
-    pub fn new_with_jobs(netlist: &'n Netlist, lanes: u32, jobs: usize) -> Result<Self, SimError> {
-        let flat = Self::flatten(netlist)?;
-        let jobs = if jobs == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            jobs
-        };
-        let k = jobs.min(flat.n_sigs().max(1));
-        if k <= 1 {
-            return Ok(Self::assemble(netlist, flat, lanes, None));
-        }
-        let of = auto_partition(netlist, &flat, k);
-        Ok(Self::assemble_sharded(netlist, flat, lanes, &of, k))
-    }
-
-    /// Batched elaboration with an explicit signal→shard assignment (see
-    /// [`Sim::new_with_partition`](crate::Sim::new_with_partition)).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BatchSim::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0` or the partition length is wrong.
-    pub fn new_with_partition(
-        netlist: &'n Netlist,
-        lanes: u32,
-        partition: &[u32],
-    ) -> Result<Self, SimError> {
-        let flat = Self::flatten(netlist)?;
-        let mut of = partition.to_vec();
-        let k = normalize_partition(netlist, &mut of);
-        if k <= 1 {
-            return Ok(Self::assemble(netlist, flat, lanes, None));
-        }
-        Ok(Self::assemble_sharded(netlist, flat, lanes, &of, k))
-    }
-
-    fn flatten(netlist: &Netlist) -> Result<FlatGraph, SimError> {
+    /// Panics if `nlanes == 0`.
+    pub fn new(netlist: &'n Netlist, nlanes: u32) -> Result<Self, SimError> {
         let flat = FlatGraph::new(netlist)?;
         for s in netlist.signals() {
             if s.width > 64 {
@@ -209,57 +124,6 @@ impl<'n> BatchSim<'n> {
                 });
             }
         }
-        Ok(flat)
-    }
-
-    fn assemble_sharded(
-        netlist: &'n Netlist,
-        flat: FlatGraph,
-        nlanes: u32,
-        of: &[u32],
-        k: usize,
-    ) -> Self {
-        let pw = lanes::plane_words(nlanes);
-        let plans = build_plans(netlist, &flat, of, k);
-        let sstates = plans
-            .iter()
-            .map(|p| {
-                SyncCell::new(BatchShard {
-                    ext_vals: p
-                        .ext_sigs
-                        .iter()
-                        .map(|&g| LaneBuf::zero(netlist.signals()[g as usize].width, nlanes))
-                        .collect(),
-                    out_changed: Vec::with_capacity(p.n_boundary),
-                    conflicts: Vec::new(),
-                    s_active: vec![0; pw],
-                    s_drv: vec![0; pw],
-                    s_confl: vec![0; pw],
-                    evals: 0,
-                    resolves: 0,
-                    rounds: 0,
-                })
-            })
-            .collect();
-        let boundary = (0..flat.n_sigs()).map(|_| SyncCell::new(false)).collect();
-        let par = ParBatch {
-            k,
-            plans,
-            pool: Pool::new(k - 1),
-            barrier: Barrier::new(k),
-            more: AtomicBool::new(false),
-            boundary,
-            sstates,
-        };
-        Self::assemble(netlist, flat, nlanes, Some(Box::new(par)))
-    }
-
-    fn assemble(
-        netlist: &'n Netlist,
-        flat: FlatGraph,
-        nlanes: u32,
-        par: Option<Box<ParBatch>>,
-    ) -> Self {
         assert!(nlanes > 0, "batch needs at least one lane");
         let pw = lanes::plane_words(nlanes);
         let n_sigs = flat.n_sigs();
@@ -300,7 +164,7 @@ impl<'n> BatchSim<'n> {
         }
         let mut ones = vec![u64::MAX; pw];
         lanes::mask_plane_tail(&mut ones, nlanes);
-        BatchSim {
+        Ok(BatchSim {
             netlist,
             flat,
             nlanes,
@@ -320,12 +184,11 @@ impl<'n> BatchSim<'n> {
             ones,
             dummy: LaneBuf::zero(1, nlanes),
             conflicts: Vec::new(),
-            par,
             prof: None,
             force_full: false,
             cycle: 0,
             settled: false,
-        }
+        })
     }
 
     /// The number of stimulus lanes.
@@ -343,11 +206,6 @@ impl<'n> BatchSim<'n> {
         self.netlist
     }
 
-    /// The number of shards settling concurrently (1 when sequential).
-    pub fn jobs(&self) -> usize {
-        self.par.as_ref().map_or(1, |p| p.k)
-    }
-
     /// Disables (or re-enables) change propagation, as
     /// [`Sim::set_force_full_settle`](crate::Sim::set_force_full_settle).
     pub fn set_force_full_settle(&mut self, on: bool) {
@@ -360,10 +218,9 @@ impl<'n> BatchSim<'n> {
     /// were ever poked). All counter storage is allocated here — enabled
     /// profiling still does zero allocations per cycle.
     pub fn enable_profile(&mut self) {
-        let cells = self.netlist.cells().len();
-        let shards = self.jobs();
         self.prof = Some(Box::new(crate::profile::ProfState::new(
-            cells, shards, self.pw,
+            self.netlist.cells().len(),
+            self.pw,
         )));
     }
 
@@ -488,14 +345,6 @@ impl<'n> BatchSim<'n> {
         if self.force_full {
             self.dirty.fill(true);
         }
-        if self.par.is_some() {
-            self.settle_sharded()
-        } else {
-            self.settle_seq()
-        }
-    }
-
-    fn settle_seq(&mut self) -> Result<(), SimError> {
         self.conflicts.clear();
         for idx in 0..self.flat.order.len() {
             let si = self.flat.order[idx] as usize;
@@ -527,7 +376,6 @@ impl<'n> BatchSim<'n> {
                         // the same metric as the stamp transition.
                         if let Some(p) = &mut self.prof {
                             p.cell_evals[c] += 1;
-                            p.shard_evals[0] += 1;
                         }
                         let BatchSim { values, states, .. } = self;
                         changed = lanes::copy_changed(&mut values[si], &states[c][0]);
@@ -551,7 +399,6 @@ impl<'n> BatchSim<'n> {
                         if first {
                             if let Some(p) = &mut self.prof {
                                 p.cell_evals[c] += 1;
-                                p.shard_evals[0] += 1;
                             }
                         }
                         let o1 = self.flat.cout_start[c + 1] as usize;
@@ -713,80 +560,7 @@ impl<'n> BatchSim<'n> {
             ));
         }
         if let Some(p) = &mut self.prof {
-            p.record_settle(1);
-        }
-        self.settled = true;
-        Ok(())
-    }
-
-    fn settle_sharded(&mut self) -> Result<(), SimError> {
-        let par = self.par.as_ref().expect("sharded engine");
-        par.barrier.reset();
-        for sc in &par.sstates {
-            // SAFETY: workers are idle between jobs.
-            unsafe { sc.get_mut() }.conflicts.clear();
-        }
-        let ctx = BatchCtx {
-            netlist: self.netlist,
-            flat: &self.flat,
-            plans: &par.plans,
-            values: self.values.as_mut_ptr(),
-            driven: self.driven.as_mut_ptr(),
-            pw: self.pw,
-            dirty: self.dirty.as_mut_ptr(),
-            out_buf: self.out_buf.as_mut_ptr(),
-            cell_stamp: self.cell_stamp.as_mut_ptr(),
-            states: self.states.as_ptr(),
-            cand: self.cand.as_mut_ptr(),
-            cand_of: &self.cand_of,
-            ones: &self.ones,
-            pass: self.pass,
-            dummy: &self.dummy,
-            boundary: &par.boundary,
-            sstates: &par.sstates,
-            more: &par.more,
-            barrier: &par.barrier,
-            prof_cells: self
-                .prof
-                .as_deref_mut()
-                .map_or(std::ptr::null_mut(), |p| p.cell_evals.as_mut_ptr()),
-        };
-        let job = |w: usize| {
-            // SAFETY: the shard ownership discipline (see ScalarCtx in sim.rs).
-            unsafe { batch_worker(&ctx, w) };
-        };
-        par.pool.run(&job);
-
-        let mut best: Option<LaneConflict> = None;
-        for sc in &par.sstates {
-            // SAFETY: workers are idle again.
-            let st = unsafe { sc.get_mut() };
-            for lc in &st.conflicts {
-                if best.is_none_or(|b| lc.c.sig < b.c.sig) {
-                    best = Some(*lc);
-                }
-            }
-        }
-        if let Some(lc) = best {
-            return Err(conflict_error(
-                self.netlist,
-                self.cycle,
-                lc.c,
-                Some(lc.lane),
-            ));
-        }
-        if let Some(p) = &mut self.prof {
-            let mut rounds = 1u32;
-            for (i, sc) in par.sstates.iter().enumerate() {
-                // SAFETY: workers are idle again.
-                let st = unsafe { sc.get_mut() };
-                p.shard_evals[i] += st.evals;
-                st.evals = 0;
-                p.assign_resolves += st.resolves;
-                st.resolves = 0;
-                rounds = rounds.max(st.rounds);
-            }
-            p.record_settle(rounds);
+            p.settles += 1;
         }
         self.settled = true;
         Ok(())
@@ -801,20 +575,6 @@ impl<'n> BatchSim<'n> {
         if !self.settled {
             self.settle()?;
         }
-        if self.par.is_some() {
-            self.tick_sharded();
-        } else {
-            self.tick_seq();
-        }
-        if let Some(p) = &mut self.prof {
-            p.ticks += 1;
-        }
-        self.cycle += 1;
-        self.settled = false;
-        Ok(())
-    }
-
-    fn tick_seq(&mut self) {
         let BatchSim {
             values,
             states,
@@ -841,25 +601,12 @@ impl<'n> BatchSim<'n> {
                 dirty[sig as usize] = true;
             }
         }
-    }
-
-    fn tick_sharded(&mut self) {
-        let par = self.par.as_ref().expect("sharded engine");
-        let ctx = BatchTickCtx {
-            netlist: self.netlist,
-            flat: &self.flat,
-            plans: &par.plans,
-            values: self.values.as_ptr(),
-            states: self.states.as_mut_ptr(),
-            dirty: self.dirty.as_mut_ptr(),
-            dummy: &self.dummy,
-        };
-        let job = |w: usize| {
-            // SAFETY: shards own disjoint cells and signals; values are
-            // read-only during tick.
-            unsafe { batch_tick_worker(&ctx, w) };
-        };
-        par.pool.run(&job);
+        if let Some(p) = &mut self.prof {
+            p.ticks += 1;
+        }
+        self.cycle += 1;
+        self.settled = false;
+        Ok(())
     }
 
     /// Settle then tick: one full clock cycle for all lanes.
@@ -882,358 +629,5 @@ impl<'n> BatchSim<'n> {
             self.step()?;
         }
         Ok(())
-    }
-}
-
-/// Shared context for the sharded batch settle job; the safety discipline
-/// is exactly `ScalarCtx`'s (see sim.rs), with lane buffers for values.
-struct BatchCtx<'a> {
-    netlist: &'a Netlist,
-    flat: &'a FlatGraph,
-    plans: &'a [Plan],
-    values: *mut LaneBuf,
-    driven: *mut u64,
-    pw: usize,
-    dirty: *mut bool,
-    out_buf: *mut LaneBuf,
-    cell_stamp: *mut u64,
-    states: *const Vec<LaneBuf>,
-    cand: *mut LaneBuf,
-    cand_of: &'a [u32],
-    ones: &'a [u64],
-    pass: u64,
-    dummy: &'a LaneBuf,
-    boundary: &'a [SyncCell<bool>],
-    sstates: &'a [SyncCell<BatchShard>],
-    more: &'a AtomicBool,
-    barrier: &'a Barrier,
-    /// Per-cell eval counters, or null when profiling is off. Shards own
-    /// disjoint cells, so writes never race.
-    prof_cells: *mut u64,
-}
-
-// SAFETY: disjoint shard-ownership protocol, as in sim.rs.
-unsafe impl Sync for BatchCtx<'_> {}
-
-unsafe fn batch_worker(ctx: &BatchCtx<'_>, w: usize) {
-    let plan = &ctx.plans[w];
-    // SAFETY: each worker accesses only its own shard state.
-    let st = unsafe { ctx.sstates[w].get_mut() };
-    let profiling = !ctx.prof_cells.is_null();
-    let mut rounds = 0u32;
-    let mut sense = false;
-    loop {
-        rounds += 1;
-        for &sig in &st.out_changed {
-            // SAFETY: owner-only write; consumers finished last round.
-            unsafe { *ctx.boundary[sig as usize].get_mut() = false };
-        }
-        st.out_changed.clear();
-        for idx in 0..plan.order.len() {
-            let si = plan.order[idx] as usize;
-            // SAFETY: owned signal.
-            if unsafe { !*ctx.dirty.add(si) } {
-                continue;
-            }
-            let changed;
-            let mut conflicted = false;
-            match plan.sdriver[idx] {
-                SDriver::External { is_input } => {
-                    // SAFETY: owned signal's driven plane.
-                    let d = unsafe {
-                        std::slice::from_raw_parts_mut(ctx.driven.add(si * ctx.pw), ctx.pw)
-                    };
-                    if is_input {
-                        d.copy_from_slice(ctx.ones);
-                    } else {
-                        d.fill(0);
-                    }
-                    changed = true;
-                }
-                SDriver::Cell { cell, pin }
-                    if matches!(
-                        ctx.netlist.cells()[cell as usize].kind,
-                        CellKind::Reg { .. }
-                    ) =>
-                {
-                    let c = cell as usize;
-                    let _ = pin;
-                    // Register outputs are pure state copies — adopt from
-                    // the state plane directly, as in the sequential arm.
-                    // Reg outputs are never re-dirtied by the boundary
-                    // exchange, so visit-counting matches the sequential
-                    // once-per-settle metric.
-                    if profiling {
-                        // SAFETY: shards own disjoint cells.
-                        unsafe { *ctx.prof_cells.add(c) += 1 };
-                        st.evals += 1;
-                    }
-                    // SAFETY: owned signal; states are read-only in settle.
-                    let dst = unsafe { &mut *ctx.values.add(si) };
-                    let state = unsafe { &*ctx.states.add(c) };
-                    changed = lanes::copy_changed(dst, &state[0]);
-                    // SAFETY: owned signal's driven plane.
-                    if unsafe { *ctx.driven.add(si * ctx.pw) } != ctx.ones[0] {
-                        unsafe {
-                            std::slice::from_raw_parts_mut(ctx.driven.add(si * ctx.pw), ctx.pw)
-                        }
-                        .copy_from_slice(ctx.ones);
-                    }
-                }
-                SDriver::Cell { cell, pin } => {
-                    let c = cell as usize;
-                    let o0 = ctx.flat.cout_start[c] as usize;
-                    let slot = o0 + pin as usize;
-                    // SAFETY: the cell is owned.
-                    let stamp = unsafe { &mut *ctx.cell_stamp.add(c) };
-                    let first = *stamp != ctx.pass;
-                    if ctx.flat.comb_out[slot] || first {
-                        *stamp = ctx.pass;
-                        if profiling && first {
-                            // SAFETY: shards own disjoint cells.
-                            unsafe { *ctx.prof_cells.add(c) += 1 };
-                            st.evals += 1;
-                        }
-                        let o1 = ctx.flat.cout_start[c + 1] as usize;
-                        let pins = &plan.pin_enc
-                            [plan.cpin_start[c] as usize..plan.cpin_start[c + 1] as usize];
-                        let mut inputs: [&LaneBuf; CellKind::MAX_INPUT_PINS] =
-                            [ctx.dummy; CellKind::MAX_INPUT_PINS];
-                        for (k, &e) in pins.iter().enumerate() {
-                            inputs[k] = if enc_is_ext(e) {
-                                &st.ext_vals[enc_idx(e)]
-                            } else {
-                                // SAFETY: remote inputs go through ext slots.
-                                unsafe { &*ctx.values.add(enc_idx(e)) }
-                            };
-                        }
-                        // SAFETY: out_buf slots o0..o1 belong to this cell.
-                        let outs =
-                            unsafe { std::slice::from_raw_parts_mut(ctx.out_buf.add(o0), o1 - o0) };
-                        ctx.netlist.cells()[c].kind.eval_lanes(
-                            &inputs[..pins.len()],
-                            // SAFETY: states are read-only during settle.
-                            unsafe { &*ctx.states.add(c) },
-                            outs,
-                        );
-                    }
-                    // SAFETY: owned slot and signal.
-                    let out = unsafe { &mut *ctx.out_buf.add(slot) };
-                    let dst = unsafe { &mut *ctx.values.add(si) };
-                    if ctx.flat.comb_out[slot] {
-                        // Comb outputs re-evaluate on every visit, so the
-                        // stale plane a swap leaves in out_buf can never be
-                        // adopted — even on a re-dirtied round.
-                        changed = dst.words() != out.words();
-                        if changed {
-                            std::mem::swap(dst, out);
-                        }
-                    } else {
-                        // State outputs may skip eval on a later round of
-                        // the same pass (stamp hit); out_buf must then still
-                        // hold the adopted value, so copy instead of swap.
-                        changed = lanes::copy_changed(dst, out);
-                    }
-                    // Monotonic zero → all-ones, as in the sequential arm:
-                    // skip the plane copy once it has happened.
-                    // SAFETY: owned signal's driven plane.
-                    if unsafe { *ctx.driven.add(si * ctx.pw) } != ctx.ones[0] {
-                        unsafe {
-                            std::slice::from_raw_parts_mut(ctx.driven.add(si * ctx.pw), ctx.pw)
-                        }
-                        .copy_from_slice(ctx.ones);
-                    }
-                }
-                SDriver::Assigns { start, len } => {
-                    if profiling {
-                        st.resolves += 1;
-                    }
-                    if !st.conflicts.is_empty() {
-                        st.conflicts.retain(|c| c.c.sig as usize != si);
-                    }
-                    st.s_drv.fill(0);
-                    st.s_confl.fill(0);
-                    for j in start as usize..(start + len) as usize {
-                        let ge = plan.asg_guard[j];
-                        if ge == NO_GUARD {
-                            st.s_active.copy_from_slice(ctx.ones);
-                        } else {
-                            let g = if enc_is_ext(ge) {
-                                &st.ext_vals[enc_idx(ge)]
-                            } else {
-                                // SAFETY: guards settle before their dsts.
-                                unsafe { &*ctx.values.add(enc_idx(ge)) }
-                            };
-                            st.s_active.copy_from_slice(g.words());
-                        }
-                        for w2 in 0..ctx.pw {
-                            st.s_confl[w2] |= st.s_active[w2] & st.s_drv[w2];
-                            st.s_drv[w2] |= st.s_active[w2];
-                        }
-                    }
-                    // SAFETY: the candidate buffer belongs to this signal.
-                    let cb = unsafe { &mut *ctx.cand.add(ctx.cand_of[si] as usize) };
-                    cb.fill_zero();
-                    let any_confl = st.s_confl.iter().any(|&w2| w2 != 0);
-                    if any_confl {
-                        // SAFETY: owned signal value.
-                        lanes::copy_masked(cb, unsafe { &*ctx.values.add(si) }, &st.s_confl);
-                    }
-                    for j in start as usize..(start + len) as usize {
-                        let ge = plan.asg_guard[j];
-                        if ge == NO_GUARD {
-                            st.s_active.copy_from_slice(ctx.ones);
-                        } else {
-                            let g = if enc_is_ext(ge) {
-                                &st.ext_vals[enc_idx(ge)]
-                            } else {
-                                unsafe { &*ctx.values.add(enc_idx(ge)) }
-                            };
-                            st.s_active.copy_from_slice(g.words());
-                        }
-                        if any_confl {
-                            for w2 in 0..ctx.pw {
-                                st.s_active[w2] &= !st.s_confl[w2];
-                            }
-                        }
-                        let se = plan.asg_src[j];
-                        let src = if enc_is_ext(se) {
-                            &st.ext_vals[enc_idx(se)]
-                        } else {
-                            // SAFETY: srcs settle before their dsts.
-                            unsafe { &*ctx.values.add(enc_idx(se)) }
-                        };
-                        lanes::copy_masked(cb, src, &st.s_active);
-                    }
-                    if any_confl {
-                        let lane = first_set_lane(&st.s_confl);
-                        let mut first: Option<usize> = None;
-                        let mut pair: Option<(u32, u32)> = None;
-                        for j in start as usize..(start + len) as usize {
-                            let ge = plan.asg_guard[j];
-                            let act = ge == NO_GUARD || {
-                                let g = if enc_is_ext(ge) {
-                                    &st.ext_vals[enc_idx(ge)]
-                                } else {
-                                    unsafe { &*ctx.values.add(enc_idx(ge)) }
-                                };
-                                g.get(lane) != 0
-                            };
-                            if act {
-                                match first {
-                                    None => first = Some(j),
-                                    Some(f) => {
-                                        pair = Some((plan.asg_id[f], plan.asg_id[j]));
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        let (a, b) = pair.expect("conflict lane has two active assigns");
-                        st.conflicts.push(LaneConflict {
-                            c: Conflict {
-                                sig: si as u32,
-                                a,
-                                b,
-                            },
-                            lane,
-                        });
-                        conflicted = true;
-                    }
-                    // SAFETY: owned signal's driven plane and value.
-                    unsafe { std::slice::from_raw_parts_mut(ctx.driven.add(si * ctx.pw), ctx.pw) }
-                        .copy_from_slice(&st.s_drv);
-                    // Rebuilt on every visit — swap-adoption is safe.
-                    let dst = unsafe { &mut *ctx.values.add(si) };
-                    changed = dst.words() != cb.words();
-                    if changed {
-                        std::mem::swap(dst, cb);
-                    }
-                }
-            }
-            unsafe { *ctx.dirty.add(si) = conflicted };
-            if changed {
-                let (d0, d1) = (
-                    plan.ldep_start[idx] as usize,
-                    plan.ldep_start[idx + 1] as usize,
-                );
-                for &t in &plan.ldep_list[d0..d1] {
-                    // SAFETY: local dependents are owned.
-                    unsafe { *ctx.dirty.add(t as usize) = true };
-                }
-                if plan.has_remote_dep[idx] {
-                    // SAFETY: owner-only write, read after the barrier.
-                    unsafe { *ctx.boundary[si].get_mut() = true };
-                    st.out_changed.push(si as u32);
-                }
-            }
-        }
-        if !st.out_changed.is_empty() {
-            ctx.more.store(true, Ordering::Relaxed);
-        }
-        ctx.barrier.wait(&mut sense);
-        let more = ctx.more.load(Ordering::Relaxed);
-        ctx.barrier.wait(&mut sense);
-        if !more {
-            st.rounds = rounds;
-            break;
-        }
-        if w == 0 {
-            ctx.more.store(false, Ordering::Relaxed);
-        }
-        for e in 0..plan.ext_sigs.len() {
-            let g = plan.ext_sigs[e] as usize;
-            // SAFETY: the owner is quiescent between barriers.
-            if unsafe { *ctx.boundary[g].get_mut() } {
-                st.ext_vals[e].copy_from(unsafe { &*ctx.values.add(g) });
-                let (x0, x1) = (
-                    plan.ext_dep_start[e] as usize,
-                    plan.ext_dep_start[e + 1] as usize,
-                );
-                for &t in &plan.ext_dep_list[x0..x1] {
-                    // SAFETY: readers to re-dirty are owned.
-                    unsafe { *ctx.dirty.add(t as usize) = true };
-                }
-            }
-        }
-        ctx.barrier.wait(&mut sense);
-    }
-}
-
-/// Shared context for the sharded batch tick job.
-struct BatchTickCtx<'a> {
-    netlist: &'a Netlist,
-    flat: &'a FlatGraph,
-    plans: &'a [Plan],
-    values: *const LaneBuf,
-    states: *mut Vec<LaneBuf>,
-    dirty: *mut bool,
-    dummy: &'a LaneBuf,
-}
-
-// SAFETY: see BatchCtx.
-unsafe impl Sync for BatchTickCtx<'_> {}
-
-unsafe fn batch_tick_worker(ctx: &BatchTickCtx<'_>, w: usize) {
-    for &ci in &ctx.plans[w].seq_cells {
-        let c = ci as usize;
-        let pins = ctx.flat.cell_pins(c);
-        let mut inputs: [&LaneBuf; CellKind::MAX_INPUT_PINS] =
-            [ctx.dummy; CellKind::MAX_INPUT_PINS];
-        for (k, &s) in pins.iter().enumerate() {
-            // SAFETY: no thread writes values during tick.
-            inputs[k] = unsafe { &*ctx.values.add(s as usize) };
-        }
-        ctx.netlist.cells()[c].kind.tick_lanes(
-            &inputs[..pins.len()],
-            // SAFETY: the cell is owned by this shard.
-            unsafe { &mut *ctx.states.add(c) },
-        );
-        for &sig in &ctx.flat.cout_sigs
-            [ctx.flat.cout_start[c] as usize..ctx.flat.cout_start[c + 1] as usize]
-        {
-            // SAFETY: the cell's outputs are owned by this shard.
-            unsafe { *ctx.dirty.add(sig as usize) = true };
-        }
     }
 }

@@ -1,11 +1,10 @@
 //! Shared elaboration: the netlist flattened into CSR index arrays.
 //!
 //! Both simulation engines — the scalar [`Sim`](crate::Sim) and the batched
-//! [`BatchSim`](crate::BatchSim) — and the shard partitioner consume the same
-//! flattened form of a netlist: resolved drivers, combinational dependency
-//! edges, per-cell pin lists, and a topological evaluation order. This module
-//! computes it once so the engines only differ in their value storage and
-//! settle loops.
+//! [`BatchSim`](crate::BatchSim) — consume the same flattened form of a
+//! netlist: resolved drivers, combinational dependency edges, per-cell pin
+//! lists, and a topological evaluation order. This module computes it once
+//! so the engines only differ in their value storage and settle loops.
 
 use crate::cell::CellKind;
 use crate::netlist::{Netlist, SignalId};
@@ -26,8 +25,7 @@ pub(crate) enum Driver {
 /// A netlist flattened into CSR arrays plus a topological evaluation order.
 ///
 /// All fields are indexes into the source [`Netlist`]'s signal/cell/assign
-/// tables; the graph holds no values and is immutable after construction, so
-/// worker threads share it freely.
+/// tables; the graph holds no values and is immutable after construction.
 #[derive(Debug)]
 pub(crate) struct FlatGraph {
     pub drivers: Vec<Driver>,

@@ -70,12 +70,13 @@
 //! # Ok::<(), rtl_sim::SimError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod batch;
 mod cell;
 mod graph;
 mod netlist;
 mod profile;
-mod shard;
 mod sim;
 mod wave;
 

@@ -1,6 +1,5 @@
-//! Opt-in simulator profiling: settle-round histograms, per-shard work
-//! counts, per-[`CellKind`](crate::CellKind) eval totals, and batch-lane
-//! occupancy.
+//! Opt-in simulator profiling: settle and tick counts,
+//! per-[`CellKind`](crate::CellKind) eval totals, and batch-lane occupancy.
 //!
 //! Profiling is off by default and costs nothing when off: the engines
 //! hold an `Option<Box<ProfState>>` that stays `None`, so the per-cycle
@@ -14,29 +13,14 @@
 //! A cell is counted at most once per settle, on its first visit (the
 //! `cell_stamp != pass` transition) — so the count is *work actually
 //! done*, not a model of it. Under `set_force_full_settle(true)` every
-//! engine evaluates every cell once per settle, and the sharded
-//! per-shard totals sum to exactly the sequential totals, cell by cell.
-//! In the default change-propagating mode the sharded engines may do —
-//! and therefore count — slightly *more* evals than the sequential one:
-//! a cross-shard transient (a boundary signal that glitches through an
-//! intermediate value before the fixed point) re-dirties remote readers
-//! the sequential engine, which settles in one glitch-free topological
-//! pass, never visits. The values still converge identically (the
-//! determinism suite pins that); the profile makes the extra sharded
-//! work visible instead of hiding it. The
-//! [`BatchSim`](crate::BatchSim) register fast path skips the stamp and
-//! is *visit*-counted instead; a register whose input crosses a shard
-//! boundary can be re-visited after the exchange, so sharded batch Reg
-//! counts may also slightly exceed the sequential ones. Assign
-//! *resolutions* (guarded-assign group evaluations) are
-//! engine-dependent — sharded Jacobi rounds may resolve a group once
-//! per round — and are reported as a separate counter.
+//! engine evaluates every cell once per settle, so [`Sim`](crate::Sim) and
+//! [`BatchSim`](crate::BatchSim) totals agree exactly, cell by cell. The
+//! `BatchSim` register fast path skips the stamp and is *visit*-counted
+//! instead; a register output is visited at most once per settle, so the
+//! count is the same. Assign *resolutions* (guarded-assign group
+//! evaluations) are reported as a separate counter.
 
 use crate::netlist::Netlist;
-
-/// Settle-round histogram buckets: settles taking `i+1` rounds land in
-/// bucket `i`; the last bucket collects everything deeper.
-pub(crate) const ROUND_BUCKETS: usize = 16;
 
 /// Pre-allocated counter state, boxed behind `Option` in the engines.
 #[derive(Debug, Clone)]
@@ -44,12 +28,8 @@ pub(crate) struct ProfState {
     /// Evals per cell (indexed by cell id), aggregated per kind at
     /// report time.
     pub cell_evals: Vec<u64>,
-    /// Evals attributed to each shard (index 0 for sequential settles).
-    pub shard_evals: Vec<u64>,
     /// Guarded-assign group resolutions.
     pub assign_resolves: u64,
-    /// Histogram over rounds-per-settle (sequential settles are 1 round).
-    pub round_hist: [u64; ROUND_BUCKETS],
     /// Completed settles.
     pub settles: u64,
     /// Completed ticks.
@@ -60,23 +40,14 @@ pub(crate) struct ProfState {
 }
 
 impl ProfState {
-    pub fn new(cells: usize, shards: usize, plane_words: usize) -> Self {
+    pub fn new(cells: usize, plane_words: usize) -> Self {
         ProfState {
             cell_evals: vec![0; cells],
-            shard_evals: vec![0; shards.max(1)],
             assign_resolves: 0,
-            round_hist: [0; ROUND_BUCKETS],
             settles: 0,
             ticks: 0,
             lane_poked: vec![0; plane_words],
         }
-    }
-
-    /// Folds one settle's rounds into the histogram.
-    pub fn record_settle(&mut self, rounds: u32) {
-        self.settles += 1;
-        let bucket = (rounds.max(1) as usize - 1).min(ROUND_BUCKETS - 1);
-        self.round_hist[bucket] += 1;
     }
 }
 
@@ -89,18 +60,12 @@ pub struct ProfileReport {
     pub settles: u64,
     /// Completed ticks.
     pub ticks: u64,
-    /// Total cell evals across all shards.
+    /// Total cell evals.
     pub total_evals: u64,
-    /// Guarded-assign group resolutions (engine-dependent under
-    /// sharding; see the module docs).
+    /// Guarded-assign group resolutions.
     pub assign_resolves: u64,
-    /// Evals per shard (length = shard count; one entry for sequential).
-    pub shard_evals: Vec<u64>,
     /// Evals per cell kind, hottest first.
     pub kind_evals: Vec<(&'static str, u64)>,
-    /// `round_hist[i]` = settles that took `i+1` rounds (last bucket:
-    /// that many or more).
-    pub round_hist: Vec<u64>,
     /// Batch lane count (1 for scalar sims).
     pub lanes: u32,
     /// Batch lanes poked at least once (equals `lanes` for scalar sims).
@@ -132,9 +97,7 @@ impl ProfileReport {
             ticks: state.ticks,
             total_evals: state.cell_evals.iter().sum(),
             assign_resolves: state.assign_resolves,
-            shard_evals: state.shard_evals.clone(),
             kind_evals,
-            round_hist: state.round_hist.to_vec(),
             lanes,
             lanes_poked,
         }
@@ -146,29 +109,6 @@ impl ProfileReport {
             "sim profile: {} settles, {} ticks, {} cell evals, {} assign resolutions\n",
             self.settles, self.ticks, self.total_evals, self.assign_resolves
         );
-        let rounds: Vec<String> = self
-            .round_hist
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| **n > 0)
-            .map(|(i, n)| {
-                if i + 1 == self.round_hist.len() {
-                    format!("{}+:{n}", i + 1)
-                } else {
-                    format!("{}:{n}", i + 1)
-                }
-            })
-            .collect();
-        out.push_str(&format!("  rounds/settle: {}\n", rounds.join(" ")));
-        if self.shard_evals.len() > 1 {
-            let shards: Vec<String> = self
-                .shard_evals
-                .iter()
-                .enumerate()
-                .map(|(i, n)| format!("shard{i}={n}"))
-                .collect();
-            out.push_str(&format!("  shard evals: {}\n", shards.join(" ")));
-        }
         if self.lanes > 1 {
             out.push_str(&format!(
                 "  lanes poked: {} of {}\n",
@@ -185,12 +125,6 @@ impl ProfileReport {
     /// One-line JSON rendering (hand-rolled, same dialect as the
     /// `sim_speed`/`compile_time` probes).
     pub fn to_json(&self) -> String {
-        let list = |v: &[u64]| {
-            v.iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
         let kinds: Vec<String> = self
             .kind_evals
             .iter()
@@ -198,15 +132,12 @@ impl ProfileReport {
             .collect();
         format!(
             "{{\"settles\": {}, \"ticks\": {}, \"total_evals\": {}, \
-             \"assign_resolves\": {}, \"shard_evals\": [{}], \
-             \"round_hist\": [{}], \"kind_evals\": {{{}}}, \
+             \"assign_resolves\": {}, \"kind_evals\": {{{}}}, \
              \"lanes\": {}, \"lanes_poked\": {}}}",
             self.settles,
             self.ticks,
             self.total_evals,
             self.assign_resolves,
-            list(&self.shard_evals),
-            list(&self.round_hist),
             kinds.join(", "),
             self.lanes,
             self.lanes_poked
@@ -222,18 +153,6 @@ mod tests {
     use crate::cell::CellKind;
 
     #[test]
-    fn round_histogram_buckets_and_saturates() {
-        let mut p = ProfState::new(4, 2, 0);
-        p.record_settle(1);
-        p.record_settle(3);
-        p.record_settle(99);
-        assert_eq!(p.round_hist[0], 1);
-        assert_eq!(p.round_hist[2], 1);
-        assert_eq!(p.round_hist[ROUND_BUCKETS - 1], 1);
-        assert_eq!(p.settles, 3);
-    }
-
-    #[test]
     fn report_rolls_up_kinds_hottest_first() {
         let mut n = Netlist::new("t");
         let a = n.add_input("a", 8);
@@ -242,7 +161,7 @@ mod tests {
         let d = n.add_signal("d", 8);
         n.add_cell("add", CellKind::Add { width: 8 }, vec![a, b], vec![s]);
         n.add_cell("sub", CellKind::Sub { width: 8 }, vec![a, b], vec![d]);
-        let mut p = ProfState::new(n.cells().len(), 1, 0);
+        let mut p = ProfState::new(n.cells().len(), 0);
         p.cell_evals[0] = 3; // add
         p.cell_evals[1] = 7; // sub
         let report = ProfileReport::build(&p, &n, 1);

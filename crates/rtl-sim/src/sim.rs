@@ -18,36 +18,16 @@
 //! cross-check; both modes produce identical values, [`Sim::was_driven`]
 //! flags, and [`SimError::WriteConflict`] errors.
 //!
-//! # Sharded settle (`-jK`)
-//!
-//! [`Sim::new_with_jobs`] partitions the signal graph into K shards (see
-//! [`crate::shard`]) and settles them on a persistent worker pool. Each
-//! settle runs one or more *rounds*: every shard drains its own dirty
-//! signals in topological order, reading remote signals from a per-shard
-//! *ext snapshot*; a barrier; then each shard pulls the remote *boundary*
-//! signals that changed and re-dirties their local readers. Rounds repeat
-//! until no boundary signal changes. Because the combinational network is
-//! acyclic, this converges to the same unique fixed point the sequential
-//! engine computes — `-j1` and `-jK` traces are bit-identical, including
-//! [`Sim::was_driven`] flags and conflict errors.
-//!
-//! Write-conflict detection stays sound across shard boundaries: a guard
-//! settles before its destination is (re-)evaluated — in-shard by
-//! topological order, cross-shard by the boundary exchange — and conflicts
-//! are *recorded* rather than aborting the pass, then reported
-//! deterministically (lowest signal id) after the fixed point is reached.
+//! A write conflict is *recorded* rather than aborting the pass: the rest
+//! of the design still settles, and the conflict on the lowest signal id is
+//! reported afterwards, so the error does not depend on evaluation order.
 
 use crate::cell::{CellKind, CellState};
 use crate::graph::{Driver, FlatGraph};
 use crate::netlist::{Netlist, NetlistError, PortDir, SignalId};
 use crate::profile::{ProfState, ProfileReport};
-use crate::shard::{
-    auto_partition, build_plans, enc_idx, enc_is_ext, normalize_partition, Barrier, Plan, Pool,
-    SDriver, SyncCell, NO_GUARD,
-};
 use fil_bits::Value;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Errors raised while elaborating or running a simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,8 +44,8 @@ pub enum SimError {
     /// paper: "Writes do not conflict").
     ///
     /// When several signals conflict in one cycle, the one with the lowest
-    /// signal id is reported — independent of evaluation order, so `-j1`,
-    /// `-jK`, and batched runs produce identical errors.
+    /// signal id is reported — independent of evaluation order, so scalar
+    /// and batched runs produce identical errors.
     WriteConflict {
         /// The conflicted signal's name.
         signal: String,
@@ -174,38 +154,6 @@ fn copy_signal(values: &mut [Value], src: usize, dst: usize) -> bool {
     true
 }
 
-/// Per-shard mutable state for the sharded scalar engine.
-#[derive(Debug)]
-struct ShardState {
-    /// Snapshots of the remote signals this shard reads, by ext slot.
-    ext_vals: Vec<Value>,
-    /// Owned boundary signals that changed in the current round.
-    out_changed: Vec<u32>,
-    /// Conflicts recorded by this shard during the current settle.
-    conflicts: Vec<Conflict>,
-    /// Profiling (zero when disabled): cell evals and assign resolutions
-    /// this settle, and the rounds the settle took. Drained into
-    /// `ProfState` by the main thread after the pool job.
-    evals: u64,
-    resolves: u64,
-    rounds: u32,
-}
-
-/// The sharded scalar engine: plans, worker pool, and exchange state.
-#[derive(Debug)]
-struct ParScalar {
-    k: usize,
-    plans: Vec<Plan>,
-    pool: Pool,
-    barrier: Barrier,
-    /// Set by any shard whose pass changed a boundary signal this round.
-    more: AtomicBool,
-    /// Per-signal "changed this round" flag, owner-written, read by other
-    /// shards during the exchange phase (phases separated by the barrier).
-    boundary: Vec<SyncCell<bool>>,
-    sstates: Vec<SyncCell<ShardState>>,
-}
-
 /// A running simulation over a borrowed [`Netlist`].
 ///
 /// Drive inputs with [`Sim::poke`], evaluate combinational logic with
@@ -248,10 +196,8 @@ pub struct Sim<'n> {
     states: Vec<CellState>,
     /// Placeholder borrow target for the fixed-size input-pin buffer.
     dummy: Value,
-    /// Conflicts recorded by the sequential engine during a settle.
+    /// Conflicts recorded during a settle.
     conflicts: Vec<Conflict>,
-    /// The sharded engine, when constructed with more than one job.
-    par: Option<Box<ParScalar>>,
     /// Profiling counters; `None` (the default) keeps the hot paths at
     /// a single untaken branch. See [`Sim::enable_profile`].
     prof: Option<Box<ProfState>>,
@@ -271,93 +217,7 @@ impl<'n> Sim<'n> {
     /// [`SimError::CombLoop`] if the combinational dependency graph is
     /// cyclic.
     pub fn new(netlist: &'n Netlist) -> Result<Self, SimError> {
-        Self::new_with_jobs(netlist, 1)
-    }
-
-    /// Elaborates a netlist and, for `jobs > 1`, builds the sharded engine:
-    /// the signal graph is partitioned into (up to) `jobs` shards that
-    /// settle concurrently on a persistent worker pool. `jobs == 0` uses
-    /// the machine's available parallelism.
-    ///
-    /// Sharding never changes observable behavior — values, `was_driven`
-    /// flags, and errors are bit-identical to [`Sim::new`]'s engine.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Sim::new`].
-    pub fn new_with_jobs(netlist: &'n Netlist, jobs: usize) -> Result<Self, SimError> {
         let flat = FlatGraph::new(netlist)?;
-        let jobs = if jobs == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            jobs
-        };
-        let k = jobs.min(flat.n_sigs().max(1));
-        if k <= 1 {
-            return Ok(Self::assemble(netlist, flat, None));
-        }
-        let of = auto_partition(netlist, &flat, k);
-        Ok(Self::assemble_sharded(netlist, flat, &of, k))
-    }
-
-    /// Elaborates with an explicit signal→shard assignment (`partition[s]`
-    /// is signal `s`'s shard; the shard count is the highest id + 1).
-    ///
-    /// This is a tuning and testing hook: it admits partitions the
-    /// automatic one never produces, such as splitting a combinational
-    /// path across shards to exercise the boundary exchange. The partition
-    /// is normalized so all outputs of one cell share a shard.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Sim::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition.len()` differs from the signal count.
-    pub fn new_with_partition(netlist: &'n Netlist, partition: &[u32]) -> Result<Self, SimError> {
-        let flat = FlatGraph::new(netlist)?;
-        let mut of = partition.to_vec();
-        let k = normalize_partition(netlist, &mut of);
-        if k <= 1 {
-            return Ok(Self::assemble(netlist, flat, None));
-        }
-        Ok(Self::assemble_sharded(netlist, flat, &of, k))
-    }
-
-    fn assemble_sharded(netlist: &'n Netlist, flat: FlatGraph, of: &[u32], k: usize) -> Self {
-        let plans = build_plans(netlist, &flat, of, k);
-        let sstates = plans
-            .iter()
-            .map(|p| {
-                SyncCell::new(ShardState {
-                    ext_vals: p
-                        .ext_sigs
-                        .iter()
-                        .map(|&g| Value::zero(netlist.signals()[g as usize].width))
-                        .collect(),
-                    out_changed: Vec::with_capacity(p.n_boundary),
-                    conflicts: Vec::new(),
-                    evals: 0,
-                    resolves: 0,
-                    rounds: 0,
-                })
-            })
-            .collect();
-        let boundary = (0..flat.n_sigs()).map(|_| SyncCell::new(false)).collect();
-        let par = ParScalar {
-            k,
-            plans,
-            pool: Pool::new(k - 1),
-            barrier: Barrier::new(k),
-            more: AtomicBool::new(false),
-            boundary,
-            sstates,
-        };
-        Self::assemble(netlist, flat, Some(Box::new(par)))
-    }
-
-    fn assemble(netlist: &'n Netlist, flat: FlatGraph, par: Option<Box<ParScalar>>) -> Self {
         let n_sigs = flat.n_sigs();
         let n_cells = netlist.cells().len();
         let values = netlist
@@ -371,7 +231,7 @@ impl<'n> Sim<'n> {
             .iter()
             .map(|c| c.kind.initial_state())
             .collect();
-        Sim {
+        Ok(Sim {
             netlist,
             flat,
             values,
@@ -383,23 +243,28 @@ impl<'n> Sim<'n> {
             states,
             dummy: Value::zero(1),
             conflicts: Vec::new(),
-            par,
             prof: None,
             force_full: false,
             cycle: 0,
             settled: false,
-        }
+        })
     }
 
-    /// Turns on profiling: settle-round histograms, per-shard work
-    /// counts, and per-[`CellKind`] eval totals, snapshotted by
-    /// [`Sim::profile`]. All counter storage is allocated here, so even
-    /// enabled profiling does zero allocations per cycle; when never
-    /// called, the simulation paths are untouched.
+    /// Forwards to [`Sim::new`]; `_jobs` is ignored.
+    ///
+    /// Kept only because the `perfbench` benchmark crate calls it for its
+    /// per-layer `rtl-sim.shard_j2_over_j1` probe.
+    #[doc(hidden)]
+    pub fn new_with_jobs(netlist: &'n Netlist, _jobs: usize) -> Result<Self, SimError> {
+        Self::new(netlist)
+    }
+
+    /// Turns on profiling: settle and tick counts and per-[`CellKind`]
+    /// eval totals, snapshotted by [`Sim::profile`]. All counter storage
+    /// is allocated here, so even enabled profiling does zero allocations
+    /// per cycle; when never called, the simulation paths are untouched.
     pub fn enable_profile(&mut self) {
-        let cells = self.netlist.cells().len();
-        let shards = self.jobs();
-        self.prof = Some(Box::new(ProfState::new(cells, shards, 0)));
+        self.prof = Some(Box::new(ProfState::new(self.netlist.cells().len(), 0)));
     }
 
     /// Snapshot of the profiling counters; `None` until
@@ -418,12 +283,6 @@ impl<'n> Sim<'n> {
     /// The netlist being simulated.
     pub fn netlist(&self) -> &Netlist {
         self.netlist
-    }
-
-    /// The number of shards settling concurrently (1 for the sequential
-    /// engine).
-    pub fn jobs(&self) -> usize {
-        self.par.as_ref().map_or(1, |p| p.k)
     }
 
     /// Disables (or re-enables) change propagation: with `on == true` every
@@ -515,14 +374,6 @@ impl<'n> Sim<'n> {
         if self.force_full {
             self.dirty.fill(true);
         }
-        if self.par.is_some() {
-            self.settle_sharded()
-        } else {
-            self.settle_seq()
-        }
-    }
-
-    fn settle_seq(&mut self) -> Result<(), SimError> {
         self.conflicts.clear();
         for idx in 0..self.flat.order.len() {
             let si = self.flat.order[idx] as usize;
@@ -552,7 +403,6 @@ impl<'n> Sim<'n> {
                         if first {
                             if let Some(p) = &mut self.prof {
                                 p.cell_evals[c] += 1;
-                                p.shard_evals[0] += 1;
                             }
                         }
                         let o1 = self.flat.cout_start[c + 1] as usize;
@@ -653,72 +503,7 @@ impl<'n> Sim<'n> {
             return Err(conflict_error(self.netlist, self.cycle, c, None));
         }
         if let Some(p) = &mut self.prof {
-            p.record_settle(1);
-        }
-        self.settled = true;
-        Ok(())
-    }
-
-    fn settle_sharded(&mut self) -> Result<(), SimError> {
-        let par = self.par.as_ref().expect("sharded engine");
-        par.barrier.reset();
-        for sc in &par.sstates {
-            // SAFETY: workers are idle between jobs; main has exclusive
-            // access.
-            unsafe { sc.get_mut() }.conflicts.clear();
-        }
-        let ctx = ScalarCtx {
-            netlist: self.netlist,
-            flat: &self.flat,
-            plans: &par.plans,
-            values: self.values.as_mut_ptr(),
-            driven: self.driven.as_mut_ptr(),
-            dirty: self.dirty.as_mut_ptr(),
-            out_buf: self.out_buf.as_mut_ptr(),
-            cell_stamp: self.cell_stamp.as_mut_ptr(),
-            states: self.states.as_ptr(),
-            pass: self.pass,
-            dummy: &self.dummy,
-            boundary: &par.boundary,
-            sstates: &par.sstates,
-            more: &par.more,
-            barrier: &par.barrier,
-            prof_cells: self
-                .prof
-                .as_deref_mut()
-                .map_or(std::ptr::null_mut(), |p| p.cell_evals.as_mut_ptr()),
-        };
-        let job = |w: usize| {
-            // SAFETY: the shard ownership discipline (see ScalarCtx).
-            unsafe { scalar_worker(&ctx, w) };
-        };
-        par.pool.run(&job);
-
-        let mut best: Option<Conflict> = None;
-        for sc in &par.sstates {
-            // SAFETY: workers are idle again.
-            let st = unsafe { sc.get_mut() };
-            for c in &st.conflicts {
-                if best.is_none_or(|b| c.sig < b.sig) {
-                    best = Some(*c);
-                }
-            }
-        }
-        if let Some(c) = best {
-            return Err(conflict_error(self.netlist, self.cycle, c, None));
-        }
-        if let Some(p) = &mut self.prof {
-            let mut rounds = 1u32;
-            for (i, sc) in par.sstates.iter().enumerate() {
-                // SAFETY: workers are idle again.
-                let st = unsafe { sc.get_mut() };
-                p.shard_evals[i] += st.evals;
-                st.evals = 0;
-                p.assign_resolves += st.resolves;
-                st.resolves = 0;
-                rounds = rounds.max(st.rounds);
-            }
-            p.record_settle(rounds);
+            p.settles += 1;
         }
         self.settled = true;
         Ok(())
@@ -734,20 +519,6 @@ impl<'n> Sim<'n> {
         if !self.settled {
             self.settle()?;
         }
-        if self.par.is_some() {
-            self.tick_sharded();
-        } else {
-            self.tick_seq();
-        }
-        if let Some(p) = &mut self.prof {
-            p.ticks += 1;
-        }
-        self.cycle += 1;
-        self.settled = false;
-        Ok(())
-    }
-
-    fn tick_seq(&mut self) {
         let Sim {
             values,
             states,
@@ -775,25 +546,12 @@ impl<'n> Sim<'n> {
                 dirty[sig as usize] = true;
             }
         }
-    }
-
-    fn tick_sharded(&mut self) {
-        let par = self.par.as_ref().expect("sharded engine");
-        let ctx = TickCtx {
-            netlist: self.netlist,
-            flat: &self.flat,
-            plans: &par.plans,
-            values: self.values.as_ptr(),
-            states: self.states.as_mut_ptr(),
-            dirty: self.dirty.as_mut_ptr(),
-            dummy: &self.dummy,
-        };
-        let job = |w: usize| {
-            // SAFETY: shards own disjoint cells (states) and signals
-            // (dirty); values are only read during tick.
-            unsafe { tick_worker(&ctx, w) };
-        };
-        par.pool.run(&job);
+        if let Some(p) = &mut self.prof {
+            p.ticks += 1;
+        }
+        self.cycle += 1;
+        self.settled = false;
+        Ok(())
     }
 
     /// Settle then tick: one full clock cycle.
@@ -816,275 +574,5 @@ impl<'n> Sim<'n> {
             self.step()?;
         }
         Ok(())
-    }
-}
-
-/// Shared context for the sharded settle job.
-///
-/// # Safety discipline
-///
-/// The raw pointers alias `Sim`'s arrays. Every element has a unique owning
-/// shard; during the *pass* phase a worker touches only elements it owns
-/// (values/driven/dirty of owned signals, out_buf/cell_stamp of owned
-/// cells), during the *exchange* phase it reads remote values and boundary
-/// flags (whose owners are quiescent) and writes only its own dirty flags
-/// and ext snapshots. The phases are separated by `barrier`, which
-/// establishes the necessary happens-before edges.
-struct ScalarCtx<'a> {
-    netlist: &'a Netlist,
-    flat: &'a FlatGraph,
-    plans: &'a [Plan],
-    values: *mut Value,
-    driven: *mut bool,
-    dirty: *mut bool,
-    out_buf: *mut Value,
-    cell_stamp: *mut u64,
-    states: *const CellState,
-    pass: u64,
-    dummy: &'a Value,
-    boundary: &'a [SyncCell<bool>],
-    sstates: &'a [SyncCell<ShardState>],
-    more: &'a AtomicBool,
-    barrier: &'a Barrier,
-    /// Per-cell eval counters, or null when profiling is off. Shards own
-    /// disjoint cells, so writes never race.
-    prof_cells: *mut u64,
-}
-
-// SAFETY: see the struct docs; all shared mutation follows the disjoint
-// shard-ownership protocol.
-unsafe impl Sync for ScalarCtx<'_> {}
-
-unsafe fn scalar_worker(ctx: &ScalarCtx<'_>, w: usize) {
-    let plan = &ctx.plans[w];
-    // SAFETY: each worker accesses only its own shard state.
-    let st = unsafe { ctx.sstates[w].get_mut() };
-    let profiling = !ctx.prof_cells.is_null();
-    let mut rounds = 0u32;
-    let mut sense = false;
-    loop {
-        rounds += 1;
-        // --- Pass: drain owned dirty signals in topological order. ---
-        for &sig in &st.out_changed {
-            // SAFETY: owner-only write; consumers finished last round.
-            unsafe { *ctx.boundary[sig as usize].get_mut() = false };
-        }
-        st.out_changed.clear();
-        for idx in 0..plan.order.len() {
-            let si = plan.order[idx] as usize;
-            // SAFETY: owned signal.
-            if unsafe { !*ctx.dirty.add(si) } {
-                continue;
-            }
-            let changed;
-            let mut conflicted = false;
-            match plan.sdriver[idx] {
-                SDriver::External { is_input } => {
-                    unsafe { *ctx.driven.add(si) = is_input };
-                    changed = true;
-                }
-                SDriver::Cell { cell, pin } => {
-                    let c = cell as usize;
-                    let o0 = ctx.flat.cout_start[c] as usize;
-                    let slot = o0 + pin as usize;
-                    // SAFETY: the cell is owned (all outputs on this shard).
-                    let stamp = unsafe { &mut *ctx.cell_stamp.add(c) };
-                    let first = *stamp != ctx.pass;
-                    if ctx.flat.comb_out[slot] || first {
-                        *stamp = ctx.pass;
-                        if profiling && first {
-                            // SAFETY: shards own disjoint cells.
-                            unsafe { *ctx.prof_cells.add(c) += 1 };
-                            st.evals += 1;
-                        }
-                        let o1 = ctx.flat.cout_start[c + 1] as usize;
-                        let pins = &plan.pin_enc
-                            [plan.cpin_start[c] as usize..plan.cpin_start[c + 1] as usize];
-                        let mut inputs: [&Value; CellKind::MAX_INPUT_PINS] =
-                            [ctx.dummy; CellKind::MAX_INPUT_PINS];
-                        for (k, &e) in pins.iter().enumerate() {
-                            inputs[k] = if enc_is_ext(e) {
-                                &st.ext_vals[enc_idx(e)]
-                            } else {
-                                // SAFETY: owned or snapshot-stable input;
-                                // remote inputs go through ext slots.
-                                unsafe { &*ctx.values.add(enc_idx(e)) }
-                            };
-                        }
-                        // SAFETY: out_buf slots o0..o1 belong to this cell.
-                        let outs =
-                            unsafe { std::slice::from_raw_parts_mut(ctx.out_buf.add(o0), o1 - o0) };
-                        ctx.netlist.cells()[c].kind.eval_into(
-                            &inputs[..pins.len()],
-                            // SAFETY: states are read-only during settle.
-                            unsafe { &*ctx.states.add(c) },
-                            outs,
-                        );
-                    }
-                    // SAFETY: owned slot and signal.
-                    let out = unsafe { &*ctx.out_buf.add(slot) };
-                    let dst = unsafe { &mut *ctx.values.add(si) };
-                    changed = *dst != *out;
-                    if changed {
-                        dst.clone_from(out);
-                    }
-                    unsafe { *ctx.driven.add(si) = true };
-                }
-                SDriver::Assigns { start, len } => {
-                    if profiling {
-                        st.resolves += 1;
-                    }
-                    if !st.conflicts.is_empty() {
-                        st.conflicts.retain(|c| c.sig as usize != si);
-                    }
-                    let mut chosen: Option<usize> = None;
-                    let mut conflict: Option<(u32, u32)> = None;
-                    for j in start as usize..(start + len) as usize {
-                        let ge = plan.asg_guard[j];
-                        let active = ge == NO_GUARD || {
-                            let g = if enc_is_ext(ge) {
-                                &st.ext_vals[enc_idx(ge)]
-                            } else {
-                                // SAFETY: guards settle before their
-                                // destinations (topo order / exchange).
-                                unsafe { &*ctx.values.add(enc_idx(ge)) }
-                            };
-                            g.as_bool()
-                        };
-                        if active {
-                            match chosen {
-                                None => chosen = Some(j),
-                                Some(first) => {
-                                    conflict = Some((plan.asg_id[first], plan.asg_id[j]));
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if let Some((a, b)) = conflict {
-                        st.conflicts.push(Conflict {
-                            sig: si as u32,
-                            a,
-                            b,
-                        });
-                        unsafe { *ctx.driven.add(si) = true };
-                        changed = false;
-                        conflicted = true;
-                    } else {
-                        match chosen {
-                            Some(j) => {
-                                let se = plan.asg_src[j];
-                                let src = if enc_is_ext(se) {
-                                    &st.ext_vals[enc_idx(se)]
-                                } else {
-                                    // SAFETY: src != dst (would be a comb
-                                    // loop), both owned.
-                                    unsafe { &*ctx.values.add(enc_idx(se)) }
-                                };
-                                let dst = unsafe { &mut *ctx.values.add(si) };
-                                changed = *dst != *src;
-                                if changed {
-                                    dst.clone_from(src);
-                                }
-                                unsafe { *ctx.driven.add(si) = true };
-                            }
-                            None => {
-                                let dst = unsafe { &mut *ctx.values.add(si) };
-                                changed = !dst.is_zero();
-                                if changed {
-                                    dst.set_zero();
-                                }
-                                unsafe { *ctx.driven.add(si) = false };
-                            }
-                        }
-                    }
-                }
-            }
-            unsafe { *ctx.dirty.add(si) = conflicted };
-            if changed {
-                let (d0, d1) = (
-                    plan.ldep_start[idx] as usize,
-                    plan.ldep_start[idx + 1] as usize,
-                );
-                for &t in &plan.ldep_list[d0..d1] {
-                    // SAFETY: local dependents are owned.
-                    unsafe { *ctx.dirty.add(t as usize) = true };
-                }
-                if plan.has_remote_dep[idx] {
-                    // SAFETY: owner-only write, read after the barrier.
-                    unsafe { *ctx.boundary[si].get_mut() = true };
-                    st.out_changed.push(si as u32);
-                }
-            }
-        }
-        if !st.out_changed.is_empty() {
-            ctx.more.store(true, Ordering::Relaxed);
-        }
-        ctx.barrier.wait(&mut sense);
-        let more = ctx.more.load(Ordering::Relaxed);
-        ctx.barrier.wait(&mut sense);
-        if !more {
-            st.rounds = rounds;
-            break;
-        }
-        if w == 0 {
-            ctx.more.store(false, Ordering::Relaxed);
-        }
-        // --- Exchange: pull changed remote boundary signals. ---
-        for e in 0..plan.ext_sigs.len() {
-            let g = plan.ext_sigs[e] as usize;
-            // SAFETY: the owner is quiescent between barriers; flags and
-            // values are stable.
-            if unsafe { *ctx.boundary[g].get_mut() } {
-                st.ext_vals[e].clone_from(unsafe { &*ctx.values.add(g) });
-                let (x0, x1) = (
-                    plan.ext_dep_start[e] as usize,
-                    plan.ext_dep_start[e + 1] as usize,
-                );
-                for &t in &plan.ext_dep_list[x0..x1] {
-                    // SAFETY: readers to re-dirty are owned.
-                    unsafe { *ctx.dirty.add(t as usize) = true };
-                }
-            }
-        }
-        ctx.barrier.wait(&mut sense);
-    }
-}
-
-/// Shared context for the sharded tick job. Values are read-only here;
-/// states and dirty flags are written only by their owning shard.
-struct TickCtx<'a> {
-    netlist: &'a Netlist,
-    flat: &'a FlatGraph,
-    plans: &'a [Plan],
-    values: *const Value,
-    states: *mut CellState,
-    dirty: *mut bool,
-    dummy: &'a Value,
-}
-
-// SAFETY: see the struct docs.
-unsafe impl Sync for TickCtx<'_> {}
-
-unsafe fn tick_worker(ctx: &TickCtx<'_>, w: usize) {
-    for &ci in &ctx.plans[w].seq_cells {
-        let c = ci as usize;
-        let pins = ctx.flat.cell_pins(c);
-        let mut inputs: [&Value; CellKind::MAX_INPUT_PINS] = [ctx.dummy; CellKind::MAX_INPUT_PINS];
-        for (k, &s) in pins.iter().enumerate() {
-            // SAFETY: no thread writes values during tick.
-            inputs[k] = unsafe { &*ctx.values.add(s as usize) };
-        }
-        ctx.netlist.cells()[c].kind.tick(
-            &inputs[..pins.len()],
-            // SAFETY: the cell is owned by this shard.
-            unsafe { &mut *ctx.states.add(c) },
-        );
-        for &sig in &ctx.flat.cout_sigs
-            [ctx.flat.cout_start[c] as usize..ctx.flat.cout_start[c + 1] as usize]
-        {
-            // SAFETY: the cell's outputs are owned by this shard.
-            unsafe { *ctx.dirty.add(sig as usize) = true };
-        }
     }
 }

@@ -969,12 +969,10 @@ fn write_conflict_identical_in_both_modes() {
 }
 
 #[test]
-fn cross_shard_conflict_names_both_assignments() {
-    // The two offending assignments live in *different* shards: guard g0
-    // and source x in shard 0; guard g1, source y, and the destination o
-    // in shard 1. Detection must still see both writes and the report must
-    // name them.
-    let mut n = Netlist::new("conflict_cross");
+fn conflict_names_both_assignments() {
+    // Two guarded writes to `o` from different sources: detection must see
+    // both and the report must name them.
+    let mut n = Netlist::new("conflict_pair");
     let g0 = n.add_input("g0", 1);
     let g1 = n.add_input("g1", 1);
     let x = n.add_input("x", 8);
@@ -982,9 +980,7 @@ fn cross_shard_conflict_names_both_assignments() {
     let o = n.add_signal("o", 8);
     n.connect_guarded(o, x, g0);
     n.connect_guarded(o, y, g1);
-    let partition = [0, 1, 0, 1, 1];
-    let mut sim = Sim::new_with_partition(&n, &partition).unwrap();
-    assert_eq!(sim.jobs(), 2, "partition must produce two shards");
+    let mut sim = Sim::new(&n).unwrap();
     sim.poke(g0, v(1, 1));
     sim.poke(g1, v(1, 1));
     sim.poke(x, v(8, 7));
@@ -1011,13 +1007,14 @@ fn cross_shard_conflict_names_both_assignments() {
         msg.contains("o = g0 ? x") && msg.contains("o = g1 ? y"),
         "{msg}"
     );
-    // The sequential engine reports the identical error.
-    let mut seq = Sim::new(&n).unwrap();
-    seq.poke(g0, v(1, 1));
-    seq.poke(g1, v(1, 1));
-    seq.poke(x, v(8, 7));
-    seq.poke(y, v(8, 9));
-    assert_eq!(seq.settle().unwrap_err(), err);
+    // Force-full settling reports the identical error.
+    let mut full = Sim::new(&n).unwrap();
+    full.set_force_full_settle(true);
+    full.poke(g0, v(1, 1));
+    full.poke(g1, v(1, 1));
+    full.poke(x, v(8, 7));
+    full.poke(y, v(8, 9));
+    assert_eq!(full.settle().unwrap_err(), err);
     // Dropping one guard clears the conflict; the other write lands.
     sim.poke(g1, v(1, 0));
     sim.settle().unwrap();
@@ -1027,7 +1024,7 @@ fn cross_shard_conflict_names_both_assignments() {
 #[test]
 fn conflict_winner_is_lowest_signal_id_in_every_engine() {
     // Two independent conflicts in one cycle: every engine must report the
-    // lower signal id ("oa"), regardless of evaluation or shard order.
+    // lower signal id ("oa"), regardless of evaluation order.
     let mut n = Netlist::new("conflict_pick");
     let g = n.add_input("g", 1);
     let x = n.add_input("x", 4);
@@ -1037,15 +1034,11 @@ fn conflict_winner_is_lowest_signal_id_in_every_engine() {
         n.connect_guarded(o, x, g);
         n.connect_guarded(o, x, g);
     }
-    let drive = |sim: &mut Sim<'_>| {
-        sim.poke(g, v(1, 1));
-        sim.poke(x, v(4, 5));
-        sim.settle().unwrap_err()
-    };
-    let e1 = drive(&mut Sim::new(&n).unwrap());
-    let e2 = drive(&mut Sim::new_with_partition(&n, &[0, 1, 0, 1]).unwrap());
-    assert_eq!(e1, e2);
-    assert!(matches!(&e1, SimError::WriteConflict { signal, .. } if signal == "oa"));
+    let mut sim = Sim::new(&n).unwrap();
+    sim.poke(g, v(1, 1));
+    sim.poke(x, v(4, 5));
+    let err = sim.settle().unwrap_err();
+    assert!(matches!(&err, SimError::WriteConflict { signal, .. } if signal == "oa"));
 
     let mut batch = crate::BatchSim::new(&n, 3).unwrap();
     for l in 0..3 {

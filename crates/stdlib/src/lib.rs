@@ -342,133 +342,10 @@ fn strip_std_and_print(expanded: &Program) -> String {
     filament_core::pretty::print_program(&user)
 }
 
-/// Convenience: the standard library extended with user source, elaborated
-/// per-component through the build driver ([`fil_build::expand_program`],
-/// which produces exactly [`filament_core::mono::expand`]'s output) so
-/// parametric generators arrive at the checker fully concrete.
-///
-/// # Errors
-///
-/// Returns the parse error of the user source or the elaboration error of
-/// the combined program.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `fil_stdlib::build` with a `BuildRequest`"
-)]
-pub fn with_stdlib(user_src: &str) -> Result<Program, LoadError> {
-    build(&fil_build::BuildRequest::new(user_src))
-        .map(|out| out.expanded.expect("expanded is requested by default"))
-}
-
-/// The standard library extended with user source *without* elaboration —
-/// for callers that drive [`filament_core::mono`] themselves (e.g. to
-/// observe cache statistics or print the expansion).
-///
-/// # Errors
-///
-/// Returns the parse error of the user source.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `fil_stdlib::build` with `BuildRequest::new(src).raw().expanded(false)`"
-)]
-pub fn with_stdlib_raw(user_src: &str) -> Result<Program, filament_core::ParseError> {
-    parse_with_stdlib(user_src)
-}
-
 fn parse_with_stdlib(user_src: &str) -> Result<Program, filament_core::ParseError> {
     let mut p = std_program();
     p.extend(parse_program(user_src)?);
     Ok(p)
-}
-
-/// The `filament expand` view of a user source: elaborated against the
-/// standard library, printed back to surface syntax with the preloaded
-/// stdlib externs stripped.
-///
-/// # Errors
-///
-/// As [`build`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `fil_stdlib::build`; the text is `BuildOutput::expanded_text`"
-)]
-pub fn expand_source(user_src: &str) -> Result<String, LoadError> {
-    build(&fil_build::BuildRequest::new(user_src))
-        .map(|out| out.expanded_text.expect("expanded is requested by default"))
-}
-
-/// Like [`expand_source`], also returning the driver's
-/// [`fil_build::BuildStats`].
-///
-/// # Errors
-///
-/// As [`build`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `fil_stdlib::build`; stats are `BuildOutput::stats`"
-)]
-pub fn expand_source_with_stats(
-    user_src: &str,
-) -> Result<(String, fil_build::BuildStats), LoadError> {
-    let out = build(&fil_build::BuildRequest::new(user_src))?;
-    Ok((
-        out.expanded_text.expect("expanded is requested by default"),
-        out.stats,
-    ))
-}
-
-/// [`expand_source_with_stats`] with explicit driver options.
-///
-/// # Errors
-///
-/// As [`build`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `fil_stdlib::build` with the options set on the `BuildRequest`"
-)]
-pub fn expand_source_opts(
-    user_src: &str,
-    opts: &fil_build::BuildOptions,
-) -> Result<(String, fil_build::BuildStats), LoadError> {
-    let out = build(&request_from_options(user_src, opts).expanded(true))?;
-    Ok((
-        out.expanded_text.expect("expanded was requested"),
-        out.stats,
-    ))
-}
-
-/// Full driver build of a user source against the standard library:
-/// expand, check, and lower every unit, lowering through [`StdRegistry`].
-///
-/// # Errors
-///
-/// As [`build`], plus check/lower failures as [`LoadError::Driver`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `fil_stdlib::build` with `BuildRequest::new(src).lowered()`"
-)]
-pub fn build_source(
-    user_src: &str,
-    opts: &fil_build::BuildOptions,
-) -> Result<fil_build::DriverOutput, LoadError> {
-    let out = build(&request_from_options(user_src, opts).lowered())?;
-    Ok(fil_build::DriverOutput {
-        expanded: out.expanded.unwrap_or_default(),
-        lowered: out.lowered,
-        stats: out.stats,
-    })
-}
-
-/// Maps legacy [`fil_build::BuildOptions`] onto a [`BuildRequest`] (shim
-/// support only).
-fn request_from_options(user_src: &str, opts: &fil_build::BuildOptions) -> fil_build::BuildRequest {
-    let mut req = fil_build::BuildRequest::new(user_src)
-        .jobs(opts.jobs)
-        .expanded(opts.emit_expanded);
-    req.cache_dir = opts.cache_dir.clone();
-    req.cache_limit = opts.cache_limit;
-    req.trace = opts.trace.clone();
-    req
 }
 
 /// Source + stdlib parse, timed into [`fil_build::PhaseTimes::parse_us`]

@@ -15,20 +15,21 @@
 //! ## Quick start
 //!
 //! ```
-//! use filament_repro::harness::run_pipelined;
-//! use filament_repro::stdlib::{with_stdlib, StdRegistry};
+//! use filament_repro::build::BuildRequest;
+//! use filament_repro::harness::{compile_request, run_pipelined};
 //!
 //! // A pipelined multiply-add written in Filament.
-//! let program = with_stdlib(
-//!     "comp MulAdd<G: 1>(@interface[G] go: 1, @[G, G+1] a: 8, @[G, G+1] b: 8,
-//!          @[G+2, G+3] c: 8) -> (@[G+2, G+3] o: 8) {
-//!        m := new FastMult[8]<G>(a, b);
-//!        s := new Add[8]<G+2>(m.out, c);
-//!        o = s.out;
-//!      }",
+//! let (netlist, spec) = compile_request(
+//!     &BuildRequest::new(
+//!         "comp MulAdd<G: 1>(@interface[G] go: 1, @[G, G+1] a: 8, @[G, G+1] b: 8,
+//!              @[G+2, G+3] c: 8) -> (@[G+2, G+3] o: 8) {
+//!            m := new FastMult[8]<G>(a, b);
+//!            s := new Add[8]<G+2>(m.out, c);
+//!            o = s.out;
+//!          }",
+//!     )
+//!     .netlist("MulAdd"),
 //! )?;
-//! let (netlist, spec) =
-//!     filament_repro::harness::compile_for_test(&program, "MulAdd", &StdRegistry)?;
 //! let v = |w, x| filament_repro::bits::Value::from_u64(w, x);
 //! let outs = run_pipelined(&netlist, &spec, &[vec![v(8, 6), v(8, 7), v(8, 8)]])?;
 //! assert_eq!(outs[0][0].to_u64(), 50); // 6*7 + 8
