@@ -13,6 +13,9 @@
 //!   [`fil_bench::design_corpus`] through one shared artifact cache: cold
 //!   from an empty directory, warm immediately after. The warm pass must
 //!   do zero expand/check/lower work (asserted via the driver counters).
+//!   These builds run at `-O0`, so `phase_us` has no `opt` entry.
+//! * **corpus_o2_{cold,warm}_ms** / **phase_us_o2** — the same corpus
+//!   pass at `-O2`, whose phase split adds the optimizer (`opt`).
 //! * **sweep** — per-design cold/warm times for the parametric
 //!   `Systolic[N, 32]` and `Enc[N]` families at growing N, where the
 //!   check/lower work the warm cache skips grows with the design.
@@ -35,8 +38,9 @@ fn temp_cache(tag: &str) -> PathBuf {
     dir
 }
 
-fn opts(cache: &Path) -> BuildOptions {
+fn opts(cache: &Path, opt_level: u8) -> BuildOptions {
     BuildOptions {
+        opt_level,
         jobs: 1, // the corpus DAGs are small chains: thread spawns cost more than they buy
         cache_dir: Some(cache.to_path_buf()),
         salt: "reticle".into(),
@@ -64,9 +68,9 @@ fn build(program: &Program, o: &BuildOptions) -> DriverOutput {
 /// so single-sample scheduler noise doesn't skew the ratio. Also returns
 /// the per-phase wall-time breakdown of the fastest cold rep, summed
 /// across the programs (same split as `filament build --stats`).
-fn cold_warm(tag: &str, programs: &[Program]) -> (u64, f64, f64, PhaseTimes) {
+fn cold_warm(tag: &str, programs: &[Program], opt_level: u8) -> (u64, f64, f64, PhaseTimes) {
     let cache = temp_cache(tag);
-    let o = opts(&cache);
+    let o = opts(&cache, opt_level);
     let mut units = 0;
     let mut cold = f64::INFINITY;
     let mut phase = PhaseTimes::default();
@@ -84,6 +88,7 @@ fn cold_warm(tag: &str, programs: &[Program]) -> (u64, f64, f64, PhaseTimes) {
             rep_phase.lower_us += ph.lower_us;
             rep_phase.cache_load_us += ph.cache_load_us;
             rep_phase.merge_us += ph.merge_us;
+            rep_phase.opt_us += ph.opt_us;
         }
         let elapsed = start.elapsed().as_secs_f64() * 1e3;
         if elapsed < cold {
@@ -190,13 +195,14 @@ fn main() {
         .into_iter()
         .map(|(_, src, _)| with_std_raw(&src))
         .collect();
-    let (units, cold, warm, phase) = cold_warm("corpus", &corpus);
+    let (units, cold, warm, phase) = cold_warm("corpus", &corpus, 0);
+    let (_, cold_o2, warm_o2, phase_o2) = cold_warm("corpus-o2", &corpus, 2);
 
     // Parametric N-sweeps: the work a warm cache skips grows with N.
     let mut sweep = Vec::new();
     for n in [2u64, 4, 8] {
         let p = with_std_raw(&fil_designs::systolic::source(n, 32));
-        let (u, c, w, _) = cold_warm(&format!("sys{n}"), std::slice::from_ref(&p));
+        let (u, c, w, _) = cold_warm(&format!("sys{n}"), std::slice::from_ref(&p), 0);
         sweep.push(format!(
             "{{\"design\": \"systolic-{n}\", \"units\": {u}, \"cold_ms\": {c:.2}, \
              \"warm_ms\": {w:.2}, \"speedup\": {:.1}}}",
@@ -205,7 +211,7 @@ fn main() {
     }
     for n in [8u64, 16, 32] {
         let p = with_std_raw(&fil_designs::encoder::source(n));
-        let (u, c, w, _) = cold_warm(&format!("enc{n}"), std::slice::from_ref(&p));
+        let (u, c, w, _) = cold_warm(&format!("enc{n}"), std::slice::from_ref(&p), 0);
         sweep.push(format!(
             "{{\"design\": \"encoder-{n}\", \"units\": {u}, \"cold_ms\": {c:.2}, \
              \"warm_ms\": {w:.2}, \"speedup\": {:.1}}}",
@@ -217,13 +223,22 @@ fn main() {
         "{{\"corpus_units\": {units}, \"corpus_cold_ms\": {cold:.2}, \
          \"corpus_warm_ms\": {warm:.2}, \"corpus_speedup\": {:.1}, \
          \"phase_us\": {{\"expand\": {}, \"check\": {}, \"lower\": {}, \
-         \"cache_load\": {}, \"merge\": {}}}, {}, \"sweep\": [{}]}}",
+         \"cache_load\": {}, \"merge\": {}}}, \"corpus_o2_cold_ms\": {cold_o2:.2}, \
+         \"corpus_o2_warm_ms\": {warm_o2:.2}, \"phase_us_o2\": {{\"expand\": {}, \
+         \"check\": {}, \"lower\": {}, \"opt\": {}, \"cache_load\": {}, \"merge\": {}}}, \
+         {}, \"sweep\": [{}]}}",
         cold / warm,
         phase.expand_us,
         phase.check_us,
         phase.lower_us,
         phase.cache_load_us,
         phase.merge_us,
+        phase_o2.expand_us,
+        phase_o2.check_us,
+        phase_o2.lower_us,
+        phase_o2.opt_us,
+        phase_o2.cache_load_us,
+        phase_o2.merge_us,
         daemon_probe(),
         sweep.join(", ")
     );

@@ -858,16 +858,27 @@ fn process_unit(
             };
             opt_report = fil_opt::optimize_component(lc, &cfg);
             opt_us = timer.elapsed().as_micros() as u64;
-            if let (Some(l), Some(mut start)) = (lane, opt_start) {
+            if let (Some(l), Some(start)) = (lane, opt_start) {
                 // One span per pass, laid out back-to-back from the
-                // optimizer's own per-pass timings.
+                // optimizer's own per-pass timings. Span edges round the
+                // running nanosecond total, so sub-microsecond passes do
+                // not each lose their fraction.
+                let mut ns = 0;
                 for (pass, stat) in fil_opt::PASSES.iter().zip(&opt_report.passes) {
                     let mut args = vec![("rewrites", fil_trace::Arg::from(stat.rewrites))];
                     if let Some(name) = &unit_name {
                         args.push(("unit", fil_trace::Arg::from(name.as_str())));
                     }
-                    l.complete("build", format!("opt:{pass}"), start, stat.us, args);
-                    start += stat.us;
+                    let from = fil_opt::ns_to_us(ns);
+                    ns += stat.ns;
+                    let to = fil_opt::ns_to_us(ns);
+                    l.complete(
+                        "build",
+                        format!("opt:{pass}"),
+                        start + from,
+                        to - from,
+                        args,
+                    );
                 }
             }
         }

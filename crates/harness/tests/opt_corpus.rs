@@ -10,6 +10,10 @@
 //!    are pinned in `tests/golden/opt_counts.txt` (so a pass silently
 //!    losing its wins — or suddenly deleting live logic — fails CI), and
 //!    at least two designs shed ≥ 25% of their cells at `-O2`.
+//! 3. **Byte identity** — the same file pins an FNV-64 digest of each
+//!    design's `-O2` emitted Verilog, so a rewrite of a pass that keeps
+//!    the cell count but changes its output (a different CSE
+//!    representative, reordered assignments) fails CI too.
 //!
 //! Regenerate the pin file after an intentional optimizer change:
 //!
@@ -38,7 +42,8 @@ fn update_mode() -> bool {
 #[test]
 fn corpus_optimizes_soundly_and_cell_counts_are_pinned() {
     let mut lines = vec![
-        "# design  cells@-O0  cells@-O2 — pinned by tests/opt_corpus.rs;".to_string(),
+        "# design  cells@-O0  cells@-O2  fnv64(verilog@-O2) — pinned by tests/opt_corpus.rs;"
+            .to_string(),
         "# regenerate with UPDATE_GOLDEN=1 after intentional optimizer changes.".to_string(),
     ];
     let mut big_wins = Vec::new();
@@ -53,7 +58,7 @@ fn corpus_optimizes_soundly_and_cell_counts_are_pinned() {
         // serves every corpus entry (only conv2d-reticle needs Tdot).
         let o0 = fil_stdlib::build_with_registry(&req(0), &reticle::ReticleRegistry)
             .unwrap_or_else(|e| panic!("{name} -O0: {e}"));
-        let o2 = fil_stdlib::build_with_registry(&req(2), &reticle::ReticleRegistry)
+        let o2 = fil_stdlib::build_with_registry(&req(2).verilog(), &reticle::ReticleRegistry)
             .unwrap_or_else(|e| panic!("{name} -O2: {e}"));
         let n0 = o0.netlist.expect("netlist was requested");
         let n2 = o2.netlist.expect("netlist was requested");
@@ -76,7 +81,9 @@ fn corpus_optimizes_soundly_and_cell_counts_are_pinned() {
         if c2 * 4 <= c0 * 3 {
             big_wins.push(name.clone());
         }
-        lines.push(format!("{name} {c0} {c2}"));
+        let verilog = o2.verilog.expect("verilog was requested");
+        let digest = fil_build::key::fnv64(&[verilog.as_bytes()]);
+        lines.push(format!("{name} {c0} {c2} {digest:016x}"));
     }
     assert!(
         big_wins.len() >= 2,
@@ -100,7 +107,58 @@ fn corpus_optimizes_soundly_and_cell_counts_are_pinned() {
     assert_eq!(
         golden,
         rendered,
-        "optimized cell counts drifted from {}; run UPDATE_GOLDEN=1 if intentional",
+        "optimized cell counts or -O2 Verilog drifted from {}; run UPDATE_GOLDEN=1 if \
+         intentional",
         path.display()
     );
+}
+
+/// The build driver runs the optimizer with the source map off; tools
+/// that want the map turn it on. Both must produce the same program and
+/// the same counters on every corpus design, at both levels.
+#[test]
+fn corpus_optimizes_identically_with_and_without_notes() {
+    use fil_build::fil_opt::{optimize_program, OptConfig, OptReport};
+    let counters = |r: &OptReport| {
+        (
+            r.iterations,
+            r.cells_before,
+            r.cells_after,
+            r.assigns_before,
+            r.assigns_after,
+            r.passes.map(|p| p.rewrites),
+        )
+    };
+    for (name, src, _) in fil_bench::design_corpus() {
+        let req = BuildRequest::new(src.as_str())
+            .lowered()
+            .expanded(false)
+            .opt_level(0);
+        let lowered = fil_stdlib::build_with_registry(&req, &reticle::ReticleRegistry)
+            .unwrap_or_else(|e| panic!("{name} -O0: {e}"))
+            .lowered
+            .expect("lowered was requested");
+        for level in [1, 2] {
+            let mut on = lowered.clone();
+            let r_on = optimize_program(&mut on, &OptConfig::level(level));
+            let mut off = lowered.clone();
+            let quiet = OptConfig {
+                record_notes: false,
+                ..OptConfig::level(level)
+            };
+            let r_off = optimize_program(&mut off, &quiet);
+            assert!(r_off.notes.is_empty());
+            assert_eq!(
+                r_on.notes.is_empty(),
+                r_on.rewrites() == 0,
+                "{name} -O{level}: notes are recorded iff something was rewritten"
+            );
+            assert_eq!(counters(&r_on), counters(&r_off), "{name} -O{level}");
+            assert_eq!(
+                calyx_lite::emit_program(&on),
+                calyx_lite::emit_program(&off),
+                "{name} -O{level}: notes changed the optimized program"
+            );
+        }
+    }
 }

@@ -37,6 +37,16 @@
 //!    cells (including registers and whole subcomponent instances) whose
 //!    outputs are transitively unobservable are deleted.
 //!
+//! Each pass costs time roughly linear in cells + assignments: the
+//! assignments are grouped by destination cell once per pass, driver
+//! lookups borrow names instead of building keys, CSE buckets cells by a
+//! 64-bit structural hash (confirmed by an exact comparison, so a hash
+//! collision never merges two cells), dce is one worklist traversal, and
+//! source-map text is rendered only when [`OptConfig::record_notes`] is
+//! on. The fixpoint stops after an iteration in which only dce fired:
+//! deleting dead cells changes no surviving cell's drivers, so no pass
+//! could fire again.
+//!
 //! The pipeline assumes conflict-free designs (what the Filament checker
 //! guarantees, Section 3.4): merging or deleting cells also merges or
 //! deletes their *dynamic* write-conflict checks, so programs that would
@@ -49,10 +59,15 @@
 //! [`OptReport`] source map ([`RewriteNote`]) with its pre-optimization
 //! rendering.
 
-use calyx_lite::{primitive_ports, CellProto, Component, Guard, PortRef, Program, Src};
+use calyx_lite::{
+    primitive_ports, Assign, Cell, CellProto, Component, Guard, PortRef, Program, Src,
+};
 use fil_bits::Value;
 use rtl_sim::CellKind;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::{Hash, Hasher};
+use std::time::Instant;
 
 /// Pass names, in pipeline order. Indexes [`OptReport::passes`].
 pub const PASSES: [&str; 5] = ["const-fold", "strength", "forward", "cse", "dce"];
@@ -65,10 +80,10 @@ pub struct OptConfig {
     pub level: u8,
     /// Fixpoint iteration cap per component (each iteration runs the whole
     /// pipeline once; the loop stops early when an iteration changes
-    /// nothing).
+    /// nothing, or when only dce changed something).
     pub max_iterations: usize,
     /// Record a [`RewriteNote`] per rewrite. Builders that only consume the
-    /// counters turn this off.
+    /// counters turn this off, and then no note text is rendered at all.
     pub record_notes: bool,
     /// Mutation-testing hook: deliberately mis-fold cells with *some*
     /// constant inputs as if they were fully constant (treating the
@@ -101,8 +116,15 @@ pub struct PassStat {
     /// Individual rewrites applied (cells removed, sources forwarded,
     /// guards simplified, kinds replaced).
     pub rewrites: u64,
-    /// Wall time spent in the pass, microseconds.
-    pub us: u64,
+    /// Wall time spent in the pass, nanoseconds. Summed unrounded, so
+    /// passes that each take under a microsecond still add up; round once
+    /// when reporting ([`ns_to_us`]).
+    pub ns: u64,
+}
+
+/// Nanoseconds rounded to the nearest microsecond.
+pub fn ns_to_us(ns: u64) -> u64 {
+    (ns + 500) / 1000
 }
 
 /// One source-map entry: what a rewrite removed or replaced, rendered the
@@ -171,7 +193,7 @@ impl OptReport {
         self.assigns_after += other.assigns_after;
         for (a, b) in self.passes.iter_mut().zip(&other.passes) {
             a.rewrites += b.rewrites;
-            a.us += b.us;
+            a.ns += b.ns;
         }
         self.notes.extend(other.notes.iter().cloned());
     }
@@ -199,15 +221,22 @@ pub fn optimize_component(c: &mut Component, cfg: &OptConfig) -> OptReport {
     report.assigns_before = c.assigns.len() as u64;
     for _ in 0..cfg.max_iterations.max(1) {
         report.iterations += 1;
-        let mut changed = 0;
-        changed += run_pass(c, cfg, &mut report, 0, const_fold);
-        changed += run_pass(c, cfg, &mut report, 1, strength);
-        changed += run_pass(c, cfg, &mut report, 2, forward);
-        if cfg.level >= 2 {
-            changed += run_pass(c, cfg, &mut report, 3, cse);
-        }
-        changed += run_pass(c, cfg, &mut report, 4, dce);
-        if changed == 0 {
+        let fired = iterate(c, cfg, &mut report);
+        if fired[..4].iter().all(|&n| n == 0) {
+            // Nothing fired, or only dce did. Deleting dead cells (and the
+            // assignments into them) leaves every surviving cell's drivers
+            // and every surviving read as they were, so each pass would
+            // decide again exactly what it decided this iteration: nothing.
+            // Debug builds run that iteration anyway, off the report.
+            if cfg!(debug_assertions) && fired[4] > 0 {
+                let confirm = iterate(c, cfg, &mut OptReport::default());
+                debug_assert_eq!(
+                    confirm,
+                    [0; 5],
+                    "{}: an iteration after a dce-only one still rewrote",
+                    c.name
+                );
+            }
             break;
         }
     }
@@ -232,39 +261,67 @@ pub fn optimize_program(p: &mut Program, cfg: &OptConfig) -> OptReport {
     report
 }
 
+/// Runs the pipeline once, returning each pass's rewrite count.
+fn iterate(c: &mut Component, cfg: &OptConfig, report: &mut OptReport) -> [u64; 5] {
+    let mut fired = [0; 5];
+    fired[0] = run_pass(c, cfg, report, 0, const_fold);
+    fired[1] = run_pass(c, cfg, report, 1, strength);
+    fired[2] = run_pass(c, cfg, report, 2, forward);
+    if cfg.level >= 2 {
+        fired[3] = run_pass(c, cfg, report, 3, cse);
+    }
+    fired[4] = run_pass(c, cfg, report, 4, dce);
+    fired
+}
+
 fn run_pass(
     c: &mut Component,
     cfg: &OptConfig,
     report: &mut OptReport,
     idx: usize,
-    pass: fn(&mut Component, &OptConfig, &mut Vec<RewriteNote>) -> u64,
+    pass: fn(&mut Component, &OptConfig, &mut Notes) -> u64,
 ) -> u64 {
-    let start = std::time::Instant::now();
-    let mut notes = Vec::new();
+    let start = Instant::now();
+    let mut notes = Notes {
+        on: cfg.record_notes,
+        list: Vec::new(),
+    };
     let n = pass(c, cfg, &mut notes);
     report.passes[idx].rewrites += n;
-    report.passes[idx].us += start.elapsed().as_micros() as u64;
-    if cfg.record_notes {
-        for mut note in notes {
-            note.component.clone_from(&c.name);
-            report.notes.push(note);
-        }
+    report.passes[idx].ns += start.elapsed().as_nanos() as u64;
+    for mut note in notes.list {
+        note.component.clone_from(&c.name);
+        report.notes.push(note);
     }
     n
 }
 
-fn note(notes: &mut Vec<RewriteNote>, pass: &'static str, original: String, replacement: String) {
-    notes.push(RewriteNote {
-        component: String::new(), // filled by run_pass
-        pass,
-        original,
-        replacement,
-    });
+/// One pass's share of the source map. Note text is rendered only when
+/// [`OptConfig::record_notes`] is on.
+struct Notes {
+    on: bool,
+    list: Vec<RewriteNote>,
+}
+
+impl Notes {
+    /// Records a rewrite; `render` yields `(original, replacement)` and
+    /// runs only when notes are on.
+    fn add(&mut self, pass: &'static str, render: impl FnOnce() -> (String, String)) {
+        if self.on {
+            let (original, replacement) = render();
+            self.list.push(RewriteNote {
+                component: String::new(), // filled by run_pass
+                pass,
+                original,
+                replacement,
+            });
+        }
+    }
 }
 
 /// Renders an assignment the way `rtl_sim::Netlist::describe_assign`
 /// renders its elaborated form: `dst = src` or `dst = g0 || g1 ? src`.
-fn describe(a: &calyx_lite::Assign) -> String {
+fn describe(a: &Assign) -> String {
     let src = render_src(&a.src);
     if a.guard.is_true() {
         format!("{} = {}", a.dst, src)
@@ -281,7 +338,7 @@ fn render_src(s: &Src) -> String {
 }
 
 /// Canonical constant rendering: `width'hHEX` from the raw limbs, so the
-/// text is deterministic and usable as a CSE key component.
+/// text is deterministic.
 fn render_value(v: &Value) -> String {
     let mut hex = String::new();
     for limb in v.limbs().iter().rev() {
@@ -297,40 +354,108 @@ fn render_value(v: &Value) -> String {
     format!("{}'h{}", v.width(), hex)
 }
 
+/// A guard's disjuncts; empty for the trivially-true guard (both
+/// `Guard::True` and an empty `Guard::Any`).
+fn guard_ports(g: &Guard) -> &[PortRef] {
+    match g {
+        Guard::True => &[],
+        Guard::Any(ports) => ports,
+    }
+}
+
+/// The assignments into each cell, grouped once per pass so later driver
+/// lookups borrow instead of building keys. Groups are keyed by cell name,
+/// so a destination cell that is not declared still gets a group, after
+/// the declared ones.
+struct Fanin<'a> {
+    /// Cell name → group.
+    ids: HashMap<&'a str, usize>,
+    /// The group of `c.cells[i]`.
+    cell: Vec<usize>,
+    /// `order[start[g]..start[g + 1]]`: the assignments into group `g`,
+    /// as indices into `c.assigns`, in assignment order.
+    start: Vec<usize>,
+    order: Vec<usize>,
+}
+
+impl<'a> Fanin<'a> {
+    fn new(c: &'a Component) -> Self {
+        let mut ids: HashMap<&str, usize> = HashMap::with_capacity(c.cells.len());
+        let mut id = |name: &'a str| {
+            let next = ids.len();
+            *ids.entry(name).or_insert(next)
+        };
+        let cell: Vec<usize> = c.cells.iter().map(|x| id(&x.name)).collect();
+        let dst: Vec<Option<usize>> = c
+            .assigns
+            .iter()
+            .map(|a| a.dst.cell.as_deref().map(&mut id))
+            .collect();
+        let groups = ids.len();
+        let mut start = vec![0; groups + 1];
+        for &g in dst.iter().flatten() {
+            start[g + 1] += 1;
+        }
+        for g in 0..groups {
+            start[g + 1] += start[g];
+        }
+        let mut fill = start[..groups].to_vec();
+        let mut order = vec![0; start[groups]];
+        for (i, g) in dst.into_iter().enumerate() {
+            if let Some(g) = g {
+                order[fill[g]] = i;
+                fill[g] += 1;
+            }
+        }
+        Fanin {
+            ids,
+            cell,
+            start,
+            order,
+        }
+    }
+
+    fn groups(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn group(&self, g: usize) -> &[usize] {
+        &self.order[self.start[g]..self.start[g + 1]]
+    }
+
+    /// The assignments into `c.cells[i]`.
+    fn drivers_of(&self, i: usize) -> &[usize] {
+        self.group(self.cell[i])
+    }
+
+    /// The group of the cell owning `p`, if any.
+    fn of_port(&self, p: &PortRef) -> Option<usize> {
+        self.ids.get(p.cell.as_deref()?).copied()
+    }
+}
+
 /// How a cell input pin is driven.
-enum PinState {
+enum PinState<'a> {
     /// Constant: a single unguarded `Src::Const` driver, no driver at
     /// all (undriven signals settle to zero), or a single *guarded*
     /// constant-zero driver — inactive guards also read as zero, so a
     /// guarded zero is zero on every cycle.
     Const(Value),
     /// A single unguarded port driver.
-    Wire(PortRef),
+    Wire(&'a PortRef),
     /// Anything else: guarded or multiple drivers.
     Opaque,
 }
 
-/// Assign indices per destination port.
-fn driver_indices(c: &Component) -> HashMap<PortRef, Vec<usize>> {
-    let mut map: HashMap<PortRef, Vec<usize>> = HashMap::new();
-    for (i, a) in c.assigns.iter().enumerate() {
-        map.entry(a.dst.clone()).or_default().push(i);
-    }
-    map
-}
-
-fn pin_state(
-    c: &Component,
-    drivers: &HashMap<PortRef, Vec<usize>>,
-    cell: &str,
-    pin: &str,
-    width: u32,
-) -> PinState {
-    let pr = PortRef::cell(cell, pin);
-    match drivers.get(&pr).map(Vec::as_slice) {
-        None | Some([]) => PinState::Const(Value::zero(width)),
-        Some([i]) => {
-            let a = &c.assigns[*i];
+/// The state of `pin`, given the assignments into its cell.
+fn pin_state<'a>(c: &'a Component, drivers: &[usize], pin: &str, width: u32) -> PinState<'a> {
+    let mut into_pin = drivers
+        .iter()
+        .map(|&i| &c.assigns[i])
+        .filter(|a| a.dst.port == pin);
+    match (into_pin.next(), into_pin.next()) {
+        (None, _) => PinState::Const(Value::zero(width)),
+        (Some(a), None) => {
             if !a.guard.is_true() {
                 // `dst = g ? 0` is zero whether or not g is active.
                 return match &a.src {
@@ -340,18 +465,18 @@ fn pin_state(
             }
             match &a.src {
                 Src::Const(v) => PinState::Const(v.clone()),
-                Src::Port(p) => PinState::Wire(p.clone()),
+                Src::Port(p) => PinState::Wire(p),
             }
         }
-        Some(_) => PinState::Opaque,
+        _ => PinState::Opaque,
     }
 }
 
-impl PinState {
+impl PinState<'_> {
     fn as_src(&self) -> Option<Src> {
         match self {
             PinState::Const(v) => Some(Src::Const(v.clone())),
-            PinState::Wire(p) => Some(Src::Port(p.clone())),
+            PinState::Wire(p) => Some(Src::Port((*p).clone())),
             PinState::Opaque => None,
         }
     }
@@ -361,22 +486,26 @@ impl PinState {
 /// Returns the number of removed constructs (cells + assigns).
 fn remove_cells(
     c: &mut Component,
-    dead: &BTreeSet<String>,
+    dead: &HashSet<String>,
     pass: &'static str,
     replacement: &dyn Fn(&str) -> String,
-    notes: &mut Vec<RewriteNote>,
+    notes: &mut Notes,
 ) -> u64 {
     if dead.is_empty() {
         return 0;
     }
-    let mut removed = 0u64;
-    for cell in c.cells.iter().filter(|cell| dead.contains(&cell.name)) {
-        let original = match &cell.proto {
-            CellProto::Primitive(kind) => format!("cell {} ({})", cell.name, kind.label()),
-            CellProto::Component(sub) => format!("cell {} ({sub})", cell.name),
-        };
-        note(notes, pass, original, replacement(&cell.name));
+    if notes.on {
+        for cell in c.cells.iter().filter(|cell| dead.contains(&cell.name)) {
+            notes.add(pass, || {
+                let original = match &cell.proto {
+                    CellProto::Primitive(kind) => format!("cell {} ({})", cell.name, kind.label()),
+                    CellProto::Component(sub) => format!("cell {} ({sub})", cell.name),
+                };
+                (original, replacement(&cell.name))
+            });
+        }
     }
+    let mut removed = 0u64;
     c.cells.retain(|cell| {
         let keep = !dead.contains(&cell.name);
         removed += u64::from(!keep);
@@ -396,7 +525,7 @@ fn remove_cells(
 /// loop of identity cells) are dropped from both `repl` and `dead`: such a
 /// design can't settle anyway, but the optimizer must not turn it into a
 /// netlist that doesn't even elaborate.
-fn compress_chains(repl: &mut HashMap<PortRef, Src>, dead: &mut BTreeSet<String>) {
+fn compress_chains(repl: &mut HashMap<PortRef, Src>, dead: &mut HashSet<String>) {
     let keys: Vec<PortRef> = repl.keys().cloned().collect();
     let mut cyclic: Vec<PortRef> = Vec::new();
     for k in keys {
@@ -431,104 +560,106 @@ fn replace_reads(
     c: &mut Component,
     repl: &HashMap<PortRef, Src>,
     pass: &'static str,
-    notes: &mut Vec<RewriteNote>,
+    notes: &mut Notes,
 ) -> u64 {
     if repl.is_empty() {
         return 0;
     }
     let mut n = 0u64;
-    let mut kept = Vec::with_capacity(c.assigns.len());
-    for mut a in std::mem::take(&mut c.assigns) {
-        let before = describe(&a);
-        let mut touched = false;
+    c.assigns.retain_mut(|a| {
+        let src_hit = matches!(&a.src, Src::Port(p) if repl.contains_key(p));
+        let guard_hit = guard_ports(&a.guard).iter().any(|p| repl.contains_key(p));
+        if !(src_hit || guard_hit) {
+            return true;
+        }
+        let before = notes.on.then(|| describe(a));
         if let Src::Port(p) = &a.src {
             if let Some(r) = repl.get(p) {
                 a.src = r.clone();
-                touched = true;
             }
         }
         let mut never = false;
-        if let Guard::Any(ports) = &a.guard {
-            if !ports.is_empty() && ports.iter().any(|p| repl.contains_key(p)) {
-                let mut always = false;
-                let mut out = Vec::with_capacity(ports.len());
-                for p in ports {
-                    match repl.get(p) {
-                        Some(Src::Const(v)) => always |= !v.is_zero(),
-                        Some(Src::Port(q)) => out.push(q.clone()),
-                        None => out.push(p.clone()),
-                    }
-                }
-                touched = true;
-                if always {
-                    a.guard = Guard::True;
-                } else if out.is_empty() {
-                    // Every disjunct is a constant zero: the assignment
-                    // can never fire.
-                    never = true;
-                } else {
-                    a.guard = Guard::Any(out);
+        if guard_hit {
+            let mut always = false;
+            let mut out = Vec::new();
+            for p in guard_ports(&a.guard) {
+                match repl.get(p) {
+                    Some(Src::Const(v)) => always |= !v.is_zero(),
+                    Some(Src::Port(q)) => out.push(q.clone()),
+                    None => out.push(p.clone()),
                 }
             }
+            if always {
+                a.guard = Guard::True;
+            } else if out.is_empty() {
+                // Every disjunct is a constant zero: the assignment can
+                // never fire.
+                never = true;
+            } else {
+                a.guard = Guard::Any(out);
+            }
         }
-        if touched {
-            n += 1;
+        n += 1;
+        notes.add(pass, || {
             let after = if never {
                 "removed (guard never active)".to_owned()
             } else {
-                describe(&a)
+                describe(a)
             };
-            note(notes, pass, before, after);
-        }
-        if !never {
-            kept.push(a);
-        }
-    }
-    c.assigns = kept;
+            (before.unwrap_or_default(), after)
+        });
+        !never
+    });
     n
 }
 
 /// Pass 1: constant folding and propagation.
-fn const_fold(c: &mut Component, cfg: &OptConfig, notes: &mut Vec<RewriteNote>) -> u64 {
-    let drivers = driver_indices(c);
+fn const_fold(c: &mut Component, cfg: &OptConfig, notes: &mut Notes) -> u64 {
+    let fanin = Fanin::new(c);
+    // Input pins per primitive kind, computed once per distinct kind.
+    let mut pins_of: HashMap<&CellKind, Vec<(String, u32)>> = HashMap::new();
     let mut repl: HashMap<PortRef, Src> = HashMap::new();
-    let mut dead = BTreeSet::new();
-    let mut folded: HashMap<String, Value> = HashMap::new();
-    for cell in &c.cells {
+    let mut dead = HashSet::new();
+    for (ci, cell) in c.cells.iter().enumerate() {
         let CellProto::Primitive(kind) = &cell.proto else {
             continue;
         };
         if kind.is_sequential() || matches!(kind, CellKind::Const { .. }) {
             continue;
         }
-        let (pins, _) = primitive_ports(kind);
+        let drivers = fanin.drivers_of(ci);
+        let pins = pins_of
+            .entry(kind)
+            .or_insert_with(|| primitive_ports(kind).0);
         let mut vals = Vec::with_capacity(pins.len());
         let mut all_const = true;
         let mut any_const = false;
-        for (pin, width) in &pins {
-            match pin_state(c, &drivers, &cell.name, pin, *width) {
+        for (pin, width) in pins.iter() {
+            match pin_state(c, drivers, pin, *width) {
                 PinState::Const(v) => {
                     any_const = true;
                     vals.push(v);
                 }
                 _ => {
                     all_const = false;
+                    if !cfg.inject_bad_fold {
+                        break;
+                    }
                     // The injected bug is doubly unsound: it also takes a
                     // *guarded* constant driver as if it were always
                     // active (lowered data arguments are always guarded,
                     // so the sound fold never fires on them — the
                     // injected one must, or the selftest has nothing to
                     // catch).
-                    let guarded_const = cfg.inject_bad_fold.then(|| {
-                        let target = PortRef::cell(cell.name.clone(), pin.clone());
-                        drivers.get(&target).and_then(|idxs| {
-                            idxs.iter().find_map(|&i| match &c.assigns[i].src {
-                                Src::Const(v) => Some(v.clone()),
-                                Src::Port(_) => None,
-                            })
-                        })
-                    });
-                    match guarded_const.flatten() {
+                    let guarded_const = drivers
+                        .iter()
+                        .map(|&i| &c.assigns[i])
+                        .filter(|a| a.dst.port == *pin)
+                        .find_map(|a| match &a.src {
+                            Src::Const(v) => Some(v.clone()),
+                            Src::Port(_) => None,
+                        });
+                    match guarded_const {
                         Some(v) => {
                             any_const = true;
                             vals.push(v);
@@ -549,18 +680,13 @@ fn const_fold(c: &mut Component, cfg: &OptConfig, notes: &mut Vec<RewriteNote>) 
         let ins: Vec<&Value> = vals.iter().collect();
         kind.eval_into(&ins, &state, &mut outs);
         let value = outs.swap_remove(0);
-        repl.insert(
-            PortRef::cell(cell.name.clone(), "out"),
-            Src::Const(value.clone()),
-        );
-        folded.insert(cell.name.clone(), value);
+        repl.insert(PortRef::cell(cell.name.clone(), "out"), Src::Const(value));
         dead.insert(cell.name.clone());
     }
-    let folded_desc = move |name: &str| {
-        format!(
-            "folded to {}",
-            folded.get(name).map(render_value).unwrap_or_default()
-        )
+    drop(fanin);
+    let folded_desc = |name: &str| match repl.get(&PortRef::cell(name, "out")) {
+        Some(Src::Const(v)) => format!("folded to {}", render_value(v)),
+        _ => "folded to ".to_owned(),
     };
     let mut n = remove_cells(c, &dead, PASSES[0], &folded_desc, notes);
     n += replace_reads(c, &repl, PASSES[0], notes);
@@ -568,10 +694,11 @@ fn const_fold(c: &mut Component, cfg: &OptConfig, notes: &mut Vec<RewriteNote>) 
 }
 
 /// Pass 2: strength reduction.
-fn strength(c: &mut Component, _cfg: &OptConfig, notes: &mut Vec<RewriteNote>) -> u64 {
-    let drivers = driver_indices(c);
+fn strength(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
+    let fanin = Fanin::new(c);
+    let record = notes.on;
     let mut repl: HashMap<PortRef, Src> = HashMap::new();
-    let mut dead = BTreeSet::new();
+    let mut dead = HashSet::new();
     let mut forwarded: HashMap<String, String> = HashMap::new();
     // Mult-by-2^k plans: (cell index, shift amount, surviving pin name).
     let mut shl_plans: Vec<(usize, u32, &'static str)> = Vec::new();
@@ -580,12 +707,15 @@ fn strength(c: &mut Component, _cfg: &OptConfig, notes: &mut Vec<RewriteNote>) -
         let CellProto::Primitive(kind) = &cell.proto else {
             continue;
         };
-        let pin = |p: &str, w: u32| pin_state(c, &drivers, &cell.name, p, w);
+        let drivers = fanin.drivers_of(ci);
+        let pin = |p: &str, w: u32| pin_state(c, drivers, p, w);
         let out = || PortRef::cell(cell.name.clone(), "out");
         // Forward `cell.out` readers to `src`; the cell dies.
         let mut fwd = |src: Src, repl: &mut HashMap<PortRef, Src>,
-                       dead: &mut BTreeSet<String>| {
-            forwarded.insert(cell.name.clone(), render_src(&src));
+                       dead: &mut HashSet<String>| {
+            if record {
+                forwarded.insert(cell.name.clone(), render_src(&src));
+            }
             repl.insert(out(), src);
             dead.insert(cell.name.clone());
         };
@@ -686,31 +816,30 @@ fn strength(c: &mut Component, _cfg: &OptConfig, notes: &mut Vec<RewriteNote>) -
             _ => {}
         }
     }
+    drop(fanin);
 
     let mut n = 0u64;
-    // Apply the Mult → ShlConst rewrites: swap the kind, retarget the
-    // surviving operand's assigns to the `in` pin, drop the constant pin's
-    // assigns.
+    // Apply the Mult → ShlConst rewrites: swap the kind, then (in one
+    // sweep over the assignments) retarget the surviving operand's
+    // assigns to the `in` pin and drop the constant pin's assigns.
+    let mut retarget: HashMap<String, &'static str> = HashMap::new();
     for (ci, amount, keep_pin) in shl_plans {
-        let (name, width) = {
-            let cell = &c.cells[ci];
-            let CellProto::Primitive(CellKind::MulComb { width }) = cell.proto else {
-                continue;
-            };
-            (cell.name.clone(), width)
+        let cell = &mut c.cells[ci];
+        let CellProto::Primitive(CellKind::MulComb { width }) = cell.proto else {
+            continue;
         };
-        note(
-            notes,
-            PASSES[1],
-            format!("cell {name} (mul)"),
-            format!("shl by {amount}"),
-        );
-        c.cells[ci].proto = CellProto::Primitive(CellKind::ShlConst { width, amount });
+        notes.add(PASSES[1], || {
+            (format!("cell {} (mul)", cell.name), format!("shl by {amount}"))
+        });
+        cell.proto = CellProto::Primitive(CellKind::ShlConst { width, amount });
+        retarget.insert(cell.name.clone(), keep_pin);
+        n += 1;
+    }
+    if !retarget.is_empty() {
         c.assigns.retain_mut(|a| {
-            let Some(cn) = &a.dst.cell else { return true };
-            if cn != &name {
+            let Some(&keep_pin) = a.dst.cell.as_ref().and_then(|cn| retarget.get(cn)) else {
                 return true;
-            }
+            };
             if a.dst.port == keep_pin {
                 a.dst.port = "in".to_owned();
                 true
@@ -718,7 +847,6 @@ fn strength(c: &mut Component, _cfg: &OptConfig, notes: &mut Vec<RewriteNote>) -
                 false // The constant operand's driver.
             }
         });
-        n += 1;
     }
     compress_chains(&mut repl, &mut dead);
     let fwd_desc = move |name: &str| {
@@ -733,15 +861,15 @@ fn strength(c: &mut Component, _cfg: &OptConfig, notes: &mut Vec<RewriteNote>) -
 }
 
 /// Pass 3: copy/wire forwarding of identity cells.
-fn forward(c: &mut Component, _cfg: &OptConfig, notes: &mut Vec<RewriteNote>) -> u64 {
-    let drivers = driver_indices(c);
+fn forward(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
+    let fanin = Fanin::new(c);
     let mut repl: HashMap<PortRef, Src> = HashMap::new();
-    let mut dead = BTreeSet::new();
+    let mut dead = HashSet::new();
     let mut forwarded: HashMap<String, String> = HashMap::new();
     // Guard-aware forwarding: `z.in = Any(S) ? src` makes `z.out` equal
     // `src` exactly while some state in S is active. Keyed by `z.out`.
     let mut windowed: HashMap<PortRef, (BTreeSet<PortRef>, Src)> = HashMap::new();
-    for cell in &c.cells {
+    for (ci, cell) in c.cells.iter().enumerate() {
         let CellProto::Primitive(kind) = &cell.proto else {
             continue;
         };
@@ -757,9 +885,12 @@ fn forward(c: &mut Component, _cfg: &OptConfig, notes: &mut Vec<RewriteNote>) ->
         if !identity {
             continue;
         }
+        let drivers = fanin.drivers_of(ci);
         let width = kind.input_widths()[0];
-        if let Some(src) = pin_state(c, &drivers, &cell.name, "in", width).as_src() {
-            forwarded.insert(cell.name.clone(), render_src(&src));
+        if let Some(src) = pin_state(c, drivers, "in", width).as_src() {
+            if notes.on {
+                forwarded.insert(cell.name.clone(), render_src(&src));
+            }
             repl.insert(PortRef::cell(cell.name.clone(), "out"), src);
             dead.insert(cell.name.clone());
             continue;
@@ -768,9 +899,11 @@ fn forward(c: &mut Component, _cfg: &OptConfig, notes: &mut Vec<RewriteNote>) ->
         // data assignment with its interval's FSM states, so a wire cell
         // in a scheduled component has a guarded driver and the unguarded
         // rule above never fires. Record the window instead.
-        let pr = PortRef::cell(cell.name.clone(), "in");
-        if let Some([i]) = drivers.get(&pr).map(Vec::as_slice) {
-            let a = &c.assigns[*i];
+        let mut into_in = drivers
+            .iter()
+            .map(|&i| &c.assigns[i])
+            .filter(|a| a.dst.port == "in");
+        if let (Some(a), None) = (into_in.next(), into_in.next()) {
             if let Guard::Any(states) = &a.guard {
                 let out = PortRef::cell(cell.name.clone(), "out");
                 if !states.is_empty() && a.src != Src::Port(out.clone()) {
@@ -779,6 +912,7 @@ fn forward(c: &mut Component, _cfg: &OptConfig, notes: &mut Vec<RewriteNote>) ->
             }
         }
     }
+    drop(fanin);
     compress_chains(&mut repl, &mut dead);
     let fwd_desc = move |name: &str| {
         format!(
@@ -788,6 +922,9 @@ fn forward(c: &mut Component, _cfg: &OptConfig, notes: &mut Vec<RewriteNote>) ->
     };
     let mut n = remove_cells(c, &dead, PASSES[2], &fwd_desc, notes);
     n += replace_reads(c, &repl, PASSES[2], notes);
+    if windowed.is_empty() {
+        return n;
+    }
     // A reader `dst = Any(R) ? z.out` with R ⊆ S only samples `z.out`
     // inside the window where it equals `src`, so it can read `src`
     // directly — interval containment makes the forwarding sound without
@@ -802,64 +939,58 @@ fn forward(c: &mut Component, _cfg: &OptConfig, notes: &mut Vec<RewriteNote>) ->
         if reads.is_empty() || !reads.iter().all(|q| states.contains(q)) {
             continue;
         }
-        let before = describe(a);
+        let before = notes.on.then(|| describe(a));
         a.src = src.clone();
         n += 1;
-        note(notes, PASSES[2], before, describe(a));
+        notes.add(PASSES[2], || (before.unwrap_or_default(), describe(a)));
     }
     n
 }
 
 /// Pass 4: local CSE by structural hash-consing.
-fn cse(c: &mut Component, _cfg: &OptConfig, notes: &mut Vec<RewriteNote>) -> u64 {
-    use std::collections::BTreeMap;
-    // Canonical driver text per (cell, pin), in assignment order.
-    let mut pins: HashMap<&str, BTreeMap<&str, Vec<String>>> = HashMap::new();
-    for a in &c.assigns {
-        if let Some(cell) = &a.dst.cell {
-            pins.entry(cell.as_str())
-                .or_default()
-                .entry(a.dst.port.as_str())
-                .or_default()
-                .push(describe_rhs(a));
-        }
+fn cse(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
+    let mut fanin = Fanin::new(c);
+    // Canonical driver order: by pin name, and in assignment order within
+    // a pin (the sort is stable).
+    for g in 0..fanin.groups() {
+        let (from, to) = (fanin.start[g], fanin.start[g + 1]);
+        fanin.order[from..to].sort_by(|&x, &y| c.assigns[x].dst.port.cmp(&c.assigns[y].dst.port));
     }
-    let mut seen: HashMap<String, &str> = HashMap::new();
+    // Representatives by structural hash: `heads` holds the latest
+    // representative with a hash, `chain` links it to earlier ones with
+    // the same hash (distinct cells whose hashes collide).
+    let mut heads: HashMap<u64, usize> = HashMap::with_capacity(c.cells.len());
+    let mut chain: Vec<Option<usize>> = vec![None; c.cells.len()];
     let mut rename: HashMap<String, String> = HashMap::new();
-    for cell in &c.cells {
-        let proto = match &cell.proto {
-            CellProto::Primitive(kind) => format!("prim {kind:?}"),
-            CellProto::Component(name) => format!("comp {name}"),
-        };
-        let mut key = proto;
-        if let Some(m) = pins.get(cell.name.as_str()) {
-            for (pin, ds) in m {
-                key.push_str(&format!(" |{pin}<-{}", ds.join(";")));
+    for (ci, cell) in c.cells.iter().enumerate() {
+        let drivers = fanin.drivers_of(ci);
+        let hash = cell_hash(c, cell, drivers);
+        let mut candidate = heads.get(&hash).copied();
+        while let Some(r) = candidate {
+            if same_cell(c, &c.cells[r], fanin.drivers_of(r), cell, drivers) {
+                break;
             }
+            candidate = chain[r];
         }
-        match seen.get(key.as_str()) {
-            Some(rep) => {
-                note(
-                    notes,
-                    PASSES[3],
-                    format!("cell {}", cell.name),
-                    format!("merged into {rep}"),
-                );
-                rename.insert(cell.name.clone(), (*rep).to_owned());
+        match candidate {
+            Some(r) => {
+                let rep = &c.cells[r].name;
+                notes.add(PASSES[3], || {
+                    (format!("cell {}", cell.name), format!("merged into {rep}"))
+                });
+                rename.insert(cell.name.clone(), rep.clone());
             }
-            None => {
-                seen.insert(key, cell.name.as_str());
-            }
+            None => chain[ci] = heads.insert(hash, ci),
         }
     }
+    drop(fanin);
     if rename.is_empty() {
         return 0;
     }
-    let dead: BTreeSet<String> = rename.keys().cloned().collect();
     let mut n = 0u64;
-    c.cells.retain(|cell| !dead.contains(&cell.name));
+    c.cells.retain(|cell| !rename.contains_key(&cell.name));
     c.assigns
-        .retain(|a| !matches!(&a.dst.cell, Some(cn) if dead.contains(cn)));
+        .retain(|a| !matches!(&a.dst.cell, Some(cn) if rename.contains_key(cn)));
     let fix = |p: &mut PortRef, n: &mut u64| {
         if let Some(cn) = &p.cell {
             if let Some(rep) = rename.get(cn) {
@@ -878,57 +1009,85 @@ fn cse(c: &mut Component, _cfg: &OptConfig, notes: &mut Vec<RewriteNote>) -> u64
             }
         }
     }
-    n + dead.len() as u64
+    n + rename.len() as u64
 }
 
-/// The right-hand side of an assignment (guard + source), canonically
-/// rendered for CSE keys.
-fn describe_rhs(a: &calyx_lite::Assign) -> String {
-    let src = render_src(&a.src);
-    if a.guard.is_true() {
-        src
-    } else {
-        format!("{} ? {}", a.guard, src)
+/// A 64-bit structural hash of a cell's kind and its drivers (in CSE's
+/// canonical order): equal for any two cells [`same_cell`] accepts.
+fn cell_hash(c: &Component, cell: &Cell, drivers: &[usize]) -> u64 {
+    let mut h = DefaultHasher::new();
+    match &cell.proto {
+        CellProto::Primitive(kind) => (0u8, kind).hash(&mut h),
+        CellProto::Component(name) => (1u8, name).hash(&mut h),
     }
+    for &i in drivers {
+        let a = &c.assigns[i];
+        a.dst.port.hash(&mut h);
+        guard_ports(&a.guard).hash(&mut h);
+        match &a.src {
+            Src::Port(p) => (0u8, p).hash(&mut h),
+            Src::Const(v) => (1u8, v).hash(&mut h),
+        }
+    }
+    h.finish()
 }
 
-/// Pass 5: dead-cell elimination by backward liveness from output ports.
-fn dce(c: &mut Component, _cfg: &OptConfig, notes: &mut Vec<RewriteNote>) -> u64 {
-    let mut live: BTreeSet<&str> = BTreeSet::new();
-    loop {
-        let mut changed = false;
-        for a in &c.assigns {
-            let dst_live = match &a.dst.cell {
-                None => true, // Component outputs are the liveness roots.
-                Some(cell) => live.contains(cell.as_str()),
-            };
-            if !dst_live {
-                continue;
-            }
-            if let Src::Port(p) = &a.src {
-                if let Some(cell) = &p.cell {
-                    changed |= live.insert(cell.as_str());
-                }
-            }
-            if let Guard::Any(ports) = &a.guard {
-                for p in ports {
-                    if let Some(cell) = &p.cell {
-                        changed |= live.insert(cell.as_str());
-                    }
+/// Whether two cells are interchangeable: the same kind, and the same
+/// `(pin, guard, source)` drivers in CSE's canonical order.
+fn same_cell(c: &Component, x: &Cell, x_drivers: &[usize], y: &Cell, y_drivers: &[usize]) -> bool {
+    let same_proto = match (&x.proto, &y.proto) {
+        (CellProto::Primitive(a), CellProto::Primitive(b)) => a == b,
+        (CellProto::Component(a), CellProto::Component(b)) => a == b,
+        _ => false,
+    };
+    same_proto
+        && x_drivers.len() == y_drivers.len()
+        && x_drivers.iter().zip(y_drivers).all(|(&i, &j)| {
+            let (a, b) = (&c.assigns[i], &c.assigns[j]);
+            a.dst.port == b.dst.port
+                && a.src == b.src
+                && guard_ports(&a.guard) == guard_ports(&b.guard)
+        })
+}
+
+/// Pass 5: dead-cell elimination by backward liveness from output ports,
+/// as one worklist traversal: each cell is marked live once, and its
+/// drivers are visited once.
+fn dce(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
+    let fanin = Fanin::new(c);
+    let mut live = vec![false; fanin.groups()];
+    let mut work = Vec::new();
+    let mut read = |a: &Assign, work: &mut Vec<usize>| {
+        let src = match &a.src {
+            Src::Port(p) => Some(p),
+            Src::Const(_) => None,
+        };
+        for p in src.into_iter().chain(guard_ports(&a.guard)) {
+            if let Some(g) = fanin.of_port(p) {
+                if !live[g] {
+                    live[g] = true;
+                    work.push(g);
                 }
             }
         }
-        if !changed {
-            break;
+    };
+    // Component outputs are the liveness roots.
+    for a in c.assigns.iter().filter(|a| a.dst.cell.is_none()) {
+        read(a, &mut work);
+    }
+    while let Some(g) = work.pop() {
+        for &i in fanin.group(g) {
+            read(&c.assigns[i], &mut work);
         }
     }
-    let dead: BTreeSet<String> = c
+    let dead: HashSet<String> = c
         .cells
         .iter()
-        .filter(|cell| !live.contains(cell.name.as_str()))
-        .map(|cell| cell.name.clone())
+        .zip(&fanin.cell)
+        .filter(|&(_, &g)| !live[g])
+        .map(|(cell, _)| cell.name.clone())
         .collect();
-    drop(live);
+    drop(fanin);
     remove_cells(c, &dead, PASSES[4], &|_| "removed (dead)".to_owned(), notes)
 }
 

@@ -617,3 +617,285 @@ fn optimize_program_all_components() {
     assert!(p.component("A").unwrap().cells.is_empty());
     assert!(p.component("B").unwrap().cells.is_empty());
 }
+
+/// CSE's canonical driver order sorts by pin, not by assignment order:
+/// the same drivers assigned in a different order still merge, and a
+/// trivially-true guard reads the same whether spelled `True` or an empty
+/// disjunction.
+#[test]
+fn cse_canonical_driver_order_and_trivial_guards() {
+    let mut c = Component::new("T");
+    c.add_input("a", 8);
+    c.add_input("b", 8);
+    c.add_output("x", 8);
+    c.add_output("y", 8);
+    c.add_primitive("add1", CellKind::Add { width: 8 });
+    c.add_primitive("add2", CellKind::Add { width: 8 });
+    c.assign(PortRef::cell("add1", "left"), Src::this("a"));
+    c.assign(PortRef::cell("add1", "right"), Src::this("b"));
+    c.assign_guarded(
+        PortRef::cell("add2", "right"),
+        Src::this("b"),
+        Guard::Any(vec![]),
+    );
+    c.assign(PortRef::cell("add2", "left"), Src::this("a"));
+    c.assign(PortRef::this("x"), Src::port(PortRef::cell("add1", "out")));
+    c.assign(PortRef::this("y"), Src::port(PortRef::cell("add2", "out")));
+
+    let (c, report) = check_equiv(c, 2, &[("a", v(8, 3)), ("b", v(8, 9))]);
+    let names: Vec<&str> = c.cells.iter().map(|x| x.name.as_str()).collect();
+    assert_eq!(names, ["add1"]);
+    assert!(report
+        .notes
+        .iter()
+        .any(|n| n.pass == "cse" && n.original == "cell add2" && n.replacement == "merged into add1"));
+}
+
+/// Cells with identical drivers but different kind parameters (slices of
+/// one bus) stay apart, and so do cells whose drivers differ only in the
+/// order of two drivers on one pin.
+#[test]
+fn cse_exact_comparison_separates_near_twins() {
+    let slice = |hi, lo| CellKind::Slice { in_width: 8, hi, lo };
+    let mut c = Component::new("T");
+    c.add_input("a", 8);
+    c.add_input("g", 1);
+    c.add_input("h", 1);
+    c.add_output("x", 4);
+    c.add_output("y", 4);
+    c.add_primitive("lo", slice(3, 0));
+    c.add_primitive("hi", slice(7, 4));
+    c.assign(PortRef::cell("lo", "in"), Src::this("a"));
+    c.assign(PortRef::cell("hi", "in"), Src::this("a"));
+    c.assign(PortRef::this("x"), Src::port(PortRef::cell("lo", "out")));
+    c.assign(PortRef::this("y"), Src::port(PortRef::cell("hi", "out")));
+    let mut c2 = c.clone();
+    optimize_component(&mut c2, &cfg(2));
+    assert_eq!(c2.cells.len(), 2, "different slices must not merge");
+
+    let fanin = Fanin::new(&c);
+    assert!(!same_cell(&c, &c.cells[0], fanin.drivers_of(0), &c.cells[1], fanin.drivers_of(1)));
+    assert!(same_cell(&c, &c.cells[0], fanin.drivers_of(0), &c.cells[0], fanin.drivers_of(0)));
+    drop(fanin);
+
+    // Two guarded drivers on one pin, in opposite orders.
+    let mut c = Component::new("T");
+    c.add_input("a", 8);
+    c.add_input("b", 8);
+    c.add_input("g", 1);
+    c.add_input("h", 1);
+    c.add_output("x", 8);
+    c.add_output("y", 8);
+    for (name, first, second) in [("n1", "g", "h"), ("n2", "h", "g")] {
+        c.add_primitive(name, CellKind::Not { width: 8 });
+        c.assign_guarded(
+            PortRef::cell(name, "in"),
+            Src::this("a"),
+            Guard::port(PortRef::this(first)),
+        );
+        c.assign_guarded(
+            PortRef::cell(name, "in"),
+            Src::this("b"),
+            Guard::port(PortRef::this(second)),
+        );
+    }
+    c.assign(PortRef::this("x"), Src::port(PortRef::cell("n1", "out")));
+    c.assign(PortRef::this("y"), Src::port(PortRef::cell("n2", "out")));
+    optimize_component(&mut c, &cfg(2));
+    assert_eq!(c.cells.len(), 2, "driver sets differ per guard");
+}
+
+/// A chain of `n` inverters, each reading the previous one. The driver of
+/// link `i` precedes the driver of link `i + 1`, the order in which a
+/// liveness pass that rescans every assignment until nothing changes
+/// needs one sweep per link.
+fn inverter_chain(n: usize, observed: bool) -> Component {
+    let mut c = Component::new("Chain");
+    c.add_input("a", 8);
+    c.add_output("out", 8);
+    for i in 0..n {
+        c.add_primitive(format!("n{i}"), CellKind::Not { width: 8 });
+    }
+    for i in 0..n {
+        let src = if i == 0 {
+            Src::this("a")
+        } else {
+            Src::port(PortRef::cell(format!("n{}", i - 1), "out"))
+        };
+        c.assign(PortRef::cell(format!("n{i}"), "in"), src);
+    }
+    let last = if observed {
+        Src::port(PortRef::cell(format!("n{}", n - 1), "out"))
+    } else {
+        Src::this("a")
+    };
+    c.assign(PortRef::this("out"), last);
+    c
+}
+
+/// dce on a 2000-cell chain: an observed chain keeps every cell, an
+/// unobserved one loses every cell and every assignment into it.
+#[test]
+fn dce_long_chain_keeps_or_removes_every_cell() {
+    const N: usize = 2000;
+
+    let mut live = inverter_chain(N, true);
+    let report = optimize_component(&mut live, &cfg(2));
+    assert_eq!(live.cells.len(), N, "observed chain must survive whole");
+    assert_eq!(live.assigns.len(), N + 1);
+    assert_eq!(report.rewrites(), 0);
+    assert_eq!(report.iterations, 1);
+
+    let mut dead = inverter_chain(N, false);
+    let report = optimize_component(&mut dead, &cfg(2));
+    assert!(dead.cells.is_empty(), "unobserved chain must die whole");
+    assert_eq!(dead.assigns.len(), 1, "only `out = a` survives");
+    assert_eq!(report.passes[4].rewrites, 2 * N as u64, "N cells + N assigns");
+    assert_eq!(report.notes.len(), N, "one dce note per cell");
+    assert!(report.notes.iter().all(|n| n.pass == "dce"));
+}
+
+/// The fixpoint stops after an iteration in which only dce fired; the
+/// confirming iteration (run by debug builds only) is not counted.
+#[test]
+fn fixpoint_stops_after_dce_only_iteration() {
+    // Dead code only: one iteration, in which only dce fires.
+    let mut c = Component::new("T");
+    c.add_input("a", 8);
+    c.add_output("out", 8);
+    c.add_primitive("junk", CellKind::Not { width: 8 });
+    c.assign(PortRef::cell("junk", "in"), Src::this("a"));
+    c.assign(PortRef::this("out"), Src::this("a"));
+    let report = optimize_component(&mut c, &cfg(2));
+    assert!(c.cells.is_empty());
+    assert_eq!(report.passes[4].rewrites, 2);
+    assert_eq!(report.iterations, 1, "a dce-only iteration ends the fixpoint");
+
+    // A fold and dead code in one iteration: the fold may enable more
+    // work, so a second (empty) iteration confirms the fixpoint.
+    let mut c = Component::new("T");
+    c.add_input("a", 8);
+    c.add_output("out", 8);
+    c.add_primitive("add", CellKind::Add { width: 8 });
+    c.assign(PortRef::cell("add", "left"), Src::konst(v(8, 3)));
+    c.assign(PortRef::cell("add", "right"), Src::konst(v(8, 4)));
+    c.add_primitive("junk", CellKind::Not { width: 8 });
+    c.assign(PortRef::cell("junk", "in"), Src::this("a"));
+    c.assign(PortRef::this("out"), Src::port(PortRef::cell("add", "out")));
+    let report = optimize_component(&mut c, &cfg(2));
+    assert!(c.cells.is_empty());
+    assert_eq!(report.iterations, 2);
+
+    // Nothing to do at all: one iteration.
+    let mut c = inverter_chain(3, true);
+    assert_eq!(optimize_component(&mut c, &cfg(2)).iterations, 1);
+}
+
+/// A component on which every pass fires: const-fold, strength (a
+/// multiply by 4 and an add of 0), forward (an identity slice and a
+/// windowed zero-extension), cse and dce.
+fn every_pass_fires() -> Component {
+    let mut c = Component::new("T");
+    c.add_input("a", 8);
+    c.add_input("s", 1);
+    c.add_output("x", 8);
+    c.add_output("y", 8);
+    c.add_output("z", 8);
+    c.add_output("w", 8);
+    // const-fold: 2 + 3.
+    c.add_primitive("k", CellKind::Add { width: 8 });
+    c.assign(PortRef::cell("k", "left"), Src::konst(v(8, 2)));
+    c.assign(PortRef::cell("k", "right"), Src::konst(v(8, 3)));
+    // strength: a * 4 and a + 0.
+    c.add_primitive("m", CellKind::MulComb { width: 8 });
+    c.assign(PortRef::cell("m", "left"), Src::this("a"));
+    c.assign(PortRef::cell("m", "right"), Src::konst(v(8, 4)));
+    c.add_primitive("p", CellKind::Add { width: 8 });
+    c.assign(PortRef::cell("p", "left"), Src::this("a"));
+    c.assign(PortRef::cell("p", "right"), Src::port(PortRef::cell("k", "out")));
+    c.add_primitive("p0", CellKind::Add { width: 8 });
+    c.assign(PortRef::cell("p0", "left"), Src::port(PortRef::cell("m", "out")));
+    c.assign(PortRef::cell("p0", "right"), Src::konst(v(8, 0)));
+    // forward: an identity slice, and a zero-extension written in state
+    // `s` and read in state `s`.
+    c.add_primitive("id", CellKind::Slice { in_width: 8, hi: 7, lo: 0 });
+    c.assign(PortRef::cell("id", "in"), Src::port(PortRef::cell("p0", "out")));
+    c.add_primitive("win", CellKind::ZeroExt { in_width: 8, out_width: 8 });
+    c.assign_guarded(
+        PortRef::cell("win", "in"),
+        Src::this("a"),
+        Guard::port(PortRef::this("s")),
+    );
+    // cse: a twin of `p`.
+    c.add_primitive("q", CellKind::Add { width: 8 });
+    c.assign(PortRef::cell("q", "left"), Src::this("a"));
+    c.assign(PortRef::cell("q", "right"), Src::port(PortRef::cell("k", "out")));
+    // dce: never read.
+    c.add_primitive("junk", CellKind::Not { width: 8 });
+    c.assign(PortRef::cell("junk", "in"), Src::this("a"));
+    c.assign(PortRef::this("x"), Src::port(PortRef::cell("id", "out")));
+    c.assign(PortRef::this("y"), Src::port(PortRef::cell("p", "out")));
+    c.assign(PortRef::this("z"), Src::port(PortRef::cell("q", "out")));
+    c.assign_guarded(
+        PortRef::this("w"),
+        Src::port(PortRef::cell("win", "out")),
+        Guard::port(PortRef::this("s")),
+    );
+    c
+}
+
+/// Turning the source map off changes nothing but the source map: the
+/// optimized component and every counter match, at both levels.
+#[test]
+fn record_notes_off_changes_only_the_notes() {
+    for level in [1, 2] {
+        let mut on = every_pass_fires();
+        let r_on = optimize_component(&mut on, &cfg(level));
+        let mut off = every_pass_fires();
+        let quiet = OptConfig {
+            record_notes: false,
+            ..cfg(level)
+        };
+        let r_off = optimize_component(&mut off, &quiet);
+        if level == 2 {
+            for (i, pass) in r_on.passes.iter().enumerate() {
+                assert!(pass.rewrites > 0, "-O2: {} never fired", PASSES[i]);
+            }
+        }
+        assert!(!r_on.notes.is_empty());
+        assert!(r_off.notes.is_empty());
+        let rewrites = |r: &OptReport| r.passes.map(|p| p.rewrites);
+        assert_eq!(rewrites(&r_on), rewrites(&r_off), "-O{level}");
+        assert_eq!(
+            (r_on.iterations, r_on.cells_after, r_on.assigns_after),
+            (r_off.iterations, r_off.cells_after, r_off.assigns_after)
+        );
+        let mut p_on = Program::new();
+        p_on.add_component(on);
+        let mut p_off = Program::new();
+        p_off.add_component(off);
+        assert_eq!(
+            calyx_lite::emit_program(&p_on),
+            calyx_lite::emit_program(&p_off),
+            "-O{level}"
+        );
+    }
+}
+
+/// Pass times accumulate in nanoseconds and round once, to the nearest
+/// microsecond, when reported.
+#[test]
+fn pass_times_round_once() {
+    assert_eq!(ns_to_us(499), 0);
+    assert_eq!(ns_to_us(500), 1);
+    assert_eq!(ns_to_us(1_499), 1);
+    // Three 400 ns passes read 1 µs together, not 3 × 0.
+    let mut total = OptReport::default();
+    for _ in 0..3 {
+        let mut r = OptReport::default();
+        r.passes[0].ns = 400;
+        total.absorb(&r);
+    }
+    assert_eq!(total.passes[0].ns, 1_200);
+    assert_eq!(ns_to_us(total.passes[0].ns), 1);
+}

@@ -40,7 +40,7 @@ pub const AES_SBOX: [u8; 256] = [
 /// pin values from input pin values and state, `tick` advances state at a
 /// clock edge (with standard nonblocking semantics: all new state is computed
 /// from *old* state and the settled input values).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CellKind {
     /// Constant driver. Pins: `[] -> [out]`.
     Const {
