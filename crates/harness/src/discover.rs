@@ -48,9 +48,9 @@ pub fn discover_latency(
     let mut traces: Vec<Vec<Value>> = vec![Vec::new(); spec.outputs.len()];
     {
         let traces = &mut traces;
-        simulate_plan(netlist, spec, &plan, |_t, sim| {
-            for (j, port) in spec.outputs.iter().enumerate() {
-                traces[j].push(sim.peek_by_name(&port.name).clone());
+        simulate_plan(netlist, spec, &plan, |_t, sim, output_ids| {
+            for (trace, &id) in traces.iter_mut().zip(output_ids) {
+                trace.push(sim.peek(id).clone());
             }
         })?;
     }

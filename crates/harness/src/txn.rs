@@ -1,8 +1,8 @@
 //! Interval-exact transaction driving.
 
-use crate::spec::InterfaceSpec;
+use crate::spec::{InterfaceSpec, PortSpec};
 use fil_bits::Value;
-use rtl_sim::{Netlist, Sim, SimError};
+use rtl_sim::{Netlist, SignalId, Sim, SimError};
 use std::fmt;
 
 /// Errors raised while driving a design.
@@ -147,36 +147,30 @@ pub(crate) fn build_plan(
 }
 
 /// Runs the plan, invoking `observe` after each cycle's combinational
-/// settle.
+/// settle with the cycle and the resolved ids of `spec.outputs`.
 pub(crate) fn simulate_plan(
     netlist: &Netlist,
     spec: &InterfaceSpec,
     plan: &DrivePlan,
-    mut observe: impl FnMut(u64, &Sim<'_>),
+    mut observe: impl FnMut(u64, &Sim<'_>, &[SignalId]),
 ) -> Result<(), HarnessError> {
     // Resolve ports up front.
+    let resolve = |name: &str| {
+        netlist
+            .signal_by_name(name)
+            .ok_or_else(|| HarnessError::MissingPort(name.to_string()))
+    };
     let input_ids: Vec<_> = spec
         .inputs
         .iter()
-        .map(|p| {
-            netlist
-                .signal_by_name(&p.name)
-                .ok_or_else(|| HarnessError::MissingPort(p.name.clone()))
-        })
+        .map(|p| resolve(&p.name))
         .collect::<Result<_, _>>()?;
-    let go_id = match &spec.go {
-        Some(name) => Some(
-            netlist
-                .signal_by_name(name)
-                .ok_or_else(|| HarnessError::MissingPort(name.clone()))?,
-        ),
-        None => None,
-    };
-    for p in &spec.outputs {
-        if netlist.signal_by_name(&p.name).is_none() {
-            return Err(HarnessError::MissingPort(p.name.clone()));
-        }
-    }
+    let go_id = spec.go.as_deref().map(resolve).transpose()?;
+    let output_ids: Vec<_> = spec
+        .outputs
+        .iter()
+        .map(|p| resolve(&p.name))
+        .collect::<Result<_, _>>()?;
 
     let mut sim = Sim::new(netlist)?;
     let mut next_go = plan.go_cycles.iter().peekable();
@@ -196,19 +190,36 @@ pub(crate) fn simulate_plan(
             sim.poke(go, Value::from_bool(pulse));
         }
         sim.settle()?;
-        observe(t, &sim);
+        observe(t, &sim, &output_ids);
         sim.tick()?;
     }
     Ok(())
 }
 
+/// The transactions `k < n` whose window `[k * period + port.start,
+/// k * period + port.end)` holds cycle `t`, as a half-open range.
+fn txns_in_window(t: u64, port: &PortSpec, period: u64, n: usize) -> std::ops::Range<usize> {
+    let lo = (t + 1).saturating_sub(port.end).div_ceil(period);
+    let hi = t
+        .checked_sub(port.start)
+        .map_or(0, |d| (d / period + 1).min(n as u64));
+    lo as usize..hi as usize
+}
+
 /// Drives `inputs` as transactions launched every `period` cycles and
 /// captures each transaction's outputs during their declared windows.
+///
+/// Each cycle visits only the transactions whose window holds it. The
+/// first sample of each (transaction, output) is kept, and later samples
+/// are compared with it in place; a window that holds no simulated cycle
+/// captures zero.
 ///
 /// # Errors
 ///
 /// Returns a [`HarnessError`] on interface overlap, simulator faults,
-/// unstable outputs, or arity problems.
+/// unstable outputs, or arity problems. A simulator fault anywhere in the
+/// run wins over unstable outputs, and of those the lowest (transaction,
+/// output) is reported.
 pub fn run_transactions(
     netlist: &Netlist,
     spec: &InterfaceSpec,
@@ -217,41 +228,38 @@ pub fn run_transactions(
 ) -> Result<Vec<Vec<Value>>, HarnessError> {
     let plan = build_plan(spec, inputs, period, 0)?;
     let period = period.max(1);
+    let (n, n_out) = (inputs.len(), spec.outputs.len());
 
-    // For each (txn, output) record samples across the window.
-    let mut captured: Vec<Vec<Vec<Value>>> =
-        vec![vec![Vec::new(); spec.outputs.len()]; inputs.len()];
-    {
-        let captured = &mut captured;
-        simulate_plan(netlist, spec, &plan, |t, sim| {
-            for (k, txn) in captured.iter_mut().enumerate() {
-                let t0 = k as u64 * period;
-                for (j, port) in spec.outputs.iter().enumerate() {
-                    if t >= t0 + port.start && t < t0 + port.end {
-                        txn[j].push(sim.peek_by_name(&port.name).clone());
-                    }
+    // First sample and stability per (txn, output), at `txn * n_out + j`.
+    let mut first: Vec<Option<Value>> = vec![None; n * n_out];
+    let mut unstable = vec![false; n * n_out];
+    simulate_plan(netlist, spec, &plan, |t, sim, output_ids| {
+        for (j, (port, &id)) in spec.outputs.iter().zip(output_ids).enumerate() {
+            let value = sim.peek(id);
+            for k in txns_in_window(t, port, period, n) {
+                let slot = k * n_out + j;
+                match &first[slot] {
+                    None => first[slot] = Some(value.clone()),
+                    Some(seen) => unstable[slot] |= seen != value,
                 }
             }
-        })?;
-    }
-
-    let mut results = Vec::with_capacity(inputs.len());
-    for (k, txn) in captured.into_iter().enumerate() {
-        let mut outs = Vec::with_capacity(spec.outputs.len());
-        for (j, samples) in txn.into_iter().enumerate() {
-            let first = samples
-                .first()
-                .cloned()
-                .unwrap_or_else(|| Value::zero(spec.outputs[j].width));
-            if samples.iter().any(|s| *s != first) {
-                return Err(HarnessError::UnstableOutput {
-                    port: spec.outputs[j].name.clone(),
-                    txn: k,
-                });
-            }
-            outs.push(first);
         }
-        results.push(outs);
+    })?;
+
+    if let Some(slot) = unstable.iter().position(|&u| u) {
+        return Err(HarnessError::UnstableOutput {
+            port: spec.outputs[slot % n_out].name.clone(),
+            txn: slot / n_out,
+        });
     }
-    Ok(results)
+    let mut first = first.into_iter();
+    Ok((0..n)
+        .map(|_| {
+            spec.outputs
+                .iter()
+                .zip(first.by_ref())
+                .map(|(port, v)| v.unwrap_or_else(|| Value::zero(port.width)))
+                .collect()
+        })
+        .collect())
 }

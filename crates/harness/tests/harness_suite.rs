@@ -5,10 +5,10 @@
 use fil_bits::Value;
 use fil_build::BuildRequest;
 use fil_harness::{
-    compile_request, discover_latency, discover_min_delay, fuzz_against_golden, fuzz_equivalent,
-    run_pipelined, HarnessError, InterfaceSpec, PortSpec,
+    compile_request, compile_request_with, discover_latency, discover_min_delay,
+    fuzz_against_golden, fuzz_equivalent, run_pipelined, HarnessError, InterfaceSpec, PortSpec,
 };
-use rtl_sim::{CellKind, Netlist};
+use rtl_sim::{CellKind, Netlist, Sim};
 
 fn v(w: u32, x: u64) -> Value {
     Value::from_u64(w, x)
@@ -264,4 +264,292 @@ fn compile_request_surfaces_type_errors() {
     )
     .unwrap_err();
     assert!(err.contains("error"), "{err}");
+}
+
+/// The harness's original capture, kept as an oracle: drive the plan
+/// (transaction values inside each input window, poison outside), record
+/// every in-window sample of every (transaction, output) by name, and
+/// check stability after the run.
+fn reference_run_transactions(
+    netlist: &Netlist,
+    spec: &InterfaceSpec,
+    inputs: &[Vec<Value>],
+    period: u64,
+) -> Result<Vec<Vec<Value>>, HarnessError> {
+    fn poison(width: u32, port_idx: usize, cycle: u64) -> Value {
+        let x =
+            (cycle.wrapping_mul(0x9e37_79b9_7f4a_7c15)) ^ (port_idx as u64) ^ 0xa5a5_a5a5_a5a5_a5a5;
+        Value::from_u64(64, x).resize(width)
+    }
+
+    // Drive plan.
+    let period = period.max(1);
+    let n = inputs.len() as u64;
+    let total_cycles = n.saturating_sub(1) * period + spec.horizon() + 1;
+    let mut plan: Vec<Vec<Option<Value>>> =
+        vec![vec![None; spec.inputs.len()]; total_cycles as usize];
+    let mut go_cycles = Vec::new();
+    for (k, txn) in inputs.iter().enumerate() {
+        if txn.len() != spec.inputs.len() {
+            return Err(HarnessError::Arity {
+                txn: k,
+                expected: spec.inputs.len(),
+                got: txn.len(),
+            });
+        }
+        let t0 = k as u64 * period;
+        go_cycles.push(t0);
+        for (i, port) in spec.inputs.iter().enumerate() {
+            let value = txn[i].resize(port.width);
+            for t in (t0 + port.start)..(t0 + port.end) {
+                let slot = &mut plan[t as usize][i];
+                match slot {
+                    None => *slot = Some(value.clone()),
+                    Some(existing) if *existing == value => {}
+                    Some(_) => {
+                        return Err(HarnessError::InterfaceOverlap {
+                            port: port.name.clone(),
+                            cycle: t,
+                        })
+                    }
+                }
+            }
+        }
+    }
+
+    // Simulation, sampling every transaction's every output each cycle.
+    let resolve = |name: &str| {
+        netlist
+            .signal_by_name(name)
+            .ok_or_else(|| HarnessError::MissingPort(name.to_string()))
+    };
+    let input_ids = spec
+        .inputs
+        .iter()
+        .map(|p| resolve(&p.name))
+        .collect::<Result<Vec<_>, _>>()?;
+    let go_id = spec.go.as_deref().map(resolve).transpose()?;
+    for p in &spec.outputs {
+        resolve(&p.name)?;
+    }
+    let mut captured: Vec<Vec<Vec<Value>>> =
+        vec![vec![Vec::new(); spec.outputs.len()]; inputs.len()];
+    let mut sim = Sim::new(netlist)?;
+    let mut next_go = go_cycles.iter().peekable();
+    for t in 0..total_cycles {
+        for (i, port) in spec.inputs.iter().enumerate() {
+            let v = match &plan[t as usize][i] {
+                Some(v) => v.clone(),
+                None => poison(port.width, i, t),
+            };
+            sim.poke(input_ids[i], v);
+        }
+        if let Some(go) = go_id {
+            let pulse = next_go.peek().is_some_and(|&&g| g == t);
+            if pulse {
+                next_go.next();
+            }
+            sim.poke(go, Value::from_bool(pulse));
+        }
+        sim.settle()?;
+        for (k, txn) in captured.iter_mut().enumerate() {
+            let t0 = k as u64 * period;
+            for (j, port) in spec.outputs.iter().enumerate() {
+                if t >= t0 + port.start && t < t0 + port.end {
+                    txn[j].push(sim.peek_by_name(&port.name).clone());
+                }
+            }
+        }
+        sim.tick()?;
+    }
+
+    let mut results = Vec::with_capacity(inputs.len());
+    for (k, txn) in captured.into_iter().enumerate() {
+        let mut outs = Vec::with_capacity(spec.outputs.len());
+        for (j, samples) in txn.into_iter().enumerate() {
+            let first = samples
+                .first()
+                .cloned()
+                .unwrap_or_else(|| Value::zero(spec.outputs[j].width));
+            if samples.iter().any(|s| *s != first) {
+                return Err(HarnessError::UnstableOutput {
+                    port: spec.outputs[j].name.clone(),
+                    txn: k,
+                });
+            }
+            outs.push(first);
+        }
+        results.push(outs);
+    }
+    Ok(results)
+}
+
+/// `run_pipelined` with transactions launched every `period` cycles.
+fn run_at(
+    netlist: &Netlist,
+    spec: &InterfaceSpec,
+    inputs: &[Vec<Value>],
+    period: u64,
+) -> Result<Vec<Vec<Value>>, HarnessError> {
+    let spec = InterfaceSpec {
+        delay: period,
+        ..spec.clone()
+    };
+    run_pipelined(netlist, &spec, inputs)
+}
+
+/// Seeded random transactions: `n` rows of full-width values per input.
+fn random_txns(spec: &InterfaceSpec, n: usize, seed: u64) -> Vec<Vec<Value>> {
+    let mut state = seed;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state ^ (state >> 29)
+    };
+    (0..n)
+        .map(|_| {
+            spec.inputs
+                .iter()
+                .map(|p| {
+                    let limbs: Vec<u64> = (0..p.width.div_ceil(64)).map(|_| next()).collect();
+                    Value::from_limbs(p.width, &limbs)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// `spec` with every window of the chosen ports extended `by` cycles.
+fn stretched(spec: &InterfaceSpec, inputs: bool, by: u64) -> InterfaceSpec {
+    let mut spec = spec.clone();
+    let ports = if inputs {
+        &mut spec.inputs
+    } else {
+        &mut spec.outputs
+    };
+    for p in ports {
+        p.end += by;
+    }
+    spec
+}
+
+#[test]
+fn capture_matches_reference_on_corpus_at_every_period() {
+    let mut outcomes = [0usize; 4];
+    for (name, src, top) in fil_bench::design_corpus() {
+        // The Reticle registry is a superset of the standard one.
+        let (netlist, spec) = compile_request_with(
+            &BuildRequest::new(src.as_str()).netlist(top),
+            &reticle::ReticleRegistry,
+        )
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let inputs = random_txns(&spec, 4, name.len() as u64);
+        // The declared windows, plus longer output windows (which
+        // overlap across transactions and see values change) and longer
+        // input windows (which clash on the wire).
+        let variants = [
+            ("declared", spec.clone()),
+            ("outputs+2", stretched(&spec, false, 2)),
+            ("inputs+2", stretched(&spec, true, 2)),
+        ];
+        for (variant, spec) in &variants {
+            // Periods up to the horizon include every overlap of output
+            // windows a pipelined run can produce.
+            for period in 1..=spec.horizon() {
+                let got = run_at(&netlist, spec, &inputs, period);
+                let want = reference_run_transactions(&netlist, spec, &inputs, period);
+                assert_eq!(got, want, "{name} ({variant}) at period {period}");
+                outcomes[match want {
+                    Ok(_) => 0,
+                    Err(HarnessError::InterfaceOverlap { .. }) => 1,
+                    Err(HarnessError::UnstableOutput { .. }) => 2,
+                    Err(HarnessError::Sim(_)) => 3,
+                    Err(e) => panic!("{name} ({variant}) at period {period}: {e}"),
+                }] += 1;
+            }
+        }
+    }
+    // The sweep must reach success, every capture error and a simulator
+    // error, or it is not comparing what it claims to.
+    assert!(
+        outcomes.iter().all(|&n| n > 0),
+        "ok/overlap/unstable/sim outcomes: {outcomes:?}"
+    );
+}
+
+/// A chain of `depth` registers fed by the constant 1: the last one reads
+/// 0 for `depth` cycles, then 1 forever.
+fn step_chain(n: &mut Netlist, depth: usize) {
+    let one = n.add_signal("one", 8);
+    n.add_cell(
+        "c1",
+        CellKind::Const {
+            value: Value::from_u64(8, 1),
+        },
+        vec![],
+        vec![one],
+    );
+    let mut cur = one;
+    for i in 1..=depth {
+        let nxt = n.add_signal(format!("r{i}"), 8);
+        n.add_cell(
+            format!("reg{i}"),
+            CellKind::Reg {
+                width: 8,
+                init: 0,
+                has_en: false,
+            },
+            vec![cur],
+            vec![nxt],
+        );
+        n.mark_output(nxt);
+        cur = nxt;
+    }
+}
+
+#[test]
+fn output_changing_mid_window_is_unstable() {
+    // r2 reads 0,0,1,1,… and r3 reads 0,0,0,1,…; with two-cycle output
+    // windows launched every cycle, r2 changes inside transaction 1's
+    // window (cycles 1-2) and r3 inside transaction 2's (cycles 2-3). The
+    // lowest (transaction, output) wins, though r3 is listed first.
+    let mut n = Netlist::new("steps");
+    step_chain(&mut n, 3);
+    let spec = InterfaceSpec {
+        name: "steps".into(),
+        go: None,
+        delay: 1,
+        inputs: vec![],
+        outputs: vec![PortSpec::new("r3", 8, 0, 2), PortSpec::new("r2", 8, 0, 2)],
+    };
+    let inputs = vec![vec![]; 3];
+    let err = run_at(&n, &spec, &inputs, 1).unwrap_err();
+    assert_eq!(
+        err,
+        HarnessError::UnstableOutput {
+            port: "r2".into(),
+            txn: 1,
+        }
+    );
+    assert_eq!(reference_run_transactions(&n, &spec, &inputs, 1), Err(err));
+    // Launched three cycles apart, every window sits on a flat stretch.
+    let outs = run_at(&n, &spec, &inputs, 3).unwrap();
+    assert_eq!(outs[0], vec![v(8, 0), v(8, 0)]);
+    assert_eq!(outs[1], vec![v(8, 1), v(8, 1)]);
+}
+
+#[test]
+fn empty_output_window_captures_zero() {
+    let mut n = Netlist::new("steps");
+    step_chain(&mut n, 1);
+    let spec = InterfaceSpec {
+        name: "steps".into(),
+        go: None,
+        delay: 1,
+        inputs: vec![],
+        outputs: vec![PortSpec::new("r1", 8, 2, 2)],
+    };
+    let outs = run_pipelined(&n, &spec, &[vec![], vec![]]).unwrap();
+    assert_eq!(outs, vec![vec![Value::zero(8)], vec![Value::zero(8)]]);
 }

@@ -31,6 +31,45 @@ fn spans_named(json: &str, name: &str) -> u64 {
     json.matches(&format!("\"name\":\"{name}\"")).count() as u64
 }
 
+/// The `thread_name` of every lane that recorded an `"X"` span; panics
+/// on a span lane with no name.
+fn lane_names(json: &str) -> Vec<String> {
+    use fil_trace::json::{parse, Json};
+    let doc = parse(json).expect("trace is JSON");
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("traceEvents array");
+    let field = |e: &Json, key: &str| e.get(key).and_then(Json::as_str).map(str::to_string);
+    let tid = |e: &Json| e.get("tid").and_then(Json::as_u64).expect("tid");
+    let mut named = std::collections::BTreeMap::new();
+    for e in events {
+        if field(e, "ph").as_deref() == Some("M")
+            && field(e, "name").as_deref() == Some("thread_name")
+        {
+            let name = e
+                .get("args")
+                .and_then(|a| field(a, "name"))
+                .expect("lane name");
+            named.insert(tid(e), name);
+        }
+    }
+    let span_tids: std::collections::BTreeSet<u64> = events
+        .iter()
+        .filter(|e| field(e, "ph").as_deref() == Some("X"))
+        .map(tid)
+        .collect();
+    span_tids
+        .into_iter()
+        .map(|t| {
+            named
+                .get(&t)
+                .unwrap_or_else(|| panic!("lane {t} has spans but no thread_name"))
+                .clone()
+        })
+        .collect()
+}
+
 fn traced_build(src: &str, jobs: usize, cache: &Path) -> (fil_build::BuildOutput, String) {
     let collector = Arc::new(fil_trace::Collector::new());
     let req = BuildRequest::new(src)
@@ -60,13 +99,18 @@ fn trace_spans_reconcile_with_build_stats() {
     assert_eq!(spans_named(&json, "lower"), cold.stats.lowered);
     assert_eq!(spans_named(&json, "cache-load"), cold.stats.cache_loads);
     // Worker spans land on named builder lanes; serial phases on main.
+    // Which builder lanes run depends on scheduling, so every lane that
+    // recorded a span must be named, and some builder lane must exist.
+    let lanes = lane_names(&json);
     assert!(
-        json.contains("\"name\":\"main\""),
+        lanes.contains(&"main".to_string()),
         "main lane metadata missing"
     );
     assert!(
-        json.contains("\"name\":\"builder-0\""),
-        "builder lane metadata missing"
+        lanes.iter().any(|n| n
+            .strip_prefix("builder-")
+            .is_some_and(|w| w.parse::<u32>().is_ok())),
+        "builder lane metadata missing: {lanes:?}"
     );
     // The artifact-cache counter track samples every probe.
     assert!(stats.counters as u64 >= cold.stats.cache_misses);

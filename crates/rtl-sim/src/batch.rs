@@ -47,6 +47,7 @@ use crate::graph::{Driver, FlatGraph};
 use crate::netlist::{Netlist, PortDir, SignalId};
 use crate::sim::{conflict_error, Conflict, SimError};
 use fil_bits::{lanes, LaneBuf, Value};
+use std::sync::Arc;
 
 /// A recorded per-lane write conflict.
 #[derive(Debug, Clone, Copy)]
@@ -69,7 +70,7 @@ fn first_set_lane(words: &[u64]) -> u32 {
 /// [`Netlist`], settled in lockstep. See the module docs.
 pub struct BatchSim<'n> {
     netlist: &'n Netlist,
-    flat: FlatGraph,
+    pub(crate) flat: Arc<FlatGraph>,
     nlanes: u32,
     /// Words per 1-bit lane plane (`ceil(lanes / 64)`).
     pw: usize,
@@ -115,7 +116,7 @@ impl<'n> BatchSim<'n> {
     ///
     /// Panics if `nlanes == 0`.
     pub fn new(netlist: &'n Netlist, nlanes: u32) -> Result<Self, SimError> {
-        let flat = FlatGraph::new(netlist)?;
+        let flat = netlist.flat_graph()?;
         for s in netlist.signals() {
             if s.width > 64 {
                 return Err(SimError::BatchWidth {

@@ -4,7 +4,8 @@
 //! [`BatchSim`](crate::BatchSim) — consume the same flattened form of a
 //! netlist: resolved drivers, combinational dependency edges, per-cell pin
 //! lists, and a topological evaluation order. This module computes it once
-//! so the engines only differ in their value storage and settle loops.
+//! per netlist (the [`Netlist`] caches it until its next mutation) so the
+//! engines only differ in their value storage and settle loops.
 
 use crate::cell::CellKind;
 use crate::netlist::{Netlist, SignalId};

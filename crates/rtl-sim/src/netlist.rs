@@ -1,8 +1,11 @@
 //! The structural netlist IR: signals, cells, and guarded assignments.
 
 use crate::cell::CellKind;
+use crate::graph::FlatGraph;
+use crate::sim::SimError;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Identifies a signal (wire) within a [`Netlist`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -149,13 +152,29 @@ impl std::error::Error for NetlistError {}
 ///
 /// Built either by hand (tests, substrate generators) or by elaborating a
 /// [`calyx-lite`](https://example.invalid) program compiled from Filament.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Netlist {
     name: String,
     signals: Vec<Signal>,
     by_name: HashMap<String, SignalId>,
     cells: Vec<CellInst>,
     assigns: Vec<Assign>,
+    /// The flattened graph (or its validation error), built by the first
+    /// simulator over this netlist and shared by every later one; each
+    /// mutator resets it.
+    flat: OnceLock<Result<Arc<FlatGraph>, SimError>>,
+}
+
+impl fmt::Debug for Netlist {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Netlist")
+            .field("name", &self.name)
+            .field("signals", &self.signals)
+            .field("by_name", &self.by_name)
+            .field("cells", &self.cells)
+            .field("assigns", &self.assigns)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Netlist {
@@ -197,6 +216,7 @@ impl Netlist {
             !self.by_name.contains_key(&name),
             "duplicate signal name {name}"
         );
+        self.flat.take();
         let id = SignalId(self.signals.len() as u32);
         self.by_name.insert(name.clone(), id);
         self.signals.push(Signal { name, width, dir });
@@ -205,6 +225,7 @@ impl Netlist {
 
     /// Marks an existing signal as a top-level output.
     pub fn mark_output(&mut self, id: SignalId) {
+        self.flat.take();
         self.signals[id.index()].dir = PortDir::Output;
     }
 
@@ -218,6 +239,7 @@ impl Netlist {
         inputs: Vec<SignalId>,
         outputs: Vec<SignalId>,
     ) -> CellId {
+        self.flat.take();
         let id = CellId(self.cells.len() as u32);
         self.cells.push(CellInst {
             name: name.into(),
@@ -230,6 +252,7 @@ impl Netlist {
 
     /// Adds an unconditional assignment `dst = src`.
     pub fn connect(&mut self, dst: SignalId, src: SignalId) {
+        self.flat.take();
         self.assigns.push(Assign {
             dst,
             src,
@@ -239,11 +262,24 @@ impl Netlist {
 
     /// Adds a guarded assignment `dst = guard ? src`.
     pub fn connect_guarded(&mut self, dst: SignalId, src: SignalId, guard: SignalId) {
+        self.flat.take();
         self.assigns.push(Assign {
             dst,
             src,
             guard: Some(guard),
         });
+    }
+
+    /// The flattened graph both simulation engines run on: validated,
+    /// CSR-indexed and topologically ordered once per netlist.
+    ///
+    /// # Errors
+    ///
+    /// The [`FlatGraph::new`] error, cached like the graph itself.
+    pub(crate) fn flat_graph(&self) -> Result<Arc<FlatGraph>, SimError> {
+        self.flat
+            .get_or_init(|| FlatGraph::new(self).map(Arc::new))
+            .clone()
     }
 
     /// Looks a signal up by name.

@@ -2,7 +2,8 @@
 //!
 //! # Hot-path architecture
 //!
-//! Elaboration ([`FlatGraph`]) flattens the netlist into CSR index arrays:
+//! Elaboration ([`FlatGraph`], built once per netlist and shared by every
+//! simulator over it) flattens the netlist into CSR index arrays:
 //! per-signal dependent lists, per-cell input/output pin lists, and
 //! per-signal assignment candidate lists. The settle loop then runs over
 //! flat `u32` arrays and a flat pre-sized output-value buffer — no
@@ -28,6 +29,7 @@ use crate::netlist::{Netlist, NetlistError, PortDir, SignalId};
 use crate::profile::{ProfState, ProfileReport};
 use fil_bits::Value;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors raised while elaborating or running a simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -183,7 +185,7 @@ fn copy_signal(values: &mut [Value], src: usize, dst: usize) -> bool {
 #[derive(Debug)]
 pub struct Sim<'n> {
     netlist: &'n Netlist,
-    flat: FlatGraph,
+    pub(crate) flat: Arc<FlatGraph>,
     values: Vec<Value>,
     driven: Vec<bool>,
     /// Signals needing re-evaluation in the next settle pass.
@@ -209,7 +211,9 @@ pub struct Sim<'n> {
 impl<'n> Sim<'n> {
     /// Elaborates a netlist for single-threaded simulation: validates it,
     /// resolves drivers, flattens the graph into CSR arrays, and computes a
-    /// topological evaluation order.
+    /// topological evaluation order. The netlist keeps that flattened graph,
+    /// so later simulators over it (scalar or batched) only allocate their
+    /// value storage, until the netlist is next mutated.
     ///
     /// # Errors
     ///
@@ -217,7 +221,7 @@ impl<'n> Sim<'n> {
     /// [`SimError::CombLoop`] if the combinational dependency graph is
     /// cyclic.
     pub fn new(netlist: &'n Netlist) -> Result<Self, SimError> {
-        let flat = FlatGraph::new(netlist)?;
+        let flat = netlist.flat_graph()?;
         let n_sigs = flat.n_sigs();
         let n_cells = netlist.cells().len();
         let values = netlist

@@ -1113,3 +1113,115 @@ fn batch_rejects_wide_signals() {
         other => panic!("expected BatchWidth, got {other:?}"),
     }
 }
+
+// `Netlist` caches its flattened graph in a `OnceLock`; shared netlists
+// (`Arc<Netlist>` across the build cache and worker threads) must stay
+// `Send + Sync`.
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Netlist>();
+};
+
+/// A one-register netlist, `q <= d` with `q` as the output, plus an
+/// unconnected wire `w` and a 1-bit input `g` for tests to wire up.
+fn delay_netlist() -> (Netlist, [crate::SignalId; 4]) {
+    let mut n = Netlist::new("delay");
+    let d = n.add_input("d", 4);
+    let q = n.add_signal("q", 4);
+    let w = n.add_signal("w", 4);
+    let g = n.add_input("g", 1);
+    n.add_cell(
+        "r",
+        CellKind::Reg {
+            width: 4,
+            init: 0,
+            has_en: false,
+        },
+        vec![d],
+        vec![q],
+    );
+    n.mark_output(q);
+    (n, [d, q, w, g])
+}
+
+#[test]
+fn graph_cache_is_reset_by_every_mutator() {
+    // A combinational loop closed after an elaboration is seen by the
+    // next one.
+    let (mut n, [_, _, w, _]) = delay_netlist();
+    let a = n.add_signal("a", 4);
+    n.connect(w, a);
+    Sim::new(&n).unwrap();
+    n.connect(a, w);
+    assert!(matches!(
+        Sim::new(&n).unwrap_err(),
+        SimError::CombLoop { .. }
+    ));
+    assert!(matches!(
+        crate::BatchSim::new(&n, 2).err().unwrap(),
+        SimError::CombLoop { .. }
+    ));
+
+    // Each mutator alone replaces a cached graph.
+    type Mutator = fn(&mut Netlist, [crate::SignalId; 4]);
+    let mutators: [Mutator; 5] = [
+        |n, _| {
+            n.add_signal("late", 4);
+        },
+        |n, [_, _, w, _]| n.mark_output(w),
+        |n, [d, _, w, _]| {
+            n.add_cell("inv", CellKind::Not { width: 4 }, vec![d], vec![w]);
+        },
+        |n, [d, _, w, _]| n.connect(w, d),
+        |n, [d, _, w, g]| n.connect_guarded(w, d, g),
+    ];
+    for mutate in mutators {
+        let (mut n, sigs) = delay_netlist();
+        let before = n.flat_graph().unwrap();
+        mutate(&mut n, sigs);
+        assert!(!std::sync::Arc::ptr_eq(&before, &n.flat_graph().unwrap()));
+    }
+}
+
+#[test]
+fn graph_cache_keeps_validation_errors() {
+    let mut n = Netlist::new("bad");
+    let a = n.add_input("a", 4);
+    let b = n.add_signal("b", 8);
+    n.connect(b, a);
+    let first = Sim::new(&n).unwrap_err();
+    assert!(matches!(
+        first,
+        SimError::Netlist(NetlistError::WidthMismatch { .. })
+    ));
+    assert_eq!(Sim::new(&n).unwrap_err(), first);
+    assert_eq!(crate::BatchSim::new(&n, 2).err().unwrap(), first);
+    assert_eq!(first, SimError::Netlist(n.validate().unwrap_err()));
+}
+
+#[test]
+fn graph_cache_is_shared_and_per_clone() {
+    let (n, [d, q, ..]) = delay_netlist();
+    let sim = Sim::new(&n).unwrap();
+    let batch = crate::BatchSim::new(&n, 4).unwrap();
+    assert!(std::sync::Arc::ptr_eq(&sim.flat, &batch.flat));
+    assert!(std::sync::Arc::ptr_eq(
+        &sim.flat,
+        &Sim::new(&n).unwrap().flat
+    ));
+
+    // Mutating a clone re-flattens the clone only.
+    let mut c = n.clone();
+    let loop_sig = c.add_signal("l", 4);
+    c.connect(loop_sig, loop_sig);
+    assert!(matches!(
+        Sim::new(&c).unwrap_err(),
+        SimError::CombLoop { .. }
+    ));
+    assert!(std::sync::Arc::ptr_eq(&sim.flat, &n.flat_graph().unwrap()));
+    let mut sim = Sim::new(&n).unwrap();
+    sim.poke(d, v(4, 9));
+    sim.step().unwrap();
+    sim.settle().unwrap();
+    assert_eq!(sim.peek(q).to_u64(), 9);
+}
