@@ -11,26 +11,32 @@
 //!                     payload :=
 //!                       self unit      (component name, param values)
 //!                       dep units      (count, then name + values each)
-//!                       expanded text  (the pretty-printed concrete
-//!                                       component, callee references as
+//!                       expanded AST   (the concrete component in the
+//!                                       [`crate::ast_bin`] encoding,
+//!                                       callee references as
 //!                                       content-addressed placeholders)
 //!                       lowered half?  (calyx-lite binary Component +
 //!                                       structural extern components)
 //! ```
 //!
-//! Robustness contract: [`decode`] never panics and validates the magic,
-//! version, trailing checksum, and every length prefix, so truncated,
-//! bit-flipped, or version-skewed files are reported as unusable and the
-//! driver falls back to a clean rebuild — a poisoned cache can cost time,
-//! never correctness.
+//! Everything is written and read through [`calyx_lite::serial`]'s shared
+//! [`Writer`]/[`Reader`]. Robustness contract: [`decode`] never panics and
+//! validates the magic, version, trailing checksum, and every length
+//! prefix, so truncated, bit-flipped, or version-skewed files are reported
+//! as unusable and the driver falls back to a clean rebuild — a poisoned
+//! cache can cost time, never correctness.
 
 use crate::key::fnv64;
 use calyx_lite as cl;
+use calyx_lite::serial::{DecodeError, Reader, Writer};
 
 /// Bump when anything about this layout (or the meaning of the cached
 /// content) changes; it also feeds the unit content hash, so stale-format
 /// artifacts are doubly unreachable.
-pub const ARTIFACT_VERSION: u32 = 1;
+///
+/// v2: the pretty-printed expanded text is gone; the [`crate::ast_bin`]
+/// encoding is the one stored form of the expanded component.
+pub const ARTIFACT_VERSION: u32 = 2;
 
 const MAGIC: [u8; 4] = *b"FILB";
 
@@ -47,13 +53,9 @@ pub struct Artifact {
     pub values: Vec<u64>,
     /// Direct dependencies, in first-encounter (body) order.
     pub deps: Vec<(String, Vec<u64>)>,
-    /// Pretty-printed expanded component (placeholder callee names) — the
-    /// authoritative, human-inspectable form.
-    pub expanded_text: String,
-    /// The same component in the [`crate::ast_bin`] binary encoding: the
-    /// warm-load fast path (skips the parser). Absent when the component
-    /// fell outside the concrete codec subset.
-    pub expanded_ast: Option<Vec<u8>>,
+    /// The expanded component (placeholder callee names) in the
+    /// [`crate::ast_bin`] encoding.
+    pub expanded_ast: Vec<u8>,
     /// Lowered component plus structural extern implementations, when the
     /// artifact was produced by a full build (expand-only artifacts omit
     /// it).
@@ -63,182 +65,106 @@ pub struct Artifact {
 /// Encodes an artifact into its on-disk byte representation.
 pub fn encode(a: &Artifact) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
-    let payload_start = out.len();
-    put_str(&mut out, &a.component);
-    put_values(&mut out, &a.values);
-    put_u32(&mut out, a.deps.len() as u32);
+    let mut w = Writer::new(&mut out);
+    w.raw(&MAGIC);
+    w.u32(ARTIFACT_VERSION);
+    let payload_start = w.out().len();
+    w.str(&a.component);
+    put_values(&mut w, &a.values);
+    w.u32(a.deps.len() as u32);
     for (name, values) in &a.deps {
-        put_str(&mut out, name);
-        put_values(&mut out, values);
+        w.str(name);
+        put_values(&mut w, values);
     }
-    put_str(&mut out, &a.expanded_text);
-    match &a.expanded_ast {
-        None => out.push(0),
-        Some(bytes) => {
-            out.push(1);
-            put_u32(&mut out, bytes.len() as u32);
-            out.extend_from_slice(bytes);
-        }
-    }
+    w.u32(a.expanded_ast.len() as u32);
+    w.raw(&a.expanded_ast);
     match &a.lowered {
-        None => out.push(0),
+        None => w.u8(0),
         Some((component, structural)) => {
-            out.push(1);
-            cl::encode_component(component, &mut out);
-            put_u32(&mut out, structural.len() as u32);
+            w.u8(1);
+            cl::encode_component(component, w.out());
+            w.u32(structural.len() as u32);
             for s in structural {
-                cl::encode_component(s, &mut out);
+                cl::encode_component(s, w.out());
             }
         }
     }
     let sum = fnv64(&[&out[payload_start..]]);
-    out.extend_from_slice(&sum.to_le_bytes());
+    Writer::new(&mut out).u64(sum);
     out
 }
 
 /// Decodes an artifact, validating magic, version, checksum, and every
-/// length. Any failure means "unusable — rebuild"; the error carries a
-/// short reason for diagnostics.
+/// length. Any failure means "unusable — rebuild".
 ///
 /// # Errors
 ///
-/// Returns a static description of the first validation failure.
-pub fn decode(bytes: &[u8]) -> Result<Artifact, &'static str> {
+/// Returns the first validation failure.
+pub fn decode(bytes: &[u8]) -> Result<Artifact, DecodeError> {
     if bytes.len() > MAX_REASONABLE {
-        return Err("oversized artifact");
+        return Err(DecodeError::Invalid("artifact size"));
     }
-    if bytes.len() < 4 + 4 + 8 {
-        return Err("truncated header");
+    let mut r = Reader::new(bytes);
+    r.header(MAGIC, ARTIFACT_VERSION)?;
+    // Everything but the trailing 8-byte checksum.
+    let payload_len = r.rest().len().checked_sub(8);
+    let payload = r.take(payload_len.ok_or(DecodeError::Truncated)?)?;
+    if fnv64(&[payload]) != r.u64()? {
+        return Err(DecodeError::Invalid("checksum"));
     }
-    if bytes[..4] != MAGIC {
-        return Err("bad magic");
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != ARTIFACT_VERSION {
-        return Err("format version mismatch");
-    }
-    let (payload, tail) = bytes[8..].split_at(bytes.len() - 8 - 8);
-    let stored = u64::from_le_bytes(tail.try_into().unwrap());
-    if fnv64(&[payload]) != stored {
-        return Err("checksum mismatch");
-    }
-    let mut r = Reader {
-        buf: payload,
-        pos: 0,
-    };
+    let mut r = Reader::new(payload);
     let component = r.str()?;
-    let values = r.values()?;
+    let values = get_values(&mut r)?;
     let ndeps = r.count(5)?;
     let mut deps = Vec::with_capacity(ndeps);
     for _ in 0..ndeps {
-        let name = r.str()?;
-        let values = r.values()?;
-        deps.push((name, values));
+        deps.push((r.str()?, get_values(&mut r)?));
     }
-    let expanded_text = r.str()?;
-    let expanded_ast = match r.u8()? {
-        0 => None,
-        1 => {
-            let n = r.count(1)?;
-            Some(r.take(n)?.to_vec())
-        }
-        _ => return Err("ast flag"),
-    };
+    let n = r.count(1)?;
+    let expanded_ast = r.take(n)?.to_vec();
     let lowered = match r.u8()? {
         0 => None,
         1 => {
-            let (component, used) =
-                cl::decode_component(&r.buf[r.pos..]).map_err(|_| "lowered component")?;
-            r.pos += used;
+            let (component, used) = cl::decode_component(r.rest())?;
+            r.take(used)?;
             let n = r.count(9)?;
             let mut structural = Vec::with_capacity(n);
             for _ in 0..n {
-                let (s, used) =
-                    cl::decode_component(&r.buf[r.pos..]).map_err(|_| "structural component")?;
-                r.pos += used;
+                let (s, used) = cl::decode_component(r.rest())?;
+                r.take(used)?;
                 structural.push(s);
             }
             Some((component, structural))
         }
-        _ => return Err("lowered flag"),
+        tag => {
+            return Err(DecodeError::BadTag {
+                what: "lowered",
+                tag,
+            })
+        }
     };
-    if r.pos != r.buf.len() {
-        return Err("trailing bytes");
+    if !r.rest().is_empty() {
+        return Err(DecodeError::Invalid("trailing bytes"));
     }
     Ok(Artifact {
         component,
         values,
         deps,
-        expanded_text,
         expanded_ast,
         lowered,
     })
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_values(out: &mut Vec<u8>, values: &[u64]) {
-    put_u32(out, values.len() as u32);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
+fn put_values(w: &mut Writer<'_>, values: &[u64]) {
+    w.u32(values.len() as u32);
+    for &v in values {
+        w.u64(v);
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], &'static str> {
-        let end = self.pos.checked_add(n).ok_or("length overflow")?;
-        if end > self.buf.len() {
-            return Err("truncated payload");
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, &'static str> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, &'static str> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, &'static str> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn count(&mut self, min_elem: usize) -> Result<usize, &'static str> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_elem) > self.buf.len() - self.pos {
-            return Err("sequence length");
-        }
-        Ok(n)
-    }
-    fn str(&mut self) -> Result<String, &'static str> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| "string encoding")
-    }
-    fn values(&mut self) -> Result<Vec<u64>, &'static str> {
-        let n = self.count(8)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.u64()?);
-        }
-        Ok(v)
-    }
+fn get_values(r: &mut Reader<'_>) -> Result<Vec<u64>, DecodeError> {
+    let n = r.count(8)?;
+    (0..n).map(|_| r.u64()).collect()
 }
 
 #[cfg(test)]
@@ -254,8 +180,7 @@ mod tests {
             component: "Systolic".into(),
             values: vec![8, 32, 64],
             deps: vec![("Process".into(), vec![32]), ("Acc".into(), vec![])],
-            expanded_text: "comp U_0123456789abcdef<G: 1>() -> () { }\n".into(),
-            expanded_ast: Some(vec![1, 2, 3, 4]),
+            expanded_ast: vec![1, 2, 3, 4],
             lowered: Some((c, Vec::new())),
         }
     }
@@ -268,7 +193,6 @@ mod tests {
         assert_eq!(b.component, a.component);
         assert_eq!(b.values, a.values);
         assert_eq!(b.deps, a.deps);
-        assert_eq!(b.expanded_text, a.expanded_text);
         assert_eq!(b.expanded_ast, a.expanded_ast);
         assert!(b.lowered.is_some());
         // Deterministic bytes.
@@ -294,6 +218,9 @@ mod tests {
     fn version_bump_is_a_clean_miss() {
         let mut bytes = encode(&sample());
         bytes[4] = bytes[4].wrapping_add(1);
-        assert_eq!(decode(&bytes).unwrap_err(), "format version mismatch");
+        assert!(matches!(
+            decode(&bytes).unwrap_err(),
+            DecodeError::Version { .. }
+        ));
     }
 }

@@ -1,20 +1,19 @@
 //! A binary codec for *concrete* (fully elaborated) Filament components.
 //!
-//! Artifacts carry the expanded component both as pretty-printed `.fil`
-//! text (the authoritative, human-inspectable form — what `filament
-//! expand` prints) and, as a fast path, in this binary encoding: warm
-//! loads decode it directly instead of re-parsing the text, which is the
-//! single biggest cost of a cache hit. The codec covers exactly the
-//! monomorphizer's output language — literal widths and offsets, flat
-//! names, scalar ports, no generate constructs — and [`encode`] returns
-//! `None` for anything outside it (the loader then falls back to parsing
-//! the text). Decoding is corruption-safe like the rest of the artifact:
-//! every tag and length is validated, and any failure is a cache miss,
-//! never a panic.
+//! Artifacts store the expanded component only in this encoding, written
+//! and read through [`calyx_lite::serial`]'s shared [`Writer`]/[`Reader`]:
+//! warm loads decode it directly, with no parser involved. The codec covers
+//! exactly the monomorphizer's output language — literal widths and
+//! offsets, flat names, scalar ports, no generate constructs — and
+//! [`encode`] returns `None` for anything outside it; the driver then does
+//! not cache that unit. Decoding is corruption-safe like the rest of the
+//! artifact: every tag and length is validated, and any failure is a cache
+//! miss, never a panic.
 //!
 //! The encoding is versioned by [`crate::artifact::ARTIFACT_VERSION`]
 //! (this module is artifact-internal, not a standalone format).
 
+use calyx_lite::serial::{DecodeError, Reader, Writer};
 use filament_core::ast::{
     Command, Component, ConstExpr, ConstraintOp, Delay, EventDecl, IName, InterfaceDef,
     OrderConstraint, Port, PortDef, Range, Signature, Time,
@@ -22,72 +21,52 @@ use filament_core::ast::{
 
 // --------------------------------------------------------------- encoding
 
-struct W {
-    out: Vec<u8>,
+fn lit(w: &mut Writer<'_>, e: &ConstExpr) -> Option<()> {
+    match e {
+        ConstExpr::Lit(v) => {
+            w.u64(*v);
+            Some(())
+        }
+        _ => None,
+    }
 }
 
-impl W {
-    fn u8(&mut self, v: u8) {
-        self.out.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.out.extend_from_slice(s.as_bytes());
-    }
-    fn lit(&mut self, e: &ConstExpr) -> Option<()> {
-        match e {
-            ConstExpr::Lit(v) => {
-                self.u64(*v);
-                Some(())
-            }
-            _ => None,
+fn flat(w: &mut Writer<'_>, n: &IName) -> Option<()> {
+    w.str(n.flat()?);
+    Some(())
+}
+
+fn time(w: &mut Writer<'_>, t: &Time) -> Option<()> {
+    w.str(&t.event);
+    lit(w, &t.offset)
+}
+
+fn port(w: &mut Writer<'_>, p: &Port) -> Option<()> {
+    match p {
+        Port::This(name) => {
+            w.u8(0);
+            w.str(name);
         }
-    }
-    fn flat(&mut self, n: &IName) -> Option<()> {
-        let id = n.flat()?;
-        self.str(id);
-        Some(())
-    }
-    fn time(&mut self, t: &Time) -> Option<()> {
-        self.str(&t.event);
-        self.lit(&t.offset)
-    }
-    fn range(&mut self, r: &Range) -> Option<()> {
-        self.time(&r.start)?;
-        self.time(&r.end)
-    }
-    fn port(&mut self, p: &Port) -> Option<()> {
-        match p {
-            Port::This(name) => {
-                self.u8(0);
-                self.str(name);
-            }
-            Port::Lit(v) => {
-                self.u8(1);
-                self.u64(*v);
-            }
-            Port::Inv { invocation, port } => {
-                self.u8(2);
-                self.flat(invocation)?;
-                self.str(port);
-            }
-            Port::Bundle { .. } | Port::InvBundle { .. } => return None,
+        Port::Lit(v) => {
+            w.u8(1);
+            w.u64(*v);
         }
-        Some(())
+        Port::Inv { invocation, port } => {
+            w.u8(2);
+            flat(w, invocation)?;
+            w.str(port);
+        }
+        Port::Bundle { .. } | Port::InvBundle { .. } => return None,
     }
+    Some(())
 }
 
 /// Encodes a concrete component, or `None` if it falls outside the
 /// concrete subset (residual parameters, bundles, generate constructs,
 /// indexed names, symbolic offsets).
 pub fn encode(c: &Component) -> Option<Vec<u8>> {
-    let mut w = W { out: Vec::new() };
+    let mut out = Vec::new();
+    let w = &mut Writer::new(&mut out);
     let sig = &c.sig;
     if !sig.params.is_empty() {
         return None;
@@ -103,8 +82,8 @@ pub fn encode(c: &Component) -> Option<Vec<u8>> {
             }
             Delay::Diff(a, b) => {
                 w.u8(1);
-                w.time(a)?;
-                w.time(b)?;
+                time(w, a)?;
+                time(w, b)?;
             }
         }
     }
@@ -120,19 +99,20 @@ pub fn encode(c: &Component) -> Option<Vec<u8>> {
                 return None;
             }
             w.str(&p.name);
-            w.range(&p.liveness)?;
-            w.lit(&p.width)?;
+            time(w, &p.liveness.start)?;
+            time(w, &p.liveness.end)?;
+            lit(w, &p.width)?;
         }
     }
     w.u32(sig.constraints.len() as u32);
     for c in &sig.constraints {
-        w.time(&c.lhs)?;
+        time(w, &c.lhs)?;
         w.u8(match c.op {
             ConstraintOp::Gt => 0,
             ConstraintOp::Ge => 1,
             ConstraintOp::Eq => 2,
         });
-        w.time(&c.rhs)?;
+        time(w, &c.rhs)?;
     }
     w.u32(c.body.len() as u32);
     for cmd in &c.body {
@@ -143,11 +123,11 @@ pub fn encode(c: &Component) -> Option<Vec<u8>> {
                 params,
             } => {
                 w.u8(0);
-                w.flat(name)?;
+                flat(w, name)?;
                 w.str(component);
                 w.u32(params.len() as u32);
                 for p in params {
-                    w.lit(p)?;
+                    lit(w, p)?;
                 }
             }
             Command::Invoke {
@@ -157,113 +137,69 @@ pub fn encode(c: &Component) -> Option<Vec<u8>> {
                 args,
             } => {
                 w.u8(1);
-                w.flat(name)?;
-                w.flat(instance)?;
+                flat(w, name)?;
+                flat(w, instance)?;
                 w.u32(events.len() as u32);
                 for t in events {
-                    w.time(t)?;
+                    time(w, t)?;
                 }
                 w.u32(args.len() as u32);
                 for a in args {
-                    w.port(a)?;
+                    port(w, a)?;
                 }
             }
             Command::Connect { dst, src } => {
                 w.u8(2);
-                w.port(dst)?;
-                w.port(src)?;
+                port(w, dst)?;
+                port(w, src)?;
             }
             Command::ForGen { .. } | Command::IfGen { .. } => return None,
         }
     }
-    Some(w.out)
+    Some(out)
 }
 
 // --------------------------------------------------------------- decoding
 
-struct R<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn get_time(r: &mut Reader<'_>) -> Result<Time, DecodeError> {
+    Ok(Time::new(r.str()?, r.u64()?))
 }
 
-impl R<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], &'static str> {
-        let end = self.pos.checked_add(n).ok_or("length overflow")?;
-        if end > self.buf.len() {
-            return Err("truncated ast");
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, &'static str> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, &'static str> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, &'static str> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn count(&mut self, min_elem: usize) -> Result<usize, &'static str> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_elem) > self.buf.len() - self.pos {
-            return Err("ast sequence length");
-        }
-        Ok(n)
-    }
-    fn str(&mut self) -> Result<String, &'static str> {
-        let n = self.u32()? as usize;
-        std::str::from_utf8(self.take(n)?)
-            .map(str::to_owned)
-            .map_err(|_| "ast string")
-    }
-    fn time(&mut self) -> Result<Time, &'static str> {
-        let event = self.str()?;
-        let offset = self.u64()?;
-        Ok(Time::new(event, offset))
-    }
-    fn range(&mut self) -> Result<Range, &'static str> {
-        Ok(Range::new(self.time()?, self.time()?))
-    }
-    fn port(&mut self) -> Result<Port, &'static str> {
-        Ok(match self.u8()? {
-            0 => Port::This(self.str()?),
-            1 => Port::Lit(self.u64()?),
-            2 => Port::Inv {
-                invocation: IName::plain(self.str()?),
-                port: self.str()?,
-            },
-            _ => return Err("port tag"),
-        })
-    }
-    fn port_defs(&mut self) -> Result<Vec<PortDef>, &'static str> {
-        let n = self.count(5)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = self.str()?;
-            let liveness = self.range()?;
-            let width = ConstExpr::Lit(self.u64()?);
-            out.push(PortDef {
-                name,
-                liveness,
-                width,
-                bundle: None,
-            });
-        }
-        Ok(out)
-    }
+fn get_port(r: &mut Reader<'_>) -> Result<Port, DecodeError> {
+    Ok(match r.u8()? {
+        0 => Port::This(r.str()?),
+        1 => Port::Lit(r.u64()?),
+        2 => Port::Inv {
+            invocation: IName::plain(r.str()?),
+            port: r.str()?,
+        },
+        tag => return Err(DecodeError::BadTag { what: "port", tag }),
+    })
 }
 
-/// Decodes a concrete component. Any failure means "fall back to parsing
-/// the artifact's expanded text".
+fn get_port_defs(r: &mut Reader<'_>) -> Result<Vec<PortDef>, DecodeError> {
+    let n = r.count(5)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(PortDef {
+            name: r.str()?,
+            liveness: Range::new(get_time(r)?, get_time(r)?),
+            width: ConstExpr::Lit(r.u64()?),
+            bundle: None,
+        });
+    }
+    Ok(out)
+}
+
+/// Decodes a concrete component. Any failure means the artifact is
+/// unusable and the unit is rebuilt.
 ///
 /// # Errors
 ///
-/// Returns a static description of the first validation failure; never
-/// panics on any byte sequence.
-pub fn decode(bytes: &[u8]) -> Result<Component, &'static str> {
-    let mut r = R { buf: bytes, pos: 0 };
+/// Returns the first validation failure; never panics on any byte
+/// sequence.
+pub fn decode(bytes: &[u8]) -> Result<Component, DecodeError> {
+    let r = &mut Reader::new(bytes);
     let name = r.str()?;
     let n = r.count(5)?;
     let mut events = Vec::with_capacity(n);
@@ -271,8 +207,8 @@ pub fn decode(bytes: &[u8]) -> Result<Component, &'static str> {
         let name = r.str()?;
         let delay = match r.u8()? {
             0 => Delay::Const(r.u64()?),
-            1 => Delay::Diff(r.time()?, r.time()?),
-            _ => return Err("delay tag"),
+            1 => Delay::Diff(get_time(r)?, get_time(r)?),
+            tag => return Err(DecodeError::BadTag { what: "delay", tag }),
         };
         events.push(EventDecl { name, delay });
     }
@@ -284,22 +220,27 @@ pub fn decode(bytes: &[u8]) -> Result<Component, &'static str> {
             event: r.str()?,
         });
     }
-    let inputs = r.port_defs()?;
-    let outputs = r.port_defs()?;
+    let inputs = get_port_defs(r)?;
+    let outputs = get_port_defs(r)?;
     let n = r.count(5)?;
     let mut constraints = Vec::with_capacity(n);
     for _ in 0..n {
-        let lhs = r.time()?;
+        let lhs = get_time(r)?;
         let op = match r.u8()? {
             0 => ConstraintOp::Gt,
             1 => ConstraintOp::Ge,
             2 => ConstraintOp::Eq,
-            _ => return Err("constraint tag"),
+            tag => {
+                return Err(DecodeError::BadTag {
+                    what: "constraint",
+                    tag,
+                })
+            }
         };
         constraints.push(OrderConstraint {
             lhs,
             op,
-            rhs: r.time()?,
+            rhs: get_time(r)?,
         });
     }
     let n = r.count(1)?;
@@ -310,10 +251,9 @@ pub fn decode(bytes: &[u8]) -> Result<Component, &'static str> {
                 let name = IName::plain(r.str()?);
                 let component = r.str()?;
                 let np = r.count(8)?;
-                let mut params = Vec::with_capacity(np);
-                for _ in 0..np {
-                    params.push(ConstExpr::Lit(r.u64()?));
-                }
+                let params = (0..np)
+                    .map(|_| Ok(ConstExpr::Lit(r.u64()?)))
+                    .collect::<Result<_, DecodeError>>()?;
                 Command::Instance {
                     name,
                     component,
@@ -324,15 +264,9 @@ pub fn decode(bytes: &[u8]) -> Result<Component, &'static str> {
                 let name = IName::plain(r.str()?);
                 let instance = IName::plain(r.str()?);
                 let ne = r.count(5)?;
-                let mut events = Vec::with_capacity(ne);
-                for _ in 0..ne {
-                    events.push(r.time()?);
-                }
+                let events = (0..ne).map(|_| get_time(r)).collect::<Result<_, _>>()?;
                 let na = r.count(1)?;
-                let mut args = Vec::with_capacity(na);
-                for _ in 0..na {
-                    args.push(r.port()?);
-                }
+                let args = (0..na).map(|_| get_port(r)).collect::<Result<_, _>>()?;
                 Command::Invoke {
                     name,
                     instance,
@@ -341,14 +275,19 @@ pub fn decode(bytes: &[u8]) -> Result<Component, &'static str> {
                 }
             }
             2 => Command::Connect {
-                dst: r.port()?,
-                src: r.port()?,
+                dst: get_port(r)?,
+                src: get_port(r)?,
             },
-            _ => return Err("command tag"),
+            tag => {
+                return Err(DecodeError::BadTag {
+                    what: "command",
+                    tag,
+                })
+            }
         });
     }
-    if r.pos != r.buf.len() {
-        return Err("trailing ast bytes");
+    if !r.rest().is_empty() {
+        return Err(DecodeError::Invalid("trailing ast bytes"));
     }
     Ok(Component {
         sig: Signature {

@@ -66,10 +66,12 @@ pub struct BuildOptions {
     /// Fingerprint of the primitive registry, mixed into every cache key:
     /// artifacts lowered against different registries must never collide.
     pub salt: String,
-    /// Materialize [`DriverOutput::expanded`]. Verilog-only consumers
-    /// (`filament build`) turn this off: on a warm cache the expanded
-    /// components then never leave their artifacts, trimming the load
-    /// path further. When `false`, `expanded` comes back empty.
+    /// Materialize [`DriverOutput::expanded`] (and, through
+    /// [`crate::BuildRequest`], the expanded program and text of a
+    /// [`crate::BuildOutput`]). Verilog-only consumers (`filament build`)
+    /// turn this off: on a warm cache the expanded components then never
+    /// leave their artifacts, trimming the load path further. When
+    /// `false`, `expanded` comes back empty.
     pub emit_expanded: bool,
     /// Artifact-cache size budget in bytes. After a build, `*.unit` files
     /// are evicted oldest-access-first until the cache fits (hits refresh
@@ -128,9 +130,6 @@ pub struct BuildStats {
     /// Artifacts written this session.
     pub cache_stores: u64,
     /// Artifacts evicted by the post-build cache GC (`cache_limit`).
-    ///
-    /// Named to match its `--stats` JSON key (`session_cache_evictions`);
-    /// the field was `cache_evictions` for one release.
     pub session_cache_evictions: u64,
     /// Netlist-optimizer counters for units optimized this session (warm
     /// cache loads carry pre-optimized components and contribute zero).
@@ -884,9 +883,12 @@ fn process_unit(
         }
     }
 
-    // Store.
+    // Store. A component outside the concrete AST codec is not cached.
     let mut stored = false;
-    if let Some(path) = &path {
+    let target = path
+        .as_ref()
+        .and_then(|p| Some((p, ast_bin::encode(&component)?)));
+    if let Some((path, expanded_ast)) = target {
         let art = Artifact {
             component: key.component.clone(),
             values: key.values.clone(),
@@ -895,8 +897,7 @@ fn process_unit(
                 .iter()
                 .map(|d| (d.component.clone(), d.values.clone()))
                 .collect(),
-            expanded_text: filament_core::pretty::print_component(&component),
-            expanded_ast: ast_bin::encode(&component),
+            expanded_ast,
             lowered: lowered.as_ref().map(|l| (l.clone(), structural.clone())),
         };
         stored = store_atomic(path, &artifact::encode(&art));
@@ -922,8 +923,7 @@ fn process_unit(
 }
 
 /// Loads and validates one artifact; any failure at all (IO, corruption,
-/// version skew, wrong unit, unparseable text, missing lowered half) is a
-/// miss.
+/// version skew, wrong unit, missing lowered half) is a miss.
 fn try_load(
     path: &std::path::Path,
     key: &UnitKey,
@@ -938,24 +938,10 @@ fn try_load(
     if want_lowered && art.lowered.is_none() {
         return None;
     }
-    // Fast path: the binary AST. Fall back to parsing the pretty text (the
-    // two agree — pinned by the ast_bin roundtrip tests). When the caller
-    // wants no expanded output, the component never leaves the artifact.
+    // When the caller wants no expanded output, the component never leaves
+    // the artifact.
     let component = if want_expanded {
-        let c = match art
-            .expanded_ast
-            .as_deref()
-            .and_then(|b| ast_bin::decode(b).ok())
-        {
-            Some(c) => c,
-            None => {
-                let parsed = filament_core::parse_program(&art.expanded_text).ok()?;
-                if !parsed.externs.is_empty() || parsed.components.len() != 1 {
-                    return None;
-                }
-                parsed.components.into_iter().next().unwrap()
-            }
-        };
+        let c = ast_bin::decode(&art.expanded_ast).ok()?;
         if c.sig.name != placeholder(key) {
             return None;
         }

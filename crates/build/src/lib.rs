@@ -15,12 +15,12 @@
 //!   of its component's pretty-printed source, the pretty-printed sources
 //!   of everything it can statically reach, its resolved parameter
 //!   vector, the artifact format version, and a registry salt
-//!   ([`key::KeySpace`]). Artifacts — the expanded `.fil` text plus a
-//!   versioned binary encoding of the lowered [`calyx_lite::Component`] —
-//!   persist in a `--cache-dir` across sessions ([`artifact`]); hits skip
-//!   expand/check/lower entirely, and corrupted or stale files are
-//!   detected (magic, version, checksum, length validation) and fall back
-//!   to a clean rebuild.
+//!   ([`key::KeySpace`]). Artifacts — the expanded component in a binary
+//!   AST encoding ([`ast_bin`]) plus a versioned binary encoding of the
+//!   lowered [`calyx_lite::Component`] — persist in a `--cache-dir`
+//!   across sessions ([`artifact`]); hits skip expand/check/lower
+//!   entirely, and corrupted or stale files are detected (magic, version,
+//!   checksum, length validation) and fall back to a clean rebuild.
 //! * **Parallel scheduling.** Units run on a `std::thread` worker pool
 //!   (`--jobs N`) over the dynamically discovered dependency DAG.
 //! * **Determinism.** Unit outputs are order-independent

@@ -3,12 +3,13 @@
 //! the compile-farm daemon.
 //!
 //! [`BuildRequest`] is a builder-style description of *what to build and
-//! which outputs to materialize* (source text, worker count, artifact
-//! cache, trace sink, wanted outputs). [`BuildOutput`] carries whichever
-//! outputs were requested. The same pair crosses the `filament serve`
-//! unix socket: [`encode_request`]/[`encode_output`] produce the
-//! deterministic, bounds-checked binary layout (hand-rolled in the
-//! [`calyx_lite::serial`] style), and [`write_frame`]/[`read_frame`] wrap
+//! which outputs to materialize* (source text, wanted outputs, and the
+//! driver's [`BuildOptions`]: worker count, artifact cache, trace sink).
+//! [`BuildOutput`] carries whichever outputs were requested. The same
+//! pair crosses the `filament serve` unix socket:
+//! [`encode_request`]/[`encode_output`] produce the deterministic,
+//! bounds-checked binary layout (through [`calyx_lite::serial`]'s shared
+//! [`Writer`]/[`Reader`]), and [`write_frame`]/[`read_frame`] wrap
 //! payloads in a length-prefixed, version-salted, checksummed frame. The
 //! frame version folds together the protocol layout, the artifact format,
 //! and the component/netlist serial format, so *any* encoding change on
@@ -24,7 +25,7 @@
 
 use crate::driver::{BuildOptions, BuildStats, PhaseTimes};
 use crate::key;
-use calyx_lite::serial::{self, DecodeError};
+use calyx_lite::serial::{self, DecodeError, Reader, Writer};
 use filament_core::Program;
 use std::io::{Read, Write};
 use std::path::PathBuf;
@@ -54,34 +55,19 @@ pub const fn wire_version() -> u32 {
     PROTOCOL_VERSION | (crate::artifact::ARTIFACT_VERSION << 8) | (serial::FORMAT_VERSION << 16)
 }
 
-/// One build to run: source, resources, and which outputs to come back
-/// with. Construct with [`BuildRequest::new`] and chain the builder
-/// methods; the default wants only the expanded program (the most common
-/// library call, the old `with_stdlib`).
+/// One build to run: source, which outputs to come back with, and the
+/// driver [`BuildOptions`] to run it under. Construct with
+/// [`BuildRequest::new`] and chain the builder methods; the default wants
+/// only the expanded program (the most common library call, the old
+/// `with_stdlib`).
 #[derive(Debug, Clone, Default)]
 pub struct BuildRequest {
     /// The user source text (the standard library is the front end's
     /// concern and is not part of the request).
     pub source: String,
-    /// Worker threads for the driver (`0` = one per core, `1` = the
-    /// calling thread).
-    pub jobs: usize,
-    /// Cross-session artifact cache directory.
-    pub cache_dir: Option<PathBuf>,
-    /// Artifact-cache size budget in bytes (LRU eviction past it).
-    pub cache_limit: Option<u64>,
-    /// Registry salt for cache keys. Front ends with a fixed registry
-    /// (the stdlib path) override this; it only matters for
-    /// custom-registry builds.
-    pub salt: String,
     /// Return the parsed (pre-elaboration) program in
     /// [`BuildOutput::raw`]. Local-only: never crosses the wire.
     pub want_raw: bool,
-    /// Elaborate and return the expanded program
-    /// ([`BuildOutput::expanded`]) and its stdlib-stripped rendering
-    /// ([`BuildOutput::expanded_text`] — the `filament expand` text the
-    /// golden corpus pins).
-    pub want_expanded: bool,
     /// Check + lower every unit and return the lowered program
     /// ([`BuildOutput::lowered`]).
     pub want_lowered: bool,
@@ -93,13 +79,12 @@ pub struct BuildRequest {
     /// ([`BuildOutput::netlist`]), served from the elaborated-netlist
     /// cache when warm. Implies `want_lowered`.
     pub want_netlist: Option<String>,
-    /// Netlist optimization level: `0` = off (byte-identical to
-    /// pre-optimizer output), `1` = const-fold/strength/forward/DCE,
-    /// `2` = additionally CSE. Part of the wire encoding and of every
-    /// cache key derived from this request.
-    pub opt_level: u8,
-    /// Structured-trace sink. Local-only: never crosses the wire.
-    pub trace: Option<Arc<fil_trace::Collector>>,
+    /// How the driver runs: jobs, artifact cache, registry salt, opt level,
+    /// trace sink (local-only), and [`BuildOptions::emit_expanded`], which
+    /// also decides whether [`BuildOutput::expanded`] and
+    /// [`BuildOutput::expanded_text`] come back. Every field but the trace
+    /// sink crosses the wire and feeds the daemon's request key.
+    pub options: BuildOptions,
 }
 
 impl BuildRequest {
@@ -107,8 +92,6 @@ impl BuildRequest {
     pub fn new(source: impl Into<String>) -> Self {
         BuildRequest {
             source: source.into(),
-            jobs: 1,
-            want_expanded: true,
             ..Default::default()
         }
     }
@@ -125,7 +108,7 @@ impl BuildRequest {
     /// entirely un-rematerialized).
     #[must_use]
     pub fn expanded(mut self, want: bool) -> Self {
-        self.want_expanded = want;
+        self.options.emit_expanded = want;
         self
     }
 
@@ -156,62 +139,48 @@ impl BuildRequest {
     /// Driver worker threads.
     #[must_use]
     pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
+        self.options.jobs = jobs;
         self
     }
 
     /// Cross-session artifact cache directory.
     #[must_use]
     pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache_dir = Some(dir.into());
+        self.options.cache_dir = Some(dir.into());
         self
     }
 
     /// Artifact-cache size budget in bytes.
     #[must_use]
     pub fn cache_limit(mut self, bytes: u64) -> Self {
-        self.cache_limit = Some(bytes);
+        self.options.cache_limit = Some(bytes);
         self
     }
 
     /// Registry salt (custom-registry builds only).
     #[must_use]
     pub fn salt(mut self, salt: impl Into<String>) -> Self {
-        self.salt = salt.into();
+        self.options.salt = salt.into();
         self
     }
 
     /// Netlist optimization level (`0`, `1`, or `2`).
     #[must_use]
     pub fn opt_level(mut self, level: u8) -> Self {
-        self.opt_level = level;
+        self.options.opt_level = level;
         self
     }
 
     /// Structured-trace sink (local builds only).
     #[must_use]
     pub fn trace(mut self, collector: Arc<fil_trace::Collector>) -> Self {
-        self.trace = Some(collector);
+        self.options.trace = Some(collector);
         self
     }
 
     /// Whether the driver must run the full check + lower pipeline.
     pub fn needs_lowering(&self) -> bool {
         self.want_lowered || self.want_verilog || self.want_netlist.is_some()
-    }
-
-    /// The driver options this request maps to (`salt` as given here —
-    /// front ends override it for fixed registries).
-    pub fn to_options(&self) -> BuildOptions {
-        BuildOptions {
-            jobs: self.jobs,
-            cache_dir: self.cache_dir.clone(),
-            salt: self.salt.clone(),
-            emit_expanded: self.want_expanded,
-            cache_limit: self.cache_limit,
-            opt_level: self.opt_level,
-            trace: self.trace.clone(),
-        }
     }
 }
 
@@ -244,78 +213,6 @@ pub struct BuildOutput {
 
 // ----------------------------------------------------------- payload codec
 
-struct Writer<'a> {
-    out: &'a mut Vec<u8>,
-}
-
-impl Writer<'_> {
-    fn u8(&mut self, v: u8) {
-        self.out.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.out.extend_from_slice(s.as_bytes());
-    }
-    fn opt_str(&mut self, s: Option<&str>) {
-        match s {
-            None => self.u8(0),
-            Some(s) => {
-                self.u8(1);
-                self.str(s);
-            }
-        }
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self.pos.checked_add(n).ok_or(DecodeError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(DecodeError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn str(&mut self) -> Result<String, DecodeError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| DecodeError::Invalid("string"))
-    }
-    fn opt_str(&mut self) -> Result<Option<String>, DecodeError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.str()?)),
-            tag => Err(DecodeError::BadTag {
-                what: "option",
-                tag,
-            }),
-        }
-    }
-}
-
 const REQ_RAW: u8 = 1 << 0;
 const REQ_EXPANDED: u8 = 1 << 1;
 const REQ_LOWERED: u8 = 1 << 2;
@@ -325,36 +222,35 @@ const REQ_VERILOG: u8 = 1 << 3;
 /// encode to identical bytes, which is exactly what the daemon's
 /// single-flight keys hash.
 pub fn encode_request(req: &BuildRequest, out: &mut Vec<u8>) {
-    let mut w = Writer { out };
+    let o = &req.options;
+    let mut w = Writer::new(out);
     w.str(&req.source);
-    w.u32(req.jobs as u32);
-    w.opt_str(req.cache_dir.as_ref().map(|p| p.to_str().unwrap_or("")));
-    match req.cache_limit {
+    w.u32(o.jobs as u32);
+    w.opt_str(o.cache_dir.as_ref().map(|p| p.to_str().unwrap_or("")));
+    match o.cache_limit {
         None => w.u8(0),
         Some(v) => {
             w.u8(1);
             w.u64(v);
         }
     }
-    w.str(&req.salt);
+    w.str(&o.salt);
     let mut flags = 0u8;
-    if req.want_raw {
-        flags |= REQ_RAW;
-    }
-    if req.want_expanded {
-        flags |= REQ_EXPANDED;
-    }
-    if req.want_lowered {
-        flags |= REQ_LOWERED;
-    }
-    if req.want_verilog {
-        flags |= REQ_VERILOG;
+    for (set, bit) in [
+        (req.want_raw, REQ_RAW),
+        (o.emit_expanded, REQ_EXPANDED),
+        (req.want_lowered, REQ_LOWERED),
+        (req.want_verilog, REQ_VERILOG),
+    ] {
+        if set {
+            flags |= bit;
+        }
     }
     w.u8(flags);
     w.opt_str(req.want_netlist.as_deref());
     // v2: appended last so a v1 payload fails as Truncated (not a
     // mis-decode) even if the frame-level version check is bypassed.
-    w.u8(req.opt_level);
+    w.u8(o.opt_level);
 }
 
 /// Decodes a request (trace sink comes back `None` — it cannot cross the
@@ -364,7 +260,7 @@ pub fn encode_request(req: &BuildRequest, out: &mut Vec<u8>) {
 ///
 /// [`DecodeError`] on malformed input; never panics.
 pub fn decode_request(bytes: &[u8]) -> Result<(BuildRequest, usize), DecodeError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
+    let mut r = Reader::new(bytes);
     let source = r.str()?;
     let jobs = r.u32()? as usize;
     let cache_dir = r.opt_str()?.map(PathBuf::from);
@@ -397,19 +293,21 @@ pub fn decode_request(bytes: &[u8]) -> Result<(BuildRequest, usize), DecodeError
     Ok((
         BuildRequest {
             source,
-            jobs,
-            cache_dir,
-            cache_limit,
-            salt,
             want_raw: flags & REQ_RAW != 0,
-            want_expanded: flags & REQ_EXPANDED != 0,
             want_lowered: flags & REQ_LOWERED != 0,
             want_verilog: flags & REQ_VERILOG != 0,
             want_netlist,
-            opt_level,
-            trace: None,
+            options: BuildOptions {
+                jobs,
+                cache_dir,
+                salt,
+                emit_expanded: flags & REQ_EXPANDED != 0,
+                cache_limit,
+                opt_level,
+                trace: None,
+            },
         },
-        r.pos,
+        r.pos(),
     ))
 }
 
@@ -515,7 +413,7 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<BuildStats, DecodeError> {
 /// Appends the wire encoding of `out` — rendered outputs plus stats; the
 /// AST-level fields stay local (see the module docs).
 pub fn encode_output(output: &BuildOutput, out: &mut Vec<u8>) {
-    let mut w = Writer { out };
+    let mut w = Writer::new(out);
     let mut flags = 0u8;
     if output.expanded_text.is_some() {
         flags |= OUT_EXPANDED_TEXT;
@@ -538,7 +436,7 @@ pub fn encode_output(output: &BuildOutput, out: &mut Vec<u8>) {
     }
     encode_stats(&mut w, &output.stats);
     if let Some(n) = &output.netlist {
-        serial::encode_netlist(n, w.out);
+        serial::encode_netlist(n, w.out());
     }
 }
 
@@ -548,7 +446,7 @@ pub fn encode_output(output: &BuildOutput, out: &mut Vec<u8>) {
 ///
 /// [`DecodeError`] on malformed input; never panics.
 pub fn decode_output(bytes: &[u8]) -> Result<(BuildOutput, usize), DecodeError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
+    let mut r = Reader::new(bytes);
     let flags = r.u8()?;
     if flags & !(OUT_EXPANDED_TEXT | OUT_VERILOG | OUT_NETLIST | OUT_NETLIST_CACHED) != 0 {
         return Err(DecodeError::BadTag {
@@ -562,8 +460,8 @@ pub fn decode_output(bytes: &[u8]) -> Result<(BuildOutput, usize), DecodeError> 
     let verilog = (flags & OUT_VERILOG != 0).then(|| r.str()).transpose()?;
     let stats = decode_stats(&mut r)?;
     let netlist = if flags & OUT_NETLIST != 0 {
-        let (n, used) = serial::decode_netlist(&r.buf[r.pos..])?;
-        r.pos += used;
+        let (n, used) = serial::decode_netlist(r.rest())?;
+        r.take(used)?;
         Some(Arc::new(n))
     } else {
         None
@@ -579,7 +477,7 @@ pub fn decode_output(bytes: &[u8]) -> Result<(BuildOutput, usize), DecodeError> 
             netlist_from_cache: flags & OUT_NETLIST_CACHED != 0,
             stats,
         },
-        r.pos,
+        r.pos(),
     ))
 }
 
@@ -642,9 +540,10 @@ impl From<DecodeError> for FrameError {
 /// Propagates I/O errors.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     let mut head = Vec::with_capacity(12);
-    head.extend_from_slice(&FRAME_MAGIC);
-    head.extend_from_slice(&wire_version().to_le_bytes());
-    head.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    let mut h = Writer::new(&mut head);
+    h.raw(&FRAME_MAGIC);
+    h.u32(wire_version());
+    h.u32(payload.len() as u32);
     w.write_all(&head)?;
     w.write_all(payload)?;
     w.write_all(&key::fnv64(&[payload]).to_le_bytes())?;
@@ -671,14 +570,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
-    if head[..4] != FRAME_MAGIC {
-        return Err(FrameError::BadMagic);
+    let mut h = Reader::new(&head);
+    match h.header(FRAME_MAGIC, wire_version()) {
+        Ok(()) => {}
+        Err(DecodeError::Version { found }) => return Err(FrameError::Version { found }),
+        Err(_) => return Err(FrameError::BadMagic),
     }
-    let version = u32::from_le_bytes(head[4..8].try_into().unwrap());
-    if version != wire_version() {
-        return Err(FrameError::Version { found: version });
-    }
-    let len = u32::from_le_bytes(head[8..12].try_into().unwrap());
+    let len = h.u32()?;
     if len > MAX_FRAME_LEN {
         return Err(FrameError::TooLarge(len));
     }
@@ -719,12 +617,13 @@ mod tests {
         encode_request(&back, &mut reenc);
         assert_eq!(bytes, reenc, "decode is the inverse of encode");
         assert_eq!(back.source, req.source);
-        assert_eq!(back.jobs, 3);
-        assert_eq!(back.cache_dir, req.cache_dir);
-        assert_eq!(back.cache_limit, Some(1 << 20));
+        assert_eq!(back.options.jobs, 3);
+        assert_eq!(back.options.cache_dir, req.options.cache_dir);
+        assert_eq!(back.options.cache_limit, Some(1 << 20));
         assert_eq!(back.want_netlist.as_deref(), Some("Main"));
-        assert_eq!(back.opt_level, 2);
-        assert!(back.want_raw && back.want_expanded && back.want_lowered && back.want_verilog);
+        assert_eq!(back.options.opt_level, 2);
+        assert!(back.want_raw && back.options.emit_expanded);
+        assert!(back.want_lowered && back.want_verilog);
     }
 
     #[test]
@@ -842,6 +741,165 @@ mod tests {
         assert_eq!(back_net.name(), "Main");
         assert_eq!(back_net.signals().len(), 2);
         assert_eq!(back_net.assigns().len(), 1);
+    }
+
+    /// Pins the exact bytes of every payload encoding, as an FNV-64 digest
+    /// of fixed samples. Roundtrip tests cannot see a change that encoder
+    /// and decoder make together; this test does. A digest moves only with
+    /// an intended layout change, which must also bump the matching
+    /// version (see the salt-bump policy in `docs/ARCHITECTURE.md`).
+    #[test]
+    fn encodings_are_pinned_byte_for_byte() {
+        let digest = |bytes: &[u8]| key::fnv64(&[bytes]);
+
+        let mut req = Vec::new();
+        encode_request(&sample_request(), &mut req);
+
+        let mut net = rtl_sim::Netlist::new("Main");
+        let x = net.add_input("x", 4);
+        let en = net.add_input("en", 1);
+        let q = net.add_signal("r.out", 4);
+        let o = net.add_signal("o", 4);
+        net.mark_output(o);
+        net.add_cell(
+            "r",
+            rtl_sim::CellKind::Reg {
+                width: 4,
+                init: 1,
+                has_en: true,
+            },
+            vec![en, x],
+            vec![q],
+        );
+        net.connect_guarded(o, q, en);
+        let output = BuildOutput {
+            expanded_text: Some("comp Main<G: 1>() -> () { }\n".into()),
+            verilog: Some("module Main();\nendmodule\n".into()),
+            netlist: Some(Arc::new(net.clone())),
+            netlist_from_cache: true,
+            stats: BuildStats {
+                units: 7,
+                cache_loads: 3,
+                session_cache_evictions: 2,
+                mono: filament_core::mono::MonoStats {
+                    commands_emitted: 99,
+                    ..Default::default()
+                },
+                phase: PhaseTimes {
+                    parse_us: 123,
+                    opt_us: 45,
+                    ..Default::default()
+                },
+                opt: crate::driver::OptStats {
+                    level: 2,
+                    pass_rewrites: [1, 2, 3, 4, 5],
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut out = Vec::new();
+        encode_output(&output, &mut out);
+
+        let mut c = calyx_lite::Component::new("U_0123456789abcdef");
+        c.add_input("x", 8);
+        c.add_output("o", 8);
+        c.add_primitive(
+            "k",
+            rtl_sim::CellKind::Const {
+                value: fil_bits::Value::from_u64(8, 42),
+            },
+        );
+        c.add_subcomponent("s", "Inner_8");
+        // Every other cell kind, so each tag layout is pinned.
+        use rtl_sim::CellKind as K;
+        let kinds = [
+            K::Add { width: 1 },
+            K::Sub { width: 2 },
+            K::MulComb { width: 3 },
+            K::And { width: 4 },
+            K::Or { width: 5 },
+            K::Xor { width: 6 },
+            K::Not { width: 7 },
+            K::ShlDyn { width: 8 },
+            K::ShrDyn { width: 9 },
+            K::ShlConst {
+                width: 10,
+                amount: 2,
+            },
+            K::ShrConst {
+                width: 11,
+                amount: 3,
+            },
+            K::Eq { width: 12 },
+            K::Lt { width: 13 },
+            K::Ge { width: 14 },
+            K::Mux { width: 15 },
+            K::Slice {
+                in_width: 16,
+                hi: 7,
+                lo: 1,
+            },
+            K::Concat {
+                hi_width: 17,
+                lo_width: 4,
+            },
+            K::ZeroExt {
+                in_width: 18,
+                out_width: 36,
+            },
+            K::ReduceOr { width: 19 },
+            K::ReduceAnd { width: 20 },
+            K::Clz { width: 21 },
+            K::SBox,
+            K::Reg {
+                width: 22,
+                init: 9,
+                has_en: false,
+            },
+            K::ShiftFsm { n: 23 },
+            K::MultSeq {
+                width: 24,
+                latency: 2,
+            },
+            K::MultPipe {
+                width: 25,
+                latency: 3,
+            },
+            K::Dsp48 {
+                width: 26,
+                use_c: true,
+                use_pcin: false,
+            },
+        ];
+        for (i, kind) in kinds.into_iter().enumerate() {
+            c.add_primitive(format!("p{i}"), kind);
+        }
+        c.assign_guarded(
+            calyx_lite::PortRef::this("o"),
+            calyx_lite::Src::port(calyx_lite::PortRef::cell("k", "out")),
+            calyx_lite::Guard::Any(vec![calyx_lite::PortRef::this("x")]),
+        );
+        let mut comp = Vec::new();
+        serial::encode_component(&c, &mut comp);
+
+        let mut netlist = Vec::new();
+        serial::encode_netlist(&net, &mut netlist);
+
+        let got = [
+            ("encode_request", digest(&req)),
+            ("encode_output", digest(&out)),
+            ("encode_component", digest(&comp)),
+            ("encode_netlist", digest(&netlist)),
+        ];
+        let want = [
+            ("encode_request", 0x7d3ea7d7ed60ca4b),
+            ("encode_output", 0xab69ac65e2dd12b5),
+            ("encode_component", 0x20796330b3999eda),
+            ("encode_netlist", 0xc41e1be35b5ca78a),
+        ];
+        assert_eq!(got, want, "a wire or serial layout changed");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use fil_build::request::{
     decode_output, decode_request, encode_request, read_frame, request_key, write_frame,
     FrameError,
 };
-use fil_build::BuildRequest;
+use fil_build::{BuildOptions, BuildRequest};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -37,17 +37,19 @@ fn request_from(
 ) -> BuildRequest {
     BuildRequest {
         source,
-        jobs: jobs as usize,
-        cache_dir: cache_dir.map(PathBuf::from),
-        cache_limit,
-        salt,
         want_raw: flags & 1 != 0,
-        want_expanded: flags & 2 != 0,
         want_lowered: flags & 4 != 0,
         want_verilog: flags & 8 != 0,
         want_netlist: netlist,
-        opt_level,
-        trace: None,
+        options: BuildOptions {
+            jobs: jobs as usize,
+            cache_dir: cache_dir.map(PathBuf::from),
+            salt,
+            emit_expanded: flags & 2 != 0,
+            cache_limit,
+            opt_level,
+            trace: None,
+        },
     }
 }
 
@@ -163,16 +165,16 @@ proptest! {
         let (back, used) = decode_request(&bytes).expect("own encoding decodes");
         prop_assert_eq!(used, bytes.len());
         prop_assert_eq!(&back.source, &req.source);
-        prop_assert_eq!(back.jobs, req.jobs);
-        prop_assert_eq!(&back.cache_dir, &req.cache_dir);
-        prop_assert_eq!(back.cache_limit, req.cache_limit);
-        prop_assert_eq!(&back.salt, &req.salt);
+        prop_assert_eq!(back.options.jobs, req.options.jobs);
+        prop_assert_eq!(&back.options.cache_dir, &req.options.cache_dir);
+        prop_assert_eq!(back.options.cache_limit, req.options.cache_limit);
+        prop_assert_eq!(&back.options.salt, &req.options.salt);
         prop_assert_eq!(back.want_raw, req.want_raw);
-        prop_assert_eq!(back.want_expanded, req.want_expanded);
+        prop_assert_eq!(back.options.emit_expanded, req.options.emit_expanded);
         prop_assert_eq!(back.want_lowered, req.want_lowered);
         prop_assert_eq!(back.want_verilog, req.want_verilog);
         prop_assert_eq!(&back.want_netlist, &req.want_netlist);
-        prop_assert_eq!(back.opt_level, req.opt_level);
+        prop_assert_eq!(back.options.opt_level, req.options.opt_level);
         prop_assert_eq!(request_key(&back), request_key(&req));
     }
 

@@ -1,4 +1,5 @@
-//! A hand-rolled, versioned binary serialization for Calyx-lite components.
+//! The workspace's byte codec ([`Writer`]/[`Reader`]), and the versioned
+//! binary serialization of Calyx-lite components and netlists built on it.
 //!
 //! The `fil-build` driver persists each compiled unit's lowered
 //! [`Component`] to a cross-session artifact cache, so the format must be
@@ -38,9 +39,10 @@ const MAX_VALUE_WIDTH: u32 = 1 << 20;
 pub enum DecodeError {
     /// The input ended before the value being read was complete.
     Truncated,
-    /// The magic header is wrong — not an encoded component at all.
+    /// The magic header is wrong — not this encoding at all.
     BadMagic,
-    /// The format version does not match [`FORMAT_VERSION`].
+    /// The format version is not the one this build reads (for
+    /// components and netlists, [`FORMAT_VERSION`]).
     Version {
         /// The version found in the input.
         found: u32,
@@ -62,9 +64,7 @@ impl fmt::Display for DecodeError {
         match self {
             DecodeError::Truncated => write!(f, "input truncated"),
             DecodeError::BadMagic => write!(f, "bad magic bytes"),
-            DecodeError::Version { found } => {
-                write!(f, "format version {found} does not match {FORMAT_VERSION}")
-            }
+            DecodeError::Version { found } => write!(f, "unsupported format version {found}"),
             DecodeError::BadTag { what, tag } => write!(f, "invalid {what} tag {tag}"),
             DecodeError::Invalid(what) => write!(f, "invalid {what}"),
         }
@@ -73,41 +73,156 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-// --------------------------------------------------------------- encoding
+fn bad_tag(what: &'static str, tag: u8) -> DecodeError {
+    DecodeError::BadTag { what, tag }
+}
 
-struct Writer<'a> {
+// ------------------------------------------------------------------ codec
+
+/// The workspace's one byte writer: little-endian integers, strings behind
+/// a `u32` length prefix, one tag byte per option. Components and netlists
+/// here, and `fil-build`'s artifacts, AST codec and wire protocol, all
+/// encode through it and decode through [`Reader`].
+pub struct Writer<'a> {
     out: &'a mut Vec<u8>,
 }
 
-impl Writer<'_> {
-    fn u8(&mut self, v: u8) {
+impl<'a> Writer<'a> {
+    /// A writer appending to `out`.
+    #[inline]
+    pub fn new(out: &'a mut Vec<u8>) -> Self {
+        Writer { out }
+    }
+    /// The buffer written to, for nested encoders that take one.
+    #[inline]
+    pub fn out(&mut self) -> &mut Vec<u8> {
+        self.out
+    }
+    /// Bytes as they are, with no length prefix.
+    #[inline]
+    pub fn raw(&mut self, bytes: &[u8]) {
+        self.out.extend_from_slice(bytes);
+    }
+    #[inline]
+    pub fn u8(&mut self, v: u8) {
         self.out.push(v);
     }
-    fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+    #[inline]
+    pub fn u32(&mut self, v: u32) {
+        self.raw(&v.to_le_bytes());
     }
-    fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+    #[inline]
+    pub fn u64(&mut self, v: u64) {
+        self.raw(&v.to_le_bytes());
     }
-    fn str(&mut self, s: &str) {
+    #[inline]
+    pub fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
-        self.out.extend_from_slice(s.as_bytes());
+        self.raw(s.as_bytes());
     }
+    /// Tag `0`, or tag `1` and the string.
+    pub fn opt_str(&mut self, s: Option<&str>) {
+        self.u8(u8::from(s.is_some()));
+        if let Some(s) = s {
+            self.str(s);
+        }
+    }
+}
+
+/// The bounds-checked reader for [`Writer`]'s encodings: every read checks
+/// the remaining input first, so bad bytes give a [`DecodeError`], never a
+/// panic or an oversized allocation.
+pub struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the front of `buf`.
+    #[inline]
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader { buf, pos: 0 }
+    }
+    /// Bytes consumed so far.
+    #[inline]
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+    /// The unread input, for nested decoders (skip what they used with
+    /// [`Reader::take`]).
+    #[inline]
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        let end = self.pos.checked_add(n).ok_or(DecodeError::Truncated)?;
+        let s = self.buf.get(self.pos..end).ok_or(DecodeError::Truncated)?;
+        self.pos = end;
+        Ok(s)
+    }
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, DecodeError> {
+        Ok(self.take(1)?[0])
+    }
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        Ok(self.take(N)?.try_into().expect("N bytes"))
+    }
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, DecodeError> {
+        self.array().map(u32::from_le_bytes)
+    }
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.array().map(u64::from_le_bytes)
+    }
+    pub fn str(&mut self) -> Result<String, DecodeError> {
+        let n = self.u32()? as usize;
+        // Validate in place, allocate once.
+        std::str::from_utf8(self.take(n)?)
+            .map(str::to_owned)
+            .map_err(|_| DecodeError::Invalid("string"))
+    }
+    pub fn opt_str(&mut self) -> Result<Option<String>, DecodeError> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(self.str()?)),
+            tag => Err(bad_tag("option", tag)),
+        }
+    }
+    /// Checks a `magic` + `version` header.
+    pub fn header(&mut self, magic: [u8; 4], version: u32) -> Result<(), DecodeError> {
+        if self.take(4)? != magic {
+            return Err(DecodeError::BadMagic);
+        }
+        match self.u32()? {
+            found if found != version => Err(DecodeError::Version { found }),
+            _ => Ok(()),
+        }
+    }
+    /// A sequence count, validated against the remaining input so a
+    /// corrupted prefix cannot trigger a huge allocation (`min_elem_size`
+    /// is a lower bound on the encoding of one element).
+    #[inline]
+    pub fn count(&mut self, min_elem_size: usize) -> Result<usize, DecodeError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_elem_size) > self.buf.len() - self.pos {
+            return Err(DecodeError::Invalid("sequence length"));
+        }
+        Ok(n)
+    }
+}
+
+// --------------------------------------------------------------- encoding
+
+impl Writer<'_> {
     fn value(&mut self, v: &Value) {
         self.u32(v.width());
         // Limb count is implied by the width; limbs are stored masked
         // (Value's invariant), keeping the encoding canonical.
         for limb in v.limbs() {
             self.u64(*limb);
-        }
-    }
-    fn opt_str(&mut self, s: Option<&str>) {
-        match s {
-            None => self.u8(0),
-            Some(s) => {
-                self.u8(1);
-                self.str(s);
-            }
         }
     }
     fn port_ref(&mut self, p: &PortRef) {
@@ -146,97 +261,75 @@ impl Writer<'_> {
                 self.u8(0);
                 self.value(value);
             }
-            Add { width } => self.tag_w(1, *width),
-            Sub { width } => self.tag_w(2, *width),
-            MulComb { width } => self.tag_w(3, *width),
-            And { width } => self.tag_w(4, *width),
-            Or { width } => self.tag_w(5, *width),
-            Xor { width } => self.tag_w(6, *width),
-            Not { width } => self.tag_w(7, *width),
-            ShlDyn { width } => self.tag_w(8, *width),
-            ShrDyn { width } => self.tag_w(9, *width),
-            ShlConst { width, amount } => {
-                self.tag_w(10, *width);
-                self.u32(*amount);
-            }
-            ShrConst { width, amount } => {
-                self.tag_w(11, *width);
-                self.u32(*amount);
-            }
-            Eq { width } => self.tag_w(12, *width),
-            Lt { width } => self.tag_w(13, *width),
-            Ge { width } => self.tag_w(14, *width),
-            Mux { width } => self.tag_w(15, *width),
-            Slice { in_width, hi, lo } => {
-                self.tag_w(16, *in_width);
-                self.u32(*hi);
-                self.u32(*lo);
-            }
-            Concat { hi_width, lo_width } => {
-                self.tag_w(17, *hi_width);
-                self.u32(*lo_width);
-            }
+            Add { width } => self.tagged(1, &[*width]),
+            Sub { width } => self.tagged(2, &[*width]),
+            MulComb { width } => self.tagged(3, &[*width]),
+            And { width } => self.tagged(4, &[*width]),
+            Or { width } => self.tagged(5, &[*width]),
+            Xor { width } => self.tagged(6, &[*width]),
+            Not { width } => self.tagged(7, &[*width]),
+            ShlDyn { width } => self.tagged(8, &[*width]),
+            ShrDyn { width } => self.tagged(9, &[*width]),
+            ShlConst { width, amount } => self.tagged(10, &[*width, *amount]),
+            ShrConst { width, amount } => self.tagged(11, &[*width, *amount]),
+            Eq { width } => self.tagged(12, &[*width]),
+            Lt { width } => self.tagged(13, &[*width]),
+            Ge { width } => self.tagged(14, &[*width]),
+            Mux { width } => self.tagged(15, &[*width]),
+            Slice { in_width, hi, lo } => self.tagged(16, &[*in_width, *hi, *lo]),
+            Concat { hi_width, lo_width } => self.tagged(17, &[*hi_width, *lo_width]),
             ZeroExt {
                 in_width,
                 out_width,
-            } => {
-                self.tag_w(18, *in_width);
-                self.u32(*out_width);
-            }
-            ReduceOr { width } => self.tag_w(19, *width),
-            ReduceAnd { width } => self.tag_w(20, *width),
-            Clz { width } => self.tag_w(21, *width),
+            } => self.tagged(18, &[*in_width, *out_width]),
+            ReduceOr { width } => self.tagged(19, &[*width]),
+            ReduceAnd { width } => self.tagged(20, &[*width]),
+            Clz { width } => self.tagged(21, &[*width]),
             SBox => self.u8(22),
             Reg {
                 width,
                 init,
                 has_en,
             } => {
-                self.tag_w(23, *width);
+                self.tagged(23, &[*width]);
                 self.u64(*init);
                 self.u8(*has_en as u8);
             }
-            ShiftFsm { n } => self.tag_w(24, *n),
-            MultSeq { width, latency } => {
-                self.tag_w(25, *width);
-                self.u32(*latency);
-            }
-            MultPipe { width, latency } => {
-                self.tag_w(26, *width);
-                self.u32(*latency);
-            }
+            ShiftFsm { n } => self.tagged(24, &[*n]),
+            MultSeq { width, latency } => self.tagged(25, &[*width, *latency]),
+            MultPipe { width, latency } => self.tagged(26, &[*width, *latency]),
             Dsp48 {
                 width,
                 use_c,
                 use_pcin,
             } => {
-                self.tag_w(27, *width);
+                self.tagged(27, &[*width]);
                 self.u8(*use_c as u8);
                 self.u8(*use_pcin as u8);
             }
         }
     }
-    fn tag_w(&mut self, tag: u8, w: u32) {
+    /// A cell-kind tag followed by its `u32` fields.
+    fn tagged(&mut self, tag: u8, fields: &[u32]) {
         self.u8(tag);
-        self.u32(w);
+        for &f in fields {
+            self.u32(f);
+        }
     }
 }
 
 /// Appends the canonical encoding of `c` to `out`.
 pub fn encode_component(c: &Component, out: &mut Vec<u8>) {
-    let mut w = Writer { out };
-    w.out.extend_from_slice(&MAGIC);
+    let mut w = Writer::new(out);
+    w.raw(&MAGIC);
     w.u32(FORMAT_VERSION);
     w.str(&c.name);
-    w.u32(c.inputs.len() as u32);
-    for (name, width) in &c.inputs {
-        w.str(name);
-        w.u32(*width);
-    }
-    w.u32(c.outputs.len() as u32);
-    for (name, width) in &c.outputs {
-        w.str(name);
-        w.u32(*width);
+    for ports in [&c.inputs, &c.outputs] {
+        w.u32(ports.len() as u32);
+        for (name, width) in ports {
+            w.str(name);
+            w.u32(*width);
+        }
     }
     w.u32(c.cells.len() as u32);
     for cell in &c.cells {
@@ -262,54 +355,13 @@ pub fn encode_component(c: &Component, out: &mut Vec<u8>) {
 
 // --------------------------------------------------------------- decoding
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self.pos.checked_add(n).ok_or(DecodeError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(DecodeError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
+impl Reader<'_> {
     fn bool(&mut self) -> Result<bool, DecodeError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            tag => Err(DecodeError::BadTag { what: "bool", tag }),
+            tag => Err(bad_tag("bool", tag)),
         }
-    }
-    /// A sequence count, validated against the remaining input so a
-    /// corrupted prefix cannot trigger a huge allocation (`min_elem_size`
-    /// is a lower bound on the encoding of one element).
-    fn count(&mut self, min_elem_size: usize) -> Result<usize, DecodeError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_elem_size) > self.buf.len() - self.pos {
-            return Err(DecodeError::Invalid("sequence length"));
-        }
-        Ok(n)
-    }
-    fn str(&mut self) -> Result<String, DecodeError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        // Validate in place, allocate once.
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| DecodeError::Invalid("string"))
     }
     fn value(&mut self) -> Result<Value, DecodeError> {
         let width = self.u32()?;
@@ -330,14 +382,7 @@ impl<'a> Reader<'a> {
         Ok(value)
     }
     fn port_ref(&mut self) -> Result<PortRef, DecodeError> {
-        let cell = match self.u8()? {
-            0 => None,
-            1 => Some(self.str()?),
-            tag => Err(DecodeError::BadTag {
-                what: "port cell",
-                tag,
-            })?,
-        };
+        let cell = self.opt_str()?;
         let port = self.str()?;
         Ok(PortRef { cell, port })
     }
@@ -345,7 +390,7 @@ impl<'a> Reader<'a> {
         match self.u8()? {
             0 => Ok(Src::Port(self.port_ref()?)),
             1 => Ok(Src::Const(self.value()?)),
-            tag => Err(DecodeError::BadTag { what: "src", tag }),
+            tag => Err(bad_tag("src", tag)),
         }
     }
     fn guard(&mut self) -> Result<Guard, DecodeError> {
@@ -359,7 +404,7 @@ impl<'a> Reader<'a> {
                 }
                 Ok(Guard::Any(ports))
             }
-            tag => Err(DecodeError::BadTag { what: "guard", tag }),
+            tag => Err(bad_tag("guard", tag)),
         }
     }
     fn cell_kind(&mut self) -> Result<CellKind, DecodeError> {
@@ -425,12 +470,7 @@ impl<'a> Reader<'a> {
                 use_c: self.bool()?,
                 use_pcin: self.bool()?,
             },
-            tag => {
-                return Err(DecodeError::BadTag {
-                    what: "cell kind",
-                    tag,
-                })
-            }
+            tag => return Err(bad_tag("cell kind", tag)),
         })
     }
 }
@@ -444,51 +484,33 @@ impl<'a> Reader<'a> {
 /// Returns a [`DecodeError`] on truncated, corrupted, or version-skewed
 /// input. Never panics on any byte sequence.
 pub fn decode_component(bytes: &[u8]) -> Result<(Component, usize), DecodeError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    if r.take(4)? != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(DecodeError::Version { found: version });
-    }
-    let name = r.str()?;
-    let mut c = Component::new(name);
-    let n = r.count(8)?;
-    for _ in 0..n {
-        let name = r.str()?;
-        let width = r.u32()?;
+    let mut r = Reader::new(bytes);
+    r.header(MAGIC, FORMAT_VERSION)?;
+    let mut c = Component::new(r.str()?);
+    for _ in 0..r.count(8)? {
+        let (name, width) = (r.str()?, r.u32()?);
         c.add_input(name, width);
     }
-    let n = r.count(8)?;
-    for _ in 0..n {
-        let name = r.str()?;
-        let width = r.u32()?;
+    for _ in 0..r.count(8)? {
+        let (name, width) = (r.str()?, r.u32()?);
         c.add_output(name, width);
     }
-    let n = r.count(6)?;
-    for _ in 0..n {
+    for _ in 0..r.count(6)? {
         let name = r.str()?;
         let proto = match r.u8()? {
             0 => CellProto::Primitive(r.cell_kind()?),
             1 => CellProto::Component(r.str()?),
-            tag => {
-                return Err(DecodeError::BadTag {
-                    what: "cell proto",
-                    tag,
-                })
-            }
+            tag => return Err(bad_tag("cell proto", tag)),
         };
         c.cells.push(Cell { name, proto });
     }
-    let n = r.count(12)?;
-    for _ in 0..n {
+    for _ in 0..r.count(12)? {
         let dst = r.port_ref()?;
         let src = r.src()?;
         let guard = r.guard()?;
         c.assigns.push(Assign { dst, src, guard });
     }
-    Ok((c, r.pos))
+    Ok((c, r.pos()))
 }
 
 // ------------------------------------------------------- netlist encoding
@@ -508,8 +530,8 @@ const NETLIST_MAGIC: [u8; 4] = *b"CLN1";
 /// once for components and netlists alike.
 pub fn encode_netlist(n: &rtl_sim::Netlist, out: &mut Vec<u8>) {
     use rtl_sim::PortDir;
-    let mut w = Writer { out };
-    w.out.extend_from_slice(&NETLIST_MAGIC);
+    let mut w = Writer::new(out);
+    w.raw(&NETLIST_MAGIC);
     w.u32(FORMAT_VERSION);
     w.str(n.name());
     w.u32(n.signals().len() as u32);
@@ -526,13 +548,11 @@ pub fn encode_netlist(n: &rtl_sim::Netlist, out: &mut Vec<u8>) {
     for c in n.cells() {
         w.str(&c.name);
         w.cell_kind(&c.kind);
-        w.u32(c.inputs.len() as u32);
-        for &s in &c.inputs {
-            w.u32(s.index() as u32);
-        }
-        w.u32(c.outputs.len() as u32);
-        for &s in &c.outputs {
-            w.u32(s.index() as u32);
+        for pins in [&c.inputs, &c.outputs] {
+            w.u32(pins.len() as u32);
+            for &s in pins {
+                w.u32(s.index() as u32);
+            }
         }
     }
     w.u32(n.assigns().len() as u32);
@@ -564,16 +584,9 @@ pub fn encode_netlist(n: &rtl_sim::Netlist, out: &mut Vec<u8>) {
 /// signal indices, and structurally invalid results. Never panics on any
 /// byte sequence.
 pub fn decode_netlist(bytes: &[u8]) -> Result<(rtl_sim::Netlist, usize), DecodeError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    if r.take(4)? != NETLIST_MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(DecodeError::Version { found: version });
-    }
-    let name = r.str()?;
-    let mut net = rtl_sim::Netlist::new(name);
+    let mut r = Reader::new(bytes);
+    r.header(NETLIST_MAGIC, FORMAT_VERSION)?;
+    let mut net = rtl_sim::Netlist::new(r.str()?);
     let n_signals = r.count(9)?;
     let mut ids = Vec::with_capacity(n_signals);
     let mut outputs = Vec::new();
@@ -592,12 +605,7 @@ pub fn decode_netlist(bytes: &[u8]) -> Result<(rtl_sim::Netlist, usize), DecodeE
         let id = match dir {
             0 => net.add_input(name, width),
             1 | 2 => net.add_signal(name, width),
-            tag => {
-                return Err(DecodeError::BadTag {
-                    what: "signal dir",
-                    tag,
-                })
-            }
+            tag => return Err(bad_tag("signal dir", tag)),
         };
         if dir == 1 {
             outputs.push(id);
@@ -612,24 +620,16 @@ pub fn decode_netlist(bytes: &[u8]) -> Result<(rtl_sim::Netlist, usize), DecodeE
             .copied()
             .ok_or(DecodeError::Invalid("signal index"))
     };
-    let n_cells = r.count(10)?;
-    for _ in 0..n_cells {
-        let name = r.str()?;
-        let kind = r.cell_kind()?;
-        let n_in = r.count(4)?;
-        let mut inputs = Vec::with_capacity(n_in);
-        for _ in 0..n_in {
-            inputs.push(signal(r.u32()?)?);
-        }
-        let n_out = r.count(4)?;
-        let mut cell_outputs = Vec::with_capacity(n_out);
-        for _ in 0..n_out {
-            cell_outputs.push(signal(r.u32()?)?);
-        }
+    let pins = |r: &mut Reader<'_>| -> Result<Vec<_>, DecodeError> {
+        let n = r.count(4)?;
+        (0..n).map(|_| signal(r.u32()?)).collect()
+    };
+    for _ in 0..r.count(10)? {
+        let (name, kind) = (r.str()?, r.cell_kind()?);
+        let (inputs, cell_outputs) = (pins(&mut r)?, pins(&mut r)?);
         net.add_cell(name, kind, inputs, cell_outputs);
     }
-    let n_assigns = r.count(9)?;
-    for _ in 0..n_assigns {
+    for _ in 0..r.count(9)? {
         let dst = signal(r.u32()?)?;
         let src = signal(r.u32()?)?;
         match r.u8()? {
@@ -638,17 +638,12 @@ pub fn decode_netlist(bytes: &[u8]) -> Result<(rtl_sim::Netlist, usize), DecodeE
                 let guard = signal(r.u32()?)?;
                 net.connect_guarded(dst, src, guard);
             }
-            tag => {
-                return Err(DecodeError::BadTag {
-                    what: "assign guard",
-                    tag,
-                })
-            }
+            tag => return Err(bad_tag("assign guard", tag)),
         }
     }
     net.validate()
         .map_err(|_| DecodeError::Invalid("netlist structure"))?;
-    Ok((net, r.pos))
+    Ok((net, r.pos()))
 }
 
 #[cfg(test)]

@@ -241,12 +241,11 @@ impl Flags {
     /// legacy Verilog), 1 for `sim` (the netlist only feeds the
     /// simulator, so optimizing is pure win).
     fn request(&self, source: String, default_opt: u8) -> fil_build::BuildRequest {
-        let mut req = fil_build::BuildRequest::new(source)
-            .jobs(self.opts.jobs)
-            .opt_level(self.opt_level.unwrap_or(default_opt));
-        req.cache_dir = self.opts.cache_dir.clone();
-        req.cache_limit = self.opts.cache_limit;
-        req.trace = self.opts.trace.clone();
+        let mut req = fil_build::BuildRequest::new(source);
+        req.options = fil_build::BuildOptions {
+            opt_level: self.opt_level.unwrap_or(default_opt),
+            ..self.opts.clone()
+        };
         req
     }
 }

@@ -11,6 +11,8 @@
 //! * **Warm netlists** — a request family that shares a lowered program
 //!   skips re-elaboration via the process-wide netlist cache, and the
 //!   netlist shipped over the wire is byte-identical to a local one.
+//! * **The daemon owns its cache** — a client-supplied `cache_dir` is
+//!   ignored; the reply still matches a local build.
 //! * **Abuse survival** — mid-frame disconnects, raw garbage, and
 //!   truncated headers cost the daemon nothing but the one connection.
 
@@ -202,6 +204,40 @@ fn warm_netlists_skip_re_elaboration_and_match_local_builds() {
     );
 
     shut_down(&socket, handle);
+}
+
+/// The daemon owns its artifact cache: a `cache_dir` sent by a client is
+/// ignored, so no client can make the daemon write into a directory of its
+/// choosing. The reply is still exactly what a local build produces.
+#[test]
+fn client_cache_dir_is_ignored() {
+    let socket = sock("cdir");
+    let handle = start(&socket);
+    let tmp = std::env::temp_dir().join(format!("fil-dt-cdir-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    std::fs::create_dir_all(&tmp).expect("create temp dir");
+    let elsewhere = tmp.join("elsewhere");
+
+    let req = BuildRequest::new(fil_designs::alu::source(fil_designs::alu::ALU_PIPELINED))
+        .verilog()
+        .netlist("ALU");
+    let remote = serve::request_build(&socket, &req.clone().cache_dir(&elsewhere))
+        .expect("remote build")
+        .output;
+    let local = fil_stdlib::build(&req).expect("local build");
+    assert_eq!(remote.expanded_text, local.expanded_text);
+    assert_eq!(remote.verilog, local.verilog);
+    assert_eq!(
+        remote.netlist.as_deref().map(netlist_bytes),
+        local.netlist.as_deref().map(netlist_bytes),
+    );
+    assert!(
+        !elsewhere.exists(),
+        "the daemon wrote into a client-chosen cache directory"
+    );
+
+    shut_down(&socket, handle);
+    let _ = std::fs::remove_dir_all(&tmp);
 }
 
 #[test]

@@ -115,3 +115,31 @@ fn snapshots_reparse_and_recheck() {
             .unwrap_or_else(|e| panic!("{name}: snapshot fails the checker: {e:#?}"));
     }
 }
+
+/// Artifacts store each expanded component only in the binary AST codec,
+/// and a unit the codec cannot encode is never cached. So every component
+/// `mono::expand` emits for the corpus must encode, and decode back to
+/// itself, or warm builds would silently redo that unit's work.
+#[test]
+fn corpus_expansions_fit_the_artifact_ast_codec() {
+    for (name, src, _top) in fil_bench::design_corpus() {
+        let mut program = fil_stdlib::std_program();
+        program.extend(
+            filament_core::parse_program(&src)
+                .unwrap_or_else(|e| panic!("{name}: source does not parse: {e}")),
+        );
+        let expanded = filament_core::mono::expand(&program)
+            .unwrap_or_else(|e| panic!("{name}: source does not expand: {e}"));
+        for comp in &expanded.components {
+            let bytes = fil_build::ast_bin::encode(comp)
+                .unwrap_or_else(|| panic!("{name}: {} falls outside the AST codec", comp.sig.name));
+            let back = fil_build::ast_bin::decode(&bytes)
+                .unwrap_or_else(|e| panic!("{name}: {} does not decode: {e}", comp.sig.name));
+            assert_eq!(
+                &back, comp,
+                "{name}: {} changed in the codec",
+                comp.sig.name
+            );
+        }
+    }
+}

@@ -258,8 +258,8 @@ pub fn build(req: &fil_build::BuildRequest) -> Result<fil_build::BuildOutput, Lo
 
 /// [`build`] lowering through a caller-supplied primitive registry
 /// instead of [`StdRegistry`] (the registry's fingerprint comes from
-/// `req.salt`). Runs the driver on the calling thread — registries are
-/// not required to be `Sync`.
+/// `req.options.salt`). Runs the driver on the calling thread —
+/// registries are not required to be `Sync`.
 ///
 /// # Errors
 ///
@@ -275,20 +275,16 @@ fn run_request(
     req: &fil_build::BuildRequest,
     registry: Option<&dyn PrimitiveRegistry>,
 ) -> Result<fil_build::BuildOutput, LoadError> {
-    let opts = fil_build::BuildOptions {
-        salt: if registry.is_none() {
-            "std".into()
-        } else {
-            req.salt.clone()
-        },
-        ..req.to_options()
-    };
+    let mut opts = req.options.clone();
+    if registry.is_none() {
+        opts.salt = "std".into();
+    }
     let raw = timed_parse(&req.source, &opts)?;
     let mut output = fil_build::BuildOutput::default();
     if req.want_raw {
         output.raw = Some(raw.program.clone());
     }
-    if !req.want_expanded && !req.needs_lowering() {
+    if !opts.emit_expanded && !req.needs_lowering() {
         // Parse-only request: the driver has nothing to do.
         output.stats.phase.parse_us = raw.parse_us;
         return Ok(output);
@@ -303,14 +299,14 @@ fn run_request(
     };
     out.stats.phase.parse_us = raw.parse_us;
     output.stats = out.stats;
-    if req.want_expanded {
+    if opts.emit_expanded {
         output.expanded_text = Some(strip_std_and_print(&out.expanded));
         output.expanded = Some(out.expanded);
     }
     if let Some(lowered) = out.lowered {
         if let Some(top) = &req.want_netlist {
             let (netlist, from_cache) = netlist_cache()
-                .get_or_elaborate(&lowered, top, req.opt_level)
+                .get_or_elaborate(&lowered, top, opts.opt_level)
                 .map_err(|e| LoadError::Driver(e.to_string()))?;
             output.netlist = Some(netlist);
             output.netlist_from_cache = from_cache;

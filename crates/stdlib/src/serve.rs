@@ -30,6 +30,7 @@
 //! connection* is closed; the daemon itself stays up. A client that
 //! vanishes mid-frame costs nothing but its own thread.
 
+use calyx_lite::serial::{DecodeError, Reader, Writer};
 use fil_build::request::{self as wire, FrameError};
 use fil_build::{BuildRequest, Served};
 use std::io;
@@ -62,11 +63,12 @@ pub struct ServeOptions {
     /// Driver worker threads for every build the daemon runs (the daemon
     /// owns its pool: a request's own `jobs` field is overridden).
     pub jobs: usize,
-    /// Default artifact cache directory applied to requests that leave
-    /// theirs unset.
+    /// Artifact cache directory for every build the daemon runs (the
+    /// daemon owns its cache: a request's own `cache_dir` is ignored, so
+    /// a client cannot make the daemon write anywhere else).
     pub cache_dir: Option<PathBuf>,
-    /// Default artifact-cache size budget for requests that leave theirs
-    /// unset.
+    /// Artifact-cache size budget for every build (a request's own
+    /// `cache_limit` is ignored).
     pub cache_limit: Option<u64>,
     /// Exit after this long with no connections and no in-flight work.
     /// `None` serves forever (until `OP_STOP`).
@@ -210,17 +212,13 @@ impl Server {
 }
 
 /// Applies the daemon's resource policy to a decoded request: the daemon
-/// owns the worker pool, and unset cache settings inherit the daemon's
-/// defaults. Normalizing *before* keying means two clients that differ
-/// only in unset-vs-defaulted fields coalesce onto one build.
+/// owns the worker pool and the artifact cache, whatever the client sent.
+/// Normalizing *before* keying means two clients that differ only in
+/// those fields coalesce onto one build.
 fn normalize(mut req: BuildRequest, opts: &ServeOptions) -> BuildRequest {
-    req.jobs = opts.jobs;
-    if req.cache_dir.is_none() {
-        req.cache_dir = opts.cache_dir.clone();
-    }
-    if req.cache_limit.is_none() {
-        req.cache_limit = opts.cache_limit;
-    }
+    req.options.jobs = opts.jobs;
+    req.options.cache_dir = opts.cache_dir.clone();
+    req.options.cache_limit = opts.cache_limit;
     req
 }
 
@@ -242,8 +240,14 @@ fn handle_connection(stream: UnixStream, shared: &Shared) {
         let ok = match payload.split_first() {
             Some((&OP_PING, _)) => write_frame_to(&stream, &[RESP_PONG]).is_ok(),
             Some((&OP_STATS, _)) => {
+                let pairs = snapshot_stats(shared);
                 let mut out = vec![RESP_STATS];
-                encode_pairs(&mut out, &snapshot_stats(shared));
+                let mut w = Writer::new(&mut out);
+                w.u32(pairs.len() as u32);
+                for (name, value) in pairs {
+                    w.str(name);
+                    w.u64(value);
+                }
                 write_frame_to(&stream, &out).is_ok()
             }
             Some((&OP_STOP, _)) => {
@@ -343,33 +347,8 @@ fn write_frame_to(mut stream: &UnixStream, payload: &[u8]) -> io::Result<()> {
 
 fn write_err(stream: &UnixStream, msg: &str) -> io::Result<()> {
     let mut out = vec![RESP_ERR];
-    put_str(&mut out, msg);
+    Writer::new(&mut out).str(msg);
     write_frame_to(stream, &out)
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn get_str(bytes: &[u8]) -> Result<String, ClientError> {
-    if bytes.len() < 4 {
-        return Err(ClientError::Protocol("short string"));
-    }
-    let n = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
-    let rest = &bytes[4..];
-    if rest.len() < n {
-        return Err(ClientError::Protocol("short string"));
-    }
-    String::from_utf8(rest[..n].to_vec()).map_err(|_| ClientError::Protocol("non-utf8 string"))
-}
-
-fn encode_pairs(out: &mut Vec<u8>, pairs: &[(&'static str, u64)]) {
-    out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-    for (name, value) in pairs {
-        put_str(out, name);
-        out.extend_from_slice(&value.to_le_bytes());
-    }
 }
 
 // ----------------------------------------------------------------- client
@@ -404,6 +383,12 @@ impl std::fmt::Display for ClientError {
 }
 
 impl std::error::Error for ClientError {}
+
+impl From<DecodeError> for ClientError {
+    fn from(e: DecodeError) -> Self {
+        ClientError::Frame(FrameError::Decode(e))
+    }
+}
 
 /// A successful remote build: the decoded output plus how the daemon
 /// obtained it (fresh build, coalesced onto a concurrent identical
@@ -445,11 +430,10 @@ pub fn request_build(socket: &Path, req: &BuildRequest) -> Result<RemoteBuild, C
                 2 => Served::Memo,
                 _ => return Err(ClientError::Protocol("bad served byte")),
             };
-            let (output, _) =
-                wire::decode_output(rest).map_err(|e| ClientError::Frame(FrameError::Decode(e)))?;
+            let (output, _) = wire::decode_output(rest)?;
             Ok(RemoteBuild { output, served })
         }
-        Some((&RESP_ERR, rest)) => Err(ClientError::Server(get_str(rest)?)),
+        Some((&RESP_ERR, rest)) => Err(ClientError::Server(Reader::new(rest).str()?)),
         _ => Err(ClientError::Protocol("unexpected reply")),
     }
 }
@@ -477,23 +461,9 @@ pub fn server_stats(socket: &Path) -> Result<Vec<(String, u64)>, ClientError> {
         Some((&RESP_STATS, rest)) => rest,
         _ => return Err(ClientError::Protocol("unexpected stats reply")),
     };
-    if rest.len() < 4 {
-        return Err(ClientError::Protocol("short stats"));
-    }
-    let count = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-    let mut pairs = Vec::with_capacity(count.min(64));
-    let mut pos = 4;
-    for _ in 0..count {
-        let name = get_str(&rest[pos..])?;
-        pos += 4 + name.len();
-        if rest.len() < pos + 8 {
-            return Err(ClientError::Protocol("short stats"));
-        }
-        let value = u64::from_le_bytes(rest[pos..pos + 8].try_into().unwrap());
-        pos += 8;
-        pairs.push((name, value));
-    }
-    Ok(pairs)
+    let mut r = Reader::new(rest);
+    let count = r.count(4 + 8)?;
+    (0..count).map(|_| Ok((r.str()?, r.u64()?))).collect()
 }
 
 /// Asks the daemon at `socket` to shut down (it drains and removes its
