@@ -14,10 +14,11 @@
 //! 2. otherwise **expand** the unit through
 //!    [`filament_core::mono::elaborate_component`], recording each callee
 //!    instantiation as a dependency edge instead of recursing;
-//! 3. for full builds, **check** and **lower** it against a miniature
-//!    program holding just the externs plus the concrete signatures of its
-//!    direct dependencies (reconstructed from their source signatures —
-//!    no dependency bodies needed, the paper's modular-compilation story);
+//! 3. for full builds, **check** and **lower** it against its scope: the
+//!    externs it instantiates, its own signature and the concrete
+//!    signatures of its direct dependencies (reconstructed from their
+//!    source signatures — no bodies needed, the paper's
+//!    modular-compilation story);
 //! 4. **store** the artifact.
 //!
 //! Dependencies discovered in step 1/2 are pushed onto the shared queue;
@@ -469,19 +470,49 @@ struct UnitDone {
     cache_missed: bool,
     /// An artifact was written.
     stored: bool,
-    /// Wall time spent in each phase for this unit (microseconds);
-    /// `load_us` is nonzero only for cache hits, the others only for
-    /// units processed from source.
-    load_us: u64,
-    expand_us: u64,
-    check_us: u64,
-    lower_us: u64,
-    opt_us: u64,
+    /// Wall time spent in each phase for this unit; `load` is nonzero only
+    /// for cache hits, the others only for units processed from source.
+    ns: PhaseNs,
     /// What the optimizer did to this unit (counters only — the driver
     /// runs with `record_notes` off; callers that want the source map
     /// run [`fil_opt::optimize_program`] on the lowered output
     /// themselves). Default (all-zero) for cache loads and `-O0`.
     opt: fil_opt::OptReport,
+}
+
+/// Wall time per phase, in nanoseconds. Units record their own; the merge
+/// sums them and rounds once ([`PhaseNs::write_us`]), so a build of many
+/// sub-microsecond units does not report zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct PhaseNs {
+    load: u64,
+    expand: u64,
+    check: u64,
+    lower: u64,
+    opt: u64,
+}
+
+impl PhaseNs {
+    fn add(&mut self, other: &PhaseNs) {
+        self.load += other.load;
+        self.expand += other.expand;
+        self.check += other.check;
+        self.lower += other.lower;
+        self.opt += other.opt;
+    }
+
+    /// Writes the totals, rounded to microseconds, into `phase`.
+    fn write_us(&self, phase: &mut PhaseTimes) {
+        phase.cache_load_us = fil_opt::ns_to_us(self.load);
+        phase.expand_us = fil_opt::ns_to_us(self.expand);
+        phase.check_us = fil_opt::ns_to_us(self.check);
+        phase.lower_us = fil_opt::ns_to_us(self.lower);
+        phase.opt_us = fil_opt::ns_to_us(self.opt);
+    }
+}
+
+fn elapsed_ns(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 // -------------------------------------------------------------- scheduler
@@ -775,13 +806,14 @@ fn process_unit(
         let timer = Instant::now();
         match try_load(path, key, registry.is_some(), ctx.opts.emit_expanded) {
             Some(mut unit) => {
-                unit.load_us = timer.elapsed().as_micros() as u64;
+                unit.ns.load = elapsed_ns(timer);
                 if let (Some(l), Some(start)) = (lane, probe_start) {
                     let mut args = Vec::new();
                     if let Some(name) = &unit_name {
                         args.push(("unit", fil_trace::Arg::from(name.as_str())));
                     }
-                    l.complete("build", "cache-load", start, unit.load_us, args);
+                    let dur = fil_opt::ns_to_us(unit.ns.load);
+                    l.complete("build", "cache-load", start, dur, args);
                 }
                 cache_counter(ctx, lane, true);
                 return Ok(unit);
@@ -811,29 +843,31 @@ fn process_unit(
         &mut rec,
     )?; // an early return still records the span — the guard drops
     drop(span);
-    let expand_us = timer.elapsed().as_micros() as u64;
+    let mut ns = PhaseNs {
+        expand: elapsed_ns(timer),
+        ..PhaseNs::default()
+    };
 
-    // Check + lower against a mini program: externs plus the concrete
-    // signatures of the direct dependencies (bodies not needed).
-    let mut check_us = 0;
-    let mut lower_us = 0;
+    // Check + lower against the unit's scope: signatures only (bodies not
+    // needed — the paper's modular-compilation story). Placeholder names
+    // are rewritten to readable ones only for a diagnostic.
     let (mut lowered, structural) = match registry {
         None => (None, Vec::new()),
         Some(registry) => {
-            let mini = mini_program(ctx.program, &component, &rec.deps)?;
-            let names = readable_names(ctx.program, key, &rec.deps);
+            let scope = unit_scope(ctx.program, &component, &rec.deps)?;
+            let names = || readable_names(ctx.program, key, &rec.deps);
             let timer = Instant::now();
             let span = unit_span(lane, "check", &unit_name);
-            check_component(&mini, &self_name)
-                .map_err(|errs| BuildError::Check(rewrite_check(errs, &names)))?;
+            check_component(&scope, &component)
+                .map_err(|errs| BuildError::Check(rewrite_check(errs, &names())))?;
             drop(span);
-            check_us = timer.elapsed().as_micros() as u64;
+            ns.check = elapsed_ns(timer);
             let timer = Instant::now();
             let span = unit_span(lane, "lower", &unit_name);
-            let unit = lower_component_unit(&mini, &self_name, registry)
-                .map_err(|e| BuildError::Lower(rewrite_lower(e, &names)))?;
+            let unit = lower_component_unit(&scope, &component, registry)
+                .map_err(|e| BuildError::Lower(rewrite_lower(e, &names())))?;
             drop(span);
-            lower_us = timer.elapsed().as_micros() as u64;
+            ns.lower = elapsed_ns(timer);
             (Some(unit.component), unit.structural)
         }
     };
@@ -845,7 +879,6 @@ fn process_unit(
     // `fil_opt` are position-based, never name-ordered, so optimizing
     // placeholder-named units and renaming at merge commutes — `-j1` and
     // `-jN` stay byte-identical.
-    let mut opt_us = 0;
     let mut opt_report = fil_opt::OptReport::default();
     if ctx.opts.opt_level > 0 {
         if let Some(lc) = &mut lowered {
@@ -856,7 +889,7 @@ fn process_unit(
                 ..fil_opt::OptConfig::level(ctx.opts.opt_level)
             };
             opt_report = fil_opt::optimize_component(lc, &cfg);
-            opt_us = timer.elapsed().as_micros() as u64;
+            ns.opt = elapsed_ns(timer);
             if let (Some(l), Some(start)) = (lane, opt_start) {
                 // One span per pass, laid out back-to-back from the
                 // optimizer's own per-pass timings. Span edges round the
@@ -913,11 +946,7 @@ fn process_unit(
         loaded: false,
         cache_missed,
         stored,
-        load_us: 0,
-        expand_us,
-        check_us,
-        lower_us,
-        opt_us,
+        ns,
         opt: opt_report,
     })
 }
@@ -972,11 +1001,7 @@ fn try_load(
         loaded: true,
         cache_missed: false,
         stored: false,
-        load_us: 0,
-        expand_us: 0,
-        check_us: 0,
-        lower_us: 0,
-        opt_us: 0,
+        ns: PhaseNs::default(),
         opt: fil_opt::OptReport::default(),
     })
 }
@@ -996,29 +1021,47 @@ fn store_atomic(path: &std::path::Path, bytes: &[u8]) -> bool {
     true
 }
 
-/// Externs plus this unit's component plus the concrete signatures of its
-/// direct dependencies (as body-less components): everything checking and
-/// lowering need to resolve names against.
-fn mini_program(
+/// The names checking and lowering resolve a unit against, signatures
+/// only: the externs its `Instance` commands name (in declaration order),
+/// its own signature, and the concrete signatures of its direct
+/// dependencies, all as body-less components.
+fn unit_scope(
     program: &Program,
     component: &Component,
     deps: &[UnitKey],
 ) -> Result<Program, BuildError> {
-    let mut mini = Program {
-        externs: program.externs.clone(),
-        components: vec![component.clone()],
-    };
+    let named: HashSet<&str> = component
+        .body
+        .iter()
+        .filter_map(|cmd| match cmd {
+            Command::Instance { component, .. } => Some(component.as_str()),
+            _ => None,
+        })
+        .collect();
+    let mut components = Vec::with_capacity(deps.len() + 1);
+    components.push(Component {
+        sig: component.sig.clone(),
+        body: Vec::new(),
+    });
     for dep in deps {
         let src = program
             .component(&dep.component)
             .expect("recorded deps exist in the source program");
         let sig = mono::elaborate_signature(&src.sig, &dep.values, &placeholder(dep))?;
-        mini.components.push(Component {
+        components.push(Component {
             sig,
             body: Vec::new(),
         });
     }
-    Ok(mini)
+    Ok(Program {
+        externs: program
+            .externs
+            .iter()
+            .filter(|s| named.contains(s.name.as_str()))
+            .cloned()
+            .collect(),
+        components,
+    })
 }
 
 /// Placeholder → human-readable name map for diagnostics.
@@ -1220,13 +1263,10 @@ fn merge(
     };
     stats.mono.cache_hits = shared.session_hits;
     stats.mono.cache_misses = order.len() as u64;
+    let mut ns = PhaseNs::default();
     for key in &order {
         let unit = done.remove(key).expect("unit emitted exactly once");
-        stats.phase.cache_load_us += unit.load_us;
-        stats.phase.expand_us += unit.expand_us;
-        stats.phase.check_us += unit.check_us;
-        stats.phase.lower_us += unit.lower_us;
-        stats.phase.opt_us += unit.opt_us;
+        ns.add(&unit.ns);
         stats.opt.absorb(&unit.opt);
         if unit.loaded {
             stats.cache_loads += 1;
@@ -1260,6 +1300,7 @@ fn merge(
             }
         }
     }
+    ns.write_us(&mut stats.phase);
     Ok(DriverOutput {
         expanded,
         lowered: lowered_out,
@@ -1305,4 +1346,41 @@ pub fn check_externs(program: &Program) -> Result<(), Vec<CheckError>> {
         externs: program.externs.clone(),
         components: Vec::new(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Per-unit phase times are summed in nanoseconds and rounded once, so
+    /// many sub-microsecond units still add up.
+    #[test]
+    fn phase_times_round_once_over_units() {
+        let unit = PhaseNs {
+            load: 999,
+            expand: 999,
+            check: 999,
+            lower: 999,
+            opt: 999,
+        };
+        let mut total = PhaseNs::default();
+        for _ in 0..64 {
+            total.add(&unit);
+        }
+        let mut phase = PhaseTimes::default();
+        total.write_us(&mut phase);
+        // 64 × 999 ns = 63.936 µs, rounded to the nearest microsecond.
+        assert_eq!(phase.expand_us, 64);
+        assert_eq!(
+            (
+                phase.cache_load_us,
+                phase.check_us,
+                phase.lower_us,
+                phase.opt_us
+            ),
+            (64, 64, 64, 64)
+        );
+        assert_eq!(phase.parse_us, 0, "parse is the front end's to fill");
+        assert_eq!(phase.merge_us, 0, "merge is timed separately");
+    }
 }

@@ -1236,12 +1236,16 @@ impl LinExpr {
         }
     }
 
-    /// Adds `k` to the coefficient of `var`, dropping zero entries.
+    /// Adds `k` to the coefficient of `var`, dropping zero entries. The
+    /// name is copied only when it becomes a new entry.
     pub fn add_var(&mut self, var: &str, k: i64) {
-        let c = self.coeffs.entry(var.to_owned()).or_insert(0);
-        *c += k;
-        if *c == 0 {
-            self.coeffs.remove(var);
+        if let Some(c) = self.coeffs.get_mut(var) {
+            *c += k;
+            if *c == 0 {
+                self.coeffs.remove(var);
+            }
+        } else if k != 0 {
+            self.coeffs.insert(var.to_owned(), k);
         }
     }
 

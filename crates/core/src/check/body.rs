@@ -272,30 +272,34 @@ pub(crate) fn check_body(program: &Program, comp: &Component, errors: &mut Vec<C
     };
 
     // Availability ⊇ requirement (Section 4.2): avail.start <= req.start and
-    // req.end <= avail.end.
-    let check_avail = |avail: &Avail, req: &Range, site: &str, errors: &mut Vec<CheckError>| {
-        let Avail::Range(a) = avail else { return };
-        let lower = env.time_le(&a.start, &req.start);
-        let upper = env.time_le(&req.end, &a.end);
-        match (lower, upper) {
-            (Ok(true), Ok(true)) => {}
-            (Err(()), _) | (_, Err(())) => errors.push(CheckError::new(
-                cname.clone(),
-                ErrorKind::Unsupported,
-                format!("cannot verify availability of {site}: {a} vs required {req}"),
-            )),
-            _ => errors.push(CheckError::new(
-                cname.clone(),
-                ErrorKind::Availability,
-                format!("{site}: available for {a} but required during {req}"),
-            )),
-        }
-    };
+    // req.end <= avail.end. Sites are rendered only for a diagnostic.
+    let check_avail =
+        |avail: &Avail, req: &Range, site: &dyn Fn() -> String, errors: &mut Vec<CheckError>| {
+            let Avail::Range(a) = avail else { return };
+            let lower = env.time_le(&a.start, &req.start);
+            let upper = env.time_le(&req.end, &a.end);
+            match (lower, upper) {
+                (Ok(true), Ok(true)) => {}
+                (Err(()), _) | (_, Err(())) => errors.push(CheckError::new(
+                    cname.clone(),
+                    ErrorKind::Unsupported,
+                    format!(
+                        "cannot verify availability of {}: {a} vs required {req}",
+                        site()
+                    ),
+                )),
+                _ => errors.push(CheckError::new(
+                    cname.clone(),
+                    ErrorKind::Availability,
+                    format!("{}: available for {a} but required during {req}", site()),
+                )),
+            }
+        };
 
     let check_width = |have: &ConstExpr,
                        want: &ConstExpr,
                        port: &Port,
-                       site: &str,
+                       site: &dyn Fn() -> String,
                        errors: &mut Vec<CheckError>| {
         if let Port::Lit(n) = port {
             // A literal adapts to the required width if it fits.
@@ -304,7 +308,7 @@ pub(crate) fn check_body(program: &Program, comp: &Component, errors: &mut Vec<C
                     errors.push(CheckError::new(
                         cname.clone(),
                         ErrorKind::Width,
-                        format!("{site}: literal {n} does not fit in {w} bits"),
+                        format!("{}: literal {n} does not fit in {w} bits", site()),
                     ));
                 }
             }
@@ -316,7 +320,7 @@ pub(crate) fn check_body(program: &Program, comp: &Component, errors: &mut Vec<C
             errors.push(CheckError::new(
                 cname.clone(),
                 ErrorKind::Width,
-                format!("{site}: expected width {want}, found {have}"),
+                format!("{}: expected width {want}, found {have}", site()),
             ));
         }
     };
@@ -353,13 +357,13 @@ pub(crate) fn check_body(program: &Program, comp: &Component, errors: &mut Vec<C
                 for (arg, pdef) in args.iter().zip(&info.sig.inputs) {
                     let req = pdef.liveness.subst(&inv.binding);
                     let want = pdef.width.subst_exprs(&info.params);
-                    let site = format!("{name}.{} (argument {arg})", pdef.name);
+                    let site = || format!("{name}.{} (argument {arg})", pdef.name);
                     match avail_of(arg) {
                         Ok((avail, have)) => {
                             check_avail(&avail, &req, &site, errors);
                             check_width(&have, &want, arg, &site, errors);
                         }
-                        Err(msg) => err(errors, ErrorKind::Binding, format!("{site}: {msg}")),
+                        Err(msg) => err(errors, ErrorKind::Binding, format!("{}: {msg}", site())),
                     }
                 }
                 // Callee ordering constraints must hold under the binding
@@ -422,13 +426,13 @@ pub(crate) fn check_body(program: &Program, comp: &Component, errors: &mut Vec<C
                     continue;
                 };
                 *driven_outputs.entry(dst_name.clone()).or_insert(0) += 1;
-                let site = format!("{dst_name} = {src}");
+                let site = || format!("{dst_name} = {src}");
                 match avail_of(src) {
                     Ok((avail, have)) => {
                         check_avail(&avail, &out.liveness, &site, errors);
                         check_width(&have, &out.width, src, &site, errors);
                     }
-                    Err(msg) => err(errors, ErrorKind::Binding, format!("{site}: {msg}")),
+                    Err(msg) => err(errors, ErrorKind::Binding, format!("{}: {msg}", site())),
                 }
             }
             Command::Instance { .. } => {}

@@ -112,14 +112,25 @@ impl std::error::Error for CheckError {}
 /// flat names, no `for`-generate loops. These pre-passes report anything
 /// [`crate::mono::expand`] would have removed, so the main passes can rely
 /// on concrete offsets ([`Time::off`]) without panicking.
-fn concrete_time(t: &Time, site: &str, comp: &Id, errors: &mut Vec<CheckError>) -> bool {
+///
+/// Like every diagnostic site in the checker, `site` is rendered only when
+/// an error is pushed: the success path builds no strings.
+fn concrete_time(
+    t: &Time,
+    site: &dyn Fn() -> String,
+    comp: &Id,
+    errors: &mut Vec<CheckError>,
+) -> bool {
     if t.offset_val().is_some() {
         true
     } else {
         errors.push(CheckError::new(
             comp.clone(),
             ErrorKind::Unelaborated,
-            format!("{site}: time offset {t} mentions parameters; run mono::expand first"),
+            format!(
+                "{}: time offset {t} mentions parameters; run mono::expand first",
+                site()
+            ),
         ));
         false
     }
@@ -145,20 +156,21 @@ pub(crate) fn signature_is_concrete(sig: &Signature, errors: &mut Vec<CheckError
             ok = false;
             continue;
         }
-        let site = format!("port {}", p.name);
+        let site = || format!("port {}", p.name);
         ok &= concrete_time(&p.liveness.start, &site, comp, errors);
         ok &= concrete_time(&p.liveness.end, &site, comp, errors);
     }
     for ev in &sig.events {
         if let Delay::Diff(a, b) = &ev.delay {
-            let site = format!("delay of event {}", ev.name);
+            let site = || format!("delay of event {}", ev.name);
             ok &= concrete_time(a, &site, comp, errors);
             ok &= concrete_time(b, &site, comp, errors);
         }
     }
     for c in &sig.constraints {
-        ok &= concrete_time(&c.lhs, "where clause", comp, errors);
-        ok &= concrete_time(&c.rhs, "where clause", comp, errors);
+        let site = || "where clause".to_owned();
+        ok &= concrete_time(&c.lhs, &site, comp, errors);
+        ok &= concrete_time(&c.rhs, &site, comp, errors);
     }
     ok
 }
@@ -215,8 +227,9 @@ pub(crate) fn body_is_concrete(comp: &Component, errors: &mut Vec<CheckError>) -
                     args,
                 } => {
                     ok &= flat(&[name, instance], cname, errors);
+                    let site = || format!("schedule of {name}");
                     for t in events {
-                        ok &= concrete_time(t, &format!("schedule of {name}"), cname, errors);
+                        ok &= concrete_time(t, &site, cname, errors);
                     }
                     for a in args {
                         ok &= port_ok(a, cname, errors);
@@ -307,25 +320,19 @@ pub fn check_program(program: &Program) -> Result<(), Vec<CheckError>> {
     }
 }
 
-/// Type-checks a single component against a program context (its externs
-/// and sibling components must be present in `program`).
+/// Type-checks a single component against a scope: a program holding the
+/// signatures of everything the component instantiates (externs and user
+/// components). Only signatures are read from `scope`; bodies are not
+/// consulted, so a scope of body-less components suffices (the modular
+/// checking of Sections 4 and 6).
 ///
 /// # Errors
 ///
 /// Returns the diagnostics for this component's signature and body.
-pub fn check_component(program: &Program, name: &str) -> Result<(), Vec<CheckError>> {
+pub fn check_component(scope: &Program, comp: &Component) -> Result<(), Vec<CheckError>> {
     let mut errors = Vec::new();
-    match program.component(name) {
-        None => errors.push(CheckError::new(
-            name,
-            ErrorKind::Binding,
-            format!("unknown component {name}"),
-        )),
-        Some(comp) => {
-            sig::check_signature(&comp.sig, false, &mut errors);
-            body::check_body(program, comp, &mut errors);
-        }
-    }
+    sig::check_signature(&comp.sig, false, &mut errors);
+    body::check_body(scope, comp, &mut errors);
     if errors.is_empty() {
         Ok(())
     } else {

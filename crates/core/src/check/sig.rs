@@ -71,6 +71,10 @@ impl SigEnv {
 
     /// Whether `a <= b` is entailed.
     pub fn time_le(&self, a: &Time, b: &Time) -> Result<bool, ()> {
+        if a.event == b.event {
+            // The event cancels: a constant obligation, no map to build.
+            return self.entails_nonneg(&LinExpr::constant(b.off() as i64 - a.off() as i64));
+        }
         let mut e = LinExpr::from_time(b);
         e.sub_assign(&LinExpr::from_time(a));
         self.entails_nonneg(&e)
@@ -242,9 +246,9 @@ pub(crate) fn check_signature(sig: &Signature, is_extern: bool, errors: &mut Vec
     };
 
     // Hygiene: unique events, ports, params.
-    let mut events = HashSet::new();
+    let mut events: HashSet<&str> = HashSet::new();
     for ev in &sig.events {
-        if !events.insert(ev.name.clone()) {
+        if !events.insert(&ev.name) {
             err(
                 errors,
                 ErrorKind::Binding,
@@ -259,7 +263,7 @@ pub(crate) fn check_signature(sig: &Signature, is_extern: bool, errors: &mut Vec
             "component must bind at least one event".into(),
         );
     }
-    let mut names = HashSet::new();
+    let mut names: HashSet<&str> = HashSet::new();
     for name in sig
         .interfaces
         .iter()
@@ -267,13 +271,13 @@ pub(crate) fn check_signature(sig: &Signature, is_extern: bool, errors: &mut Vec
         .chain(sig.inputs.iter().map(|p| &p.name))
         .chain(sig.outputs.iter().map(|p| &p.name))
     {
-        if !names.insert(name.clone()) {
+        if !names.insert(name) {
             err(errors, ErrorKind::Binding, format!("duplicate port {name}"));
         }
     }
-    let mut params = HashSet::new();
+    let mut params: HashSet<&str> = HashSet::new();
     for p in &sig.params {
-        if !params.insert(p.name.clone()) {
+        if !params.insert(&p.name) {
             err(
                 errors,
                 ErrorKind::Binding,
@@ -283,9 +287,9 @@ pub(crate) fn check_signature(sig: &Signature, is_extern: bool, errors: &mut Vec
     }
 
     // Interface ports: event exists, at most one per event.
-    let mut iface_events = HashSet::new();
+    let mut iface_events: HashSet<&str> = HashSet::new();
     for iface in &sig.interfaces {
-        if !events.contains(&iface.event) {
+        if !events.contains(iface.event.as_str()) {
             err(
                 errors,
                 ErrorKind::Binding,
@@ -295,7 +299,7 @@ pub(crate) fn check_signature(sig: &Signature, is_extern: bool, errors: &mut Vec
                 ),
             );
         }
-        if !iface_events.insert(iface.event.clone()) {
+        if !iface_events.insert(&iface.event) {
             err(
                 errors,
                 ErrorKind::Binding,
@@ -305,20 +309,21 @@ pub(crate) fn check_signature(sig: &Signature, is_extern: bool, errors: &mut Vec
     }
 
     // All times reference declared events.
-    let check_time = |t: &Time, site: &str, errors: &mut Vec<CheckError>| {
-        if !events.contains(&t.event) {
+    let check_time = |t: &Time, site: &dyn Fn() -> String, errors: &mut Vec<CheckError>| {
+        if !events.contains(t.event.as_str()) {
             errors.push(CheckError::new(
                 comp.clone(),
                 ErrorKind::Binding,
-                format!("{site} references unknown event {}", t.event),
+                format!("{} references unknown event {}", site(), t.event),
             ));
         }
     };
     for p in sig.inputs.iter().chain(&sig.outputs) {
-        check_time(&p.liveness.start, &format!("port {}", p.name), errors);
-        check_time(&p.liveness.end, &format!("port {}", p.name), errors);
+        let site = || format!("port {}", p.name);
+        check_time(&p.liveness.start, &site, errors);
+        check_time(&p.liveness.end, &site, errors);
         for w in p.width.params() {
-            if params.contains(&w) {
+            if params.contains(w.as_str()) {
                 continue;
             }
             if w.contains('.') {
@@ -342,13 +347,15 @@ pub(crate) fn check_signature(sig: &Signature, is_extern: bool, errors: &mut Vec
     }
     for ev in &sig.events {
         if let Delay::Diff(a, b) = &ev.delay {
-            check_time(a, &format!("delay of event {}", ev.name), errors);
-            check_time(b, &format!("delay of event {}", ev.name), errors);
+            let site = || format!("delay of event {}", ev.name);
+            check_time(a, &site, errors);
+            check_time(b, &site, errors);
         }
     }
     for c in &sig.constraints {
-        check_time(&c.lhs, "where clause", errors);
-        check_time(&c.rhs, "where clause", errors);
+        let site = || "where clause".to_owned();
+        check_time(&c.lhs, &site, errors);
+        check_time(&c.rhs, &site, errors);
     }
 
     // User-level components may not relate events (Section 4.4: delays must

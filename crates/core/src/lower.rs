@@ -12,7 +12,7 @@
 //! synthesized guards are disjoint, which the simulator additionally
 //! re-checks dynamically ([`rtl_sim::SimError::WriteConflict`]).
 
-use crate::ast::{Command, ConstExpr, Id, Port, Program, Signature, Time};
+use crate::ast::{Command, Component, ConstExpr, Id, Port, Program, Signature, Time};
 use calyx_lite as cl;
 use fil_bits::Value;
 use rtl_sim::CellKind;
@@ -175,12 +175,15 @@ pub struct LoweredUnit {
 /// driver schedules over the monomorph dependency DAG; [`lower_program`]
 /// remains the whole-program entry point and produces identical components.
 ///
+/// `scope` must hold the signature of everything `comp` instantiates
+/// (externs and user components); only signatures are read from it.
+///
 /// # Errors
 ///
 /// As [`lower_program`], for failures inside this component.
 pub fn lower_component_unit(
-    program: &Program,
-    name: &str,
+    scope: &Program,
+    comp: &Component,
     registry: &dyn PrimitiveRegistry,
 ) -> Result<LoweredUnit, LowerError> {
     struct Collect {
@@ -199,7 +202,7 @@ pub fn lower_component_unit(
     let mut sink = Collect {
         structural: Vec::new(),
     };
-    let component = lower_one(program, name, registry, &mut sink)?;
+    let component = lower_one(scope, comp, registry, &mut sink)?;
     Ok(LoweredUnit {
         component,
         structural: sink.structural,
@@ -215,7 +218,13 @@ trait LowerSink {
     fn user_dep(&mut self, name: &str) -> Result<(), LowerError>;
 }
 
-fn const_eval(e: &ConstExpr, component: &str, site: &str) -> Result<u64, LowerError> {
+/// Evaluates a closed constant. Like every diagnostic site in lowering,
+/// `site` is rendered only on failure.
+fn const_eval(
+    e: &ConstExpr,
+    component: &str,
+    site: &dyn Fn() -> String,
+) -> Result<u64, LowerError> {
     const_eval_env(e, &HashMap::new(), component, site)
 }
 
@@ -223,11 +232,11 @@ fn const_eval_env(
     e: &ConstExpr,
     env: &HashMap<Id, u64>,
     component: &str,
-    site: &str,
+    site: &dyn Fn() -> String,
 ) -> Result<u64, LowerError> {
     e.eval(env).map_err(|cause| LowerError::NonConstant {
         component: component.into(),
-        site: site.into(),
+        site: site(),
         param: match &cause {
             crate::ast::ConstEvalError::Unbound(p) => Some(p.clone()),
             crate::ast::ConstEvalError::Arith(_) => None,
@@ -238,10 +247,10 @@ fn const_eval_env(
 
 /// The concrete offset of a time, or a [`LowerError::Unelaborated`] naming
 /// the residual construct.
-fn time_off(t: &Time, component: &str, site: &str) -> Result<u64, LowerError> {
+fn time_off(t: &Time, component: &str, site: &dyn Fn() -> String) -> Result<u64, LowerError> {
     t.offset_val().ok_or_else(|| LowerError::Unelaborated {
         component: component.into(),
-        construct: format!("symbolic time offset {t} in {site}"),
+        construct: format!("symbolic time offset {t} in {}", site()),
     })
 }
 
@@ -256,7 +265,7 @@ fn flat_name<'n>(n: &'n crate::ast::IName, component: &str) -> Result<&'n Id, Lo
 /// Rejects residual generate constructs — `for`/`if` commands, bundle ports
 /// in the signature, and bundle-element references in the body — with an
 /// [`LowerError::Unelaborated`] naming the construct.
-fn reject_generate_constructs(comp: &crate::ast::Component) -> Result<(), LowerError> {
+fn reject_generate_constructs(comp: &Component) -> Result<(), LowerError> {
     let name = &comp.sig.name;
     let unelab = |construct: String| LowerError::Unelaborated {
         component: name.clone(),
@@ -337,27 +346,28 @@ fn lower_component(
             lower_component(self.program, dep, self.registry, self.out, self.done)
         }
     }
+    let comp = program
+        .component(name)
+        .ok_or_else(|| LowerError::UnknownComponent(name.to_owned()))?;
     let mut sink = Recurse {
         program,
         registry,
         out: &mut *out,
         done: &mut *done,
     };
-    let c = lower_one(program, name, registry, &mut sink)?;
+    let c = lower_one(program, comp, registry, &mut sink)?;
     out.add_component(c);
     Ok(())
 }
 
 fn lower_one(
     program: &Program,
-    name: &str,
+    comp: &Component,
     registry: &dyn PrimitiveRegistry,
     sink: &mut dyn LowerSink,
 ) -> Result<cl::Component, LowerError> {
-    let comp = program
-        .component(name)
-        .ok_or_else(|| LowerError::UnknownComponent(name.to_owned()))?;
     let sig = &comp.sig;
+    let name = sig.name.as_str();
     // Generate constructs (loops, conditionals, bundle ports/elements) must
     // have been discharged by mono::expand.
     reject_generate_constructs(comp)?;
@@ -369,13 +379,13 @@ fn lower_one(
     for p in &sig.inputs {
         c.add_input(
             p.name.clone(),
-            const_eval(&p.width, name, &format!("width of port {}", p.name))? as u32,
+            const_eval(&p.width, name, &|| format!("width of port {}", p.name))? as u32,
         );
     }
     for p in &sig.outputs {
         c.add_output(
             p.name.clone(),
-            const_eval(&p.width, name, &format!("width of port {}", p.name))? as u32,
+            const_eval(&p.width, name, &|| format!("width of port {}", p.name))? as u32,
         );
     }
 
@@ -400,7 +410,7 @@ fn lower_one(
                 .ok_or_else(|| LowerError::UnknownComponent(component.clone()))?;
             let given: Vec<u64> = params
                 .iter()
-                .map(|p| const_eval(p, name, &format!("parameter of instance {iname}")))
+                .map(|p| const_eval(p, name, &|| format!("parameter of instance {iname}")))
                 .collect::<Result<_, _>>()?;
             // One value per callee parameter: derivations evaluated when the
             // site carries free values only, verified when it carries the
@@ -428,13 +438,11 @@ fn lower_one(
                     let (pins, pouts) = cl::primitive_ports(&kind);
                     let have: HashSet<&str> =
                         pins.iter().chain(&pouts).map(|(n, _)| n.as_str()).collect();
-                    for port in sig_port_names(callee) {
-                        if !have.contains(port.as_str()) {
-                            return Err(LowerError::PortMismatch {
-                                name: component.clone(),
-                                port,
-                            });
-                        }
+                    if let Some(port) = sig_port_names(callee).find(|p| !have.contains(p)) {
+                        return Err(LowerError::PortMismatch {
+                            name: component.clone(),
+                            port: port.to_owned(),
+                        });
                     }
                     c.add_primitive(iname.clone(), kind);
                 } else if let Some(sub) = registry.structural(component, &values) {
@@ -444,13 +452,11 @@ fn lower_one(
                         .chain(&sub.outputs)
                         .map(|(n, _)| n.as_str())
                         .collect();
-                    for port in sig_port_names(callee) {
-                        if !have.contains(port.as_str()) {
-                            return Err(LowerError::PortMismatch {
-                                name: component.clone(),
-                                port,
-                            });
-                        }
+                    if let Some(port) = sig_port_names(callee).find(|p| !have.contains(p)) {
+                        return Err(LowerError::PortMismatch {
+                            name: component.clone(),
+                            port: port.to_owned(),
+                        });
                     }
                     let mangled = sub.name.clone();
                     sink.structural(sub);
@@ -530,7 +536,7 @@ fn lower_one(
         for ev in &inst.sig.events {
             if inst.sig.interface_of(&ev.name).is_some() {
                 let t = &binding[&ev.name];
-                let off = time_off(t, name, &format!("schedule of invocation {iname}"))?;
+                let off = time_off(t, name, &|| format!("schedule of invocation {iname}"))?;
                 note_state(&mut max_state, &t.event, off);
             }
         }
@@ -544,8 +550,9 @@ fn lower_one(
                     ),
                 });
             }
-            let site = format!("requirement of invocation {iname}");
-            let end = time_off(&req.end, name, &site)?;
+            let end = time_off(&req.end, name, &|| {
+                format!("requirement of invocation {iname}")
+            })?;
             if end > 0 {
                 note_state(&mut max_state, &req.start.event, end - 1);
             }
@@ -619,7 +626,7 @@ fn lower_one(
                     ),
                 });
             }
-            let off = time_off(t, name, &format!("trigger of invocation {iname}"))?;
+            let off = time_off(t, name, &|| format!("trigger of invocation {iname}"))?;
             triggers
                 .entry((inv.instance.clone(), iface.name.clone()))
                 .or_default()
@@ -647,12 +654,9 @@ fn lower_one(
         let inst = &insts[&inv.instance];
         for (arg, pdef) in args.iter().zip(&inst.sig.inputs) {
             let req = pdef.liveness.subst(&inv.binding);
-            let width = const_eval_env(
-                &pdef.width,
-                &inst.params,
-                name,
-                &format!("width of argument {} of invocation {iname}", pdef.name),
-            )? as u32;
+            let width = const_eval_env(&pdef.width, &inst.params, name, &|| {
+                format!("width of argument {} of invocation {iname}", pdef.name)
+            })? as u32;
             if let Port::Inv { invocation, .. } = arg {
                 flat_name(invocation, name)?;
             }
@@ -661,7 +665,7 @@ fn lower_one(
             if phantom.contains(req.start.event.as_str()) {
                 c.assign(dst, src);
             } else {
-                let site = format!("requirement of invocation {iname}");
+                let site = || format!("requirement of invocation {iname}");
                 let start = time_off(&req.start, name, &site)?;
                 let end = time_off(&req.end, name, &site)?;
                 let states: Vec<cl::PortRef> = (start..end)
@@ -687,7 +691,7 @@ fn lower_one(
         }
         let width = sig
             .output(dname)
-            .map(|p| const_eval(&p.width, name, &format!("width of output {dname}")))
+            .map(|p| const_eval(&p.width, name, &|| format!("width of output {dname}")))
             .transpose()?
             .unwrap_or(32) as u32;
         c.assign(cl::PortRef::this(dname.clone()), src_of(src, width));
@@ -696,11 +700,10 @@ fn lower_one(
     Ok(c)
 }
 
-fn sig_port_names(sig: &Signature) -> Vec<String> {
+fn sig_port_names(sig: &Signature) -> impl Iterator<Item = &str> {
     sig.interfaces
         .iter()
-        .map(|i| i.name.clone())
-        .chain(sig.inputs.iter().map(|p| p.name.clone()))
-        .chain(sig.outputs.iter().map(|p| p.name.clone()))
-        .collect()
+        .map(|i| i.name.as_str())
+        .chain(sig.inputs.iter().map(|p| p.name.as_str()))
+        .chain(sig.outputs.iter().map(|p| p.name.as_str()))
 }

@@ -445,13 +445,13 @@ pub fn elaborate_component(
     };
     let mut env: HashMap<Id, u64> = comp.sig.param_env(values);
     let (sig, own_bundles) = elab.elab_sig(&comp.sig, &env, mono_name)?;
-    let own_ports: HashSet<Id> = comp
+    let own_ports: HashSet<&str> = comp
         .sig
         .interfaces
         .iter()
-        .map(|i| i.name.clone())
-        .chain(comp.sig.inputs.iter().map(|p| p.name.clone()))
-        .chain(comp.sig.outputs.iter().map(|p| p.name.clone()))
+        .map(|i| i.name.as_str())
+        .chain(comp.sig.inputs.iter().map(|p| p.name.as_str()))
+        .chain(comp.sig.outputs.iter().map(|p| p.name.as_str()))
         .collect();
     let mut ctx = BodyCtx {
         own_ports,
@@ -549,7 +549,7 @@ struct BodyCtx<'p> {
     /// Ports of the enclosing (original) signature, by base name. A body
     /// name that is *not* a port but is bound in the parameter environment
     /// denotes its constant value in data positions.
-    own_ports: HashSet<Id>,
+    own_ports: HashSet<&'p str>,
     /// Own signature bundles: port name → concrete `(lo, hi)` extent.
     own_bundles: BundleExtents,
     /// Flattened instance name → the callee's *original* signature (with
@@ -797,8 +797,8 @@ impl<'p> Elab<'p, '_> {
                     };
                     match ctx.instances.get(&instance) {
                         Some((_, cenv)) => {
-                            for (pname, v) in cenv.clone() {
-                                env.insert(ConstExpr::inst_key(&name, &pname), v);
+                            for (pname, v) in cenv {
+                                env.insert(ConstExpr::inst_key(&name, pname), *v);
                             }
                         }
                         None => complete = false,
@@ -839,16 +839,18 @@ impl<'p> Elab<'p, '_> {
         complete
     }
 
+    /// Evaluates `e` under `env`. Like every diagnostic site in
+    /// elaboration, `site` is rendered only when evaluation fails.
     fn eval(
         &self,
         e: &ConstExpr,
         env: &HashMap<Id, u64>,
         component: &str,
-        site: &str,
+        site: &dyn Fn() -> String,
     ) -> Result<u64, MonoError> {
         e.eval(env).map_err(|cause| MonoError::Eval {
             component: component.to_owned(),
-            site: site.to_owned(),
+            site: site(),
             cause,
         })
     }
@@ -858,7 +860,7 @@ impl<'p> Elab<'p, '_> {
         t: &Time,
         env: &HashMap<Id, u64>,
         component: &str,
-        site: &str,
+        site: &dyn Fn() -> String,
     ) -> Result<Time, MonoError> {
         Ok(Time::new(
             t.event.clone(),
@@ -871,7 +873,7 @@ impl<'p> Elab<'p, '_> {
         r: &Range,
         env: &HashMap<Id, u64>,
         component: &str,
-        site: &str,
+        site: &dyn Fn() -> String,
     ) -> Result<Range, MonoError> {
         Ok(Range::new(
             self.elab_time(&r.start, env, component, site)?,
@@ -893,18 +895,12 @@ impl<'p> Elab<'p, '_> {
     ) -> Result<(), MonoError> {
         let elab_one = |m: &Self, name: Id, env: &HashMap<Id, u64>| -> Result<PortDef, MonoError> {
             Ok(PortDef {
-                liveness: m.elab_range(
-                    &p.liveness,
-                    env,
-                    cname,
-                    &format!("liveness of {dir} port {name}"),
-                )?,
-                width: ConstExpr::Lit(m.eval(
-                    &p.width,
-                    env,
-                    cname,
-                    &format!("width of {dir} port {name}"),
-                )?),
+                liveness: m.elab_range(&p.liveness, env, cname, &|| {
+                    format!("liveness of {dir} port {name}")
+                })?,
+                width: ConstExpr::Lit(m.eval(&p.width, env, cname, &|| {
+                    format!("width of {dir} port {name}")
+                })?),
                 name,
                 bundle: None,
             })
@@ -919,20 +915,20 @@ impl<'p> Elab<'p, '_> {
                 var: b.var.clone(),
             });
         }
-        let site = format!("index range of {dir} port {}", p.name);
+        let site = || format!("index range of {dir} port {}", p.name);
         let lo = self.eval(&b.lo, env, cname, &site)?;
         let hi = self.eval(&b.hi, env, cname, &site)?;
         if hi <= lo {
             return Err(MonoError::Bundle {
                 component: cname.to_owned(),
-                site,
+                site: site(),
                 message: format!("bundle has an empty index range {lo}..{hi}"),
             });
         }
         if hi - lo > MAX_BUNDLE {
             return Err(MonoError::Bundle {
                 component: cname.to_owned(),
-                site,
+                site: site(),
                 message: format!("bundle has more than {MAX_BUNDLE} elements"),
             });
         }
@@ -972,7 +968,7 @@ impl<'p> Elab<'p, '_> {
                 .events
                 .iter()
                 .map(|e| {
-                    let site = format!("delay of event {}", e.name);
+                    let site = || format!("delay of event {}", e.name);
                     let delay = match &e.delay {
                         Delay::Const(n) => Delay::Const(*n),
                         Delay::Diff(a, b) => Delay::Diff(
@@ -993,10 +989,11 @@ impl<'p> Elab<'p, '_> {
                 .constraints
                 .iter()
                 .map(|c| {
+                    let site = || "where clause".to_owned();
                     Ok(crate::ast::OrderConstraint {
-                        lhs: self.elab_time(&c.lhs, env, cname, "where clause")?,
+                        lhs: self.elab_time(&c.lhs, env, cname, &site)?,
                         op: c.op,
-                        rhs: self.elab_time(&c.rhs, env, cname, "where clause")?,
+                        rhs: self.elab_time(&c.rhs, env, cname, &site)?,
                     })
                 })
                 .collect::<Result<_, _>>()?,
@@ -1031,7 +1028,7 @@ impl<'p> Elab<'p, '_> {
                 // A bare parameter, loop variable, or instance-parameter
                 // stem in a data position denotes a compile-time constant;
                 // signature ports shadow.
-                if !ctx.own_ports.contains(name) {
+                if !ctx.own_ports.contains(name.as_str()) {
                     if let Some(&v) = env.get(name) {
                         return Ok(Port::Lit(v));
                     }
@@ -1044,7 +1041,7 @@ impl<'p> Elab<'p, '_> {
                 port: port.clone(),
             },
             Port::Bundle { port, idx } => {
-                let k = self.eval(idx, env, component, &format!("index of {port}[{idx}]"))?;
+                let k = self.eval(idx, env, component, &|| format!("index of {port}[{idx}]"))?;
                 // Bounds-check against the enclosing signature when the
                 // bundle is known (unknown names fall through to the
                 // checker's binding pass).
@@ -1065,12 +1062,9 @@ impl<'p> Elab<'p, '_> {
                 idx,
             } => {
                 let invocation = self.elab_name(invocation, env, component)?;
-                let k = self.eval(
-                    idx,
-                    env,
-                    component,
-                    &format!("index of {invocation}.{port}[{idx}]"),
-                )?;
+                let k = self.eval(idx, env, component, &|| {
+                    format!("index of {invocation}.{port}[{idx}]")
+                })?;
                 // Bounds-check against the callee's bundle — the pre-scan
                 // registers forward invocations too, so this covers
                 // references in either direction (unknown invocation names
@@ -1123,13 +1117,13 @@ impl<'p> Elab<'p, '_> {
                 out.push(self.elab_port(arg, env, component, ctx)?);
                 continue;
             };
-            let site = format!("argument {} of invocation {inv}", pdef.name);
+            let site = || format!("argument {} of invocation {inv}", pdef.name);
             let want_lo = self.eval(&b.lo, callee_env, component, &site)?;
             let want_hi = self.eval(&b.hi, callee_env, component, &site)?;
             let want = want_hi.saturating_sub(want_lo);
             let bundle_err = |message: String| MonoError::Bundle {
                 component: component.to_owned(),
-                site: site.clone(),
+                site: site(),
                 message,
             };
             match arg {
@@ -1209,7 +1203,9 @@ impl<'p> Elab<'p, '_> {
                     let given: Vec<u64> = params
                         .iter()
                         .map(|p| {
-                            self.eval(p, env, component, &format!("parameter of instance {name}"))
+                            self.eval(p, env, component, &|| {
+                                format!("parameter of instance {name}")
+                            })
                         })
                         .collect::<Result<_, _>>()?;
                     // Resolve derived parameters, record the callee's
@@ -1259,11 +1255,11 @@ impl<'p> Elab<'p, '_> {
                     // The instance's parameters are also readable through
                     // the invocation's name (`x := I<G>(...)` → `x.W`).
                     if let Some((_, cenv)) = ctx.instances.get(&instance.base) {
-                        for (pname, v) in cenv.clone() {
-                            env.insert(ConstExpr::inst_key(&name.base, &pname), v);
+                        for (pname, v) in cenv {
+                            env.insert(ConstExpr::inst_key(&name.base, pname), *v);
                         }
                     }
-                    let site = format!("schedule of invocation {name}");
+                    let site = || format!("schedule of invocation {name}");
                     let args = match ctx.instances.get(&instance.base) {
                         Some((csig, cenv)) => {
                             self.expand_args(args, csig, cenv, env, component, &name.base, ctx)?
@@ -1292,8 +1288,8 @@ impl<'p> Elab<'p, '_> {
                     });
                 }
                 Command::ForGen { var, lo, hi, body } => {
-                    let lo = self.eval(lo, env, component, "loop lower bound")?;
-                    let hi = self.eval(hi, env, component, "loop upper bound")?;
+                    let lo = self.eval(lo, env, component, &|| "loop lower bound".to_owned())?;
+                    let hi = self.eval(hi, env, component, &|| "loop upper bound".to_owned())?;
                     if env.contains_key(var) {
                         return Err(MonoError::Shadow {
                             component: component.to_owned(),
@@ -1314,8 +1310,9 @@ impl<'p> Elab<'p, '_> {
                     then_body,
                     else_body,
                 } => {
-                    let l = self.eval(lhs, env, component, "if-generate condition")?;
-                    let r = self.eval(rhs, env, component, "if-generate condition")?;
+                    let site = || "if-generate condition".to_owned();
+                    let l = self.eval(lhs, env, component, &site)?;
+                    let r = self.eval(rhs, env, component, &site)?;
                     self.stats.ifs_resolved += 1;
                     let arm = if op.holds(l, r) { then_body } else { else_body };
                     self.elab_commands(arm, env, component, ctx, out)?;

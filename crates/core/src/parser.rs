@@ -401,12 +401,24 @@ impl Parser {
         }
     }
 
+    /// Consumes the current token and returns it. The parser never looks
+    /// back (nothing rewinds `pos` or reads an earlier token), so the token
+    /// is moved out, not cloned; the trailing `Eof` is never consumed.
     fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].0.clone();
+        let t = std::mem::replace(&mut self.toks[self.pos].0, Tok::Eof);
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
         t
+    }
+
+    /// Consumes the current token, which the caller has matched as an
+    /// identifier, and returns its text.
+    fn bump_ident(&mut self) -> Id {
+        match self.bump() {
+            Tok::Ident(s) => s,
+            other => unreachable!("bump_ident on {other}"),
+        }
     }
 
     fn eat(&mut self, want: Tok) -> Result<(), ParseError> {
@@ -433,19 +445,16 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<Id, ParseError> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
+        match self.peek() {
+            Tok::Ident(_) => Ok(self.bump_ident()),
             other => Err(self.error(format!("expected identifier, found {other}"))),
         }
     }
 
     /// `cfactor ::= nat | ident | pow2/log2 "(" cexpr ")" | "(" cexpr ")"`
     fn const_factor(&mut self) -> Result<ConstExpr, ParseError> {
-        match self.peek().clone() {
-            Tok::Num(n) => {
+        match self.peek() {
+            &Tok::Num(n) => {
                 self.bump();
                 Ok(ConstExpr::Lit(n))
             }
@@ -458,18 +467,19 @@ impl Parser {
             Tok::Ident(name)
                 if (name == "pow2" || name == "log2") && *self.peek2() == Tok::LParen =>
             {
+                let pow2 = name == "pow2";
                 self.bump();
                 self.eat(Tok::LParen)?;
                 let e = self.const_expr()?;
                 self.eat(Tok::RParen)?;
-                Ok(if name == "pow2" {
+                Ok(if pow2 {
                     ConstExpr::Pow2(Box::new(e))
                 } else {
                     ConstExpr::Log2(Box::new(e))
                 })
             }
-            Tok::Ident(p) => {
-                self.bump();
+            Tok::Ident(_) => {
+                let p = self.bump_ident();
                 // `inst.P` — a parameter of a previously declared instance,
                 // resolved by the monomorphizer.
                 if *self.peek() == Tok::Dot {

@@ -326,16 +326,13 @@ fn run_request(
 /// the golden-corpus snapshots pin down.
 fn strip_std_and_print(expanded: &Program) -> String {
     let std_names = std_extern_names();
-    let user = Program {
-        externs: expanded
+    filament_core::pretty::print_items(
+        expanded
             .externs
             .iter()
-            .filter(|s| !std_names.contains(&s.name))
-            .cloned()
-            .collect(),
-        components: expanded.components.clone(),
-    };
-    filament_core::pretty::print_program(&user)
+            .filter(|s| !std_names.contains(&s.name)),
+        &expanded.components,
+    )
 }
 
 fn parse_with_stdlib(user_src: &str) -> Result<Program, filament_core::ParseError> {
