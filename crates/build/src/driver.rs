@@ -42,7 +42,7 @@ use crate::artifact::{self, Artifact, ARTIFACT_VERSION};
 use crate::ast_bin;
 use crate::key::{fnv64, structural_hash, ContentHash, KeySpace};
 use calyx_lite as cl;
-use filament_core::ast::{Command, Component, Id, Program};
+use filament_core::ast::{Command, Component, Id, Program, Signature};
 use filament_core::mono::{self, CalleeResolver, MAX_DEPTH};
 use filament_core::{
     check_component, check_program, lower_component_unit, CheckError, MonoError, MonoStats,
@@ -53,7 +53,7 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Driver configuration.
 #[derive(Debug, Clone)]
@@ -515,6 +515,12 @@ fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
+/// A serial phase's wall time in microseconds, rounded once from
+/// nanoseconds like every other [`PhaseTimes`] field.
+pub fn phase_us(wall: Duration) -> u64 {
+    fil_opt::ns_to_us(u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX))
+}
+
 // -------------------------------------------------------------- scheduler
 
 struct Shared {
@@ -567,14 +573,31 @@ impl ExternSet {
     }
 }
 
-type ExternSets = Mutex<HashMap<(u64, u64), Arc<ExternSet>>>;
+/// The extern-set memo: every set seen, by the structural hash of its
+/// list, plus the last list seen. Builds against the standard library
+/// share one `Arc`'d list (see [`Program::externs`]), so the pointer
+/// check answers them without hashing the signatures. Holding the `Arc`
+/// keeps the list alive, so its address cannot be reused by another.
+#[derive(Default)]
+struct ExternSets {
+    by_hash: HashMap<(u64, u64), Arc<ExternSet>>,
+    last: Option<(Arc<Vec<Signature>>, Arc<ExternSet>)>,
+}
 
 fn extern_set(program: &Program) -> Arc<ExternSet> {
-    static SETS: OnceLock<ExternSets> = OnceLock::new();
+    static SETS: OnceLock<Mutex<ExternSets>> = OnceLock::new();
+    let mut sets = SETS
+        .get_or_init(Mutex::default)
+        .lock()
+        .expect("no thread panics while holding the extern-set memo");
+    if let Some((list, set)) = &sets.last {
+        if Arc::ptr_eq(list, &program.externs) {
+            return set.clone();
+        }
+    }
     let h = structural_hash(&program.externs);
-    let sets = SETS.get_or_init(|| Mutex::new(HashMap::new()));
-    sets.lock()
-        .unwrap()
+    let set = sets
+        .by_hash
         .entry((h.a, h.b))
         .or_insert_with(|| {
             Arc::new(ExternSet {
@@ -586,7 +609,9 @@ fn extern_set(program: &Program) -> Arc<ExternSet> {
                 checked: AtomicBool::new(false),
             })
         })
-        .clone()
+        .clone();
+    sets.last = Some((program.externs.clone(), set.clone()));
+    set
 }
 
 impl<'p> Ctx<'p> {
@@ -1054,12 +1079,14 @@ fn unit_scope(
         });
     }
     Ok(Program {
-        externs: program
-            .externs
-            .iter()
-            .filter(|s| named.contains(s.name.as_str()))
-            .cloned()
-            .collect(),
+        externs: Arc::new(
+            program
+                .externs
+                .iter()
+                .filter(|s| named.contains(s.name.as_str()))
+                .cloned()
+                .collect(),
+        ),
         components,
     })
 }
@@ -1145,7 +1172,7 @@ fn finish(program: &Program, ctx: Ctx<'_>, lowering: bool) -> Result<DriverOutpu
     let merge_start = trace.as_ref().map(|c| c.now_us());
     let timer = Instant::now();
     let mut out = merge(program, shared, lowering, emit_expanded)?;
-    out.stats.phase.merge_us = timer.elapsed().as_micros() as u64;
+    out.stats.phase.merge_us = phase_us(timer.elapsed());
     out.stats.opt.level = u64::from(opt_level);
     if let (Some(c), Some(start)) = (&trace, merge_start) {
         c.lane(0, "main").complete(
@@ -1382,5 +1409,19 @@ mod tests {
         );
         assert_eq!(phase.parse_us, 0, "parse is the front end's to fill");
         assert_eq!(phase.merge_us, 0, "merge is timed separately");
+    }
+
+    /// The serial phases (parse, merge) round like the per-unit ones:
+    /// once, to the nearest microsecond, not truncated.
+    #[test]
+    fn serial_phase_times_round_like_unit_phases() {
+        for ns in [0, 499, 500, 999, 1_499, 1_500, 63_936] {
+            assert_eq!(
+                phase_us(Duration::from_nanos(ns)),
+                fil_opt::ns_to_us(ns),
+                "{ns} ns"
+            );
+        }
+        assert_eq!(phase_us(Duration::from_nanos(999)), 1, "not truncated");
     }
 }

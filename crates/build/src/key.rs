@@ -149,7 +149,7 @@ impl KeySpace {
         // Structural hash per name: components whole, externs as their
         // signatures.
         let mut own: HashMap<&str, ContentHash> = HashMap::new();
-        for sig in &program.externs {
+        for sig in program.externs.iter() {
             if let Some(h) = extern_hashes.get(&sig.name) {
                 own.insert(&sig.name, *h);
             }

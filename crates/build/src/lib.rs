@@ -59,8 +59,8 @@ pub mod singleflight;
 
 pub use artifact::ARTIFACT_VERSION;
 pub use driver::{
-    build_program, build_program_serial, check_externs, expand_program, BuildError, BuildOptions,
-    BuildStats, DriverOutput, OptStats, PhaseTimes,
+    build_program, build_program_serial, check_externs, expand_program, phase_us, BuildError,
+    BuildOptions, BuildStats, DriverOutput, OptStats, PhaseTimes,
 };
 pub use netcache::NetlistCache;
 pub use request::{BuildOutput, BuildRequest, PROTOCOL_VERSION};

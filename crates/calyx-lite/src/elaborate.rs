@@ -3,6 +3,7 @@
 use crate::ir::{primitive_ports, CalyxError, CellProto, Component, Guard, PortRef, Program, Src};
 use rtl_sim::{CellKind, Netlist, SignalId};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Flattens the hierarchy rooted at `top` into a simulatable
 /// [`rtl_sim::Netlist`].
@@ -24,17 +25,17 @@ pub fn elaborate(program: &Program, top: &str) -> Result<Netlist, CalyxError> {
         fresh: 0,
     };
     // Top-level ports.
-    let mut ports = HashMap::new();
+    let mut ports = Vec::with_capacity(top_comp.inputs.len() + top_comp.outputs.len());
     for (name, width) in &top_comp.inputs {
-        let id = ctx.netlist.add_input(name.clone(), *width);
-        ports.insert(name.clone(), (id, *width));
+        let id = ctx.netlist.add_input(name.as_str(), *width);
+        ports.push((name.as_str(), id, *width));
     }
     for (name, width) in &top_comp.outputs {
-        let id = ctx.netlist.add_signal(name.clone(), *width);
+        let id = ctx.netlist.add_signal(name.as_str(), *width);
         ctx.netlist.mark_output(id);
-        ports.insert(name.clone(), (id, *width));
+        ports.push((name.as_str(), id, *width));
     }
-    ctx.instantiate(top_comp, "", &ports, &mut vec![top.to_owned()])?;
+    ctx.instantiate(top_comp, "", &ports, &mut vec![top_comp.name.as_str()])?;
     Ok(ctx.netlist)
 }
 
@@ -44,94 +45,107 @@ struct Ctx<'p> {
     fresh: u64,
 }
 
-type PortMap = HashMap<String, (SignalId, u32)>;
+/// A port, `(name, signal, width)`; a cell has a handful, found by a scan.
+type Pin<'p> = (&'p str, SignalId, u32);
+
+/// `base.rest`, or `rest` alone at the top level, allocated once.
+fn dotted(base: &str, rest: &str) -> String {
+    let mut name = String::with_capacity(base.len() + 1 + rest.len());
+    if !base.is_empty() {
+        name.push_str(base);
+        name.push('.');
+    }
+    name.push_str(rest);
+    name
+}
 
 impl<'p> Ctx<'p> {
-    fn fresh_name(&mut self, prefix: &str, base: &str) -> String {
+    /// Adds a fresh one-output cell (`prefix$N` under `path`) and returns
+    /// its `width`-bit output.
+    fn fresh_cell(
+        &mut self,
+        prefix: &str,
+        path: &str,
+        kind: CellKind,
+        inputs: Vec<SignalId>,
+        width: u32,
+    ) -> SignalId {
         self.fresh += 1;
-        if base.is_empty() {
+        let name = if path.is_empty() {
             format!("{prefix}${}", self.fresh)
         } else {
-            format!("{base}.{prefix}${}", self.fresh)
-        }
+            format!("{path}.{prefix}${}", self.fresh)
+        };
+        let out = self.netlist.add_signal(dotted(&name, "out"), width);
+        self.netlist.add_cell(name, kind, inputs, vec![out]);
+        out
     }
 
     /// Instantiates `comp` at hierarchical prefix `path` whose own ports are
-    /// pre-created in `own_ports`.
+    /// pre-created in `own_ports`; `stack` holds the components being
+    /// instantiated, outermost first.
     fn instantiate(
         &mut self,
-        comp: &Component,
+        comp: &'p Component,
         path: &str,
-        own_ports: &PortMap,
-        stack: &mut Vec<String>,
+        own_ports: &[Pin<'p>],
+        stack: &mut Vec<&'p str>,
     ) -> Result<(), CalyxError> {
-        // cell name -> (port name -> signal).
-        let mut cell_ports: HashMap<String, PortMap> = HashMap::new();
-
-        let join = |path: &str, rest: &str| {
-            if path.is_empty() {
-                rest.to_owned()
-            } else {
-                format!("{path}.{rest}")
-            }
-        };
+        // Every cell's ports in one table; each cell name maps to its range.
+        let mut pins: Vec<Pin<'p>> = Vec::new();
+        let mut cells: HashMap<&'p str, Range<usize>> = HashMap::with_capacity(comp.cells.len());
 
         // Create signals for every cell's ports; recurse into subcomponents.
         for cell in &comp.cells {
-            let cell_path = join(path, &cell.name);
+            let cell_path = dotted(path, &cell.name);
+            let start = pins.len();
             match &cell.proto {
                 CellProto::Primitive(kind) => {
                     let (ins, outs) = primitive_ports(kind);
-                    let mut map = PortMap::new();
-                    let mut in_ids = Vec::new();
-                    let mut out_ids = Vec::new();
-                    for (pname, w) in &ins {
-                        let id = self.netlist.add_signal(join(&cell_path, pname), *w);
-                        map.insert(pname.clone(), (id, *w));
-                        in_ids.push(id);
+                    for &(pname, w) in ins.iter().chain(&outs) {
+                        let id = self.netlist.add_signal(dotted(&cell_path, pname), w);
+                        pins.push((pname, id, w));
                     }
-                    for (pname, w) in &outs {
-                        let id = self.netlist.add_signal(join(&cell_path, pname), *w);
-                        map.insert(pname.clone(), (id, *w));
-                        out_ids.push(id);
-                    }
+                    let ids = |r: Range<usize>| pins[r].iter().map(|p| p.1).collect();
+                    let split = start + ins.len();
+                    let (in_ids, out_ids) = (ids(start..split), ids(split..pins.len()));
                     self.netlist
-                        .add_cell(cell_path.clone(), kind.clone(), in_ids, out_ids);
-                    cell_ports.insert(cell.name.clone(), map);
+                        .add_cell(cell_path, kind.clone(), in_ids, out_ids);
                 }
                 CellProto::Component(sub_name) => {
-                    if stack.contains(sub_name) {
+                    if stack.contains(&sub_name.as_str()) {
                         return Err(CalyxError::RecursiveComponent(sub_name.clone()));
                     }
                     let sub = self
                         .program
                         .component(sub_name)
                         .ok_or_else(|| CalyxError::UnknownComponent(sub_name.clone()))?;
-                    let mut map = PortMap::new();
                     for (pname, w) in sub.inputs.iter().chain(&sub.outputs) {
-                        let id = self.netlist.add_signal(join(&cell_path, pname), *w);
-                        map.insert(pname.clone(), (id, *w));
+                        let id = self.netlist.add_signal(dotted(&cell_path, pname), *w);
+                        pins.push((pname, id, *w));
                     }
-                    stack.push(sub_name.clone());
-                    // Clone the port map to hand the child its own view.
-                    let child_ports = map.clone();
-                    cell_ports.insert(cell.name.clone(), map);
-                    self.instantiate(sub, &cell_path, &child_ports, stack)?;
+                    stack.push(sub_name);
+                    self.instantiate(sub, &cell_path, &pins[start..], stack)?;
                     stack.pop();
                 }
             }
+            cells.insert(&cell.name, start..pins.len());
         }
 
         let resolve = |r: &PortRef| -> Result<(SignalId, u32), CalyxError> {
-            let map = match &r.cell {
+            let ports = match &r.cell {
                 None => own_ports,
-                Some(c) => cell_ports.get(c).ok_or_else(|| CalyxError::UnknownCell {
-                    component: comp.name.clone(),
-                    cell: c.clone(),
-                })?,
+                Some(c) => {
+                    &pins[cells.get(c.as_str()).cloned().ok_or_else(|| {
+                        CalyxError::UnknownCell {
+                            component: comp.name.clone(),
+                            cell: c.clone(),
+                        }
+                    })?]
+                }
             };
-            map.get(&r.port)
-                .copied()
+            let pin = ports.iter().find(|(name, ..)| *name == r.port);
+            pin.map(|&(_, id, w)| (id, w))
                 .ok_or_else(|| CalyxError::UnknownPort {
                     component: comp.name.clone(),
                     port: r.to_string(),
@@ -144,15 +158,11 @@ impl<'p> Ctx<'p> {
             let (src, src_w) = match &assign.src {
                 Src::Port(p) => resolve(p)?,
                 Src::Const(v) => {
-                    let name = self.fresh_name("const", path);
-                    let sig = self.netlist.add_signal(format!("{name}.out"), v.width());
-                    self.netlist.add_cell(
-                        name,
-                        CellKind::Const { value: v.clone() },
-                        vec![],
-                        vec![sig],
-                    );
-                    (sig, v.width())
+                    let kind = CellKind::Const { value: v.clone() };
+                    (
+                        self.fresh_cell("const", path, kind, vec![], v.width()),
+                        v.width(),
+                    )
                 }
             };
             if dst_w != src_w {
@@ -181,15 +191,8 @@ impl<'p> Ctx<'p> {
                         acc = Some(match acc {
                             None => sig,
                             Some(prev) => {
-                                let name = self.fresh_name("or", path);
-                                let out = self.netlist.add_signal(format!("{name}.out"), 1);
-                                self.netlist.add_cell(
-                                    name,
-                                    CellKind::Or { width: 1 },
-                                    vec![prev, sig],
-                                    vec![out],
-                                );
-                                out
+                                let or = CellKind::Or { width: 1 };
+                                self.fresh_cell("or", path, or, vec![prev, sig], 1)
                             }
                         });
                     }

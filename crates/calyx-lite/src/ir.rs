@@ -74,19 +74,17 @@ impl fmt::Display for CalyxError {
 impl std::error::Error for CalyxError {}
 
 /// A pin list: `(port_name, width)` pairs in pin order.
-pub type PortList = Vec<(String, u32)>;
+pub type PortList = Vec<(&'static str, u32)>;
 
 /// Canonical port names and widths for a primitive cell: `(inputs, outputs)`.
 ///
 /// These are the names Low Filament assignments use (`A.left`, `Gf._0`, …).
+/// Every name is static: a shift FSM's `_i` outputs come from a process-wide
+/// table that grows to the longest FSM seen, so no call allocates a name.
 pub fn primitive_ports(kind: &CellKind) -> (PortList, PortList) {
     use CellKind::*;
-    let named = |names: &[&str], widths: Vec<u32>| -> Vec<(String, u32)> {
-        names
-            .iter()
-            .zip(widths)
-            .map(|(n, w)| (n.to_string(), w))
-            .collect()
+    let named = |names: &[&'static str], widths: Vec<u32>| -> PortList {
+        names.iter().copied().zip(widths).collect()
     };
     let ins = kind.input_widths();
     let outs = kind.output_widths();
@@ -123,8 +121,12 @@ pub fn primitive_ports(kind: &CellKind) -> (PortList, PortList) {
             }
         }
         ShiftFsm { n } => {
-            let outputs = (0..*n).map(|i| (format!("_{i}"), 1)).collect();
-            (named(&["go"], ins), outputs)
+            static NAMES: std::sync::Mutex<Vec<&'static str>> = std::sync::Mutex::new(Vec::new());
+            let mut names = NAMES.lock().unwrap_or_else(|e| e.into_inner());
+            for i in names.len()..*n as usize {
+                names.push(Box::leak(format!("_{i}").into_boxed_str()));
+            }
+            (named(&["go"], ins), named(&names[..*n as usize], outs))
         }
         MultSeq { .. } => (named(&["go", "left", "right"], ins), named(&["out"], outs)),
         Dsp48 { .. } => (named(&["a", "b", "c", "pcin"], ins), named(&["p"], outs)),

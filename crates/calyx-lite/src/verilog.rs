@@ -5,11 +5,21 @@
 //! It is meant for inspection and for hand-off to external toolchains; our
 //! evaluation simulates the elaborated netlist directly.
 
-use crate::ir::{CellProto, Component, Guard, Program, Src};
+use crate::ir::{CellProto, Component, Guard, PortRef, Program, Src};
 use std::fmt::Write as _;
 
-fn sanitize(name: &str) -> String {
-    name.replace(['.', '$', '<', '>', '[', ']'], "_")
+/// Appends the identifier `cell_name` (or `name` off any cell) with the
+/// characters Verilog identifiers cannot hold replaced by `_`.
+fn push_ident(out: &mut String, cell: Option<&str>, name: &str) {
+    let chars = cell.into_iter().flat_map(|c| c.chars().chain(['_']));
+    out.extend(chars.chain(name.chars()).map(|ch| match ch {
+        '.' | '$' | '<' | '>' | '[' | ']' => '_',
+        ch => ch,
+    }));
+}
+
+fn push_port(out: &mut String, p: &PortRef) {
+    push_ident(out, p.cell.as_deref(), &p.port);
 }
 
 /// Emits all components of a program as Verilog modules.
@@ -23,16 +33,16 @@ pub fn emit_program(program: &Program) -> String {
 }
 
 fn emit_component(comp: &Component, out: &mut String) {
-    let mut ports = vec!["input wire clk".to_owned()];
-    for (n, w) in &comp.inputs {
-        ports.push(format!("input wire [{}:0] {}", w - 1, sanitize(n)));
+    out.push_str("module ");
+    push_ident(out, None, &comp.name);
+    out.push_str("(\n  input wire clk");
+    for (dir, ports) in [("input", &comp.inputs), ("output", &comp.outputs)] {
+        for (n, w) in ports {
+            write!(out, ",\n  {dir} wire [{}:0] ", w - 1).unwrap();
+            push_ident(out, None, n);
+        }
     }
-    for (n, w) in &comp.outputs {
-        ports.push(format!("output wire [{}:0] {}", w - 1, sanitize(n)));
-    }
-    writeln!(out, "module {}(", sanitize(&comp.name)).unwrap();
-    writeln!(out, "  {}", ports.join(",\n  ")).unwrap();
-    writeln!(out, ");").unwrap();
+    out.push_str("\n);\n");
 
     // Wires for every cell port.
     for cell in &comp.cells {
@@ -40,74 +50,58 @@ fn emit_component(comp: &Component, out: &mut String) {
             CellProto::Primitive(kind) => {
                 let (ins, outs) = crate::ir::primitive_ports(kind);
                 for (p, w) in ins.iter().chain(&outs) {
-                    writeln!(
-                        out,
-                        "  wire [{}:0] {}_{};",
-                        w - 1,
-                        sanitize(&cell.name),
-                        sanitize(p)
-                    )
-                    .unwrap();
+                    write!(out, "  wire [{}:0] ", w - 1).unwrap();
+                    push_ident(out, Some(&cell.name), p);
+                    out.push_str(";\n");
                 }
-                writeln!(
-                    out,
-                    "  {} #() {} ({});",
-                    kind.verilog_module(),
-                    sanitize(&cell.name),
-                    ins.iter()
-                        .chain(&outs)
-                        .map(|(p, _)| format!(
-                            ".{}({}_{})",
-                            sanitize(p),
-                            sanitize(&cell.name),
-                            sanitize(p)
-                        ))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )
-                .unwrap();
+                write!(out, "  {} #() ", kind.verilog_module()).unwrap();
+                push_ident(out, None, &cell.name);
+                out.push_str(" (");
+                for (i, (p, _)) in ins.iter().chain(&outs).enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    out.push('.');
+                    push_ident(out, None, p);
+                    out.push('(');
+                    push_ident(out, Some(&cell.name), p);
+                    out.push(')');
+                }
+                out.push_str(");\n");
             }
             CellProto::Component(sub) => {
-                writeln!(
-                    out,
-                    "  {} {} (.clk(clk) /* subcomponent ports elided */);",
-                    sanitize(sub),
-                    sanitize(&cell.name)
-                )
-                .unwrap();
+                out.push_str("  ");
+                push_ident(out, None, sub);
+                out.push(' ');
+                push_ident(out, None, &cell.name);
+                out.push_str(" (.clk(clk) /* subcomponent ports elided */);\n");
             }
         }
     }
 
     for assign in &comp.assigns {
-        let dst = match &assign.dst.cell {
-            Some(c) => format!("{}_{}", sanitize(c), sanitize(&assign.dst.port)),
-            None => sanitize(&assign.dst.port),
+        out.push_str("  assign ");
+        push_port(out, &assign.dst);
+        out.push_str(" = ");
+        let guard: &[PortRef] = match &assign.guard {
+            Guard::Any(ports) => ports,
+            Guard::True => &[],
         };
-        let src = match &assign.src {
-            Src::Port(p) => match &p.cell {
-                Some(c) => format!("{}_{}", sanitize(c), sanitize(&p.port)),
-                None => sanitize(&p.port),
-            },
-            Src::Const(v) => format!("{}'h{:x}", v.width(), v),
-        };
-        match &assign.guard {
-            Guard::True => writeln!(out, "  assign {dst} = {src};").unwrap(),
-            Guard::Any(ports) if ports.is_empty() => {
-                writeln!(out, "  assign {dst} = {src};").unwrap()
+        if !guard.is_empty() {
+            out.push('(');
+            for (i, p) in guard.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(" | ");
+                }
+                push_port(out, p);
             }
-            Guard::Any(ports) => {
-                let g = ports
-                    .iter()
-                    .map(|p| match &p.cell {
-                        Some(c) => format!("{}_{}", sanitize(c), sanitize(&p.port)),
-                        None => sanitize(&p.port),
-                    })
-                    .collect::<Vec<_>>()
-                    .join(" | ");
-                writeln!(out, "  assign {dst} = ({g}) ? {src} : 'x;").unwrap();
-            }
+            out.push_str(") ? ");
         }
+        match &assign.src {
+            Src::Port(p) => push_port(out, p),
+            Src::Const(v) => write!(out, "{}'h{:x}", v.width(), v).unwrap(),
+        }
+        out.push_str(if guard.is_empty() { ";\n" } else { " : 'x;\n" });
     }
-    writeln!(out, "endmodule").unwrap();
+    out.push_str("endmodule\n");
 }

@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An identifier (component, event, port, instance, or invocation name).
 pub type Id = String;
@@ -1140,8 +1141,12 @@ pub struct Component {
 /// A full program: externs (signature-only, Section 3.6) and user components.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Program {
-    /// Extern (black-box) component signatures.
-    pub externs: Vec<Signature>,
+    /// Extern (black-box) component signatures, shared copy-on-write:
+    /// cloning a program (the standard library into every build, the
+    /// externs into expanded output) bumps a reference count, and a writer
+    /// takes a private copy through [`Arc::make_mut`]. `Arc<T>` hashes and
+    /// compares as `T`, so structural hashes do not see the sharing.
+    pub externs: Arc<Vec<Signature>>,
     /// User components with bodies.
     pub components: Vec<Component>,
 }
@@ -1175,7 +1180,9 @@ impl Program {
     /// Merges another program's definitions into this one (used to combine
     /// the standard library with user code).
     pub fn extend(&mut self, other: Program) {
-        self.externs.extend(other.externs);
+        if !other.externs.is_empty() {
+            Arc::make_mut(&mut self.externs).extend(Arc::unwrap_or_clone(other.externs));
+        }
         self.components.extend(other.components);
     }
 }
@@ -1642,7 +1649,7 @@ mod tests {
     #[test]
     fn program_lookup() {
         let mut p = Program::new();
-        p.externs.push(Signature {
+        Arc::make_mut(&mut p.externs).push(Signature {
             name: "Add".into(),
             params: vec![],
             events: vec![],

@@ -303,7 +303,7 @@ pub fn check_program(program: &Program) -> Result<(), Vec<CheckError>> {
         }
     }
 
-    for sig in &program.externs {
+    for sig in program.externs.iter() {
         sig::check_signature(sig, true, &mut errors);
     }
     for comp in &program.components {

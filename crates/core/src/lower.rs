@@ -436,9 +436,8 @@ fn lower_one(
                 if let Some(kind) = registry.primitive(component, &values) {
                     // The signature's port names must exist on the primitive.
                     let (pins, pouts) = cl::primitive_ports(&kind);
-                    let have: HashSet<&str> =
-                        pins.iter().chain(&pouts).map(|(n, _)| n.as_str()).collect();
-                    if let Some(port) = sig_port_names(callee).find(|p| !have.contains(p)) {
+                    let have = |p: &str| pins.iter().chain(&pouts).any(|&(n, _)| n == p);
+                    if let Some(port) = sig_port_names(callee).find(|p| !have(p)) {
                         return Err(LowerError::PortMismatch {
                             name: component.clone(),
                             port: port.to_owned(),

@@ -371,7 +371,7 @@ pub fn validate(program: &Program) -> Result<(), MonoError> {
     // Externs pass through elaboration untouched, so a bundle port on one
     // could never be flattened — reject it here with a direct message
     // rather than letting the checker report a residual-construct error.
-    for sig in &program.externs {
+    for sig in program.externs.iter() {
         if let Some(p) = sig
             .inputs
             .iter()

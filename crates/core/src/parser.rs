@@ -38,6 +38,7 @@
 
 use crate::ast::*;
 use std::fmt;
+use std::sync::Arc;
 
 /// A parse failure, with 1-based line and column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -962,7 +963,7 @@ impl Parser {
                     self.bump();
                     let sig = self.signature()?;
                     self.eat(Tok::Semi)?;
-                    program.externs.push(sig);
+                    Arc::make_mut(&mut program.externs).push(sig);
                 }
                 Tok::Ident(s) if s == "comp" => {
                     let sig = self.signature()?;

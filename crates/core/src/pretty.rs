@@ -13,7 +13,7 @@ use std::fmt::{Display, Write as _};
 
 /// Renders a full program.
 pub fn print_program(p: &Program) -> String {
-    print_items(&p.externs, &p.components)
+    print_items(p.externs.iter(), &p.components)
 }
 
 /// Renders `extern` declarations followed by components, exactly as

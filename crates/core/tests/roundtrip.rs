@@ -191,7 +191,7 @@ proptest! {
     fn const_exprs_round_trip(seed in proptest::prelude::any::<u64>(), depth in 0u32..5) {
         let e = rand_cexpr(seed, depth);
         let mut p = Program::new();
-        p.externs.push(Signature {
+        std::sync::Arc::make_mut(&mut p.externs).push(Signature {
             name: "A".into(),
             params: (0..4).map(|i| ParamDecl::free(format!("p{i}"))).collect(),
             events: vec![EventDecl { name: "T".into(), delay: Delay::Const(1) }],

@@ -105,7 +105,7 @@ fn digest(s: &str) -> u64 {
 /// `print_signature` and `print_command` over every item, one per line.
 fn item_text(p: &Program) -> String {
     let mut out = String::new();
-    for sig in &p.externs {
+    for sig in p.externs.iter() {
         out.push_str(&print_signature(sig));
         out.push('\n');
     }

@@ -230,3 +230,42 @@ fn opt_passes_leave_trace_spans() {
         );
     }
 }
+
+/// The lanes (`tid`s) of every `"X"` span with the given name.
+fn span_lanes(json: &str, name: &str) -> Vec<u64> {
+    use fil_trace::json::{parse, Json};
+    let doc = parse(json).expect("trace is JSON");
+    let field = |e: &Json, key: &str| e.get(key).and_then(Json::as_str).map(str::to_string);
+    doc.get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("traceEvents array")
+        .iter()
+        .filter(|e| {
+            field(e, "ph").as_deref() == Some("X") && field(e, "name").as_deref() == Some(name)
+        })
+        .map(|e| e.get("tid").and_then(Json::as_u64).expect("tid"))
+        .collect()
+}
+
+/// Elaboration and Verilog emission each leave one span on the main lane
+/// (tid 0) when their output is requested, and none when it is not.
+#[test]
+fn backend_steps_leave_main_lane_spans() {
+    let src = fil_designs::systolic::source(2, 8);
+    let traced = |req: BuildRequest| {
+        let collector = Arc::new(fil_trace::Collector::new());
+        fil_stdlib::build(&req.trace(collector.clone())).expect("build failed");
+        let json = collector.chrome_json();
+        fil_trace::validate_chrome_trace(&json).expect("invalid Chrome trace");
+        json
+    };
+    let top = fil_designs::systolic::top_name(2);
+    let json = traced(BuildRequest::new(src.as_str()).netlist(top).verilog());
+    assert_eq!(span_lanes(&json, "elaborate"), vec![0]);
+    assert_eq!(span_lanes(&json, "verilog"), vec![0]);
+    assert!(lane_names(&json).contains(&"main".to_string()));
+
+    let json = traced(BuildRequest::new(src.as_str()).lowered());
+    assert_eq!(spans_named(&json, "elaborate"), 0);
+    assert_eq!(spans_named(&json, "verilog"), 0);
+}

@@ -616,8 +616,6 @@ fn replace_reads(
 /// Pass 1: constant folding and propagation.
 fn const_fold(c: &mut Component, cfg: &OptConfig, notes: &mut Notes) -> u64 {
     let fanin = Fanin::new(c);
-    // Input pins per primitive kind, computed once per distinct kind.
-    let mut pins_of: HashMap<&CellKind, Vec<(String, u32)>> = HashMap::new();
     let mut repl: HashMap<PortRef, Src> = HashMap::new();
     let mut dead = HashSet::new();
     for (ci, cell) in c.cells.iter().enumerate() {
@@ -628,9 +626,7 @@ fn const_fold(c: &mut Component, cfg: &OptConfig, notes: &mut Notes) -> u64 {
             continue;
         }
         let drivers = fanin.drivers_of(ci);
-        let pins = pins_of
-            .entry(kind)
-            .or_insert_with(|| primitive_ports(kind).0);
+        let (pins, _) = primitive_ports(kind);
         let mut vals = Vec::with_capacity(pins.len());
         let mut all_const = true;
         let mut any_const = false;

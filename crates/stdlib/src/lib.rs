@@ -192,8 +192,11 @@ extern comp ContPrev[W, SAFE]<G: 1>(@[G, G+1] in: W) -> (@[G, G+1] out: W);
 
 /// Parses the standard library into a program (no user components yet).
 ///
-/// Parsed once per process and cloned out — the compile-farm daemon (and
-/// every repeated library call) never re-parses the embedded source.
+/// Parsed once per process; every call shares that parse's extern list
+/// (`Arc::ptr_eq`), so a call costs a reference-count bump and the
+/// compile-farm daemon (and every repeated library call) never re-parses
+/// or copies the embedded source. A program that adds its own externs
+/// takes a private copy of the list on write.
 ///
 /// # Panics
 ///
@@ -209,7 +212,13 @@ pub fn std_program() -> Program {
 /// of expanded output), computed once per process.
 fn std_extern_names() -> &'static HashSet<String> {
     static NAMES: OnceLock<HashSet<String>> = OnceLock::new();
-    NAMES.get_or_init(|| std_program().externs.into_iter().map(|s| s.name).collect())
+    NAMES.get_or_init(|| {
+        std_program()
+            .externs
+            .iter()
+            .map(|s| s.name.clone())
+            .collect()
+    })
 }
 
 /// The process-wide elaborated-netlist cache backing
@@ -304,7 +313,12 @@ fn run_request(
         output.expanded = Some(out.expanded);
     }
     if let Some(lowered) = out.lowered {
+        // The back end's serial steps, spanned on the main lane after the
+        // driver's merge.
+        let lane = opts.trace.as_ref().map(|c| c.lane(0, "main"));
+        let span = |name| lane.as_ref().map(|l| l.span("build", name));
         if let Some(top) = &req.want_netlist {
+            let _span = span("elaborate");
             let (netlist, from_cache) = netlist_cache()
                 .get_or_elaborate(&lowered, top, opts.opt_level)
                 .map_err(|e| LoadError::Driver(e.to_string()))?;
@@ -312,6 +326,7 @@ fn run_request(
             output.netlist_from_cache = from_cache;
         }
         if req.want_verilog {
+            let _span = span("verilog");
             output.verilog = Some(calyx_lite::emit_program(&lowered));
         }
         if req.want_lowered {
@@ -353,7 +368,7 @@ fn timed_parse(user_src: &str, opts: &fil_build::BuildOptions) -> Result<TimedPa
     let start = opts.trace.as_ref().map(|c| c.now_us());
     let timer = std::time::Instant::now();
     let program = parse_with_stdlib(user_src)?;
-    let parse_us = timer.elapsed().as_micros() as u64;
+    let parse_us = fil_build::phase_us(timer.elapsed());
     if let (Some(c), Some(start)) = (&opts.trace, start) {
         c.lane(0, "main")
             .complete("build", "parse", start, parse_us, Vec::new());
@@ -454,10 +469,56 @@ mod tests {
         check_program(&p).unwrap_or_else(|e| panic!("stdlib ill-typed: {e:#?}"));
     }
 
+    const ADD_MAIN: &str = "comp Main<G: 1>(@[G, G+1] x: 8) -> (@[G, G+1] o: 8) {
+           a := new Add[8]<G>(x, x);
+           o = a.out;
+         }";
+
+    #[test]
+    fn std_program_shares_one_extern_list() {
+        use std::sync::Arc;
+        let count = STDLIB_SOURCE.matches("extern comp").count();
+        let std = std_program();
+        assert_eq!(std.externs.len(), count);
+        assert!(Arc::ptr_eq(&std.externs, &std_program().externs));
+        // Adding only components keeps sharing the list.
+        let mut with_comp = std_program();
+        with_comp.extend(parse_program(ADD_MAIN).unwrap());
+        assert!(Arc::ptr_eq(&std.externs, &with_comp.externs));
+        // A user extern gets the program a private copy; the shared list
+        // is untouched.
+        let mut with_extern = std_program();
+        with_extern.extend(
+            parse_program("extern comp Mine<G: 1>(@[G, G+1] x: 8) -> (@[G, G+1] o: 8);").unwrap(),
+        );
+        assert!(!Arc::ptr_eq(&std.externs, &with_extern.externs));
+        assert_eq!(with_extern.externs.len(), count + 1);
+        assert!(with_extern.is_extern("Mine"));
+        assert_eq!(std_program().externs.len(), count);
+        assert!(!std_program().is_extern("Mine"));
+    }
+
+    /// The driver memoizes the last extern list it validated by pointer;
+    /// a program with its own (ill-formed) extern never rides on the
+    /// standard library's validation, before or after a good build.
+    #[test]
+    fn bad_user_extern_is_rejected_between_std_builds() {
+        let req = |src: &str| BuildRequest::new(src).lowered();
+        build(&req(ADD_MAIN)).expect("std build");
+        let bad = format!("extern comp Bad<G: 1>(@[G, G+3] x: 8) -> (@[G, G+1] o: 8);\n{ADD_MAIN}");
+        for _ in 0..2 {
+            match build(&req(&bad)) {
+                Err(LoadError::Driver(e)) => assert!(e.contains("[Bad]"), "{e}"),
+                other => panic!("bad extern accepted: {other:?}"),
+            }
+        }
+        build(&req(ADD_MAIN)).expect("std build after the rejection");
+    }
+
     #[test]
     fn every_extern_has_a_primitive() {
         let p = std_program();
-        for sig in &p.externs {
+        for sig in p.externs.iter() {
             let params: Vec<u64> = sig.params.iter().map(|_| 8).collect();
             assert!(
                 StdRegistry.primitive(&sig.name, &params).is_some(),
@@ -472,7 +533,7 @@ mod tests {
         // Lowering validates port-name agreement; compile a probe program
         // per extern with a tiny wrapper that instantiates it unused.
         let p = std_program();
-        for sig in &p.externs {
+        for sig in p.externs.iter() {
             let params: Vec<u64> = sig
                 .params
                 .iter()
@@ -488,7 +549,7 @@ mod tests {
             let kind = StdRegistry.primitive(&sig.name, &params).unwrap();
             let (ins, outs) = calyx_lite::primitive_ports(&kind);
             let have: std::collections::HashSet<&str> =
-                ins.iter().chain(&outs).map(|(n, _)| n.as_str()).collect();
+                ins.iter().chain(&outs).map(|&(n, _)| n).collect();
             for port in sig
                 .interfaces
                 .iter()
