@@ -488,17 +488,29 @@ pub fn lut8(table: &[u8; 256], a: &LaneBuf, out: &mut LaneBuf) {
 /// Copies `src` lanes into `dst` only where the 1-bit `mask` plane is set —
 /// the batched analogue of a guarded write.
 pub fn copy_masked(dst: &mut LaneBuf, src: &LaneBuf, mask: &[u64]) {
+    for (word, &m) in mask.iter().enumerate() {
+        copy_masked_word(dst, src, word, m);
+    }
+}
+
+/// [`copy_masked`] for the 64 lanes of one plane word: lane `64 * word + i`
+/// is copied where bit `i` of `mask` is set.
+#[inline]
+pub fn copy_masked_word(dst: &mut LaneBuf, src: &LaneBuf, word: usize, mask: u64) {
     debug_assert_eq!(dst.width, src.width);
-    if dst.is_plane() {
-        for ((d, &s), &m) in dst.words.iter_mut().zip(&src.words).zip(mask) {
-            *d = (*d & !m) | (s & m);
-        }
+    if mask == 0 {
         return;
     }
-    for l in 0..dst.lanes as usize {
-        let bit = (mask[l / 64] >> (l % 64)) & 1;
-        let m = 0u64.wrapping_sub(bit);
-        dst.words[l] = (src.words[l] & m) | (dst.words[l] & !m);
+    if dst.is_plane() {
+        let d = &mut dst.words[word];
+        *d = (*d & !mask) | (src.words[word] & mask);
+        return;
+    }
+    let lo = word * 64;
+    let hi = (lo + 64).min(dst.lanes as usize);
+    for (i, (d, &s)) in dst.words[lo..hi].iter_mut().zip(&src.words[lo..hi]).enumerate() {
+        let m = 0u64.wrapping_sub((mask >> i) & 1);
+        *d = (s & m) | (*d & !m);
     }
 }
 

@@ -410,7 +410,7 @@ impl CellKind {
     ///
     /// Panics if pin counts or widths disagree with the cell definition
     /// (callers are expected to have validated the netlist).
-    pub fn eval_into(&self, inputs: &[&Value], state: &CellState, outs: &mut [Value]) {
+    pub fn eval_into(&self, inputs: &[&Value], state: &[Value], outs: &mut [Value]) {
         use CellKind::*;
         match *self {
             Const { ref value } => outs[0].clone_from(value),
@@ -458,7 +458,7 @@ impl CellKind {
 
     /// Advances state at a clock edge. New state is computed from old state
     /// and the settled input values (nonblocking semantics).
-    pub fn tick(&self, inputs: &[&Value], state: &mut CellState) {
+    pub fn tick(&self, inputs: &[&Value], state: &mut [Value]) {
         use CellKind::*;
         match *self {
             Reg { has_en, .. } => {

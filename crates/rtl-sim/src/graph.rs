@@ -1,11 +1,11 @@
 //! Shared elaboration: the netlist flattened into CSR index arrays.
 //!
-//! Both simulation engines — the scalar [`Sim`](crate::Sim) and the batched
+//! Both simulators — the scalar [`Sim`](crate::Sim) and the batched
 //! [`BatchSim`](crate::BatchSim) — consume the same flattened form of a
 //! netlist: resolved drivers, combinational dependency edges, per-cell pin
 //! lists, and a topological evaluation order. This module computes it once
-//! per netlist (the [`Netlist`] caches it until its next mutation) so the
-//! engines only differ in their value storage and settle loops.
+//! per netlist (the [`Netlist`] caches it until its next mutation), and
+//! the one engine runs over it at either value storage.
 
 use crate::cell::CellKind;
 use crate::netlist::{Netlist, SignalId};
@@ -19,8 +19,9 @@ pub(crate) enum Driver {
     /// Output pin `pin` of cell `cell`.
     Cell { cell: u32, pin: u32 },
     /// A run of entries in [`FlatGraph::assign_lists`] naming the (guarded)
-    /// assignments that may drive this signal.
-    Assigns { start: u32, len: u32 },
+    /// assignments that may drive this signal, whose width is entry `class`
+    /// of [`FlatGraph::assign_widths`].
+    Assigns { start: u32, len: u32, class: u32 },
 }
 
 /// A netlist flattened into CSR arrays plus a topological evaluation order.
@@ -32,6 +33,8 @@ pub(crate) struct FlatGraph {
     pub drivers: Vec<Driver>,
     /// CSR payload for [`Driver::Assigns`] runs (global assign indices).
     pub assign_lists: Vec<u32>,
+    /// The distinct widths of assignment-driven signals.
+    pub assign_widths: Vec<u32>,
     /// CSR: `dep_list[dep_start[s]..dep_start[s+1]]` are the signals that
     /// combinationally depend on signal `s`.
     pub dep_start: Vec<u32>,
@@ -76,12 +79,18 @@ impl FlatGraph {
             per_sig[assign.dst.index()].push(ai as u32);
         }
         let mut drivers = vec![Driver::External; n_sigs];
-        let mut assign_lists: Vec<u32> = Vec::new();
+        let (mut assign_lists, mut assign_widths) = (Vec::new(), Vec::new());
         for (si, list) in per_sig.iter().enumerate() {
             if !list.is_empty() {
+                let w = netlist.signals()[si].width;
+                let class = assign_widths.iter().position(|&x| x == w);
                 drivers[si] = Driver::Assigns {
                     start: assign_lists.len() as u32,
                     len: list.len() as u32,
+                    class: class.unwrap_or_else(|| {
+                        assign_widths.push(w);
+                        assign_widths.len() - 1
+                    }) as u32,
                 };
                 assign_lists.extend_from_slice(list);
             }
@@ -183,6 +192,7 @@ impl FlatGraph {
         Ok(FlatGraph {
             drivers,
             assign_lists,
+            assign_widths,
             dep_start,
             dep_list,
             cin_start,

@@ -5,7 +5,11 @@
 //! the simulation substrate of our reproduction: a structural netlist IR of
 //! *primitive cells* connected by *guarded assignments* (the same shape as
 //! Calyx programs, Section 5.3 of the paper), plus a two-state cycle-accurate
-//! simulator.
+//! simulator. The simulator is one engine at two value storages: [`Sim`]
+//! holds one lane of any width, [`BatchSim`] holds B independent stimulus
+//! lanes of up to 64 bits, settled in lockstep. Both run the same settle
+//! loop, tick loop, guarded-assign resolver and conflict report, so lane `l`
+//! of a batched run is bit-identical to a scalar run of lane `l`'s stimulus.
 //!
 //! The primitive cell library ([`CellKind`]) plays the role of the paper's
 //! "341 lines of Verilog for the standard library primitives": adders,
@@ -72,19 +76,18 @@
 
 #![forbid(unsafe_code)]
 
-mod batch;
 mod cell;
+mod engine;
 mod graph;
 mod netlist;
 mod profile;
 mod sim;
 mod wave;
 
-pub use batch::BatchSim;
 pub use cell::{CellKind, CellState, AES_SBOX};
 pub use netlist::{Assign, CellId, CellInst, Netlist, NetlistError, PortDir, Signal, SignalId};
 pub use profile::ProfileReport;
-pub use sim::{Sim, SimError};
+pub use sim::{BatchSim, Sim, SimError};
 pub use wave::{AsciiWave, VcdWriter};
 
 #[cfg(test)]

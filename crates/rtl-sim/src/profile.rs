@@ -15,10 +15,10 @@
 //! done*, not a model of it. Under `set_force_full_settle(true)` every
 //! engine evaluates every cell once per settle, so [`Sim`](crate::Sim) and
 //! [`BatchSim`](crate::BatchSim) totals agree exactly, cell by cell. The
-//! `BatchSim` register fast path skips the stamp and is *visit*-counted
-//! instead; a register output is visited at most once per settle, so the
-//! count is the same. Assign *resolutions* (guarded-assign group
-//! evaluations) are reported as a separate counter.
+//! register fast path (shared by both) copies a register's state straight
+//! to its output instead of evaluating the cell, but still takes the stamp,
+//! so a register counts like any other cell. Assign *resolutions*
+//! (guarded-assign group evaluations) are reported as a separate counter.
 
 use crate::netlist::Netlist;
 

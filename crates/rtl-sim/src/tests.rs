@@ -1204,10 +1204,10 @@ fn graph_cache_is_shared_and_per_clone() {
     let (n, [d, q, ..]) = delay_netlist();
     let sim = Sim::new(&n).unwrap();
     let batch = crate::BatchSim::new(&n, 4).unwrap();
-    assert!(std::sync::Arc::ptr_eq(&sim.flat, &batch.flat));
+    assert!(std::sync::Arc::ptr_eq(&sim.0.flat, &batch.0.flat));
     assert!(std::sync::Arc::ptr_eq(
-        &sim.flat,
-        &Sim::new(&n).unwrap().flat
+        &sim.0.flat,
+        &Sim::new(&n).unwrap().0.flat
     ));
 
     // Mutating a clone re-flattens the clone only.
@@ -1218,7 +1218,10 @@ fn graph_cache_is_shared_and_per_clone() {
         Sim::new(&c).unwrap_err(),
         SimError::CombLoop { .. }
     ));
-    assert!(std::sync::Arc::ptr_eq(&sim.flat, &n.flat_graph().unwrap()));
+    assert!(std::sync::Arc::ptr_eq(
+        &sim.0.flat,
+        &n.flat_graph().unwrap()
+    ));
     let mut sim = Sim::new(&n).unwrap();
     sim.poke(d, v(4, 9));
     sim.step().unwrap();
