@@ -15,6 +15,9 @@
 //!   ignored; the reply still matches a local build.
 //! * **Abuse survival** — mid-frame disconnects, raw garbage, and
 //!   truncated headers cost the daemon nothing but the one connection.
+//! * **Frame deadline** — a client that stalls mid-frame is cut off after
+//!   [`serve::FRAME_DEADLINE`], so it neither starves other clients nor
+//!   keeps an idle-timed daemon alive.
 
 #![cfg(unix)]
 
@@ -24,7 +27,7 @@ use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn sock(tag: &str) -> PathBuf {
     // Unix socket paths are length-limited (~104 bytes): keep them short.
@@ -289,4 +292,70 @@ fn disconnects_and_garbage_only_cost_their_own_connection() {
     assert!(malformed >= 3, "only {malformed} malformed frames counted");
 
     shut_down(&socket, handle);
+}
+
+#[test]
+fn a_stalled_half_frame_times_out_and_the_daemon_still_idles_out() {
+    let socket = sock("stall");
+    let idle = Duration::from_millis(1000);
+    let server = Server::bind(ServeOptions {
+        socket: socket.clone(),
+        jobs: 1,
+        idle_timeout: Some(idle),
+        ..Default::default()
+    })
+    .expect("bind daemon");
+    let handle = std::thread::spawn(move || server.run());
+    for _ in 0..300 {
+        if serve::ping(&socket).is_ok() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // Half a frame header, then silence: the connection stays open.
+    let mut full = Vec::new();
+    wire::write_frame(&mut full, &[2u8]).expect("frame to vec");
+    let mut stalled = UnixStream::connect(&socket).expect("connect");
+    stalled.write_all(&full[..6]).expect("half header");
+    let stalled_at = Instant::now();
+
+    // Other clients are answered while it stalls.
+    serve::ping(&socket).expect("ping beside a stalled client");
+    let req = BuildRequest::new(
+        "comp Main<G: 1>(@[G, G+1] x: 8) -> (@[G, G+1] o: 8) {
+            a := new Add[8]<G>(x, x);
+            o = a.out;
+        }",
+    )
+    .expanded(false)
+    .verilog();
+    let out = serve::request_build(&socket, &req).expect("build beside a stalled client");
+    assert!(out.output.verilog.is_some());
+
+    // At the deadline the daemon answers the stalled frame with an error
+    // and hangs up, and counts the frame as malformed.
+    stalled
+        .set_read_timeout(Some(serve::FRAME_DEADLINE * 3))
+        .expect("client read timeout");
+    let reply = wire::read_frame(&mut stalled).expect("error reply to the stalled frame");
+    assert_eq!(reply.first(), Some(&2), "RESP_ERR");
+    let waited = stalled_at.elapsed();
+    assert!(
+        waited >= serve::FRAME_DEADLINE - Duration::from_millis(100),
+        "cut off after {waited:?}, before the deadline"
+    );
+    assert!(stat(&socket, "malformed_frames") >= 1);
+
+    // With the stalled client still holding its socket, the daemon goes
+    // idle and exits on its own.
+    handle.join().expect("server thread").expect("server run");
+    let total = stalled_at.elapsed();
+    let bound = serve::FRAME_DEADLINE + idle + Duration::from_secs(3);
+    assert!(
+        total < bound,
+        "run() returned after {total:?}, bound {bound:?}"
+    );
+    assert!(!socket.exists(), "socket removed after idle exit");
+    drop(stalled);
 }

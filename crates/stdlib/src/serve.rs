@@ -28,7 +28,9 @@
 //! A malformed frame (bad magic, version skew, checksum failure, bogus
 //! opcode) is answered with a best-effort `RESP_ERR` and *that
 //! connection* is closed; the daemon itself stays up. A client that
-//! vanishes mid-frame costs nothing but its own thread.
+//! vanishes mid-frame costs nothing but its own thread, and one that
+//! stalls holds it for at most twice [`FRAME_DEADLINE`]: a frame that has
+//! not arrived whole by its deadline counts as malformed.
 
 use calyx_lite::serial::{DecodeError, Reader, Writer};
 use fil_build::request::{self as wire, FrameError};
@@ -50,6 +52,12 @@ const RESP_ERR: u8 = 2;
 const RESP_PONG: u8 = 3;
 const RESP_STATS: u8 = 4;
 const RESP_BYE: u8 = 5;
+
+/// How long the daemon waits for a whole request frame, and for each
+/// blocked read or reply write, before it drops the connection. A stalled
+/// client then cannot pin its connection thread, nor hold off the idle
+/// timeout.
+pub const FRAME_DEADLINE: Duration = Duration::from_secs(2);
 
 /// How many completed builds the daemon memoizes (encoded reply bytes,
 /// FIFO). Identical repeats inside this window skip the driver entirely.
@@ -193,6 +201,8 @@ impl Server {
                         .stats
                         .connections
                         .fetch_add(1, Ordering::Relaxed);
+                    let _ = stream.set_read_timeout(Some(FRAME_DEADLINE));
+                    let _ = stream.set_write_timeout(Some(FRAME_DEADLINE));
                     self.shared.active.fetch_add(1, Ordering::SeqCst);
                     *self.shared.last_activity.lock().unwrap() = Instant::now();
                     let shared = self.shared.clone();
@@ -222,9 +232,32 @@ fn normalize(mut req: BuildRequest, opts: &ServeOptions) -> BuildRequest {
     req
 }
 
+/// Reads a frame from a stream until a fixed instant, however slowly its
+/// bytes trickle in. Each read also waits at most the stream's read
+/// timeout ([`FRAME_DEADLINE`]), so a frame is cut off within twice that.
+struct DeadlineReader<'a> {
+    stream: &'a UnixStream,
+    until: Instant,
+}
+
+impl io::Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if Instant::now() >= self.until {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        match io::Read::read(&mut self.stream, buf) {
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Err(io::ErrorKind::TimedOut.into()),
+            r => r,
+        }
+    }
+}
+
 fn handle_connection(stream: UnixStream, shared: &Shared) {
-    let mut reader = &stream;
     loop {
+        let mut reader = DeadlineReader {
+            stream: &stream,
+            until: Instant::now() + FRAME_DEADLINE,
+        };
         let payload = match wire::read_frame(&mut reader) {
             Ok(p) => p,
             Err(FrameError::Closed) => return,
