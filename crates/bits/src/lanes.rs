@@ -508,7 +508,8 @@ pub fn copy_masked_word(dst: &mut LaneBuf, src: &LaneBuf, word: usize, mask: u64
     }
     let lo = word * 64;
     let hi = (lo + 64).min(dst.lanes as usize);
-    for (i, (d, &s)) in dst.words[lo..hi].iter_mut().zip(&src.words[lo..hi]).enumerate() {
+    let (dst, src) = (&mut dst.words[lo..hi], &src.words[lo..hi]);
+    for (i, (d, &s)) in dst.iter_mut().zip(src).enumerate() {
         let m = 0u64.wrapping_sub((mask >> i) & 1);
         *d = (s & m) | (*d & !m);
     }

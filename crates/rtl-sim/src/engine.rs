@@ -226,11 +226,10 @@ pub(crate) struct Engine<'n, S> {
     /// Profiling counters; `None` (the default) keeps the hot paths at
     /// a single untaken branch.
     pub prof: Option<Box<ProfState>>,
-    pub force_full: bool,
+    force_full: bool,
     /// Clock edges so far.
     pub cycle: u64,
-    /// Whether every signal holds its settled value for this cycle.
-    pub settled: bool,
+    settled: bool,
 }
 
 impl<'n, S: Lanes> Engine<'n, S> {
@@ -320,6 +319,11 @@ impl<'n, S: Lanes> Engine<'n, S> {
         } else {
             1
         }
+    }
+
+    pub fn set_force_full_settle(&mut self, on: bool) {
+        self.force_full = on;
+        self.settled = false;
     }
 
     pub fn settle(&mut self) -> Result<(), SimError> {
@@ -565,8 +569,7 @@ macro_rules! engine_verbs {
             /// like the pre-optimization simulator. Useful as a debugging
             /// cross-check; both modes are observably identical.
             pub fn set_force_full_settle(&mut self, on: bool) {
-                self.0.force_full = on;
-                self.0.settled = false;
+                self.0.set_force_full_settle(on);
             }
 
             /// Evaluates combinational logic for the current cycle in every
