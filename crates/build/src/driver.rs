@@ -879,10 +879,10 @@ fn process_unit(
     let (mut lowered, structural) = match registry {
         None => (None, Vec::new()),
         Some(registry) => {
-            let scope = unit_scope(ctx.program, &component, &rec.deps)?;
             let names = || readable_names(ctx.program, key, &rec.deps);
             let timer = Instant::now();
             let span = unit_span(lane, "check", &unit_name);
+            let scope = unit_scope(ctx.program, &component, &rec.deps)?;
             check_component(&scope, &component)
                 .map_err(|errs| BuildError::Check(rewrite_check(errs, &names())))?;
             drop(span);
@@ -1047,22 +1047,15 @@ fn store_atomic(path: &std::path::Path, bytes: &[u8]) -> bool {
 }
 
 /// The names checking and lowering resolve a unit against, signatures
-/// only: the externs its `Instance` commands name (in declaration order),
-/// its own signature, and the concrete signatures of its direct
-/// dependencies, all as body-less components.
+/// only: the program's externs (shared, not copied — both passes look
+/// names up, never iterate the scope), its own signature, and the
+/// concrete signatures of its direct dependencies, all as body-less
+/// components.
 fn unit_scope(
     program: &Program,
     component: &Component,
     deps: &[UnitKey],
 ) -> Result<Program, BuildError> {
-    let named: HashSet<&str> = component
-        .body
-        .iter()
-        .filter_map(|cmd| match cmd {
-            Command::Instance { component, .. } => Some(component.as_str()),
-            _ => None,
-        })
-        .collect();
     let mut components = Vec::with_capacity(deps.len() + 1);
     components.push(Component {
         sig: component.sig.clone(),
@@ -1079,14 +1072,7 @@ fn unit_scope(
         });
     }
     Ok(Program {
-        externs: Arc::new(
-            program
-                .externs
-                .iter()
-                .filter(|s| named.contains(s.name.as_str()))
-                .cloned()
-                .collect(),
-        ),
+        externs: Arc::clone(&program.externs),
         components,
     })
 }

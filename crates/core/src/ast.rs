@@ -138,19 +138,36 @@ impl ConstExpr {
     /// Returns [`ConstEvalError::Unbound`] naming the first parameter with
     /// no binding, or [`ConstEvalError::Arith`] on arithmetic failure.
     pub fn eval(&self, env: &HashMap<Id, u64>) -> Result<u64, ConstEvalError> {
-        match self {
-            ConstExpr::Lit(n) => Ok(*n),
-            ConstExpr::Param(p) => env
-                .get(p)
-                .copied()
-                .ok_or_else(|| ConstEvalError::Unbound(p.clone())),
+        self.eval_by(&|leaf| match leaf {
             ConstExpr::InstParam(i, p) => {
                 let key = ConstExpr::inst_key(i, p);
                 env.get(&key).copied().ok_or(ConstEvalError::Unbound(key))
             }
-            ConstExpr::Bin(op, l, r) => op.apply(l.eval(env)?, r.eval(env)?),
+            ConstExpr::Param(p) => env
+                .get(p)
+                .copied()
+                .ok_or_else(|| ConstEvalError::Unbound(p.clone())),
+            _ => unreachable!("only parameters are leaves"),
+        })
+    }
+
+    /// Evaluates with `param` giving the value of each parameter or
+    /// instance-parameter read.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `param` returns, or [`ConstEvalError::Arith`] on
+    /// arithmetic failure.
+    pub fn eval_by(
+        &self,
+        param: &dyn Fn(&ConstExpr) -> Result<u64, ConstEvalError>,
+    ) -> Result<u64, ConstEvalError> {
+        match self {
+            ConstExpr::Lit(n) => Ok(*n),
+            ConstExpr::Param(_) | ConstExpr::InstParam(..) => param(self),
+            ConstExpr::Bin(op, l, r) => op.apply(l.eval_by(param)?, r.eval_by(param)?),
             ConstExpr::Pow2(e) => {
-                let n = e.eval(env)?;
+                let n = e.eval_by(param)?;
                 if n >= 64 {
                     Err(ConstEvalError::Arith(format!("pow2({n}) overflows u64")))
                 } else {
@@ -158,7 +175,7 @@ impl ConstExpr {
                 }
             }
             ConstExpr::Log2(e) => {
-                let n = e.eval(env)?;
+                let n = e.eval_by(param)?;
                 if n == 0 {
                     Err(ConstEvalError::Arith("log2(0) is undefined".into()))
                 } else {
@@ -542,12 +559,13 @@ impl Delay {
 
     /// Evaluates to a constant if possible: either already constant, or a
     /// difference of times over the *same* event variable with concrete
-    /// offsets.
+    /// offsets. `None` also when the value does not fit in an `i64`.
     pub fn as_const(&self) -> Option<i64> {
         match self {
-            Delay::Const(n) => Some(*n as i64),
+            Delay::Const(n) => i64::try_from(*n).ok(),
             Delay::Diff(a, b) if a.event == b.event => {
-                Some(a.offset_val()? as i64 - b.offset_val()? as i64)
+                let d = i128::from(a.offset_val()?) - i128::from(b.offset_val()?);
+                i64::try_from(d).ok()
             }
             Delay::Diff(..) => None,
         }
@@ -1187,111 +1205,6 @@ impl Program {
     }
 }
 
-/// A linear expression over event variables with unit coefficients plus a
-/// constant: the common currency of the checker's obligations
-/// (`delay ≥ interval length` etc. — see `check`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LinExpr {
-    /// Variable coefficients (non-zero entries only).
-    pub coeffs: HashMap<Id, i64>,
-    /// Constant term.
-    pub konst: i64,
-}
-
-impl LinExpr {
-    /// The zero expression.
-    pub fn zero() -> Self {
-        Self::default()
-    }
-
-    /// A constant expression.
-    pub fn constant(n: i64) -> Self {
-        LinExpr {
-            coeffs: HashMap::new(),
-            konst: n,
-        }
-    }
-
-    /// The expression `t.event + t.offset`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on symbolic offsets (see [`Time::off`]); the checker's
-    /// concreteness pre-pass rules those out before any `LinExpr` is built.
-    pub fn from_time(t: &Time) -> Self {
-        let mut e = LinExpr::constant(t.off() as i64);
-        e.add_var(&t.event, 1);
-        e
-    }
-
-    /// The interval length `end - start`.
-    pub fn range_len(r: &Range) -> Self {
-        let mut e = LinExpr::from_time(&r.end);
-        e.sub_assign(&LinExpr::from_time(&r.start));
-        e
-    }
-
-    /// The delay as a linear expression.
-    pub fn from_delay(d: &Delay) -> Self {
-        match d {
-            Delay::Const(n) => LinExpr::constant(*n as i64),
-            Delay::Diff(a, b) => {
-                let mut e = LinExpr::from_time(a);
-                e.sub_assign(&LinExpr::from_time(b));
-                e
-            }
-        }
-    }
-
-    /// Adds `k` to the coefficient of `var`, dropping zero entries. The
-    /// name is copied only when it becomes a new entry.
-    pub fn add_var(&mut self, var: &str, k: i64) {
-        if let Some(c) = self.coeffs.get_mut(var) {
-            *c += k;
-            if *c == 0 {
-                self.coeffs.remove(var);
-            }
-        } else if k != 0 {
-            self.coeffs.insert(var.to_owned(), k);
-        }
-    }
-
-    /// `self -= other`.
-    pub fn sub_assign(&mut self, other: &LinExpr) {
-        for (v, k) in &other.coeffs {
-            self.add_var(v, -k);
-        }
-        self.konst -= other.konst;
-    }
-
-    /// The constant value if no variables remain.
-    pub fn as_const(&self) -> Option<i64> {
-        if self.coeffs.is_empty() {
-            Some(self.konst)
-        } else {
-            None
-        }
-    }
-
-    /// Decomposes into `(pos_var, neg_var, konst)` when the expression is a
-    /// pure difference `x - y + konst` — the difference-logic fragment.
-    pub fn as_difference(&self) -> Option<(&str, &str, i64)> {
-        if self.coeffs.len() != 2 {
-            return None;
-        }
-        let mut pos = None;
-        let mut neg = None;
-        for (v, &k) in &self.coeffs {
-            match k {
-                1 => pos = Some(v.as_str()),
-                -1 => neg = Some(v.as_str()),
-                _ => return None,
-            }
-        }
-        Some((pos?, neg?, self.konst))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1328,6 +1241,10 @@ mod tests {
         map.insert("G".to_owned(), Time::event("T"));
         let d = Delay::Diff(Time::event("L"), Time::event("G")).subst(&map);
         assert_eq!(d.as_const(), Some(3));
+        // Out of i64 range is not a constant, never a wrapped one.
+        assert_eq!(Delay::Const(1 << 63).as_const(), None);
+        let d = Delay::Diff(Time::new("G", 1 << 63), Time::new("G", 0));
+        assert_eq!(d.as_const(), None);
     }
 
     #[test]
@@ -1463,25 +1380,6 @@ mod tests {
         assert_eq!(c.off(), 5);
         // plus() folds concrete offsets.
         assert_eq!(Time::new("G", 2).plus(3), Time::new("G", 5));
-    }
-
-    #[test]
-    fn linexpr_cancellation() {
-        // Register delay L-(G+1) minus output length (L - (G+1)) cancels.
-        let delay = Delay::Diff(Time::event("L"), Time::new("G", 1));
-        let out = Range::new(Time::new("G", 1), Time::event("L"));
-        let mut e = LinExpr::from_delay(&delay);
-        e.sub_assign(&LinExpr::range_len(&out));
-        assert_eq!(e.as_const(), Some(0));
-    }
-
-    #[test]
-    fn linexpr_difference_form() {
-        // L - G - 2 >= 0 as a difference.
-        let mut e = LinExpr::from_time(&Time::event("L"));
-        e.sub_assign(&LinExpr::from_time(&Time::new("G", 2)));
-        let (p, n, k) = e.as_difference().unwrap();
-        assert_eq!((p, n, k), ("L", "G", -2));
     }
 
     #[test]

@@ -11,14 +11,26 @@
 //!    subcomponent delays, shared-instance completion, single-event sharing),
 //!    and the phantom check (Definition 5.1).
 //!
-//! Every temporal obligation is reduced to a [`crate::ast::LinExpr`]
-//! inequality and discharged either by constant evaluation or by the
-//! difference-logic solver seeded with the signature's `where` clauses.
+//! Every temporal obligation is an inequality over concrete times
+//! (`event + offset`, offsets compared in `i128` so none can wrap),
+//! discharged either by constant evaluation or against the signature's
+//! `where` clauses, solved once per signature as difference logic.
+
+#![deny(clippy::cast_possible_wrap, clippy::cast_sign_loss)]
+
+/// Pushes a diagnostic of an [`ErrorKind`] for a component:
+/// `err!(errors, component, Kind: "format", args..)`.
+macro_rules! err {
+    ($errors:expr, $comp:expr, $kind:ident: $($msg:tt)+) => {
+        $errors.push(CheckError::new($comp.clone(), ErrorKind::$kind, format!($($msg)+)))
+    };
+}
 
 mod body;
 mod sig;
 
-use crate::ast::{Command, Component, Delay, Id, Program, Signature, Time};
+use crate::ast::{Command, Component, Delay, IName, Id, Port, Program, Signature, Time};
+use std::collections::HashSet;
 use std::fmt;
 
 /// The category of a type error — stable across message wording, so tests
@@ -121,19 +133,12 @@ fn concrete_time(
     comp: &Id,
     errors: &mut Vec<CheckError>,
 ) -> bool {
-    if t.offset_val().is_some() {
-        true
-    } else {
-        errors.push(CheckError::new(
-            comp.clone(),
-            ErrorKind::Unelaborated,
-            format!(
-                "{}: time offset {t} mentions parameters; run mono::expand first",
-                site()
-            ),
-        ));
-        false
+    let ok = t.offset_val().is_some();
+    if !ok {
+        err!(errors, comp, Unelaborated:
+            "{}: time offset {t} mentions parameters; run mono::expand first", site());
     }
+    ok
 }
 
 /// Checks every time in a signature for concreteness.
@@ -145,14 +150,8 @@ pub(crate) fn signature_is_concrete(sig: &Signature, errors: &mut Vec<CheckError
             // The bundle's liveness legitimately mentions the index
             // variable; report the bundle itself rather than per-offset
             // noise. (sig::check_bundles validates its shape symbolically.)
-            errors.push(CheckError::new(
-                comp.clone(),
-                ErrorKind::Unelaborated,
-                format!(
-                    "bundle port {} not flattened; run mono::expand first",
-                    p.name
-                ),
-            ));
+            err!(errors, comp, Unelaborated:
+                "bundle port {} not flattened; run mono::expand first", p.name);
             ok = false;
             continue;
         }
@@ -178,18 +177,15 @@ pub(crate) fn signature_is_concrete(sig: &Signature, errors: &mut Vec<CheckError
 /// Checks a body for residual generate constructs: loops, indexed names,
 /// symbolic time offsets.
 pub(crate) fn body_is_concrete(comp: &Component, errors: &mut Vec<CheckError>) -> bool {
-    fn port_ok(p: &crate::ast::Port, cname: &Id, errors: &mut Vec<CheckError>) -> bool {
+    fn port_ok(p: &Port, cname: &Id, errors: &mut Vec<CheckError>) -> bool {
         match p {
-            crate::ast::Port::Inv { invocation, .. } => flat(&[invocation], cname, errors),
-            crate::ast::Port::Bundle { .. } | crate::ast::Port::InvBundle { .. } => {
-                errors.push(CheckError::new(
-                    cname.clone(),
-                    ErrorKind::Unelaborated,
-                    format!("bundle element {p} not flattened; run mono::expand first"),
-                ));
+            Port::Inv { invocation, .. } => flat(&[invocation], cname, errors),
+            Port::Bundle { .. } | Port::InvBundle { .. } => {
+                err!(errors, cname, Unelaborated:
+                    "bundle element {p} not flattened; run mono::expand first");
                 false
             }
-            crate::ast::Port::This(_) | crate::ast::Port::Lit(_) => true,
+            Port::This(_) | Port::Lit(_) => true,
         }
     }
     fn walk(cmds: &[Command], cname: &Id, errors: &mut Vec<CheckError>) -> bool {
@@ -197,29 +193,16 @@ pub(crate) fn body_is_concrete(comp: &Component, errors: &mut Vec<CheckError>) -
         for cmd in cmds {
             match cmd {
                 Command::ForGen { var, .. } => {
-                    errors.push(CheckError::new(
-                        cname.clone(),
-                        ErrorKind::Unelaborated,
-                        format!(
-                            "for-generate loop over {var} not unrolled; run mono::expand first"
-                        ),
-                    ));
+                    err!(errors, cname, Unelaborated:
+                        "for-generate loop over {var} not unrolled; run mono::expand first");
                     ok = false;
                 }
                 Command::IfGen { lhs, op, rhs, .. } => {
-                    errors.push(CheckError::new(
-                        cname.clone(),
-                        ErrorKind::Unelaborated,
-                        format!(
-                            "if-generate conditional `{lhs} {op} {rhs}` not resolved; run \
-                             mono::expand first"
-                        ),
-                    ));
+                    err!(errors, cname, Unelaborated: "if-generate conditional `{lhs} {op} {rhs}` \
+                        not resolved; run mono::expand first");
                     ok = false;
                 }
-                Command::Instance { name, .. } => {
-                    ok &= flat(&[name], cname, errors);
-                }
+                Command::Instance { name, .. } => ok &= flat(&[name], cname, errors),
                 Command::Invoke {
                     name,
                     instance,
@@ -236,29 +219,31 @@ pub(crate) fn body_is_concrete(comp: &Component, errors: &mut Vec<CheckError>) -
                     }
                 }
                 Command::Connect { dst, src } => {
-                    for p in [dst, src] {
-                        ok &= port_ok(p, cname, errors);
-                    }
+                    ok &= port_ok(dst, cname, errors);
+                    ok &= port_ok(src, cname, errors);
                 }
             }
         }
         ok
     }
-    fn flat(names: &[&crate::ast::IName], cname: &Id, errors: &mut Vec<CheckError>) -> bool {
+    fn flat(names: &[&IName], cname: &Id, errors: &mut Vec<CheckError>) -> bool {
         let mut ok = true;
-        for n in names {
-            if n.flat().is_none() {
-                errors.push(CheckError::new(
-                    cname.clone(),
-                    ErrorKind::Unelaborated,
-                    format!("indexed name {n} not flattened; run mono::expand first"),
-                ));
-                ok = false;
-            }
+        for n in names.iter().filter(|n| n.flat().is_none()) {
+            err!(errors, cname, Unelaborated: "indexed name {n} not flattened; run mono::expand first");
+            ok = false;
         }
         ok
     }
     walk(&comp.body, &comp.sig.name, errors)
+}
+
+/// `Ok` when no diagnostic was found.
+fn verdict(errors: Vec<CheckError>) -> Result<(), Vec<CheckError>> {
+    if errors.is_empty() {
+        Ok(())
+    } else {
+        Err(errors)
+    }
 }
 
 /// Type-checks a whole program: every signature (including externs) and
@@ -285,24 +270,14 @@ pub(crate) fn body_is_concrete(comp: &Component, errors: &mut Vec<CheckError>) -
 /// ```
 pub fn check_program(program: &Program) -> Result<(), Vec<CheckError>> {
     let mut errors = Vec::new();
-
     // Duplicate component names.
-    let mut seen = std::collections::HashSet::new();
-    for name in program
-        .externs
-        .iter()
-        .map(|s| &s.name)
-        .chain(program.components.iter().map(|c| &c.sig.name))
-    {
-        if !seen.insert(name.clone()) {
-            errors.push(CheckError::new(
-                name.clone(),
-                ErrorKind::Binding,
-                format!("duplicate definition of component {name}"),
-            ));
+    let mut seen = HashSet::new();
+    let comps = program.components.iter().map(|c| &c.sig);
+    for name in program.externs.iter().chain(comps).map(|s| &s.name) {
+        if !seen.insert(name.as_str()) {
+            err!(errors, name, Binding: "duplicate definition of component {name}");
         }
     }
-
     for sig in program.externs.iter() {
         sig::check_signature(sig, true, &mut errors);
     }
@@ -312,12 +287,7 @@ pub fn check_program(program: &Program) -> Result<(), Vec<CheckError>> {
     for comp in &program.components {
         body::check_body(program, comp, &mut errors);
     }
-
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
+    verdict(errors)
 }
 
 /// Type-checks a single component against a scope: a program holding the
@@ -333,9 +303,5 @@ pub fn check_component(scope: &Program, comp: &Component) -> Result<(), Vec<Chec
     let mut errors = Vec::new();
     sig::check_signature(&comp.sig, false, &mut errors);
     body::check_body(scope, comp, &mut errors);
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
+    verdict(errors)
 }

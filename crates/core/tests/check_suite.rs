@@ -748,3 +748,31 @@ fn bundle_shape_is_validated_symbolically() {
         "{errors:#?}"
     );
 }
+
+/// Diagnostics come in body order, the same on every run: four shared
+/// instances, each invoked twice in the same cycle, give four conflicts in
+/// the order the instances are declared.
+#[test]
+fn shared_instance_conflicts_report_in_body_order() {
+    let body = r#"
+        comp main<G: 1>(@interface[G] go: 1, @[G, G+1] x: 32) -> (@[G, G+1] o: 32) {
+            m0 := new Add; m1 := new Add; m2 := new Add; m3 := new Add;
+            a0 := m0<G>(x, x); b0 := m0<G>(x, x);
+            a1 := m1<G>(x, x); b1 := m1<G>(x, x);
+            a2 := m2<G>(x, x); b2 := m2<G>(x, x);
+            a3 := m3<G>(x, x); b3 := m3<G>(x, x);
+            o = a0.out;
+        }
+    "#;
+    let text =
+        |errs: Vec<CheckError>| -> Vec<String> { errs.iter().map(ToString::to_string).collect() };
+    let first = text(expect_kind(check(body), ErrorKind::InstanceConflict));
+    let instances: Vec<&str> = first
+        .iter()
+        .filter_map(|e| e.split("uses of instance ").nth(1)?.split(':').next())
+        .collect();
+    assert_eq!(instances, ["m0", "m1", "m2", "m3"], "{first:#?}");
+    for _ in 0..16 {
+        assert_eq!(text(check(body).unwrap_err()), first);
+    }
+}

@@ -207,6 +207,57 @@ const CASES: &[(&str, Mode, &str)] = &[
            o = b.out;
          }",
     ),
+    (
+        "check.shared-conflicts-in-body-order",
+        Mode::Pipeline,
+        "comp Main<G: 1>(@interface[G] go: 1, @[G, G+1] x: 8) -> (@[G, G+1] o: 8) {
+           m0 := new MultComb[8];
+           m1 := new MultComb[8];
+           m2 := new MultComb[8];
+           m3 := new MultComb[8];
+           a0 := m0<G>(x, x);
+           b0 := m0<G>(x, x);
+           a1 := m1<G>(x, x);
+           b1 := m1<G>(x, x);
+           a2 := m2<G>(x, x);
+           b2 := m2<G>(x, x);
+           a3 := m3<G>(x, x);
+           b3 := m3<G>(x, x);
+           o = a0.out;
+         }",
+    ),
+    // Offsets are u64; their differences must not wrap. This program and
+    // its `+13` twin are rejected alike.
+    (
+        "check.offset-beyond-i64",
+        Mode::Pipeline,
+        "comp Main<G: 9223372036854775807>(@interface[G] go: 1, \
+         @[G+9223372036854775813, G+3] x: 8) -> (@[G, G+1] o: 8) { o = x; }",
+    ),
+    (
+        "check.offset-beyond-i64.twin",
+        Mode::Pipeline,
+        "comp Main<G: 9223372036854775807>(@interface[G] go: 1, @[G+13, G+3] x: 8) \
+         -> (@[G, G+1] o: 8) { o = x; }",
+    ),
+    // A schedule whose callee times pass the last u64 cycle.
+    (
+        "check.schedule-overflow",
+        Mode::Pipeline,
+        "comp Main<G: 1>(@interface[G] go: 1, @[G, G+1] x: 8) -> (@[G, G+1] o: 8) {
+           a := new Add[8]<G+18446744073709551615>(x, x);
+           o = x;
+         }",
+    ),
+    (
+        "check.schedule-overflow.raw",
+        Mode::Raw,
+        "extern comp Add[W]<G: 1>(@[G, G+1] left: W, @[G, G+1] right: W) -> (@[G, G+1] out: W);
+         comp Main<G: 1>(@interface[G] go: 1, @[G, G+1] x: 8) -> (@[G, G+1] o: 8) {
+           a := new Add[8]<G+18446744073709551615>(x, x);
+           o = x;
+         }",
+    ),
     // ------------------------------------------------- check: signatures
     (
         "check.unknown-event.port",

@@ -9,6 +9,7 @@
 //! the checker's verdict must stay on the sound side of the semantics.
 
 use filament_core::ast::{Command, Component, Port, Program, Range, Signature, Time};
+use filament_core::check::ErrorKind;
 use filament_core::sem::check_safe_pipelining;
 use filament_core::{check_program, component_log, parse_program};
 use proptest::prelude::*;
@@ -208,4 +209,45 @@ fn generator_is_not_vacuous() {
         3,
     );
     assert!(check_program(&bad).is_err());
+}
+
+/// The error kinds a program is rejected with (empty when accepted).
+fn rejection_kinds(src: &str) -> Vec<ErrorKind> {
+    let program = parse_program(src).unwrap_or_else(|e| panic!("parse: {e}"));
+    let mut kinds: Vec<ErrorKind> = check_program(&program)
+        .err()
+        .unwrap_or_default()
+        .iter()
+        .map(|e| e.kind)
+        .collect();
+    kinds.sort_by_key(|k| k.to_string());
+    kinds.dedup();
+    kinds
+}
+
+/// Offsets are `u64` and every obligation is a difference of them: an
+/// offset at or past 2^63 must not wrap a rejected program into an
+/// accepted one (or add a spurious error), and a schedule past the last
+/// cycle must give a diagnostic, not a panic.
+#[test]
+fn huge_offsets_neither_wrap_nor_panic() {
+    let window = |start: u64| {
+        format!(
+            "comp main<G: {}>(@interface[G] go: 1, @[G+{start}, G+3] a: 32) \
+             -> (@[G, G+1] o: 32) {{ o = a; }}",
+            i64::MAX
+        )
+    };
+    let twin = rejection_kinds(&window(13));
+    assert_eq!(twin, [ErrorKind::Availability, ErrorKind::DelayWellFormed]);
+    for start in [1 << 63, (1 << 63) + 13, u64::MAX - 1, u64::MAX] {
+        assert_eq!(rejection_kinds(&window(start)), twin, "start G+{start}");
+    }
+    for at in [u64::MAX - 1, u64::MAX] {
+        let src = format!(
+            "{LIB} comp main<G: 1>(@interface[G] go: 1, @[G, G+1] a: 32) \
+             -> (@[G, G+1] o: 32) {{ s := new Add<G+{at}>(a, a); o = a; }}"
+        );
+        assert!(!rejection_kinds(&src).is_empty(), "schedule G+{at}");
+    }
 }
