@@ -16,7 +16,7 @@ use crate::ast::{
 use std::collections::HashMap;
 
 /// What a name in the body resolves to.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 enum Def {
     Input(usize),
     Interface,

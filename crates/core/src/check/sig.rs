@@ -7,7 +7,7 @@ use std::collections::HashSet;
 
 /// A concrete time `event + off`, its event an index into a [`SigEnv`]'s
 /// name table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 pub(crate) struct CTime {
     pub ev: u32,
     pub off: u64,
@@ -20,7 +20,6 @@ const FAR: i128 = i128::MAX / 4;
 /// `where` clauses as all-pairs shortest paths over its events, so every
 /// entailment query is an array lookup. Offsets and gaps are `i128`, so
 /// no obligation over `u64` offsets can wrap.
-#[derive(Debug, Clone)]
 pub(crate) struct SigEnv<'a> {
     /// Event names: the signature's events, then unknown events its
     /// `where` clauses name (together the solver's variables), then any
