@@ -285,15 +285,13 @@ impl<'a> Body<'a> {
         }
         let first = self.bound.len();
         for t in events {
-            let (ev, off) = (
-                self.sig.events.iter().position(|e| e.name == t.event),
-                t.off(),
-            );
-            match ev.map(|ev| ev as u32) {
-                Some(ev) => self.bound.push(CTime { ev, off }),
-                None => err!(self.errors, comp, Binding:
-                    "invocation {name} scheduled with unknown event {}", t.event),
-            }
+            let Some(ev) = self.sig.events.iter().position(|e| e.name == t.event) else {
+                err!(self.errors, comp, Binding:
+                    "invocation {name} scheduled with unknown event {}", t.event);
+                continue;
+            };
+            let (ev, off) = (ev as u32, t.off());
+            self.bound.push(CTime { ev, off });
         }
         let reach = self.instances[inst].reach;
         let past_end = events.iter().find(|t| t.off().checked_add(reach).is_none());
