@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 fn bench_compile(c: &mut Criterion) {
     let mut g = c.benchmark_group("compile");
     g.sample_size(20);
-    for (name, src, top) in fil_bench::design_corpus() {
+    for (name, src, top) in fil_designs::corpus() {
         if name == "conv2d" || name == "fp-add-pipe" || name == "div-pipe" {
             g.bench_function(&name, |b| {
                 b.iter(|| fil_bench::compile_one(std::hint::black_box(&src), top))

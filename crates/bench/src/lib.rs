@@ -6,12 +6,12 @@
 //! | Table 1a/1b (Aetherling latencies) | [`table1`] | `table1` | `benches/table1.rs` |
 //! | Table 2 (conv2d area/frequency) | [`table2`] | `table2` | `benches/table2.rs` |
 //! | Figure 2 (divider trade-off) | [`divider_tradeoff`] | `divider_tradeoff` | `benches/divider.rs` |
-//! | §7 "compile in under a second" | [`compile_times`] | (unit test `all_designs_compile_in_under_a_second`) | `benches/compile.rs` |
-//!
-//! The `compile_time` binary is the build-driver probe: cold-vs-warm
-//! artifact-cache wall times over the corpus and the systolic/encoder
-//! sweeps, as JSON (see `PERF.md` and the CI gate).
+//! | §7 "compile in under a second" | [`compile_durations`] | (unit test `all_designs_compile_in_under_a_second`) | `benches/compile.rs` |
 //! | App B.1/B.2 FP + AES imports | [`pipelinec_report`] | `pipelinec_report` | `benches/simulator.rs` |
+//!
+//! The design corpus itself is [`fil_designs::corpus`]. Performance is
+//! measured end to end, layer by layer, by the seeded `perfbench/`
+//! benchmark at the repository root; this crate holds no perf probe.
 
 use aetherling::{DesignPoint, Kernel, Throughput};
 use fil_area::SynthesisReport;
@@ -214,115 +214,6 @@ pub fn render_divider(rows: &[DividerRow]) -> String {
     out
 }
 
-/// Every Filament design in the repository, as (name, source, top) —
-/// the corpus for the compile-time claim.
-pub fn design_corpus() -> Vec<(String, String, &'static str)> {
-    use fil_designs::fp_add::{source as fp, Style};
-    vec![
-        (
-            "alu-sequential".into(),
-            fil_designs::alu::source(fil_designs::alu::ALU_SEQUENTIAL),
-            "ALU",
-        ),
-        (
-            "alu-pipelined".into(),
-            fil_designs::alu::source(fil_designs::alu::ALU_PIPELINED),
-            "ALU",
-        ),
-        (
-            "div-comb".into(),
-            fil_designs::divider::comb_source(),
-            "DivComb",
-        ),
-        (
-            "div-pipe".into(),
-            fil_designs::divider::pipelined_source(),
-            "DivPipe",
-        ),
-        (
-            "div-iter".into(),
-            fil_designs::divider::iterative_source(),
-            "DivIter",
-        ),
-        (
-            "conv2d".into(),
-            fil_designs::conv2d::base_source(),
-            "Conv2d",
-        ),
-        (
-            "conv2d-reticle".into(),
-            fil_designs::conv2d::reticle_source(),
-            "Conv2dReticle",
-        ),
-        // Generator-produced designs at several sizes: one parametric
-        // source each, monomorphized per entry.
-        (
-            "systolic-2".into(),
-            fil_designs::systolic::source(2, 32),
-            "Sys2",
-        ),
-        (
-            "systolic-4".into(),
-            fil_designs::systolic::source(4, 32),
-            "Sys4",
-        ),
-        (
-            "systolic-8".into(),
-            fil_designs::systolic::source(8, 32),
-            "Sys8",
-        ),
-        (
-            "chain-8x16".into(),
-            fil_designs::shift::source(8, 16),
-            "Chain8x16",
-        ),
-        // Derived-parameter designs: the encoder's output width is
-        // `some W = log2(N)` and the wrapper reads it back as `e.W`.
-        (
-            "encoder-8".into(),
-            fil_designs::encoder::source(8),
-            "EncTop8",
-        ),
-        (
-            "encoder-16".into(),
-            fil_designs::encoder::source(16),
-            "EncTop16",
-        ),
-        // The tap-bundle wrapper: per-index availability windows survive
-        // flattening into the spec.
-        (
-            "chain-taps-8x4".into(),
-            fil_designs::shift::taps_source(8, 4),
-            "Taps8x4",
-        ),
-        (
-            "alu-param-16".into(),
-            fil_designs::alu::param_source(16),
-            "Alu16",
-        ),
-        ("fp-add-comb".into(), fp(Style::Combinational), "FpAdd"),
-        ("fp-add-pipe".into(), fp(Style::Pipelined), "FpAdd"),
-        // Naively-generated kernels: the redundancy-heavy style (zero/unit
-        // coefficients, duplicated neighbour products, padded boundaries)
-        // that `fil-opt` exists to clean up — `-O2` must shed well over a
-        // quarter of their cells (pinned in the harness's opt_counts.txt).
-        (
-            "wsum-naive-8".into(),
-            fil_designs::wsum::naive_source(16),
-            "WSum8",
-        ),
-        (
-            "stencil-naive-8".into(),
-            fil_designs::wsum::stencil_source(8, 16),
-            "Stencil8",
-        ),
-        // The PipelineC AES import expressed as Filament source (two
-        // rounds keeps the snapshot reviewable; the full ten-round core
-        // is differential-tested in `pipelinec::aes_fil`).
-        ("aes-fil-2".into(), pipelinec::aes_fil::source(2), "AesFil2"),
-    ]
-}
-
 /// Parses, type-checks, and lowers one corpus entry, returning the wall
 /// time (the paper: "All benchmarks compile in under a second").
 ///
@@ -345,8 +236,8 @@ pub fn compile_one(source: &str, top: &str) -> Duration {
 }
 
 /// Compiles the whole corpus, returning per-design wall times.
-pub fn compile_times() -> Vec<(String, Duration)> {
-    design_corpus()
+pub fn compile_durations() -> Vec<(String, Duration)> {
+    fil_designs::corpus()
         .into_iter()
         .map(|(name, src, top)| {
             let t = compile_one(&src, top);
@@ -440,7 +331,7 @@ mod tests {
 
     #[test]
     fn all_designs_compile_in_under_a_second() {
-        for (name, time) in compile_times() {
+        for (name, time) in compile_durations() {
             assert!(
                 time < Duration::from_secs(1),
                 "{name} took {time:?} to compile"

@@ -1132,6 +1132,15 @@ fn rewrite_lower(
             param,
             cause,
         },
+        TooLarge {
+            component,
+            site,
+            value,
+        } => TooLarge {
+            component: rewrite_str(&component, names),
+            site: rewrite_str(&site, names),
+            value,
+        },
         Unelaborated {
             component,
             construct,

@@ -21,7 +21,7 @@
 //! trace sink do not cross the socket — the *rendered* forms
 //! (`expanded_text`, `verilog`, the encoded netlist) and the full
 //! [`BuildStats`] do. A decoded output therefore answers everything the
-//! CLI and the perf probes ask for, byte-identically to a local build.
+//! CLI and the benchmark ask for, byte-identically to a local build.
 
 use crate::driver::{BuildOptions, BuildStats, PhaseTimes};
 use crate::key;

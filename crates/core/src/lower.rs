@@ -12,6 +12,10 @@
 //! synthesized guards are disjoint, which the simulator additionally
 //! re-checks dynamically ([`rtl_sim::SimError::WriteConflict`]).
 
+// Widths and state counts come from user constants: narrowing them must go
+// through `u32::try_from` and fail with a diagnostic, never wrap.
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::ast::{Command, Component, ConstExpr, Id, Port, Program, Signature, Time};
 use calyx_lite as cl;
 use fil_bits::Value;
@@ -69,6 +73,15 @@ pub enum LowerError {
         /// The underlying evaluation failure.
         cause: String,
     },
+    /// A width or FSM state count does not fit in 32 bits.
+    TooLarge {
+        /// The enclosing component.
+        component: String,
+        /// Where it happened.
+        site: String,
+        /// The value that does not fit.
+        value: u64,
+    },
     /// The component still contains generate constructs; run
     /// [`crate::mono::expand`] before lowering.
     Unelaborated {
@@ -118,6 +131,16 @@ impl fmt::Display for LowerError {
                 }
                 Ok(())
             }
+            LowerError::TooLarge {
+                component,
+                site,
+                value,
+            } => write!(
+                f,
+                "in component {component}: {site} is {value}, more than the largest \
+                 supported value {}",
+                u32::MAX
+            ),
             LowerError::Unelaborated {
                 component,
                 construct,
@@ -243,6 +266,25 @@ fn const_eval_env(
         },
         cause: cause.to_string(),
     })
+}
+
+/// Narrows a width or state count to the netlist's `u32`.
+fn to_u32(value: u64, component: &str, site: &dyn Fn() -> String) -> Result<u32, LowerError> {
+    u32::try_from(value).map_err(|_| LowerError::TooLarge {
+        component: component.into(),
+        site: site(),
+        value,
+    })
+}
+
+/// Evaluates a closed width under `env` and narrows it to `u32`.
+fn width_eval(
+    e: &ConstExpr,
+    env: &HashMap<Id, u64>,
+    component: &str,
+    site: &dyn Fn() -> String,
+) -> Result<u32, LowerError> {
+    to_u32(const_eval_env(e, env, component, site)?, component, site)
 }
 
 /// The concrete offset of a time, or a [`LowerError::Unelaborated`] naming
@@ -376,17 +418,17 @@ fn lower_one(
     for iface in &sig.interfaces {
         c.add_input(iface.name.clone(), 1);
     }
+    let no_params = HashMap::new();
+    let port_width = |p: &crate::ast::PortDef| {
+        width_eval(&p.width, &no_params, name, &|| {
+            format!("width of port {}", p.name)
+        })
+    };
     for p in &sig.inputs {
-        c.add_input(
-            p.name.clone(),
-            const_eval(&p.width, name, &|| format!("width of port {}", p.name))? as u32,
-        );
+        c.add_input(p.name.clone(), port_width(p)?);
     }
     for p in &sig.outputs {
-        c.add_output(
-            p.name.clone(),
-            const_eval(&p.width, name, &|| format!("width of port {}", p.name))? as u32,
-        );
+        c.add_output(p.name.clone(), port_width(p)?);
     }
 
     // ----------------------------------------------------------- instances
@@ -575,7 +617,9 @@ fn lower_one(
         let iface = sig
             .interface_of(&ev.name)
             .expect("non-phantom events have interface ports");
-        let n = (max + 1) as u32;
+        let n = to_u32(max.saturating_add(1), name, &|| {
+            format!("the state count of event {}'s FSM", ev.name)
+        })?;
         c.add_primitive(fsm_name(&ev.name), CellKind::ShiftFsm { n });
         c.assign(
             cl::PortRef::cell(fsm_name(&ev.name), "go"),
@@ -653,9 +697,9 @@ fn lower_one(
         let inst = &insts[&inv.instance];
         for (arg, pdef) in args.iter().zip(&inst.sig.inputs) {
             let req = pdef.liveness.subst(&inv.binding);
-            let width = const_eval_env(&pdef.width, &inst.params, name, &|| {
+            let width = width_eval(&pdef.width, &inst.params, name, &|| {
                 format!("width of argument {} of invocation {iname}", pdef.name)
-            })? as u32;
+            })?;
             if let Port::Inv { invocation, .. } = arg {
                 flat_name(invocation, name)?;
             }
@@ -688,11 +732,12 @@ fn lower_one(
         if let Port::Inv { invocation, .. } = src {
             flat_name(invocation, name)?;
         }
-        let width = sig
-            .output(dname)
-            .map(|p| const_eval(&p.width, name, &|| format!("width of output {dname}")))
-            .transpose()?
-            .unwrap_or(32) as u32;
+        let width = match sig.output(dname) {
+            Some(p) => width_eval(&p.width, &no_params, name, &|| {
+                format!("width of output {dname}")
+            })?,
+            None => 32,
+        };
         c.assign(cl::PortRef::this(dname.clone()), src_of(src, width));
     }
 

@@ -6,7 +6,7 @@
 //! full `Display` text of every diagnostic, sorted, so the line does not
 //! depend on the order the checker reports in. The cases are:
 //!
-//! * the design corpus (`fil_bench::design_corpus`);
+//! * the design corpus (`fil_designs::corpus`);
 //! * 400 seeded `fuzz::gen` programs, well-formed by construction;
 //! * four mutants of each of those, made on the expanded program so they
 //!   reach the checker as written: an invocation's schedule shifted by
@@ -199,7 +199,7 @@ fn render_case(label: &str, src: &str, salt: u64, out: &mut String) {
 
 fn render() -> String {
     let mut out = String::new();
-    for (i, (name, src, _top)) in fil_bench::design_corpus().into_iter().enumerate() {
+    for (i, (name, src, _top)) in fil_designs::corpus().into_iter().enumerate() {
         render_case(&format!("corpus/{name}"), &src, i as u64, &mut out);
     }
     for seed in FUZZ_SEED..FUZZ_SEED + FUZZ_CASES {

@@ -633,6 +633,22 @@ const CASES: &[(&str, Mode, &str)] = &[
            o = x;
          }",
     ),
+    (
+        "lower.fsm-state-count",
+        Mode::Pipeline,
+        "comp Main<G: 4294967299>(@interface[G] go: 1, @[G+4294967296, G+4294967297] x: 32)
+             -> (@[G+4294967297, G+4294967298] o: 32) {
+           r := new Register[32]<G+4294967296, G+4294967298>(x);
+           o = r.out;
+         }",
+    ),
+    (
+        "lower.port-width",
+        Mode::Pipeline,
+        "comp Main<G: 1>(@[G, G+1] a: 4294967304) -> (@[G, G+1] o: 4294967304) {
+           o = a;
+         }",
+    ),
 ];
 
 /// The joined `Display` text of a check failure.

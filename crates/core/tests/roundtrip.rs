@@ -28,7 +28,7 @@ fn stdlib_round_trips() {
 
 #[test]
 fn design_corpus_round_trips() {
-    for (name, src, _top) in fil_bench::design_corpus() {
+    for (name, src, _top) in fil_designs::corpus() {
         let p = with_std(&src);
         let printed = print_program(&p);
         let reparsed = parse_program(&printed).unwrap_or_else(|e| panic!("{name}: {e}\n{printed}"));

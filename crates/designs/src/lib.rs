@@ -21,7 +21,13 @@
 //! * [`wsum`] — naively-generated weighted-sum kernels (zero/unit/shift
 //!   coefficients, duplicated neighbour products, padded boundaries): the
 //!   corpus `fil-opt` is measured against.
+//! * [`aes_fil`] — Appendix B.2's PipelineC AES import written as
+//!   Filament source, `R` unrolled rounds at one cycle each.
+//!
+//! [`corpus`] lists every design above as (name, source, top): the corpus
+//! the pinned suites iterate.
 
+pub mod aes_fil;
 pub mod alu;
 pub mod conv2d;
 pub mod divider;
@@ -59,4 +65,63 @@ pub fn build_with(
     registry: &dyn filament_core::PrimitiveRegistry,
 ) -> Result<(Arc<Netlist>, InterfaceSpec), String> {
     fil_harness::compile_request_with(&BuildRequest::new(source).netlist(top), registry)
+}
+
+/// Every Filament design in the repository, as (name, source, top): the
+/// corpus that the golden, printer, back-end, checker and optimizer pins
+/// and the compile-time claim iterate. Order, names and sources are part
+/// of those pins.
+pub fn corpus() -> Vec<(String, String, &'static str)> {
+    use fp_add::{source as fp, Style};
+    vec![
+        (
+            "alu-sequential".into(),
+            alu::source(alu::ALU_SEQUENTIAL),
+            "ALU",
+        ),
+        (
+            "alu-pipelined".into(),
+            alu::source(alu::ALU_PIPELINED),
+            "ALU",
+        ),
+        ("div-comb".into(), divider::comb_source(), "DivComb"),
+        ("div-pipe".into(), divider::pipelined_source(), "DivPipe"),
+        ("div-iter".into(), divider::iterative_source(), "DivIter"),
+        ("conv2d".into(), conv2d::base_source(), "Conv2d"),
+        (
+            "conv2d-reticle".into(),
+            conv2d::reticle_source(),
+            "Conv2dReticle",
+        ),
+        // Generator-produced designs at several sizes: one parametric
+        // source each, monomorphized per entry.
+        ("systolic-2".into(), systolic::source(2, 32), "Sys2"),
+        ("systolic-4".into(), systolic::source(4, 32), "Sys4"),
+        ("systolic-8".into(), systolic::source(8, 32), "Sys8"),
+        ("chain-8x16".into(), shift::source(8, 16), "Chain8x16"),
+        // Derived-parameter designs: the encoder's output width is
+        // `some W = log2(N)` and the wrapper reads it back as `e.W`.
+        ("encoder-8".into(), encoder::source(8), "EncTop8"),
+        ("encoder-16".into(), encoder::source(16), "EncTop16"),
+        // The tap-bundle wrapper: per-index availability windows survive
+        // flattening into the spec.
+        ("chain-taps-8x4".into(), shift::taps_source(8, 4), "Taps8x4"),
+        ("alu-param-16".into(), alu::param_source(16), "Alu16"),
+        ("fp-add-comb".into(), fp(Style::Combinational), "FpAdd"),
+        ("fp-add-pipe".into(), fp(Style::Pipelined), "FpAdd"),
+        // Naively-generated kernels: the redundancy-heavy style (zero/unit
+        // coefficients, duplicated neighbour products, padded boundaries)
+        // that `fil-opt` exists to clean up — `-O2` must shed well over a
+        // quarter of their cells (pinned in the harness's opt_counts.txt).
+        ("wsum-naive-8".into(), wsum::naive_source(16), "WSum8"),
+        (
+            "stencil-naive-8".into(),
+            wsum::stencil_source(8, 16),
+            "Stencil8",
+        ),
+        // The PipelineC AES import expressed as Filament source (two
+        // rounds keeps the snapshot reviewable; the full ten-round core
+        // is differential-tested in `pipelinec`).
+        ("aes-fil-2".into(), aes_fil::source(2), "AesFil2"),
+    ]
 }

@@ -114,8 +114,8 @@ fn usage() -> ExitCode {
 }
 
 /// The `--stats` JSON payload (hand-rendered: every field is a number or a
-/// flat object of numbers, and the repo's perf probes already follow this
-/// no-serde style). The first seven fields are the elaboration counters
+/// flat object of numbers, and the benchmark's result line follows the
+/// same no-serde style). The first seven fields are the elaboration counters
 /// `expand --stats` has always reported; the `units_*` / `session_cache_*`
 /// block is the build driver's session accounting (loads are artifacts
 /// reused from `--cache-dir`, skipping expand/check/lower entirely);

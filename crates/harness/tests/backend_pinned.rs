@@ -339,7 +339,7 @@ fn render() -> String {
         "# name  fnv64(emit_program)  fnv64(netlist signals, cells, assigns) — \
          pinned by tests/backend_pinned.rs\n",
     );
-    for (name, src, top) in fil_bench::design_corpus() {
+    for (name, src, top) in fil_designs::corpus() {
         for level in [0, 2] {
             // The Reticle registry is a superset of the standard one, so
             // it serves every corpus entry.

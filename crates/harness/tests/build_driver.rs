@@ -7,12 +7,15 @@
 //!   monomorphizer's output exactly.
 //! * **Warm-cache zero-work** — a warm corpus build performs zero
 //!   expand/check/lower work, verified via the driver's counters.
+//! * **Warm-cache speed** — a warm corpus build is at least 2.5× faster
+//!   than a cold one.
 //! * **Cache poisoning** — truncated, bit-flipped, and version-bumped
 //!   artifacts must fall back to a clean rebuild with identical output,
 //!   never a panic, never a wrong netlist.
 
 use fil_build::BuildOptions;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 fn temp_cache(tag: &str) -> PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,7 +40,7 @@ fn opts(jobs: usize, cache: &Path) -> BuildOptions {
 
 /// Full driver build against the Reticle registry — a superset of the
 /// standard one, so it serves every corpus entry (only conv2d-reticle
-/// needs the Tdot extern), mirroring `fil_bench::compile_one`.
+/// needs the Tdot extern).
 fn with_std_raw(src: &str) -> Result<filament_core::Program, fil_stdlib::LoadError> {
     fil_stdlib::build(&fil_build::BuildRequest::new(src).raw().expanded(false))
         .map(|out| out.raw.expect("raw was requested"))
@@ -59,7 +62,7 @@ fn artifact_names(dir: &Path) -> Vec<String> {
 
 #[test]
 fn corpus_builds_are_deterministic_across_jobs_and_cache_state() {
-    for (name, src, _top) in fil_bench::design_corpus() {
+    for (name, src, _top) in fil_designs::corpus() {
         // Independent reference: the recursive monomorphizer.
         let raw = with_std_raw(&src).unwrap();
         let reference =
@@ -119,6 +122,40 @@ fn corpus_builds_are_deterministic_across_jobs_and_cache_state() {
         let _ = std::fs::remove_dir_all(&cache1);
         let _ = std::fs::remove_dir_all(&cache8);
     }
+}
+
+/// A warm artifact cache builds the whole corpus at least 2.5× faster
+/// than an empty one. Each side is the best of five passes, so one
+/// descheduled pass cannot decide the ratio.
+#[test]
+fn warm_corpus_builds_are_at_least_2_5x_faster_than_cold() {
+    let corpus: Vec<filament_core::Program> = fil_designs::corpus()
+        .iter()
+        .map(|(_, src, _)| with_std_raw(src).unwrap())
+        .collect();
+    let cache = temp_cache("speedup");
+    let o = BuildOptions {
+        emit_expanded: false,
+        ..opts(1, &cache)
+    };
+    let pass = || {
+        let start = Instant::now();
+        for p in &corpus {
+            fil_build::build_program(p, &reticle::ReticleRegistry, &o).unwrap();
+        }
+        start.elapsed()
+    };
+    let best = |f: &mut dyn FnMut() -> Duration| (0..5).map(|_| f()).min().unwrap();
+    let cold = best(&mut || {
+        let _ = std::fs::remove_dir_all(&cache);
+        pass()
+    });
+    let warm = best(&mut || pass());
+    let _ = std::fs::remove_dir_all(&cache);
+    assert!(
+        cold.as_secs_f64() >= 2.5 * warm.as_secs_f64(),
+        "warm corpus build {warm:?} is less than 2.5x faster than cold {cold:?}"
+    );
 }
 
 #[test]

@@ -15,9 +15,14 @@
 //!   ignored; the reply still matches a local build.
 //! * **Abuse survival** — mid-frame disconnects, raw garbage, and
 //!   truncated headers cost the daemon nothing but the one connection.
+//! * **Memo speed** — a memo hit is at least 5× faster than the cold
+//!   build it repeats.
 //! * **Frame deadline** — a client that stalls mid-frame is cut off after
 //!   [`serve::FRAME_DEADLINE`], so it neither starves other clients nor
 //!   keeps an idle-timed daemon alive.
+//! * **Admission limit** — past [`serve::MAX_CONNECTIONS`] open
+//!   connections the daemon answers "busy" instead of spawning a thread,
+//!   and serves again once they close.
 
 #![cfg(unix)]
 
@@ -209,6 +214,39 @@ fn warm_netlists_skip_re_elaboration_and_match_local_builds() {
     shut_down(&socket, handle);
 }
 
+/// A memo hit is at least 5× faster than the cold build it repeats. Three
+/// cold builds of distinct widths (no cache answers any of them), each
+/// followed by five memo repeats; the gate compares the best of each.
+#[test]
+fn memo_hits_are_at_least_5x_faster_than_cold_builds() {
+    let socket = sock("memo");
+    let handle = start(&socket);
+    let timed = |req: &BuildRequest| {
+        let start = Instant::now();
+        let reply = serve::request_build(&socket, req).expect("remote build");
+        (start.elapsed(), reply.served)
+    };
+    let (mut cold, mut memo) = (Duration::MAX, Duration::MAX);
+    for width in [32, 33, 34] {
+        let req = BuildRequest::new(fil_designs::systolic::source(8, width))
+            .expanded(false)
+            .verilog();
+        let (t, served) = timed(&req);
+        assert_eq!(served, Served::Led, "W={width}: the first request builds");
+        cold = cold.min(t);
+        for _ in 0..5 {
+            let (t, served) = timed(&req);
+            assert_eq!(served, Served::Memo, "W={width}: a repeat hits the memo");
+            memo = memo.min(t);
+        }
+    }
+    assert!(
+        cold.as_secs_f64() >= 5.0 * memo.as_secs_f64(),
+        "memo round trip {memo:?} is less than 5x faster than a cold build {cold:?}"
+    );
+    shut_down(&socket, handle);
+}
+
 /// The daemon owns its artifact cache: a `cache_dir` sent by a client is
 /// ignored, so no client can make the daemon write into a directory of its
 /// choosing. The reply is still exactly what a local build produces.
@@ -358,4 +396,52 @@ fn a_stalled_half_frame_times_out_and_the_daemon_still_idles_out() {
     );
     assert!(!socket.exists(), "socket removed after idle exit");
     drop(stalled);
+}
+
+#[test]
+fn connections_past_the_cap_are_told_busy_until_the_stalls_time_out() {
+    let socket = sock("cap");
+    let handle = start(&socket);
+    let req = BuildRequest::new(
+        "comp Main<G: 1>(@[G, G+1] x: 8) -> (@[G, G+1] o: 8) {
+            a := new Add[8]<G>(x, x);
+            o = a.out;
+        }",
+    )
+    .expanded(false)
+    .verilog();
+
+    // Cap-many clients connect and send nothing. The daemon accepts in
+    // order, so all of them hold a connection thread before the next
+    // client is accepted.
+    let stalled: Vec<UnixStream> = (0..serve::MAX_CONNECTIONS)
+        .map(|_| UnixStream::connect(&socket).expect("connect"))
+        .collect();
+    match serve::request_build(&socket, &req) {
+        Err(serve::ClientError::Server(msg)) => assert!(msg.contains("busy"), "{msg}"),
+        other => panic!("a client past the cap must be told busy, got {other:?}"),
+    }
+
+    // Each stall is cut off at the frame deadline with an error reply.
+    for mut s in stalled {
+        s.set_read_timeout(Some(serve::FRAME_DEADLINE * 3))
+            .expect("client read timeout");
+        let reply = wire::read_frame(&mut s).expect("error reply to the stall");
+        assert_eq!(reply.first(), Some(&2), "RESP_ERR");
+    }
+    // Their threads wind down just after replying; then a client is served.
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let served = loop {
+        match serve::request_build(&socket, &req) {
+            Err(serve::ClientError::Server(msg))
+                if msg.contains("busy") && Instant::now() < deadline =>
+            {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            other => break other,
+        }
+    };
+    let served = served.expect("served after the stalls");
+    assert!(served.output.verilog.is_some(), "verilog requested");
+    shut_down(&socket, handle);
 }

@@ -17,7 +17,7 @@ fn fmt(src: &str) -> String {
 
 #[test]
 fn corpus_sources_format_to_a_fixpoint() {
-    for (name, src, _top) in fil_bench::design_corpus() {
+    for (name, src, _top) in fil_designs::corpus() {
         let once = fmt(&src);
         let twice = fmt(&once);
         assert_eq!(once, twice, "{name}: fmt is not idempotent");
@@ -41,7 +41,7 @@ fn parametric_generators_format_to_a_fixpoint() {
 
 #[test]
 fn expansions_format_to_a_fixpoint() {
-    for (name, src, _top) in fil_bench::design_corpus() {
+    for (name, src, _top) in fil_designs::corpus() {
         let expanded = fil_stdlib::build(&fil_stdlib::BuildRequest::new(src.as_str()))
             .unwrap_or_else(|e| panic!("{name} fails to expand: {e}"))
             .expanded_text

@@ -31,7 +31,7 @@ fn corpus_expansions_match_checked_in_snapshots() {
     }
     let mut expected_files = std::collections::BTreeSet::new();
     let mut failures = Vec::new();
-    for (name, src, _top) in fil_bench::design_corpus() {
+    for (name, src, _top) in fil_designs::corpus() {
         let expanded = fil_stdlib::build(&fil_stdlib::BuildRequest::new(src.as_str()))
             .unwrap_or_else(|e| panic!("{name} fails to expand: {e}"))
             .expanded_text
@@ -92,7 +92,7 @@ fn snapshots_reparse_and_recheck() {
     if update_mode() {
         return; // Snapshots may be mid-rewrite.
     }
-    for (name, _src, _top) in fil_bench::design_corpus() {
+    for (name, _src, _top) in fil_designs::corpus() {
         let path = golden_dir().join(format!("{name}.expanded.fil"));
         let golden = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("{name}: missing snapshot ({e}); run UPDATE_GOLDEN=1"));
@@ -122,7 +122,7 @@ fn snapshots_reparse_and_recheck() {
 /// itself, or warm builds would silently redo that unit's work.
 #[test]
 fn corpus_expansions_fit_the_artifact_ast_codec() {
-    for (name, src, _top) in fil_bench::design_corpus() {
+    for (name, src, _top) in fil_designs::corpus() {
         let mut program = fil_stdlib::std_program();
         program.extend(
             filament_core::parse_program(&src)

@@ -437,7 +437,7 @@ fn stretched(spec: &InterfaceSpec, inputs: bool, by: u64) -> InterfaceSpec {
 #[test]
 fn capture_matches_reference_on_corpus_at_every_period() {
     let mut outcomes = [0usize; 4];
-    for (name, src, top) in fil_bench::design_corpus() {
+    for (name, src, top) in fil_designs::corpus() {
         // The Reticle registry is a superset of the standard one.
         let (netlist, spec) = compile_request_with(
             &BuildRequest::new(src.as_str()).netlist(top),

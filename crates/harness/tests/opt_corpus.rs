@@ -1,6 +1,6 @@
 //! Corpus-wide optimizer gates.
 //!
-//! Two invariants over every design in [`fil_bench::design_corpus`]
+//! Two invariants over every design in [`fil_designs::corpus`]
 //! (which includes the systolic array at N = 2/4/8):
 //!
 //! 1. **Soundness** — the `-O2` build elaborates and its netlist
@@ -14,6 +14,10 @@
 //!    design's `-O2` emitted Verilog, so a rewrite of a pass that keeps
 //!    the cell count but changes its output (a different CSE
 //!    representative, reordered assignments) fails CI too.
+//!
+//! Two more gates outside the corpus: the ten-round `AesFil10` never
+//! grows at `-O2`, and `-O2` `Systolic[8,32]` evaluates no more cells
+//! than `-O0` on one 128-lane stimulus.
 //!
 //! Regenerate the pin file after an intentional optimizer change:
 //!
@@ -47,7 +51,7 @@ fn corpus_optimizes_soundly_and_cell_counts_are_pinned() {
         "# regenerate with UPDATE_GOLDEN=1 after intentional optimizer changes.".to_string(),
     ];
     let mut big_wins = Vec::new();
-    for (name, src, top) in fil_bench::design_corpus() {
+    for (name, src, top) in fil_designs::corpus() {
         let req = |level: u8| {
             BuildRequest::new(src.as_str())
                 .netlist(top)
@@ -129,7 +133,7 @@ fn corpus_optimizes_identically_with_and_without_notes() {
             r.passes.map(|p| p.rewrites),
         )
     };
-    for (name, src, _) in fil_bench::design_corpus() {
+    for (name, src, _) in fil_designs::corpus() {
         let req = BuildRequest::new(src.as_str())
             .lowered()
             .expanded(false)
@@ -161,4 +165,68 @@ fn corpus_optimizes_identically_with_and_without_notes() {
             );
         }
     }
+}
+
+fn netlist_at(src: &str, top: &str, level: u8) -> std::sync::Arc<rtl_sim::Netlist> {
+    fil_stdlib::build(&BuildRequest::new(src).netlist(top).opt_level(level))
+        .unwrap_or_else(|e| panic!("{top} -O{level}: {e}"))
+        .netlist
+        .expect("netlist was requested")
+}
+
+/// The ten-round AES core (the corpus holds it at two rounds): `-O2`
+/// never grows it, and keeps it within the 2 640 cells it had when the
+/// optimizer landed.
+#[test]
+fn aes_fil10_does_not_grow_at_o2() {
+    let (src, top) = (
+        fil_designs::aes_fil::source(10),
+        fil_designs::aes_fil::top_name(10),
+    );
+    let c0 = netlist_at(&src, &top, 0).cells().len();
+    let c2 = netlist_at(&src, &top, 2).cells().len();
+    assert!(
+        c2 <= c0,
+        "AesFil10: -O2 grew the netlist ({c0} -> {c2} cells)"
+    );
+    assert!(
+        c2 <= 2640,
+        "AesFil10: -O2 leaves {c2} cells, more than 2640"
+    );
+}
+
+/// `-O2` never makes the simulator do more work. On one 128-lane
+/// `Systolic[8,32]` stimulus, the `-O2` netlist evaluates no more cells
+/// than the `-O0` one. Eval counts are exact, so this compares the two
+/// levels without a timer.
+#[test]
+fn o2_systolic8_evaluates_no_more_cells_than_o0() {
+    const LANES: u32 = 128;
+    let n = 8u64;
+    let (src, top) = (
+        fil_designs::systolic::source(n, 32),
+        fil_designs::systolic::top_name(n),
+    );
+    let evals = |level: u8| {
+        let netlist = netlist_at(&src, &top, level);
+        let mut sim = rtl_sim::BatchSim::new(&netlist, LANES).expect("batchable");
+        sim.enable_profile();
+        for lane in 0..LANES {
+            let salt = u64::from(lane);
+            sim.poke_by_name("go", lane, fil_bits::Value::from_u64(1, 1));
+            for i in 0..n {
+                let left = fil_bits::Value::from_u64(32, 7 + i + salt);
+                sim.poke_by_name(&format!("left_{i}"), lane, left);
+                let top = fil_bits::Value::from_u64(32, 3 + i + salt);
+                sim.poke_by_name(&format!("top_{i}"), lane, top);
+            }
+        }
+        sim.run(200).expect("simulates");
+        sim.profile().expect("profiling was enabled").total_evals
+    };
+    let (e0, e2) = (evals(0), evals(2));
+    assert!(
+        e2 <= e0,
+        "Systolic[8,32]: -O2 evaluates {e2} cells, -O0 {e0}"
+    );
 }

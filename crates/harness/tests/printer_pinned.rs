@@ -139,7 +139,7 @@ fn render() -> String {
          pinned by tests/printer_pinned.rs\n",
     );
     pin_line(&mut out, "stdlib", &fil_stdlib::std_program());
-    for (name, src, _top) in fil_bench::design_corpus() {
+    for (name, src, _top) in fil_designs::corpus() {
         pin_line(&mut out, &format!("corpus/{name}"), &parse(&name, &src));
     }
     for (name, src) in GENERATE_PROGRAMS {

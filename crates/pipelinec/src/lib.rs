@@ -21,7 +21,7 @@
 //!   ([`AES_SIG`]).
 
 pub mod aes;
-pub mod aes_fil;
+pub use fil_designs::aes_fil;
 
 use fil_bits::Value;
 use fil_harness::{InterfaceSpec, PortSpec};

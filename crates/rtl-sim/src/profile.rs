@@ -122,8 +122,8 @@ impl ProfileReport {
         out
     }
 
-    /// One-line JSON rendering (hand-rolled, same dialect as the
-    /// `sim_speed`/`compile_time` probes).
+    /// One-line JSON rendering (hand-rolled: the workspace has no JSON
+    /// library).
     pub fn to_json(&self) -> String {
         let kinds: Vec<String> = self
             .kind_evals

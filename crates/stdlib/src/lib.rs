@@ -234,7 +234,7 @@ fn netlist_cache() -> &'static fil_build::NetlistCache {
 /// trace-aware), elaborate/check/lower through the build driver exactly
 /// as far as the request's wants demand, and materialize each requested
 /// output. This is *the* entry point — the CLI, the test harness, the
-/// perf probes, and the `filament serve` daemon all route here.
+/// benchmark, and the `filament serve` daemon all route here.
 ///
 /// The cache salt is forced to `"std"`: expand-only and full-build
 /// sessions share artifacts, and custom-registry builds

@@ -30,7 +30,9 @@
 //! connection* is closed; the daemon itself stays up. A client that
 //! vanishes mid-frame costs nothing but its own thread, and one that
 //! stalls holds it for at most twice [`FRAME_DEADLINE`]: a frame that has
-//! not arrived whole by its deadline counts as malformed.
+//! not arrived whole by its deadline counts as malformed. At most
+//! [`MAX_CONNECTIONS`] connections are served at once; one more is
+//! answered with a "busy" `RESP_ERR` and closed without a thread.
 
 use calyx_lite::serial::{DecodeError, Reader, Writer};
 use fil_build::request::{self as wire, FrameError};
@@ -58,6 +60,11 @@ const RESP_BYE: u8 = 5;
 /// client then cannot pin its connection thread, nor hold off the idle
 /// timeout.
 pub const FRAME_DEADLINE: Duration = Duration::from_secs(2);
+
+/// How many connections the daemon serves at once. A connection past the
+/// cap gets a "busy" error frame and is closed, so a flood of clients
+/// cannot make the daemon spawn threads without bound.
+pub const MAX_CONNECTIONS: u64 = 32;
 
 /// How many completed builds the daemon memoizes (encoded reply bytes,
 /// FIFO). Identical repeats inside this window skip the driver entirely.
@@ -197,12 +204,16 @@ impl Server {
                     if self.shared.stop.load(Ordering::SeqCst) {
                         break Ok(()); // the stream was only ever a waker
                     }
+                    let _ = stream.set_read_timeout(Some(FRAME_DEADLINE));
+                    let _ = stream.set_write_timeout(Some(FRAME_DEADLINE));
+                    if self.shared.active.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                        let _ = write_err(&stream, "daemon busy: too many open connections");
+                        continue;
+                    }
                     self.shared
                         .stats
                         .connections
                         .fetch_add(1, Ordering::Relaxed);
-                    let _ = stream.set_read_timeout(Some(FRAME_DEADLINE));
-                    let _ = stream.set_write_timeout(Some(FRAME_DEADLINE));
                     self.shared.active.fetch_add(1, Ordering::SeqCst);
                     *self.shared.last_activity.lock().unwrap() = Instant::now();
                     let shared = self.shared.clone();
@@ -437,8 +448,18 @@ pub struct RemoteBuild {
 
 fn roundtrip(socket: &Path, payload: &[u8]) -> Result<Vec<u8>, ClientError> {
     let mut stream = UnixStream::connect(socket).map_err(ClientError::Connect)?;
-    wire::write_frame(&mut stream, payload).map_err(ClientError::Io)?;
-    wire::read_frame(&mut stream).map_err(ClientError::Frame)
+    // A busy daemon replies without reading the request and hangs up, so
+    // a failed write can still leave its reply to read.
+    let sent = wire::write_frame(&mut stream, payload);
+    let reply = match (wire::read_frame(&mut stream), sent) {
+        (Ok(reply), _) => reply,
+        (Err(_), Err(e)) => return Err(ClientError::Io(e)),
+        (Err(e), Ok(())) => return Err(ClientError::Frame(e)),
+    };
+    match reply.split_first() {
+        Some((&RESP_ERR, rest)) => Err(ClientError::Server(Reader::new(rest).str()?)),
+        _ => Ok(reply),
+    }
 }
 
 /// Runs `req` on the daemon at `socket`.
@@ -466,7 +487,6 @@ pub fn request_build(socket: &Path, req: &BuildRequest) -> Result<RemoteBuild, C
             let (output, _) = wire::decode_output(rest)?;
             Ok(RemoteBuild { output, served })
         }
-        Some((&RESP_ERR, rest)) => Err(ClientError::Server(Reader::new(rest).str()?)),
         _ => Err(ClientError::Protocol("unexpected reply")),
     }
 }

@@ -153,7 +153,7 @@ fn full_evaluation_artifacts_regenerate() {
     assert_eq!(rows.len(), 3);
     let divs = fil_bench::divider_tradeoff();
     assert_eq!(divs[2].initiation_interval, 8);
-    for (name, t) in fil_bench::compile_times() {
+    for (name, t) in fil_bench::compile_durations() {
         assert!(t.as_secs_f64() < 1.0, "{name}");
     }
 }
