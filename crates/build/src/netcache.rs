@@ -165,8 +165,14 @@ mod tests {
     #[test]
     fn key_depends_on_top_and_content() {
         let p8 = program(8);
-        assert_eq!(netlist_key(&p8, "Main", 0), netlist_key(&program(8), "Main", 0));
+        assert_eq!(
+            netlist_key(&p8, "Main", 0),
+            netlist_key(&program(8), "Main", 0)
+        );
         assert_ne!(netlist_key(&p8, "Main", 0), netlist_key(&p8, "Other", 0));
-        assert_ne!(netlist_key(&p8, "Main", 0), netlist_key(&program(16), "Main", 0));
+        assert_ne!(
+            netlist_key(&p8, "Main", 0),
+            netlist_key(&program(16), "Main", 0)
+        );
     }
 }

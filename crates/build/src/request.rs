@@ -683,7 +683,10 @@ mod tests {
         *bad.last_mut().unwrap() = 9;
         assert!(matches!(
             decode_request(&bad),
-            Err(DecodeError::BadTag { what: "opt level", .. })
+            Err(DecodeError::BadTag {
+                what: "opt level",
+                ..
+            })
         ));
     }
 

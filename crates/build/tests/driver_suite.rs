@@ -379,7 +379,10 @@ fn opt_levels_isolate_cache_keys_and_stay_deterministic() {
     // -O2 into the same directory: every unit misses (salted key) and
     // stores its *optimized* form alongside the -O0 artifacts.
     let cold2 = build_program(&p, &TestRegistry, &at(1, 2)).unwrap();
-    assert_eq!(cold2.stats.cache_loads, 0, "-O2 must not reuse -O0 artifacts");
+    assert_eq!(
+        cold2.stats.cache_loads, 0,
+        "-O2 must not reuse -O0 artifacts"
+    );
     assert_eq!(cold2.stats.cache_stores, 2);
     assert_eq!(cold2.stats.opt.level, 2);
     assert!(cold2.stats.opt.cells_before >= cold2.stats.opt.cells_after);
@@ -389,7 +392,10 @@ fn opt_levels_isolate_cache_keys_and_stay_deterministic() {
     // Warm -O2 replays the stored optimized bytes without re-optimizing.
     let warm2 = build_program(&p, &TestRegistry, &at(1, 2)).unwrap();
     assert_eq!(warm2.stats.cache_loads, 2);
-    assert_eq!(warm2.stats.opt.cells_before, 0, "warm load skips the optimizer");
+    assert_eq!(
+        warm2.stats.opt.cells_before, 0,
+        "warm load skips the optimizer"
+    );
     assert_eq!(
         calyx_lite::emit_program(warm2.lowered.as_ref().unwrap()),
         cold2_v,
@@ -398,7 +404,10 @@ fn opt_levels_isolate_cache_keys_and_stay_deterministic() {
 
     // -O0 artifacts are still intact and still produce the old bytes.
     let warm0 = build_program(&p, &TestRegistry, &at(1, 0)).unwrap();
-    assert_eq!(warm0.stats.cache_loads, 2, "-O2 builds must not clobber -O0 keys");
+    assert_eq!(
+        warm0.stats.cache_loads, 2,
+        "-O2 builds must not clobber -O0 keys"
+    );
     assert_eq!(
         calyx_lite::emit_program(warm0.lowered.as_ref().unwrap()),
         plain_v

@@ -7,8 +7,7 @@
 //! must round-trip and reject arbitrary garbage without panicking.
 
 use fil_build::request::{
-    decode_output, decode_request, encode_request, read_frame, request_key, write_frame,
-    FrameError,
+    decode_output, decode_request, encode_request, read_frame, request_key, write_frame, FrameError,
 };
 use fil_build::{BuildOptions, BuildRequest};
 use proptest::prelude::*;

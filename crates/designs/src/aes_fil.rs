@@ -103,8 +103,12 @@ pub fn source(rounds: u32) -> String {
                     .collect();
                 let x3: Vec<String> = (0..4)
                     .map(|k| {
-                        writeln!(b, "  x3{r}_{c}_{k} := new Xor[8]<G+{r}>({}, {});", x2[k], a[k])
-                            .unwrap();
+                        writeln!(
+                            b,
+                            "  x3{r}_{c}_{k} := new Xor[8]<G+{r}>({}, {});",
+                            x2[k], a[k]
+                        )
+                        .unwrap();
                         format!("x3{r}_{c}_{k}.out")
                     })
                     .collect();

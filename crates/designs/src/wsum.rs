@@ -60,12 +60,8 @@ pub fn naive_source(width: u32) -> String {
 pub fn stencil_source(n: usize, width: u32) -> String {
     assert!(n >= 2, "a stencil needs at least two points");
     let mut s = String::new();
-    let ins: Vec<String> = (0..n)
-        .map(|i| format!("@[G, G+1] x{i}: {width}"))
-        .collect();
-    let outs: Vec<String> = (0..n)
-        .map(|i| format!("@[G, G+1] y{i}: {width}"))
-        .collect();
+    let ins: Vec<String> = (0..n).map(|i| format!("@[G, G+1] x{i}: {width}")).collect();
+    let outs: Vec<String> = (0..n).map(|i| format!("@[G, G+1] y{i}: {width}")).collect();
     writeln!(
         s,
         "comp Stencil{n}<G: 1>({}) -> ({}) {{",
@@ -101,7 +97,11 @@ mod tests {
 
     /// Reference model shared by both designs' golden tests.
     fn wsum(xs: &[u64], ws: &[u64], width: u32) -> u64 {
-        let mask = if width == 64 { u64::MAX } else { (1 << width) - 1 };
+        let mask = if width == 64 {
+            u64::MAX
+        } else {
+            (1 << width) - 1
+        };
         xs.iter()
             .zip(ws)
             .fold(0u64, |a, (x, w)| a.wrapping_add(x.wrapping_mul(*w)))

@@ -341,7 +341,10 @@ fn parse_flags(args: &mut Vec<String>) -> Result<Flags, String> {
             }
             "--cases" => {
                 let v = it.next().ok_or("--cases needs a number")?;
-                flags.cases = Some(v.parse().map_err(|_| format!("--cases: bad number {v:?}"))?);
+                flags.cases = Some(
+                    v.parse()
+                        .map_err(|_| format!("--cases: bad number {v:?}"))?,
+                );
             }
             "--txns" => {
                 let v = it.next().ok_or("--txns needs a number")?;
@@ -358,13 +361,17 @@ fn parse_flags(args: &mut Vec<String>) -> Result<Flags, String> {
             }
             "--cache-every" => {
                 let v = it.next().ok_or("--cache-every needs a number")?;
-                flags.cache_every =
-                    Some(v.parse().map_err(|_| format!("--cache-every: bad number {v:?}"))?);
+                flags.cache_every = Some(
+                    v.parse()
+                        .map_err(|_| format!("--cache-every: bad number {v:?}"))?,
+                );
             }
             "--daemon-every" => {
                 let v = it.next().ok_or("--daemon-every needs a number")?;
-                flags.daemon_every =
-                    Some(v.parse().map_err(|_| format!("--daemon-every: bad number {v:?}"))?);
+                flags.daemon_every = Some(
+                    v.parse()
+                        .map_err(|_| format!("--daemon-every: bad number {v:?}"))?,
+                );
             }
             "--remote" => {
                 let v = it.next().ok_or("--remote needs a socket path")?;
@@ -625,8 +632,7 @@ struct FuzzDaemon {
 #[cfg(unix)]
 impl FuzzDaemon {
     fn start() -> Result<Self, String> {
-        let socket =
-            std::env::temp_dir().join(format!("filfz-{}.sock", std::process::id()));
+        let socket = std::env::temp_dir().join(format!("filfz-{}.sock", std::process::id()));
         let server = fil_stdlib::serve::Server::bind(fil_stdlib::serve::ServeOptions {
             socket: socket.clone(),
             ..Default::default()
@@ -1028,7 +1034,9 @@ fn main() -> ExitCode {
         return usage();
     }
     if flags.opt_level.is_some() && cmd != "build" && cmd != "sim" {
-        eprintln!("error: -O/--opt-level is only meaningful with `filament build` or `filament sim`");
+        eprintln!(
+            "error: -O/--opt-level is only meaningful with `filament build` or `filament sim`"
+        );
         return usage();
     }
     if flags.remote.is_some() && cmd != "build" {

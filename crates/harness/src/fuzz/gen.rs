@@ -207,7 +207,10 @@ impl Gen {
                 let name = self.fresh("n");
                 if self.rng.random_range(0..4) == 0 {
                     let alt = BIN_COMB[self.rng.random_range(0..BIN_COMB.len())];
-                    let (l, r) = (self.rng.random_range(0..32u64), self.rng.random_range(0..32u64));
+                    let (l, r) = (
+                        self.rng.random_range(0..32u64),
+                        self.rng.random_range(0..32u64),
+                    );
                     let (then_op, else_op) = if l < r { (op, alt) } else { (alt, op) };
                     let _ = writeln!(
                         self.body,
@@ -315,10 +318,8 @@ impl Gen {
                         };
                         let ea = self.at(a, t);
                         let name = self.fresh("n");
-                        let _ = writeln!(
-                            self.body,
-                            "  {name} := new {op}[{w}, {amt}]<G+{t}>({ea});"
-                        );
+                        let _ =
+                            writeln!(self.body, "  {name} := new {op}[{w}, {amt}]<G+{t}>({ea});");
                         self.push_node(format!("{name}.out"), w, t);
                     }
                     _ => {
@@ -470,7 +471,12 @@ impl Gen {
         let mut connects = String::new();
         for (j, &idx) in picks.iter().enumerate() {
             let n = self.nodes[idx].clone();
-            sig_outputs.push(format!("@[G+{}, G+{}] o{j}: {}", n.ready, n.ready + 1, n.width));
+            sig_outputs.push(format!(
+                "@[G+{}, G+{}] o{j}: {}",
+                n.ready,
+                n.ready + 1,
+                n.width
+            ));
             let expr = self.at(idx, n.ready);
             let _ = writeln!(connects, "  o{j} = {expr};");
         }

@@ -30,8 +30,8 @@ use crate::spec::InterfaceSpec;
 use crate::txn::{build_plan, poison, run_transactions};
 use fil_bits::Value;
 use fil_build::BuildRequest;
-use filament_core::pretty::print_program;
 use filament_core::parse_program;
+use filament_core::pretty::print_program;
 use rtl_sim::{BatchSim, Netlist};
 use std::fmt;
 use std::path::PathBuf;
@@ -154,12 +154,19 @@ pub fn check_source(source: &str, seed: u64, opts: &OracleOptions) -> Result<(),
     // Stage 1: parse + pretty-print fixpoint.
     let p1 = parse_program(source).map_err(|e| fail(Stage::Parse, e.to_string()))?;
     let s1 = print_program(&p1);
-    let p2 = parse_program(&s1)
-        .map_err(|e| fail(Stage::Fixpoint, format!("printed program fails to reparse: {e}")))?;
+    let p2 = parse_program(&s1).map_err(|e| {
+        fail(
+            Stage::Fixpoint,
+            format!("printed program fails to reparse: {e}"),
+        )
+    })?;
     let s2 = print_program(&p2);
     if s1 != s2 {
         let diff = first_diff(&s1, &s2);
-        return Err(fail(Stage::Fixpoint, format!("print∘parse not idempotent: {diff}")));
+        return Err(fail(
+            Stage::Fixpoint,
+            format!("print∘parse not idempotent: {diff}"),
+        ));
     }
 
     // Stage 2: the reference build (-j1, everything on; the lowered
@@ -169,11 +176,16 @@ pub fn check_source(source: &str, seed: u64, opts: &OracleOptions) -> Result<(),
         .expanded(true)
         .lowered()
         .verilog();
-    let out = fil_stdlib::build(&req.clone().jobs(1)).map_err(|e| fail(Stage::Build, e.to_string()))?;
+    let out =
+        fil_stdlib::build(&req.clone().jobs(1)).map_err(|e| fail(Stage::Build, e.to_string()))?;
 
     // Stage 3: parallel-build determinism.
-    let out2 = fil_stdlib::build(&req.clone().jobs(2))
-        .map_err(|e| fail(Stage::Determinism, format!("-j2 build failed where -j1 passed: {e}")))?;
+    let out2 = fil_stdlib::build(&req.clone().jobs(2)).map_err(|e| {
+        fail(
+            Stage::Determinism,
+            format!("-j2 build failed where -j1 passed: {e}"),
+        )
+    })?;
     if out2.expanded_text != out.expanded_text {
         return Err(fail(Stage::Determinism, "-j1 and -j2 expanded text differ"));
     }
@@ -205,18 +217,28 @@ pub fn check_source(source: &str, seed: u64, opts: &OracleOptions) -> Result<(),
             .map_err(|e| fail(Stage::Daemon, format!("daemon build failed: {e}")))?;
         let served = remote.output;
         if served.expanded_text != out.expanded_text || served.verilog != out.verilog {
-            return Err(fail(Stage::Daemon, "daemon build disagrees with the local build"));
+            return Err(fail(
+                Stage::Daemon,
+                "daemon build disagrees with the local build",
+            ));
         }
     }
 
     // Stage 6: interpreter vs Sim lockstep.
     let expanded = out.expanded.expect("expanded was requested");
     let netlist = out.netlist.expect("netlist was requested");
-    let sig = expanded
-        .sig(&opts.top)
-        .ok_or_else(|| fail(Stage::Build, format!("expansion lost component {}", opts.top)))?;
-    let spec = InterfaceSpec::from_signature(sig)
-        .map_err(|e| fail(Stage::Build, format!("top signature is not harness-drivable: {e}")))?;
+    let sig = expanded.sig(&opts.top).ok_or_else(|| {
+        fail(
+            Stage::Build,
+            format!("expansion lost component {}", opts.top),
+        )
+    })?;
+    let spec = InterfaceSpec::from_signature(sig).map_err(|e| {
+        fail(
+            Stage::Build,
+            format!("top signature is not harness-drivable: {e}"),
+        )
+    })?;
     let inputs = random_inputs(&spec, opts.txns, seed);
 
     let mut interp = Interp::new(&expanded);
@@ -226,7 +248,10 @@ pub fn check_source(source: &str, seed: u64, opts: &OracleOptions) -> Result<(),
     let mut want = Vec::with_capacity(inputs.len());
     for (case, txn) in inputs.iter().enumerate() {
         let outs = interp.eval(&opts.top, txn).map_err(|e| {
-            fail(Stage::Interp, format!("interpreter failed on case {case}: {e}"))
+            fail(
+                Stage::Interp,
+                format!("interpreter failed on case {case}: {e}"),
+            )
         })?;
         want.push(outs);
     }
@@ -282,7 +307,10 @@ pub fn check_source(source: &str, seed: u64, opts: &OracleOptions) -> Result<(),
             };
             return Err(fail(
                 Stage::Opt,
-                format!("-O2 diverges from -O0 ({} rewrites): {m}", report.rewrites()),
+                format!(
+                    "-O2 diverges from -O0 ({} rewrites): {m}",
+                    report.rewrites()
+                ),
             ));
         }
     }

@@ -157,7 +157,12 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> Result<FuzzStats, Box<FuzzFailure>> {
 
         if let Err(failure) = result {
             return Err(Box::new(handle_failure(
-                cfg, case, case_seed, gen_case.source, failure, &opts,
+                cfg,
+                case,
+                case_seed,
+                gen_case.source,
+                failure,
+                &opts,
             )));
         }
     }
@@ -196,9 +201,8 @@ fn handle_failure(
         pred_opts.daemon = None;
     }
     let stage = failure.stage;
-    let mut pred = |src: &str| {
-        check_source(src, case_seed, &pred_opts).is_err_and(|e| e.stage == stage)
-    };
+    let mut pred =
+        |src: &str| check_source(src, case_seed, &pred_opts).is_err_and(|e| e.stage == stage);
     let shrunk = shrink(&source, TOP, &mut pred, cfg.shrink_budget);
 
     let repro = cfg.out_dir.as_ref().and_then(|dir| {
@@ -227,10 +231,7 @@ fn handle_failure(
 /// The canonical injected bug for mutation testing: `Add` off by one.
 fn off_by_one_add(params: &[u64], args: &[u64]) -> u64 {
     let w = params.first().copied().unwrap_or(64).min(63);
-    args[0]
-        .wrapping_add(args[1])
-        .wrapping_add(1)
-        & ((1u64 << w) - 1)
+    args[0].wrapping_add(args[1]).wrapping_add(1) & ((1u64 << w) - 1)
 }
 
 /// The result of a successful [`mutation_selftest`].

@@ -407,9 +407,7 @@ fn grow_dead(body: &[Command], dead: &mut HashSet<Id>) {
                 instance,
                 args,
                 ..
-            } if dead.contains(&instance.base)
-                || args.iter().any(|a| port_mentions(a, dead)) =>
-            {
+            } if dead.contains(&instance.base) || args.iter().any(|a| port_mentions(a, dead)) => {
                 dead.insert(name.base.clone());
             }
             Command::ForGen { body, .. } => grow_dead(body, dead),
@@ -431,10 +429,14 @@ fn filter_dead(body: &[Command], dead: &HashSet<Id>) -> Vec<Command> {
     for c in body {
         match c {
             Command::Instance { name, .. } if dead.contains(&name.base) => {}
-            Command::Invoke { name, instance, args, .. }
-                if dead.contains(&name.base)
-                    || dead.contains(&instance.base)
-                    || args.iter().any(|a| port_mentions(a, dead)) => {}
+            Command::Invoke {
+                name,
+                instance,
+                args,
+                ..
+            } if dead.contains(&name.base)
+                || dead.contains(&instance.base)
+                || args.iter().any(|a| port_mentions(a, dead)) => {}
             Command::Connect { dst, src }
                 if port_mentions(src, dead) || port_mentions(dst, dead) => {}
             Command::ForGen { var, lo, hi, body } => out.push(Command::ForGen {

@@ -103,7 +103,10 @@ impl fmt::Display for InterpError {
                 write!(f, "{component}: no value for port reference {port}")
             }
             InterpError::WidthTooWide { component, width } => {
-                write!(f, "{component}: width {width} exceeds the 64-bit value model")
+                write!(
+                    f,
+                    "{component}: width {width} exceeds the 64-bit value model"
+                )
             }
         }
     }
@@ -211,10 +214,9 @@ impl<'p> Interp<'p> {
                     events,
                     args,
                 } => {
-                    let at = events
-                        .first()
-                        .and_then(|t| t.offset_val())
-                        .ok_or_else(|| InterpError::NotExpanded("a symbolic event offset".into()))?;
+                    let at = events.first().and_then(|t| t.offset_val()).ok_or_else(|| {
+                        InterpError::NotExpanded("a symbolic event offset".into())
+                    })?;
                     invokes.push((at, iname.to_string(), instance.to_string(), args));
                 }
                 Command::Connect { .. } => {}
@@ -222,7 +224,9 @@ impl<'p> Interp<'p> {
                     return Err(InterpError::NotExpanded("a for-generate loop".into()))
                 }
                 Command::IfGen { .. } => {
-                    return Err(InterpError::NotExpanded("an if-generate conditional".into()))
+                    return Err(InterpError::NotExpanded(
+                        "an if-generate conditional".into(),
+                    ))
                 }
             }
         }
@@ -276,12 +280,13 @@ impl<'p> Interp<'p> {
                 if !ready {
                     continue;
                 }
-                let (callee, params) = instances.get(instance).ok_or_else(|| {
-                    InterpError::UnboundPort {
-                        component: name.to_string(),
-                        port: instance.clone(),
-                    }
-                })?;
+                let (callee, params) =
+                    instances
+                        .get(instance)
+                        .ok_or_else(|| InterpError::UnboundPort {
+                            component: name.to_string(),
+                            port: instance.clone(),
+                        })?;
                 let outs = self.eval_callee(name, callee, params, &arg_vals)?;
                 inv_vals.insert(iname.clone(), outs);
                 fired.push(slot);
@@ -578,7 +583,11 @@ mod tests {
             "Main",
             &[200, 100],
         );
-        assert_eq!(out, vec![!(44u64) & 0xff], "(200+100) mod 256 = 44, inverted");
+        assert_eq!(
+            out,
+            vec![!(44u64) & 0xff],
+            "(200+100) mod 256 = 44, inverted"
+        );
     }
 
     #[test]

@@ -42,8 +42,7 @@ fn pinned_seed_campaign_is_clean() {
 #[cfg(unix)]
 #[test]
 fn daemon_cross_check_agrees() {
-    let socket =
-        std::env::temp_dir().join(format!("fil-fz-{}.sock", std::process::id()));
+    let socket = std::env::temp_dir().join(format!("fil-fz-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&socket);
     let server = fil_stdlib::serve::Server::bind(fil_stdlib::serve::ServeOptions {
         socket: socket.clone(),

@@ -81,7 +81,10 @@ fn corpus_optimizes_soundly_and_cell_counts_are_pinned() {
         // Effectiveness: -O2 never grows the design, and the counts are
         // pinned below.
         let (c0, c2) = (n0.cells().len(), n2.cells().len());
-        assert!(c2 <= c0, "{name}: -O2 grew the netlist ({c0} -> {c2} cells)");
+        assert!(
+            c2 <= c0,
+            "{name}: -O2 grew the netlist ({c0} -> {c2} cells)"
+        );
         if c2 * 4 <= c0 * 3 {
             big_wins.push(name.clone());
         }

@@ -231,8 +231,7 @@ pub fn optimize_component(c: &mut Component, cfg: &OptConfig) -> OptReport {
             if cfg!(debug_assertions) && fired[4] > 0 {
                 let confirm = iterate(c, cfg, &mut OptReport::default());
                 debug_assert_eq!(
-                    confirm,
-                    [0; 5],
+                    confirm, [0; 5],
                     "{}: an iteration after a dce-only one still rewrote",
                     c.name
                 );
@@ -672,7 +671,11 @@ fn const_fold(c: &mut Component, cfg: &OptConfig, notes: &mut Notes) -> u64 {
             continue;
         }
         let state = kind.initial_state();
-        let mut outs: Vec<Value> = kind.output_widths().iter().map(|&w| Value::zero(w)).collect();
+        let mut outs: Vec<Value> = kind
+            .output_widths()
+            .iter()
+            .map(|&w| Value::zero(w))
+            .collect();
         let ins: Vec<&Value> = vals.iter().collect();
         kind.eval_into(&ins, &state, &mut outs);
         let value = outs.swap_remove(0);
@@ -707,8 +710,7 @@ fn strength(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
         let pin = |p: &str, w: u32| pin_state(c, drivers, p, w);
         let out = || PortRef::cell(cell.name.clone(), "out");
         // Forward `cell.out` readers to `src`; the cell dies.
-        let mut fwd = |src: Src, repl: &mut HashMap<PortRef, Src>,
-                       dead: &mut HashSet<String>| {
+        let mut fwd = |src: Src, repl: &mut HashMap<PortRef, Src>, dead: &mut HashSet<String>| {
             if record {
                 forwarded.insert(cell.name.clone(), render_src(&src));
             }
@@ -741,23 +743,17 @@ fn strength(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
                     }
                 }
             }
-            CellKind::Add { width } => {
-                match (pin("left", width), pin("right", width)) {
-                    (PinState::Const(v), other) | (other, PinState::Const(v))
-                        if v.is_zero() =>
-                    {
-                        if let Some(src) = other.as_src() {
-                            fwd(src, &mut repl, &mut dead);
-                        }
+            CellKind::Add { width } => match (pin("left", width), pin("right", width)) {
+                (PinState::Const(v), other) | (other, PinState::Const(v)) if v.is_zero() => {
+                    if let Some(src) = other.as_src() {
+                        fwd(src, &mut repl, &mut dead);
                     }
-                    _ => {}
                 }
-            }
+                _ => {}
+            },
             CellKind::Or { width } | CellKind::Xor { width } => {
                 match (pin("left", width), pin("right", width)) {
-                    (PinState::Const(v), other) | (other, PinState::Const(v))
-                        if v.is_zero() =>
-                    {
+                    (PinState::Const(v), other) | (other, PinState::Const(v)) if v.is_zero() => {
                         if let Some(src) = other.as_src() {
                             fwd(src, &mut repl, &mut dead);
                         }
@@ -825,7 +821,10 @@ fn strength(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
             continue;
         };
         notes.add(PASSES[1], || {
-            (format!("cell {} (mul)", cell.name), format!("shl by {amount}"))
+            (
+                format!("cell {} (mul)", cell.name),
+                format!("shl by {amount}"),
+            )
         });
         cell.proto = CellProto::Primitive(CellKind::ShlConst { width, amount });
         retarget.insert(cell.name.clone(), keep_pin);
@@ -931,7 +930,9 @@ fn forward(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
         let Some((states, src)) = windowed.get(p) else {
             continue;
         };
-        let Guard::Any(reads) = &a.guard else { continue };
+        let Guard::Any(reads) = &a.guard else {
+            continue;
+        };
         if reads.is_empty() || !reads.iter().all(|q| states.contains(q)) {
             continue;
         }

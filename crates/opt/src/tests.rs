@@ -29,11 +29,7 @@ fn eval(c: &Component, inputs: &[(&str, Value)]) -> Vec<(String, Value)> {
 
 /// Asserts that optimizing `c` at `level` preserves its combinational
 /// behavior on `inputs`, and returns (optimized component, report).
-fn check_equiv(
-    mut c: Component,
-    level: u8,
-    inputs: &[(&str, Value)],
-) -> (Component, OptReport) {
+fn check_equiv(mut c: Component, level: u8, inputs: &[(&str, Value)]) -> (Component, OptReport) {
     let before = eval(&c, inputs);
     let report = optimize_component(&mut c, &cfg(level));
     let after = eval(&c, inputs);
@@ -104,7 +100,14 @@ fn const_fold_matches_simulator_semantics() {
 fn const_fold_skips_registers() {
     let mut c = Component::new("T");
     c.add_output("out", 8);
-    c.add_primitive("r", CellKind::Reg { width: 8, init: 0, has_en: false });
+    c.add_primitive(
+        "r",
+        CellKind::Reg {
+            width: 8,
+            init: 0,
+            has_en: false,
+        },
+    );
     c.assign(PortRef::cell("r", "in"), Src::konst(v(8, 9)));
     c.assign(PortRef::this("out"), Src::port(PortRef::cell("r", "out")));
 
@@ -130,7 +133,10 @@ fn strength_mul_pow2_becomes_shl() {
     assert_eq!(c.cells[0].name, "mul", "name must survive the rewrite");
     assert!(matches!(
         c.cells[0].proto,
-        CellProto::Primitive(CellKind::ShlConst { width: 8, amount: 3 })
+        CellProto::Primitive(CellKind::ShlConst {
+            width: 8,
+            amount: 3
+        })
     ));
     // The surviving operand now drives the unary `in` pin.
     assert!(c
@@ -138,7 +144,10 @@ fn strength_mul_pow2_becomes_shl() {
         .iter()
         .any(|a| a.dst == PortRef::cell("mul", "in")));
     assert!(report.passes[1].rewrites > 0);
-    assert!(report.originals_of("mul").iter().any(|n| n.pass == "strength"));
+    assert!(report
+        .originals_of("mul")
+        .iter()
+        .any(|n| n.pass == "strength"));
 }
 
 /// Multiplication by zero and by one collapse without any shift.
@@ -158,7 +167,11 @@ fn strength_mul_zero_and_one() {
     c.assign(PortRef::this("o1"), Src::port(PortRef::cell("m1", "out")));
 
     let (c, _) = check_equiv(c, 1, &[("a", v(8, 77))]);
-    assert!(c.cells.is_empty(), "both multipliers collapse: {:?}", c.cells);
+    assert!(
+        c.cells.is_empty(),
+        "both multipliers collapse: {:?}",
+        c.cells
+    );
 }
 
 /// Additive/bitwise identities forward the live operand.
@@ -214,9 +227,28 @@ fn forward_identity_cells() {
     let mut c = Component::new("T");
     c.add_input("a", 8);
     c.add_output("out", 8);
-    c.add_primitive("sl", CellKind::Slice { in_width: 8, hi: 7, lo: 0 });
-    c.add_primitive("zx", CellKind::ZeroExt { in_width: 8, out_width: 8 });
-    c.add_primitive("sh", CellKind::ShlConst { width: 8, amount: 0 });
+    c.add_primitive(
+        "sl",
+        CellKind::Slice {
+            in_width: 8,
+            hi: 7,
+            lo: 0,
+        },
+    );
+    c.add_primitive(
+        "zx",
+        CellKind::ZeroExt {
+            in_width: 8,
+            out_width: 8,
+        },
+    );
+    c.add_primitive(
+        "sh",
+        CellKind::ShlConst {
+            width: 8,
+            amount: 0,
+        },
+    );
     c.assign(PortRef::cell("sl", "in"), Src::this("a"));
     c.assign(
         PortRef::cell("zx", "in"),
@@ -247,15 +279,29 @@ fn forward_guarded_identity_with_contained_window() {
     c.add_primitive("fsm", CellKind::ShiftFsm { n: 1 });
     c.assign(PortRef::cell("fsm", "go"), Src::this("go"));
     let s0 = PortRef::cell("fsm", "_0");
-    c.add_primitive("zx", CellKind::ZeroExt { in_width: 8, out_width: 8 });
-    c.assign_guarded(PortRef::cell("zx", "in"), Src::this("a"), Guard::port(s0.clone()));
+    c.add_primitive(
+        "zx",
+        CellKind::ZeroExt {
+            in_width: 8,
+            out_width: 8,
+        },
+    );
+    c.assign_guarded(
+        PortRef::cell("zx", "in"),
+        Src::this("a"),
+        Guard::port(s0.clone()),
+    );
     c.add_primitive("add", CellKind::Add { width: 8 });
     c.assign_guarded(
         PortRef::cell("add", "left"),
         Src::port(PortRef::cell("zx", "out")),
         Guard::port(s0.clone()),
     );
-    c.assign_guarded(PortRef::cell("add", "right"), Src::this("a"), Guard::port(s0));
+    c.assign_guarded(
+        PortRef::cell("add", "right"),
+        Src::this("a"),
+        Guard::port(s0),
+    );
     c.assign(PortRef::this("out"), Src::port(PortRef::cell("add", "out")));
 
     let (c, report) = check_equiv(c, 1, &[("go", v(1, 1)), ("a", v(8, 21))]);
@@ -280,7 +326,13 @@ fn forward_guarded_identity_respects_window_containment() {
     c.add_output("out", 8);
     c.add_primitive("fsm", CellKind::ShiftFsm { n: 2 });
     c.assign(PortRef::cell("fsm", "go"), Src::this("go"));
-    c.add_primitive("zx", CellKind::ZeroExt { in_width: 8, out_width: 8 });
+    c.add_primitive(
+        "zx",
+        CellKind::ZeroExt {
+            in_width: 8,
+            out_width: 8,
+        },
+    );
     c.assign_guarded(
         PortRef::cell("zx", "in"),
         Src::this("a"),
@@ -295,7 +347,11 @@ fn forward_guarded_identity_respects_window_containment() {
 
     let mut c2 = c.clone();
     optimize_component(&mut c2, &cfg(2));
-    let reader = c2.assigns.iter().find(|a| a.dst == PortRef::this("out")).unwrap();
+    let reader = c2
+        .assigns
+        .iter()
+        .find(|a| a.dst == PortRef::this("out"))
+        .unwrap();
     assert!(
         matches!(&reader.src, Src::Port(p) if *p == PortRef::cell("zx", "out")),
         "disjoint windows must not forward"
@@ -329,7 +385,11 @@ fn guarded_zero_operand_is_constant() {
         "the adder is an identity: {:?}",
         c.cells
     );
-    let reader = c.assigns.iter().find(|a| a.dst == PortRef::this("out")).unwrap();
+    let reader = c
+        .assigns
+        .iter()
+        .find(|a| a.dst == PortRef::this("out"))
+        .unwrap();
     assert!(matches!(&reader.src, Src::Port(p) if *p == PortRef::this("a")));
 }
 
@@ -339,7 +399,14 @@ fn forward_keeps_narrowing_slice() {
     let mut c = Component::new("T");
     c.add_input("a", 8);
     c.add_output("out", 4);
-    c.add_primitive("sl", CellKind::Slice { in_width: 8, hi: 3, lo: 0 });
+    c.add_primitive(
+        "sl",
+        CellKind::Slice {
+            in_width: 8,
+            hi: 3,
+            lo: 0,
+        },
+    );
     c.assign(PortRef::cell("sl", "in"), Src::this("a"));
     c.assign(PortRef::this("out"), Src::port(PortRef::cell("sl", "out")));
 
@@ -368,7 +435,11 @@ fn cse_merges_identical_cells() {
     assert_eq!(c.cells.len(), 1);
     assert_eq!(c.cells[0].name, "add1", "first cell is the representative");
     for out in ["x", "y"] {
-        let a = c.assigns.iter().find(|a| a.dst == PortRef::this(out)).unwrap();
+        let a = c
+            .assigns
+            .iter()
+            .find(|a| a.dst == PortRef::this(out))
+            .unwrap();
         assert!(matches!(&a.src, Src::Port(p) if *p == PortRef::cell("add1", "out")));
     }
     assert!(report.passes[3].rewrites > 0);
@@ -456,8 +527,22 @@ fn dce_liveness_through_guards() {
 fn fixpoint_terminates_on_register_loop() {
     let mut c = Component::new("T");
     c.add_output("out", 8);
-    c.add_primitive("r1", CellKind::Reg { width: 8, init: 0, has_en: false });
-    c.add_primitive("r2", CellKind::Reg { width: 8, init: 0, has_en: false });
+    c.add_primitive(
+        "r1",
+        CellKind::Reg {
+            width: 8,
+            init: 0,
+            has_en: false,
+        },
+    );
+    c.add_primitive(
+        "r2",
+        CellKind::Reg {
+            width: 8,
+            init: 0,
+            has_en: false,
+        },
+    );
     c.add_primitive("inc", CellKind::Add { width: 8 });
     c.assign(
         PortRef::cell("inc", "left"),
@@ -535,7 +620,11 @@ fn guard_constant_simplification() {
     );
     let (c, _) = check_equiv(c, 1, &[("a", v(8, 42))]);
     assert!(c.cells.is_empty());
-    assert!(c.assigns.is_empty(), "never-active assign dropped: {:?}", c.assigns);
+    assert!(
+        c.assigns.is_empty(),
+        "never-active assign dropped: {:?}",
+        c.assigns
+    );
 }
 
 /// The injection hook mis-folds partially-constant cells — and ONLY fires
@@ -645,10 +734,9 @@ fn cse_canonical_driver_order_and_trivial_guards() {
     let (c, report) = check_equiv(c, 2, &[("a", v(8, 3)), ("b", v(8, 9))]);
     let names: Vec<&str> = c.cells.iter().map(|x| x.name.as_str()).collect();
     assert_eq!(names, ["add1"]);
-    assert!(report
-        .notes
-        .iter()
-        .any(|n| n.pass == "cse" && n.original == "cell add2" && n.replacement == "merged into add1"));
+    assert!(report.notes.iter().any(|n| n.pass == "cse"
+        && n.original == "cell add2"
+        && n.replacement == "merged into add1"));
 }
 
 /// Cells with identical drivers but different kind parameters (slices of
@@ -656,7 +744,11 @@ fn cse_canonical_driver_order_and_trivial_guards() {
 /// order of two drivers on one pin.
 #[test]
 fn cse_exact_comparison_separates_near_twins() {
-    let slice = |hi, lo| CellKind::Slice { in_width: 8, hi, lo };
+    let slice = |hi, lo| CellKind::Slice {
+        in_width: 8,
+        hi,
+        lo,
+    };
     let mut c = Component::new("T");
     c.add_input("a", 8);
     c.add_input("g", 1);
@@ -674,8 +766,20 @@ fn cse_exact_comparison_separates_near_twins() {
     assert_eq!(c2.cells.len(), 2, "different slices must not merge");
 
     let fanin = Fanin::new(&c);
-    assert!(!same_cell(&c, &c.cells[0], fanin.drivers_of(0), &c.cells[1], fanin.drivers_of(1)));
-    assert!(same_cell(&c, &c.cells[0], fanin.drivers_of(0), &c.cells[0], fanin.drivers_of(0)));
+    assert!(!same_cell(
+        &c,
+        &c.cells[0],
+        fanin.drivers_of(0),
+        &c.cells[1],
+        fanin.drivers_of(1)
+    ));
+    assert!(same_cell(
+        &c,
+        &c.cells[0],
+        fanin.drivers_of(0),
+        &c.cells[0],
+        fanin.drivers_of(0)
+    ));
     drop(fanin);
 
     // Two guarded drivers on one pin, in opposite orders.
@@ -750,7 +854,11 @@ fn dce_long_chain_keeps_or_removes_every_cell() {
     let report = optimize_component(&mut dead, &cfg(2));
     assert!(dead.cells.is_empty(), "unobserved chain must die whole");
     assert_eq!(dead.assigns.len(), 1, "only `out = a` survives");
-    assert_eq!(report.passes[4].rewrites, 2 * N as u64, "N cells + N assigns");
+    assert_eq!(
+        report.passes[4].rewrites,
+        2 * N as u64,
+        "N cells + N assigns"
+    );
     assert_eq!(report.notes.len(), N, "one dce note per cell");
     assert!(report.notes.iter().all(|n| n.pass == "dce"));
 }
@@ -769,7 +877,10 @@ fn fixpoint_stops_after_dce_only_iteration() {
     let report = optimize_component(&mut c, &cfg(2));
     assert!(c.cells.is_empty());
     assert_eq!(report.passes[4].rewrites, 2);
-    assert_eq!(report.iterations, 1, "a dce-only iteration ends the fixpoint");
+    assert_eq!(
+        report.iterations, 1,
+        "a dce-only iteration ends the fixpoint"
+    );
 
     // A fold and dead code in one iteration: the fold may enable more
     // work, so a second (empty) iteration confirms the fixpoint.
@@ -812,15 +923,37 @@ fn every_pass_fires() -> Component {
     c.assign(PortRef::cell("m", "right"), Src::konst(v(8, 4)));
     c.add_primitive("p", CellKind::Add { width: 8 });
     c.assign(PortRef::cell("p", "left"), Src::this("a"));
-    c.assign(PortRef::cell("p", "right"), Src::port(PortRef::cell("k", "out")));
+    c.assign(
+        PortRef::cell("p", "right"),
+        Src::port(PortRef::cell("k", "out")),
+    );
     c.add_primitive("p0", CellKind::Add { width: 8 });
-    c.assign(PortRef::cell("p0", "left"), Src::port(PortRef::cell("m", "out")));
+    c.assign(
+        PortRef::cell("p0", "left"),
+        Src::port(PortRef::cell("m", "out")),
+    );
     c.assign(PortRef::cell("p0", "right"), Src::konst(v(8, 0)));
     // forward: an identity slice, and a zero-extension written in state
     // `s` and read in state `s`.
-    c.add_primitive("id", CellKind::Slice { in_width: 8, hi: 7, lo: 0 });
-    c.assign(PortRef::cell("id", "in"), Src::port(PortRef::cell("p0", "out")));
-    c.add_primitive("win", CellKind::ZeroExt { in_width: 8, out_width: 8 });
+    c.add_primitive(
+        "id",
+        CellKind::Slice {
+            in_width: 8,
+            hi: 7,
+            lo: 0,
+        },
+    );
+    c.assign(
+        PortRef::cell("id", "in"),
+        Src::port(PortRef::cell("p0", "out")),
+    );
+    c.add_primitive(
+        "win",
+        CellKind::ZeroExt {
+            in_width: 8,
+            out_width: 8,
+        },
+    );
     c.assign_guarded(
         PortRef::cell("win", "in"),
         Src::this("a"),
@@ -829,7 +962,10 @@ fn every_pass_fires() -> Component {
     // cse: a twin of `p`.
     c.add_primitive("q", CellKind::Add { width: 8 });
     c.assign(PortRef::cell("q", "left"), Src::this("a"));
-    c.assign(PortRef::cell("q", "right"), Src::port(PortRef::cell("k", "out")));
+    c.assign(
+        PortRef::cell("q", "right"),
+        Src::port(PortRef::cell("k", "out")),
+    );
     // dce: never read.
     c.add_primitive("junk", CellKind::Not { width: 8 });
     c.assign(PortRef::cell("junk", "in"), Src::this("a"));
