@@ -8,6 +8,10 @@
 //! edge paths. Each netlist runs at 1, 64, 65 and 130 lanes: one lane,
 //! one full plane word, a ragged tail, and three words. A separate case
 //! drives guarded fan-in, including one injected write conflict.
+//!
+//! Every kind also runs at 65, 128 and 1280 bits (multi-limb lanes), and
+//! every kind at every width is checked against a model written with
+//! `fil_bits::Value` operations, the semantics opt's const-fold shares.
 
 use fil_bits::Value;
 use rtl_sim::{BatchSim, CellKind, Netlist, SignalId, Sim, SimError};
@@ -31,6 +35,20 @@ fn hash(lane: u32, t: u64, i: usize) -> u64 {
 /// small numbers (shift amounts, counters) and full-width noise.
 fn stim(lane: u32, t: u64, i: usize, width: u32) -> Value {
     let x = hash(lane, t, i);
+    if width > 64 {
+        // Whole-value classes; small values reach every wide shift amount.
+        return match x >> 62 {
+            0 => Value::zero(width),
+            1 => Value::ones(width),
+            2 => Value::from_u64(width, (x >> 8) % u64::from(width + 8)),
+            _ => {
+                let limbs: Vec<u64> = (0..width.div_ceil(64) as usize)
+                    .map(|k| hash(lane, t, i + 1000 * (k + 1)))
+                    .collect();
+                Value::from_limbs(width, &limbs)
+            }
+        };
+    }
     let raw = match x >> 62 {
         0 => 0,
         1 => u64::MAX,
@@ -183,6 +201,248 @@ fn kinds() -> Vec<CellKind> {
         }
     }
     out
+}
+
+const WIDE: [u32; 3] = [65, 128, 1280];
+
+/// Every width-parametric kind at multi-limb widths, with the slices,
+/// shifts, concatenations and resizes that cross limb and layout edges.
+fn wide_kinds() -> Vec<CellKind> {
+    use CellKind::*;
+    let mut out = Vec::new();
+    for &width in &WIDE {
+        let w = width;
+        let limbs: Vec<u64> = (0..w.div_ceil(64) as u64)
+            .map(|k| 0xA5A5_5A5A_F00F_0FF0 ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        out.extend([
+            Const {
+                value: Value::from_limbs(w, &limbs),
+            },
+            Add { width },
+            Sub { width },
+            MulComb { width },
+            And { width },
+            Or { width },
+            Xor { width },
+            Not { width },
+            ShlDyn { width },
+            ShrDyn { width },
+            Eq { width },
+            Lt { width },
+            Ge { width },
+            Mux { width },
+            ReduceOr { width },
+            ReduceAnd { width },
+            Clz { width },
+            Reg {
+                width,
+                init: 0x1234_5678_9ABC_DEF0,
+                has_en: false,
+            },
+            Reg {
+                width,
+                init: 0,
+                has_en: true,
+            },
+        ]);
+        for (hi, lo) in [
+            (w - 1, 0),
+            (w - 1, w / 2),
+            (w / 2, w / 2),
+            (63, 0),
+            (w - 1, w - 64),
+            (64, 1),
+        ] {
+            out.push(Slice {
+                in_width: w,
+                hi,
+                lo,
+            });
+        }
+        for amount in [0, 1, 63, 64, 65, w - 1, w, w + 3] {
+            out.push(ShlConst { width, amount });
+            out.push(ShrConst { width, amount });
+        }
+        for latency in 1..=3 {
+            out.push(MultSeq { width, latency });
+            out.push(MultPipe { width, latency });
+        }
+        for use_c in [false, true] {
+            for use_pcin in [false, true] {
+                out.push(Dsp48 {
+                    width,
+                    use_c,
+                    use_pcin,
+                });
+            }
+        }
+    }
+    for (hi_width, lo_width) in [
+        (1, 64),
+        (64, 1),
+        (64, 64),
+        (65, 63),
+        (7, 121),
+        (640, 640),
+        (1, 1279),
+        (1279, 1),
+    ] {
+        out.push(Concat { hi_width, lo_width });
+    }
+    for (in_width, out_width) in [
+        (1, 65),
+        (64, 128),
+        (7, 1280),
+        (128, 1280),
+        (1280, 128),
+        (1280, 64),
+        (128, 65),
+        (65, 1),
+    ] {
+        out.push(ZeroExt {
+            in_width,
+            out_width,
+        });
+    }
+    out
+}
+
+/// The cell's outputs from `fil_bits::Value` operations: the reference
+/// every engine is held to.
+fn model_eval(kind: &CellKind, ins: &[Value], state: &[Value]) -> Vec<Value> {
+    use std::cmp::Ordering::Less;
+    use CellKind::*;
+    let out = match *kind {
+        Const { ref value } => value.clone(),
+        Add { .. } => ins[0].add(&ins[1]),
+        Sub { .. } => ins[0].sub(&ins[1]),
+        MulComb { .. } => ins[0].mul(&ins[1]),
+        And { .. } => ins[0].and(&ins[1]),
+        Or { .. } => ins[0].or(&ins[1]),
+        Xor { .. } => ins[0].xor(&ins[1]),
+        Not { .. } => ins[0].not(),
+        ShlDyn { .. } => ins[0].shl_dyn(&ins[1]),
+        ShrDyn { .. } => ins[0].shr_dyn(&ins[1]),
+        ShlConst { amount, .. } => ins[0].shl(amount),
+        ShrConst { amount, .. } => ins[0].shr(amount),
+        Eq { .. } => Value::from_bool(ins[0] == ins[1]),
+        Lt { .. } => Value::from_bool(ins[0].ucmp(&ins[1]) == Less),
+        Ge { .. } => Value::from_bool(ins[0].ucmp(&ins[1]) != Less),
+        Mux { .. } => ins[if ins[0].as_bool() { 2 } else { 1 }].clone(),
+        Slice { hi, lo, .. } => ins[0].slice(hi, lo),
+        Concat { .. } => ins[0].concat(&ins[1]),
+        ZeroExt { out_width, .. } => ins[0].resize(out_width),
+        ReduceOr { .. } => ins[0].reduce_or(),
+        ReduceAnd { .. } => ins[0].reduce_and(),
+        Clz { width } => Value::from_u64(width, u64::from(ins[0].leading_zeros())),
+        SBox => Value::from_u64(8, u64::from(rtl_sim::AES_SBOX[ins[0].to_u64() as usize])),
+        Reg { .. } => state[0].clone(),
+        ShiftFsm { .. } => {
+            return std::iter::once(ins[0].clone())
+                .chain(state.iter().cloned())
+                .collect()
+        }
+        MultSeq { .. } => state[2].clone(),
+        MultPipe { .. } => state.last().unwrap().clone(),
+        Dsp48 { .. } => state[3].clone(),
+    };
+    vec![out]
+}
+
+/// The cell's next state from `fil_bits::Value` operations.
+fn model_tick(kind: &CellKind, ins: &[Value], state: &mut Vec<Value>) {
+    use CellKind::*;
+    match *kind {
+        Reg { has_en, .. } => {
+            if !has_en || ins[0].as_bool() {
+                state[0] = ins[usize::from(has_en)].clone();
+            }
+        }
+        ShiftFsm { .. } => {
+            if !state.is_empty() {
+                state.pop();
+                state.insert(0, ins[0].clone());
+            }
+        }
+        MultSeq { latency, .. } => {
+            let count = state[3].to_u64();
+            if ins[0].as_bool() {
+                if count > 0 {
+                    state[0] = ins[1].xor(&state[0]);
+                    state[1] = ins[2].xor(&state[1]);
+                } else {
+                    state[0] = ins[1].clone();
+                    state[1] = ins[2].clone();
+                }
+                if latency == 1 {
+                    state[2] = state[0].mul(&state[1]);
+                }
+                state[3] = Value::from_u64(32, u64::from(latency));
+            } else if count > 0 {
+                if count == 2 {
+                    state[2] = state[0].mul(&state[1]);
+                }
+                state[3] = Value::from_u64(32, count - 1);
+            }
+        }
+        MultPipe { .. } => {
+            state.pop();
+            state.insert(0, ins[0].mul(&ins[1]));
+        }
+        Dsp48 {
+            use_c, use_pcin, ..
+        } => {
+            let mut p = state[2].clone();
+            if use_c {
+                p = p.add(&ins[2]);
+            }
+            if use_pcin {
+                p = p.add(&ins[3]);
+            }
+            state[3] = p;
+            state[2] = state[0].mul(&state[1]);
+            state[0] = ins[0].clone();
+            state[1] = ins[1].clone();
+        }
+        _ => {}
+    }
+}
+
+/// Drives a scalar [`Sim`] of `kind`'s one-cell netlist beside the
+/// `Value` model, comparing every output after every settle.
+fn matches_model(kind: &CellKind) {
+    let n = one_cell(kind);
+    let inputs: Vec<SignalId> = n.inputs().collect();
+    let outputs: Vec<SignalId> = n.outputs().collect();
+    let mut sim = Sim::new(&n).unwrap();
+    let mut state = kind.initial_state();
+    for t in 0..CYCLES {
+        let ins: Vec<Value> = (inputs.iter().enumerate())
+            .map(|(i, &sig)| stim(0, t, i, n.signal(sig).width))
+            .collect();
+        for (&sig, v) in inputs.iter().zip(&ins) {
+            sim.poke(sig, v.clone());
+        }
+        sim.settle().unwrap();
+        let want = model_eval(kind, &ins, &state);
+        for (o, (&sig, want)) in outputs.iter().zip(&want).enumerate() {
+            assert_eq!(
+                sim.peek(sig).clone(),
+                *want,
+                "{kind:?}: output {o}, cycle {t}"
+            );
+        }
+        sim.tick().unwrap();
+        model_tick(kind, &ins, &mut state);
+    }
+}
+
+#[test]
+fn every_cell_kind_matches_value_ops() {
+    for kind in kinds().iter().chain(&wide_kinds()) {
+        matches_model(kind);
+    }
 }
 
 /// A netlist holding one cell of `kind`, every pin a top-level port.
