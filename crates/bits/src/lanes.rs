@@ -1,40 +1,55 @@
-//! Lane-array value storage for batched simulation.
+//! The lane layout, and the kernels that run on it.
 //!
-//! A [`LaneBuf`] holds the same signal for `B` independent simulation traces
-//! ("lanes") in a layout chosen by width:
+//! The simulator stores each signal for `B` independent traces ("lanes")
+//! as a run of `u64` words in one arena. The layout depends only on the
+//! signal's width:
 //!
-//! * **width == 1** (control signals, guards): *bit-sliced* — lane `l` is bit
-//!   `l % 64` of word `l / 64`, so one machine word carries 64 traces and
-//!   boolean logic across all lanes is a single bitwise instruction. Bits at
-//!   positions `>= lanes` in the last word are kept zero (the *tail
-//!   invariant*), so whole-word comparisons decide lane-wise equality.
+//! * **width == 1** (control signals, guards): *bit-sliced* — lane `l` is
+//!   bit `l % 64` of word `l / 64`, so one machine word carries 64 traces
+//!   and boolean logic across all lanes is a single bitwise instruction.
+//!   Bits at positions `>= lanes` in the last word are kept zero (the
+//!   *tail invariant*), so whole-word comparisons decide lane-wise
+//!   equality.
 //! * **2 ..= 64 bits** (datapath signals): *word-per-lane* — lane `l` is
 //!   word `l`, masked to the width.
+//! * **over 64 bits** (the AES state and key buses): `ceil(width / 64)`
+//!   little-endian limbs per lane, each lane's limbs contiguous, the top
+//!   limb masked to the width.
 //!
-//! Widths above 64 bits have no lane layout; batched simulation rejects such
-//! designs up front (see `rtl_sim::BatchSim`).
+//! At one lane every layout is exactly a [`Value`]'s limbs, so a one-lane
+//! simulator, opt's const-fold and `Value` share one storage format.
 //!
-//! All operations mirror the scalar [`Value`](crate::Value) semantics
-//! exactly — wrapping arithmetic modulo `2^width`, shift amounts at or past
-//! the width producing zero, two-state logic — so a batched simulation is
-//! bit-identical, lane for lane, with `B` scalar runs.
+//! Every kernel takes the lane count and widths, reads its operands from
+//! slices and writes a pre-sized output slice; none allocates. Multi-limb
+//! lanes run the limb-slice functions of [`crate::limbs`], the same ones
+//! behind `Value`'s wide paths. All kernels mirror the `Value` semantics
+//! exactly — wrapping arithmetic modulo `2^width`, shift amounts at or
+//! past the width producing zero, two-state logic — so lane `l` of a
+//! batched simulation is bit-identical to a one-lane run of its stimulus.
 
+use crate::limbs;
 use crate::value::mask64;
-
-/// Number of `u64` words backing a `width`-bit signal across `lanes` traces.
-#[inline]
-pub fn word_count(width: u32, lanes: u32) -> usize {
-    if width == 1 {
-        plane_words(lanes)
-    } else {
-        lanes as usize
-    }
-}
+use crate::Value;
+use std::cmp::Ordering;
 
 /// Number of words in a 1-bit *plane* over `lanes` traces.
-#[inline]
+#[inline(always)]
 pub fn plane_words(lanes: u32) -> usize {
     lanes.div_ceil(64) as usize
+}
+
+/// Number of `u64` words backing a `width`-bit signal across `lanes`
+/// traces. Written per layout, so a constant lane count folds it to a
+/// constant for every width up to 64 bits.
+#[inline(always)]
+pub fn words(width: u32, lanes: u32) -> usize {
+    if width == 1 {
+        plane_words(lanes)
+    } else if width <= 64 {
+        lanes as usize
+    } else {
+        lanes as usize * limbs::count(width)
+    }
 }
 
 /// Mask of valid lane bits in the *last* word of a plane.
@@ -54,486 +69,650 @@ pub fn mask_plane_tail(words: &mut [u64], lanes: u32) {
     }
 }
 
-/// A signal's value across `B` independent simulation lanes.
-///
-/// See the [module docs](self) for the layout. Construct with
-/// [`LaneBuf::zero`]; all operations write into pre-sized buffers and never
-/// allocate, which keeps the batched simulator's per-cycle hot path
-/// allocation-free.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LaneBuf {
-    width: u32,
-    lanes: u32,
-    words: Vec<u64>,
+/// Lane `lane`'s bit of a plane.
+#[inline(always)]
+pub fn bit(plane: &[u64], lane: usize) -> bool {
+    (plane[lane / 64] >> (lane % 64)) & 1 != 0
 }
 
-impl LaneBuf {
-    /// An all-zero buffer for a `width`-bit signal across `lanes` traces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is 0 or above 64, or `lanes` is 0.
-    pub fn zero(width: u32, lanes: u32) -> Self {
-        assert!(
-            (1..=64).contains(&width),
-            "lane layout exists only for widths 1..=64, got {width}"
-        );
-        assert!(lanes > 0, "need at least one lane");
-        LaneBuf {
-            width,
-            lanes,
-            words: vec![0; word_count(width, lanes)],
-        }
-    }
-
-    /// The signal width in bits.
-    #[inline]
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// The number of lanes.
-    #[inline]
-    pub fn lanes(&self) -> u32 {
-        self.lanes
-    }
-
-    /// True if this buffer uses the bit-sliced 1-bit plane layout.
-    #[inline]
-    pub fn is_plane(&self) -> bool {
-        self.width == 1
-    }
-
-    /// The backing words (layout per the module docs).
-    #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Mutable backing words. Callers must preserve the layout invariants
-    /// (width masking, plane tail zeroing).
-    #[inline]
-    pub fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
-    /// Lane `l`'s value.
-    #[inline]
-    pub fn get(&self, lane: u32) -> u64 {
-        debug_assert!(lane < self.lanes);
-        if self.width == 1 {
-            (self.words[(lane / 64) as usize] >> (lane % 64)) & 1
-        } else {
-            self.words[lane as usize]
-        }
-    }
-
-    /// Sets lane `l` (the value is masked to the width).
-    #[inline]
-    pub fn set(&mut self, lane: u32, v: u64) {
-        debug_assert!(lane < self.lanes);
-        if self.width == 1 {
-            let w = &mut self.words[(lane / 64) as usize];
-            let bit = 1u64 << (lane % 64);
-            *w = (*w & !bit) | (bit * (v & 1));
-        } else {
-            self.words[lane as usize] = v & mask64(self.width);
-        }
-    }
-
-    /// Sets every lane to the same value (masked to the width).
-    pub fn broadcast(&mut self, v: u64) {
-        if self.width == 1 {
-            let fill = if v & 1 == 1 { u64::MAX } else { 0 };
-            self.words.fill(fill);
-            mask_plane_tail(&mut self.words, self.lanes);
-        } else {
-            self.words.fill(v & mask64(self.width));
-        }
-    }
-
-    /// Zeroes every lane.
-    #[inline]
-    pub fn fill_zero(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Copies all lanes from a same-shape buffer.
-    #[inline]
-    pub fn copy_from(&mut self, src: &LaneBuf) {
-        debug_assert_eq!(self.width, src.width);
-        debug_assert_eq!(self.lanes, src.lanes);
-        self.words.copy_from_slice(&src.words);
+/// Lane `l`'s limbs of a `width`-bit signal; a plane lane is copied into
+/// `tmp` first.
+#[inline(always)]
+fn lane<'a>(width: u32, words: &'a [u64], l: usize, tmp: &'a mut [u64; 1]) -> &'a [u64] {
+    if width == 1 {
+        tmp[0] = u64::from(bit(words, l));
+        tmp
+    } else {
+        let k = limbs::count(width);
+        &words[l * k..(l + 1) * k]
     }
 }
 
-/// `out[l] = f(a[l], b[l]) & mask` for every lane — the generic (slow) path
-/// used when no word-level kernel applies.
-fn lanewise2(a: &LaneBuf, b: &LaneBuf, out: &mut LaneBuf, f: impl Fn(u64, u64) -> u64) {
-    for l in 0..out.lanes {
-        out.set(l, f(a.get(l), b.get(l)));
+/// Lane `l` of a `width`-bit signal of at most 64 bits, as one word.
+#[inline(always)]
+fn word(width: u32, words: &[u64], l: usize) -> u64 {
+    if width == 1 {
+        u64::from(bit(words, l))
+    } else {
+        words[l]
     }
 }
 
-macro_rules! binop_words {
-    ($name:ident, $plane:expr, $wide:expr, $doc:literal) => {
-        #[doc = $doc]
-        pub fn $name(a: &LaneBuf, b: &LaneBuf, out: &mut LaneBuf) {
-            debug_assert_eq!(a.width, b.width);
-            debug_assert_eq!(a.width, out.width);
-            if a.is_plane() {
-                #[allow(clippy::redundant_closure_call)]
-                for ((o, &x), &y) in out.words.iter_mut().zip(&a.words).zip(&b.words) {
-                    *o = ($plane)(x, y);
-                }
-                mask_plane_tail(&mut out.words, out.lanes);
+/// Builds a plane from a per-lane predicate.
+#[inline(always)]
+fn pack(lanes: u32, out: &mut [u64], mut f: impl FnMut(usize) -> bool) {
+    let n = lanes as usize;
+    for (wi, o) in out[..plane_words(lanes)].iter_mut().enumerate() {
+        let base = wi * 64;
+        let mut acc = 0u64;
+        for i in 0..(n - base).min(64) {
+            acc |= u64::from(f(base + i)) << i;
+        }
+        *o = acc;
+    }
+}
+
+/// Lane `lane` of a `width`-bit signal.
+#[inline]
+pub fn get(width: u32, words: &[u64], lane: u32) -> Value {
+    let l = lane as usize;
+    if width <= 64 {
+        Value::from_u64(width, word(width, words, l))
+    } else {
+        let k = limbs::count(width);
+        Value::from_limbs(width, &words[l * k..(l + 1) * k])
+    }
+}
+
+/// Sets lane `lane` of a `width`-bit signal to `value`, the limbs of a
+/// `width`-bit value; returns whether the lane changed.
+#[inline(always)]
+pub fn set(width: u32, words: &mut [u64], lane: u32, value: &[u64]) -> bool {
+    let l = lane as usize;
+    if width == 1 {
+        let w = &mut words[l / 64];
+        let bit = 1u64 << (l % 64);
+        let new = (*w & !bit) | (bit * (value[0] & 1));
+        let changed = new != *w;
+        *w = new;
+        changed
+    } else if width <= 64 {
+        let changed = words[l] != value[0];
+        words[l] = value[0];
+        changed
+    } else {
+        let k = limbs::count(width);
+        copy_changed(&mut words[l * k..(l + 1) * k], value)
+    }
+}
+
+/// Sets every lane of a `width`-bit signal to `value`, the limbs of a
+/// `width`-bit value; returns whether any lane changed.
+pub fn broadcast(lanes: u32, width: u32, words: &mut [u64], value: &[u64]) -> bool {
+    let words = &mut words[..self::words(width, lanes)];
+    if width == 1 {
+        let fill = 0u64.wrapping_sub(value[0] & 1);
+        let last = words.len() - 1;
+        let mut diff = 0;
+        for (i, w) in words.iter_mut().enumerate() {
+            let new = if i == last {
+                fill & plane_tail_mask(lanes)
             } else {
-                let m = mask64(a.width);
-                #[allow(clippy::redundant_closure_call)]
-                for ((o, &x), &y) in out.words.iter_mut().zip(&a.words).zip(&b.words) {
-                    *o = ($wide)(x, y) & m;
-                }
+                fill
+            };
+            diff |= *w ^ new;
+            *w = new;
+        }
+        diff != 0
+    } else {
+        let mut changed = false;
+        for w in words.chunks_exact_mut(value.len()) {
+            changed |= copy_changed(w, value);
+        }
+        changed
+    }
+}
+
+/// `dst = src` for same-sized regions: a single store for one word.
+#[inline(always)]
+pub fn copy(dst: &mut [u64], src: &[u64]) {
+    if let ([d], [s]) = (&mut *dst, src) {
+        *d = *s;
+    } else {
+        dst.copy_from_slice(src);
+    }
+}
+
+/// Copies `src` into `dst`, reporting whether anything changed (the
+/// adoption step when a settle commits a freshly evaluated signal; the
+/// comparison stops at the first difference).
+#[inline(always)]
+pub fn copy_changed(dst: &mut [u64], src: &[u64]) -> bool {
+    if let ([d], [s]) = (&mut *dst, src) {
+        let changed = *d != *s;
+        *d = *s;
+        return changed;
+    }
+    let changed = *dst != *src;
+    if changed {
+        dst.copy_from_slice(src);
+    }
+    changed
+}
+
+/// Zeroes every lane, reporting whether any lane changed.
+#[inline(always)]
+pub fn clear(words: &mut [u64]) -> bool {
+    if let [w] = words {
+        return std::mem::take(w) != 0;
+    }
+    let changed = words.iter().any(|&w| w != 0);
+    words.fill(0);
+    changed
+}
+
+/// Per-lane `f` over the limbs of multi-limb operands of one width,
+/// masking each result lane to the width.
+fn wide2(
+    width: u32,
+    a: &[u64],
+    b: &[u64],
+    out: &mut [u64],
+    f: impl Fn(&[u64], &[u64], &mut [u64]),
+) {
+    let k = limbs::count(width);
+    for ((o, x), y) in out
+        .chunks_exact_mut(k)
+        .zip(a.chunks_exact(k))
+        .zip(b.chunks_exact(k))
+    {
+        f(x, y, o);
+        limbs::mask_top(o, width);
+    }
+}
+
+/// [`wide2`] for one operand.
+fn wide1(width: u32, a: &[u64], out: &mut [u64], f: impl Fn(&[u64], &mut [u64])) {
+    let k = limbs::count(width);
+    for (o, x) in out.chunks_exact_mut(k).zip(a.chunks_exact(k)) {
+        f(x, o);
+        limbs::mask_top(o, width);
+    }
+}
+
+macro_rules! bitwise {
+    ($name:ident, $op:tt, $doc:literal) => {
+        #[doc = $doc]
+        #[inline(always)]
+        pub fn $name(lanes: u32, width: u32, a: &[u64], b: &[u64], out: &mut [u64]) {
+            // Every layout keeps its padding zero under a bitwise op.
+            let n = words(width, lanes);
+            for ((o, &x), &y) in out[..n].iter_mut().zip(&a[..n]).zip(&b[..n]) {
+                *o = x $op y;
             }
         }
     };
 }
 
-binop_words!(
+bitwise!(and, &, "Lane-wise bitwise AND.");
+bitwise!(or, |, "Lane-wise bitwise OR.");
+bitwise!(xor, ^, "Lane-wise bitwise XOR.");
+
+macro_rules! arith {
+    ($name:ident, $plane:expr, $word:expr, $wide:expr, $doc:literal) => {
+        #[doc = $doc]
+        #[inline(always)]
+        #[allow(clippy::redundant_closure_call)]
+        pub fn $name(lanes: u32, width: u32, a: &[u64], b: &[u64], out: &mut [u64]) {
+            let n = words(width, lanes);
+            let (a, b, out) = (&a[..n], &b[..n], &mut out[..n]);
+            if width == 1 {
+                for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                    *o = ($plane)(x, y);
+                }
+            } else if width <= 64 {
+                let m = mask64(width);
+                for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                    *o = ($word)(x, y) & m;
+                }
+            } else {
+                wide2(width, a, b, out, $wide);
+            }
+        }
+    };
+}
+
+arith!(
     add,
     |x: u64, y: u64| x ^ y,
     |x: u64, y: u64| x.wrapping_add(y),
+    |x: &[u64], y: &[u64], o: &mut [u64]| {
+        o.copy_from_slice(x);
+        limbs::add_assign(o, y);
+    },
     "Lane-wise wrapping addition (XOR on 1-bit planes)."
 );
-binop_words!(
+arith!(
     sub,
     |x: u64, y: u64| x ^ y,
     |x: u64, y: u64| x.wrapping_sub(y),
+    |x: &[u64], y: &[u64], o: &mut [u64]| {
+        o.copy_from_slice(x);
+        limbs::sub_assign(o, y);
+    },
     "Lane-wise wrapping subtraction (XOR on 1-bit planes)."
 );
-binop_words!(
+arith!(
     mul,
     |x: u64, y: u64| x & y,
     |x: u64, y: u64| x.wrapping_mul(y),
+    limbs::mul,
     "Lane-wise wrapping multiplication (AND on 1-bit planes)."
-);
-binop_words!(
-    and,
-    |x: u64, y: u64| x & y,
-    |x: u64, y: u64| x & y,
-    "Lane-wise bitwise AND."
-);
-binop_words!(
-    or,
-    |x: u64, y: u64| x | y,
-    |x: u64, y: u64| x | y,
-    "Lane-wise bitwise OR."
-);
-binop_words!(
-    xor,
-    |x: u64, y: u64| x ^ y,
-    |x: u64, y: u64| x ^ y,
-    "Lane-wise bitwise XOR."
 );
 
 /// Lane-wise wrapping add-in-place: `dst[l] += b[l]`.
-pub fn add_assign(dst: &mut LaneBuf, b: &LaneBuf) {
-    debug_assert_eq!(dst.width, b.width);
-    if dst.is_plane() {
-        for (o, &y) in dst.words.iter_mut().zip(&b.words) {
-            *o ^= y;
+pub fn add_assign(lanes: u32, width: u32, dst: &mut [u64], b: &[u64]) {
+    let n = words(width, lanes);
+    let (dst, b) = (&mut dst[..n], &b[..n]);
+    if width == 1 {
+        xor_assign(dst, b);
+    } else if width <= 64 {
+        let m = mask64(width);
+        for (o, &y) in dst.iter_mut().zip(b) {
+            *o = o.wrapping_add(y) & m;
         }
     } else {
-        let m = mask64(dst.width);
-        for (o, &y) in dst.words.iter_mut().zip(&b.words) {
-            *o = o.wrapping_add(y) & m;
+        let k = limbs::count(width);
+        for (o, y) in dst.chunks_exact_mut(k).zip(b.chunks_exact(k)) {
+            limbs::add_assign(o, y);
+            limbs::mask_top(o, width);
         }
     }
 }
 
+fn xor_assign(dst: &mut [u64], b: &[u64]) {
+    limbs::xor_assign(dst, b);
+}
+
 /// Lane-wise bitwise NOT.
-pub fn not(a: &LaneBuf, out: &mut LaneBuf) {
-    debug_assert_eq!(a.width, out.width);
-    if a.is_plane() {
-        for (o, &x) in out.words.iter_mut().zip(&a.words) {
+#[inline(always)]
+pub fn not(lanes: u32, width: u32, a: &[u64], out: &mut [u64]) {
+    let n = words(width, lanes);
+    let (a, out) = (&a[..n], &mut out[..n]);
+    if width == 1 {
+        for (o, &x) in out.iter_mut().zip(a) {
             *o = !x;
         }
-        mask_plane_tail(&mut out.words, out.lanes);
-        return;
-    }
-    let m = mask64(a.width);
-    for (o, &x) in out.words.iter_mut().zip(&a.words) {
-        *o = !x & m;
+        mask_plane_tail(out, lanes);
+    } else if width <= 64 {
+        let m = mask64(width);
+        for (o, &x) in out.iter_mut().zip(a) {
+            *o = !x & m;
+        }
+    } else {
+        wide1(width, a, out, |x, o| {
+            for (o, &x) in o.iter_mut().zip(x) {
+                *o = !x;
+            }
+        });
     }
 }
 
 /// Lane-wise constant left shift (amounts at or past the width give zero).
-pub fn shl_const(a: &LaneBuf, amount: u32, out: &mut LaneBuf) {
-    if amount >= a.width {
-        out.fill_zero();
-        return;
-    }
-    if amount == 0 {
-        out.copy_from(a);
-        return;
-    }
-    // width >= 2 here, so word-per-lane layout.
-    let m = mask64(a.width);
-    for (o, &x) in out.words.iter_mut().zip(&a.words) {
-        *o = (x << amount) & m;
+#[inline(always)]
+pub fn shl_const(lanes: u32, width: u32, a: &[u64], amount: u32, out: &mut [u64]) {
+    let n = words(width, lanes);
+    let (a, out) = (&a[..n], &mut out[..n]);
+    if amount >= width {
+        out.fill(0);
+    } else if amount == 0 {
+        out.copy_from_slice(a);
+    } else if width <= 64 {
+        // width >= 2 here, so word-per-lane layout.
+        let m = mask64(width);
+        for (o, &x) in out.iter_mut().zip(a) {
+            *o = (x << amount) & m;
+        }
+    } else {
+        wide1(width, a, out, |x, o| limbs::shl(x, amount, o));
     }
 }
 
 /// Lane-wise constant right shift (amounts at or past the width give zero).
-pub fn shr_const(a: &LaneBuf, amount: u32, out: &mut LaneBuf) {
-    if amount >= a.width {
-        out.fill_zero();
-        return;
-    }
-    if amount == 0 {
-        out.copy_from(a);
-        return;
-    }
-    for (o, &x) in out.words.iter_mut().zip(&a.words) {
-        *o = x >> amount;
-    }
-}
-
-/// Lane-wise dynamic left shift: `out[l] = a[l] << amt[l]`, zero when the
-/// amount reaches the width (matching [`Value::shl_dyn`](crate::Value::shl_dyn)).
-pub fn shl_dyn(a: &LaneBuf, amt: &LaneBuf, out: &mut LaneBuf) {
-    let w = a.width as u64;
-    lanewise2(a, amt, out, |x, s| if s < w { x << s } else { 0 });
-}
-
-/// Lane-wise dynamic right shift.
-pub fn shr_dyn(a: &LaneBuf, amt: &LaneBuf, out: &mut LaneBuf) {
-    let w = a.width as u64;
-    lanewise2(a, amt, out, |x, s| if s < w { x >> s } else { 0 });
-}
-
-/// Builds a 1-bit plane from a lane-wise predicate over two same-width
-/// operands.
-fn cmp_plane(a: &LaneBuf, b: &LaneBuf, out: &mut LaneBuf, f: impl Fn(u64, u64) -> bool) {
-    debug_assert_eq!(a.width, b.width);
-    debug_assert!(out.is_plane());
-    if a.is_plane() {
-        for l in 0..out.lanes {
-            out.set(l, f(a.get(l), b.get(l)) as u64);
+#[inline(always)]
+pub fn shr_const(lanes: u32, width: u32, a: &[u64], amount: u32, out: &mut [u64]) {
+    let n = words(width, lanes);
+    let (a, out) = (&a[..n], &mut out[..n]);
+    if amount >= width {
+        out.fill(0);
+    } else if amount == 0 {
+        out.copy_from_slice(a);
+    } else if width <= 64 {
+        for (o, &x) in out.iter_mut().zip(a) {
+            *o = x >> amount;
         }
-        return;
+    } else {
+        wide1(width, a, out, |x, o| limbs::shr(x, amount, o));
     }
-    let lanes = out.lanes;
-    for (wi, o) in out.words.iter_mut().enumerate() {
-        let base = wi as u32 * 64;
-        let n = 64.min(lanes - base);
-        let mut acc = 0u64;
-        for i in 0..n {
-            let l = (base + i) as usize;
-            acc |= (f(a.words[l], b.words[l]) as u64) << i;
+}
+
+/// The shift amount a multi-limb lane encodes, if below `width`.
+fn amount_below(amt: &[u64], width: u32) -> Option<u32> {
+    let rest_zero = amt[1..].iter().all(|&x| x == 0);
+    u32::try_from(amt[0])
+        .ok()
+        .filter(|&s| rest_zero && s < width)
+}
+
+macro_rules! shift_dyn {
+    ($name:ident, $op:tt, $limbs:path, $doc:literal) => {
+        #[doc = $doc]
+        #[inline(always)]
+        pub fn $name(lanes: u32, width: u32, a: &[u64], amt: &[u64], out: &mut [u64]) {
+            let n = words(width, lanes);
+            let (a, amt, out) = (&a[..n], &amt[..n], &mut out[..n]);
+            if width == 1 {
+                // A 1-bit amount of 1 reaches the width.
+                for ((o, &x), &s) in out.iter_mut().zip(a).zip(amt) {
+                    *o = x & !s;
+                }
+            } else if width <= 64 {
+                let (m, w) = (mask64(width), u64::from(width));
+                for ((o, &x), &s) in out.iter_mut().zip(a).zip(amt) {
+                    *o = if s < w { (x $op s) & m } else { 0 };
+                }
+            } else {
+                wide2(width, a, amt, out, |x, s, o| match amount_below(s, width) {
+                    Some(s) => $limbs(x, s, o),
+                    None => o.fill(0),
+                });
+            }
         }
-        *o = acc;
+    };
+}
+
+shift_dyn!(
+    shl_dyn,
+    <<,
+    limbs::shl,
+    "Lane-wise dynamic left shift: `out[l] = a[l] << amt[l]`, zero when the \
+     amount reaches the width (matching [`Value::shl_dyn`])."
+);
+shift_dyn!(shr_dyn, >>, limbs::shr, "Lane-wise dynamic right shift.");
+
+/// Lane-wise unsigned comparison into a plane: lane `l` is set where
+/// `f(a[l].cmp(b[l]))`; `plane` gives the same predicate on 1-bit planes.
+#[inline(always)]
+fn compare(
+    lanes: u32,
+    width: u32,
+    a: &[u64],
+    b: &[u64],
+    out: &mut [u64],
+    plane: impl Fn(u64, u64) -> u64,
+    f: impl Fn(Ordering) -> bool,
+) {
+    if width == 1 {
+        let n = plane_words(lanes);
+        for ((o, &x), &y) in out[..n].iter_mut().zip(&a[..n]).zip(&b[..n]) {
+            *o = plane(x, y);
+        }
+        mask_plane_tail(&mut out[..n], lanes);
+    } else if width <= 64 {
+        pack(lanes, out, |l| f(a[l].cmp(&b[l])));
+    } else {
+        let k = limbs::count(width);
+        pack(lanes, out, |l| {
+            let r = l * k..(l + 1) * k;
+            f(limbs::cmp(&a[r.clone()], &b[r]))
+        });
     }
 }
 
 /// Lane-wise equality into a 1-bit plane.
-pub fn eq(a: &LaneBuf, b: &LaneBuf, out: &mut LaneBuf) {
-    cmp_plane(a, b, out, |x, y| x == y);
+#[inline(always)]
+pub fn eq(lanes: u32, width: u32, a: &[u64], b: &[u64], out: &mut [u64]) {
+    compare(lanes, width, a, b, out, |x, y| !(x ^ y), |o| o.is_eq());
 }
 
 /// Lane-wise unsigned less-than into a 1-bit plane.
-pub fn lt(a: &LaneBuf, b: &LaneBuf, out: &mut LaneBuf) {
-    cmp_plane(a, b, out, |x, y| x < y);
+#[inline(always)]
+pub fn lt(lanes: u32, width: u32, a: &[u64], b: &[u64], out: &mut [u64]) {
+    compare(lanes, width, a, b, out, |x, y| !x & y, |o| o.is_lt());
 }
 
 /// Lane-wise unsigned greater-or-equal into a 1-bit plane.
-pub fn ge(a: &LaneBuf, b: &LaneBuf, out: &mut LaneBuf) {
-    cmp_plane(a, b, out, |x, y| x >= y);
+#[inline(always)]
+pub fn ge(lanes: u32, width: u32, a: &[u64], b: &[u64], out: &mut [u64]) {
+    compare(lanes, width, a, b, out, |x, y| x | !y, |o| o.is_ge());
 }
 
 /// Lane-wise two-way mux: `out[l] = sel[l] ? b[l] : a[l]` with a 1-bit
 /// `sel` plane.
-pub fn mux(sel: &LaneBuf, a: &LaneBuf, b: &LaneBuf, out: &mut LaneBuf) {
-    debug_assert!(sel.is_plane());
-    debug_assert_eq!(a.width, b.width);
-    debug_assert_eq!(a.width, out.width);
-    if a.is_plane() {
-        for (((o, &s), &x), &y) in out
-            .words
-            .iter_mut()
-            .zip(&sel.words)
-            .zip(&a.words)
-            .zip(&b.words)
-        {
+#[inline(always)]
+pub fn mux(lanes: u32, width: u32, sel: &[u64], a: &[u64], b: &[u64], out: &mut [u64]) {
+    let n = words(width, lanes);
+    let (a, b, out) = (&a[..n], &b[..n], &mut out[..n]);
+    if width == 1 {
+        for (((o, &s), &x), &y) in out.iter_mut().zip(sel).zip(a).zip(b) {
             *o = (s & y) | (!s & x);
         }
-        mask_plane_tail(&mut out.words, out.lanes);
-        return;
-    }
-    for l in 0..out.lanes as usize {
-        let bit = (sel.words[l / 64] >> (l % 64)) & 1;
-        let m = 0u64.wrapping_sub(bit);
-        out.words[l] = (b.words[l] & m) | (a.words[l] & !m);
-    }
-}
-
-/// Lane-wise bit-field extraction `a[hi:lo]`.
-pub fn slice(a: &LaneBuf, hi: u32, lo: u32, out: &mut LaneBuf) {
-    debug_assert_eq!(out.width, hi - lo + 1);
-    if out.is_plane() {
-        // Extract one bit per lane into the plane.
-        for l in 0..out.lanes {
-            out.set(l, (a.get(l) >> lo) & 1);
-        }
-        return;
-    }
-    let m = mask64(out.width);
-    for (o, &x) in out.words.iter_mut().zip(&a.words) {
-        *o = (x >> lo) & m;
-    }
-}
-
-/// Lane-wise concatenation `{hi, lo}` (the high part lands in the upper bits).
-pub fn concat(hi: &LaneBuf, lo: &LaneBuf, out: &mut LaneBuf) {
-    debug_assert_eq!(out.width, hi.width + lo.width);
-    let sh = lo.width;
-    // out.width >= 2, so `out` is word-per-lane; operands may be planes.
-    if !hi.is_plane() && !lo.is_plane() {
-        for l in 0..out.lanes as usize {
-            out.words[l] = (hi.words[l] << sh) | lo.words[l];
+    } else if width <= 64 {
+        for (l, ((o, &x), &y)) in out.iter_mut().zip(a).zip(b).enumerate() {
+            let m = 0u64.wrapping_sub(u64::from(bit(sel, l)));
+            *o = (y & m) | (x & !m);
         }
     } else {
-        for l in 0..out.lanes {
-            out.set(l, (hi.get(l) << sh) | lo.get(l));
+        let k = limbs::count(width);
+        for (l, ((o, x), y)) in out
+            .chunks_exact_mut(k)
+            .zip(a.chunks_exact(k))
+            .zip(b.chunks_exact(k))
+            .enumerate()
+        {
+            o.copy_from_slice(if bit(sel, l) { y } else { x });
         }
     }
 }
 
-/// Lane-wise zero extension or truncation to `out.width()`.
-pub fn resize(a: &LaneBuf, out: &mut LaneBuf) {
-    if a.width == out.width {
-        out.copy_from(a);
-        return;
-    }
-    if !a.is_plane() && !out.is_plane() {
-        let m = mask64(out.width);
-        for (o, &x) in out.words.iter_mut().zip(&a.words) {
-            *o = x & m;
+/// Lane-wise bit-field extraction `a[hi:lo]` of an `in_width`-bit `a`.
+#[inline(always)]
+pub fn slice(lanes: u32, in_width: u32, a: &[u64], hi: u32, lo: u32, out: &mut [u64]) {
+    let width = hi - lo + 1;
+    if width == 1 {
+        if in_width == 1 {
+            let n = plane_words(lanes);
+            out[..n].copy_from_slice(&a[..n]);
+        } else {
+            let (k, at, sh) = (limbs::count(in_width), (lo / 64) as usize, lo % 64);
+            pack(lanes, out, |l| (a[l * k + at] >> sh) & 1 != 0);
         }
-        return;
+    } else if in_width <= 64 {
+        let (n, m) = (lanes as usize, mask64(width));
+        for (o, &x) in out[..n].iter_mut().zip(&a[..n]) {
+            *o = (x >> lo) & m;
+        }
+    } else {
+        let (ki, ko) = (limbs::count(in_width), limbs::count(width));
+        for (o, x) in out
+            .chunks_exact_mut(ko)
+            .zip(a.chunks_exact(ki))
+            .take(lanes as usize)
+        {
+            limbs::shr(x, lo, o);
+            limbs::mask_top(o, width);
+        }
     }
-    let m = mask64(out.width);
-    for l in 0..out.lanes {
-        out.set(l, a.get(l) & m);
+}
+
+/// Lane-wise concatenation `{hi, lo}` of a `hi_width`-bit `hi` and a
+/// `lo_width`-bit `lo` (the high part lands in the upper bits).
+#[inline(always)]
+pub fn concat(lanes: u32, hi_width: u32, lo_width: u32, hi: &[u64], lo: &[u64], out: &mut [u64]) {
+    let width = hi_width + lo_width;
+    // width >= 2, so `out` is never a plane; the operands may be.
+    let n = lanes as usize;
+    if width <= 64 && hi_width > 1 && lo_width > 1 {
+        for ((o, &h), &x) in out[..n].iter_mut().zip(&hi[..n]).zip(&lo[..n]) {
+            *o = (h << lo_width) | x;
+        }
+    } else if width <= 64 {
+        for (l, o) in out[..n].iter_mut().enumerate() {
+            *o = (word(hi_width, hi, l) << lo_width) | word(lo_width, lo, l);
+        }
+    } else {
+        let k = limbs::count(width);
+        for (l, o) in out.chunks_exact_mut(k).take(lanes as usize).enumerate() {
+            let (mut th, mut tl) = ([0], [0]);
+            let (h, x) = (
+                lane(hi_width, hi, l, &mut th),
+                lane(lo_width, lo, l, &mut tl),
+            );
+            limbs::concat(h, x, lo_width, o);
+        }
+    }
+}
+
+/// Lane-wise zero extension or truncation of an `in_width`-bit `a` to
+/// `out_width` bits.
+#[inline(always)]
+pub fn resize(lanes: u32, in_width: u32, out_width: u32, a: &[u64], out: &mut [u64]) {
+    if in_width == out_width {
+        let n = words(in_width, lanes);
+        out[..n].copy_from_slice(&a[..n]);
+    } else if out_width == 1 {
+        let k = limbs::count(in_width);
+        pack(lanes, out, |l| a[l * k] & 1 != 0);
+    } else if out_width <= 64 && in_width <= 64 {
+        let (n, m) = (lanes as usize, mask64(out_width));
+        if in_width == 1 {
+            for (l, o) in out[..n].iter_mut().enumerate() {
+                *o = u64::from(bit(a, l));
+            }
+        } else {
+            for (o, &x) in out[..n].iter_mut().zip(&a[..n]) {
+                *o = x & m;
+            }
+        }
+    } else {
+        let k = limbs::count(out_width);
+        for (l, o) in out.chunks_exact_mut(k).take(lanes as usize).enumerate() {
+            let mut t = [0];
+            limbs::resize(lane(in_width, a, l, &mut t), o);
+            limbs::mask_top(o, out_width);
+        }
     }
 }
 
 /// Lane-wise OR-reduction into a 1-bit plane.
-pub fn reduce_or(a: &LaneBuf, out: &mut LaneBuf) {
-    if a.is_plane() {
-        out.copy_from(a);
-        return;
+#[inline(always)]
+pub fn reduce_or(lanes: u32, width: u32, a: &[u64], out: &mut [u64]) {
+    if width == 1 {
+        let n = plane_words(lanes);
+        out[..n].copy_from_slice(&a[..n]);
+    } else {
+        let k = limbs::count(width);
+        pack(lanes, out, |l| {
+            a[l * k..(l + 1) * k].iter().any(|&x| x != 0)
+        });
     }
-    cmp_with(a, out, |x| x != 0);
 }
 
 /// Lane-wise AND-reduction into a 1-bit plane.
-pub fn reduce_and(a: &LaneBuf, out: &mut LaneBuf) {
-    if a.is_plane() {
-        out.copy_from(a);
-        return;
-    }
-    let m = mask64(a.width);
-    cmp_with(a, out, |x| x == m);
-}
-
-fn cmp_with(a: &LaneBuf, out: &mut LaneBuf, f: impl Fn(u64) -> bool) {
-    debug_assert!(out.is_plane());
-    let lanes = out.lanes;
-    for (wi, o) in out.words.iter_mut().enumerate() {
-        let base = wi as u32 * 64;
-        let n = 64.min(lanes - base);
-        let mut acc = 0u64;
-        for i in 0..n {
-            acc |= (f(a.words[(base + i) as usize]) as u64) << i;
-        }
-        *o = acc;
+#[inline(always)]
+pub fn reduce_and(lanes: u32, width: u32, a: &[u64], out: &mut [u64]) {
+    if width == 1 {
+        let n = plane_words(lanes);
+        out[..n].copy_from_slice(&a[..n]);
+    } else {
+        let k = limbs::count(width);
+        pack(lanes, out, |l| {
+            limbs::all_ones(&a[l * k..(l + 1) * k], width)
+        });
     }
 }
 
 /// Lane-wise count-leading-zeros within the declared width.
-pub fn clz(a: &LaneBuf, out: &mut LaneBuf) {
-    debug_assert_eq!(a.width, out.width);
-    let w = a.width;
-    let m = mask64(out.width);
-    for l in 0..out.lanes {
-        let x = a.get(l);
-        let lz = if x == 0 {
-            w as u64
-        } else {
-            (x.leading_zeros() - (64 - w)) as u64
-        };
-        out.set(l, lz & m);
+#[inline(always)]
+pub fn clz(lanes: u32, width: u32, a: &[u64], out: &mut [u64]) {
+    if width == 1 {
+        // One bit: 1 leading zero exactly where the bit is clear.
+        not(lanes, width, a, out);
+    } else if width <= 64 {
+        let (n, m) = (lanes as usize, mask64(width));
+        for (o, &x) in out[..n].iter_mut().zip(&a[..n]) {
+            *o = u64::from(x.leading_zeros() - (64 - width)) & m;
+        }
+    } else {
+        wide1(width, a, out, |x, o| {
+            o.fill(0);
+            o[0] = u64::from(limbs::leading_zeros(x, width));
+        });
     }
 }
 
-/// Lane-wise 8-bit table lookup (the AES S-box in batched mode).
-pub fn lut8(table: &[u8; 256], a: &LaneBuf, out: &mut LaneBuf) {
-    debug_assert_eq!(a.width, 8);
-    debug_assert_eq!(out.width, 8);
-    for (o, &x) in out.words.iter_mut().zip(&a.words) {
-        *o = table[(x & 0xff) as usize] as u64;
+/// Lane-wise 8-bit table lookup (the AES S-box).
+#[inline(always)]
+pub fn lut8(lanes: u32, table: &[u8; 256], a: &[u64], out: &mut [u64]) {
+    let n = lanes as usize;
+    for (o, &x) in out[..n].iter_mut().zip(&a[..n]) {
+        *o = u64::from(table[(x & 0xff) as usize]);
     }
 }
 
 /// Copies `src` lanes into `dst` only where the 1-bit `mask` plane is set —
 /// the batched analogue of a guarded write.
-pub fn copy_masked(dst: &mut LaneBuf, src: &LaneBuf, mask: &[u64]) {
-    for (word, &m) in mask.iter().enumerate() {
-        copy_masked_word(dst, src, word, m);
+#[inline(always)]
+pub fn copy_masked(lanes: u32, width: u32, dst: &mut [u64], src: &[u64], mask: &[u64]) {
+    for (word, &m) in mask[..plane_words(lanes)].iter().enumerate() {
+        copy_masked_word(lanes, width, dst, src, word, m);
     }
 }
 
 /// [`copy_masked`] for the 64 lanes of one plane word: lane `64 * word + i`
 /// is copied where bit `i` of `mask` is set.
-#[inline]
-pub fn copy_masked_word(dst: &mut LaneBuf, src: &LaneBuf, word: usize, mask: u64) {
-    debug_assert_eq!(dst.width, src.width);
+#[inline(always)]
+pub fn copy_masked_word(
+    lanes: u32,
+    width: u32,
+    dst: &mut [u64],
+    src: &[u64],
+    word: usize,
+    mask: u64,
+) {
     if mask == 0 {
         return;
     }
-    if dst.is_plane() {
-        let d = &mut dst.words[word];
-        *d = (*d & !mask) | (src.words[word] & mask);
+    if lanes == 1 {
+        // One lane: every layout is the lane's limbs.
+        copy(dst, src);
         return;
     }
-    let lo = word * 64;
-    let hi = (lo + 64).min(dst.lanes as usize);
-    let (dst, src) = (&mut dst.words[lo..hi], &src.words[lo..hi]);
-    for (i, (d, &s)) in dst.iter_mut().zip(src).enumerate() {
-        let m = 0u64.wrapping_sub((mask >> i) & 1);
-        *d = (s & m) | (*d & !m);
+    if width == 1 {
+        let d = &mut dst[word];
+        *d = (*d & !mask) | (src[word] & mask);
+        return;
     }
-}
-
-/// Copies `src` into `dst`, reporting whether anything actually changed —
-/// a fused compare-and-copy: one pass over the words instead of a
-/// comparison pass followed by a copy pass (the hot adoption step when a
-/// settle traversal commits a freshly evaluated signal).
-pub fn copy_changed(dst: &mut LaneBuf, src: &LaneBuf) -> bool {
-    debug_assert_eq!(dst.width, src.width);
-    debug_assert_eq!(dst.lanes, src.lanes);
-    let mut diff = 0u64;
-    for (d, &s) in dst.words.iter_mut().zip(&src.words) {
-        diff |= *d ^ s;
-        *d = s;
+    let k = limbs::count(width);
+    let (lo, hi) = (word * 64, (word * 64 + 64).min(lanes as usize));
+    let (dst, src) = (&mut dst[lo * k..hi * k], &src[lo * k..hi * k]);
+    if k == 1 {
+        for (i, (d, &s)) in dst.iter_mut().zip(src).enumerate() {
+            let m = 0u64.wrapping_sub((mask >> i) & 1);
+            *d = (s & m) | (*d & !m);
+        }
+    } else {
+        for (i, (d, s)) in dst.chunks_exact_mut(k).zip(src.chunks_exact(k)).enumerate() {
+            if (mask >> i) & 1 != 0 {
+                d.copy_from_slice(s);
+            }
+        }
     }
-    diff != 0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Value;
 
     /// Deterministic xorshift stimulus, independent per (seed, step).
     fn rng(state: &mut u64) -> u64 {
@@ -543,41 +722,61 @@ mod tests {
         *state
     }
 
-    fn random_buf(width: u32, lanes: u32, seed: u64) -> LaneBuf {
-        let mut b = LaneBuf::zero(width, lanes);
+    /// A random `width`-bit value per lane, and the signal holding them.
+    fn random(width: u32, lanes: u32, seed: u64) -> (Vec<Value>, Vec<u64>) {
         let mut s = seed | 1;
-        for l in 0..lanes {
-            b.set(l, rng(&mut s));
+        let vals: Vec<Value> = (0..lanes)
+            .map(|_| {
+                let limbs: Vec<u64> = (0..limbs::count(width)).map(|_| rng(&mut s)).collect();
+                // A few small values, to reach every shift amount.
+                match limbs[0] % 4 {
+                    0 => Value::from_u64(width, limbs[0] % u64::from(width + 2)),
+                    _ => Value::from_limbs(width, &limbs),
+                }
+            })
+            .collect();
+        let mut buf = vec![0; words(width, lanes)];
+        for (l, v) in (0..).zip(&vals) {
+            set(width, &mut buf, l, v.limbs());
         }
-        b
+        (vals, buf)
     }
 
-    fn val(width: u32, x: u64) -> Value {
-        Value::from_u64(width, x & mask64(width))
+    fn check(width: u32, lanes: u32, buf: &[u64], want: impl Fn(usize) -> Value, what: &str) {
+        for l in 0..lanes {
+            assert_eq!(
+                get(width, buf, l),
+                want(l as usize),
+                "{what} w={width} lanes={lanes} lane={l}"
+            );
+        }
+        if width == 1 {
+            let last = buf[plane_words(lanes) - 1];
+            assert_eq!(last & !plane_tail_mask(lanes), 0, "{what}: plane tail");
+        }
     }
 
     /// Every lane op must agree with the scalar `Value` op, lane by lane.
     #[test]
     fn lane_ops_match_scalar_value_ops() {
-        for &width in &[1u32, 2, 7, 8, 31, 32, 63, 64] {
+        for &width in &[1u32, 2, 7, 8, 31, 32, 63, 64, 65, 128, 200] {
             for &lanes in &[1u32, 3, 64, 65, 130] {
-                let a = random_buf(width, lanes, 0x1234_5678 + width as u64);
-                let b = random_buf(width, lanes, 0x9abc_def0 + lanes as u64);
-                let mut out = LaneBuf::zero(width, lanes);
-                let mut plane = LaneBuf::zero(1, lanes);
+                let (av, a) = random(width, lanes, 0x1234_5678 + u64::from(width));
+                let (bv, b) = random(width, lanes, 0x9abc_def0 + u64::from(lanes));
+                let (sv, sel) = random(1, lanes, 77);
+                let mut out = vec![0; words(width, lanes)];
+                let mut plane = vec![0; plane_words(lanes)];
 
                 macro_rules! check2 {
                     ($op:ident, $scalar:expr) => {
-                        $op(&a, &b, &mut out);
-                        for l in 0..lanes {
-                            let (x, y) = (val(width, a.get(l)), val(width, b.get(l)));
-                            assert_eq!(
-                                out.get(l),
-                                ($scalar)(&x, &y).to_u64(),
-                                "{} w={width} lane={l}",
-                                stringify!($op)
-                            );
-                        }
+                        $op(lanes, width, &a, &b, &mut out);
+                        check(
+                            width,
+                            lanes,
+                            &out,
+                            |l| ($scalar)(&av[l], &bv[l]),
+                            stringify!($op),
+                        );
                     };
                 }
                 check2!(add, |x: &Value, y: &Value| x.add(y));
@@ -589,67 +788,52 @@ mod tests {
                 check2!(shl_dyn, |x: &Value, y: &Value| x.shl_dyn(y));
                 check2!(shr_dyn, |x: &Value, y: &Value| x.shr_dyn(y));
 
-                not(&a, &mut out);
-                for l in 0..lanes {
-                    assert_eq!(out.get(l), val(width, a.get(l)).not().to_u64());
-                }
-                clz(&a, &mut out);
-                for l in 0..lanes {
-                    assert_eq!(
-                        out.get(l),
-                        val(width, a.get(l)).leading_zeros() as u64 & mask64(width)
-                    );
-                }
-                for amount in [0, 1, width / 2, width - 1, width, width + 3] {
-                    shl_const(&a, amount, &mut out);
-                    for l in 0..lanes {
-                        assert_eq!(out.get(l), val(width, a.get(l)).shl(amount).to_u64());
-                    }
-                    shr_const(&a, amount, &mut out);
-                    for l in 0..lanes {
-                        assert_eq!(out.get(l), val(width, a.get(l)).shr(amount).to_u64());
-                    }
+                let mut acc = a.clone();
+                add_assign(lanes, width, &mut acc, &b);
+                check(width, lanes, &acc, |l| av[l].add(&bv[l]), "add_assign");
+                not(lanes, width, &a, &mut out);
+                check(width, lanes, &out, |l| av[l].not(), "not");
+                clz(lanes, width, &a, &mut out);
+                let lz = |l: usize| Value::from_u64(width, u64::from(av[l].leading_zeros()));
+                check(width, lanes, &out, lz, "clz");
+                for amount in [0, 1, width / 2, width - 1, width, width + 3, 64] {
+                    shl_const(lanes, width, &a, amount, &mut out);
+                    check(width, lanes, &out, |l| av[l].shl(amount), "shl_const");
+                    shr_const(lanes, width, &a, amount, &mut out);
+                    check(width, lanes, &out, |l| av[l].shr(amount), "shr_const");
                 }
 
-                eq(&a, &b, &mut plane);
-                for l in 0..lanes {
-                    assert_eq!(plane.get(l) == 1, a.get(l) == b.get(l));
-                }
-                lt(&a, &b, &mut plane);
-                for l in 0..lanes {
-                    assert_eq!(plane.get(l) == 1, a.get(l) < b.get(l));
-                }
-                ge(&a, &b, &mut plane);
-                for l in 0..lanes {
-                    assert_eq!(plane.get(l) == 1, a.get(l) >= b.get(l));
-                }
-                reduce_or(&a, &mut plane);
-                for l in 0..lanes {
-                    assert_eq!(plane.get(l) == 1, a.get(l) != 0);
-                }
-                reduce_and(&a, &mut plane);
-                for l in 0..lanes {
-                    assert_eq!(plane.get(l) == 1, a.get(l) == mask64(width));
-                }
+                let cmp = |l: usize| av[l].ucmp(&bv[l]);
+                eq(lanes, width, &a, &b, &mut plane);
+                check(1, lanes, &plane, |l| Value::from_bool(cmp(l).is_eq()), "eq");
+                lt(lanes, width, &a, &b, &mut plane);
+                check(1, lanes, &plane, |l| Value::from_bool(cmp(l).is_lt()), "lt");
+                ge(lanes, width, &a, &b, &mut plane);
+                check(1, lanes, &plane, |l| Value::from_bool(cmp(l).is_ge()), "ge");
+                reduce_or(lanes, width, &a, &mut plane);
+                check(1, lanes, &plane, |l| av[l].reduce_or(), "reduce_or");
+                reduce_and(lanes, width, &a, &mut plane);
+                check(1, lanes, &plane, |l| av[l].reduce_and(), "reduce_and");
 
-                let sel = random_buf(1, lanes, 77);
-                mux(&sel, &a, &b, &mut out);
-                for l in 0..lanes {
-                    let want = if sel.get(l) == 1 { b.get(l) } else { a.get(l) };
-                    assert_eq!(out.get(l), want, "mux w={width} lane={l}");
-                }
-
-                let mut dst = random_buf(width, lanes, 991);
-                let orig = dst.clone();
-                copy_masked(&mut dst, &a, sel.words());
-                for l in 0..lanes {
-                    let want = if sel.get(l) == 1 {
-                        a.get(l)
+                mux(lanes, width, &sel, &a, &b, &mut out);
+                let pick = |l: usize| {
+                    if sv[l].as_bool() {
+                        bv[l].clone()
                     } else {
-                        orig.get(l)
-                    };
-                    assert_eq!(dst.get(l), want, "copy_masked w={width} lane={l}");
-                }
+                        av[l].clone()
+                    }
+                };
+                check(width, lanes, &out, pick, "mux");
+                let mut dst = b.clone();
+                copy_masked(lanes, width, &mut dst, &a, &sel);
+                let pick = |l: usize| {
+                    if sv[l].as_bool() {
+                        av[l].clone()
+                    } else {
+                        bv[l].clone()
+                    }
+                };
+                check(width, lanes, &dst, pick, "copy_masked");
             }
         }
     }
@@ -657,63 +841,81 @@ mod tests {
     #[test]
     fn slice_concat_resize_match_scalar() {
         let lanes = 67;
-        let a = random_buf(32, lanes, 5);
-        for (hi, lo) in [(31, 0), (31, 31), (17, 3), (0, 0), (8, 1)] {
-            let mut out = LaneBuf::zero(hi - lo + 1, lanes);
-            slice(&a, hi, lo, &mut out);
-            for l in 0..lanes {
-                assert_eq!(out.get(l), val(32, a.get(l)).slice(hi, lo).to_u64());
+        for in_w in [32u32, 130] {
+            let (av, a) = random(in_w, lanes, 5);
+            for (hi, lo) in [
+                (in_w - 1, 0),
+                (in_w - 1, in_w - 1),
+                (17, 3),
+                (0, 0),
+                (8, 1),
+                (100, 30),
+            ] {
+                if hi >= in_w {
+                    continue;
+                }
+                let mut out = vec![0; words(hi - lo + 1, lanes)];
+                slice(lanes, in_w, &a, hi, lo, &mut out);
+                check(hi - lo + 1, lanes, &out, |l| av[l].slice(hi, lo), "slice");
+            }
+            for out_w in [1u32, 8, 32, 48, 64, 65, 130, 200] {
+                let mut out = vec![0; words(out_w, lanes)];
+                resize(lanes, in_w, out_w, &a, &mut out);
+                check(out_w, lanes, &out, |l| av[l].resize(out_w), "resize");
             }
         }
-        let lo_part = random_buf(5, lanes, 9);
-        let hi_part = random_buf(1, lanes, 11);
-        let mut out = LaneBuf::zero(6, lanes);
-        concat(&hi_part, &lo_part, &mut out);
-        for l in 0..lanes {
-            assert_eq!(
-                out.get(l),
-                val(1, hi_part.get(l))
-                    .concat(&val(5, lo_part.get(l)))
-                    .to_u64()
-            );
+        for (hw, lw) in [
+            (1u32, 5u32),
+            (1, 1),
+            (1, 64),
+            (64, 1),
+            (65, 63),
+            (7, 121),
+            (100, 100),
+        ] {
+            let (hv, h) = random(hw, lanes, 9);
+            let (lv, lo) = random(lw, lanes, 11);
+            let mut out = vec![0; words(hw + lw, lanes)];
+            concat(lanes, hw, lw, &h, &lo, &mut out);
+            check(hw + lw, lanes, &out, |l| hv[l].concat(&lv[l]), "concat");
         }
-        for out_w in [1u32, 8, 32, 48, 64] {
-            let mut out = LaneBuf::zero(out_w, lanes);
-            resize(&a, &mut out);
-            for l in 0..lanes {
-                assert_eq!(out.get(l), val(32, a.get(l)).resize(out_w).to_u64());
-            }
-        }
+        let (av, a) = random(1, lanes, 13);
+        let mut out = vec![0; words(70, lanes)];
+        resize(lanes, 1, 70, &a, &mut out);
+        check(70, lanes, &out, |l| av[l].resize(70), "resize from a plane");
     }
 
     #[test]
     fn plane_tail_invariant_maintained() {
         let lanes = 70; // 2 words, 6 valid bits in the tail word
-        let mut a = LaneBuf::zero(1, lanes);
-        a.broadcast(1);
-        assert_eq!(a.words()[1], plane_tail_mask(lanes));
+        let mut a = vec![0; plane_words(lanes)];
+        broadcast(lanes, 1, &mut a, &[1]);
+        assert_eq!(a[1], plane_tail_mask(lanes));
         let b = a.clone();
-        let mut out = LaneBuf::zero(1, lanes);
-        not(&a, &mut out);
-        assert_eq!(out.words()[1], 0);
-        add(&a, &b, &mut out);
-        assert_eq!(out.words()[1], 0);
-        let mut p = LaneBuf::zero(1, lanes);
-        eq(&a, &b, &mut p);
-        assert_eq!(p.words()[1], plane_tail_mask(lanes));
+        let mut out = vec![0; plane_words(lanes)];
+        not(lanes, 1, &a, &mut out);
+        assert_eq!(out[1], 0);
+        add(lanes, 1, &a, &b, &mut out);
+        assert_eq!(out[1], 0);
+        eq(lanes, 1, &a, &b, &mut out);
+        assert_eq!(out[1], plane_tail_mask(lanes));
     }
 
     #[test]
-    fn broadcast_and_accessors() {
-        let mut b = LaneBuf::zero(16, 10);
-        b.broadcast(0x1_2345);
-        for l in 0..10 {
-            assert_eq!(b.get(l), 0x2345);
+    fn broadcast_set_and_get() {
+        for width in [1u32, 16, 100] {
+            let lanes = 10;
+            let mut b = vec![0; words(width, lanes)];
+            let v = Value::from_u128(width, 0x1_2345_6789_abcd_ef01_2345);
+            broadcast(lanes, width, &mut b, v.limbs());
+            for l in 0..lanes {
+                assert_eq!(get(width, &b, l), v);
+            }
+            let other = v.not();
+            assert!(set(width, &mut b, 3, other.limbs()));
+            assert!(!set(width, &mut b, 3, other.limbs()));
+            assert_eq!(get(width, &b, 3), other);
+            assert_eq!(get(width, &b, 4), v);
         }
-        b.set(3, 0xffff_ffff);
-        assert_eq!(b.get(3), 0xffff);
-        assert!(!b.is_plane());
-        assert_eq!(b.width(), 16);
-        assert_eq!(b.lanes(), 10);
     }
 }

@@ -22,10 +22,10 @@
 //! ```
 
 pub mod lanes;
+pub mod limbs;
 mod ops;
 mod value;
 
-pub use lanes::LaneBuf;
 pub use ops::{assert_invariants, concat_fields};
 pub use value::{ParseValueError, Value};
 

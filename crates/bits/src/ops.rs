@@ -4,12 +4,13 @@
 //! width mismatch is an elaboration bug, never a runtime condition, so the
 //! simulator treats it as a programming error rather than an `Err`.
 //!
-//! Every operation has an allocation-free fast path for the inline
-//! (`width <= 64`) representation — a direct `u64` computation — and falls
-//! back to the general limb loop only for wide values. The fast paths are
-//! what make the simulator's settle loop allocation-free on narrow designs.
+//! Each operation is its [lane kernel](crate::lanes) at one lane, where a
+//! lane's storage is exactly a `Value`'s limbs, so `Value`, opt's
+//! const-fold and the simulator share one implementation. Values of up to
+//! 64 bits stay inline, so no operation on them allocates.
 
-use crate::value::{limbs_for, mask64, Value, LIMB_BITS};
+use crate::value::Value;
+use crate::{lanes, limbs};
 use std::cmp::Ordering;
 
 fn assert_same_width(a: &Value, b: &Value, op: &str) {
@@ -22,54 +23,25 @@ fn assert_same_width(a: &Value, b: &Value, op: &str) {
     );
 }
 
-/// Both operands' inline limbs, when both are narrow. Same-width operands
-/// are always the same representation, so this is just a checked unpack.
-#[inline]
-fn small_pair(a: &Value, b: &Value) -> Option<(u64, u64)> {
-    match (a.as_small(), b.as_small()) {
-        (Some(x), Some(y)) => Some((x, y)),
-        _ => None,
-    }
-}
-
-pub(crate) fn shl_raw(v: &Value, amount: u32) -> Value {
-    let w = v.width();
-    if amount >= w {
-        return Value::zero(w);
-    }
-    if let Some(x) = v.as_small() {
-        // amount < w <= 64, so the shift is in range.
-        return Value::small(w, x << amount);
-    }
-    let mut out = Value::zero(w);
-    let limb_shift = (amount / LIMB_BITS) as usize;
-    let bit_shift = amount % LIMB_BITS;
-    let src = v.limbs();
-    let dst = out.limbs_mut();
-    let n = dst.len();
-    for i in (0..n).rev() {
-        let mut limb = 0u64;
-        if i >= limb_shift {
-            limb = src[i - limb_shift] << bit_shift;
-            if bit_shift > 0 && i > limb_shift {
-                limb |= src[i - limb_shift - 1] >> (LIMB_BITS - bit_shift);
-            }
-        }
-        dst[i] = limb;
-    }
-    out.mask_top();
-    out
-}
-
-pub(crate) fn or_raw(a: &Value, b: &Value) -> Value {
-    let mut out = a.clone();
-    for (o, &l) in out.limbs_mut().iter_mut().zip(b.limbs()) {
-        *o |= l;
-    }
-    out
-}
+type Kernel2 = fn(u32, u32, &[u64], &[u64], &mut [u64]);
 
 impl Value {
+    /// A `width`-bit value written by a one-lane kernel.
+    #[inline(always)]
+    fn from_kernel(width: u32, kernel: impl FnOnce(&mut [u64])) -> Value {
+        let mut out = Value::zero(width);
+        kernel(out.limbs_mut());
+        out
+    }
+
+    /// A same-width binary kernel at one lane.
+    #[inline(always)]
+    fn kernel2(&self, rhs: &Value, op: &str, kernel: Kernel2) -> Value {
+        assert_same_width(self, rhs, op);
+        let w = self.width();
+        Value::from_kernel(w, |o| kernel(1, w, self.limbs(), rhs.limbs(), o))
+    }
+
     /// Wrapping addition modulo `2^width`.
     ///
     /// # Panics
@@ -77,26 +49,7 @@ impl Value {
     /// Panics if the widths differ.
     #[inline]
     pub fn add(&self, rhs: &Value) -> Value {
-        assert_same_width(self, rhs, "add");
-        if let Some((a, b)) = small_pair(self, rhs) {
-            return Value::small(self.width(), a.wrapping_add(b));
-        }
-        self.add_wide(rhs)
-    }
-
-    fn add_wide(&self, rhs: &Value) -> Value {
-        let mut out = Value::zero(self.width());
-        let (a, b) = (self.limbs(), rhs.limbs());
-        let dst = out.limbs_mut();
-        let mut carry = 0u64;
-        for i in 0..a.len() {
-            let (s1, c1) = a[i].overflowing_add(b[i]);
-            let (s2, c2) = s1.overflowing_add(carry);
-            dst[i] = s2;
-            carry = (c1 as u64) + (c2 as u64);
-        }
-        out.mask_top();
-        out
+        self.kernel2(rhs, "add", lanes::add)
     }
 
     /// Wrapping subtraction modulo `2^width`.
@@ -106,13 +59,7 @@ impl Value {
     /// Panics if the widths differ.
     #[inline]
     pub fn sub(&self, rhs: &Value) -> Value {
-        assert_same_width(self, rhs, "sub");
-        if let Some((a, b)) = small_pair(self, rhs) {
-            return Value::small(self.width(), a.wrapping_sub(b));
-        }
-        // a - b = a + !b + 1 in two's complement.
-        let one = Value::from_u64(self.width(), 1);
-        self.add(&rhs.not()).add(&one)
+        self.kernel2(rhs, "sub", lanes::sub)
     }
 
     /// Wrapping multiplication modulo `2^width` (schoolbook over limbs).
@@ -122,32 +69,7 @@ impl Value {
     /// Panics if the widths differ.
     #[inline]
     pub fn mul(&self, rhs: &Value) -> Value {
-        assert_same_width(self, rhs, "mul");
-        if let Some((a, b)) = small_pair(self, rhs) {
-            return Value::small(self.width(), a.wrapping_mul(b));
-        }
-        self.mul_wide(rhs)
-    }
-
-    fn mul_wide(&self, rhs: &Value) -> Value {
-        let n = self.limbs().len();
-        let mut acc = vec![0u64; n];
-        for i in 0..n {
-            let a = self.limbs()[i] as u128;
-            if a == 0 {
-                continue;
-            }
-            let mut carry: u128 = 0;
-            for j in 0..(n - i) {
-                let b = rhs.limbs()[j] as u128;
-                let cur = acc[i + j] as u128 + a * b + carry;
-                acc[i + j] = cur as u64;
-                carry = cur >> 64;
-            }
-        }
-        let mut out = Value::from_limbs(self.width(), &acc);
-        out.mask_top();
-        out
+        self.kernel2(rhs, "mul", lanes::mul)
     }
 
     /// Widening multiplication: the full `2 * width`-bit product.
@@ -158,12 +80,6 @@ impl Value {
     pub fn mul_full(&self, rhs: &Value) -> Value {
         assert_same_width(self, rhs, "mul_full");
         let w2 = self.width() * 2;
-        if let Some((a, b)) = small_pair(self, rhs) {
-            if w2 <= 64 {
-                return Value::small(w2, a.wrapping_mul(b));
-            }
-            return Value::from_u128(w2, (a as u128) * (b as u128));
-        }
         self.resize(w2).mul(&rhs.resize(w2))
     }
 
@@ -196,20 +112,20 @@ impl Value {
     /// Panics if the widths differ.
     pub fn divmod(&self, rhs: &Value) -> (Value, Value) {
         assert_same_width(self, rhs, "divmod");
-        if let Some((a, b)) = small_pair(self, rhs) {
-            let w = self.width();
+        let w = self.width();
+        if let (Some(a), Some(b)) = (self.as_small(), rhs.as_small()) {
             return match a.checked_div(b) {
                 None => (Value::ones(w), self.clone()),
                 Some(q) => (Value::small(w, q), Value::small(w, a % b)),
             };
         }
         if rhs.is_zero() {
-            return (Value::ones(self.width()), self.clone());
+            return (Value::ones(w), self.clone());
         }
-        let mut quotient = Value::zero(self.width());
-        let mut acc = Value::zero(self.width());
-        for i in (0..self.width()).rev() {
-            acc = shl_raw(&acc, 1).with_bit(0, self.bit(i));
+        let mut quotient = Value::zero(w);
+        let mut acc = Value::zero(w);
+        for i in (0..w).rev() {
+            acc = acc.shl(1).with_bit(0, self.bit(i));
             if acc.ucmp(rhs) != Ordering::Less {
                 acc = acc.sub(rhs);
                 quotient = quotient.with_bit(i, true);
@@ -221,15 +137,8 @@ impl Value {
     /// Bitwise NOT.
     #[inline]
     pub fn not(&self) -> Value {
-        if let Some(x) = self.as_small() {
-            return Value::small(self.width(), !x);
-        }
-        let mut out = self.clone();
-        for limb in out.limbs_mut() {
-            *limb = !*limb;
-        }
-        out.mask_top();
-        out
+        let w = self.width();
+        Value::from_kernel(w, |o| lanes::not(1, w, self.limbs(), o))
     }
 
     /// Bitwise AND.
@@ -239,15 +148,7 @@ impl Value {
     /// Panics if the widths differ.
     #[inline]
     pub fn and(&self, rhs: &Value) -> Value {
-        assert_same_width(self, rhs, "and");
-        if let Some((a, b)) = small_pair(self, rhs) {
-            return Value::small(self.width(), a & b);
-        }
-        let mut out = self.clone();
-        for (o, &l) in out.limbs_mut().iter_mut().zip(rhs.limbs()) {
-            *o &= l;
-        }
-        out
+        self.kernel2(rhs, "and", lanes::and)
     }
 
     /// Bitwise OR.
@@ -257,11 +158,7 @@ impl Value {
     /// Panics if the widths differ.
     #[inline]
     pub fn or(&self, rhs: &Value) -> Value {
-        assert_same_width(self, rhs, "or");
-        if let Some((a, b)) = small_pair(self, rhs) {
-            return Value::small(self.width(), a | b);
-        }
-        or_raw(self, rhs)
+        self.kernel2(rhs, "or", lanes::or)
     }
 
     /// Bitwise XOR.
@@ -271,52 +168,22 @@ impl Value {
     /// Panics if the widths differ.
     #[inline]
     pub fn xor(&self, rhs: &Value) -> Value {
-        assert_same_width(self, rhs, "xor");
-        if let Some((a, b)) = small_pair(self, rhs) {
-            return Value::small(self.width(), a ^ b);
-        }
-        let mut out = self.clone();
-        for (o, &l) in out.limbs_mut().iter_mut().zip(rhs.limbs()) {
-            *o ^= l;
-        }
-        out
+        self.kernel2(rhs, "xor", lanes::xor)
     }
 
     /// Logical left shift by a constant amount; bits shifted past the width
     /// are dropped.
     #[inline]
     pub fn shl(&self, amount: u32) -> Value {
-        shl_raw(self, amount)
+        let w = self.width();
+        Value::from_kernel(w, |o| lanes::shl_const(1, w, self.limbs(), amount, o))
     }
 
     /// Logical right shift by a constant amount.
     #[inline]
     pub fn shr(&self, amount: u32) -> Value {
         let w = self.width();
-        if amount >= w {
-            return Value::zero(w);
-        }
-        if let Some(x) = self.as_small() {
-            return Value::small(w, x >> amount);
-        }
-        let mut out = Value::zero(w);
-        let limb_shift = (amount / LIMB_BITS) as usize;
-        let bit_shift = amount % LIMB_BITS;
-        let src = self.limbs();
-        let dst = out.limbs_mut();
-        let n = dst.len();
-        for (i, d) in dst.iter_mut().enumerate() {
-            let s = i + limb_shift;
-            if s >= n {
-                break;
-            }
-            let mut limb = src[s] >> bit_shift;
-            if bit_shift > 0 && s + 1 < n {
-                limb |= src[s + 1] << (LIMB_BITS - bit_shift);
-            }
-            *d = limb;
-        }
-        out
+        Value::from_kernel(w, |o| lanes::shr_const(1, w, self.limbs(), amount, o))
     }
 
     /// Logical left shift by a dynamic amount (a `Value`); amounts at or
@@ -326,11 +193,7 @@ impl Value {
     ///
     /// Panics if the widths differ (RTL shifters take same-width operands).
     pub fn shl_dyn(&self, amount: &Value) -> Value {
-        assert_same_width(self, amount, "shl_dyn");
-        match amount.try_to_u64() {
-            Some(amt) if amt < self.width() as u64 => self.shl(amt as u32),
-            _ => Value::zero(self.width()),
-        }
+        self.kernel2(amount, "shl_dyn", lanes::shl_dyn)
     }
 
     /// Logical right shift by a dynamic amount.
@@ -339,11 +202,7 @@ impl Value {
     ///
     /// Panics if the widths differ.
     pub fn shr_dyn(&self, amount: &Value) -> Value {
-        assert_same_width(self, amount, "shr_dyn");
-        match amount.try_to_u64() {
-            Some(amt) if amt < self.width() as u64 => self.shr(amt as u32),
-            _ => Value::zero(self.width()),
-        }
+        self.kernel2(amount, "shr_dyn", lanes::shr_dyn)
     }
 
     /// Unsigned comparison.
@@ -354,17 +213,7 @@ impl Value {
     #[inline]
     pub fn ucmp(&self, rhs: &Value) -> Ordering {
         assert_same_width(self, rhs, "ucmp");
-        if let Some((a, b)) = small_pair(self, rhs) {
-            return a.cmp(&b);
-        }
-        let (a, b) = (self.limbs(), rhs.limbs());
-        for i in (0..a.len()).rev() {
-            match a[i].cmp(&b[i]) {
-                Ordering::Equal => continue,
-                ord => return ord,
-            }
-        }
-        Ordering::Equal
+        limbs::cmp(self.limbs(), rhs.limbs())
     }
 
     /// Extracts bits `[lo, hi]` inclusive (Verilog `v[hi:lo]`).
@@ -380,27 +229,17 @@ impl Value {
             "slice high index {hi} out of range for width {}",
             self.width()
         );
-        let width = hi - lo + 1;
-        if let Some(x) = self.as_small() {
-            return Value::small(width, x >> lo);
-        }
-        let shifted = self.shr(lo);
-        shifted.resize(width)
+        let w = self.width();
+        Value::from_kernel(hi - lo + 1, |o| lanes::slice(1, w, self.limbs(), hi, lo, o))
     }
 
     /// Concatenation: `self` becomes the *high* bits (Verilog `{self, low}`).
     #[inline]
     pub fn concat(&self, low: &Value) -> Value {
-        let width = self.width() + low.width();
-        if width <= 64 {
-            // Same-width not required here: both parts are narrow whenever
-            // the result is.
-            let hi = self.as_small().expect("narrow by width arithmetic");
-            let lo = low.as_small().expect("narrow by width arithmetic");
-            return Value::small(width, (hi << low.width()) | lo);
-        }
-        let hi = self.resize(width).shl(low.width());
-        or_raw(&hi, &low.resize(width))
+        let (hw, lw) = (self.width(), low.width());
+        Value::from_kernel(hw + lw, |o| {
+            lanes::concat(1, hw, lw, self.limbs(), low.limbs(), o);
+        })
     }
 
     /// Number of leading zeros within the declared width.
@@ -414,7 +253,7 @@ impl Value {
     /// ```
     #[inline]
     pub fn leading_zeros(&self) -> u32 {
-        self.width() - self.significant_bits()
+        limbs::leading_zeros(self.limbs(), self.width())
     }
 
     /// OR-reduction: 1-bit result, set if any bit of `self` is set.
@@ -426,18 +265,12 @@ impl Value {
     /// AND-reduction: 1-bit result, set if all bits of `self` are set.
     #[inline]
     pub fn reduce_and(&self) -> Value {
-        if let Some(x) = self.as_small() {
-            return Value::from_bool(x == mask64(self.width()));
-        }
-        Value::from_bool(*self == Value::ones(self.width()))
+        Value::from_bool(limbs::all_ones(self.limbs(), self.width()))
     }
 
     /// Two's-complement negation modulo `2^width`.
     #[inline]
     pub fn neg(&self) -> Value {
-        if let Some(x) = self.as_small() {
-            return Value::small(self.width(), x.wrapping_neg());
-        }
         Value::zero(self.width()).sub(self)
     }
 
@@ -476,29 +309,22 @@ pub fn concat_fields(fields: &[Value]) -> Value {
     acc
 }
 
-// Re-export at crate root for discoverability.
-pub use self::limbs_check::assert_invariants;
-
-mod limbs_check {
-    use super::*;
-
-    /// Debug helper: asserts the internal invariants of a [`Value`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the limb count, top-bit masking, or inline-representation
-    /// invariant is violated.
-    pub fn assert_invariants(v: &Value) {
-        assert_eq!(v.limbs().len(), limbs_for(v.width()));
-        assert_eq!(
-            v.as_small().is_some(),
-            v.width() <= LIMB_BITS,
-            "width {} must {}use the inline representation",
-            v.width(),
-            if v.width() <= LIMB_BITS { "" } else { "not " },
-        );
-        let mut masked = v.clone();
-        masked.mask_top();
-        assert_eq!(&masked, v, "top bits above width must be zero");
-    }
+/// Debug helper: asserts the internal invariants of a [`Value`].
+///
+/// # Panics
+///
+/// Panics if the limb count, top-bit masking, or inline-representation
+/// invariant is violated.
+pub fn assert_invariants(v: &Value) {
+    assert_eq!(v.limbs().len(), limbs::count(v.width()));
+    assert_eq!(
+        v.as_small().is_some(),
+        v.width() <= 64,
+        "width {} must {}use the inline representation",
+        v.width(),
+        if v.width() <= 64 { "" } else { "not " },
+    );
+    let mut masked = v.clone();
+    masked.mask_top();
+    assert_eq!(&masked, v, "top bits above width must be zero");
 }

@@ -42,32 +42,10 @@ enum Repr {
 /// assert_eq!(v.to_u64(), 0xabc);
 /// assert_eq!(format!("{v}"), "12'habc");
 /// ```
-#[derive(PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Value {
     width: u32,
     repr: Repr,
-}
-
-impl Clone for Value {
-    #[inline]
-    fn clone(&self) -> Self {
-        Value {
-            width: self.width,
-            repr: self.repr.clone(),
-        }
-    }
-
-    /// Reuses the existing limb buffer when shapes match, so cloning into a
-    /// pre-sized slot (as the simulator does every cycle) never allocates.
-    #[inline]
-    fn clone_from(&mut self, source: &Self) {
-        self.width = source.width;
-        match (&mut self.repr, &source.repr) {
-            (Repr::Small(d), Repr::Small(s)) => *d = *s,
-            (Repr::Big(d), Repr::Big(s)) if d.len() == s.len() => d.copy_from_slice(s),
-            (d, s) => *d = s.clone(),
-        }
-    }
 }
 
 /// Error returned when parsing a [`Value`] from a string fails.
@@ -91,10 +69,6 @@ impl fmt::Display for ParseValueError {
 }
 
 impl std::error::Error for ParseValueError {}
-
-pub(crate) fn limbs_for(width: u32) -> usize {
-    width.div_ceil(LIMB_BITS) as usize
-}
 
 /// The mask of valid bits for an inline value of `width <= 64` bits.
 #[inline]
@@ -144,17 +118,8 @@ impl Value {
         } else {
             Value {
                 width,
-                repr: Repr::Big(vec![0; limbs_for(width)].into_boxed_slice()),
+                repr: Repr::Big(vec![0; crate::limbs::count(width)].into_boxed_slice()),
             }
-        }
-    }
-
-    /// Resets every bit to zero in place, without reallocating.
-    #[inline]
-    pub fn set_zero(&mut self) {
-        match &mut self.repr {
-            Repr::Small(x) => *x = 0,
-            Repr::Big(b) => b.fill(0),
         }
     }
 
@@ -305,11 +270,7 @@ impl Value {
             }
         }
         if bits < self.width {
-            let shifted = crate::ops::shl_raw(self, bits);
-            Ok(crate::ops::or_raw(
-                &shifted,
-                &Value::from_u64(self.width, low),
-            ))
+            Ok(self.shl(bits).or(&Value::from_u64(self.width, low)))
         } else {
             Ok(Value::from_u64(self.width, low))
         }
@@ -342,16 +303,7 @@ impl Value {
     #[inline]
     pub(crate) fn mask_top(&mut self) {
         let width = self.width;
-        match &mut self.repr {
-            Repr::Small(x) => *x &= mask64(width),
-            Repr::Big(b) => {
-                let rem = width % LIMB_BITS;
-                if rem != 0 {
-                    let last = b.len() - 1;
-                    b[last] &= (1u64 << rem) - 1;
-                }
-            }
-        }
+        crate::limbs::mask_top(self.limbs_mut(), width);
     }
 
     /// Reads bit `i` (0 = least significant).
@@ -442,13 +394,7 @@ impl Value {
 
     /// Number of significant bits (position of highest set bit + 1; 0 if zero).
     pub fn significant_bits(&self) -> u32 {
-        let limbs = self.limbs();
-        for (i, &limb) in limbs.iter().enumerate().rev() {
-            if limb != 0 {
-                return i as u32 * LIMB_BITS + (64 - limb.leading_zeros());
-            }
-        }
-        0
+        self.width - self.leading_zeros()
     }
 
     /// Zero-extends or truncates to a new width.
@@ -462,10 +408,7 @@ impl Value {
             return Value::small(width, self.limbs()[0]);
         }
         let mut v = Value::zero(width);
-        let src = self.limbs();
-        let dst = v.limbs_mut();
-        let n = dst.len().min(src.len());
-        dst[..n].copy_from_slice(&src[..n]);
+        crate::limbs::resize(self.limbs(), v.limbs_mut());
         v.mask_top();
         v
     }

@@ -9,7 +9,7 @@
 //! the checker should have ruled out surfaces as
 //! [`InterpError::Unschedulable`]), and primitive semantics are
 //! re-implemented here on plain `u64` arithmetic rather than through the
-//! simulator's [`rtl_sim::CellKind::eval_into`] path. If the interpreter
+//! simulator's lane kernels ([`rtl_sim::CellKind`]). If the interpreter
 //! and the compiled netlist agree on random programs, the whole
 //! `check → lower → elaborate → settle` stack has been cross-validated.
 //!

@@ -240,7 +240,7 @@ pub fn run_transactions(
                 let slot = k * n_out + j;
                 match &first[slot] {
                     None => first[slot] = Some(value.clone()),
-                    Some(seen) => unstable[slot] |= seen != value,
+                    Some(seen) => unstable[slot] |= *seen != value,
                 }
             }
         }

@@ -4,7 +4,7 @@
 //! Lowered Calyx-lite components are simulated exactly as `lower` emits
 //! them: every `Mux` with a constant selector, every dead cone left behind
 //! by `if`-generate edge selection, and every subexpression duplicated
-//! across unrolled `for`-generate iterations costs real `eval_into` work on
+//! across unrolled `for`-generate iterations costs real kernel work on
 //! every settle. The paper's premise (timeline types make cross-module
 //! optimization *safe*) means these rewrites need no scheduling analysis:
 //! a Calyx-lite component is a pure dataflow graph, so structural rewrites
@@ -14,8 +14,9 @@
 //!
 //! 1. **const-fold** — combinational cells whose inputs are all constants
 //!    (including undriven pins, which settle to zero) are evaluated at
-//!    compile time with the *simulator's own* [`CellKind::eval_into`], so
-//!    compile-time and run-time semantics cannot diverge.
+//!    compile time with the *simulator's own* kernels at one lane
+//!    ([`CellKind::eval_values`]), so compile-time and run-time semantics
+//!    cannot diverge.
 //! 2. **strength** — `MulComb` by a power-of-two constant becomes
 //!    [`CellKind::ShlConst`]; multiplication by 0/1, additive and bitwise
 //!    identities (`x+0`, `x&~0`, `x|0`, `x^0`, shifts by zero), and `Mux`
@@ -670,15 +671,8 @@ fn const_fold(c: &mut Component, cfg: &OptConfig, notes: &mut Notes) -> u64 {
         if !(all_const || (cfg.inject_bad_fold && any_const)) {
             continue;
         }
-        let state = kind.initial_state();
-        let mut outs: Vec<Value> = kind
-            .output_widths()
-            .iter()
-            .map(|&w| Value::zero(w))
-            .collect();
         let ins: Vec<&Value> = vals.iter().collect();
-        kind.eval_into(&ins, &state, &mut outs);
-        let value = outs.swap_remove(0);
+        let value = kind.eval_values(&ins).swap_remove(0);
         repl.insert(PortRef::cell(cell.name.clone(), "out"), Src::Const(value));
         dead.insert(cell.name.clone());
     }

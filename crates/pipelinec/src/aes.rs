@@ -310,7 +310,7 @@ mod tests {
         sim.poke_by_name("state_words", pack_block(whiten(PLAIN, k0)));
         sim.poke_by_name("keys", pack_keys(&rks));
         sim.settle().unwrap();
-        let out = unpack_block(sim.peek_by_name("out_words"));
+        let out = unpack_block(&sim.peek_by_name("out_words"));
         assert_eq!(out, CIPHER);
     }
 

@@ -3,11 +3,12 @@
 //! This is the reproduction's counterpart of the paper's Verilog standard
 //! library (Section 7: "341 lines of Verilog for the standard library
 //! primitives"). Each [`CellKind`] defines its pin widths, combinational
-//! behavior ([`CellKind::eval_into`]), sequential behavior ([`CellKind::tick`]),
-//! and which output pins depend combinationally on which input pins (used
-//! for topological scheduling and combinational-loop detection).
+//! behavior (`CellKind::eval`), sequential behavior (`CellKind::tick`), both
+//! over the [lane layout](fil_bits::lanes) at any width and lane count, and
+//! which output pins depend combinationally on which input pins (used for
+//! topological scheduling and combinational-loop detection).
 
-use fil_bits::{lanes, LaneBuf, Value};
+use fil_bits::{lanes, Value};
 
 /// Internal state of a sequential cell instance (empty for combinational
 /// cells). Layout is defined per [`CellKind`]; use [`CellKind::initial_state`]
@@ -36,7 +37,7 @@ pub const AES_SBOX: [u8; 256] = [
 
 /// A primitive circuit: the leaves of every netlist.
 ///
-/// Pin conventions are documented per variant; `eval_into` computes output
+/// Pin conventions are documented per variant; `eval` computes output
 /// pin values from input pin values and state, `tick` advances state at a
 /// clock edge (with standard nonblocking semantics: all new state is computed
 /// from *old* state and the settled input values).
@@ -397,286 +398,236 @@ impl CellKind {
     /// through a dynamically sized buffer instead.
     pub const MAX_INPUT_PINS: usize = 4;
 
-    /// Computes all output pin values from input pin values and state,
-    /// writing them into `outs` (one slot per output pin, pre-sized to the
-    /// correct widths by the caller).
-    ///
-    /// This is the simulator's per-signal hot path: for designs whose
-    /// signals are at most 64 bits wide it performs no heap allocation —
-    /// inputs are borrowed, results land in the caller's buffer, and all
-    /// `fil_bits` operations stay in their inline representation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if pin counts or widths disagree with the cell definition
-    /// (callers are expected to have validated the netlist).
-    pub fn eval_into(&self, inputs: &[&Value], state: &[Value], outs: &mut [Value]) {
+    /// Words of state this cell holds across `lanes` lanes: its
+    /// [`CellKind::initial_state`] slots in the lane layout, one after
+    /// another (saturating, for the simulator's size budget).
+    pub(crate) fn state_words(&self, lanes: u32) -> u64 {
         use CellKind::*;
+        let words = |w: u32| lanes::words(w, lanes) as u64;
         match *self {
-            Const { ref value } => outs[0].clone_from(value),
-            Add { .. } => outs[0] = inputs[0].add(inputs[1]),
-            Sub { .. } => outs[0] = inputs[0].sub(inputs[1]),
-            MulComb { .. } => outs[0] = inputs[0].mul(inputs[1]),
-            And { .. } => outs[0] = inputs[0].and(inputs[1]),
-            Or { .. } => outs[0] = inputs[0].or(inputs[1]),
-            Xor { .. } => outs[0] = inputs[0].xor(inputs[1]),
-            Not { .. } => outs[0] = inputs[0].not(),
-            ShlDyn { .. } => outs[0] = inputs[0].shl_dyn(inputs[1]),
-            ShrDyn { .. } => outs[0] = inputs[0].shr_dyn(inputs[1]),
-            ShlConst { amount, .. } => outs[0] = inputs[0].shl(amount),
-            ShrConst { amount, .. } => outs[0] = inputs[0].shr(amount),
-            Eq { .. } => outs[0] = Value::from_bool(inputs[0] == inputs[1]),
-            Lt { .. } => {
-                outs[0] = Value::from_bool(inputs[0].ucmp(inputs[1]) == std::cmp::Ordering::Less)
-            }
-            Ge { .. } => {
-                outs[0] = Value::from_bool(inputs[0].ucmp(inputs[1]) != std::cmp::Ordering::Less)
-            }
-            Mux { .. } => {
-                let sel = inputs[0].as_bool();
-                outs[0].clone_from(if sel { inputs[2] } else { inputs[1] });
-            }
-            Slice { hi, lo, .. } => outs[0] = inputs[0].slice(hi, lo),
-            Concat { .. } => outs[0] = inputs[0].concat(inputs[1]),
-            ZeroExt { out_width, .. } => outs[0] = inputs[0].resize(out_width),
-            ReduceOr { .. } => outs[0] = inputs[0].reduce_or(),
-            ReduceAnd { .. } => outs[0] = inputs[0].reduce_and(),
-            Clz { width } => outs[0] = Value::from_u64(width, inputs[0].leading_zeros() as u64),
-            SBox => outs[0] = Value::from_u64(8, AES_SBOX[inputs[0].to_u64() as usize] as u64),
-            Reg { .. } => outs[0].clone_from(&state[0]),
-            ShiftFsm { .. } => {
-                outs[0].clone_from(inputs[0]);
-                for (o, s) in outs[1..].iter_mut().zip(state.iter()) {
-                    o.clone_from(s);
-                }
-            }
-            MultSeq { .. } => outs[0].clone_from(&state[2]),
-            MultPipe { .. } => outs[0].clone_from(state.last().expect("latency >= 1")),
-            Dsp48 { .. } => outs[0].clone_from(&state[3]),
+            Reg { width, .. } => words(width),
+            ShiftFsm { n } => u64::from(n.saturating_sub(1)).saturating_mul(words(1)),
+            MultSeq { width, .. } => words(width).saturating_mul(3).saturating_add(words(32)),
+            MultPipe { width, latency } => words(width).saturating_mul(u64::from(latency)),
+            Dsp48 { width, .. } => words(width).saturating_mul(4),
+            _ => 0,
         }
     }
 
-    /// Advances state at a clock edge. New state is computed from old state
-    /// and the settled input values (nonblocking semantics).
-    pub fn tick(&self, inputs: &[&Value], state: &mut [Value]) {
+    /// The word range, within its state, of the state slot a register or
+    /// multiplier shows on its one output at `n` lanes: slot 0 of a
+    /// register, a `MultSeq`'s result, the last stage of a `MultPipe` and
+    /// a `Dsp48`'s P register. `None` for every other kind.
+    #[inline(always)]
+    pub(crate) fn state_output(&self, n: u32) -> Option<std::ops::Range<usize>> {
+        use CellKind::*;
+        let (width, slot) = match *self {
+            Reg { width, .. } => (width, 0),
+            MultSeq { width, .. } => (width, 2),
+            MultPipe { width, latency } => (width, latency as usize - 1),
+            Dsp48 { width, .. } => (width, 3),
+            _ => return None,
+        };
+        let k = lanes::words(width, n);
+        Some(slot * k..(slot + 1) * k)
+    }
+
+    /// Computes every output pin across `n` lanes, in the
+    /// [lane layout](fil_bits::lanes): `inputs` are the input pins in pin
+    /// order, `state` the state slots one after another, and `outs` the
+    /// output pins one after another, pre-sized by the caller. Lane `l` of
+    /// every output depends only on lane `l` of the inputs and state.
+    ///
+    /// This is the simulator's per-signal hot path and allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a region is shorter than its pin's width takes.
+    #[inline(always)]
+    pub(crate) fn eval(&self, n: u32, ins: &[&[u64]], state: &[u64], outs: &mut [u64]) {
         use CellKind::*;
         match *self {
-            Reg { has_en, .. } => {
-                let (en, data) = if has_en {
-                    (inputs[0].as_bool(), inputs[1])
-                } else {
-                    (true, inputs[0])
-                };
-                if en {
-                    state[0].clone_from(data);
-                }
+            Const { ref value } => {
+                lanes::broadcast(n, value.width(), outs, value.limbs());
             }
+            Add { width } => lanes::add(n, width, ins[0], ins[1], outs),
+            Sub { width } => lanes::sub(n, width, ins[0], ins[1], outs),
+            MulComb { width } => lanes::mul(n, width, ins[0], ins[1], outs),
+            And { width } => lanes::and(n, width, ins[0], ins[1], outs),
+            Or { width } => lanes::or(n, width, ins[0], ins[1], outs),
+            Xor { width } => lanes::xor(n, width, ins[0], ins[1], outs),
+            Not { width } => lanes::not(n, width, ins[0], outs),
+            ShlDyn { width } => lanes::shl_dyn(n, width, ins[0], ins[1], outs),
+            ShrDyn { width } => lanes::shr_dyn(n, width, ins[0], ins[1], outs),
+            ShlConst { width, amount } => lanes::shl_const(n, width, ins[0], amount, outs),
+            ShrConst { width, amount } => lanes::shr_const(n, width, ins[0], amount, outs),
+            Eq { width } => lanes::eq(n, width, ins[0], ins[1], outs),
+            Lt { width } => lanes::lt(n, width, ins[0], ins[1], outs),
+            Ge { width } => lanes::ge(n, width, ins[0], ins[1], outs),
+            // Pin order is [sel, in0, in1] with out = sel ? in1 : in0.
+            Mux { width } => lanes::mux(n, width, ins[0], ins[1], ins[2], outs),
+            Slice { in_width, hi, lo } => lanes::slice(n, in_width, ins[0], hi, lo, outs),
+            Concat { hi_width, lo_width } => {
+                lanes::concat(n, hi_width, lo_width, ins[0], ins[1], outs);
+            }
+            ZeroExt {
+                in_width,
+                out_width,
+            } => lanes::resize(n, in_width, out_width, ins[0], outs),
+            ReduceOr { width } => lanes::reduce_or(n, width, ins[0], outs),
+            ReduceAnd { width } => lanes::reduce_and(n, width, ins[0], outs),
+            Clz { width } => lanes::clz(n, width, ins[0], outs),
+            SBox => lanes::lut8(n, &AES_SBOX, ins[0], outs),
+            // Sequential outputs are state slots: `_0` mirrors the trigger
+            // and `_i` is slot `i - 1`; the others show their last slot.
             ShiftFsm { .. } => {
-                // state[i] <= state[i-1]; state[0] <= trigger.
-                for i in (1..state.len()).rev() {
-                    state[i] = state[i - 1].clone();
-                }
-                if !state.is_empty() {
-                    state[0].clone_from(inputs[0]);
+                let pw = lanes::plane_words(n);
+                outs[..pw].copy_from_slice(&ins[0][..pw]);
+                outs[pw..].copy_from_slice(state);
+            }
+            Reg { .. } | MultSeq { .. } | MultPipe { .. } | Dsp48 { .. } => {
+                let r = self.state_output(n).expect("a state-slot output");
+                lanes::copy(outs, &state[r]);
+            }
+        }
+    }
+
+    /// Advances state across `n` lanes at a clock edge (nonblocking: new
+    /// state comes from old state and the settled inputs), in the layout
+    /// of [`CellKind::eval`].
+    #[inline(always)]
+    pub(crate) fn tick(&self, n: u32, ins: &[&[u64]], state: &mut [u64]) {
+        use CellKind::*;
+        match *self {
+            Reg { width, has_en, .. } => {
+                if has_en {
+                    // A register with enable is exactly a masked lane copy.
+                    lanes::copy_masked(n, width, state, ins[1], ins[0]);
+                } else {
+                    lanes::copy(state, ins[0]);
                 }
             }
-            MultSeq { latency, .. } => {
-                // The busy window is `latency + 1` cycles (the paper's
-                // `Mult<T: 3>` has latency 2 and delay 3): the countdown is
-                // still nonzero when a `go` one cycle early arrives.
-                let go = inputs[0].as_bool();
-                let count = state[3].to_u64();
-                if go {
-                    if count > 0 {
-                        // Retriggered mid-computation: the datapath latches
-                        // a mix of old and new operands — silent corruption,
-                        // exactly what Filament's conflict-freedom rules out
-                        // statically (Section 3.4).
-                        state[0] = inputs[1].xor(&state[0]);
-                        state[1] = inputs[2].xor(&state[1]);
-                    } else {
-                        state[0].clone_from(inputs[1]);
-                        state[1].clone_from(inputs[2]);
+            // Each slot takes the one before it; slot 0 takes the input.
+            ShiftFsm { .. } | MultPipe { .. } => {
+                let k = match *self {
+                    MultPipe { width, .. } => lanes::words(width, n),
+                    _ => lanes::plane_words(n),
+                };
+                if state.is_empty() {
+                    return;
+                }
+                if k == 1 {
+                    for i in (1..state.len()).rev() {
+                        state[i] = state[i - 1];
                     }
-                    if latency == 1 {
-                        state[2] = state[0].mul(&state[1]);
-                    }
-                    state[3] = Value::from_u64(32, latency as u64);
-                } else if count > 0 {
-                    // The result lands in the output register one edge before
-                    // the countdown expires, making it visible during cycle
-                    // `t + latency` for a `go` during cycle `t`.
-                    if count == 2 {
-                        state[2] = state[0].mul(&state[1]);
-                    }
-                    state[3] = Value::from_u64(32, count - 1);
+                } else {
+                    let len = state.len();
+                    state.copy_within(..len - k, k);
+                }
+                match *self {
+                    MultPipe { width, .. } => lanes::mul(n, width, ins[0], ins[1], state),
+                    _ => state[..k].copy_from_slice(&ins[0][..k]),
                 }
             }
-            MultPipe { .. } => {
-                for i in (1..state.len()).rev() {
-                    state[i] = state[i - 1].clone();
+            MultSeq { width, latency } => {
+                // The retrigger/countdown control flow diverges per lane, so
+                // this cell ticks lane at a time (it is rare and slow by
+                // design). Slots: [a latch, b latch, result, count].
+                let k = lanes::words(width, n);
+                let (data, count) = state.split_at_mut(3 * k);
+                let slot = |s: usize| s * k..(s + 1) * k;
+                let product = |data: &mut [u64], l: u32| {
+                    let p = lanes::get(width, &data[slot(0)], l).mul(&lanes::get(
+                        width,
+                        &data[slot(1)],
+                        l,
+                    ));
+                    lanes::set(width, &mut data[slot(2)], l, p.limbs());
+                };
+                for l in 0..n {
+                    let (go, c) = (lanes::bit(ins[0], l as usize), count[l as usize]);
+                    if go {
+                        // Retriggered mid-computation (count > 0), the
+                        // datapath latches a mix of old and new operands —
+                        // silent corruption, exactly what Filament's
+                        // conflict-freedom rules out statically (Section
+                        // 3.4).
+                        for (s, pin) in [(0, 1), (1, 2)] {
+                            let mut v = lanes::get(width, ins[pin], l);
+                            if c > 0 {
+                                v = v.xor(&lanes::get(width, &data[slot(s)], l));
+                            }
+                            lanes::set(width, &mut data[slot(s)], l, v.limbs());
+                        }
+                        if latency == 1 {
+                            product(data, l);
+                        }
+                        count[l as usize] = u64::from(latency);
+                    } else if c > 0 {
+                        // The busy window is `latency + 1` cycles: the
+                        // result lands one edge before the countdown
+                        // expires, visible during cycle `t + latency` for a
+                        // `go` during cycle `t`.
+                        if c == 2 {
+                            product(data, l);
+                        }
+                        count[l as usize] = c - 1;
+                    }
                 }
-                state[0] = inputs[0].mul(inputs[1]);
             }
             Dsp48 {
                 width,
                 use_c,
                 use_pcin,
             } => {
-                let mut p = state[2].clone();
+                // Slots: [A reg, B reg, M reg, P reg].
+                let k = lanes::words(width, n);
+                let (ab, mp) = state.split_at_mut(2 * k);
+                let (m, p) = mp.split_at_mut(k);
+                // P <= M (+ C) (+ PCIN), from the old M.
                 if use_c {
-                    p = p.add(inputs[2]);
+                    lanes::add(n, width, m, ins[2], p);
+                } else {
+                    p[..k].copy_from_slice(&m[..k]);
                 }
                 if use_pcin {
-                    p = p.add(inputs[3]);
+                    lanes::add_assign(n, width, p, ins[3]);
                 }
-                state[3] = p;
-                state[2] = state[0].mul(&state[1]);
-                state[0] = inputs[0].resize(width);
-                state[1] = inputs[1].resize(width);
+                // M <= A · B, from the old A/B registers.
+                let (a, b) = ab.split_at_mut(k);
+                lanes::mul(n, width, a, b, m);
+                a[..k].copy_from_slice(&ins[0][..k]);
+                b[..k].copy_from_slice(&ins[1][..k]);
             }
             _ => {}
         }
     }
 
-    /// Lane-parallel [`CellKind::eval_into`]: one call settles the cell for
-    /// every batch lane at once. `inputs`, `state`, and `outs` hold
-    /// [`LaneBuf`]s with matching lane counts; semantics per lane are
-    /// exactly those of `eval_into` (the batched engine is cross-checked
-    /// against the scalar one lane by lane).
-    ///
-    /// Only defined for cells whose pins are at most 64 bits wide — the
-    /// batched simulator rejects wider designs at construction.
+    /// Evaluates the cell once, at one lane in its power-on state, on
+    /// constant `inputs` (one per input pin): the outputs opt's const-fold
+    /// substitutes, computed by the simulator's own kernels.
     ///
     /// # Panics
     ///
-    /// Panics if pin counts or widths disagree with the cell definition.
-    pub fn eval_lanes(&self, inputs: &[&LaneBuf], state: &[LaneBuf], outs: &mut [LaneBuf]) {
-        use CellKind::*;
-        match *self {
-            Const { ref value } => outs[0].broadcast(value.to_u64()),
-            Add { .. } => lanes::add(inputs[0], inputs[1], &mut outs[0]),
-            Sub { .. } => lanes::sub(inputs[0], inputs[1], &mut outs[0]),
-            MulComb { .. } => lanes::mul(inputs[0], inputs[1], &mut outs[0]),
-            And { .. } => lanes::and(inputs[0], inputs[1], &mut outs[0]),
-            Or { .. } => lanes::or(inputs[0], inputs[1], &mut outs[0]),
-            Xor { .. } => lanes::xor(inputs[0], inputs[1], &mut outs[0]),
-            Not { .. } => lanes::not(inputs[0], &mut outs[0]),
-            ShlDyn { .. } => lanes::shl_dyn(inputs[0], inputs[1], &mut outs[0]),
-            ShrDyn { .. } => lanes::shr_dyn(inputs[0], inputs[1], &mut outs[0]),
-            ShlConst { amount, .. } => lanes::shl_const(inputs[0], amount, &mut outs[0]),
-            ShrConst { amount, .. } => lanes::shr_const(inputs[0], amount, &mut outs[0]),
-            Eq { .. } => lanes::eq(inputs[0], inputs[1], &mut outs[0]),
-            Lt { .. } => lanes::lt(inputs[0], inputs[1], &mut outs[0]),
-            Ge { .. } => lanes::ge(inputs[0], inputs[1], &mut outs[0]),
-            // Scalar pin order is [sel, in0, in1] with out = sel ? in1 : in0;
-            // lanes::mux(sel, a, b) picks b where sel is set.
-            Mux { .. } => lanes::mux(inputs[0], inputs[1], inputs[2], &mut outs[0]),
-            Slice { hi, lo, .. } => lanes::slice(inputs[0], hi, lo, &mut outs[0]),
-            Concat { .. } => lanes::concat(inputs[0], inputs[1], &mut outs[0]),
-            ZeroExt { .. } => lanes::resize(inputs[0], &mut outs[0]),
-            ReduceOr { .. } => lanes::reduce_or(inputs[0], &mut outs[0]),
-            ReduceAnd { .. } => lanes::reduce_and(inputs[0], &mut outs[0]),
-            Clz { .. } => lanes::clz(inputs[0], &mut outs[0]),
-            SBox => lanes::lut8(&AES_SBOX, inputs[0], &mut outs[0]),
-            Reg { .. } => outs[0].copy_from(&state[0]),
-            ShiftFsm { .. } => {
-                outs[0].copy_from(inputs[0]);
-                for (o, s) in outs[1..].iter_mut().zip(state.iter()) {
-                    o.copy_from(s);
-                }
-            }
-            MultSeq { .. } => outs[0].copy_from(&state[2]),
-            MultPipe { .. } => outs[0].copy_from(state.last().expect("latency >= 1")),
-            Dsp48 { .. } => outs[0].copy_from(&state[3]),
-        }
-    }
-
-    /// Lane-parallel [`CellKind::tick`]: advances every lane's state at a
-    /// clock edge, with per-lane semantics identical to `tick`.
-    pub fn tick_lanes(&self, inputs: &[&LaneBuf], state: &mut [LaneBuf]) {
-        use CellKind::*;
-        match *self {
-            Reg { has_en, .. } => {
-                if has_en {
-                    // A register with enable is exactly a masked lane copy.
-                    lanes::copy_masked(&mut state[0], inputs[1], inputs[0].words());
-                } else {
-                    state[0].copy_from(inputs[0]);
-                }
-            }
-            ShiftFsm { .. } => {
-                for i in (1..state.len()).rev() {
-                    let (lo, hi) = state.split_at_mut(i);
-                    hi[0].copy_from(&lo[i - 1]);
-                }
-                if !state.is_empty() {
-                    state[0].copy_from(inputs[0]);
-                }
-            }
-            MultSeq { width, latency, .. } => {
-                // The retrigger/countdown control flow diverges per lane, so
-                // this cell ticks lane-at-a-time (it is rare and already
-                // slow by design).
-                let m = if width == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << width) - 1
-                };
-                for l in 0..state[3].lanes() {
-                    let go = inputs[0].get(l) != 0;
-                    let count = state[3].get(l);
-                    if go {
-                        if count > 0 {
-                            state[0].set(l, inputs[1].get(l) ^ state[0].get(l));
-                            state[1].set(l, inputs[2].get(l) ^ state[1].get(l));
-                        } else {
-                            state[0].set(l, inputs[1].get(l));
-                            state[1].set(l, inputs[2].get(l));
-                        }
-                        if latency == 1 {
-                            state[2].set(l, state[0].get(l).wrapping_mul(state[1].get(l)) & m);
-                        }
-                        state[3].set(l, latency as u64);
-                    } else if count > 0 {
-                        if count == 2 {
-                            state[2].set(l, state[0].get(l).wrapping_mul(state[1].get(l)) & m);
-                        }
-                        state[3].set(l, count - 1);
-                    }
-                }
-            }
-            MultPipe { .. } => {
-                for i in (1..state.len()).rev() {
-                    let (lo, hi) = state.split_at_mut(i);
-                    hi[0].copy_from(&lo[i - 1]);
-                }
-                lanes::mul(inputs[0], inputs[1], &mut state[0]);
-            }
-            Dsp48 {
-                use_c, use_pcin, ..
-            } => {
-                // P <= M (+ C) (+ PCIN), from *old* M.
-                {
-                    let (lo, hi) = state.split_at_mut(3);
-                    hi[0].copy_from(&lo[2]);
-                }
-                if use_c {
-                    lanes::add_assign(&mut state[3], inputs[2]);
-                }
-                if use_pcin {
-                    lanes::add_assign(&mut state[3], inputs[3]);
-                }
-                // M <= Areg · Breg, from old A/B registers.
-                {
-                    let (ab, rest) = state.split_at_mut(2);
-                    lanes::mul(&ab[0], &ab[1], &mut rest[0]);
-                }
-                state[0].copy_from(inputs[0]);
-                state[1].copy_from(inputs[1]);
-            }
-            _ => {}
-        }
+    /// Panics if an input is narrower than its pin.
+    pub fn eval_values(&self, inputs: &[&Value]) -> Vec<Value> {
+        // At one lane every layout is a `Value`'s limbs.
+        let state: Vec<u64> = (self.initial_state().iter())
+            .flat_map(|v| v.limbs().iter().copied())
+            .collect();
+        let widths = self.output_widths();
+        let mut outs = vec![0; widths.iter().map(|&w| lanes::words(w, 1)).sum()];
+        let ins: Vec<&[u64]> = inputs.iter().map(|v| v.limbs()).collect();
+        self.eval(1, &ins, &state, &mut outs);
+        let mut rest = &outs[..];
+        widths
+            .iter()
+            .map(|&w| {
+                let (v, tail) = rest.split_at(lanes::words(w, 1));
+                rest = tail;
+                Value::from_limbs(w, v)
+            })
+            .collect()
     }
 
     /// The variant's bare name, for profile hotspot grouping.

@@ -1,144 +1,114 @@
-//! The simulation engine: one settle/tick loop over two lane storages.
+//! The simulation engine: one settle/tick loop over one lane storage.
 //!
-//! [`Sim`](crate::Sim) runs it over [`Value`] (one lane, any width, so
-//! AES's 128- and 1280-bit signals simulate directly), and
-//! [`BatchSim`](crate::BatchSim) over [`LaneBuf`] (B lanes of up to 64
-//! bits, 1-bit signals bit-sliced 64 lanes per word), paying the traversal
-//! bookkeeping once per signal whatever the lane count.
+//! Every signal, cell output buffer, cell state and assign candidate is a
+//! region of a `u64` [`Arena`], laid out per [`fil_bits::lanes`]: 1-bit
+//! signals bit-sliced 64 lanes per word, 2..=64 bits a word per lane,
+//! wider signals `ceil(w/64)` contiguous limbs per lane. One kernel set
+//! ([`CellKind::eval`], [`CellKind::tick`]) runs on it at any width.
+//! [`Sim`](crate::Sim) is the engine at one lane, where every region is
+//! exactly a `Value`'s limbs; [`BatchSim`](crate::BatchSim) runs B lanes,
+//! paying the traversal bookkeeping once per signal whatever the lane
+//! count. The `ONE` parameter only fixes the lane count at compile time,
+//! so the one-lane engine's plane loops fold to straight-line code.
 //!
-//! Settling walks the shared [`FlatGraph`]'s topological order over
-//! pre-sized buffers (no per-cycle allocation up to 64-bit signals) and
-//! propagates change: only dirty signals are re-evaluated, and an
-//! unchanged result does not dirty its dependents. `set_force_full_settle`
-//! re-evaluates everything, as a cross-check with identical results.
+//! Settling walks the shared [`FlatGraph`]'s topological order over the
+//! pre-sized arenas (no per-cycle allocation at any width) and propagates
+//! change: only dirty signals are re-evaluated, and an unchanged result
+//! does not dirty its dependents. `set_force_full_settle` re-evaluates
+//! everything, as a cross-check with identical results.
 //!
-//! Guarded assignments resolve over 1-bit lane *planes* (a scalar is a
+//! Guarded assignments resolve over 1-bit lane *planes* (one lane is a
 //! one-word plane). A write conflict is *recorded*, not fatal: conflicted
 //! lanes keep their old value, everything else settles, and the lowest
 //! conflicted signal id (then lane) is reported, so lane `l` of a batched
 //! run matches a scalar run of lane `l`'s stimulus, errors included.
 
-use crate::cell::{CellKind, CellState};
+use crate::cell::CellKind;
 use crate::graph::{Driver, FlatGraph};
 use crate::netlist::{Netlist, PortDir, SignalId};
 use crate::profile::ProfState;
 use crate::sim::SimError;
-use fil_bits::{lanes, LaneBuf, Value};
-use std::fmt;
+use fil_bits::lanes;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Per-signal value storage: one signal across the engine's lanes.
-///
-/// Crate-private, so the two impls below are the only ones; it carries only
-/// what differs between them. Its hot methods and the settle loop's helpers
-/// are `#[inline(always)]`: the scalar engine is only as fast as a
-/// dedicated one when they all fold into the loop.
-pub(crate) trait Lanes: PartialEq + fmt::Debug + Sized {
-    /// Whether write conflicts name their lane (the `(lane N)` suffix).
-    const BATCHED: bool;
-    /// The widest signal this storage lays out.
-    const MAX_WIDTH: u32;
-    /// An all-zero `width`-bit signal over `lanes` lanes.
-    fn zero(width: u32, lanes: u32) -> Self;
-    /// A cell's power-on state, each value in every lane.
-    fn splat(state: CellState, lanes: u32) -> Vec<Self>;
-    /// Zeroes every lane in place, reporting whether any lane changed.
-    fn clear(&mut self) -> bool;
-    /// [`CellKind::eval_into`] / [`CellKind::eval_lanes`].
-    fn eval(kind: &CellKind, inputs: &[&Self], state: &[Self], outs: &mut [Self]);
-    /// [`CellKind::tick`] / [`CellKind::tick_lanes`].
-    fn tick(kind: &CellKind, inputs: &[&Self], state: &mut [Self]);
-    /// Copies `src` in, reporting whether any lane changed.
-    fn copy_changed(&mut self, src: &Self) -> bool;
-    /// Copies lane `64 * word + i` of `src` where bit `i` of `mask` is set.
-    fn copy_masked_word(&mut self, src: &Self, word: usize, mask: u64);
-    /// A 1-bit signal as a lane plane: bit `l % 64` of word `l / 64`.
-    fn plane(&self) -> &[u64];
+/// The most `u64` words of storage one simulator may hold (signals, cell
+/// outputs and state, assign candidates and driven planes together):
+/// 2^24 words, 128 MiB. The largest in-repo design, the PipelineC AES
+/// netlist, takes 5 709 words per lane, about 731k at 128 lanes, so the
+/// budget leaves 22x headroom; past it construction fails before
+/// allocating.
+pub const MAX_WORDS: u64 = 1 << 24;
+
+/// Consecutive regions of one word buffer: region `i` is
+/// `start[i]..start[i + 1]`.
+#[derive(Debug)]
+pub(crate) struct Arena {
+    words: Vec<u64>,
+    /// `u32` offsets: the budget keeps every arena far below 2^32 words.
+    start: Vec<u32>,
 }
 
-impl Lanes for Value {
-    const BATCHED: bool = false;
-    const MAX_WIDTH: u32 = u32::MAX;
-    fn zero(width: u32, _lanes: u32) -> Self {
-        Value::zero(width)
-    }
-    fn splat(state: CellState, _lanes: u32) -> Vec<Self> {
-        state
-    }
-    #[inline(always)]
-    fn clear(&mut self) -> bool {
-        let changed = !self.is_zero();
-        self.set_zero();
-        changed
-    }
-    #[inline(always)]
-    fn eval(kind: &CellKind, inputs: &[&Self], state: &[Self], outs: &mut [Self]) {
-        kind.eval_into(inputs, state, outs);
-    }
-    #[inline(always)]
-    fn tick(kind: &CellKind, inputs: &[&Self], state: &mut [Self]) {
-        kind.tick(inputs, state);
-    }
-    #[inline(always)]
-    fn copy_changed(&mut self, src: &Self) -> bool {
-        let changed = *self != *src;
-        if changed {
-            self.clone_from(src);
-        }
-        changed
-    }
-    #[inline(always)]
-    fn copy_masked_word(&mut self, src: &Self, _word: usize, mask: u64) {
-        if mask & 1 != 0 {
-            self.clone_from(src);
+impl Arena {
+    /// Zeroed regions of the given sizes, in order.
+    fn new(sizes: impl ExactSizeIterator<Item = usize>) -> Self {
+        let mut start = Vec::with_capacity(sizes.len() + 1);
+        start.push(0);
+        let mut end = 0;
+        start.extend(sizes.map(|n| {
+            end += n;
+            u32::try_from(end).expect("within MAX_WORDS")
+        }));
+        Arena {
+            words: vec![0; end],
+            start,
         }
     }
-    #[inline(always)]
-    fn plane(&self) -> &[u64] {
-        self.limbs()
-    }
-}
 
-impl Lanes for LaneBuf {
-    const BATCHED: bool = true;
-    const MAX_WIDTH: u32 = 64;
-    fn zero(width: u32, lanes: u32) -> Self {
-        LaneBuf::zero(width, lanes)
-    }
-    fn splat(state: CellState, lanes: u32) -> Vec<Self> {
-        let splat = |v: &Value| {
-            let mut b = LaneBuf::zero(v.width(), lanes);
-            b.broadcast(v.to_u64());
-            b
-        };
-        state.iter().map(splat).collect()
-    }
     #[inline(always)]
-    fn clear(&mut self) -> bool {
-        let changed = self.words().iter().any(|&w| w != 0);
-        self.fill_zero();
-        changed
+    fn range(&self, i: usize) -> Range<usize> {
+        // One bounds check for both ends.
+        let ends = &self.start[i..i + 2];
+        ends[0] as usize..ends[1] as usize
     }
+
     #[inline(always)]
-    fn eval(kind: &CellKind, inputs: &[&Self], state: &[Self], outs: &mut [Self]) {
-        kind.eval_lanes(inputs, state, outs);
+    pub fn get(&self, i: usize) -> &[u64] {
+        &self.words[self.range(i)]
     }
+
     #[inline(always)]
-    fn tick(kind: &CellKind, inputs: &[&Self], state: &mut [Self]) {
-        kind.tick_lanes(inputs, state);
+    pub fn get_mut(&mut self, i: usize) -> &mut [u64] {
+        let r = self.range(i);
+        &mut self.words[r]
     }
+
+    /// Word `w` of region `i`.
     #[inline(always)]
-    fn copy_changed(&mut self, src: &Self) -> bool {
-        lanes::copy_changed(self, src)
+    fn word(&self, i: usize, w: usize) -> u64 {
+        self.words[self.start[i] as usize + w]
     }
+
+    /// Regions `i..j` as one slice.
     #[inline(always)]
-    fn copy_masked_word(&mut self, src: &Self, word: usize, mask: u64) {
-        lanes::copy_masked_word(self, src, word, mask);
+    fn span_mut(&mut self, i: usize, j: usize) -> &mut [u64] {
+        let r = self.start[i] as usize..self.start[j] as usize;
+        &mut self.words[r]
     }
+
+    /// Copies region `src` into the same-sized region `dst`, returning
+    /// whether it changed.
     #[inline(always)]
-    fn plane(&self) -> &[u64] {
-        self.words()
+    fn copy(&mut self, src: usize, dst: usize) -> bool {
+        debug_assert_ne!(src, dst, "self-assignment is a comb loop");
+        let (s, d) = (self.range(src), self.range(dst));
+        if s.start < d.start {
+            let (a, b) = self.words.split_at_mut(d.start);
+            lanes::copy_changed(&mut b[..d.len()], &a[s])
+        } else {
+            let (a, b) = self.words.split_at_mut(s.start);
+            lanes::copy_changed(&mut a[d], &b[..s.len()])
+        }
     }
 }
 
@@ -152,75 +122,46 @@ struct Conflict {
     lane: Option<u32>,
 }
 
-/// Lane `lane`'s bit of a plane.
-fn lane_bit(plane: &[u64], lane: u32) -> bool {
-    (plane[lane as usize / 64] >> (lane % 64)) & 1 != 0
-}
-
-/// Copies `values[src]` into `values[dst]`, returning whether it changed.
+/// Cell `c`'s input regions in pin order (the first `n` of the array).
 #[inline(always)]
-fn copy_signal<S: Lanes>(values: &mut [S], src: usize, dst: usize) -> bool {
-    debug_assert_ne!(src, dst, "self-assignment is a comb loop");
-    if src < dst {
-        let (a, b) = values.split_at_mut(dst);
-        b[0].copy_changed(&a[src])
-    } else {
-        let (a, b) = values.split_at_mut(src);
-        a[dst].copy_changed(&b[0])
-    }
-}
-
-/// Swaps `src` into `dst` if they differ, returning whether they did.
-#[inline(always)]
-fn swap_changed<S: PartialEq>(dst: &mut S, src: &mut S) -> bool {
-    let changed = *dst != *src;
-    if changed {
-        std::mem::swap(dst, src);
-    }
-    changed
-}
-
-/// Cell `c`'s input values in pin order (the first `n` of the array), for
-/// the kernels' borrowed-input calls.
-#[inline(always)]
-fn cell_inputs<'a, S>(
+fn cell_inputs<'a>(
     flat: &FlatGraph,
-    values: &'a [S],
-    dummy: &'a S,
+    values: &'a Arena,
     c: usize,
-) -> ([&'a S; CellKind::MAX_INPUT_PINS], usize) {
+) -> ([&'a [u64]; CellKind::MAX_INPUT_PINS], usize) {
     let pins = flat.cell_pins(c);
-    let mut inputs = [dummy; CellKind::MAX_INPUT_PINS];
+    let mut inputs: [&[u64]; CellKind::MAX_INPUT_PINS] = [&[]; CellKind::MAX_INPUT_PINS];
     for (k, &s) in pins.iter().enumerate() {
-        inputs[k] = &values[s as usize];
+        inputs[k] = values.get(s as usize);
     }
     (inputs, pins.len())
 }
 
-/// One settle/tick engine over `S` lane storage. See the module docs.
+/// One settle/tick engine over one lane storage, at one lane when `ONE`.
+/// See the module docs.
 #[derive(Debug)]
-pub(crate) struct Engine<'n, S> {
+pub(crate) struct Engine<'n, const ONE: bool> {
     pub netlist: &'n Netlist,
     pub flat: Arc<FlatGraph>,
     pub nlanes: u32,
-    pub values: Vec<S>,
+    /// One region per signal.
+    pub values: Arena,
     /// Per-signal driven planes, one after another.
     driven: Vec<u64>,
     /// Signals needing re-evaluation in the next settle pass.
     dirty: Vec<bool>,
-    /// Pre-sized per-cell output buffers, indexed like `flat.cout_sigs`.
-    out_buf: Vec<S>,
+    /// One region per cell output pin, indexed like `flat.cout_sigs`.
+    outs: Arena,
     /// Settle-pass stamp per cell: cell already evaluated this pass.
     cell_stamp: Vec<u64>,
     pass: u64,
-    states: Vec<Vec<S>>,
-    /// The assign resolver's candidates, one per `flat.assign_widths` entry
-    /// (adoption swaps one with the old value, of the same shape).
-    cand: Vec<S>,
+    /// One region per cell: its state slots, one after another.
+    states: Arena,
+    /// The assign resolver's candidates, one per `flat.assign_widths`
+    /// entry.
+    cand: Arena,
     /// The all-lanes-set plane (tail-masked).
     pub ones: Vec<u64>,
-    /// Placeholder borrow target for the fixed-size input-pin buffer.
-    dummy: S,
     /// Conflicts recorded during a settle.
     conflicts: Vec<Conflict>,
     /// Profiling counters; `None` (the default) keeps the hot paths at
@@ -232,44 +173,63 @@ pub(crate) struct Engine<'n, S> {
     settled: bool,
 }
 
-impl<'n, S: Lanes> Engine<'n, S> {
+impl<'n, const ONE: bool> Engine<'n, ONE> {
     /// Elaborates `netlist` (through its cached [`FlatGraph`]) over
-    /// `nlanes` lanes of `S`.
+    /// `nlanes` lanes, after checking the storage against [`MAX_WORDS`].
     pub fn new(netlist: &'n Netlist, nlanes: u32) -> Result<Self, SimError> {
         let flat = netlist.flat_graph()?;
-        if let Some(s) = netlist.signals().iter().find(|s| s.width > S::MAX_WIDTH) {
-            return Err(SimError::BatchWidth {
-                signal: s.name.clone(),
-                width: s.width,
+        assert!(nlanes > 0, "batch needs at least one lane");
+        assert!(!ONE || nlanes == 1, "a one-lane engine has one lane");
+        let n_sigs = flat.n_sigs();
+        let words = |w: u32| lanes::words(w, nlanes);
+        let pw = lanes::plane_words(nlanes);
+        let total = (flat.widths.iter().map(|&w| words(w)))
+            .chain(flat.out_widths.iter().map(|&w| words(w)))
+            .chain(flat.assign_widths.iter().map(|&w| words(w)))
+            .map(|n| n as u64)
+            .chain(netlist.cells().iter().map(|c| c.kind.state_words(nlanes)))
+            .fold(
+                (n_sigs as u64).saturating_mul(pw as u64),
+                u64::saturating_add,
+            );
+        if total > MAX_WORDS {
+            return Err(SimError::TooLarge {
+                words: total,
+                lanes: nlanes,
+                budget: MAX_WORDS,
             });
         }
-        assert!(nlanes > 0, "batch needs at least one lane");
-        let pw = lanes::plane_words(nlanes);
-        let n_sigs = flat.n_sigs();
-        let zero = |w: u32| S::zero(w, nlanes);
-        let values = netlist.signals().iter().map(|s| zero(s.width)).collect();
-        let out_buf = flat.out_widths.iter().map(|&w| zero(w)).collect();
-        let states = netlist
-            .cells()
-            .iter()
-            .map(|c| S::splat(c.kind.initial_state(), nlanes))
-            .collect();
-        let cand = flat.assign_widths.iter().map(|&w| zero(w)).collect();
+        let in_budget = |n: u64| usize::try_from(n).expect("within MAX_WORDS");
+        let mut states = Arena::new(
+            netlist
+                .cells()
+                .iter()
+                .map(|c| in_budget(c.kind.state_words(nlanes))),
+        );
+        for (c, cell) in netlist.cells().iter().enumerate() {
+            // Registers are the only cells with nonzero power-on state.
+            if let CellKind::Reg { width, init, .. } = cell.kind {
+                if init == 0 {
+                    continue;
+                }
+                let init = fil_bits::Value::from_u64(width, init);
+                lanes::broadcast(nlanes, width, states.get_mut(c), init.limbs());
+            }
+        }
         let mut ones = vec![u64::MAX; pw];
         lanes::mask_plane_tail(&mut ones, nlanes);
         Ok(Engine {
             netlist,
             nlanes,
-            values,
+            values: Arena::new(flat.widths.iter().map(|&w| words(w))),
             driven: vec![0; n_sigs * pw],
             dirty: vec![true; n_sigs],
-            out_buf,
+            outs: Arena::new(flat.out_widths.iter().map(|&w| words(w))),
             cell_stamp: vec![0; netlist.cells().len()],
             pass: 0,
             states,
-            cand,
+            cand: Arena::new(flat.assign_widths.iter().map(|&w| words(w))),
             ones,
-            dummy: zero(1),
             conflicts: Vec::new(),
             prof: None,
             force_full: false,
@@ -279,6 +239,23 @@ impl<'n, S: Lanes> Engine<'n, S> {
         })
     }
 
+    /// The lane count: a constant for the one-lane engine, so its kernels
+    /// compile to straight-line code.
+    #[inline(always)]
+    fn lanes(&self) -> u32 {
+        if ONE {
+            1
+        } else {
+            self.nlanes
+        }
+    }
+
+    /// Words per 1-bit lane plane.
+    #[inline(always)]
+    fn plane_words(&self) -> usize {
+        lanes::plane_words(self.lanes())
+    }
+
     /// The id of the signal named `name`; panics if there is none.
     pub fn signal_named(&self, name: &str) -> SignalId {
         self.netlist
@@ -286,39 +263,46 @@ impl<'n, S: Lanes> Engine<'n, S> {
             .unwrap_or_else(|| panic!("no signal named {name}"))
     }
 
-    /// Pokes `sig` through `write`, which reports whether it changed the
-    /// value: dirty on a change, the settled state invalidated either way.
-    /// Panics unless the poked value's `width` is the signal's.
-    pub fn poke(&mut self, sig: SignalId, width: u32, write: impl FnOnce(&mut S) -> bool) {
-        let s = &self.netlist.signals()[sig.index()];
-        assert_eq!(width, s.width, "poke of {} with wrong width", s.name);
-        if write(&mut self.values[sig.index()]) {
+    /// Pokes `sig` through `write`, which gets the signal's width and
+    /// region and reports whether it changed the value: dirty on a change,
+    /// the settled state invalidated either way. Panics unless the poked
+    /// value's `width` is the signal's.
+    #[inline(always)]
+    pub fn poke(&mut self, sig: SignalId, width: u32, write: impl FnOnce(&mut [u64]) -> bool) {
+        if width != self.flat.widths[sig.index()] {
+            let s = &self.netlist.signals()[sig.index()];
+            panic!(
+                "poke of {} with wrong width: {width} vs {}",
+                s.name, s.width
+            );
+        }
+        if write(self.values.get_mut(sig.index())) {
             self.dirty[sig.index()] = true;
         }
         self.settled = false;
     }
 
+    /// Lane `lane` of `sig`'s settled value.
+    #[inline(always)]
+    pub fn peek(&self, sig: SignalId, lane: u32) -> fil_bits::Value {
+        assert!(lane < self.nlanes, "lane {lane} out of range");
+        let width = self.flat.widths[sig.index()];
+        lanes::get(width, self.values.get(sig.index()), lane)
+    }
+
     /// Whether `sig` was driven in `lane` during the last settle.
     pub fn was_driven(&self, sig: SignalId, lane: u32) -> bool {
         assert!(lane < self.nlanes, "lane {lane} out of range");
-        lane_bit(&self.driven[sig.index() * self.plane_words()..], lane)
+        lanes::bit(
+            &self.driven[sig.index() * self.plane_words()..],
+            lane as usize,
+        )
     }
 
     pub fn enable_profile(&mut self) {
-        let plane_words = if S::BATCHED { self.plane_words() } else { 0 };
+        let plane_words = if ONE { 0 } else { self.plane_words() };
         let cells = self.netlist.cells().len();
         self.prof = Some(Box::new(ProfState::new(cells, plane_words)));
-    }
-
-    /// Words per 1-bit lane plane: a constant for one-lane storage, so the
-    /// scalar engine's plane loops compile to straight-line code.
-    #[inline]
-    fn plane_words(&self) -> usize {
-        if S::BATCHED {
-            lanes::plane_words(self.nlanes)
-        } else {
-            1
-        }
     }
 
     pub fn set_force_full_settle(&mut self, on: bool) {
@@ -382,7 +366,7 @@ impl<'n, S: Lanes> Engine<'n, S> {
     /// whether its value changed.
     #[inline(always)]
     fn settle_cell(&mut self, si: usize, c: usize, pin: usize) -> bool {
-        let (netlist, flat, pw) = (self.netlist, &*self.flat, self.plane_words());
+        let (netlist, flat, pw, n) = (self.netlist, &*self.flat, self.plane_words(), self.lanes());
         let kind = &netlist.cells()[c].kind;
         let first = self.cell_stamp[c] != self.pass;
         if first {
@@ -391,10 +375,10 @@ impl<'n, S: Lanes> Engine<'n, S> {
                 p.cell_evals[c] += 1;
             }
         }
-        let changed = if let CellKind::Reg { .. } = kind {
-            // Register outputs are pure state copies: adopt straight from
-            // the state (registers dominate most netlists).
-            self.values[si].copy_changed(&self.states[c][0])
+        let changed = if let Some(r) = kind.state_output(n) {
+            // Register and multiplier outputs are pure state copies: adopt
+            // straight from the state (registers dominate most netlists).
+            lanes::copy_changed(self.values.get_mut(si), &self.states.get(c)[r])
         } else {
             let o0 = flat.cout_start[c] as usize;
             // State-driven pins reuse this pass's evaluation; comb-dependent
@@ -402,13 +386,11 @@ impl<'n, S: Lanes> Engine<'n, S> {
             // (for a state-driven sibling pin) before this pin's inputs
             // settled.
             if first || flat.comb_out[o0 + pin] {
-                let (inputs, n) = cell_inputs(flat, &self.values, &self.dummy, c);
-                let outs = &mut self.out_buf[o0..flat.cout_start[c + 1] as usize];
-                S::eval(kind, &inputs[..n], &self.states[c], outs);
+                let (inputs, k) = cell_inputs(flat, &self.values, c);
+                let outs = self.outs.span_mut(o0, flat.cout_start[c + 1] as usize);
+                kind.eval(n, &inputs[..k], self.states.get(c), outs);
             }
-            // Adopt by O(1) swap: the next eval overwrites the stale value
-            // (each signal is visited once per settle).
-            swap_changed(&mut self.values[si], &mut self.out_buf[o0 + pin])
+            lanes::copy_changed(self.values.get_mut(si), self.outs.get(o0 + pin))
         };
         // Cell outputs are driven in every lane from their first settle on,
         // so one word tells whether the plane is already set.
@@ -419,11 +401,11 @@ impl<'n, S: Lanes> Engine<'n, S> {
     }
 
     /// Resolves the guarded assignments `flat.assign_lists[run]` into
-    /// signal `si`, whose candidate buffer is `cand[class]`; returns whether
-    /// its value changed.
+    /// signal `si`, whose candidate region is `cand[class]`; returns
+    /// whether its value changed.
     #[inline(always)]
     fn resolve(&mut self, si: usize, run: Range<usize>, class: usize) -> bool {
-        let (netlist, flat, pw) = (self.netlist, &*self.flat, self.plane_words());
+        let (netlist, flat, pw, n) = (self.netlist, &*self.flat, self.plane_words(), self.lanes());
         if let Some(p) = &mut self.prof {
             p.assign_resolves += 1;
         }
@@ -431,14 +413,19 @@ impl<'n, S: Lanes> Engine<'n, S> {
         let (values, ones) = (&self.values, &self.ones[..]);
         let guard = |ai: u32| match netlist.assigns()[ai as usize].guard {
             None => ones,
-            Some(g) => values[g.index()].plane(),
+            Some(g) => values.get(g.index()),
+        };
+        // Word `w` of assignment `ai`'s guard plane.
+        let active = |ai: u32, w: usize| match netlist.assigns()[ai as usize].guard {
+            None => ones[w],
+            Some(g) => values.word(g.index(), w),
         };
         let src = |ai: u32| netlist.assigns()[ai as usize].src.index();
         // A lone unguarded assignment is a wire: every lane takes its source.
         if let [ai] = *assigns {
             if netlist.assigns()[ai as usize].guard.is_none() {
                 self.driven[si * pw..(si + 1) * pw].copy_from_slice(ones);
-                return copy_signal(&mut self.values, src(ai), si);
+                return self.values.copy(src(ai), si);
             }
         }
         // Per plane word (64 lanes): the driven plane (some assignment
@@ -448,7 +435,7 @@ impl<'n, S: Lanes> Engine<'n, S> {
         for (w, &all) in ones[..pw].iter().enumerate() {
             let (mut drv, mut confl) = (0, 0);
             for &ai in assigns {
-                let active = guard(ai)[w];
+                let active = active(ai, w);
                 if active != 0 {
                     confl |= active & drv;
                     drv |= active;
@@ -464,39 +451,40 @@ impl<'n, S: Lanes> Engine<'n, S> {
         if let Some(lane) = conflict_lane {
             // Record and keep settling; the winner is chosen after the pass,
             // and the signal stays dirty so a retried settle reports it again.
-            let mut active = assigns.iter().filter(|&&ai| lane_bit(guard(ai), lane));
+            let mut active = assigns
+                .iter()
+                .filter(|&&ai| lanes::bit(guard(ai), lane as usize));
             let (a, b) = (active.next(), active.next());
             self.conflicts.push(Conflict {
                 sig: si as u32,
                 a: *a.expect("a conflict lane has two active assignments"),
                 b: *b.expect("a conflict lane has two active assignments"),
-                lane: S::BATCHED.then_some(lane),
+                lane: (!ONE).then_some(lane),
             });
             self.dirty[si] = true;
         }
         match first {
             // Undriven in every lane: two-state zero.
-            None => self.values[si].clear(),
-            Some(ai) if sole => copy_signal(&mut self.values, src(ai), si),
+            None => lanes::clear(self.values.get_mut(si)),
+            Some(ai) if sole => self.values.copy(src(ai), si),
             // Lanes differ: build the candidate. Undriven lanes stay zero,
             // lanes with one active assignment take its source, and
             // conflicted lanes keep their old value.
             Some(_) => {
-                let cb = &mut self.cand[class];
-                cb.clear();
+                let width = flat.widths[si];
+                let cb = self.cand.get_mut(class);
+                cb.fill(0);
                 for w in 0..pw {
                     let (mut drv, mut confl) = (0, 0);
                     for &ai in assigns {
-                        let active = guard(ai)[w];
+                        let active = active(ai, w);
                         confl |= active & drv;
                         drv |= active;
-                        cb.copy_masked_word(&values[src(ai)], w, active);
+                        lanes::copy_masked_word(n, width, cb, values.get(src(ai)), w, active);
                     }
-                    cb.copy_masked_word(&values[si], w, confl);
+                    lanes::copy_masked_word(n, width, cb, values.get(si), w, confl);
                 }
-                // The candidate is rebuilt on every visit, so adoption can
-                // swap instead of copy.
-                swap_changed(&mut self.values[si], cb)
+                lanes::copy_changed(self.values.get_mut(si), self.cand.get(class))
             }
         }
     }
@@ -505,12 +493,12 @@ impl<'n, S: Lanes> Engine<'n, S> {
         if !self.settled {
             self.settle()?;
         }
-        let flat = &*self.flat;
+        let (flat, n) = (&*self.flat, self.lanes());
         for &ci in &flat.seq_cells {
             let c = ci as usize;
-            let (inputs, n) = cell_inputs(flat, &self.values, &self.dummy, c);
+            let (inputs, k) = cell_inputs(flat, &self.values, c);
             let kind = &self.netlist.cells()[c].kind;
-            S::tick(kind, &inputs[..n], &mut self.states[c]);
+            kind.tick(n, &inputs[..k], self.states.get_mut(c));
             // New state may surface on the cell's outputs next settle.
             for &sig in
                 &flat.cout_sigs[flat.cout_start[c] as usize..flat.cout_start[c + 1] as usize]

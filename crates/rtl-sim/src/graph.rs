@@ -53,6 +53,8 @@ pub(crate) struct FlatGraph {
     pub comb_out: Vec<bool>,
     /// Width of each output pin slot, parallel to `cout_sigs`.
     pub out_widths: Vec<u32>,
+    /// Width of each signal (dense, for the engines' hot lookups).
+    pub widths: Vec<u32>,
     /// Sequential cell indices, for the tick loop.
     pub seq_cells: Vec<u32>,
     /// Signal evaluation order (topological over combinational deps).
@@ -201,6 +203,7 @@ impl FlatGraph {
             cout_sigs,
             comb_out,
             out_widths,
+            widths: netlist.signals().iter().map(|s| s.width).collect(),
             seq_cells,
             order,
         })

@@ -85,6 +85,7 @@ mod sim;
 mod wave;
 
 pub use cell::{CellKind, CellState, AES_SBOX};
+pub use engine::MAX_WORDS;
 pub use netlist::{Assign, CellId, CellInst, Netlist, NetlistError, PortDir, Signal, SignalId};
 pub use profile::ProfileReport;
 pub use sim::{BatchSim, Sim, SimError};

@@ -1,10 +1,10 @@
-//! The simulator's public faces: [`Sim`] (one lane, any width) and
-//! [`BatchSim`] (B lanes, up to 64 bits), both the one engine of
-//! `engine.rs` at their lane storage, plus the errors they raise.
+//! The simulator's public faces: [`Sim`] (one lane) and [`BatchSim`]
+//! (B lanes), both the one engine of `engine.rs` over its one lane
+//! storage, at any signal width, plus the errors they raise.
 
-use crate::engine::{engine_verbs, Engine, Lanes};
+use crate::engine::{engine_verbs, Engine};
 use crate::netlist::{Netlist, NetlistError, SignalId};
-use fil_bits::{LaneBuf, Value};
+use fil_bits::{lanes, Value};
 use std::fmt;
 
 /// Errors raised while elaborating or running a simulation.
@@ -37,13 +37,15 @@ pub enum SimError {
         /// simulation).
         lane: Option<u32>,
     },
-    /// The batched simulator only lays out signals up to 64 bits wide
-    /// (see `fil_bits::lanes`); this design has a wider one.
-    BatchWidth {
-        /// The offending signal's name.
-        signal: String,
-        /// Its width.
-        width: u32,
+    /// The design's value storage at this lane count is over the
+    /// simulator's budget (`MAX_WORDS` words); nothing was allocated.
+    TooLarge {
+        /// Words the design needs (saturating).
+        words: u64,
+        /// The lane count asked for.
+        lanes: u32,
+        /// The budget.
+        budget: u64,
     },
 }
 
@@ -67,9 +69,14 @@ impl fmt::Display for SimError {
                 }
                 write!(f, ": `{first}` vs `{second}`")
             }
-            SimError::BatchWidth { signal, width } => write!(
+            SimError::TooLarge {
+                words,
+                lanes,
+                budget,
+            } => write!(
                 f,
-                "batched simulation supports signals up to 64 bits, but {signal} is {width} bits"
+                "design too large to simulate: {words} words of signal storage at \
+                 {lanes} lane(s), over the budget of {budget}"
             ),
         }
     }
@@ -110,7 +117,7 @@ impl From<NetlistError> for SimError {
 /// # Ok::<(), rtl_sim::SimError>(())
 /// ```
 #[derive(Debug)]
-pub struct Sim<'n>(pub(crate) Engine<'n, Value>);
+pub struct Sim<'n>(pub(crate) Engine<'n, true>);
 
 impl<'n> Sim<'n> {
     /// Elaborates a netlist for single-threaded simulation: validates it,
@@ -121,9 +128,10 @@ impl<'n> Sim<'n> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Netlist`] for structural problems and
+    /// Returns [`SimError::Netlist`] for structural problems,
     /// [`SimError::CombLoop`] if the combinational dependency graph is
-    /// cyclic.
+    /// cyclic, and [`SimError::TooLarge`] if its signals are over the
+    /// storage budget.
     pub fn new(netlist: &'n Netlist) -> Result<Self, SimError> {
         Engine::new(netlist, 1).map(Sim)
     }
@@ -148,7 +156,9 @@ impl<'n> Sim<'n> {
     ///
     /// Panics if the value width does not match the signal width.
     pub fn poke(&mut self, sig: SignalId, value: Value) {
-        self.0.poke(sig, value.width(), |v| v.copy_changed(&value));
+        let width = value.width();
+        self.0
+            .poke(sig, width, |w| lanes::set(width, w, 0, value.limbs()));
     }
 
     /// Convenience: poke by signal name.
@@ -161,8 +171,9 @@ impl<'n> Sim<'n> {
     }
 
     /// Reads a signal's settled value for the current cycle.
-    pub fn peek(&self, sig: SignalId) -> &Value {
-        &self.0.values[sig.index()]
+    #[inline]
+    pub fn peek(&self, sig: SignalId) -> Value {
+        self.0.peek(sig, 0)
     }
 
     /// Convenience: peek by signal name.
@@ -170,7 +181,7 @@ impl<'n> Sim<'n> {
     /// # Panics
     ///
     /// Panics if no signal has this name.
-    pub fn peek_by_name(&self, name: &str) -> &Value {
+    pub fn peek_by_name(&self, name: &str) -> Value {
         self.peek(self.0.signal_named(name))
     }
 
@@ -186,12 +197,11 @@ engine_verbs!(Sim);
 /// A batched simulation: B independent traces over one borrowed
 /// [`Netlist`], settled in lockstep.
 ///
-/// Every signal holds a [`LaneBuf`] of B lane values, so one settle pass
-/// evaluates each cell once for all B lanes. Lane `l` is bit-identical to
-/// a [`Sim`] driven with lane `l`'s stimulus, including
-/// [`BatchSim::was_driven`] flags and write-conflict errors (which name
-/// their lane). Signals wider than 64 bits have no lane layout; such
-/// designs are rejected with [`SimError::BatchWidth`].
+/// Every signal holds B lane values in the lane layout of
+/// [`fil_bits::lanes`], at any width, so one settle pass evaluates each
+/// cell once for all B lanes. Lane `l` is bit-identical to a [`Sim`]
+/// driven with lane `l`'s stimulus, including [`BatchSim::was_driven`]
+/// flags and write-conflict errors (which name their lane).
 ///
 /// # Examples
 ///
@@ -217,7 +227,7 @@ engine_verbs!(Sim);
 /// # Ok::<(), rtl_sim::SimError>(())
 /// ```
 #[derive(Debug)]
-pub struct BatchSim<'n>(pub(crate) Engine<'n, LaneBuf>);
+pub struct BatchSim<'n>(pub(crate) Engine<'n, false>);
 
 impl<'n> BatchSim<'n> {
     /// Elaborates a netlist for batched simulation with `nlanes`
@@ -225,9 +235,7 @@ impl<'n> BatchSim<'n> {
     ///
     /// # Errors
     ///
-    /// [`SimError::Netlist`] / [`SimError::CombLoop`] as for
-    /// [`Sim::new`], plus [`SimError::BatchWidth`] if any signal is wider
-    /// than 64 bits.
+    /// As for [`Sim::new`]; the storage budget counts every lane.
     ///
     /// # Panics
     ///
@@ -251,14 +259,9 @@ impl<'n> BatchSim<'n> {
         if let Some(p) = &mut self.0.prof {
             p.lane_poked[lane as usize / 64] |= 1 << (lane % 64);
         }
-        let v = value.to_u64();
-        self.0.poke(sig, value.width(), |b| {
-            let changed = b.get(lane) != v;
-            if changed {
-                b.set(lane, v);
-            }
-            changed
-        });
+        let width = value.width();
+        self.0
+            .poke(sig, width, |w| lanes::set(width, w, lane, value.limbs()));
     }
 
     /// Drives every lane of an input with the same value.
@@ -273,14 +276,8 @@ impl<'n> BatchSim<'n> {
                 *w |= *o;
             }
         }
-        let (v, lanes) = (value.to_u64(), e.nlanes);
-        e.poke(sig, value.width(), |b| {
-            let changed = (0..lanes).any(|l| b.get(l) != v);
-            if changed {
-                b.broadcast(v);
-            }
-            changed
-        });
+        let (width, n) = (value.width(), e.nlanes);
+        e.poke(sig, width, |w| lanes::broadcast(n, width, w, value.limbs()));
     }
 
     /// Convenience: poke one lane by signal name.
@@ -298,9 +295,7 @@ impl<'n> BatchSim<'n> {
     ///
     /// Panics on an out-of-range lane.
     pub fn peek(&self, sig: SignalId, lane: u32) -> Value {
-        assert!(lane < self.0.nlanes, "lane {lane} out of range");
-        let b = &self.0.values[sig.index()];
-        Value::from_u64(b.width(), b.get(lane))
+        self.0.peek(sig, lane)
     }
 
     /// Convenience: peek one lane by signal name.

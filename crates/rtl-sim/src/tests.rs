@@ -1100,18 +1100,43 @@ fn batch_conflict_reports_lane_and_spares_other_lanes() {
 }
 
 #[test]
-fn batch_rejects_wide_signals() {
+fn batch_runs_wide_signals() {
     let mut n = Netlist::new("wide");
     let a = n.add_input("a", 65);
     let o = n.add_signal("o", 65);
     n.connect(o, a);
-    match crate::BatchSim::new(&n, 4).err() {
-        Some(SimError::BatchWidth { signal, width }) => {
-            assert_eq!(signal, "a");
-            assert_eq!(width, 65);
-        }
-        other => panic!("expected BatchWidth, got {other:?}"),
-    }
+    let mut sim = crate::BatchSim::new(&n, 4).unwrap();
+    let top = Value::from_u128(65, 1 << 64 | 7);
+    sim.poke(a, 2, top.clone());
+    sim.settle().unwrap();
+    assert_eq!(sim.peek(o, 2), top);
+    assert_eq!(sim.peek(o, 1), Value::zero(65));
+}
+
+#[test]
+fn oversized_design_is_refused_before_allocating() {
+    // Two 4e9-bit ports and their sum: 500 MB a signal.
+    let w = 4_000_000_000;
+    let mut n = Netlist::new("huge");
+    let a = n.add_input("a", w);
+    let b = n.add_input("b", w);
+    let s = n.add_signal("s", w);
+    n.add_cell("add", CellKind::Add { width: w }, vec![a, b], vec![s]);
+    n.mark_output(s);
+    // Three signals and the adder's output buffer, plus three driven planes.
+    let words = 4 * u64::from(w).div_ceil(64) + 3;
+    let want = SimError::TooLarge {
+        words,
+        lanes: 1,
+        budget: crate::MAX_WORDS,
+    };
+    assert_eq!(Sim::new(&n).err(), Some(want));
+    let err = crate::BatchSim::new(&n, 128).unwrap_err();
+    assert!(
+        err.to_string()
+            .starts_with("design too large to simulate: "),
+        "{err}"
+    );
 }
 
 // `Netlist` caches its flattened graph in a `OnceLock`; shared netlists

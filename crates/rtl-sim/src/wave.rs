@@ -50,7 +50,7 @@ impl AsciiWave {
     /// Samples all watched signals from a settled simulation.
     pub fn sample(&mut self, sim: &Sim<'_>) {
         for (i, (_, sig)) in self.signals.iter().enumerate() {
-            self.samples[i].push(sim.peek(*sig).clone());
+            self.samples[i].push(sim.peek(*sig));
         }
     }
 
@@ -177,14 +177,14 @@ impl VcdWriter {
         let mut changes = String::new();
         for (i, (_, sig, _)) in self.signals.iter().enumerate() {
             let v = sim.peek(*sig);
-            if self.last[i].as_ref() != Some(v) {
+            if self.last[i].as_ref() != Some(&v) {
                 let id = Self::ident(i);
                 if v.width() == 1 {
                     changes.push_str(&format!("{}{id}\n", if v.as_bool() { 1 } else { 0 }));
                 } else {
                     changes.push_str(&format!("b{v:b} {id}\n"));
                 }
-                self.last[i] = Some(v.clone());
+                self.last[i] = Some(v);
             }
         }
         if !changes.is_empty() {

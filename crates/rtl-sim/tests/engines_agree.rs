@@ -4,14 +4,14 @@
 //!
 //! Every [`CellKind`] variant is built into a one-cell netlist at the
 //! widths where lane layouts change (1-bit planes, word-per-lane up to 64
-//! bits) and at the shift amounts and resizes where kernels take their
+//! bits, multi-limb lanes at 65, 128 and 1280 bits) and at the shift
+//! amounts, slices, concatenations and resizes where kernels take their
 //! edge paths. Each netlist runs at 1, 64, 65 and 130 lanes: one lane,
 //! one full plane word, a ragged tail, and three words. A separate case
 //! drives guarded fan-in, including one injected write conflict.
 //!
-//! Every kind also runs at 65, 128 and 1280 bits (multi-limb lanes), and
-//! every kind at every width is checked against a model written with
-//! `fil_bits::Value` operations, the semantics opt's const-fold shares.
+//! Every kind at every width is also checked against a model written
+//! with `fil_bits::Value` operations.
 
 use fil_bits::Value;
 use rtl_sim::{BatchSim, CellKind, Netlist, SignalId, Sim, SimError};
@@ -354,16 +354,12 @@ fn model_eval(kind: &CellKind, ins: &[Value], state: &[Value]) -> Vec<Value> {
 fn model_tick(kind: &CellKind, ins: &[Value], state: &mut Vec<Value>) {
     use CellKind::*;
     match *kind {
-        Reg { has_en, .. } => {
-            if !has_en || ins[0].as_bool() {
-                state[0] = ins[usize::from(has_en)].clone();
-            }
+        Reg { has_en, .. } if !has_en || ins[0].as_bool() => {
+            state[0] = ins[usize::from(has_en)].clone();
         }
-        ShiftFsm { .. } => {
-            if !state.is_empty() {
-                state.pop();
-                state.insert(0, ins[0].clone());
-            }
+        ShiftFsm { .. } if !state.is_empty() => {
+            state.pop();
+            state.insert(0, ins[0].clone());
         }
         MultSeq { latency, .. } => {
             let count = state[3].to_u64();
@@ -427,11 +423,7 @@ fn matches_model(kind: &CellKind) {
         sim.settle().unwrap();
         let want = model_eval(kind, &ins, &state);
         for (o, (&sig, want)) in outputs.iter().zip(&want).enumerate() {
-            assert_eq!(
-                sim.peek(sig).clone(),
-                *want,
-                "{kind:?}: output {o}, cycle {t}"
-            );
+            assert_eq!(sim.peek(sig), *want, "{kind:?}: output {o}, cycle {t}");
         }
         sim.tick().unwrap();
         model_tick(kind, &ins, &mut state);
@@ -474,7 +466,7 @@ fn assert_lanes_agree(n: &Netlist, batch: &BatchSim<'_>, sims: &[Sim<'_>], what:
             let id = n.signal_by_name(&sig.name).unwrap();
             assert_eq!(
                 batch.peek(id, l as u32),
-                *sim.peek(id),
+                sim.peek(id),
                 "{what}: lane {l}, signal {} (#{s}) value",
                 sig.name
             );
@@ -524,9 +516,8 @@ fn lockstep(
 
 #[test]
 fn every_cell_kind_agrees_lane_by_lane() {
-    let kinds = kinds();
     let mut covered = [false; KINDS];
-    for kind in &kinds {
+    for kind in kinds().iter().chain(&wide_kinds()) {
         covered[tag(kind)] = true;
         let n = one_cell(kind);
         for &lanes in &LANE_COUNTS {
@@ -627,7 +618,7 @@ fn guarded_fan_in_conflict_is_the_lanes_scalar_error() {
                         batch.poke(sig, bad, Value::from_bool(on));
                         sims[bad as usize].poke(sig, Value::from_bool(on));
                     }
-                    let before: Vec<Value> = sims.iter().map(|s| s.peek(sum).clone()).collect();
+                    let before: Vec<Value> = sims.iter().map(|s| s.peek(sum)).collect();
                     let err = batch.settle().expect_err("injected conflict");
                     for (l, sim) in sims.iter_mut().enumerate() {
                         let r = sim.settle();
