@@ -21,6 +21,8 @@
 //! assert_eq!(a.add(&b).to_u64(), 44);
 //! ```
 
+#![deny(clippy::cast_possible_truncation)]
+
 pub mod lanes;
 pub mod limbs;
 mod ops;

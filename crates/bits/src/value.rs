@@ -166,6 +166,8 @@ impl Value {
     /// # Panics
     ///
     /// Panics if `width == 0`.
+    // The casts keep the low and the high 64 bits, as the limbs do.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn from_u128(width: u32, bits: u128) -> Self {
         assert!(width > 0, "bit-vector width must be at least 1");
         if width <= LIMB_BITS {

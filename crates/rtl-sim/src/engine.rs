@@ -25,7 +25,7 @@
 
 use crate::cell::CellKind;
 use crate::graph::{Driver, FlatGraph};
-use crate::netlist::{Netlist, PortDir, SignalId};
+use crate::netlist::{id32, Netlist, PortDir, SignalId};
 use crate::profile::ProfState;
 use crate::sim::SimError;
 use fil_bits::lanes;
@@ -443,7 +443,7 @@ impl<'n, const ONE: bool> Engine<'n, ONE> {
                 }
             }
             if confl != 0 {
-                conflict_lane.get_or_insert(w as u32 * 64 + confl.trailing_zeros());
+                conflict_lane.get_or_insert(id32(w * 64) + confl.trailing_zeros());
             }
             sole &= drv == all;
             self.driven[si * pw + w] = drv;
@@ -456,7 +456,7 @@ impl<'n, const ONE: bool> Engine<'n, ONE> {
                 .filter(|&&ai| lanes::bit(guard(ai), lane as usize));
             let (a, b) = (active.next(), active.next());
             self.conflicts.push(Conflict {
-                sig: si as u32,
+                sig: id32(si),
                 a: *a.expect("a conflict lane has two active assignments"),
                 b: *b.expect("a conflict lane has two active assignments"),
                 lane: (!ONE).then_some(lane),

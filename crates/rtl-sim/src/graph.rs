@@ -8,7 +8,7 @@
 //! the one engine runs over it at either value storage.
 
 use crate::cell::CellKind;
-use crate::netlist::{Netlist, SignalId};
+use crate::netlist::{id32, Netlist, SignalId};
 use crate::sim::SimError;
 
 /// What drives a signal, resolved at elaboration.
@@ -78,7 +78,7 @@ impl FlatGraph {
         // Group assignment indices by destination signal (CSR).
         let mut per_sig: Vec<Vec<u32>> = vec![Vec::new(); n_sigs];
         for (ai, assign) in netlist.assigns().iter().enumerate() {
-            per_sig[assign.dst.index()].push(ai as u32);
+            per_sig[assign.dst.index()].push(id32(ai));
         }
         let mut drivers = vec![Driver::External; n_sigs];
         let (mut assign_lists, mut assign_widths) = (Vec::new(), Vec::new());
@@ -87,12 +87,12 @@ impl FlatGraph {
                 let w = netlist.signals()[si].width;
                 let class = assign_widths.iter().position(|&x| x == w);
                 drivers[si] = Driver::Assigns {
-                    start: assign_lists.len() as u32,
-                    len: list.len() as u32,
-                    class: class.unwrap_or_else(|| {
+                    start: id32(assign_lists.len()),
+                    len: id32(list.len()),
+                    class: id32(class.unwrap_or_else(|| {
                         assign_widths.push(w);
                         assign_widths.len() - 1
-                    }) as u32,
+                    })),
                 };
                 assign_lists.extend_from_slice(list);
             }
@@ -100,8 +100,8 @@ impl FlatGraph {
         for (ci, cell) in netlist.cells().iter().enumerate() {
             for (pin, &out) in cell.outputs.iter().enumerate() {
                 drivers[out.index()] = Driver::Cell {
-                    cell: ci as u32,
-                    pin: pin as u32,
+                    cell: id32(ci),
+                    pin: id32(pin),
                 };
             }
         }
@@ -137,7 +137,7 @@ impl FlatGraph {
 
         // Kahn's algorithm over the CSR edges.
         let mut order: Vec<u32> = Vec::with_capacity(n_sigs);
-        let mut queue: Vec<u32> = (0..n_sigs as u32)
+        let mut queue: Vec<u32> = (0..id32(n_sigs))
             .filter(|&i| indegree[i as usize] == 0)
             .collect();
         while let Some(s) = queue.pop() {
@@ -178,16 +178,16 @@ impl FlatGraph {
                 cell.name
             );
             cin_list.extend(cell.inputs.iter().map(|s| s.0));
-            cin_start.push(cin_list.len() as u32);
+            cin_start.push(id32(cin_list.len()));
             let comb_pins: Vec<usize> = cell.kind.comb_deps().iter().map(|&(_, o)| o).collect();
             for (pin, &out) in cell.outputs.iter().enumerate() {
                 cout_sigs.push(out.0);
                 comb_out.push(comb_pins.contains(&pin));
                 out_widths.push(netlist.signals()[out.index()].width);
             }
-            cout_start.push(cout_sigs.len() as u32);
+            cout_start.push(id32(cout_sigs.len()));
             if cell.kind.is_sequential() {
-                seq_cells.push(ci as u32);
+                seq_cells.push(id32(ci));
             }
         }
 

@@ -75,6 +75,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::cast_possible_truncation)]
 
 mod cell;
 mod engine;

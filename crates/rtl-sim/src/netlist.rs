@@ -8,6 +8,12 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 /// Identifies a signal (wire) within a [`Netlist`].
+/// A table index as a netlist id: signals, cells and assignments are
+/// indexed by `u32`, and a netlist past 2^32 entries is a builder bug.
+pub(crate) fn id32(i: usize) -> u32 {
+    u32::try_from(i).expect("netlist tables are indexed by u32")
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SignalId(pub(crate) u32);
 
@@ -217,7 +223,7 @@ impl Netlist {
             "duplicate signal name {name}"
         );
         self.flat.take();
-        let id = SignalId(self.signals.len() as u32);
+        let id = SignalId(id32(self.signals.len()));
         self.by_name.insert(name.clone(), id);
         self.signals.push(Signal { name, width, dir });
         id
@@ -240,7 +246,7 @@ impl Netlist {
         outputs: Vec<SignalId>,
     ) -> CellId {
         self.flat.take();
-        let id = CellId(self.cells.len() as u32);
+        let id = CellId(id32(self.cells.len()));
         self.cells.push(CellInst {
             name: name.into(),
             kind,
@@ -328,7 +334,7 @@ impl Netlist {
             .iter()
             .enumerate()
             .filter(|(_, s)| s.dir == PortDir::Input)
-            .map(|(i, _)| SignalId(i as u32))
+            .map(|(i, _)| SignalId(id32(i)))
     }
 
     /// Top-level outputs in declaration order.
@@ -337,7 +343,7 @@ impl Netlist {
             .iter()
             .enumerate()
             .filter(|(_, s)| s.dir == PortDir::Output)
-            .map(|(i, _)| SignalId(i as u32))
+            .map(|(i, _)| SignalId(id32(i)))
     }
 
     /// Checks structural well-formedness: pin counts, widths, single drivers.

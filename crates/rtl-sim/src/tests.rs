@@ -870,7 +870,7 @@ fn assert_modes_agree(
         fast.settle().unwrap();
         full.settle().unwrap();
         for si in 0..n.signals().len() {
-            let sig = crate::SignalId(si as u32);
+            let sig = crate::SignalId(crate::netlist::id32(si));
             assert_eq!(
                 fast.peek(sig),
                 full.peek(sig),

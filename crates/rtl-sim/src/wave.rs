@@ -155,7 +155,9 @@ impl VcdWriter {
         let mut s = String::new();
         let mut i = i + 1;
         while i > 0 {
-            s.push((33 + ((i - 1) % 94)) as u8 as char);
+            s.push(char::from(
+                u8::try_from(33 + (i - 1) % 94).expect("printable ASCII"),
+            ));
             i = (i - 1) / 94;
         }
         s
