@@ -1136,10 +1136,12 @@ fn rewrite_lower(
             component,
             site,
             value,
+            limit,
         } => TooLarge {
             component: rewrite_str(&component, names),
             site: rewrite_str(&site, names),
             value,
+            limit,
         },
         Unelaborated {
             component,

@@ -73,7 +73,8 @@ pub enum LowerError {
         /// The underlying evaluation failure.
         cause: String,
     },
-    /// A width or FSM state count does not fit in 32 bits.
+    /// A width does not fit in 32 bits, or an FSM state count is over
+    /// [`MAX_FSM_STATES`].
     TooLarge {
         /// The enclosing component.
         component: String,
@@ -81,6 +82,8 @@ pub enum LowerError {
         site: String,
         /// The value that does not fit.
         value: u64,
+        /// The largest value allowed there.
+        limit: u64,
     },
     /// The component still contains generate constructs; run
     /// [`crate::mono::expand`] before lowering.
@@ -135,11 +138,11 @@ impl fmt::Display for LowerError {
                 component,
                 site,
                 value,
+                limit,
             } => write!(
                 f,
                 "in component {component}: {site} is {value}, more than the largest \
-                 supported value {}",
-                u32::MAX
+                 supported value {limit}"
             ),
             LowerError::Unelaborated {
                 component,
@@ -268,12 +271,19 @@ fn const_eval_env(
     })
 }
 
+/// The most states one event's FSM may have: 2^16. The largest corpus
+/// FSM (DivIter's) has 8 states, so this leaves 8 192x headroom. An FSM
+/// is a shift register with one output pin, wire and Verilog net per
+/// state, so a longer one is refused rather than built.
+pub const MAX_FSM_STATES: u64 = 1 << 16;
+
 /// Narrows a width or state count to the netlist's `u32`.
 fn to_u32(value: u64, component: &str, site: &dyn Fn() -> String) -> Result<u32, LowerError> {
     u32::try_from(value).map_err(|_| LowerError::TooLarge {
         component: component.into(),
         site: site(),
         value,
+        limit: u32::MAX.into(),
     })
 }
 
@@ -617,9 +627,19 @@ fn lower_one(
         let iface = sig
             .interface_of(&ev.name)
             .expect("non-phantom events have interface ports");
-        let n = to_u32(max.saturating_add(1), name, &|| {
-            format!("the state count of event {}'s FSM", ev.name)
-        })?;
+        let site = || format!("the state count of event {}'s FSM", ev.name);
+        let states = max.saturating_add(1);
+        let n = to_u32(states, name, &site)?;
+        // Checked before the cell exists: its output pins, wires and
+        // Verilog all grow with the state count.
+        if states > MAX_FSM_STATES {
+            return Err(LowerError::TooLarge {
+                component: name.into(),
+                site: site(),
+                value: states,
+                limit: MAX_FSM_STATES,
+            });
+        }
         c.add_primitive(fsm_name(&ev.name), CellKind::ShiftFsm { n });
         c.assign(
             cl::PortRef::cell(fsm_name(&ev.name), "go"),

@@ -649,6 +649,24 @@ const CASES: &[(&str, Mode, &str)] = &[
            o = a;
          }",
     ),
+    (
+        "lower.fsm-state-budget",
+        Mode::Pipeline,
+        "comp Main<G: 4000000003>(@interface[G] go: 1, @[G+4000000000, G+4000000001] x: 32)
+             -> (@[G+4000000001, G+4000000002] o: 32) {
+           r := new Register[32]<G+4000000000, G+4000000002>(x);
+           o = r.out;
+         }",
+    ),
+    (
+        "lower.fsm-state-budget-output",
+        Mode::Pipeline,
+        "comp Main<G: 4000003>(@interface[G] go: 1, @[G+4000000, G+4000001] x: 32)
+             -> (@[G+4000001, G+4000002] o: 32) {
+           r := new Register[32]<G+4000000, G+4000002>(x);
+           o = r.out;
+         }",
+    ),
 ];
 
 /// The joined `Display` text of a check failure.

@@ -553,3 +553,32 @@ fn empty_output_window_captures_zero() {
     let outs = run_pipelined(&n, &spec, &[vec![], vec![]]).unwrap();
     assert_eq!(outs, vec![vec![Value::zero(8)], vec![Value::zero(8)]]);
 }
+
+/// `filament sim` on a design whose signals are over the simulator's
+/// storage budget (three 4e9-bit signals, 500 MB each) reports a
+/// diagnostic instead of aborting in an allocation.
+#[test]
+fn sim_cli_refuses_a_design_over_the_storage_budget() {
+    let src = "comp Main<G: 1>(@interface[G] go: 1, @[G, G+1] a: 4000000000, \
+               @[G, G+1] b: 4000000000) -> (@[G, G+1] o: 4000000000) {
+                 s := new Add[4000000000]<G>(a, b);
+                 o = s.out;
+               }";
+    let path = std::env::temp_dir().join(format!("fil-huge-{}.fil", std::process::id()));
+    std::fs::write(&path, src).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_filament"))
+        .args(["sim", path.to_str().unwrap(), "Main"])
+        .output()
+        .unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(
+        stderr.trim_end(),
+        format!(
+            "error: design too large to simulate: 500000014 words of signal \
+             storage at 1 lane(s), over the budget of {}",
+            rtl_sim::MAX_WORDS
+        )
+    );
+}
