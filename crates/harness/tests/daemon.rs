@@ -22,7 +22,8 @@
 //!   keeps an idle-timed daemon alive.
 //! * **Admission limit** — past [`serve::MAX_CONNECTIONS`] open
 //!   connections the daemon answers "busy" instead of spawning a thread,
-//!   and serves again once they close.
+//!   and serves again once they close; one control connection past the
+//!   cap still answers ping, stats and stop.
 
 #![cfg(unix)]
 
@@ -444,4 +445,38 @@ fn connections_past_the_cap_are_told_busy_until_the_stalls_time_out() {
     let served = served.expect("served after the stalls");
     assert!(served.output.verilog.is_some(), "verilog requested");
     shut_down(&socket, handle);
+}
+
+#[test]
+fn stop_gets_through_at_the_connection_cap() {
+    let socket = sock("capstop");
+    let handle = start(&socket);
+    // Let the start-up pings' threads wind down, so the stalls below
+    // take exactly the cap.
+    std::thread::sleep(Duration::from_millis(100));
+    let stalled: Vec<UnixStream> = (0..serve::MAX_CONNECTIONS)
+        .map(|_| UnixStream::connect(&socket).expect("connect"))
+        .collect();
+    let t0 = Instant::now();
+    serve::ping(&socket).expect("ping through the control connection");
+    // The control connection is free again once the ping's thread ends.
+    let stopped = loop {
+        match serve::stop(&socket) {
+            Err(serve::ClientError::Server(msg))
+                if msg.contains("busy") && t0.elapsed() < Duration::from_millis(500) =>
+            {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            other => break other,
+        }
+    };
+    stopped.expect("stop at the connection cap");
+    handle.join().expect("server thread").expect("server run");
+    let took = t0.elapsed();
+    assert!(
+        took < serve::FRAME_DEADLINE,
+        "daemon exited after {took:?}, not before the stalls timed out"
+    );
+    assert!(!socket.exists(), "socket removed on stop");
+    drop(stalled);
 }

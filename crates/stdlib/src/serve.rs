@@ -31,8 +31,12 @@
 //! vanishes mid-frame costs nothing but its own thread, and one that
 //! stalls holds it for at most twice [`FRAME_DEADLINE`]: a frame that has
 //! not arrived whole by its deadline counts as malformed. At most
-//! [`MAX_CONNECTIONS`] connections are served at once; one more is
-//! answered with a "busy" `RESP_ERR` and closed without a thread.
+//! [`MAX_CONNECTIONS`] connections are served at once. Past the cap, one
+//! more *control* connection reads a single frame under the same
+//! deadline: it answers `OP_STOP`, `OP_PING` and `OP_STATS`, and
+//! `OP_BUILD` with a "busy" `RESP_ERR`, so the daemon stays stoppable
+//! while every build slot is taken. Any connection beyond that is
+//! answered "busy" and closed without a thread.
 
 use calyx_lite::serial::{DecodeError, Reader, Writer};
 use fil_build::request::{self as wire, FrameError};
@@ -61,9 +65,11 @@ const RESP_BYE: u8 = 5;
 /// timeout.
 pub const FRAME_DEADLINE: Duration = Duration::from_secs(2);
 
-/// How many connections the daemon serves at once. A connection past the
-/// cap gets a "busy" error frame and is closed, so a flood of clients
-/// cannot make the daemon spawn threads without bound.
+/// How many connections the daemon serves at once. Past the cap, one
+/// control connection (see the module docs) still answers stop, ping and
+/// stats, and every other connection gets a "busy" error frame and is
+/// closed, so a flood of clients cannot make the daemon spawn threads
+/// without bound.
 pub const MAX_CONNECTIONS: u64 = 32;
 
 /// How many completed builds the daemon memoizes (encoded reply bytes,
@@ -105,6 +111,8 @@ struct Shared {
     flight: fil_build::SingleFlight<(u64, u64), Result<Vec<u8>, String>>,
     stop: AtomicBool,
     active: AtomicU64,
+    /// Whether the one control connection past the cap is in use.
+    control: AtomicBool,
     /// When the daemon last accepted a connection or finished one — the
     /// idle watchdog measures from here while `active` is zero.
     last_activity: Mutex<Instant>,
@@ -157,6 +165,7 @@ impl Server {
                 flight: fil_build::SingleFlight::new(MEMO_CAPACITY),
                 stop: AtomicBool::new(false),
                 active: AtomicU64::new(0),
+                control: AtomicBool::new(false),
                 last_activity: Mutex::new(Instant::now()),
                 stats: Counters::default(),
             }),
@@ -206,19 +215,23 @@ impl Server {
                     }
                     let _ = stream.set_read_timeout(Some(FRAME_DEADLINE));
                     let _ = stream.set_write_timeout(Some(FRAME_DEADLINE));
-                    if self.shared.active.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
-                        let _ = write_err(&stream, "daemon busy: too many open connections");
+                    let shared = self.shared.clone();
+                    if shared.active.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                        if shared.control.swap(true, Ordering::SeqCst) {
+                            let _ = write_err(&stream, BUSY);
+                        } else {
+                            std::thread::spawn(move || {
+                                handle_connection(stream, &shared, true);
+                                shared.control.store(false, Ordering::SeqCst);
+                            });
+                        }
                         continue;
                     }
-                    self.shared
-                        .stats
-                        .connections
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.shared.active.fetch_add(1, Ordering::SeqCst);
-                    *self.shared.last_activity.lock().unwrap() = Instant::now();
-                    let shared = self.shared.clone();
+                    shared.stats.connections.fetch_add(1, Ordering::Relaxed);
+                    shared.active.fetch_add(1, Ordering::SeqCst);
+                    *shared.last_activity.lock().unwrap() = Instant::now();
                     std::thread::spawn(move || {
-                        handle_connection(stream, &shared);
+                        handle_connection(stream, &shared, false);
                         shared.active.fetch_sub(1, Ordering::SeqCst);
                         *shared.last_activity.lock().unwrap() = Instant::now();
                     });
@@ -263,7 +276,12 @@ impl io::Read for DeadlineReader<'_> {
     }
 }
 
-fn handle_connection(stream: UnixStream, shared: &Shared) {
+/// The reply to a build past the connection cap.
+const BUSY: &str = "daemon busy: too many open connections";
+
+/// Serves one connection's frames; a `control` connection (past the cap)
+/// answers one frame and refuses builds.
+fn handle_connection(stream: UnixStream, shared: &Shared, control: bool) {
     loop {
         let mut reader = DeadlineReader {
             stream: &stream,
@@ -299,6 +317,10 @@ fn handle_connection(stream: UnixStream, shared: &Shared) {
                 request_stop(shared);
                 return;
             }
+            Some((&OP_BUILD, _)) if control => {
+                let _ = write_err(&stream, BUSY);
+                return;
+            }
             Some((&OP_BUILD, rest)) => match wire::decode_request(rest) {
                 Ok((req, _)) => {
                     shared.stats.requests.fetch_add(1, Ordering::Relaxed);
@@ -322,7 +344,7 @@ fn handle_connection(stream: UnixStream, shared: &Shared) {
                 return;
             }
         };
-        if !ok {
+        if !ok || control {
             return;
         }
     }
