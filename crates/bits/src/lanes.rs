@@ -149,28 +149,7 @@ pub fn set(width: u32, words: &mut [u64], lane: u32, value: &[u64]) -> bool {
 /// Sets every lane of a `width`-bit signal to `value`, the limbs of a
 /// `width`-bit value; returns whether any lane changed.
 pub fn broadcast(lanes: u32, width: u32, words: &mut [u64], value: &[u64]) -> bool {
-    let words = &mut words[..self::words(width, lanes)];
-    if width == 1 {
-        let fill = 0u64.wrapping_sub(value[0] & 1);
-        let last = words.len() - 1;
-        let mut diff = 0;
-        for (i, w) in words.iter_mut().enumerate() {
-            let new = if i == last {
-                fill & plane_tail_mask(lanes)
-            } else {
-                fill
-            };
-            diff |= *w ^ new;
-            *w = new;
-        }
-        diff != 0
-    } else {
-        let mut changed = false;
-        for w in words.chunks_exact_mut(value.len()) {
-            changed |= copy_changed(w, value);
-        }
-        changed
-    }
+    (0..lanes).fold(false, |changed, l| set(width, words, l, value) | changed)
 }
 
 /// `dst = src` for same-sized regions: a single store for one word.
@@ -286,20 +265,14 @@ arith!(
     add,
     |x: u64, y: u64| x ^ y,
     |x: u64, y: u64| x.wrapping_add(y),
-    |x: &[u64], y: &[u64], o: &mut [u64]| {
-        o.copy_from_slice(x);
-        limbs::add_assign(o, y);
-    },
+    limbs::add,
     "Lane-wise wrapping addition (XOR on 1-bit planes)."
 );
 arith!(
     sub,
     |x: u64, y: u64| x ^ y,
     |x: u64, y: u64| x.wrapping_sub(y),
-    |x: &[u64], y: &[u64], o: &mut [u64]| {
-        o.copy_from_slice(x);
-        limbs::sub_assign(o, y);
-    },
+    limbs::sub,
     "Lane-wise wrapping subtraction (XOR on 1-bit planes)."
 );
 arith!(
@@ -309,30 +282,6 @@ arith!(
     limbs::mul,
     "Lane-wise wrapping multiplication (AND on 1-bit planes)."
 );
-
-/// Lane-wise wrapping add-in-place: `dst[l] += b[l]`.
-pub fn add_assign(lanes: u32, width: u32, dst: &mut [u64], b: &[u64]) {
-    let n = words(width, lanes);
-    let (dst, b) = (&mut dst[..n], &b[..n]);
-    if width == 1 {
-        xor_assign(dst, b);
-    } else if width <= 64 {
-        let m = mask64(width);
-        for (o, &y) in dst.iter_mut().zip(b) {
-            *o = o.wrapping_add(y) & m;
-        }
-    } else {
-        let k = limbs::count(width);
-        for (o, y) in dst.chunks_exact_mut(k).zip(b.chunks_exact(k)) {
-            limbs::add_assign(o, y);
-            limbs::mask_top(o, width);
-        }
-    }
-}
-
-fn xor_assign(dst: &mut [u64], b: &[u64]) {
-    limbs::xor_assign(dst, b);
-}
 
 /// Lane-wise bitwise NOT.
 #[inline(always)]
@@ -358,43 +307,37 @@ pub fn not(lanes: u32, width: u32, a: &[u64], out: &mut [u64]) {
     }
 }
 
-/// Lane-wise constant left shift (amounts at or past the width give zero).
-#[inline(always)]
-pub fn shl_const(lanes: u32, width: u32, a: &[u64], amount: u32, out: &mut [u64]) {
-    let n = words(width, lanes);
-    let (a, out) = (&a[..n], &mut out[..n]);
-    if amount >= width {
-        out.fill(0);
-    } else if amount == 0 {
-        out.copy_from_slice(a);
-    } else if width <= 64 {
-        // width >= 2 here, so word-per-lane layout.
-        let m = mask64(width);
-        for (o, &x) in out.iter_mut().zip(a) {
-            *o = (x << amount) & m;
+macro_rules! shift_const {
+    ($name:ident, $op:tt, $limbs:path, $doc:literal) => {
+        #[doc = $doc]
+        #[inline(always)]
+        pub fn $name(lanes: u32, width: u32, a: &[u64], amount: u32, out: &mut [u64]) {
+            let n = words(width, lanes);
+            let (a, out) = (&a[..n], &mut out[..n]);
+            if amount >= width {
+                out.fill(0);
+            } else if amount == 0 {
+                out.copy_from_slice(a);
+            } else if width <= 64 {
+                // width >= 2 here, so word-per-lane layout.
+                let m = mask64(width);
+                for (o, &x) in out.iter_mut().zip(a) {
+                    *o = (x $op amount) & m;
+                }
+            } else {
+                wide1(width, a, out, |x, o| $limbs(x, amount, o));
+            }
         }
-    } else {
-        wide1(width, a, out, |x, o| limbs::shl(x, amount, o));
-    }
+    };
 }
 
-/// Lane-wise constant right shift (amounts at or past the width give zero).
-#[inline(always)]
-pub fn shr_const(lanes: u32, width: u32, a: &[u64], amount: u32, out: &mut [u64]) {
-    let n = words(width, lanes);
-    let (a, out) = (&a[..n], &mut out[..n]);
-    if amount >= width {
-        out.fill(0);
-    } else if amount == 0 {
-        out.copy_from_slice(a);
-    } else if width <= 64 {
-        for (o, &x) in out.iter_mut().zip(a) {
-            *o = x >> amount;
-        }
-    } else {
-        wide1(width, a, out, |x, o| limbs::shr(x, amount, o));
-    }
-}
+shift_const!(
+    shl_const,
+    <<,
+    limbs::shl,
+    "Lane-wise constant left shift (amounts at or past the width give zero)."
+);
+shift_const!(shr_const, >>, limbs::shr, "Lane-wise constant right shift.");
 
 /// The shift amount a multi-limb lane encodes, if below `width`.
 fn amount_below(amt: &[u64], width: u32) -> Option<u32> {
@@ -604,30 +547,21 @@ pub fn resize(lanes: u32, in_width: u32, out_width: u32, a: &[u64], out: &mut [u
     }
 }
 
-/// Lane-wise OR-reduction into a 1-bit plane.
+/// Lane-wise AND-reduction (`all`) or OR-reduction into a 1-bit plane.
 #[inline(always)]
-pub fn reduce_or(lanes: u32, width: u32, a: &[u64], out: &mut [u64]) {
+pub fn reduce(lanes: u32, width: u32, a: &[u64], all: bool, out: &mut [u64]) {
     if width == 1 {
         let n = plane_words(lanes);
         out[..n].copy_from_slice(&a[..n]);
     } else {
         let k = limbs::count(width);
         pack(lanes, out, |l| {
-            a[l * k..(l + 1) * k].iter().any(|&x| x != 0)
-        });
-    }
-}
-
-/// Lane-wise AND-reduction into a 1-bit plane.
-#[inline(always)]
-pub fn reduce_and(lanes: u32, width: u32, a: &[u64], out: &mut [u64]) {
-    if width == 1 {
-        let n = plane_words(lanes);
-        out[..n].copy_from_slice(&a[..n]);
-    } else {
-        let k = limbs::count(width);
-        pack(lanes, out, |l| {
-            limbs::all_ones(&a[l * k..(l + 1) * k], width)
+            let x = &a[l * k..(l + 1) * k];
+            if all {
+                limbs::all_ones(x, width)
+            } else {
+                x.iter().any(|&w| w != 0)
+            }
         });
     }
 }
@@ -648,15 +582,6 @@ pub fn clz(lanes: u32, width: u32, a: &[u64], out: &mut [u64]) {
             o.fill(0);
             o[0] = u64::from(limbs::leading_zeros(x, width));
         });
-    }
-}
-
-/// Lane-wise 8-bit table lookup (the AES S-box).
-#[inline(always)]
-pub fn lut8(lanes: u32, table: &[u8; 256], a: &[u64], out: &mut [u64]) {
-    let n = lanes as usize;
-    for (o, &x) in out[..n].iter_mut().zip(&a[..n]) {
-        *o = u64::from(table[(x & 0xff) as usize]);
     }
 }
 
@@ -788,9 +713,6 @@ mod tests {
                 check2!(shl_dyn, |x: &Value, y: &Value| x.shl_dyn(y));
                 check2!(shr_dyn, |x: &Value, y: &Value| x.shr_dyn(y));
 
-                let mut acc = a.clone();
-                add_assign(lanes, width, &mut acc, &b);
-                check(width, lanes, &acc, |l| av[l].add(&bv[l]), "add_assign");
                 not(lanes, width, &a, &mut out);
                 check(width, lanes, &out, |l| av[l].not(), "not");
                 clz(lanes, width, &a, &mut out);
@@ -810,9 +732,9 @@ mod tests {
                 check(1, lanes, &plane, |l| Value::from_bool(cmp(l).is_lt()), "lt");
                 ge(lanes, width, &a, &b, &mut plane);
                 check(1, lanes, &plane, |l| Value::from_bool(cmp(l).is_ge()), "ge");
-                reduce_or(lanes, width, &a, &mut plane);
+                reduce(lanes, width, &a, false, &mut plane);
                 check(1, lanes, &plane, |l| av[l].reduce_or(), "reduce_or");
-                reduce_and(lanes, width, &a, &mut plane);
+                reduce(lanes, width, &a, true, &mut plane);
                 check(1, lanes, &plane, |l| av[l].reduce_and(), "reduce_and");
 
                 mux(lanes, width, &sel, &a, &b, &mut out);

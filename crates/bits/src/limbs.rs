@@ -26,32 +26,25 @@ pub fn mask_top(out: &mut [u64], width: u32) {
     }
 }
 
-/// `dst += b`, wrapping at `64 * dst.len()` bits.
-pub fn add_assign(dst: &mut [u64], b: &[u64]) {
+/// `out = a + b`, wrapping at `64 * out.len()` bits.
+pub fn add(a: &[u64], b: &[u64], out: &mut [u64]) {
     let mut carry = false;
-    for (d, &y) in dst.iter_mut().zip(b) {
-        let (s1, c1) = d.overflowing_add(y);
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        let (s1, c1) = x.overflowing_add(y);
         let (s2, c2) = s1.overflowing_add(u64::from(carry));
-        *d = s2;
+        *o = s2;
         carry = c1 | c2;
     }
 }
 
-/// `dst -= b`, wrapping at `64 * dst.len()` bits.
-pub fn sub_assign(dst: &mut [u64], b: &[u64]) {
+/// `out = a - b`, wrapping at `64 * out.len()` bits.
+pub fn sub(a: &[u64], b: &[u64], out: &mut [u64]) {
     let mut borrow = false;
-    for (d, &y) in dst.iter_mut().zip(b) {
-        let (s1, b1) = d.overflowing_sub(y);
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        let (s1, b1) = x.overflowing_sub(y);
         let (s2, b2) = s1.overflowing_sub(u64::from(borrow));
-        *d = s2;
+        *o = s2;
         borrow = b1 | b2;
-    }
-}
-
-/// `dst ^= b`.
-pub fn xor_assign(dst: &mut [u64], b: &[u64]) {
-    for (d, &y) in dst.iter_mut().zip(b) {
-        *d ^= y;
     }
 }
 

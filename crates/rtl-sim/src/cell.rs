@@ -10,11 +10,6 @@
 
 use fil_bits::{lanes, Value};
 
-/// Internal state of a sequential cell instance (empty for combinational
-/// cells). Layout is defined per [`CellKind`]; use [`CellKind::initial_state`]
-/// to construct it.
-pub type CellState = Vec<Value>;
-
 /// The AES S-box, used by the PipelineC AES import (Appendix B.2).
 pub const AES_SBOX: [u8; 256] = [
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
@@ -371,36 +366,17 @@ impl CellKind {
         }
     }
 
-    /// The power-on state for an instance of this cell.
-    pub fn initial_state(&self) -> CellState {
-        use CellKind::*;
-        match *self {
-            Reg { width, init, .. } => vec![Value::from_u64(width, init)],
-            // state[i] = trigger delayed by i+1 cycles.
-            ShiftFsm { n } => vec![Value::zero(1); (n as usize).saturating_sub(1)],
-            // [a_latch, b_latch, result, count]
-            MultSeq { width, .. } => vec![
-                Value::zero(width),
-                Value::zero(width),
-                Value::zero(width),
-                Value::zero(32),
-            ],
-            MultPipe { width, latency } => vec![Value::zero(width); latency as usize],
-            // [areg, breg, mreg, preg]
-            Dsp48 { width, .. } => vec![Value::zero(width); 4],
-            _ => vec![],
-        }
-    }
-
     /// Maximum number of *input* pins any primitive has (`Dsp48`'s 4), so
     /// the simulator can gather borrowed inputs into a fixed-size on-stack
     /// array. Output pin counts are unbounded (`ShiftFsm` has `n`) and go
     /// through a dynamically sized buffer instead.
     pub const MAX_INPUT_PINS: usize = 4;
 
-    /// Words of state this cell holds across `lanes` lanes: its
-    /// [`CellKind::initial_state`] slots in the lane layout, one after
-    /// another (saturating, for the simulator's size budget).
+    /// Words of state this cell holds across `lanes` lanes, its slots in
+    /// the lane layout one after another (saturating, for the simulator's
+    /// size budget): a register's value; an FSM's `n - 1` delayed
+    /// triggers; a `MultSeq`'s operand latches, result and 32-bit count; a
+    /// `MultPipe`'s stages; a `Dsp48`'s A, B, M and P registers.
     pub(crate) fn state_words(&self, lanes: u32) -> u64 {
         use CellKind::*;
         let words = |w: u32| lanes::words(w, lanes) as u64;
@@ -430,6 +406,17 @@ impl CellKind {
         };
         let k = lanes::words(width, n);
         Some(slot * k..(slot + 1) * k)
+    }
+
+    /// Writes the power-on state across `n` lanes into `state` (zeroed,
+    /// [`CellKind::state_words`] long): a register's `init` in every lane;
+    /// every other state starts at zero.
+    pub(crate) fn init_state(&self, n: u32, state: &mut [u64]) {
+        if let CellKind::Reg { width, init, .. } = *self {
+            if init != 0 {
+                lanes::broadcast(n, width, state, Value::from_u64(width, init).limbs());
+            }
+        }
     }
 
     /// Computes every output pin across `n` lanes, in the
@@ -474,10 +461,14 @@ impl CellKind {
                 in_width,
                 out_width,
             } => lanes::resize(n, in_width, out_width, ins[0], outs),
-            ReduceOr { width } => lanes::reduce_or(n, width, ins[0], outs),
-            ReduceAnd { width } => lanes::reduce_and(n, width, ins[0], outs),
+            ReduceOr { width } => lanes::reduce(n, width, ins[0], false, outs),
+            ReduceAnd { width } => lanes::reduce(n, width, ins[0], true, outs),
             Clz { width } => lanes::clz(n, width, ins[0], outs),
-            SBox => lanes::lut8(n, &AES_SBOX, ins[0], outs),
+            SBox => {
+                for (o, &x) in outs.iter_mut().zip(&ins[0][..n as usize]) {
+                    *o = u64::from(AES_SBOX[(x & 0xff) as usize]);
+                }
+            }
             // Sequential outputs are state slots: `_0` mirrors the trigger
             // and `_i` is slot `i - 1`; the others show their last slot.
             ShiftFsm { .. } => {
@@ -529,52 +520,7 @@ impl CellKind {
                     _ => state[..k].copy_from_slice(&ins[0][..k]),
                 }
             }
-            MultSeq { width, latency } => {
-                // The retrigger/countdown control flow diverges per lane, so
-                // this cell ticks lane at a time (it is rare and slow by
-                // design). Slots: [a latch, b latch, result, count].
-                let k = lanes::words(width, n);
-                let (data, count) = state.split_at_mut(3 * k);
-                let slot = |s: usize| s * k..(s + 1) * k;
-                let product = |data: &mut [u64], l: u32| {
-                    let p = lanes::get(width, &data[slot(0)], l).mul(&lanes::get(
-                        width,
-                        &data[slot(1)],
-                        l,
-                    ));
-                    lanes::set(width, &mut data[slot(2)], l, p.limbs());
-                };
-                for l in 0..n {
-                    let (go, c) = (lanes::bit(ins[0], l as usize), count[l as usize]);
-                    if go {
-                        // Retriggered mid-computation (count > 0), the
-                        // datapath latches a mix of old and new operands —
-                        // silent corruption, exactly what Filament's
-                        // conflict-freedom rules out statically (Section
-                        // 3.4).
-                        for (s, pin) in [(0, 1), (1, 2)] {
-                            let mut v = lanes::get(width, ins[pin], l);
-                            if c > 0 {
-                                v = v.xor(&lanes::get(width, &data[slot(s)], l));
-                            }
-                            lanes::set(width, &mut data[slot(s)], l, v.limbs());
-                        }
-                        if latency == 1 {
-                            product(data, l);
-                        }
-                        count[l as usize] = u64::from(latency);
-                    } else if c > 0 {
-                        // The busy window is `latency + 1` cycles: the
-                        // result lands one edge before the countdown
-                        // expires, visible during cycle `t + latency` for a
-                        // `go` during cycle `t`.
-                        if c == 2 {
-                            product(data, l);
-                        }
-                        count[l as usize] = c - 1;
-                    }
-                }
-            }
+            MultSeq { width, latency } => mult_seq_tick(width, latency, n, ins, state),
             Dsp48 {
                 width,
                 use_c,
@@ -584,14 +530,15 @@ impl CellKind {
                 let k = lanes::words(width, n);
                 let (ab, mp) = state.split_at_mut(2 * k);
                 let (m, p) = mp.split_at_mut(k);
-                // P <= M (+ C) (+ PCIN), from the old M.
-                if use_c {
-                    lanes::add(n, width, m, ins[2], p);
-                } else {
-                    p[..k].copy_from_slice(&m[..k]);
-                }
-                if use_pcin {
-                    lanes::add_assign(n, width, p, ins[3]);
+                // P <= M (+ C) (+ PCIN), from the old M (free once read).
+                match (use_c, use_pcin) {
+                    (false, false) => p[..k].copy_from_slice(&m[..k]),
+                    (true, true) => {
+                        lanes::add(n, width, m, ins[2], p);
+                        lanes::add(n, width, p, ins[3], m);
+                        p[..k].copy_from_slice(&m[..k]);
+                    }
+                    _ => lanes::add(n, width, m, ins[if use_c { 2 } else { 3 }], p),
                 }
                 // M <= A · B, from the old A/B registers.
                 let (a, b) = ab.split_at_mut(k);
@@ -612,9 +559,9 @@ impl CellKind {
     /// Panics if an input is narrower than its pin.
     pub fn eval_values(&self, inputs: &[&Value]) -> Vec<Value> {
         // At one lane every layout is a `Value`'s limbs.
-        let state: Vec<u64> = (self.initial_state().iter())
-            .flat_map(|v| v.limbs().iter().copied())
-            .collect();
+        let words = usize::try_from(self.state_words(1)).expect("a one-lane state fits");
+        let mut state = vec![0; words];
+        self.init_state(1, &mut state);
         let widths = self.output_widths();
         let mut outs = vec![0; widths.iter().map(|&w| lanes::words(w, 1)).sum()];
         let ins: Vec<&[u64]> = inputs.iter().map(|v| v.limbs()).collect();
@@ -697,6 +644,50 @@ impl CellKind {
             MultSeq { .. } => "mult_seq",
             MultPipe { .. } => "mult_pipe",
             Dsp48 { .. } => "dsp48e2",
+        }
+    }
+}
+
+/// [`CellKind::tick`] of a `MultSeq`, out of line: the retrigger/countdown
+/// control flow diverges per lane, so this cell ticks lane at a time (it is
+/// rare and slow by design). Slots: [a latch, b latch, result, count].
+#[inline(never)]
+fn mult_seq_tick(width: u32, latency: u32, n: u32, ins: &[&[u64]], state: &mut [u64]) {
+    let k = lanes::words(width, n);
+    let (data, count) = state.split_at_mut(3 * k);
+    let slot = |s: usize| s * k..(s + 1) * k;
+    let product = |data: &mut [u64], l: u32| {
+        let p = lanes::get(width, &data[slot(0)], l).mul(&lanes::get(width, &data[slot(1)], l));
+        lanes::set(width, &mut data[slot(2)], l, p.limbs());
+    };
+    for l in 0..n {
+        let (go, c) = (lanes::bit(ins[0], l as usize), count[l as usize]);
+        if go {
+            // Retriggered mid-computation (count > 0), the
+            // datapath latches a mix of old and new operands —
+            // silent corruption, exactly what Filament's
+            // conflict-freedom rules out statically (Section
+            // 3.4).
+            for (s, pin) in [(0, 1), (1, 2)] {
+                let mut v = lanes::get(width, ins[pin], l);
+                if c > 0 {
+                    v = v.xor(&lanes::get(width, &data[slot(s)], l));
+                }
+                lanes::set(width, &mut data[slot(s)], l, v.limbs());
+            }
+            if latency == 1 {
+                product(data, l);
+            }
+            count[l as usize] = u64::from(latency);
+        } else if c > 0 {
+            // The busy window is `latency + 1` cycles: the
+            // result lands one edge before the countdown
+            // expires, visible during cycle `t + latency` for a
+            // `go` during cycle `t`.
+            if c == 2 {
+                product(data, l);
+            }
+            count[l as usize] = c - 1;
         }
     }
 }

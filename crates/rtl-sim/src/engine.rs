@@ -40,36 +40,37 @@ use std::sync::Arc;
 /// allocating.
 pub const MAX_WORDS: u64 = 1 << 24;
 
-/// Consecutive regions of one word buffer: region `i` is
-/// `start[i]..start[i + 1]`.
+/// Consecutive regions of one word buffer: region `i` is `span[i]`, an
+/// `(offset, length)` pair, so finding one costs one load.
 #[derive(Debug)]
 pub(crate) struct Arena {
     words: Vec<u64>,
-    /// `u32` offsets: the budget keeps every arena far below 2^32 words.
-    start: Vec<u32>,
+    /// `u32` spans: the budget keeps every arena far below 2^32 words.
+    span: Vec<(u32, u32)>,
 }
 
 impl Arena {
     /// Zeroed regions of the given sizes, in order.
     fn new(sizes: impl ExactSizeIterator<Item = usize>) -> Self {
-        let mut start = Vec::with_capacity(sizes.len() + 1);
-        start.push(0);
         let mut end = 0;
-        start.extend(sizes.map(|n| {
-            end += n;
-            u32::try_from(end).expect("within MAX_WORDS")
-        }));
+        let span: Vec<(u32, u32)> = sizes
+            .map(|n| {
+                let at = end;
+                end += n;
+                let fit = |x: usize| u32::try_from(x).expect("within MAX_WORDS");
+                (fit(at), fit(n))
+            })
+            .collect();
         Arena {
             words: vec![0; end],
-            start,
+            span,
         }
     }
 
     #[inline(always)]
     fn range(&self, i: usize) -> Range<usize> {
-        // One bounds check for both ends.
-        let ends = &self.start[i..i + 2];
-        ends[0] as usize..ends[1] as usize
+        let (at, n) = self.span[i];
+        at as usize..at as usize + n as usize
     }
 
     #[inline(always)]
@@ -86,13 +87,13 @@ impl Arena {
     /// Word `w` of region `i`.
     #[inline(always)]
     fn word(&self, i: usize, w: usize) -> u64 {
-        self.words[self.start[i] as usize + w]
+        self.words[self.span[i].0 as usize + w]
     }
 
     /// Regions `i..j` as one slice.
     #[inline(always)]
     fn span_mut(&mut self, i: usize, j: usize) -> &mut [u64] {
-        let r = self.start[i] as usize..self.start[j] as usize;
+        let r = self.range(i).start..self.range(j - 1).end;
         &mut self.words[r]
     }
 
@@ -183,15 +184,14 @@ impl<'n, const ONE: bool> Engine<'n, ONE> {
         let n_sigs = flat.n_sigs();
         let words = |w: u32| lanes::words(w, nlanes);
         let pw = lanes::plane_words(nlanes);
-        let total = (flat.widths.iter().map(|&w| words(w)))
-            .chain(flat.out_widths.iter().map(|&w| words(w)))
-            .chain(flat.assign_widths.iter().map(|&w| words(w)))
+        let sig_words = || flat.widths.iter().map(|&w| words(w));
+        let out_words = || (flat.cout_sigs.iter()).map(|&s| words(flat.widths[s as usize]));
+        let cand_words = || flat.assign_widths.iter().map(|&w| words(w));
+        let state_words = || (netlist.cells().iter()).map(|c| c.kind.state_words(nlanes));
+        let total = (sig_words().chain(out_words()).chain(cand_words()))
             .map(|n| n as u64)
-            .chain(netlist.cells().iter().map(|c| c.kind.state_words(nlanes)))
-            .fold(
-                (n_sigs as u64).saturating_mul(pw as u64),
-                u64::saturating_add,
-            );
+            .chain(state_words())
+            .fold((n_sigs * pw) as u64, u64::saturating_add);
         if total > MAX_WORDS {
             return Err(SimError::TooLarge {
                 words: total,
@@ -200,35 +200,23 @@ impl<'n, const ONE: bool> Engine<'n, ONE> {
             });
         }
         let in_budget = |n: u64| usize::try_from(n).expect("within MAX_WORDS");
-        let mut states = Arena::new(
-            netlist
-                .cells()
-                .iter()
-                .map(|c| in_budget(c.kind.state_words(nlanes))),
-        );
+        let mut states = Arena::new(state_words().map(in_budget));
         for (c, cell) in netlist.cells().iter().enumerate() {
-            // Registers are the only cells with nonzero power-on state.
-            if let CellKind::Reg { width, init, .. } = cell.kind {
-                if init == 0 {
-                    continue;
-                }
-                let init = fil_bits::Value::from_u64(width, init);
-                lanes::broadcast(nlanes, width, states.get_mut(c), init.limbs());
-            }
+            cell.kind.init_state(nlanes, states.get_mut(c));
         }
         let mut ones = vec![u64::MAX; pw];
         lanes::mask_plane_tail(&mut ones, nlanes);
         Ok(Engine {
             netlist,
             nlanes,
-            values: Arena::new(flat.widths.iter().map(|&w| words(w))),
+            values: Arena::new(sig_words()),
             driven: vec![0; n_sigs * pw],
             dirty: vec![true; n_sigs],
-            outs: Arena::new(flat.out_widths.iter().map(|&w| words(w))),
+            outs: Arena::new(out_words()),
             cell_stamp: vec![0; netlist.cells().len()],
             pass: 0,
             states,
-            cand: Arena::new(flat.assign_widths.iter().map(|&w| words(w))),
+            cand: Arena::new(cand_words()),
             ones,
             conflicts: Vec::new(),
             prof: None,
@@ -375,9 +363,12 @@ impl<'n, const ONE: bool> Engine<'n, ONE> {
                 p.cell_evals[c] += 1;
             }
         }
-        let changed = if let Some(r) = kind.state_output(n) {
-            // Register and multiplier outputs are pure state copies: adopt
-            // straight from the state (registers dominate most netlists).
+        // Register and multiplier outputs are pure state copies: adopt
+        // straight from the state (registers, whose one slot is their
+        // whole state, dominate most netlists).
+        let changed = if let CellKind::Reg { .. } = kind {
+            lanes::copy_changed(self.values.get_mut(si), self.states.get(c))
+        } else if let Some(r) = kind.state_output(n) {
             lanes::copy_changed(self.values.get_mut(si), &self.states.get(c)[r])
         } else {
             let o0 = flat.cout_start[c] as usize;

@@ -51,8 +51,6 @@ pub(crate) struct FlatGraph {
     /// True for output pins that depend combinationally on an input pin
     /// (these bypass the per-pass eval cache).
     pub comb_out: Vec<bool>,
-    /// Width of each output pin slot, parallel to `cout_sigs`.
-    pub out_widths: Vec<u32>,
     /// Width of each signal (dense, for the engines' hot lookups).
     pub widths: Vec<u32>,
     /// Sequential cell indices, for the tick loop.
@@ -167,7 +165,6 @@ impl FlatGraph {
         let mut cout_start = Vec::with_capacity(n_cells + 1);
         let mut cout_sigs = Vec::new();
         let mut comb_out = Vec::new();
-        let mut out_widths = Vec::new();
         let mut seq_cells = Vec::new();
         cin_start.push(0u32);
         cout_start.push(0u32);
@@ -183,7 +180,6 @@ impl FlatGraph {
             for (pin, &out) in cell.outputs.iter().enumerate() {
                 cout_sigs.push(out.0);
                 comb_out.push(comb_pins.contains(&pin));
-                out_widths.push(netlist.signals()[out.index()].width);
             }
             cout_start.push(id32(cout_sigs.len()));
             if cell.kind.is_sequential() {
@@ -202,7 +198,6 @@ impl FlatGraph {
             cout_start,
             cout_sigs,
             comb_out,
-            out_widths,
             widths: netlist.signals().iter().map(|s| s.width).collect(),
             seq_cells,
             order,

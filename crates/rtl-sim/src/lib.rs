@@ -5,11 +5,14 @@
 //! the simulation substrate of our reproduction: a structural netlist IR of
 //! *primitive cells* connected by *guarded assignments* (the same shape as
 //! Calyx programs, Section 5.3 of the paper), plus a two-state cycle-accurate
-//! simulator. The simulator is one engine at two value storages: [`Sim`]
-//! holds one lane of any width, [`BatchSim`] holds B independent stimulus
-//! lanes of up to 64 bits, settled in lockstep. Both run the same settle
-//! loop, tick loop, guarded-assign resolver and conflict report, so lane `l`
-//! of a batched run is bit-identical to a scalar run of lane `l`'s stimulus.
+//! simulator. The simulator is one engine over one lane storage (a `u64`
+//! arena in the layout of [`fil_bits::lanes`]) and one kernel set, at any
+//! signal width: [`Sim`] is the engine at one lane, [`BatchSim`] holds B
+//! independent stimulus lanes settled in lockstep. Both run the same
+//! settle loop, tick loop, guarded-assign resolver and conflict report, so
+//! lane `l` of a batched run is bit-identical to a scalar run of lane `l`'s
+//! stimulus. A design whose storage is over [`MAX_WORDS`] is refused before
+//! anything is allocated.
 //!
 //! The primitive cell library ([`CellKind`]) plays the role of the paper's
 //! "341 lines of Verilog for the standard library primitives": adders,
@@ -85,7 +88,7 @@ mod profile;
 mod sim;
 mod wave;
 
-pub use cell::{CellKind, CellState, AES_SBOX};
+pub use cell::{CellKind, AES_SBOX};
 pub use engine::MAX_WORDS;
 pub use netlist::{Assign, CellId, CellInst, Netlist, NetlistError, PortDir, Signal, SignalId};
 pub use profile::ProfileReport;

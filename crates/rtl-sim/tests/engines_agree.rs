@@ -308,6 +308,24 @@ fn wide_kinds() -> Vec<CellKind> {
     out
 }
 
+/// The cell's power-on state slots.
+fn model_init(kind: &CellKind) -> Vec<Value> {
+    use CellKind::*;
+    match *kind {
+        Reg { width, init, .. } => vec![Value::from_u64(width, init)],
+        ShiftFsm { n } => vec![Value::zero(1); n as usize - 1],
+        MultSeq { width, .. } => vec![
+            Value::zero(width),
+            Value::zero(width),
+            Value::zero(width),
+            Value::zero(32),
+        ],
+        MultPipe { width, latency } => vec![Value::zero(width); latency as usize],
+        Dsp48 { width, .. } => vec![Value::zero(width); 4],
+        _ => vec![],
+    }
+}
+
 /// The cell's outputs from `fil_bits::Value` operations: the reference
 /// every engine is held to.
 fn model_eval(kind: &CellKind, ins: &[Value], state: &[Value]) -> Vec<Value> {
@@ -412,7 +430,7 @@ fn matches_model(kind: &CellKind) {
     let inputs: Vec<SignalId> = n.inputs().collect();
     let outputs: Vec<SignalId> = n.outputs().collect();
     let mut sim = Sim::new(&n).unwrap();
-    let mut state = kind.initial_state();
+    let mut state = model_init(kind);
     for t in 0..CYCLES {
         let ins: Vec<Value> = (inputs.iter().enumerate())
             .map(|(i, &sig)| stim(0, t, i, n.signal(sig).width))
