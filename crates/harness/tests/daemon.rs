@@ -450,13 +450,18 @@ fn connections_past_the_cap_are_told_busy_until_the_stalls_time_out() {
 #[test]
 fn stop_gets_through_at_the_connection_cap() {
     let socket = sock("capstop");
-    let handle = start(&socket);
-    // Let the start-up pings' threads wind down, so the stalls below
-    // take exactly the cap.
-    std::thread::sleep(Duration::from_millis(100));
+    let server = Server::bind(ServeOptions {
+        socket: socket.clone(),
+        jobs: 1,
+        ..Default::default()
+    })
+    .expect("bind daemon");
+    // The stalls queue on the bound socket before the accept loop runs,
+    // and are accepted first, in order: they take exactly the cap.
     let stalled: Vec<UnixStream> = (0..serve::MAX_CONNECTIONS)
         .map(|_| UnixStream::connect(&socket).expect("connect"))
         .collect();
+    let handle = std::thread::spawn(move || server.run());
     let t0 = Instant::now();
     serve::ping(&socket).expect("ping through the control connection");
     // The control connection is free again once the ping's thread ends.

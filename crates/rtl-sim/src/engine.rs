@@ -35,9 +35,9 @@ use std::sync::Arc;
 /// The most `u64` words of storage one simulator may hold (signals, cell
 /// outputs and state, assign candidates and driven planes together):
 /// 2^24 words, 128 MiB. The largest in-repo design, the PipelineC AES
-/// netlist, takes 5 709 words per lane, about 731k at 128 lanes, so the
-/// budget leaves 22x headroom; past it construction fails before
-/// allocating.
+/// netlist, takes about 14 900 words per lane (5 709 of them signal
+/// values), 1.9M at 128 lanes, so the budget leaves 8x headroom; past it
+/// construction fails before allocating.
 pub const MAX_WORDS: u64 = 1 << 24;
 
 /// Consecutive regions of one word buffer: region `i` is `span[i]`, an
