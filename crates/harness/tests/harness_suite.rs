@@ -576,7 +576,7 @@ fn sim_cli_refuses_a_design_over_the_storage_budget() {
     assert_eq!(
         stderr.trim_end(),
         format!(
-            "error: design too large to simulate: 500000014 words of signal \
+            "error: design too large to simulate: 500000014 words of \
              storage at 1 lane(s), over the budget of {}",
             rtl_sim::MAX_WORDS
         )

@@ -75,7 +75,7 @@ impl fmt::Display for SimError {
                 budget,
             } => write!(
                 f,
-                "design too large to simulate: {words} words of signal storage at \
+                "design too large to simulate: {words} words of storage at \
                  {lanes} lane(s), over the budget of {budget}"
             ),
         }
