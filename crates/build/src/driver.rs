@@ -534,6 +534,8 @@ struct Shared {
 
 struct Ctx<'p> {
     program: &'p Program,
+    /// The program's callees by name, for every unit's elaboration.
+    index: mono::ProgramIndex<'p>,
     opts: &'p BuildOptions,
     /// Closure hashes, computed only when the disk cache is enabled.
     keys: Option<KeySpace>,
@@ -657,6 +659,7 @@ impl<'p> Ctx<'p> {
         };
         Ok(Ctx {
             program,
+            index: mono::ProgramIndex::new(program),
             opts,
             keys,
             cache_salt,
@@ -861,7 +864,7 @@ fn process_unit(
     let timer = Instant::now();
     let span = unit_span(lane, "expand", &unit_name);
     let (component, mono_stats) = mono::elaborate_component(
-        ctx.program,
+        &ctx.index,
         &key.component,
         &key.values,
         &self_name,

@@ -97,6 +97,7 @@ impl NetlistCache {
         // elaborate, and the first store wins (both results are
         // equivalent — elaboration is deterministic).
         let fresh = Arc::new(lowered.elaborate(top)?);
+        let mut evicted = Vec::new();
         let mut inner = self.inner.lock().unwrap();
         if let Some(n) = inner.map.get(&key) {
             return Ok((n.clone(), true));
@@ -105,9 +106,14 @@ impl NetlistCache {
         inner.order.push_back(key);
         while inner.order.len() > self.capacity {
             if let Some(old) = inner.order.pop_front() {
-                inner.map.remove(&old);
+                evicted.extend(inner.map.remove(&old));
             }
         }
+        drop(inner);
+        // An evicted netlist may hold its last reference here: free it
+        // (names, cells, the flat graph) after the lock, so concurrent
+        // requests never wait on the deallocation.
+        drop(evicted);
         Ok((fresh, false))
     }
 }

@@ -35,6 +35,11 @@
 //! # Ok::<(), calyx_lite::CalyxError>(())
 //! ```
 
+// Widths, state counts and length prefixes come from user input: narrowing
+// one must go through `u32::try_from` and fail with a diagnostic, or state
+// the invariant that bounds it, never wrap.
+#![deny(clippy::cast_possible_truncation)]
+
 mod elaborate;
 mod ir;
 pub mod serial;

@@ -115,9 +115,22 @@ impl<'a> Writer<'a> {
     pub fn u64(&mut self, v: u64) {
         self.raw(&v.to_le_bytes());
     }
+    /// A `u32` length or count prefix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds `u32::MAX`. Every prefix counts a name, list
+    /// or table already in memory, and none comes near 2^32 entries: wire
+    /// frames are at most `MAX_FRAME_LEN` (2^26) bytes, a component holds
+    /// at most `mono`'s 2^20 commands, and netlist tables are indexed by
+    /// `u32` ids.
+    #[inline]
+    pub fn len_prefix(&mut self, n: usize) {
+        self.u32(u32::try_from(n).expect("length prefixes stay below 2^32"));
+    }
     #[inline]
     pub fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
+        self.len_prefix(s.len());
         self.raw(s.as_bytes());
     }
     /// Tag `0`, or tag `1` and the string.
@@ -246,7 +259,7 @@ impl Writer<'_> {
             Guard::True => self.u8(0),
             Guard::Any(ports) => {
                 self.u8(1);
-                self.u32(ports.len() as u32);
+                self.len_prefix(ports.len());
                 for p in ports {
                     self.port_ref(p);
                 }
@@ -325,13 +338,13 @@ pub fn encode_component(c: &Component, out: &mut Vec<u8>) {
     w.u32(FORMAT_VERSION);
     w.str(&c.name);
     for ports in [&c.inputs, &c.outputs] {
-        w.u32(ports.len() as u32);
+        w.len_prefix(ports.len());
         for (name, width) in ports {
             w.str(name);
             w.u32(*width);
         }
     }
-    w.u32(c.cells.len() as u32);
+    w.len_prefix(c.cells.len());
     for cell in &c.cells {
         w.str(&cell.name);
         match &cell.proto {
@@ -345,7 +358,7 @@ pub fn encode_component(c: &Component, out: &mut Vec<u8>) {
             }
         }
     }
-    w.u32(c.assigns.len() as u32);
+    w.len_prefix(c.assigns.len());
     for a in &c.assigns {
         w.port_ref(&a.dst);
         w.src(&a.src);
@@ -518,6 +531,12 @@ pub fn decode_component(bytes: &[u8]) -> Result<(Component, usize), DecodeError>
 /// Magic bytes opening every encoded netlist.
 const NETLIST_MAGIC: [u8; 4] = *b"CLN1";
 
+/// A signal index as encoded: netlist ids are `u32` inside `rtl_sim`, so
+/// this never fails.
+fn id(index: usize) -> u32 {
+    u32::try_from(index).expect("signal ids are u32")
+}
+
 /// Appends the canonical encoding of an elaborated netlist to `out`.
 ///
 /// The compile-farm daemon serves post-[`crate::ir::Program::elaborate`]
@@ -534,7 +553,7 @@ pub fn encode_netlist(n: &rtl_sim::Netlist, out: &mut Vec<u8>) {
     w.raw(&NETLIST_MAGIC);
     w.u32(FORMAT_VERSION);
     w.str(n.name());
-    w.u32(n.signals().len() as u32);
+    w.len_prefix(n.signals().len());
     for s in n.signals() {
         w.str(&s.name);
         w.u32(s.width);
@@ -544,26 +563,26 @@ pub fn encode_netlist(n: &rtl_sim::Netlist, out: &mut Vec<u8>) {
             PortDir::Internal => 2,
         });
     }
-    w.u32(n.cells().len() as u32);
+    w.len_prefix(n.cells().len());
     for c in n.cells() {
         w.str(&c.name);
         w.cell_kind(&c.kind);
         for pins in [&c.inputs, &c.outputs] {
-            w.u32(pins.len() as u32);
+            w.len_prefix(pins.len());
             for &s in pins {
-                w.u32(s.index() as u32);
+                w.u32(id(s.index()));
             }
         }
     }
-    w.u32(n.assigns().len() as u32);
+    w.len_prefix(n.assigns().len());
     for a in n.assigns() {
-        w.u32(a.dst.index() as u32);
-        w.u32(a.src.index() as u32);
+        w.u32(id(a.dst.index()));
+        w.u32(id(a.src.index()));
         match a.guard {
             None => w.u8(0),
             Some(g) => {
                 w.u8(1);
-                w.u32(g.index() as u32);
+                w.u32(id(g.index()));
             }
         }
     }

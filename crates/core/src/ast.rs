@@ -365,7 +365,7 @@ impl IName {
         }
     }
 
-    /// Evaluates the indices under `env` and flattens to `base_i0_i1`.
+    /// Evaluates the indices with `value` and flattens to `base_i0_i1`.
     /// A `#inst` suffix (the parser's fused-form convention) is preserved
     /// at the end so pretty-printing can re-fuse: `pe#inst` with indices
     /// `[1, 2]` flattens to `pe_1_2#inst`.
@@ -373,7 +373,10 @@ impl IName {
     /// # Errors
     ///
     /// Propagates index-evaluation failures.
-    pub fn mangle(&self, env: &HashMap<Id, u64>) -> Result<Id, ConstEvalError> {
+    pub fn mangle(
+        &self,
+        value: &mut dyn FnMut(&ConstExpr) -> Result<u64, ConstEvalError>,
+    ) -> Result<Id, ConstEvalError> {
         if self.idx.is_empty() {
             return Ok(self.base.clone());
         }
@@ -384,7 +387,7 @@ impl IName {
         let mut out = stem.to_owned();
         for e in &self.idx {
             out.push('_');
-            out.push_str(&e.eval(env)?.to_string());
+            out.push_str(&value(e)?.to_string());
         }
         out.push_str(suffix);
         Ok(out)
@@ -480,12 +483,27 @@ impl Time {
     /// `map[E] = G + i` then `(E + k).subst = G + (i + k)`.
     pub fn subst(&self, map: &HashMap<Id, Time>) -> Time {
         match map.get(&self.event) {
-            Some(t) => Time::at(
-                t.event.clone(),
-                ConstExpr::bin(ConstOp::Add, t.offset.clone(), self.offset.clone()),
-            ),
+            Some(t) => self.after(t),
             None => self.clone(),
         }
+    }
+
+    /// Substitutes the event variable by position: when it names
+    /// `events[k]` (the last such), the time becomes `binding[k]` plus this
+    /// offset, composed as in [`subst`](Time::subst).
+    pub fn bind(&self, events: &[EventDecl], binding: &[Time]) -> Time {
+        match events.iter().rposition(|e| e.name == self.event) {
+            Some(k) => self.after(&binding[k]),
+            None => self.clone(),
+        }
+    }
+
+    /// This time's offset counted from `t`.
+    fn after(&self, t: &Time) -> Time {
+        Time::at(
+            t.event.clone(),
+            ConstExpr::bin(ConstOp::Add, t.offset.clone(), self.offset.clone()),
+        )
     }
 }
 
@@ -529,6 +547,15 @@ impl Range {
     /// Substitutes event variables in both endpoints.
     pub fn subst(&self, map: &HashMap<Id, Time>) -> Range {
         Range::new(self.start.subst(map), self.end.subst(map))
+    }
+
+    /// Substitutes event variables by position in both endpoints
+    /// ([`Time::bind`]).
+    pub fn bind(&self, events: &[EventDecl], binding: &[Time]) -> Range {
+        Range::new(
+            self.start.bind(events, binding),
+            self.end.bind(events, binding),
+        )
     }
 }
 
@@ -913,6 +940,32 @@ impl Signature {
             out.push(v);
         }
         Ok(out)
+    }
+
+    /// The value of parameter `name` in a full value vector (one entry per
+    /// parameter, as [`resolve_param_values`](Self::resolve_param_values)
+    /// returns). The last declaration of a name wins, as in
+    /// [`param_env`](Self::param_env).
+    pub fn param_value(&self, full: &[u64], name: &str) -> Option<u64> {
+        let k = self.params.iter().rposition(|d| d.name == name)?;
+        full.get(k).copied()
+    }
+
+    /// Evaluates `e` over this signature's parameters at a full value
+    /// vector, as [`ConstExpr::eval`] does under
+    /// [`param_env`](Self::param_env) without building the map.
+    ///
+    /// # Errors
+    ///
+    /// As [`ConstExpr::eval`].
+    pub fn eval_at(&self, e: &ConstExpr, full: &[u64]) -> Result<u64, ConstEvalError> {
+        e.eval_by(&|leaf| match leaf {
+            ConstExpr::Param(p) => self
+                .param_value(full, p)
+                .ok_or_else(|| ConstEvalError::Unbound(p.clone())),
+            ConstExpr::InstParam(i, p) => Err(ConstEvalError::Unbound(ConstExpr::inst_key(i, p))),
+            _ => unreachable!("only parameters are leaves"),
+        })
     }
 
     /// The parameter environment for a full value vector (one entry per
@@ -1346,20 +1399,23 @@ mod tests {
         env.insert("j".to_owned(), 2u64);
         let plain = IName::plain("pe");
         assert_eq!(plain.flat(), Some(&"pe".to_owned()));
-        assert_eq!(plain.mangle(&env).unwrap(), "pe");
+        assert_eq!(plain.mangle(&mut |e| e.eval(&env)).unwrap(), "pe");
         let idx = IName::indexed(
             "pe",
             vec![ConstExpr::Param("i".into()), ConstExpr::Param("j".into())],
         );
         assert_eq!(idx.flat(), None);
         assert_eq!(idx.to_string(), "pe[i][j]");
-        assert_eq!(idx.mangle(&env).unwrap(), "pe_1_2");
+        assert_eq!(idx.mangle(&mut |e| e.eval(&env)).unwrap(), "pe_1_2");
         // The fused-form suffix stays at the end.
         let fused = IName::indexed("pe#inst", vec![ConstExpr::Param("i".into())]);
-        assert_eq!(fused.mangle(&env).unwrap(), "pe_1#inst");
+        assert_eq!(fused.mangle(&mut |e| e.eval(&env)).unwrap(), "pe_1#inst");
         // Unbound index propagates.
         let bad = IName::indexed("pe", vec![ConstExpr::Param("k".into())]);
-        assert_eq!(bad.mangle(&env), Err(ConstEvalError::Unbound("k".into())));
+        assert_eq!(
+            bad.mangle(&mut |e| e.eval(&env)),
+            Err(ConstEvalError::Unbound("k".into()))
+        );
     }
 
     #[test]

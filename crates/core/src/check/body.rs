@@ -290,7 +290,10 @@ impl<'a> Body<'a> {
                     "invocation {name} scheduled with unknown event {}", t.event);
                 continue;
             };
-            let (ev, off) = (ev as u32, t.off());
+            // A signature's events are parsed from its source text, a few
+            // bytes each, so their indices fit `u32` by far.
+            let ev = u32::try_from(ev).expect("event indices fit u32");
+            let off = t.off();
             self.bound.push(CTime { ev, off });
         }
         let reach = self.instances[inst].reach;

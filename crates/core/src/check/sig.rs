@@ -95,11 +95,16 @@ impl<'a> SigEnv<'a> {
     /// The index of an event name, interning a name the signature does not
     /// bind (which no query can relate to any other event).
     pub fn ev(&mut self, name: &'a str) -> u32 {
-        if let Some(i) = self.names.iter().position(|n| *n == name) {
-            return i as u32;
-        }
-        self.names.push(name);
-        (self.names.len() - 1) as u32
+        let i = match self.names.iter().position(|n| *n == name) {
+            Some(i) => i,
+            None => {
+                self.names.push(name);
+                self.names.len() - 1
+            }
+        };
+        // Every name is an event of the source text, a few bytes each, so
+        // the indices fit `u32` by far.
+        u32::try_from(i).expect("event indices fit u32")
     }
 
     /// The name of an event index.

@@ -153,6 +153,11 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+// Widths, state counts and length prefixes come from user input: narrowing
+// one must go through `u32::try_from` and fail with a diagnostic, or state
+// the invariant that bounds it, never wrap.
+#![deny(clippy::cast_possible_truncation)]
+
 pub mod ast;
 pub mod check;
 pub mod lower;
@@ -166,7 +171,7 @@ pub use check::{check_component, check_program, CheckError};
 pub use lower::{lower_component_unit, lower_program, LoweredUnit, PrimitiveRegistry};
 pub use mono::{
     elaborate_component, elaborate_signature, expand, expand_with_stats, CalleeResolver, MonoError,
-    MonoStats,
+    MonoStats, ProgramIndex,
 };
 pub use parser::{parse_program, ParseError};
 pub use sem::{component_log, safe_pipelining_horizon, Log, LogViolation};

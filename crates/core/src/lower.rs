@@ -12,15 +12,11 @@
 //! synthesized guards are disjoint, which the simulator additionally
 //! re-checks dynamically ([`rtl_sim::SimError::WriteConflict`]).
 
-// Widths and state counts come from user constants: narrowing them must go
-// through `u32::try_from` and fail with a diagnostic, never wrap.
-#![deny(clippy::cast_possible_truncation)]
-
-use crate::ast::{Command, Component, ConstExpr, Id, Port, Program, Signature, Time};
+use crate::ast::{Command, Component, ConstEvalError, Id, Port, Program, Range, Signature, Time};
 use calyx_lite as cl;
 use fil_bits::Value;
 use rtl_sim::CellKind;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 /// Maps extern component names (plus const parameters) to primitive cells.
@@ -212,60 +208,66 @@ pub fn lower_component_unit(
     comp: &Component,
     registry: &dyn PrimitiveRegistry,
 ) -> Result<LoweredUnit, LowerError> {
-    struct Collect {
-        structural: Vec<cl::Component>,
-    }
-    impl LowerSink for Collect {
-        fn structural(&mut self, c: cl::Component) {
-            if !self.structural.iter().any(|s| s.name == c.name) {
-                self.structural.push(c);
-            }
-        }
-        fn user_dep(&mut self, _name: &str) -> Result<(), LowerError> {
-            Ok(())
-        }
-    }
-    let mut sink = Collect {
-        structural: Vec::new(),
-    };
+    let mut sink = Sink::Unit(Vec::new());
     let component = lower_one(scope, comp, registry, &mut sink)?;
+    let Sink::Unit(structural) = sink else {
+        unreachable!("the unit path's sink")
+    };
     Ok(LoweredUnit {
         component,
-        structural: sink.structural,
+        structural,
     })
 }
 
-/// What a single-component lowering reports upward: structural extern
-/// implementations to include in the output program, and user subcomponent
-/// dependencies (which the whole-program path lowers recursively and the
-/// unit path leaves to the driver).
-trait LowerSink {
-    fn structural(&mut self, c: cl::Component);
-    fn user_dep(&mut self, name: &str) -> Result<(), LowerError>;
+/// Where a single-component lowering sends what its instances pull in:
+/// the unit path collects structural extern implementations (deduplicated
+/// by name) and leaves user subcomponents to the driver; the whole-program
+/// path adds both to its output, lowering subcomponents recursively.
+enum Sink<'a> {
+    Unit(Vec<cl::Component>),
+    Program {
+        program: &'a Program,
+        registry: &'a dyn PrimitiveRegistry,
+        out: &'a mut cl::Program,
+        done: &'a mut HashSet<Id>,
+    },
 }
 
-/// Evaluates a closed constant. Like every diagnostic site in lowering,
-/// `site` is rendered only on failure.
-fn const_eval(
-    e: &ConstExpr,
+impl Sink<'_> {
+    fn structural(&mut self, c: cl::Component) {
+        match self {
+            Sink::Unit(subs) if !subs.iter().any(|s| s.name == c.name) => subs.push(c),
+            Sink::Program { out, .. } if out.component(&c.name).is_none() => out.add_component(c),
+            _ => {}
+        }
+    }
+
+    fn user_dep(&mut self, dep: &str) -> Result<(), LowerError> {
+        match self {
+            Sink::Unit(_) => Ok(()),
+            Sink::Program {
+                program,
+                registry,
+                out,
+                done,
+            } => lower_component(program, dep, *registry, out, done),
+        }
+    }
+}
+
+/// A constant's value, or the diagnostic for why it has none. Like every
+/// diagnostic site in lowering, `site` is rendered only on failure.
+fn constant(
+    value: Result<u64, ConstEvalError>,
     component: &str,
     site: &dyn Fn() -> String,
 ) -> Result<u64, LowerError> {
-    const_eval_env(e, &HashMap::new(), component, site)
-}
-
-fn const_eval_env(
-    e: &ConstExpr,
-    env: &HashMap<Id, u64>,
-    component: &str,
-    site: &dyn Fn() -> String,
-) -> Result<u64, LowerError> {
-    e.eval(env).map_err(|cause| LowerError::NonConstant {
+    value.map_err(|cause| LowerError::NonConstant {
         component: component.into(),
         site: site(),
         param: match &cause {
-            crate::ast::ConstEvalError::Unbound(p) => Some(p.clone()),
-            crate::ast::ConstEvalError::Arith(_) => None,
+            ConstEvalError::Unbound(p) => Some(p.clone()),
+            ConstEvalError::Arith(_) => None,
         },
         cause: cause.to_string(),
     })
@@ -287,14 +289,13 @@ fn to_u32(value: u64, component: &str, site: &dyn Fn() -> String) -> Result<u32,
     })
 }
 
-/// Evaluates a closed width under `env` and narrows it to `u32`.
-fn width_eval(
-    e: &ConstExpr,
-    env: &HashMap<Id, u64>,
+/// A width ([`constant`]) narrowed to `u32`.
+fn width(
+    value: Result<u64, ConstEvalError>,
     component: &str,
     site: &dyn Fn() -> String,
 ) -> Result<u32, LowerError> {
-    to_u32(const_eval_env(e, env, component, site)?, component, site)
+    to_u32(constant(value, component, site)?, component, site)
 }
 
 /// The concrete offset of a time, or a [`LowerError::Unelaborated`] naming
@@ -318,57 +319,37 @@ fn flat_name<'n>(n: &'n crate::ast::IName, component: &str) -> Result<&'n Id, Lo
 /// in the signature, and bundle-element references in the body — with an
 /// [`LowerError::Unelaborated`] naming the construct.
 fn reject_generate_constructs(comp: &Component) -> Result<(), LowerError> {
-    let name = &comp.sig.name;
-    let unelab = |construct: String| LowerError::Unelaborated {
-        component: name.clone(),
-        construct,
+    let unelab = |construct: String| {
+        Err(LowerError::Unelaborated {
+            component: comp.sig.name.clone(),
+            construct,
+        })
     };
     if let Some(p) = comp.sig.params.iter().find(|p| p.is_derived()) {
-        return Err(unelab(format!("derived parameter `some {}`", p.name)));
+        return unelab(format!("derived parameter `some {}`", p.name));
     }
-    if let Some(p) = comp
-        .sig
-        .inputs
-        .iter()
-        .chain(&comp.sig.outputs)
-        .find(|p| p.bundle.is_some())
-    {
-        return Err(unelab(format!("bundle port {}", p.name)));
+    let mut sig_ports = comp.sig.inputs.iter().chain(&comp.sig.outputs);
+    if let Some(p) = sig_ports.find(|p| p.bundle.is_some()) {
+        return unelab(format!("bundle port {}", p.name));
     }
-    fn walk(cmds: &[Command], unelab: &dyn Fn(String) -> LowerError) -> Result<(), LowerError> {
-        let port_ok = |p: &Port| -> Result<(), LowerError> {
-            match p {
-                Port::Bundle { .. } | Port::InvBundle { .. } => {
-                    Err(unelab(format!("bundle element {p}")))
-                }
-                _ => Ok(()),
+    let bundle = |p: &&Port| matches!(p, Port::Bundle { .. } | Port::InvBundle { .. });
+    for cmd in &comp.body {
+        let element = match cmd {
+            Command::ForGen { var, .. } => {
+                return unelab(format!("for-generate loop over {var}"));
             }
+            Command::IfGen { lhs, op, rhs, .. } => {
+                return unelab(format!("if-generate conditional `{lhs} {op} {rhs}`"));
+            }
+            Command::Invoke { args, .. } => args.iter().find(bundle),
+            Command::Connect { dst, src } => [dst, src].into_iter().find(bundle),
+            Command::Instance { .. } => None,
         };
-        for cmd in cmds {
-            match cmd {
-                Command::ForGen { var, .. } => {
-                    return Err(unelab(format!("for-generate loop over {var}")));
-                }
-                Command::IfGen { lhs, op, rhs, .. } => {
-                    return Err(unelab(format!(
-                        "if-generate conditional `{lhs} {op} {rhs}`"
-                    )));
-                }
-                Command::Invoke { args, .. } => {
-                    for a in args {
-                        port_ok(a)?;
-                    }
-                }
-                Command::Connect { dst, src } => {
-                    port_ok(dst)?;
-                    port_ok(src)?;
-                }
-                Command::Instance { .. } => {}
-            }
+        if let Some(p) = element {
+            return unelab(format!("bundle element {p}"));
         }
-        Ok(())
     }
-    walk(&comp.body, &unelab)
+    Ok(())
 }
 
 fn lower_component(
@@ -382,26 +363,10 @@ fn lower_component(
         return Ok(());
     }
     done.insert(name.to_owned());
-    struct Recurse<'a> {
-        program: &'a Program,
-        registry: &'a dyn PrimitiveRegistry,
-        out: &'a mut cl::Program,
-        done: &'a mut HashSet<Id>,
-    }
-    impl LowerSink for Recurse<'_> {
-        fn structural(&mut self, c: cl::Component) {
-            if self.out.component(&c.name).is_none() {
-                self.out.add_component(c);
-            }
-        }
-        fn user_dep(&mut self, dep: &str) -> Result<(), LowerError> {
-            lower_component(self.program, dep, self.registry, self.out, self.done)
-        }
-    }
     let comp = program
         .component(name)
         .ok_or_else(|| LowerError::UnknownComponent(name.to_owned()))?;
-    let mut sink = Recurse {
+    let mut sink = Sink::Program {
         program,
         registry,
         out: &mut *out,
@@ -416,7 +381,7 @@ fn lower_one(
     program: &Program,
     comp: &Component,
     registry: &dyn PrimitiveRegistry,
-    sink: &mut dyn LowerSink,
+    sink: &mut Sink<'_>,
 ) -> Result<cl::Component, LowerError> {
     let sig = &comp.sig;
     let name = sig.name.as_str();
@@ -428,9 +393,8 @@ fn lower_one(
     for iface in &sig.interfaces {
         c.add_input(iface.name.clone(), 1);
     }
-    let no_params = HashMap::new();
     let port_width = |p: &crate::ast::PortDef| {
-        width_eval(&p.width, &no_params, name, &|| {
+        width(p.width.eval_closed(), name, &|| {
             format!("width of port {}", p.name)
         })
     };
@@ -443,12 +407,13 @@ fn lower_one(
 
     // ----------------------------------------------------------- instances
     struct Inst<'p> {
+        name: &'p Id,
         sig: &'p Signature,
-        /// Calyx/primitive port names keyed by Filament port name (identity
-        /// mapping, validated for primitives).
-        params: HashMap<Id, u64>,
+        /// One value per callee parameter, derived parameters included.
+        values: Vec<u64>,
     }
-    let mut insts: HashMap<Id, Inst<'_>> = HashMap::new();
+    let mut insts: Vec<Inst<'_>> = Vec::new();
+    let mut inst_at: HashMap<&str, usize> = HashMap::new();
     for cmd in &comp.body {
         if let Command::Instance {
             name: iname,
@@ -462,7 +427,11 @@ fn lower_one(
                 .ok_or_else(|| LowerError::UnknownComponent(component.clone()))?;
             let given: Vec<u64> = params
                 .iter()
-                .map(|p| const_eval(p, name, &|| format!("parameter of instance {iname}")))
+                .map(|p| {
+                    constant(p.eval_closed(), name, &|| {
+                        format!("parameter of instance {iname}")
+                    })
+                })
                 .collect::<Result<_, _>>()?;
             // One value per callee parameter: derivations evaluated when the
             // site carries free values only, verified when it carries the
@@ -476,7 +445,7 @@ fn lower_one(
                     site: format!("parameters of instance {iname}"),
                     param: match &e {
                         crate::ast::ParamResolveError::Eval {
-                            cause: crate::ast::ConstEvalError::Unbound(p),
+                            cause: ConstEvalError::Unbound(p),
                             ..
                         } => Some(p.clone()),
                         _ => None,
@@ -484,30 +453,26 @@ fn lower_one(
                     cause: format!("{} of {}", e, callee.name),
                 },
             })?;
+            // The signature's port names must exist on the implementation.
+            let mismatch = |have: &dyn Fn(&str) -> bool| {
+                let port = sig_port_names(callee).find(|p| !have(p))?;
+                Some(LowerError::PortMismatch {
+                    name: component.clone(),
+                    port: port.to_owned(),
+                })
+            };
             if program.is_extern(component) {
                 if let Some(kind) = registry.primitive(component, &values) {
-                    // The signature's port names must exist on the primitive.
                     let (pins, pouts) = cl::primitive_ports(&kind);
-                    let have = |p: &str| pins.iter().chain(&pouts).any(|&(n, _)| n == p);
-                    if let Some(port) = sig_port_names(callee).find(|p| !have(p)) {
-                        return Err(LowerError::PortMismatch {
-                            name: component.clone(),
-                            port: port.to_owned(),
-                        });
+                    if let Some(e) = mismatch(&|p| pins.iter().chain(&pouts).any(|&(n, _)| n == p))
+                    {
+                        return Err(e);
                     }
                     c.add_primitive(iname.clone(), kind);
                 } else if let Some(sub) = registry.structural(component, &values) {
-                    let have: HashSet<&str> = sub
-                        .inputs
-                        .iter()
-                        .chain(&sub.outputs)
-                        .map(|(n, _)| n.as_str())
-                        .collect();
-                    if let Some(port) = sig_port_names(callee).find(|p| !have.contains(p)) {
-                        return Err(LowerError::PortMismatch {
-                            name: component.clone(),
-                            port: port.to_owned(),
-                        });
+                    let ports = sub.inputs.iter().chain(&sub.outputs);
+                    if let Some(e) = mismatch(&|p| ports.clone().any(|(n, _)| n == p)) {
+                        return Err(e);
                     }
                     let mangled = sub.name.clone();
                     sink.structural(sub);
@@ -521,41 +486,41 @@ fn lower_one(
                 sink.user_dep(component)?;
                 c.add_subcomponent(iname.clone(), component.clone());
             }
-            let env = callee.param_env(&values);
-            insts.insert(
-                iname.clone(),
-                Inst {
-                    sig: callee,
-                    params: env,
-                },
-            );
+            inst_at.insert(iname, insts.len());
+            insts.push(Inst {
+                name: iname,
+                sig: callee,
+                values,
+            });
         }
     }
 
     // ------------------------------------------------------ FSM sizing pass
     // Per non-phantom own event: the highest state index any trigger or
     // guard needs (Section 5.2 walks all `G + i` mentions).
-    let phantom: HashSet<&str> = sig
-        .events
-        .iter()
-        .filter(|e| sig.is_phantom(&e.name))
-        .map(|e| e.name.as_str())
-        .collect();
-    let own_event_names: HashSet<&str> = sig.events.iter().map(|e| e.name.as_str()).collect();
-    let mut max_state: HashMap<String, u64> = HashMap::new();
-    let note_state = |max_state: &mut HashMap<String, u64>, event: &str, state: u64| {
-        if !phantom.contains(event) && own_event_names.contains(event) {
-            let entry = max_state.entry(event.to_owned()).or_insert(0);
-            *entry = (*entry).max(state);
+    let own_event = |event: &str| sig.events.iter().position(|e| e.name == event);
+    let phantom: Vec<bool> = sig.events.iter().map(|e| sig.is_phantom(&e.name)).collect();
+    let is_phantom = |event: &str| own_event(event).is_some_and(|k| phantom[k]);
+    let mut max_state: Vec<Option<u64>> = vec![None; sig.events.len()];
+    let mut note_state = |event: &str, state: u64| {
+        if let Some(k) = own_event(event).filter(|&k| !phantom[k]) {
+            let max = max_state[k].get_or_insert(0);
+            *max = (*max).max(state);
         }
     };
 
-    // Gather invocation info: binding plus resolved trigger/guard states.
-    struct Inv {
-        instance: Id,
-        binding: HashMap<Id, Time>,
+    // Invocations in body order: the instance and the schedule (one time
+    // per callee event); `reqs` holds the required interval of each data
+    // argument of each, in the same order.
+    struct Inv<'p> {
+        name: &'p Id,
+        inst: usize,
+        events: &'p [Time],
+        args: &'p [Port],
     }
-    let mut invs: HashMap<Id, Inv> = HashMap::new();
+    let mut invs: Vec<Inv<'_>> = Vec::new();
+    let mut inv_at: HashMap<&str, usize> = HashMap::new();
+    let mut reqs: Vec<Range> = Vec::new();
     for cmd in &comp.body {
         let Command::Invoke {
             name: iname,
@@ -568,32 +533,27 @@ fn lower_one(
         };
         let iname = flat_name(iname, name)?;
         let instance = flat_name(instance, name)?;
-        let inst = insts.get(instance).ok_or_else(|| LowerError::IllTyped {
-            detail: format!("unknown instance {instance}"),
-        })?;
-        if events.len() != inst.sig.events.len() || args.len() != inst.sig.inputs.len() {
+        let inst = *inst_at
+            .get(instance.as_str())
+            .ok_or_else(|| LowerError::IllTyped {
+                detail: format!("unknown instance {instance}"),
+            })?;
+        let callee = insts[inst].sig;
+        if events.len() != callee.events.len() || args.len() != callee.inputs.len() {
             return Err(LowerError::IllTyped {
                 detail: format!("arity mismatch in invocation {iname}"),
             });
         }
-        let binding: HashMap<Id, Time> = inst
-            .sig
-            .events
-            .iter()
-            .map(|e| e.name.clone())
-            .zip(events.iter().cloned())
-            .collect();
         // Triggers: callee events with interface ports.
-        for ev in &inst.sig.events {
-            if inst.sig.interface_of(&ev.name).is_some() {
-                let t = &binding[&ev.name];
+        for (ev, t) in callee.events.iter().zip(events) {
+            if callee.interface_of(&ev.name).is_some() {
                 let off = time_off(t, name, &|| format!("schedule of invocation {iname}"))?;
-                note_state(&mut max_state, &t.event, off);
+                note_state(&t.event, off);
             }
         }
         // Data-arg guards: states start..end-1 of the required interval.
-        for pdef in &inst.sig.inputs {
-            let req = pdef.liveness.subst(&binding);
+        for pdef in &callee.inputs {
+            let req = pdef.liveness.bind(&callee.events, events);
             if req.start.event != req.end.event {
                 return Err(LowerError::IllTyped {
                     detail: format!(
@@ -605,23 +565,24 @@ fn lower_one(
                 format!("requirement of invocation {iname}")
             })?;
             if end > 0 {
-                note_state(&mut max_state, &req.start.event, end - 1);
+                note_state(&req.start.event, end - 1);
             }
+            reqs.push(req);
         }
-        invs.insert(
-            iname.clone(),
-            Inv {
-                instance: instance.clone(),
-                binding,
-            },
-        );
+        inv_at.insert(iname, invs.len());
+        invs.push(Inv {
+            name: iname,
+            inst,
+            events,
+            args,
+        });
     }
 
     // Instantiate one FSM per used non-phantom event and hook its trigger to
     // the interface port.
     let fsm_name = |event: &str| format!("{event}_fsm");
-    for ev in &sig.events {
-        let Some(&max) = max_state.get(ev.name.as_str()) else {
+    for (ev, max) in sig.events.iter().zip(max_state) {
+        let Some(max) = max else {
             continue;
         };
         let iface = sig
@@ -652,7 +613,7 @@ fn lower_one(
         match p {
             Port::This(name) => cl::Src::this(name.clone()),
             Port::Inv { invocation, port } => {
-                let inst = &invs[&invocation.base].instance;
+                let inst = insts[invs[inv_at[invocation.base.as_str()]].inst].name;
                 cl::Src::port(cl::PortRef::cell(inst.clone(), port.clone()))
             }
             Port::Lit(n) => cl::Src::konst(Value::from_u64(width, *n)),
@@ -667,65 +628,51 @@ fn lower_one(
     // walked in body order and the merged map is ordered, so the emitted
     // assignments (and the state order inside each guard) are deterministic
     // — a requirement for byte-identical `-j1`/`-jN` driver builds.
-    let mut triggers: std::collections::BTreeMap<(Id, Id), Vec<cl::PortRef>> =
-        std::collections::BTreeMap::new();
-    for cmd in &comp.body {
-        let Command::Invoke { name: iname, .. } = cmd else {
-            continue;
-        };
-        let iname = flat_name(iname, name)?;
-        let inv = &invs[iname];
-        let inst = &insts[&inv.instance];
-        for ev in &inst.sig.events {
+    let mut triggers = BTreeMap::<(&Id, &Id), Vec<cl::PortRef>>::new();
+    for inv in &invs {
+        let inst = &insts[inv.inst];
+        for (ev, t) in inst.sig.events.iter().zip(inv.events) {
             let Some(iface) = inst.sig.interface_of(&ev.name) else {
                 continue;
             };
-            let t = &inv.binding[&ev.name];
-            if phantom.contains(t.event.as_str()) {
+            if is_phantom(&t.event) {
                 return Err(LowerError::IllTyped {
                     detail: format!(
-                        "phantom event {} triggers interface port of invocation {iname}",
-                        t.event
+                        "phantom event {} triggers interface port of invocation {}",
+                        t.event, inv.name
                     ),
                 });
             }
-            let off = time_off(t, name, &|| format!("trigger of invocation {iname}"))?;
+            let off = time_off(t, name, &|| format!("trigger of invocation {}", inv.name))?;
             triggers
-                .entry((inv.instance.clone(), iface.name.clone()))
+                .entry((inst.name, &iface.name))
                 .or_default()
                 .push(cl::PortRef::cell(fsm_name(&t.event), format!("_{off}")));
         }
     }
     for ((inst, port), states) in triggers {
         c.assign_guarded(
-            cl::PortRef::cell(inst, port),
+            cl::PortRef::cell(inst.clone(), port.clone()),
             cl::Src::konst(Value::from_u64(1, 1)),
             cl::Guard::Any(states),
         );
     }
 
     // Data arguments with synthesized guards (Section 5.2).
-    for cmd in &comp.body {
-        let Command::Invoke {
-            name: iname, args, ..
-        } = cmd
-        else {
-            continue;
-        };
-        let iname = flat_name(iname, name)?;
-        let inv = &invs[iname];
-        let inst = &insts[&inv.instance];
-        for (arg, pdef) in args.iter().zip(&inst.sig.inputs) {
-            let req = pdef.liveness.subst(&inv.binding);
-            let width = width_eval(&pdef.width, &inst.params, name, &|| {
+    let mut reqs = reqs.iter();
+    for inv in &invs {
+        let inst = &insts[inv.inst];
+        let iname = inv.name;
+        for ((arg, pdef), req) in inv.args.iter().zip(&inst.sig.inputs).zip(&mut reqs) {
+            let width = width(inst.sig.eval_at(&pdef.width, &inst.values), name, &|| {
                 format!("width of argument {} of invocation {iname}", pdef.name)
             })?;
             if let Port::Inv { invocation, .. } = arg {
                 flat_name(invocation, name)?;
             }
-            let dst = cl::PortRef::cell(inv.instance.clone(), pdef.name.clone());
+            let dst = cl::PortRef::cell(inst.name.clone(), pdef.name.clone());
             let src = src_of(arg, width);
-            if phantom.contains(req.start.event.as_str()) {
+            if is_phantom(&req.start.event) {
                 c.assign(dst, src);
             } else {
                 let site = || format!("requirement of invocation {iname}");
@@ -753,7 +700,7 @@ fn lower_one(
             flat_name(invocation, name)?;
         }
         let width = match sig.output(dname) {
-            Some(p) => width_eval(&p.width, &no_params, name, &|| {
+            Some(p) => width(p.width.eval_closed(), name, &|| {
                 format!("width of output {dname}")
             })?,
             None => 32,

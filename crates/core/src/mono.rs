@@ -16,47 +16,45 @@
 //! 3. **resolves `if`-generate conditionals** — `if c { ... } else { ... }`
 //!    keeps exactly the arm selected by the (fully evaluated) condition,
 //! 4. **flattens bundle ports** — a signature bundle `in[i: lo..hi]: W`
-//!    becomes `hi - lo` concrete ports `in_lo .. in_{hi-1}` with the index
-//!    substituted into each element's width and interval offsets; bundle
-//!    element reads (`in[e]`, `s.out[e]`) become plain port references, and
-//!    a whole bundle passed as an invocation argument is expanded
-//!    positionally into its elements — a best-effort pre-scan of each body
-//!    records every declaration first, so bundle arguments may reference
-//!    invocations defined *later* in the body (forward references), with
-//!    element indices bounds-checked either way,
+//!    becomes ports `in_lo .. in_{hi-1}`, the index substituted into each
+//!    element's width and offsets; element reads (`in[e]`, `s.out[e]`)
+//!    become plain, bounds-checked port references, and a whole bundle
+//!    passed as an argument expands positionally into its elements,
 //! 5. **evaluates derived parameters** — a signature may bind existential
 //!    parameters via equations over earlier ones
-//!    (`comp Enc[N, some W = log2(N)]`); each derivation is evaluated at
-//!    instantiation time, feeds the monomorphization cache key, and is
-//!    published to the caller's environment as `inst.W`, so callers can use
-//!    a callee's derived widths in their own widths, offsets, and bundle
-//!    ranges without ever seeing the callee's body,
+//!    (`comp Enc[N, some W = log2(N)]`); each is evaluated at instantiation
+//!    time, feeds the cache key, and is readable by the caller as `inst.W`
+//!    in its own widths, offsets and bundle ranges,
 //! 6. **monomorphizes instantiations** — each `(component, params)` pair is
 //!    elaborated exactly once through a content-keyed cache; `Process[32]`
-//!    instantiated from a hundred sites yields a single concrete
-//!    `Process_32` component.
+//!    instantiated from a hundred sites yields one `Process_32`.
 //!
-//! Inside generate code, a bare parameter or loop variable in a *data*
-//! position (an invocation argument or connection source) denotes its value
-//! as a constant — `new Mux[W]<G>(sel.out, m.out, i)` feeds the literal
-//! value of `i`. Signature ports shadow: a name that is also a port of the
-//! enclosing component keeps referring to the port.
+//! Each body keeps one instance table: `(callee signature, resolved
+//! values)` entries behind one map from flattened instance and invocation
+//! names, so an `inst.P` read is a probe and a parameter position. A body
+//! may read declarations that come *later*: the first lookup the table
+//! cannot answer runs a pre-scan recording where each declaration is, and
+//! a forward read resolves its declaration on demand, memoized, following
+//! chains on an explicit stack and reporting cycles as unbound reads, so
+//! expansion stays linear in the length of a forward chain.
 //!
-//! The output program contains the original externs (they stay parametric;
-//! the primitive registry consumes their parameter *values* during
-//! lowering) plus only concrete components, so the existing
-//! checking/lowering pipeline runs on it unchanged. Expansion is
-//! idempotent: expanding an already-concrete program reproduces it.
+//! In generate code, a bare parameter or loop variable in a *data* position
+//! denotes its value — `new Mux[W]<G>(sel.out, m.out, i)` feeds the literal
+//! value of `i` — unless it is also a port of the enclosing component.
 //!
-//! Recursive generators (a component instantiating itself at *smaller*
-//! parameters) are supported up to a fixed elaboration depth; instantiating
-//! the exact same `(component, params)` key while it is still being
-//! elaborated is reported as divergence.
+//! The output holds the original externs (still parametric; lowering's
+//! primitive registry reads their parameter *values*) and only concrete
+//! components, so checking and lowering run on it unchanged. Expansion is
+//! idempotent. Recursive generators (a component instantiating itself at
+//! *smaller* parameters) elaborate up to a fixed depth; re-entering the
+//! same `(component, params)` key is reported as divergence.
 
 use crate::ast::{
     Command, Component, ConstEvalError, ConstExpr, Delay, EventDecl, IName, Id, ParamResolveError,
     Port, PortDef, Program, Range, Signature, Time,
 };
+use std::cell::Cell;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -264,6 +262,17 @@ impl fmt::Display for MonoError {
 
 impl std::error::Error for MonoError {}
 
+impl MonoError {
+    fn eval(component: &str, site: String, cause: ConstEvalError) -> Self {
+        let component = component.to_owned();
+        MonoError::Eval {
+            component,
+            site,
+            cause,
+        }
+    }
+}
+
 /// Elaborates `program` into a concrete program: parameter arithmetic
 /// resolved, `for`-generate loops unrolled, and every instantiated
 /// `(component, params)` pair monomorphized exactly once.
@@ -331,8 +340,9 @@ pub fn expand_with_stats(program: &Program) -> Result<(Program, MonoStats), Mono
         .map(|c| c.sig.name.clone())
         .chain(program.externs.iter().map(|s| s.name.clone()))
         .collect();
+    let index = ProgramIndex::new(program);
     let mut m = Mono {
-        program,
+        index: &index,
         out: Vec::new(),
         cache: HashMap::new(),
         stack: Vec::new(),
@@ -353,6 +363,30 @@ pub fn expand_with_stats(program: &Program) -> Result<(Program, MonoStats), Mono
     ))
 }
 
+/// Every signature of a program by name, so elaboration finds a callee in
+/// one probe instead of a scan of the program. The first definition of a
+/// name wins, as in [`Program::sig`].
+pub struct ProgramIndex<'p> {
+    program: &'p Program,
+    /// Signature by name, externs first, with whether it is an extern's.
+    sigs: HashMap<&'p str, (&'p Signature, bool)>,
+}
+
+impl<'p> ProgramIndex<'p> {
+    /// Indexes `program`.
+    pub fn new(program: &'p Program) -> Self {
+        let mut sigs = HashMap::with_capacity(program.externs.len() + program.components.len());
+        for sig in program.externs.iter() {
+            sigs.entry(sig.name.as_str()).or_insert((sig, true));
+        }
+        for comp in &program.components {
+            sigs.entry(comp.sig.name.as_str())
+                .or_insert((&comp.sig, false));
+        }
+        ProgramIndex { program, sigs }
+    }
+}
+
 /// Pre-elaboration validation shared by [`expand`] and external drivers:
 /// duplicate user components and bundle ports on externs are structural
 /// errors that no per-component elaboration could recover from.
@@ -362,7 +396,7 @@ pub fn expand_with_stats(program: &Program) -> Result<(Program, MonoStats), Mono
 /// Returns the first [`MonoError::DuplicateComponent`] or
 /// [`MonoError::Bundle`] found.
 pub fn validate(program: &Program) -> Result<(), MonoError> {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = HashSet::new();
     for comp in &program.components {
         if !seen.insert(comp.sig.name.clone()) {
             return Err(MonoError::DuplicateComponent(comp.sig.name.clone()));
@@ -426,60 +460,43 @@ pub trait CalleeResolver {
 ///
 /// Returns a [`MonoError`] naming the component and site of the failure.
 pub fn elaborate_component(
-    program: &Program,
+    index: &ProgramIndex<'_>,
     component: &str,
     values: &[u64],
     mono_name: &str,
     resolver: &mut dyn CalleeResolver,
 ) -> Result<(Component, MonoStats), MonoError> {
-    let comp = program
+    let comp = index
+        .program
         .component(component)
         .ok_or_else(|| MonoError::UnknownComponent {
             component: component.to_owned(),
             callee: component.to_owned(),
         })?;
+    let mut stats = MonoStats::default();
+    let params = comp.sig.param_env(values);
+    let (sig, own_bundles) = elab_sig(&comp.sig, &params, mono_name, &mut stats)?;
     let mut elab = Elab {
-        program,
+        component: &comp.sig.name,
+        frame: None,
+        table: Table {
+            index,
+            body: &comp.body,
+            params,
+            insts: Vec::new(),
+            names: HashMap::new(),
+            frames: Vec::new(),
+            scanned: false,
+        },
         resolver,
-        stats: MonoStats::default(),
-    };
-    let mut env: HashMap<Id, u64> = comp.sig.param_env(values);
-    let (sig, own_bundles) = elab.elab_sig(&comp.sig, &env, mono_name)?;
-    let own_ports: HashSet<&str> = comp
-        .sig
-        .interfaces
-        .iter()
-        .map(|i| i.name.as_str())
-        .chain(comp.sig.inputs.iter().map(|p| p.name.as_str()))
-        .chain(comp.sig.outputs.iter().map(|p| p.name.as_str()))
-        .collect();
-    let mut ctx = BodyCtx {
-        own_ports,
+        stats,
+        sig: &comp.sig,
         own_bundles,
-        instances: HashMap::new(),
-        invokes: HashMap::new(),
     };
-    // Best-effort pre-scan: record every declaration so forward references
-    // resolve. Each pass can resolve one more hop of forward constant
-    // reads (`d := new X[e.W]` before `e`, whose own parameters read a yet
-    // later instance), so iterate to a fixpoint: stop as soon as a pass
-    // completes, or when a pass records nothing new (the remaining
-    // unresolved sites are genuine errors for the main pass to report).
-    // Fully-resolved bodies (the common case) are walked once.
-    loop {
-        let mut budget = MAX_COMMANDS;
-        let before = (env.len(), ctx.instances.len(), ctx.invokes.len());
-        if elab.scan_commands(&comp.body, &mut env, &mut ctx, &mut budget)
-            || (env.len(), ctx.instances.len(), ctx.invokes.len()) == before
-        {
-            break;
-        }
-    }
     let mut body = Vec::new();
-    elab.elab_commands(&comp.body, &mut env, &comp.sig.name, &mut ctx, &mut body)?;
+    elab.elab_commands(&comp.body, &mut body)?;
     elab.stats.commands_emitted += body.len() as u64;
-    let stats = elab.stats;
-    Ok((Component { sig, body }, stats))
+    Ok((Component { sig, body }, elab.stats))
 }
 
 /// Elaborates just a signature under a concrete parameter vector: widths
@@ -497,24 +514,12 @@ pub fn elaborate_signature(
     values: &[u64],
     mono_name: &str,
 ) -> Result<Signature, MonoError> {
-    struct NoCallees;
-    impl CalleeResolver for NoCallees {
-        fn resolve(&mut self, _: &str, _: Vec<u64>) -> Result<Id, MonoError> {
-            unreachable!("signature elaboration never instantiates components")
-        }
-    }
-    static EMPTY: std::sync::OnceLock<Program> = std::sync::OnceLock::new();
-    let mut elab = Elab {
-        program: EMPTY.get_or_init(Program::new),
-        resolver: &mut NoCallees,
-        stats: MonoStats::default(),
-    };
     let env = sig.param_env(values);
-    elab.elab_sig(sig, &env, mono_name).map(|(s, _)| s)
+    elab_sig(sig, &env, mono_name, &mut MonoStats::default()).map(|(s, _)| s)
 }
 
 struct Mono<'p> {
-    program: &'p Program,
+    index: &'p ProgramIndex<'p>,
     out: Vec<Component>,
     /// `(component, params)` → concrete component name.
     cache: HashMap<(Id, Vec<u64>), Id>,
@@ -522,66 +527,299 @@ struct Mono<'p> {
     stack: Vec<(Id, Vec<u64>)>,
     /// Names already claimed (source components, externs, and emitted
     /// monomorphs) — fresh monomorph names are disambiguated against this.
-    taken: std::collections::HashSet<Id>,
-    stats: MonoStats,
-}
-
-/// The elaboration engine for one component body: every method is a pure
-/// function of the source program and the parameter environment, except
-/// that user-component instantiations go through the pluggable
-/// [`CalleeResolver`].
-struct Elab<'p, 'r> {
-    program: &'p Program,
-    resolver: &'r mut dyn CalleeResolver,
+    taken: HashSet<Id>,
     stats: MonoStats,
 }
 
 /// Concrete `(lo, hi)` extents of a signature's bundle ports, by name.
 type BundleExtents = HashMap<Id, (u64, u64)>;
 
-/// Per-component elaboration context: what the body's port references can
-/// resolve against. A best-effort pre-scan ([`Elab::scan_commands`]) fills
-/// it with every declaration in the body before the main pass runs, so
-/// bundle-typed *arguments* may reference the enclosing signature or any
-/// invocation of the body — including ones defined later (forward
-/// references) — and element indices are bounds-checked in every case.
-struct BodyCtx<'p> {
-    /// Ports of the enclosing (original) signature, by base name. A body
-    /// name that is *not* a port but is bound in the parameter environment
-    /// denotes its constant value in data positions.
-    own_ports: HashSet<&'p str>,
-    /// Own signature bundles: port name → concrete `(lo, hi)` extent.
-    own_bundles: BundleExtents,
-    /// Flattened instance name → the callee's *original* signature (with
-    /// its bundles intact) and the callee's parameter environment
-    /// (including derived parameters).
-    instances: HashMap<Id, (&'p Signature, HashMap<Id, u64>)>,
-    /// Flattened invocation name → flattened instance name.
-    invokes: HashMap<Id, Id>,
+/// A loop-binding frame: an index into [`Table::frames`], or `None` outside
+/// every loop.
+type Frame = Option<usize>;
+
+/// Where resolving an instance stands.
+enum State {
+    /// Recorded by the pre-scan, not yet evaluated.
+    Pending,
+    /// One value per callee parameter, derived parameters included.
+    Done(Vec<u64>),
+    /// Its parameters do not evaluate, or it is being resolved and a read
+    /// of it is a cycle; the main pass reports why at the declaration.
+    Failed,
 }
 
-impl BodyCtx<'_> {
+/// One instance of the body: the callee's *original* signature (bundles
+/// intact), and the declaration's parameters and loop bindings, from which
+/// a pre-scan record is resolved on demand.
+struct Inst<'p> {
+    sig: &'p Signature,
+    params: &'p [ConstExpr],
+    frame: Frame,
+    state: State,
+}
+
+/// What a flattened body name declares: an instance (the parser's fused
+/// form names it `e#inst`) or an invocation of one.
+#[derive(Clone, Copy)]
+enum Def {
+    Inst(usize),
+    Invoke(usize),
+}
+
+/// The instance table of one body, behind one name map: every instance
+/// the main pass has reached and, once a lookup has missed, every
+/// declaration the pre-scan recorded ahead of it. An instance-parameter
+/// read (`e.W`, or `x.W` through an invocation) is a name probe and a
+/// position in the callee's parameter list.
+struct Table<'p> {
+    index: &'p ProgramIndex<'p>,
+    body: &'p [Command],
+    /// The component's own parameter environment.
+    params: HashMap<Id, u64>,
+    insts: Vec<Inst<'p>>,
+    names: HashMap<Id, Def>,
+    /// `(loop variable, value, enclosing frame)`.
+    frames: Vec<(&'p Id, u64, Frame)>,
+    scanned: bool,
+}
+
+impl<'p> Table<'p> {
+    /// The value of parameter or loop variable `p` in scope at `frame`.
+    fn param(&self, mut frame: Frame, p: &str) -> Option<u64> {
+        while let Some(f) = frame {
+            let (var, v, up) = self.frames[f];
+            if var == p {
+                return Some(v);
+            }
+            frame = up;
+        }
+        self.params.get(p).copied()
+    }
+
+    /// A leaf's value; a read of a pending instance is left in `pending`.
+    fn leaf(
+        &self,
+        leaf: &ConstExpr,
+        frame: Frame,
+        pending: &Cell<Option<usize>>,
+    ) -> Result<u64, ConstEvalError> {
+        match leaf {
+            ConstExpr::Param(p) => self
+                .param(frame, p)
+                .ok_or_else(|| ConstEvalError::Unbound(p.clone())),
+            ConstExpr::InstParam(i, p) => {
+                let value = |&(Def::Inst(s) | Def::Invoke(s))| match &self.insts[s].state {
+                    State::Done(values) => self.insts[s].sig.param_value(values, p),
+                    State::Pending => {
+                        pending.set(Some(s));
+                        None
+                    }
+                    State::Failed => None,
+                };
+                let v = self.names.get(i).and_then(value);
+                v.ok_or_else(|| ConstEvalError::Unbound(ConstExpr::inst_key(i, p)))
+            }
+            _ => unreachable!("only parameters are leaves"),
+        }
+    }
+
+    /// Evaluates `e` at `frame`. A read of a pending instance resolves it
+    /// on demand, and the first failure of a body runs the pre-scan; either
+    /// way the evaluation is retried.
+    fn value(&mut self, e: &ConstExpr, frame: Frame) -> Result<u64, ConstEvalError> {
+        loop {
+            let pending = Cell::new(None);
+            let v = e.eval_by(&|leaf| self.leaf(leaf, frame, &pending));
+            match pending.get() {
+                Some(s) => self.resolve(s),
+                None if v.is_err() && !self.scanned => self.scan_body(),
+                None => return v,
+            }
+        }
+    }
+
+    fn mangle(&mut self, n: &IName, frame: Frame) -> Result<Id, ConstEvalError> {
+        n.mangle(&mut |e| self.value(e, frame))
+    }
+
+    /// Resolves pending instance `s`, first resolving every pending
+    /// instance its parameters read. The stack is explicit because a
+    /// forward chain may be as long as the body; an instance that reads
+    /// itself, directly or through others, fails.
+    fn resolve(&mut self, s: usize) {
+        let mut stack = vec![s];
+        while let Some(&top) = stack.last() {
+            self.insts[top].state = State::Failed;
+            let Inst {
+                sig, params, frame, ..
+            } = self.insts[top];
+            let pending = Cell::new(None);
+            let given: Result<Vec<u64>, _> = params
+                .iter()
+                .map(|e| e.eval_by(&|leaf| self.leaf(leaf, frame, &pending)))
+                .collect();
+            if let Some(next) = pending.get() {
+                stack.push(next);
+                continue;
+            }
+            if let Ok(Ok(values)) = given.map(|g| sig.resolve_param_values(&g)) {
+                self.insts[top].state = State::Done(values);
+            }
+            stack.pop();
+        }
+    }
+
+    /// What `name` declares, running the pre-scan on the first miss, with
+    /// its instance resolved (`None` if its parameters do not evaluate).
+    fn def(&mut self, name: &str) -> Option<Def> {
+        if !self.scanned && !self.names.contains_key(name) {
+            self.scan_body();
+        }
+        let def = *self.names.get(name)?;
+        let (Def::Inst(s) | Def::Invoke(s)) = def;
+        if matches!(self.insts[s].state, State::Pending) {
+            self.resolve(s);
+        }
+        matches!(self.insts[s].state, State::Done(_)).then_some(def)
+    }
+
+    /// `e` over the parameters of resolved instance `s`'s callee.
+    fn callee_value(&self, s: usize, e: &ConstExpr) -> Result<u64, ConstEvalError> {
+        match &self.insts[s] {
+            Inst {
+                sig,
+                state: State::Done(values),
+                ..
+            } => sig.eval_at(e, values),
+            _ => unreachable!("callee values are read from resolved instances"),
+        }
+    }
+
     /// The concrete `(lo, hi)` extent of bundle output `port` of invocation
     /// `inv`, when the invocation, its instance's callee, and the bundle
     /// are all known (forward references resolve via the pre-scan).
-    fn callee_output_extent(&self, inv: &str, port: &str) -> Option<(u64, u64)> {
-        let inst = self.invokes.get(inv)?;
-        let (sig, env) = self.instances.get(inst)?;
-        let b = sig
-            .outputs
-            .iter()
-            .find(|p| p.name == port)?
-            .bundle
-            .as_ref()?;
-        Some((b.lo.eval(env).ok()?, b.hi.eval(env).ok()?))
+    fn output_extent(&mut self, inv: &str, port: &str) -> Option<(u64, u64)> {
+        let Def::Invoke(s) = self.def(inv)? else {
+            return None;
+        };
+        let out = self.insts[s].sig.outputs.iter().find(|p| p.name == port)?;
+        let b = out.bundle.as_ref()?;
+        Some((
+            self.callee_value(s, &b.lo).ok()?,
+            self.callee_value(s, &b.hi).ok()?,
+        ))
+    }
+
+    /// The pre-scan, run once per body at the first lookup the table cannot
+    /// answer: walks the body as the main pass does — loops unrolled,
+    /// conditionals resolved — and records where each declaration is,
+    /// evaluating nothing but loop bounds, conditions and name indices.
+    /// Walks repeat while they record more, since a walk skips what reads a
+    /// name it has not recorded yet (a bound reading a later instance).
+    fn scan_body(&mut self) {
+        self.scanned = true;
+        loop {
+            let before = self.names.len();
+            let mut budget = MAX_COMMANDS;
+            self.scan(self.body, None, &mut budget);
+            if self.names.len() == before {
+                break;
+            }
+        }
+    }
+
+    /// One walk of [`scan_body`](Self::scan_body), over at most `budget`
+    /// commands and loop iterations.
+    fn scan(&mut self, cmds: &'p [Command], frame: Frame, budget: &mut usize) {
+        for cmd in cmds {
+            let Some(left) = budget.checked_sub(1) else {
+                return;
+            };
+            *budget = left;
+            match cmd {
+                Command::Instance {
+                    name,
+                    component,
+                    params,
+                } => {
+                    let (Ok(name), Some(&(sig, _))) = (
+                        self.mangle(name, frame),
+                        self.index.sigs.get(component.as_str()),
+                    ) else {
+                        continue;
+                    };
+                    if let Entry::Vacant(v) = self.names.entry(name) {
+                        v.insert(Def::Inst(self.insts.len()));
+                        let state = State::Pending;
+                        self.insts.push(Inst {
+                            sig,
+                            params,
+                            frame,
+                            state,
+                        });
+                    }
+                }
+                Command::Invoke { name, instance, .. } => {
+                    let (Ok(name), Ok(instance)) =
+                        (self.mangle(name, frame), self.mangle(instance, frame))
+                    else {
+                        continue;
+                    };
+                    if let Some(&Def::Inst(s)) = self.names.get(&instance) {
+                        self.names.entry(name).or_insert(Def::Invoke(s));
+                    }
+                }
+                Command::Connect { .. } => {}
+                Command::ForGen { var, lo, hi, body } => {
+                    let (Ok(lo), Ok(hi)) = (self.value(lo, frame), self.value(hi, frame)) else {
+                        continue;
+                    };
+                    if self.param(frame, var).is_some() {
+                        continue; // Shadowing: the main pass reports it.
+                    }
+                    for i in (lo..hi).take(*budget) {
+                        self.frames.push((var, i, frame));
+                        self.scan(body, Some(self.frames.len() - 1), budget);
+                        *budget = budget.saturating_sub(1);
+                    }
+                }
+                Command::IfGen {
+                    lhs,
+                    op,
+                    rhs,
+                    then_body,
+                    else_body,
+                } => {
+                    let (Ok(l), Ok(r)) = (self.value(lhs, frame), self.value(rhs, frame)) else {
+                        continue;
+                    };
+                    let arm = if op.holds(l, r) { then_body } else { else_body };
+                    self.scan(arm, frame, budget);
+                }
+            }
+        }
     }
 }
 
-/// The user-visible stem of an instance name: the parser's fused-form
-/// `#inst` suffix stripped, so `e := new Enc[8]<G>(x)` publishes its
-/// parameters as `e.N` / `e.W`.
-fn inst_stem(base: &str) -> &str {
-    base.strip_suffix("#inst").unwrap_or(base)
+/// The elaboration engine for one component body: a pure function of the
+/// source program and the parameter environment, except that
+/// user-component instantiations go through the pluggable
+/// [`CalleeResolver`].
+struct Elab<'p, 'r> {
+    /// The component being elaborated, as diagnostics name it.
+    component: &'p str,
+    table: Table<'p>,
+    /// The loop bindings in scope.
+    frame: Frame,
+    resolver: &'r mut dyn CalleeResolver,
+    stats: MonoStats,
+    /// The enclosing (original) signature. A body name that is *not* one
+    /// of its ports but is bound in the parameter environment denotes its
+    /// constant value in data positions.
+    sig: &'p Signature,
+    /// Own signature bundles: port name → concrete `(lo, hi)` extent.
+    own_bundles: BundleExtents,
 }
 
 impl CalleeResolver for Mono<'_> {
@@ -590,97 +828,63 @@ impl CalleeResolver for Mono<'_> {
     }
 }
 
-impl Elab<'_, '_> {
-    /// Resolves the values supplied at an instantiation site into one value
-    /// per callee parameter (derivations evaluated, or re-verified when the
-    /// full list was passed through), reporting failures against the
-    /// enclosing `component`.
-    fn resolve_values(
-        &mut self,
-        callee: &Signature,
-        given: &[u64],
-        component: &str,
-        inst: &IName,
-    ) -> Result<Vec<u64>, MonoError> {
-        let derived = callee.params.len() - callee.free_param_count();
-        let full = callee.resolve_param_values(given).map_err(|e| match e {
-            ParamResolveError::Arity { want, got } => MonoError::Arity {
-                component: component.to_owned(),
-                callee: callee.name.clone(),
-                want,
-                got,
-            },
-            ParamResolveError::Eval { param, cause } => MonoError::Eval {
-                component: component.to_owned(),
-                site: format!(
-                    "derived parameter {param} of instance {inst} ({})",
-                    callee.name
-                ),
-                cause,
-            },
-            ParamResolveError::Mismatch { param, want, got } => MonoError::Derived {
-                component: component.to_owned(),
-                callee: callee.name.clone(),
-                param,
-                want,
-                got,
-            },
-        })?;
-        self.stats.derivations_evaluated += derived as u64;
-        Ok(full)
-    }
+/// Resolves the values supplied for `callee` into one value per parameter
+/// (derivations evaluated, or re-verified when the full list was passed
+/// through), reporting failures against `component`; `site` names where a
+/// derivation failed to evaluate.
+fn resolve_params(
+    callee: &Signature,
+    given: &[u64],
+    component: &str,
+    site: &dyn Fn(&Id) -> String,
+) -> Result<Vec<u64>, MonoError> {
+    callee.resolve_param_values(given).map_err(|e| match e {
+        ParamResolveError::Arity { want, got } => MonoError::Arity {
+            component: component.to_owned(),
+            callee: callee.name.clone(),
+            want,
+            got,
+        },
+        ParamResolveError::Eval { param, cause } => MonoError::Eval {
+            component: component.to_owned(),
+            site: site(&param),
+            cause,
+        },
+        ParamResolveError::Mismatch { param, want, got } => MonoError::Derived {
+            component: component.to_owned(),
+            callee: callee.name.clone(),
+            param,
+            want,
+            got,
+        },
+    })
 }
 
 impl<'p> Mono<'p> {
     /// Returns the concrete name for `component` instantiated at `values`
-    /// (one value per parameter as [`resolve_values`](Self::resolve_values)
-    /// returns, or one per free parameter — both forms normalize to the
+    /// (one value per parameter as [`resolve_params`] returns, or one per
+    /// free parameter — both forms normalize to the
     /// same cache key), elaborating it first unless cached.
     fn instantiate(&mut self, component: &str, values: Vec<u64>) -> Result<Id, MonoError> {
+        let enclosing = self.stack.last().map(|(c, _)| c.as_str());
         let comp =
-            self.program
+            self.index
+                .program
                 .component(component)
                 .ok_or_else(|| MonoError::UnknownComponent {
-                    component: self
-                        .stack
-                        .last()
-                        .map(|(c, _)| c.clone())
-                        .unwrap_or_default(),
+                    component: enclosing.unwrap_or_default().to_owned(),
                     callee: component.to_owned(),
                 })?;
         // Normalize to the full value vector *before* forming the cache key
         // so free-length and full-length calls of the same instantiation
         // share one monomorph (instantiation sites pre-resolve; this also
         // gives direct callers real arity/derivation diagnostics).
-        let enclosing = || {
-            self.stack
-                .last()
-                .map(|(c, _)| c.clone())
-                .unwrap_or_else(|| component.to_owned())
-        };
-        let values = comp
-            .sig
-            .resolve_param_values(&values)
-            .map_err(|e| match e {
-                ParamResolveError::Arity { want, got } => MonoError::Arity {
-                    component: enclosing(),
-                    callee: component.to_owned(),
-                    want,
-                    got,
-                },
-                ParamResolveError::Eval { param, cause } => MonoError::Eval {
-                    component: enclosing(),
-                    site: format!("derived parameter {param} of {component}"),
-                    cause,
-                },
-                ParamResolveError::Mismatch { param, want, got } => MonoError::Derived {
-                    component: enclosing(),
-                    callee: component.to_owned(),
-                    param,
-                    want,
-                    got,
-                },
-            })?;
+        let values = resolve_params(
+            &comp.sig,
+            &values,
+            enclosing.unwrap_or(component),
+            &|param| format!("derived parameter {param} of {component}"),
+        )?;
         let key = (component.to_owned(), values.clone());
         if let Some(name) = self.cache.get(&key) {
             self.stats.cache_hits += 1;
@@ -699,36 +903,24 @@ impl<'p> Mono<'p> {
             });
         }
         // Monomorph names carry the caller-supplied (free) values only —
-        // derived values are a function of them.
-        let free_values: Vec<u64> = comp
-            .sig
-            .params
-            .iter()
-            .zip(&values)
-            .filter(|(d, _)| !d.is_derived())
-            .map(|(_, v)| *v)
-            .collect();
-        let mono_name = if values.is_empty() {
-            // Roots keep their own (already claimed) name.
-            component.to_owned()
-        } else {
-            let mut n = component.to_owned();
-            for v in &free_values {
-                n.push('_');
-                n.push_str(&v.to_string());
+        // derived values are a function of them. Roots keep their own
+        // (already claimed) name; others are disambiguated against
+        // user-written components/externs and earlier monomorphs.
+        let mut mono_name = component.to_owned();
+        if !values.is_empty() {
+            for (d, v) in comp.sig.params.iter().zip(&values) {
+                if !d.is_derived() {
+                    mono_name.push_str(&format!("_{v}"));
+                }
             }
-            // Disambiguate against user-written components/externs and
-            // previously emitted monomorphs.
-            while self.taken.contains(&n) {
-                n.push('_');
+            while self.taken.contains(&mono_name) {
+                mono_name.push('_');
             }
-            self.taken.insert(n.clone());
-            n
-        };
+            self.taken.insert(mono_name.clone());
+        }
         self.stack.push(key.clone());
-        let program = self.program;
-        let (elaborated, stats) =
-            elaborate_component(program, component, &values, &mono_name, self)?;
+        let index = self.index;
+        let (elaborated, stats) = elaborate_component(index, component, &values, &mono_name, self)?;
         self.stack.pop();
         self.stats.absorb(&stats);
         self.out.push(elaborated);
@@ -738,322 +930,54 @@ impl<'p> Mono<'p> {
 }
 
 impl<'p> Elab<'p, '_> {
-    /// Best-effort pre-scan of a body: mirrors the control flow of
-    /// [`elab_commands`](Self::elab_commands) — loops unrolled,
-    /// conditionals resolved — but only *records* declarations (instance
-    /// signatures with parameter values, invocation links, and `inst.P`
-    /// environment entries) without emitting commands or monomorphizing
-    /// callees. Anything that fails to evaluate is silently skipped (the
-    /// main pass re-evaluates everything and is the sole reporter of
-    /// errors); returns `false` when something was skipped or the budget
-    /// ran out, signalling that a second pass might record more.
-    fn scan_commands(
-        &self,
-        cmds: &[Command],
-        env: &mut HashMap<Id, u64>,
-        ctx: &mut BodyCtx<'p>,
-        budget: &mut usize,
-    ) -> bool {
-        let mut complete = true;
-        for cmd in cmds {
-            if *budget == 0 {
-                return false;
-            }
-            *budget -= 1;
-            match cmd {
-                Command::Instance {
-                    name,
-                    component: callee,
-                    params,
-                } => {
-                    let (Ok(name), Some(csig)) = (name.mangle(env), self.program.sig(callee))
-                    else {
-                        complete = false;
-                        continue;
-                    };
-                    let given: Vec<u64> =
-                        match params.iter().map(|p| p.eval(env)).collect::<Result<_, _>>() {
-                            Ok(v) => v,
-                            Err(_) => {
-                                complete = false;
-                                continue;
-                            }
-                        };
-                    let Ok(full) = csig.resolve_param_values(&given) else {
-                        complete = false;
-                        continue;
-                    };
-                    let cenv = csig.param_env(&full);
-                    let stem = inst_stem(&name);
-                    for (pname, v) in &cenv {
-                        env.insert(ConstExpr::inst_key(stem, pname), *v);
-                    }
-                    ctx.instances.insert(name.clone(), (csig, cenv));
-                }
-                Command::Invoke { name, instance, .. } => {
-                    let (Ok(name), Ok(instance)) = (name.mangle(env), instance.mangle(env)) else {
-                        complete = false;
-                        continue;
-                    };
-                    match ctx.instances.get(&instance) {
-                        Some((_, cenv)) => {
-                            for (pname, v) in cenv {
-                                env.insert(ConstExpr::inst_key(&name, pname), *v);
-                            }
-                        }
-                        None => complete = false,
-                    }
-                    ctx.invokes.insert(name, instance);
-                }
-                Command::Connect { .. } => {}
-                Command::ForGen { var, lo, hi, body } => {
-                    let (Ok(lo), Ok(hi)) = (lo.eval(env), hi.eval(env)) else {
-                        complete = false;
-                        continue;
-                    };
-                    if env.contains_key(var) {
-                        continue; // Shadowing: the main pass reports it.
-                    }
-                    for i in lo..hi {
-                        env.insert(var.clone(), i);
-                        complete &= self.scan_commands(body, env, ctx, budget);
-                    }
-                    env.remove(var);
-                }
-                Command::IfGen {
-                    lhs,
-                    op,
-                    rhs,
-                    then_body,
-                    else_body,
-                } => {
-                    let (Ok(l), Ok(r)) = (lhs.eval(env), rhs.eval(env)) else {
-                        complete = false;
-                        continue;
-                    };
-                    let arm = if op.holds(l, r) { then_body } else { else_body };
-                    complete &= self.scan_commands(arm, env, ctx, budget);
-                }
-            }
-        }
-        complete
+    /// Evaluates `e` in scope. Like every diagnostic site in elaboration,
+    /// `site` is rendered only when evaluation fails.
+    fn eval(&mut self, e: &ConstExpr, site: &dyn Fn() -> String) -> Result<u64, MonoError> {
+        let v = self.table.value(e, self.frame);
+        v.map_err(|cause| MonoError::eval(self.component, site(), cause))
     }
 
-    /// Evaluates `e` under `env`. Like every diagnostic site in
-    /// elaboration, `site` is rendered only when evaluation fails.
-    fn eval(
-        &self,
-        e: &ConstExpr,
-        env: &HashMap<Id, u64>,
-        component: &str,
-        site: &dyn Fn() -> String,
-    ) -> Result<u64, MonoError> {
-        e.eval(env).map_err(|cause| MonoError::Eval {
-            component: component.to_owned(),
-            site: site(),
-            cause,
-        })
+    fn elab_name(&mut self, n: &IName) -> Result<IName, MonoError> {
+        let name = self.table.mangle(n, self.frame);
+        name.map(IName::plain)
+            .map_err(|cause| MonoError::eval(self.component, format!("index of {n}"), cause))
     }
 
-    fn elab_time(
+    /// Bounds-checks element `k` of a bundle of `extent`, when the bundle
+    /// is known (unknown names fall through to the checker's binding pass).
+    fn check_index(
         &self,
-        t: &Time,
-        env: &HashMap<Id, u64>,
-        component: &str,
-        site: &dyn Fn() -> String,
-    ) -> Result<Time, MonoError> {
-        Ok(Time::new(
-            t.event.clone(),
-            self.eval(&t.offset, env, component, site)?,
-        ))
-    }
-
-    fn elab_range(
-        &self,
-        r: &Range,
-        env: &HashMap<Id, u64>,
-        component: &str,
-        site: &dyn Fn() -> String,
-    ) -> Result<Range, MonoError> {
-        Ok(Range::new(
-            self.elab_time(&r.start, env, component, site)?,
-            self.elab_time(&r.end, env, component, site)?,
-        ))
-    }
-
-    /// Flattens one port definition: a scalar port yields itself with width
-    /// and offsets resolved; a bundle `name[i: lo..hi]` yields one element
-    /// per index, the index substituted into width and liveness.
-    fn flatten_port(
-        &mut self,
-        p: &PortDef,
-        env: &HashMap<Id, u64>,
-        cname: &str,
-        dir: &str,
-        bundles: &mut BundleExtents,
-        out: &mut Vec<PortDef>,
+        k: u64,
+        extent: Option<(u64, u64)>,
+        element: &dyn Fn() -> String,
     ) -> Result<(), MonoError> {
-        let elab_one = |m: &Self, name: Id, env: &HashMap<Id, u64>| -> Result<PortDef, MonoError> {
-            Ok(PortDef {
-                liveness: m.elab_range(&p.liveness, env, cname, &|| {
-                    format!("liveness of {dir} port {name}")
-                })?,
-                width: ConstExpr::Lit(m.eval(&p.width, env, cname, &|| {
-                    format!("width of {dir} port {name}")
-                })?),
-                name,
-                bundle: None,
-            })
-        };
-        let Some(b) = &p.bundle else {
-            out.push(elab_one(self, p.name.clone(), env)?);
-            return Ok(());
-        };
-        if env.contains_key(&b.var) {
-            return Err(MonoError::Shadow {
-                component: cname.to_owned(),
-                var: b.var.clone(),
-            });
+        match extent {
+            Some((lo, hi)) if k < lo || k >= hi => Err(MonoError::Bundle {
+                component: self.component.to_owned(),
+                site: format!("element {}", element()),
+                message: format!("index {k} is outside the bundle's range {lo}..{hi}"),
+            }),
+            _ => Ok(()),
         }
-        let site = || format!("index range of {dir} port {}", p.name);
-        let lo = self.eval(&b.lo, env, cname, &site)?;
-        let hi = self.eval(&b.hi, env, cname, &site)?;
-        if hi <= lo {
-            return Err(MonoError::Bundle {
-                component: cname.to_owned(),
-                site: site(),
-                message: format!("bundle has an empty index range {lo}..{hi}"),
-            });
-        }
-        if hi - lo > MAX_BUNDLE {
-            return Err(MonoError::Bundle {
-                component: cname.to_owned(),
-                site: site(),
-                message: format!("bundle has more than {MAX_BUNDLE} elements"),
-            });
-        }
-        self.stats.bundles_flattened += 1;
-        bundles.insert(p.name.clone(), (lo, hi));
-        let mut env2 = env.clone();
-        for k in lo..hi {
-            env2.insert(b.var.clone(), k);
-            out.push(elab_one(self, p.element_name(k), &env2)?);
-        }
-        Ok(())
     }
 
-    /// Elaborates a signature under `env`, returning the concrete signature
-    /// (bundles flattened) and the map of bundle extents for body
-    /// elaboration.
-    fn elab_sig(
-        &mut self,
-        sig: &Signature,
-        env: &HashMap<Id, u64>,
-        mono_name: &str,
-    ) -> Result<(Signature, BundleExtents), MonoError> {
-        let cname = &sig.name;
-        let mut bundles = HashMap::new();
-        let mut inputs = Vec::new();
-        for p in &sig.inputs {
-            self.flatten_port(p, env, cname, "input", &mut bundles, &mut inputs)?;
-        }
-        let mut outputs = Vec::new();
-        for p in &sig.outputs {
-            self.flatten_port(p, env, cname, "output", &mut bundles, &mut outputs)?;
-        }
-        let flat = Signature {
-            name: mono_name.to_owned(),
-            params: Vec::new(),
-            events: sig
-                .events
-                .iter()
-                .map(|e| {
-                    let site = || format!("delay of event {}", e.name);
-                    let delay = match &e.delay {
-                        Delay::Const(n) => Delay::Const(*n),
-                        Delay::Diff(a, b) => Delay::Diff(
-                            self.elab_time(a, env, cname, &site)?,
-                            self.elab_time(b, env, cname, &site)?,
-                        ),
-                    };
-                    Ok(EventDecl {
-                        name: e.name.clone(),
-                        delay,
-                    })
-                })
-                .collect::<Result<_, _>>()?,
-            interfaces: sig.interfaces.clone(),
-            inputs,
-            outputs,
-            constraints: sig
-                .constraints
-                .iter()
-                .map(|c| {
-                    let site = || "where clause".to_owned();
-                    Ok(crate::ast::OrderConstraint {
-                        lhs: self.elab_time(&c.lhs, env, cname, &site)?,
-                        op: c.op,
-                        rhs: self.elab_time(&c.rhs, env, cname, &site)?,
-                    })
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        Ok((flat, bundles))
-    }
-
-    fn elab_name(
-        &self,
-        n: &IName,
-        env: &HashMap<Id, u64>,
-        component: &str,
-    ) -> Result<IName, MonoError> {
-        n.mangle(env)
-            .map(IName::plain)
-            .map_err(|cause| MonoError::Eval {
-                component: component.to_owned(),
-                site: format!("index of {n}"),
-                cause,
-            })
-    }
-
-    fn elab_port(
-        &self,
-        p: &Port,
-        env: &HashMap<Id, u64>,
-        component: &str,
-        ctx: &BodyCtx<'_>,
-    ) -> Result<Port, MonoError> {
+    fn elab_port(&mut self, p: &Port) -> Result<Port, MonoError> {
         Ok(match p {
-            Port::This(name) => {
-                // A bare parameter, loop variable, or instance-parameter
-                // stem in a data position denotes a compile-time constant;
-                // signature ports shadow.
-                if !ctx.own_ports.contains(name.as_str()) {
-                    if let Some(&v) = env.get(name) {
-                        return Ok(Port::Lit(v));
-                    }
-                }
-                Port::This(name.clone())
-            }
+            // A bare parameter or loop variable in a data position denotes
+            // a compile-time constant; signature ports shadow.
+            Port::This(name) => match self.table.param(self.frame, name) {
+                Some(v) if !sig_port_names(self.sig).any(|n| n == name) => Port::Lit(v),
+                _ => Port::This(name.clone()),
+            },
             Port::Lit(n) => Port::Lit(*n),
             Port::Inv { invocation, port } => Port::Inv {
-                invocation: self.elab_name(invocation, env, component)?,
+                invocation: self.elab_name(invocation)?,
                 port: port.clone(),
             },
             Port::Bundle { port, idx } => {
-                let k = self.eval(idx, env, component, &|| format!("index of {port}[{idx}]"))?;
-                // Bounds-check against the enclosing signature when the
-                // bundle is known (unknown names fall through to the
-                // checker's binding pass).
-                if let Some(&(lo, hi)) = ctx.own_bundles.get(port) {
-                    if k < lo || k >= hi {
-                        return Err(MonoError::Bundle {
-                            component: component.to_owned(),
-                            site: format!("element {port}[{idx}]"),
-                            message: format!("index {k} is outside the bundle's range {lo}..{hi}"),
-                        });
-                    }
-                }
+                let k = self.eval(idx, &|| format!("index of {port}[{idx}]"))?;
+                let extent = self.own_bundles.get(port).copied();
+                self.check_index(k, extent, &|| format!("{port}[{idx}]"))?;
                 Port::This(format!("{port}_{k}"))
             }
             Port::InvBundle {
@@ -1061,23 +985,12 @@ impl<'p> Elab<'p, '_> {
                 port,
                 idx,
             } => {
-                let invocation = self.elab_name(invocation, env, component)?;
-                let k = self.eval(idx, env, component, &|| {
-                    format!("index of {invocation}.{port}[{idx}]")
-                })?;
-                // Bounds-check against the callee's bundle — the pre-scan
-                // registers forward invocations too, so this covers
-                // references in either direction (unknown invocation names
-                // still fall through to the checker's binding pass).
-                if let Some((lo, hi)) = ctx.callee_output_extent(&invocation.base, port) {
-                    if k < lo || k >= hi {
-                        return Err(MonoError::Bundle {
-                            component: component.to_owned(),
-                            site: format!("element {invocation}.{port}[{idx}]"),
-                            message: format!("index {k} is outside the bundle's range {lo}..{hi}"),
-                        });
-                    }
-                }
+                let invocation = self.elab_name(invocation)?;
+                let k = self.eval(idx, &|| format!("index of {invocation}.{port}[{idx}]"))?;
+                // The pre-scan records forward invocations too, so this
+                // covers references in either direction.
+                let extent = self.table.output_extent(&invocation.base, port);
+                self.check_index(k, extent, &|| format!("{invocation}.{port}[{idx}]"))?;
                 Port::Inv {
                     invocation,
                     port: format!("{port}_{k}"),
@@ -1086,111 +999,94 @@ impl<'p> Elab<'p, '_> {
         })
     }
 
-    /// Expands invocation arguments against the callee's (original)
-    /// signature: scalar inputs elaborate one-to-one, and each bundle input
-    /// of extent `K` consumes one whole-bundle argument — the name of an
-    /// own-signature bundle or any invocation's bundle output (forward
-    /// references included, via the pre-scan) — expanded into its `K`
-    /// element ports positionally.
-    #[allow(clippy::too_many_arguments)] // Elaboration context + both envs.
-    fn expand_args(
-        &self,
-        args: &[Port],
-        callee: &Signature,
-        callee_env: &HashMap<Id, u64>,
-        env: &HashMap<Id, u64>,
-        component: &str,
-        inv: &str,
-        ctx: &BodyCtx<'_>,
-    ) -> Result<Vec<Port>, MonoError> {
+    /// Expands invocation arguments against the (original) signature of
+    /// instance `s`'s callee: scalar inputs elaborate one-to-one, and each
+    /// bundle input of extent `K` consumes one whole-bundle argument — the
+    /// name of an own-signature bundle or any invocation's bundle output
+    /// (forward references included, via the pre-scan) — expanded into its
+    /// `K` element ports positionally.
+    fn expand_args(&mut self, args: &[Port], s: usize, inv: &str) -> Result<Vec<Port>, MonoError> {
+        let callee = self.table.insts[s].sig;
         // Arity mismatches are the checker's to report (against the
         // flattened signature); elaborate positionally without expansion.
         if args.len() != callee.inputs.len() {
-            return args
-                .iter()
-                .map(|a| self.elab_port(a, env, component, ctx))
-                .collect();
+            return args.iter().map(|a| self.elab_port(a)).collect();
         }
         let mut out = Vec::with_capacity(args.len());
         for (arg, pdef) in args.iter().zip(&callee.inputs) {
             let Some(b) = &pdef.bundle else {
-                out.push(self.elab_port(arg, env, component, ctx)?);
+                out.push(self.elab_port(arg)?);
                 continue;
             };
             let site = || format!("argument {} of invocation {inv}", pdef.name);
-            let want_lo = self.eval(&b.lo, callee_env, component, &site)?;
-            let want_hi = self.eval(&b.hi, callee_env, component, &site)?;
-            let want = want_hi.saturating_sub(want_lo);
+            let bound = |e| {
+                let v = self.table.callee_value(s, e);
+                v.map_err(|cause| MonoError::eval(self.component, site(), cause))
+            };
+            let want_lo = bound(&b.lo)?;
+            let want = bound(&b.hi)?.saturating_sub(want_lo);
+            let (to, takes) = (&pdef.name, &callee.name);
             let bundle_err = |message: String| MonoError::Bundle {
-                component: component.to_owned(),
+                component: self.component.to_owned(),
                 site: site(),
                 message,
             };
-            match arg {
-                Port::This(name) => {
-                    let Some(&(lo, hi)) = ctx.own_bundles.get(name) else {
-                        return Err(bundle_err(format!(
-                            "{name} is not a bundle, but {} of {} takes {want} elements",
-                            pdef.name, callee.name
-                        )));
-                    };
-                    if hi - lo != want {
-                        return Err(bundle_err(format!(
-                            "bundle {name} has {} elements but {} of {} takes {want}",
-                            hi - lo,
-                            pdef.name,
-                            callee.name
-                        )));
-                    }
-                    out.extend((lo..hi).map(|j| Port::This(format!("{name}_{j}"))));
-                }
+            // The whole bundle, its extent, and the invocation it is an
+            // output of (none for an own-signature bundle).
+            let (whole, extent, via) = match arg {
+                Port::This(name) => (name.clone(), self.own_bundles.get(name).copied(), None),
                 Port::Inv { invocation, port } => {
-                    let invocation = self.elab_name(invocation, env, component)?;
-                    let Some((lo, hi)) = ctx.callee_output_extent(&invocation.base, port) else {
-                        return Err(bundle_err(format!(
-                            "{invocation}.{port} is not a bundle output of an invocation in \
-                             this body, but {} of {} takes {want} elements",
-                            pdef.name, callee.name
-                        )));
-                    };
-                    if hi - lo != want {
-                        return Err(bundle_err(format!(
-                            "bundle {invocation}.{port} has {} elements but {} of {} \
-                             takes {want}",
-                            hi - lo,
-                            pdef.name,
-                            callee.name
-                        )));
-                    }
-                    out.extend((lo..hi).map(|j| Port::Inv {
-                        invocation: invocation.clone(),
-                        port: format!("{port}_{j}"),
-                    }));
+                    let invocation = self.elab_name(invocation)?;
+                    let extent = self.table.output_extent(&invocation.base, port);
+                    (
+                        format!("{invocation}.{port}"),
+                        extent,
+                        Some((invocation, port)),
+                    )
                 }
                 other => {
                     return Err(bundle_err(format!(
-                        "argument {other} cannot fill bundle port {} of {} ({want} \
-                         elements); pass a whole bundle by name",
-                        pdef.name, callee.name
+                        "argument {other} cannot fill bundle port {to} of {takes} ({want} \
+                         elements); pass a whole bundle by name"
                     )));
                 }
+            };
+            let Some((lo, hi)) = extent else {
+                let what = if via.is_some() {
+                    " output of an invocation in this body"
+                } else {
+                    ""
+                };
+                return Err(bundle_err(format!(
+                    "{whole} is not a bundle{what}, but {to} of {takes} takes {want} elements"
+                )));
+            };
+            if hi - lo != want {
+                return Err(bundle_err(format!(
+                    "bundle {whole} has {} elements but {to} of {takes} takes {want}",
+                    hi - lo
+                )));
             }
+            out.extend((lo..hi).map(|j| match &via {
+                None => Port::This(format!("{whole}_{j}")),
+                Some((invocation, port)) => Port::Inv {
+                    invocation: invocation.clone(),
+                    port: format!("{port}_{j}"),
+                },
+            }));
         }
         Ok(out)
     }
 
     fn elab_commands(
         &mut self,
-        cmds: &[Command],
-        env: &mut HashMap<Id, u64>,
-        component: &str,
-        ctx: &mut BodyCtx<'p>,
+        cmds: &'p [Command],
         out: &mut Vec<Command>,
     ) -> Result<(), MonoError> {
         for cmd in cmds {
             if out.len() >= MAX_COMMANDS {
                 return Err(MonoError::TooLarge {
-                    component: component.to_owned(),
+                    component: self.component.to_owned(),
                 });
             }
             match cmd {
@@ -1199,49 +1095,49 @@ impl<'p> Elab<'p, '_> {
                     component: callee,
                     params,
                 } => {
-                    let name = self.elab_name(name, env, component)?;
+                    let name = self.elab_name(name)?;
                     let given: Vec<u64> = params
                         .iter()
-                        .map(|p| {
-                            self.eval(p, env, component, &|| {
-                                format!("parameter of instance {name}")
-                            })
-                        })
+                        .map(|p| self.eval(p, &|| format!("parameter of instance {name}")))
                         .collect::<Result<_, _>>()?;
-                    // Resolve derived parameters, record the callee's
-                    // *original* signature (bundles intact) so invocations
-                    // can expand bundle arguments against it, and publish
-                    // every parameter value to the caller as `stem.P`.
-                    let Some(csig) = self.program.sig(callee) else {
+                    let Some(&(sig, is_extern)) = self.table.index.sigs.get(callee.as_str()) else {
                         return Err(MonoError::UnknownComponent {
-                            component: component.to_owned(),
+                            component: self.component.to_owned(),
                             callee: callee.clone(),
                         });
                     };
-                    let values = self.resolve_values(csig, &given, component, &name)?;
-                    let cenv = csig.param_env(&values);
-                    let stem = inst_stem(&name.base);
-                    for (pname, v) in &cenv {
-                        env.insert(ConstExpr::inst_key(stem, pname), *v);
-                    }
-                    ctx.instances.insert(name.base.clone(), (csig, cenv));
-                    if self.program.is_extern(callee) {
-                        // Externs stay parametric; emit the full resolved
-                        // value list (free then derived, in declaration
-                        // order) so the lowering registry sees literals.
-                        out.push(Command::Instance {
-                            name,
-                            component: callee.clone(),
-                            params: values.into_iter().map(ConstExpr::Lit).collect(),
-                        });
+                    let values = resolve_params(sig, &given, self.component, &|param| {
+                        format!("derived parameter {param} of instance {name} ({callee})")
+                    })?;
+                    self.stats.derivations_evaluated +=
+                        (sig.params.len() - sig.free_param_count()) as u64;
+                    // Record the callee's *original* signature (bundles
+                    // intact) so invocations can expand bundle arguments
+                    // against it.
+                    let def = Def::Inst(self.table.insts.len());
+                    self.table.names.insert(name.base.clone(), def);
+                    let state = State::Done(values.clone());
+                    let (params, frame) = (&params[..], None);
+                    self.table.insts.push(Inst {
+                        sig,
+                        params,
+                        frame,
+                        state,
+                    });
+                    // Externs stay parametric: emit the full resolved value
+                    // list (free then derived, in declaration order) so the
+                    // lowering registry sees literals.
+                    let (component, params) = if is_extern {
+                        let params = values.into_iter().map(ConstExpr::Lit).collect();
+                        (callee.clone(), params)
                     } else {
-                        let mono_name = self.resolver.resolve(callee, values)?;
-                        out.push(Command::Instance {
-                            name,
-                            component: mono_name,
-                            params: Vec::new(),
-                        });
-                    }
+                        (self.resolver.resolve(callee, values)?, Vec::new())
+                    };
+                    out.push(Command::Instance {
+                        name,
+                        component,
+                        params,
+                    });
                 }
                 Command::Invoke {
                     name,
@@ -1249,59 +1145,64 @@ impl<'p> Elab<'p, '_> {
                     events,
                     args,
                 } => {
-                    let name = self.elab_name(name, env, component)?;
-                    let instance = self.elab_name(instance, env, component)?;
-                    ctx.invokes.insert(name.base.clone(), instance.base.clone());
+                    let name = self.elab_name(name)?;
+                    let instance = self.elab_name(instance)?;
                     // The instance's parameters are also readable through
                     // the invocation's name (`x := I<G>(...)` → `x.W`).
-                    if let Some((_, cenv)) = ctx.instances.get(&instance.base) {
-                        for (pname, v) in cenv {
-                            env.insert(ConstExpr::inst_key(&name.base, pname), *v);
-                        }
-                    }
-                    let site = || format!("schedule of invocation {name}");
-                    let args = match ctx.instances.get(&instance.base) {
-                        Some((csig, cenv)) => {
-                            self.expand_args(args, csig, cenv, env, component, &name.base, ctx)?
+                    let args = match self.table.def(&instance.base) {
+                        Some(Def::Inst(s)) => {
+                            self.table.names.insert(name.base.clone(), Def::Invoke(s));
+                            self.expand_args(args, s, &name.base)?
                         }
                         // Unknown instance: the checker reports the binding
                         // error against the flattened body.
-                        None => args
+                        _ => args
                             .iter()
-                            .map(|a| self.elab_port(a, env, component, ctx))
+                            .map(|a| self.elab_port(a))
                             .collect::<Result<_, _>>()?,
                     };
+                    let site = || format!("schedule of invocation {name}");
+                    let events = events
+                        .iter()
+                        .map(|t| Ok(Time::new(t.event.clone(), self.eval(&t.offset, &site)?)))
+                        .collect::<Result<_, _>>()?;
                     out.push(Command::Invoke {
                         instance,
-                        events: events
-                            .iter()
-                            .map(|t| self.elab_time(t, env, component, &site))
-                            .collect::<Result<_, _>>()?,
+                        events,
                         args,
                         name,
                     });
                 }
                 Command::Connect { dst, src } => {
                     out.push(Command::Connect {
-                        dst: self.elab_port(dst, env, component, ctx)?,
-                        src: self.elab_port(src, env, component, ctx)?,
+                        dst: self.elab_port(dst)?,
+                        src: self.elab_port(src)?,
                     });
                 }
                 Command::ForGen { var, lo, hi, body } => {
-                    let lo = self.eval(lo, env, component, &|| "loop lower bound".to_owned())?;
-                    let hi = self.eval(hi, env, component, &|| "loop upper bound".to_owned())?;
-                    if env.contains_key(var) {
+                    let lo = self.eval(lo, &|| "loop lower bound".to_owned())?;
+                    let hi = self.eval(hi, &|| "loop upper bound".to_owned())?;
+                    if self.table.param(self.frame, var).is_some() {
                         return Err(MonoError::Shadow {
-                            component: component.to_owned(),
+                            component: self.component.to_owned(),
                             var: var.clone(),
                         });
                     }
                     self.stats.loops_unrolled += 1;
+                    // One frame per loop, rebound each iteration and
+                    // dropped after the loop unless the pre-scan has pushed
+                    // frames of its own after it.
+                    let f = self.table.frames.len();
+                    self.table.frames.push((var, lo, self.frame));
+                    let outer = self.frame.replace(f);
                     for i in lo..hi {
-                        env.insert(var.clone(), i);
-                        self.elab_commands(body, env, component, ctx, out)?;
+                        self.table.frames[f].1 = i;
+                        self.elab_commands(body, out)?;
                     }
-                    env.remove(var);
+                    self.frame = outer;
+                    if self.table.frames.len() == f + 1 {
+                        self.table.frames.pop();
+                    }
                 }
                 Command::IfGen {
                     lhs,
@@ -1311,16 +1212,167 @@ impl<'p> Elab<'p, '_> {
                     else_body,
                 } => {
                     let site = || "if-generate condition".to_owned();
-                    let l = self.eval(lhs, env, component, &site)?;
-                    let r = self.eval(rhs, env, component, &site)?;
+                    let l = self.eval(lhs, &site)?;
+                    let r = self.eval(rhs, &site)?;
                     self.stats.ifs_resolved += 1;
                     let arm = if op.holds(l, r) { then_body } else { else_body };
-                    self.elab_commands(arm, env, component, ctx, out)?;
+                    self.elab_commands(arm, out)?;
                 }
             }
         }
         Ok(())
     }
+}
+
+/// The base names of a signature's interface, input and output ports.
+fn sig_port_names(sig: &Signature) -> impl Iterator<Item = &Id> {
+    let ports = sig.inputs.iter().chain(&sig.outputs).map(|p| &p.name);
+    sig.interfaces.iter().map(|i| &i.name).chain(ports)
+}
+
+/// Evaluates a signature expression under `env`; `site` is rendered only
+/// when evaluation fails.
+fn eval_in(
+    e: &ConstExpr,
+    env: &HashMap<Id, u64>,
+    component: &str,
+    site: &dyn Fn() -> String,
+) -> Result<u64, MonoError> {
+    e.eval(env)
+        .map_err(|cause| MonoError::eval(component, site(), cause))
+}
+
+fn time_in(
+    t: &Time,
+    env: &HashMap<Id, u64>,
+    component: &str,
+    site: &dyn Fn() -> String,
+) -> Result<Time, MonoError> {
+    Ok(Time::new(
+        t.event.clone(),
+        eval_in(&t.offset, env, component, site)?,
+    ))
+}
+
+/// Flattens one port definition: a scalar port yields itself with width
+/// and offsets resolved; a bundle `name[i: lo..hi]` yields one element per
+/// index, the index substituted into width and liveness.
+fn flatten_port(
+    p: &PortDef,
+    env: &HashMap<Id, u64>,
+    cname: &str,
+    dir: &str,
+    stats: &mut MonoStats,
+    bundles: &mut BundleExtents,
+    out: &mut Vec<PortDef>,
+) -> Result<(), MonoError> {
+    let elab_one = |name: Id, env: &HashMap<Id, u64>| -> Result<PortDef, MonoError> {
+        let site = || format!("liveness of {dir} port {name}");
+        Ok(PortDef {
+            liveness: Range::new(
+                time_in(&p.liveness.start, env, cname, &site)?,
+                time_in(&p.liveness.end, env, cname, &site)?,
+            ),
+            width: ConstExpr::Lit(eval_in(&p.width, env, cname, &|| {
+                format!("width of {dir} port {name}")
+            })?),
+            name,
+            bundle: None,
+        })
+    };
+    let Some(b) = &p.bundle else {
+        out.push(elab_one(p.name.clone(), env)?);
+        return Ok(());
+    };
+    if env.contains_key(&b.var) {
+        return Err(MonoError::Shadow {
+            component: cname.to_owned(),
+            var: b.var.clone(),
+        });
+    }
+    let site = || format!("index range of {dir} port {}", p.name);
+    let lo = eval_in(&b.lo, env, cname, &site)?;
+    let hi = eval_in(&b.hi, env, cname, &site)?;
+    if hi <= lo {
+        return Err(MonoError::Bundle {
+            component: cname.to_owned(),
+            site: site(),
+            message: format!("bundle has an empty index range {lo}..{hi}"),
+        });
+    }
+    if hi - lo > MAX_BUNDLE {
+        return Err(MonoError::Bundle {
+            component: cname.to_owned(),
+            site: site(),
+            message: format!("bundle has more than {MAX_BUNDLE} elements"),
+        });
+    }
+    stats.bundles_flattened += 1;
+    bundles.insert(p.name.clone(), (lo, hi));
+    let mut env2 = env.clone();
+    for k in lo..hi {
+        env2.insert(b.var.clone(), k);
+        out.push(elab_one(p.element_name(k), &env2)?);
+    }
+    Ok(())
+}
+
+/// Elaborates a signature under `env`, returning the concrete signature
+/// (bundles flattened) and the map of bundle extents for body elaboration.
+fn elab_sig(
+    sig: &Signature,
+    env: &HashMap<Id, u64>,
+    mono_name: &str,
+    stats: &mut MonoStats,
+) -> Result<(Signature, BundleExtents), MonoError> {
+    let cname = &sig.name;
+    let mut bundles = HashMap::new();
+    let mut inputs = Vec::new();
+    for p in &sig.inputs {
+        flatten_port(p, env, cname, "input", stats, &mut bundles, &mut inputs)?;
+    }
+    let mut outputs = Vec::new();
+    for p in &sig.outputs {
+        flatten_port(p, env, cname, "output", stats, &mut bundles, &mut outputs)?;
+    }
+    let flat = Signature {
+        name: mono_name.to_owned(),
+        params: Vec::new(),
+        events: sig
+            .events
+            .iter()
+            .map(|e| {
+                let site = || format!("delay of event {}", e.name);
+                let delay = match &e.delay {
+                    Delay::Const(n) => Delay::Const(*n),
+                    Delay::Diff(a, b) => Delay::Diff(
+                        time_in(a, env, cname, &site)?,
+                        time_in(b, env, cname, &site)?,
+                    ),
+                };
+                Ok(EventDecl {
+                    name: e.name.clone(),
+                    delay,
+                })
+            })
+            .collect::<Result<_, _>>()?,
+        interfaces: sig.interfaces.clone(),
+        inputs,
+        outputs,
+        constraints: sig
+            .constraints
+            .iter()
+            .map(|c| {
+                let site = || "where clause".to_owned();
+                Ok(crate::ast::OrderConstraint {
+                    lhs: time_in(&c.lhs, env, cname, &site)?,
+                    op: c.op,
+                    rhs: time_in(&c.rhs, env, cname, &site)?,
+                })
+            })
+            .collect::<Result<_, _>>()?,
+    };
+    Ok((flat, bundles))
 }
 
 #[cfg(test)]
@@ -1639,7 +1691,8 @@ mod tests {
         ))
         .unwrap();
         let mut rec = Recorder(Vec::new());
-        let (comp, stats) = elaborate_component(&p, "Pair", &[8], "Pair_8", &mut rec).unwrap();
+        let (comp, stats) =
+            elaborate_component(&ProgramIndex::new(&p), "Pair", &[8], "Pair_8", &mut rec).unwrap();
         assert_eq!(comp.sig.name, "Pair_8");
         assert_eq!(
             rec.0,

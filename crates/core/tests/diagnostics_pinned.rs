@@ -667,6 +667,17 @@ const CASES: &[(&str, Mode, &str)] = &[
            o = r.out;
          }",
     ),
+    // Once aborted `compile`, `sim`, `build` and `filament serve`: the
+    // register's output pins were sized from its times.
+    (
+        "check.times-past-last-cycle",
+        Mode::Pipeline,
+        "comp Main<G: 3>(@interface[G] go: 1, @[G+18446744073709551613, G+18446744073709551614] x: 32)
+             -> (@[G+18446744073709551614, G+18446744073709551615] o: 32) {
+           r := new Register[32]<G+18446744073709551613, G+18446744073709551615>(x);
+           o = r.out;
+         }",
+    ),
 ];
 
 /// The joined `Display` text of a check failure.

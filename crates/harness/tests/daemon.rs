@@ -24,6 +24,9 @@
 //!   connections the daemon answers "busy" instead of spawning a thread,
 //!   and serves again once they close; one control connection past the
 //!   cap still answers ping, stats and stop.
+//! * **No abort on huge times** — a register scheduled near the last
+//!   representable cycle, which once made the daemon request 17 GB and
+//!   abort, is refused with a diagnostic; the next client still builds.
 
 #![cfg(unix)]
 
@@ -280,6 +283,42 @@ fn client_cache_dir_is_ignored() {
 
     shut_down(&socket, handle);
     let _ = std::fs::remove_dir_all(&tmp);
+}
+
+#[test]
+fn times_past_the_last_cycle_are_refused_and_the_daemon_keeps_serving() {
+    let socket = sock("huge");
+    let handle = start(&socket);
+    let huge = BuildRequest::new(
+        "comp Main<G: 3>(@interface[G] go: 1,
+                         @[G+18446744073709551613, G+18446744073709551614] x: 32)
+             -> (@[G+18446744073709551614, G+18446744073709551615] o: 32) {
+           r := new Register[32]<G+18446744073709551613, G+18446744073709551615>(x);
+           o = r.out;
+         }",
+    )
+    .netlist("Main")
+    .verilog();
+    match serve::request_build(&socket, &huge) {
+        Err(serve::ClientError::Server(msg)) => assert!(
+            msg.contains("run past the last representable cycle"),
+            "{msg}"
+        ),
+        other => panic!("expected a diagnostic, got {other:?}"),
+    }
+    // A second client, on a connection of its own, still gets a build.
+    let req = BuildRequest::new(
+        "comp Main<G: 1>(@[G, G+1] x: 8) -> (@[G, G+1] o: 8) {
+            a := new Add[8]<G>(x, x);
+            o = a.out;
+        }",
+    )
+    .netlist("Main")
+    .verilog();
+    let out = serve::request_build(&socket, &req).expect("build after the refused one");
+    assert!(out.output.verilog.is_some() && out.output.netlist.is_some());
+    assert!(stat(&socket, "builds_run") >= 1);
+    shut_down(&socket, handle);
 }
 
 #[test]

@@ -232,7 +232,11 @@ fn render() -> String {
             .iter()
             .find(|(n, _)| n == name)
             .map_or("", |(_, r)| r);
-        pin_case(&mut out, &format!("generate/{name}"), &format!("{src}\n{root}"));
+        pin_case(
+            &mut out,
+            &format!("generate/{name}"),
+            &format!("{src}\n{root}"),
+        );
     }
     for (name, src) in forward_programs() {
         pin_case(&mut out, &format!("forward/{name}"), &src);
