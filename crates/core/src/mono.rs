@@ -1616,9 +1616,8 @@ mod tests {
     fn forward_constant_reads_chain_to_fixpoint() {
         // Three hops of forward `inst.P` reads: d's parameter comes from a,
         // whose parameter comes from b, whose parameter comes from c — each
-        // declared *after* its reader. One pre-scan pass resolves one hop,
-        // so the scan must iterate to a fixpoint for the chain to elaborate
-        // (the old two-pass scan resolved only `b` and failed on `a.W`).
+        // declared *after* its reader. Each read resolves the declaration it
+        // names on demand, so the whole chain elaborates.
         let (p, _) = expand_src(&format!(
             "{DELAY_EXT}
              comp Id[W]<G: 1>(@[G, G+1] in: W) -> (@[G, G+1] out: W) {{ out = in; }}
@@ -1651,8 +1650,9 @@ mod tests {
     #[test]
     fn scan_fixpoint_terminates_on_unresolvable_chains() {
         // A genuinely unresolvable forward read (the cycle a -> b -> a)
-        // must not loop the pre-scan: progress stalls, the scan stops, and
-        // the main pass reports the unbound parameter.
+        // must not loop the on-demand resolution: the instance being
+        // resolved reads as failed, and the main pass reports the unbound
+        // parameter.
         let err = expand_src(&format!(
             "{DELAY_EXT}
              comp Id[W]<G: 1>(@[G, G+1] in: W) -> (@[G, G+1] out: W) {{ out = in; }}
