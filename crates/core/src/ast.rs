@@ -98,11 +98,11 @@ pub enum ConstExpr {
     Lit(u64),
     /// A parameter of the enclosing component (or a generate-loop variable).
     Param(Id),
-    /// A parameter of a previously declared instance, read by the caller:
-    /// `enc.W`. The monomorphizer binds every parameter of every
-    /// instantiation (including [derived](ParamDecl) ones) under the
-    /// composite key [`ConstExpr::inst_key`], so the callee's interface
-    /// equation — not its body — is what the caller computes with.
+    /// A parameter of an instance in the same body, read by the caller:
+    /// `enc.W`. The monomorphizer resolves it through its instance table
+    /// to a position in the callee's parameter values (including
+    /// [derived](ParamDecl) ones), so the callee's interface equation —
+    /// not its body — is what the caller computes with.
     InstParam(Id, Id),
     /// A binary operation.
     Bin(ConstOp, Box<ConstExpr>, Box<ConstExpr>),
@@ -113,9 +113,12 @@ pub enum ConstExpr {
 }
 
 impl ConstExpr {
-    /// The environment key an instance-parameter read resolves under:
-    /// `"{instance}.{param}"`. Parsed identifiers can never contain a dot,
-    /// so composite keys cannot collide with ordinary parameters.
+    /// The name an instance-parameter read goes by, `"{instance}.{param}"`:
+    /// what an unbound `inst.P` read reports, and the key the map-based
+    /// [`eval`](ConstExpr::eval), [`subst`](ConstExpr::subst) and
+    /// [`params`](ConstExpr::params) use for it. Parsed identifiers can never
+    /// contain a dot, so composite keys cannot collide with ordinary
+    /// parameters.
     pub fn inst_key(instance: &str, param: &str) -> Id {
         format!("{instance}.{param}")
     }

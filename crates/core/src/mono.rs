@@ -224,13 +224,8 @@ impl fmt::Display for MonoError {
             ),
             MonoError::Recursive { component, params } => write!(
                 f,
-                "component {component}[{}] recursively instantiates itself with the same \
-                 parameters",
-                params
-                    .iter()
-                    .map(u64::to_string)
-                    .collect::<Vec<_>>()
-                    .join(", ")
+                "component {component}{params:?} recursively instantiates itself with the same \
+                 parameters"
             ),
             MonoError::TooDeep { component } => write!(
                 f,
@@ -363,27 +358,33 @@ pub fn expand_with_stats(program: &Program) -> Result<(Program, MonoStats), Mono
     ))
 }
 
-/// Every signature of a program by name, so elaboration finds a callee in
-/// one probe instead of a scan of the program. The first definition of a
-/// name wins, as in [`Program::sig`].
+/// Every extern and user component of a program by name, so elaboration
+/// finds a callee by hashing its name instead of scanning the program. The first
+/// definition of a name wins, and an extern's signature shadows a user
+/// component's, as in [`Program::sig`].
 pub struct ProgramIndex<'p> {
-    program: &'p Program,
-    /// Signature by name, externs first, with whether it is an extern's.
-    sigs: HashMap<&'p str, (&'p Signature, bool)>,
+    externs: HashMap<&'p str, &'p Signature>,
+    components: HashMap<&'p str, &'p Component>,
 }
 
 impl<'p> ProgramIndex<'p> {
     /// Indexes `program`.
     pub fn new(program: &'p Program) -> Self {
-        let mut sigs = HashMap::with_capacity(program.externs.len() + program.components.len());
-        for sig in program.externs.iter() {
-            sigs.entry(sig.name.as_str()).or_insert((sig, true));
+        // Collected last to first, so the first definition of a name wins.
+        let externs = program.externs.iter().rev();
+        let components = program.components.iter().rev();
+        ProgramIndex {
+            externs: externs.map(|s| (s.name.as_str(), s)).collect(),
+            components: components.map(|c| (c.sig.name.as_str(), c)).collect(),
         }
-        for comp in &program.components {
-            sigs.entry(comp.sig.name.as_str())
-                .or_insert((&comp.sig, false));
+    }
+
+    /// The signature `name` resolves to, and whether it is an extern's.
+    fn callee(&self, name: &str) -> Option<(&'p Signature, bool)> {
+        match self.externs.get(name) {
+            Some(&sig) => Some((sig, true)),
+            None => self.components.get(name).map(|c| (&c.sig, false)),
         }
-        ProgramIndex { program, sigs }
     }
 }
 
@@ -467,8 +468,8 @@ pub fn elaborate_component(
     resolver: &mut dyn CalleeResolver,
 ) -> Result<(Component, MonoStats), MonoError> {
     let comp = index
-        .program
-        .component(component)
+        .components
+        .get(component)
         .ok_or_else(|| MonoError::UnknownComponent {
             component: component.to_owned(),
             callee: component.to_owned(),
@@ -477,7 +478,6 @@ pub fn elaborate_component(
     let params = comp.sig.param_env(values);
     let (sig, own_bundles) = elab_sig(&comp.sig, &params, mono_name, &mut stats)?;
     let mut elab = Elab {
-        component: &comp.sig.name,
         frame: None,
         table: Table {
             index,
@@ -545,7 +545,8 @@ enum State {
     /// One value per callee parameter, derived parameters included.
     Done(Vec<u64>),
     /// Its parameters do not evaluate, or it is being resolved and a read
-    /// of it is a cycle; the main pass reports why at the declaration.
+    /// of it is a cycle; the main pass reports why at the declaration. A
+    /// pre-scan walk's failure is retried on the next walk.
     Failed,
 }
 
@@ -686,14 +687,10 @@ impl<'p> Table<'p> {
 
     /// `e` over the parameters of resolved instance `s`'s callee.
     fn callee_value(&self, s: usize, e: &ConstExpr) -> Result<u64, ConstEvalError> {
-        match &self.insts[s] {
-            Inst {
-                sig,
-                state: State::Done(values),
-                ..
-            } => sig.eval_at(e, values),
-            _ => unreachable!("callee values are read from resolved instances"),
-        }
+        let State::Done(values) = &self.insts[s].state else {
+            unreachable!("callee values are read from resolved instances");
+        };
+        self.insts[s].sig.eval_at(e, values)
     }
 
     /// The concrete `(lo, hi)` extent of bundle output `port` of invocation
@@ -721,6 +718,12 @@ impl<'p> Table<'p> {
         self.scanned = true;
         loop {
             let before = self.names.len();
+            // An earlier walk's failure may read a name recorded since.
+            for inst in &mut self.insts {
+                if matches!(inst.state, State::Failed) {
+                    inst.state = State::Pending;
+                }
+            }
             let mut budget = MAX_COMMANDS;
             self.scan(self.body, None, &mut budget);
             if self.names.len() == before {
@@ -743,10 +746,9 @@ impl<'p> Table<'p> {
                     component,
                     params,
                 } => {
-                    let (Ok(name), Some(&(sig, _))) = (
-                        self.mangle(name, frame),
-                        self.index.sigs.get(component.as_str()),
-                    ) else {
+                    let (Ok(name), Some((sig, _))) =
+                        (self.mangle(name, frame), self.index.callee(component))
+                    else {
                         continue;
                     };
                     if let Entry::Vacant(v) = self.names.entry(name) {
@@ -807,16 +809,14 @@ impl<'p> Table<'p> {
 /// user-component instantiations go through the pluggable
 /// [`CalleeResolver`].
 struct Elab<'p, 'r> {
-    /// The component being elaborated, as diagnostics name it.
-    component: &'p str,
     table: Table<'p>,
     /// The loop bindings in scope.
     frame: Frame,
     resolver: &'r mut dyn CalleeResolver,
     stats: MonoStats,
-    /// The enclosing (original) signature. A body name that is *not* one
-    /// of its ports but is bound in the parameter environment denotes its
-    /// constant value in data positions.
+    /// The enclosing (original) signature, whose name diagnostics report.
+    /// A body name that is *not* one of its ports but is bound in the
+    /// parameter environment denotes its constant value in data positions.
     sig: &'p Signature,
     /// Own signature bundles: port name → concrete `(lo, hi)` extent.
     own_bundles: BundleExtents,
@@ -869,8 +869,8 @@ impl<'p> Mono<'p> {
         let enclosing = self.stack.last().map(|(c, _)| c.as_str());
         let comp =
             self.index
-                .program
-                .component(component)
+                .components
+                .get(component)
                 .ok_or_else(|| MonoError::UnknownComponent {
                     component: enclosing.unwrap_or_default().to_owned(),
                     callee: component.to_owned(),
@@ -934,13 +934,13 @@ impl<'p> Elab<'p, '_> {
     /// `site` is rendered only when evaluation fails.
     fn eval(&mut self, e: &ConstExpr, site: &dyn Fn() -> String) -> Result<u64, MonoError> {
         let v = self.table.value(e, self.frame);
-        v.map_err(|cause| MonoError::eval(self.component, site(), cause))
+        v.map_err(|cause| MonoError::eval(&self.sig.name, site(), cause))
     }
 
     fn elab_name(&mut self, n: &IName) -> Result<IName, MonoError> {
         let name = self.table.mangle(n, self.frame);
         name.map(IName::plain)
-            .map_err(|cause| MonoError::eval(self.component, format!("index of {n}"), cause))
+            .map_err(|cause| MonoError::eval(&self.sig.name, format!("index of {n}"), cause))
     }
 
     /// Bounds-checks element `k` of a bundle of `extent`, when the bundle
@@ -953,7 +953,7 @@ impl<'p> Elab<'p, '_> {
     ) -> Result<(), MonoError> {
         match extent {
             Some((lo, hi)) if k < lo || k >= hi => Err(MonoError::Bundle {
-                component: self.component.to_owned(),
+                component: self.sig.name.clone(),
                 site: format!("element {}", element()),
                 message: format!("index {k} is outside the bundle's range {lo}..{hi}"),
             }),
@@ -1021,13 +1021,13 @@ impl<'p> Elab<'p, '_> {
             let site = || format!("argument {} of invocation {inv}", pdef.name);
             let bound = |e| {
                 let v = self.table.callee_value(s, e);
-                v.map_err(|cause| MonoError::eval(self.component, site(), cause))
+                v.map_err(|cause| MonoError::eval(&self.sig.name, site(), cause))
             };
             let want_lo = bound(&b.lo)?;
             let want = bound(&b.hi)?.saturating_sub(want_lo);
             let (to, takes) = (&pdef.name, &callee.name);
             let bundle_err = |message: String| MonoError::Bundle {
-                component: self.component.to_owned(),
+                component: self.sig.name.clone(),
                 site: site(),
                 message,
             };
@@ -1086,7 +1086,7 @@ impl<'p> Elab<'p, '_> {
         for cmd in cmds {
             if out.len() >= MAX_COMMANDS {
                 return Err(MonoError::TooLarge {
-                    component: self.component.to_owned(),
+                    component: self.sig.name.clone(),
                 });
             }
             match cmd {
@@ -1100,13 +1100,13 @@ impl<'p> Elab<'p, '_> {
                         .iter()
                         .map(|p| self.eval(p, &|| format!("parameter of instance {name}")))
                         .collect::<Result<_, _>>()?;
-                    let Some(&(sig, is_extern)) = self.table.index.sigs.get(callee.as_str()) else {
+                    let Some((sig, is_extern)) = self.table.index.callee(callee) else {
                         return Err(MonoError::UnknownComponent {
-                            component: self.component.to_owned(),
+                            component: self.sig.name.clone(),
                             callee: callee.clone(),
                         });
                     };
-                    let values = resolve_params(sig, &given, self.component, &|param| {
+                    let values = resolve_params(sig, &given, &self.sig.name, &|param| {
                         format!("derived parameter {param} of instance {name} ({callee})")
                     })?;
                     self.stats.derivations_evaluated +=
@@ -1184,7 +1184,7 @@ impl<'p> Elab<'p, '_> {
                     let hi = self.eval(hi, &|| "loop upper bound".to_owned())?;
                     if self.table.param(self.frame, var).is_some() {
                         return Err(MonoError::Shadow {
-                            component: self.component.to_owned(),
+                            component: self.sig.name.clone(),
                             var: var.clone(),
                         });
                     }
@@ -1293,18 +1293,16 @@ fn flatten_port(
     let site = || format!("index range of {dir} port {}", p.name);
     let lo = eval_in(&b.lo, env, cname, &site)?;
     let hi = eval_in(&b.hi, env, cname, &site)?;
-    if hi <= lo {
+    let bad = if hi <= lo {
+        Some(format!("bundle has an empty index range {lo}..{hi}"))
+    } else {
+        (hi - lo > MAX_BUNDLE).then(|| format!("bundle has more than {MAX_BUNDLE} elements"))
+    };
+    if let Some(message) = bad {
         return Err(MonoError::Bundle {
             component: cname.to_owned(),
             site: site(),
-            message: format!("bundle has an empty index range {lo}..{hi}"),
-        });
-    }
-    if hi - lo > MAX_BUNDLE {
-        return Err(MonoError::Bundle {
-            component: cname.to_owned(),
-            site: site(),
-            message: format!("bundle has more than {MAX_BUNDLE} elements"),
+            message,
         });
     }
     stats.bundles_flattened += 1;
@@ -1663,6 +1661,35 @@ mod tests {
         ))
         .unwrap_err();
         assert!(matches!(err, MonoError::Eval { .. }), "{err}");
+    }
+
+    #[test]
+    fn pre_scan_retries_reads_that_failed_before_later_names_were_recorded() {
+        // The pre-scan's first walk evaluates the gate's `p.W` before it
+        // has recorded `q`, which p reads; p's failure is provisional, so
+        // the next walk resolves it and d elaborates.
+        for gate in [
+            "if p.W == 8 { e := new Delay[8]<G>(x); }",
+            "for i in 0..p.W { e[i] := new Delay[8]<G>(x); }",
+        ] {
+            let (p, _) = expand_src(&format!(
+                "{DELAY_EXT}
+                 comp Id[W]<G: 1>(@[G, G+1] in: W) -> (@[G, G+1] out: W) {{ out = in; }}
+                 comp Main<G: 1>(@[G, G+1] x: 8) -> () {{
+                   d := new Id[p.W]<G>(x);
+                   p := new Id[q.W]<G>(x);
+                   {gate}
+                   q := new Id[8]<G>(x);
+                 }}"
+            ))
+            .unwrap_or_else(|e| panic!("{gate}: {e}"));
+            let main = p.component("Main").unwrap();
+            let delays = main.body.iter().filter(
+                |c| matches!(c, Command::Instance { component, .. } if component == "Delay"),
+            );
+            assert!(p.component("Id_8").is_some(), "{gate}");
+            assert!(delays.count() >= 1, "{gate}: the gate's body is kept");
+        }
     }
 
     #[test]

@@ -118,6 +118,30 @@ fn forward_programs() -> Vec<(String, String)> {
             .to_owned(),
         ),
         (
+            "forward-read-in-if".to_owned(),
+            format!(
+                "{id}
+                 comp Main<G: 1>(@[G, G+1] x: 8) -> () {{
+                   d := new Id[p.W]<G>(x);
+                   p := new Id[q.W]<G>(x);
+                   if p.W == 8 {{ e := new Delay[8]<G>(x); }}
+                   q := new Id[8]<G>(x);
+                 }}"
+            ),
+        ),
+        (
+            "forward-read-in-loop-bound".to_owned(),
+            format!(
+                "{id}
+                 comp Main<G: 1>(@[G, G+1] x: 8) -> () {{
+                   d := new Id[p.W]<G>(x);
+                   p := new Id[q.W]<G>(x);
+                   for i in 0..p.W {{ e[i] := new Delay[8]<G>(x); }}
+                   q := new Id[8]<G>(x);
+                 }}"
+            ),
+        ),
+        (
             "forward-invocation-before-instance".to_owned(),
             "comp Main<G: 2>(@interface[G] go: 1, @[G, G+1] x: 8) -> (@[G+1, G+2] o: 8) {
                v := r<G, G+2>(go, x);
