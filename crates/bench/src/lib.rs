@@ -1,13 +1,13 @@
 //! Experiment drivers regenerating every table and figure of the paper's
 //! evaluation (Section 7 and Appendix B).
 //!
-//! | Paper artifact | Function | Binary | Criterion bench |
-//! |---|---|---|---|
-//! | Table 1a/1b (Aetherling latencies) | [`table1`] | `table1` | `benches/table1.rs` |
-//! | Table 2 (conv2d area/frequency) | [`table2`] | `table2` | `benches/table2.rs` |
-//! | Figure 2 (divider trade-off) | [`divider_tradeoff`] | `divider_tradeoff` | `benches/divider.rs` |
-//! | §7 "compile in under a second" | [`compile_durations`] | (unit test `all_designs_compile_in_under_a_second`) | `benches/compile.rs` |
-//! | App B.1/B.2 FP + AES imports | [`pipelinec_report`] | `pipelinec_report` | `benches/simulator.rs` |
+//! | Paper artifact | Function | Binary |
+//! |---|---|---|
+//! | Table 1a/1b (Aetherling latencies) | [`table1`] | `table1` |
+//! | Table 2 (conv2d area/frequency) | [`table2`] | `table2` |
+//! | Figure 2 (divider trade-off) | [`divider_tradeoff`] | `divider_tradeoff` |
+//! | §7 "compile in under a second" | [`compile_durations`] | (unit test `all_designs_compile_in_under_a_second`) |
+//! | App B.1/B.2 FP + AES imports | [`pipelinec_report`] | `pipelinec_report` |
 //!
 //! The design corpus itself is [`fil_designs::corpus`]. Performance is
 //! measured end to end, layer by layer, by the seeded `perfbench/`

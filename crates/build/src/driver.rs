@@ -270,34 +270,10 @@ pub fn expand_program(program: &Program, opts: &BuildOptions) -> Result<DriverOu
 /// IO error for an unusable cache directory.
 pub fn build_program(
     program: &Program,
-    registry: &(dyn PrimitiveRegistry + Sync),
-    opts: &BuildOptions,
-) -> Result<DriverOutput, BuildError> {
-    run(program, Some(registry), opts, effective_jobs(opts))
-}
-
-/// [`build_program`] restricted to the calling thread, for registries that
-/// are not [`Sync`]. `opts.jobs` is ignored.
-///
-/// # Errors
-///
-/// As [`build_program`].
-pub fn build_program_serial(
-    program: &Program,
     registry: &dyn PrimitiveRegistry,
     opts: &BuildOptions,
 ) -> Result<DriverOutput, BuildError> {
-    let externs = extern_set(program);
-    externs.ensure_checked(program)?;
-    let ctx = Ctx::new(program, opts, &externs)?;
-    {
-        let lane = opts.trace.as_ref().map(|c| c.lane(1, "builder-0"));
-        worker(&ctx, Some(registry), lane.as_ref());
-    }
-    let evicted = maybe_gc(opts);
-    let mut out = finish(program, ctx, true)?;
-    out.stats.session_cache_evictions = evicted;
-    Ok(out)
+    run(program, Some(registry), opts, effective_jobs(opts))
 }
 
 fn effective_jobs(opts: &BuildOptions) -> usize {
@@ -309,7 +285,7 @@ fn effective_jobs(opts: &BuildOptions) -> usize {
 
 fn run(
     program: &Program,
-    registry: Option<&(dyn PrimitiveRegistry + Sync)>,
+    registry: Option<&dyn PrimitiveRegistry>,
     opts: &BuildOptions,
     jobs: usize,
 ) -> Result<DriverOutput, BuildError> {
@@ -320,11 +296,7 @@ fn run(
     let ctx = Ctx::new(program, opts, &externs)?;
     if jobs <= 1 {
         let lane = opts.trace.as_ref().map(|c| c.lane(1, "builder-0"));
-        worker(
-            &ctx,
-            registry.map(|r| r as &dyn PrimitiveRegistry),
-            lane.as_ref(),
-        );
+        worker(&ctx, registry, lane.as_ref());
     } else {
         std::thread::scope(|scope| {
             let ctx = &ctx;
@@ -336,11 +308,7 @@ fn run(
                     let lane = trace
                         .as_ref()
                         .map(|c| c.lane(w as u32 + 1, format!("builder-{w}")));
-                    worker(
-                        ctx,
-                        registry.map(|r| r as &dyn PrimitiveRegistry),
-                        lane.as_ref(),
-                    );
+                    worker(ctx, registry, lane.as_ref());
                 });
             }
         });

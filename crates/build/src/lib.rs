@@ -59,10 +59,10 @@ pub mod singleflight;
 
 pub use artifact::ARTIFACT_VERSION;
 pub use driver::{
-    build_program, build_program_serial, check_externs, expand_program, phase_us, BuildError,
-    BuildOptions, BuildStats, DriverOutput, OptStats, PhaseTimes,
+    build_program, check_externs, expand_program, phase_us, BuildError, BuildOptions, BuildStats,
+    DriverOutput, OptStats, PhaseTimes,
 };
-pub use netcache::NetlistCache;
+pub use netcache::NetlistMemo;
 pub use request::{BuildOutput, BuildRequest, PROTOCOL_VERSION};
 pub use singleflight::{Served, SingleFlight};
 // Re-exported so front ends can name optimizer types (`fil_opt`) and

@@ -3,7 +3,7 @@
 //! Elaboration ([`calyx_lite::Program::elaborate`]) flattens the lowered
 //! hierarchy into one simulator-ready [`rtl_sim::Netlist`] — cheap next to
 //! a cold compile, but pure waste to repeat when a daemon serves the same
-//! design over and over. [`NetlistCache`] memoizes the result behind the
+//! design over and over. A [`NetlistMemo`] memoizes the result behind the
 //! same deterministic 128-bit hashing as the artifact cache
 //! ([`crate::key`]): the key digests the canonical
 //! [`calyx_lite::serial::encode_component`] bytes of every component in
@@ -14,9 +14,9 @@
 //! which request produced them.
 
 use crate::key::{ContentHash, Hasher};
+use crate::{Served, SingleFlight};
 use calyx_lite as cl;
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The key of one elaborated netlist: lowered program content × top name
 /// × optimization level. The content digest alone already separates
@@ -41,81 +41,34 @@ pub fn netlist_key(lowered: &cl::Program, top: &str, opt_level: u8) -> ContentHa
     h.content_hash()
 }
 
-/// See the module docs. Bounded FIFO over insertion order; entries are
-/// shared as `Arc`s, so eviction never invalidates a netlist a client is
-/// still simulating.
-pub struct NetlistCache {
-    capacity: usize,
-    inner: Mutex<Inner>,
-}
+/// Elaborated netlists by [`netlist_key`]: a bounded FIFO memo that also
+/// coalesces identical concurrent elaborations. Entries are shared as
+/// `Arc`s, so eviction never invalidates a netlist a client is still
+/// simulating.
+pub type NetlistMemo = SingleFlight<(u64, u64), Result<Arc<rtl_sim::Netlist>, cl::CalyxError>>;
 
-#[derive(Default)]
-struct Inner {
-    map: HashMap<(u64, u64), Arc<rtl_sim::Netlist>>,
-    order: VecDeque<(u64, u64)>,
-}
-
-impl NetlistCache {
-    /// A cache holding at most `capacity` elaborated netlists.
-    pub fn new(capacity: usize) -> Self {
-        NetlistCache {
-            capacity: capacity.max(1),
-            inner: Mutex::new(Inner::default()),
-        }
-    }
-
-    /// Entries currently cached.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The elaborated netlist for `top` in `lowered`, from cache when the
-    /// content key matches, freshly elaborated (and cached) otherwise.
-    /// The boolean is `true` on a cache hit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the elaboration error (unknown top, malformed
-    /// hierarchy); failures are not cached.
-    pub fn get_or_elaborate(
-        &self,
-        lowered: &cl::Program,
-        top: &str,
-        opt_level: u8,
-    ) -> Result<(Arc<rtl_sim::Netlist>, bool), cl::CalyxError> {
-        let key = netlist_key(lowered, top, opt_level);
-        let key = (key.a, key.b);
-        if let Some(n) = self.inner.lock().unwrap().map.get(&key) {
-            return Ok((n.clone(), true));
-        }
-        // Elaborate outside the lock; a racing identical request may also
-        // elaborate, and the first store wins (both results are
-        // equivalent — elaboration is deterministic).
-        let fresh = Arc::new(lowered.elaborate(top)?);
-        let mut evicted = Vec::new();
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(n) = inner.map.get(&key) {
-            return Ok((n.clone(), true));
-        }
-        inner.map.insert(key, fresh.clone());
-        inner.order.push_back(key);
-        while inner.order.len() > self.capacity {
-            if let Some(old) = inner.order.pop_front() {
-                evicted.extend(inner.map.remove(&old));
-            }
-        }
-        drop(inner);
-        // An evicted netlist may hold its last reference here: free it
-        // (names, cells, the flat graph) after the lock, so concurrent
-        // requests never wait on the deallocation.
-        drop(evicted);
-        Ok((fresh, false))
-    }
+/// The elaborated netlist for `top` in `lowered`, from `memo` when the
+/// content key matches (or an identical elaboration is in flight),
+/// freshly elaborated and memoized otherwise. The boolean is `true` when
+/// this call did not elaborate.
+///
+/// # Errors
+///
+/// Propagates the elaboration error (unknown top, malformed
+/// hierarchy); failures are not memoized.
+pub fn elaborate(
+    memo: &NetlistMemo,
+    lowered: &cl::Program,
+    top: &str,
+    opt_level: u8,
+) -> Result<(Arc<rtl_sim::Netlist>, bool), cl::CalyxError> {
+    let key = netlist_key(lowered, top, opt_level);
+    let (netlist, served) = memo.run((key.a, key.b), || {
+        let netlist = lowered.elaborate(top).map(Arc::new);
+        let keep = netlist.is_ok();
+        (netlist, keep)
+    });
+    Ok((Result::clone(&netlist)?, served != Served::Led))
 }
 
 #[cfg(test)]
@@ -137,35 +90,60 @@ mod tests {
 
     #[test]
     fn identical_programs_hit_different_programs_miss() {
-        let cache = NetlistCache::new(4);
-        let (a, hit) = cache.get_or_elaborate(&program(8), "Main", 0).unwrap();
+        let memo = NetlistMemo::new(4);
+        let (a, hit) = elaborate(&memo, &program(8), "Main", 0).unwrap();
         assert!(!hit);
-        let (b, hit) = cache.get_or_elaborate(&program(8), "Main", 0).unwrap();
+        let (b, hit) = elaborate(&memo, &program(8), "Main", 0).unwrap();
         assert!(hit, "byte-identical lowered program is served from memory");
         assert!(Arc::ptr_eq(&a, &b), "the very same netlist is shared");
-        let (_, hit) = cache.get_or_elaborate(&program(16), "Main", 0).unwrap();
+        let (_, hit) = elaborate(&memo, &program(16), "Main", 0).unwrap();
         assert!(!hit, "a width change changes the content key");
-        assert_eq!(cache.len(), 2);
+        assert_eq!(memo.memo_len(), 2);
     }
 
     #[test]
     fn capacity_evicts_oldest() {
-        let cache = NetlistCache::new(2);
+        let memo = NetlistMemo::new(2);
         for w in [8, 16, 24] {
-            cache.get_or_elaborate(&program(w), "Main", 0).unwrap();
+            elaborate(&memo, &program(w), "Main", 0).unwrap();
         }
-        assert_eq!(cache.len(), 2);
-        let (_, hit) = cache.get_or_elaborate(&program(8), "Main", 0).unwrap();
+        assert_eq!(memo.memo_len(), 2);
+        let (_, hit) = elaborate(&memo, &program(8), "Main", 0).unwrap();
         assert!(!hit, "oldest entry was evicted");
-        let (_, hit) = cache.get_or_elaborate(&program(24), "Main", 0).unwrap();
+        let (_, hit) = elaborate(&memo, &program(24), "Main", 0).unwrap();
         assert!(hit, "newest entry survived");
     }
 
     #[test]
     fn elaboration_errors_propagate_and_are_not_cached() {
-        let cache = NetlistCache::new(2);
-        assert!(cache.get_or_elaborate(&program(8), "Nope", 0).is_err());
-        assert!(cache.is_empty());
+        let memo = NetlistMemo::new(2);
+        assert!(elaborate(&memo, &program(8), "Nope", 0).is_err());
+        assert_eq!(memo.memo_len(), 0);
+        assert!(elaborate(&memo, &program(8), "Nope", 0).is_err());
+    }
+
+    #[test]
+    fn concurrent_requests_elaborate_once() {
+        // Two threads ask for the same unseen netlist: exactly one
+        // elaborates (leads), the other coalesces onto it or hits the
+        // memo, and both hold the same `Arc`.
+        let memo = NetlistMemo::new(4);
+        let barrier = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|s| {
+            let get = || {
+                barrier.wait();
+                elaborate(&memo, &program(8), "Main", 0).unwrap()
+            };
+            let a = s.spawn(get);
+            let b = s.spawn(get);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(
+            a.1 != b.1,
+            "one elaboration, one shared result: {a:?} {b:?}"
+        );
+        assert!(Arc::ptr_eq(&a.0, &b.0));
+        assert_eq!(memo.memo_len(), 1);
     }
 
     #[test]

@@ -112,6 +112,7 @@ impl<K: Eq + Hash + Clone, V> SingleFlight<K, V> {
         };
         let (value, keep) = compute();
         let value = Arc::new(value);
+        let mut evicted = Vec::new();
         {
             let mut st = self.state.lock().unwrap();
             if keep && self.capacity > 0 {
@@ -120,7 +121,7 @@ impl<K: Eq + Hash + Clone, V> SingleFlight<K, V> {
                 while st.done.len() > self.capacity {
                     if let Some(old) = st.done.pop_front() {
                         if matches!(st.map.get(&old), Some(Slot::Done(_))) {
-                            st.map.remove(&old);
+                            evicted.extend(st.map.remove(&old));
                         }
                     }
                 }
@@ -128,6 +129,9 @@ impl<K: Eq + Hash + Clone, V> SingleFlight<K, V> {
                 st.map.remove(&key);
             }
         }
+        // An evicted value may hold its last reference here: free it after
+        // the lock, so concurrent callers never wait on the deallocation.
+        drop(evicted);
         let mut guard = guard;
         guard.armed = false;
         self.cv.notify_all();
@@ -211,6 +215,25 @@ mod tests {
         // Oldest keys were evicted: key 0 recomputes, key 4 is memoized.
         assert_eq!(flight.run(0, || (0, true)).1, Served::Led);
         assert_eq!(flight.run(4, || unreachable!()).1, Served::Memo);
+    }
+
+    #[test]
+    fn evicted_values_are_freed_after_the_lock() {
+        static FLIGHT: std::sync::OnceLock<SingleFlight<u32, Evictee>> = std::sync::OnceLock::new();
+        static FREED_UNLOCKED: AtomicU64 = AtomicU64::new(0);
+        struct Evictee;
+        impl Drop for Evictee {
+            fn drop(&mut self) {
+                if FLIGHT.get().is_some_and(|f| f.state.try_lock().is_ok()) {
+                    FREED_UNLOCKED.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+        }
+        let flight = FLIGHT.get_or_init(|| SingleFlight::new(1));
+        flight.run(0, || (Evictee, true));
+        // Evicts key 0, whose last reference the memo held.
+        flight.run(1, || (Evictee, true));
+        assert_eq!(FREED_UNLOCKED.load(Ordering::SeqCst), 1);
     }
 
     #[test]

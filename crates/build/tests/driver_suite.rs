@@ -5,7 +5,7 @@
 
 use fil_build::{build_program, expand_program, BuildError, BuildOptions};
 use filament_core::ast::Program;
-use filament_core::{mono, parse_program, pretty, PrimitiveRegistry};
+use filament_core::{mono, param_u32, parse_program, pretty, ParamTooLarge, PrimitiveRegistry};
 use rtl_sim::CellKind;
 use std::path::PathBuf;
 
@@ -14,15 +14,15 @@ const DELAY_EXT: &str = "extern comp Delay[W]<G: 1>(@[G, G+1] in: W) -> (@[G+1, 
 struct TestRegistry;
 
 impl PrimitiveRegistry for TestRegistry {
-    fn primitive(&self, name: &str, params: &[u64]) -> Option<CellKind> {
-        match name {
+    fn primitive(&self, name: &str, params: &[u64]) -> Result<Option<CellKind>, ParamTooLarge> {
+        Ok(match name {
             "Delay" => Some(CellKind::Reg {
-                width: params.first().copied().unwrap_or(8) as u32,
+                width: param_u32(params, 0, 8)?,
                 init: 0,
                 has_en: false,
             }),
             _ => None,
-        }
+        })
     }
 }
 

@@ -168,7 +168,9 @@ pub mod sem;
 
 pub use ast::{Component, ParamDecl, Program, Signature};
 pub use check::{check_component, check_program, CheckError};
-pub use lower::{lower_component_unit, lower_program, LoweredUnit, PrimitiveRegistry};
+pub use lower::{
+    lower_component_unit, lower_program, param_u32, LoweredUnit, ParamTooLarge, PrimitiveRegistry,
+};
 pub use mono::{
     elaborate_component, elaborate_signature, expand, expand_with_stats, CalleeResolver, MonoError,
     MonoStats, ProgramIndex,

@@ -23,21 +23,55 @@ use std::fmt;
 ///
 /// The standard library implements this for its externs; the port names of
 /// the returned [`CellKind`] (per [`calyx_lite::primitive_ports`]) must match
-/// the extern signature's port names.
-pub trait PrimitiveRegistry {
+/// the extern signature's port names. Registries are shared by the build
+/// driver's worker threads, hence `Sync`.
+pub trait PrimitiveRegistry: Sync {
     /// The cell implementing extern `name` with the given parameter values,
     /// or `None` if the extern is unknown.
-    fn primitive(&self, name: &str, params: &[u64]) -> Option<CellKind>;
+    ///
+    /// # Errors
+    ///
+    /// [`ParamTooLarge`] when a parameter does not fit the cell field it
+    /// sets (narrow with [`param_u32`]).
+    fn primitive(&self, name: &str, params: &[u64]) -> Result<Option<CellKind>, ParamTooLarge>;
 
     /// A structural implementation for externs that are whole sub-circuits
     /// rather than single cells — e.g. the Reticle-generated DSP cascade of
     /// Section 7.2, imported as an `extern comp Tdot`. Consulted only when
     /// [`PrimitiveRegistry::primitive`] returns `None`. The component's port
     /// names must match the extern signature's.
-    fn structural(&self, name: &str, params: &[u64]) -> Option<cl::Component> {
+    ///
+    /// # Errors
+    ///
+    /// As [`PrimitiveRegistry::primitive`].
+    fn structural(
+        &self,
+        name: &str,
+        params: &[u64],
+    ) -> Result<Option<cl::Component>, ParamTooLarge> {
         let _ = (name, params);
-        None
+        Ok(None)
     }
+}
+
+/// An extern parameter too large for the cell field it sets; `lower`
+/// reports it as [`LowerError::TooLarge`] against the instance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParamTooLarge {
+    /// The parameter's position in the extern's value list.
+    pub index: usize,
+}
+
+/// Parameter `index` of `params` narrowed to `u32`, or `default` when the
+/// list is shorter.
+///
+/// # Errors
+///
+/// [`ParamTooLarge`] when the value does not fit in 32 bits.
+pub fn param_u32(params: &[u64], index: usize, default: u32) -> Result<u32, ParamTooLarge> {
+    params.get(index).map_or(Ok(default), |&v| {
+        u32::try_from(v).map_err(|_| ParamTooLarge { index })
+    })
 }
 
 /// Errors raised during lowering.
@@ -462,14 +496,25 @@ fn lower_one(
                 })
             };
             if program.is_extern(component) {
-                if let Some(kind) = registry.primitive(component, &values) {
+                let too_large = |e: ParamTooLarge| {
+                    let param = callee.params.get(e.index).map_or("?", |p| p.name.as_str());
+                    LowerError::TooLarge {
+                        component: name.into(),
+                        site: format!("parameter {param} of instance {iname} ({component})"),
+                        value: values.get(e.index).copied().unwrap_or_default(),
+                        limit: u32::MAX.into(),
+                    }
+                };
+                if let Some(kind) = registry.primitive(component, &values).map_err(too_large)? {
                     let (pins, pouts) = cl::primitive_ports(&kind);
                     if let Some(e) = mismatch(&|p| pins.iter().chain(&pouts).any(|&(n, _)| n == p))
                     {
                         return Err(e);
                     }
                     c.add_primitive(iname.clone(), kind);
-                } else if let Some(sub) = registry.structural(component, &values) {
+                } else if let Some(sub) =
+                    registry.structural(component, &values).map_err(too_large)?
+                {
                     let ports = sub.inputs.iter().chain(&sub.outputs);
                     if let Some(e) = mismatch(&|p| ports.clone().any(|(n, _)| n == p)) {
                         return Err(e);

@@ -64,8 +64,9 @@ use std::fmt;
 /// DAG can enforce the same bound.
 pub const MAX_DEPTH: usize = 64;
 
-/// Ceiling on commands emitted per component, so a mistyped bound
-/// (`for i in 0..pow2(60)`) fails fast instead of exhausting memory.
+/// Ceiling on commands visited and loop iterations run per component, so
+/// a mistyped bound (`for i in 0..pow2(60)`) fails fast instead of
+/// exhausting memory or spinning over a body that emits nothing.
 const MAX_COMMANDS: usize = 1 << 20;
 
 /// Ceiling on elements per bundle port, for the same reason.
@@ -492,6 +493,7 @@ pub fn elaborate_component(
         stats,
         sig: &comp.sig,
         own_bundles,
+        budget: MAX_COMMANDS,
     };
     let mut body = Vec::new();
     elab.elab_commands(&comp.body, &mut body)?;
@@ -820,6 +822,9 @@ struct Elab<'p, 'r> {
     sig: &'p Signature,
     /// Own signature bundles: port name → concrete `(lo, hi)` extent.
     own_bundles: BundleExtents,
+    /// Commands and loop iterations left before [`MonoError::TooLarge`];
+    /// each emits at most one command, so this also bounds the output.
+    budget: usize,
 }
 
 impl CalleeResolver for Mono<'_> {
@@ -1078,17 +1083,24 @@ impl<'p> Elab<'p, '_> {
         Ok(out)
     }
 
+    /// Takes one unit of [`Elab::budget`].
+    fn spend(&mut self) -> Result<(), MonoError> {
+        self.budget = self
+            .budget
+            .checked_sub(1)
+            .ok_or_else(|| MonoError::TooLarge {
+                component: self.sig.name.clone(),
+            })?;
+        Ok(())
+    }
+
     fn elab_commands(
         &mut self,
         cmds: &'p [Command],
         out: &mut Vec<Command>,
     ) -> Result<(), MonoError> {
         for cmd in cmds {
-            if out.len() >= MAX_COMMANDS {
-                return Err(MonoError::TooLarge {
-                    component: self.sig.name.clone(),
-                });
-            }
+            self.spend()?;
             match cmd {
                 Command::Instance {
                     name,
@@ -1196,6 +1208,7 @@ impl<'p> Elab<'p, '_> {
                     self.table.frames.push((var, lo, self.frame));
                     let outer = self.frame.replace(f);
                     for i in lo..hi {
+                        self.spend()?;
                         self.table.frames[f].1 = i;
                         self.elab_commands(body, out)?;
                     }

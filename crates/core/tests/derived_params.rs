@@ -199,8 +199,12 @@ fn checker_reports_unresolved_instance_params_in_widths() {
 fn lower_rejects_residual_derived_params() {
     struct NoPrims;
     impl filament_core::PrimitiveRegistry for NoPrims {
-        fn primitive(&self, _: &str, _: &[u64]) -> Option<rtl_sim::CellKind> {
-            None
+        fn primitive(
+            &self,
+            _: &str,
+            _: &[u64],
+        ) -> Result<Option<rtl_sim::CellKind>, filament_core::ParamTooLarge> {
+            Ok(None)
         }
     }
     let p = parse_program("comp A[some W = 4]<G: 1>(@[G, G+1] x: W) -> () { }").unwrap();

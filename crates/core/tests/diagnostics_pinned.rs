@@ -678,6 +678,27 @@ const CASES: &[(&str, Mode, &str)] = &[
            o = r.out;
          }",
     ),
+    // Once spun in `filament expand` and `filament serve`: the loop emits
+    // one command, but its 2^62 iterations ran.
+    (
+        "mono.loop-iterations",
+        Mode::Pipeline,
+        "comp Main<G: 1>(@[G, G+1] x: 8) -> (@[G+1, G+2] o: 8) {
+           for i in 0..pow2(62) {
+             if i == 1 { d := new Delay[8]<G>(x); }
+           }
+           o = x;
+         }",
+    ),
+    // Once compiled as a shift by 1: the amount was narrowed with `as u32`.
+    (
+        "lower.primitive-parameter",
+        Mode::Pipeline,
+        "comp Main<G: 1>(@[G, G+1] x: 8) -> (@[G, G+1] o: 8) {
+           s := new ShlConst[8, 4294967297]<G>(x);
+           o = s.out;
+         }",
+    ),
 ];
 
 /// The joined `Display` text of a check failure.

@@ -3,16 +3,18 @@
 //! (the full Figure 6 flow).
 
 use fil_bits::Value;
-use filament_core::{check_program, lower_program, parse_program, PrimitiveRegistry};
+use filament_core::{
+    check_program, lower_program, param_u32, parse_program, ParamTooLarge, PrimitiveRegistry,
+};
 use rtl_sim::{CellKind, Sim};
 
 /// A registry mapping the test externs to simulator primitives.
 struct TestRegistry;
 
 impl PrimitiveRegistry for TestRegistry {
-    fn primitive(&self, name: &str, params: &[u64]) -> Option<CellKind> {
-        let w = *params.first().unwrap_or(&32) as u32;
-        match name {
+    fn primitive(&self, name: &str, params: &[u64]) -> Result<Option<CellKind>, ParamTooLarge> {
+        let w = param_u32(params, 0, 32)?;
+        Ok(match name {
             "Add" => Some(CellKind::Add { width: 32 }),
             "Add8" => Some(CellKind::Add { width: 8 }),
             "Mux" => Some(CellKind::Mux { width: 32 }),
@@ -40,7 +42,7 @@ impl PrimitiveRegistry for TestRegistry {
                 has_en: true,
             }),
             _ => None,
-        }
+        })
     }
 }
 

@@ -325,6 +325,32 @@ mod tests {
     }
 
     #[test]
+    fn phantom_builds_fewer_cells_than_interfaced() {
+        // Section 5.4's comparison: eliding the phantom event's FSM and
+        // guards leaves fewer cells for the same function.
+        let (phantom, _) = build(&base_source(), "Conv2d").unwrap();
+        let (iface, _) = build(&base_source_interfaced(), "Conv2d").unwrap();
+        let (p, i) = (phantom.cells().len(), iface.cells().len());
+        assert!(p < i, "phantom: {p} cells, interfaced: {i}");
+    }
+
+    #[test]
+    fn custom_registry_builds_honour_jobs() {
+        // A custom-registry build runs on the driver's worker pool like a
+        // standard one, with the same output at any job count.
+        let verilog = |jobs| {
+            let req = fil_build::BuildRequest::new(reticle_source())
+                .verilog()
+                .jobs(jobs);
+            fil_stdlib::build_with_registry(&req, &ReticleRegistry)
+                .unwrap()
+                .verilog
+                .unwrap()
+        };
+        assert_eq!(verilog(1), verilog(4));
+    }
+
+    #[test]
     fn table2_shape_holds() {
         // The Table 2 comparison: Filament base vs Filament+Reticle.
         let (nb, _) = build(&base_source(), "Conv2d").unwrap();

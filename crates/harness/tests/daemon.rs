@@ -27,6 +27,7 @@
 //! * **No abort on huge times** — a register scheduled near the last
 //!   representable cycle, which once made the daemon request 17 GB and
 //!   abort, is refused with a diagnostic; the next client still builds.
+//!   So is a `for` loop of 2^62 iterations, which once held a worker.
 
 #![cfg(unix)]
 
@@ -285,25 +286,14 @@ fn client_cache_dir_is_ignored() {
     let _ = std::fs::remove_dir_all(&tmp);
 }
 
-#[test]
-fn times_past_the_last_cycle_are_refused_and_the_daemon_keeps_serving() {
-    let socket = sock("huge");
+/// Sends `src` to a fresh daemon, expects a diagnostic containing
+/// `needle`, then checks that a second client still gets a build.
+fn refused_and_the_daemon_keeps_serving(tag: &str, src: &str, needle: &str) {
+    let socket = sock(tag);
     let handle = start(&socket);
-    let huge = BuildRequest::new(
-        "comp Main<G: 3>(@interface[G] go: 1,
-                         @[G+18446744073709551613, G+18446744073709551614] x: 32)
-             -> (@[G+18446744073709551614, G+18446744073709551615] o: 32) {
-           r := new Register[32]<G+18446744073709551613, G+18446744073709551615>(x);
-           o = r.out;
-         }",
-    )
-    .netlist("Main")
-    .verilog();
-    match serve::request_build(&socket, &huge) {
-        Err(serve::ClientError::Server(msg)) => assert!(
-            msg.contains("run past the last representable cycle"),
-            "{msg}"
-        ),
+    let refused = BuildRequest::new(src).netlist("Main").verilog();
+    match serve::request_build(&socket, &refused) {
+        Err(serve::ClientError::Server(msg)) => assert!(msg.contains(needle), "{msg}"),
         other => panic!("expected a diagnostic, got {other:?}"),
     }
     // A second client, on a connection of its own, still gets a build.
@@ -319,6 +309,36 @@ fn times_past_the_last_cycle_are_refused_and_the_daemon_keeps_serving() {
     assert!(out.output.verilog.is_some() && out.output.netlist.is_some());
     assert!(stat(&socket, "builds_run") >= 1);
     shut_down(&socket, handle);
+}
+
+#[test]
+fn times_past_the_last_cycle_are_refused_and_the_daemon_keeps_serving() {
+    refused_and_the_daemon_keeps_serving(
+        "huge",
+        "comp Main<G: 3>(@interface[G] go: 1,
+                         @[G+18446744073709551613, G+18446744073709551614] x: 32)
+             -> (@[G+18446744073709551614, G+18446744073709551615] o: 32) {
+           r := new Register[32]<G+18446744073709551613, G+18446744073709551615>(x);
+           o = r.out;
+         }",
+        "run past the last representable cycle",
+    );
+}
+
+#[test]
+fn long_loops_are_refused_and_the_daemon_keeps_serving() {
+    // 2^62 iterations that emit one command: refused by the iteration
+    // budget, not run.
+    refused_and_the_daemon_keeps_serving(
+        "loop",
+        "comp Main<G: 1>(@[G, G+1] x: 8) -> (@[G+1, G+2] o: 8) {
+           for i in 0..pow2(62) {
+             if i == 1 { d := new Delay[8]<G>(x); }
+           }
+           o = x;
+         }",
+        "expands to more than",
+    );
 }
 
 #[test]

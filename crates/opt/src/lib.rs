@@ -73,16 +73,17 @@ use std::time::Instant;
 /// Pass names, in pipeline order. Indexes [`OptReport::passes`].
 pub const PASSES: [&str; 5] = ["const-fold", "strength", "forward", "cse", "dce"];
 
+/// Fixpoint iteration cap per component (each iteration runs the whole
+/// pipeline once; the loop stops early when an iteration changes nothing,
+/// or when only dce changed something).
+pub const MAX_ITERATIONS: usize = 10;
+
 /// Optimizer configuration.
 #[derive(Debug, Clone)]
 pub struct OptConfig {
     /// 0 = off (the component is untouched), 1 = everything but CSE,
     /// 2 = everything.
     pub level: u8,
-    /// Fixpoint iteration cap per component (each iteration runs the whole
-    /// pipeline once; the loop stops early when an iteration changes
-    /// nothing, or when only dce changed something).
-    pub max_iterations: usize,
     /// Record a [`RewriteNote`] per rewrite. Builders that only consume the
     /// counters turn this off, and then no note text is rendered at all.
     pub record_notes: bool,
@@ -98,7 +99,6 @@ impl OptConfig {
     pub fn level(level: u8) -> Self {
         OptConfig {
             level,
-            max_iterations: 10,
             record_notes: true,
             inject_bad_fold: false,
         }
@@ -220,7 +220,7 @@ pub fn optimize_component(c: &mut Component, cfg: &OptConfig) -> OptReport {
     }
     report.cells_before = c.cells.len() as u64;
     report.assigns_before = c.assigns.len() as u64;
-    for _ in 0..cfg.max_iterations.max(1) {
+    for _ in 0..MAX_ITERATIONS {
         report.iterations += 1;
         let fired = iterate(c, cfg, &mut report);
         if fired[..4].iter().all(|&n| n == 0) {

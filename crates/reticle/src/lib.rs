@@ -14,9 +14,13 @@
 //! paper gives Filament for it ("this is not implementation details leaking
 //! through").
 
+// Extern parameters are user input: narrow them with `param_u32`, which
+// refuses a value past 32 bits, never wraps it.
+#![deny(clippy::cast_possible_truncation)]
+
 use calyx_lite::{Component, PortRef, Src};
 use fil_bits::Value;
-use filament_core::PrimitiveRegistry;
+use filament_core::{param_u32, ParamTooLarge, PrimitiveRegistry};
 use rtl_sim::CellKind;
 
 /// The Filament extern signature of the 3-element DSP-cascade dot product,
@@ -94,17 +98,16 @@ pub fn generate_tdot(width: u32) -> Component {
 pub struct ReticleRegistry;
 
 impl PrimitiveRegistry for ReticleRegistry {
-    fn primitive(&self, name: &str, params: &[u64]) -> Option<CellKind> {
+    fn primitive(&self, name: &str, params: &[u64]) -> Result<Option<CellKind>, ParamTooLarge> {
         fil_stdlib::StdRegistry.primitive(name, params)
     }
 
-    fn structural(&self, name: &str, params: &[u64]) -> Option<Component> {
-        if name == "Tdot" {
-            let width = params.first().copied().unwrap_or(12) as u32;
-            Some(generate_tdot(width))
+    fn structural(&self, name: &str, params: &[u64]) -> Result<Option<Component>, ParamTooLarge> {
+        Ok(if name == "Tdot" {
+            Some(generate_tdot(param_u32(params, 0, 12)?))
         } else {
             None
-        }
+        })
     }
 }
 
@@ -183,9 +186,14 @@ mod tests {
     #[test]
     fn registry_serves_tdot_and_stdlib() {
         let r = ReticleRegistry;
-        assert!(r.structural("Tdot", &[12]).is_some());
-        assert!(r.structural("Nope", &[]).is_none());
-        assert!(r.primitive("Add", &[8]).is_some());
+        assert!(matches!(r.structural("Tdot", &[12]), Ok(Some(_))));
+        assert!(matches!(r.structural("Nope", &[]), Ok(None)));
+        assert!(matches!(r.primitive("Add", &[8]), Ok(Some(_))));
+        assert_eq!(
+            r.structural("Tdot", &[1 << 32]).unwrap_err(),
+            ParamTooLarge { index: 0 },
+            "a width past 32 bits is refused, not wrapped to 0"
+        );
     }
 
     #[test]

@@ -466,71 +466,4 @@ impl Netlist {
     pub fn state_bits(&self) -> u64 {
         self.cells.iter().map(|c| c.kind.state_bits()).sum()
     }
-
-    /// Emits the netlist as structural Verilog (for inspection; our
-    /// simulator executes the netlist directly).
-    pub fn to_verilog(&self) -> String {
-        let mut out = String::new();
-        use std::fmt::Write;
-        let ports: Vec<String> = self
-            .signals
-            .iter()
-            .filter(|s| s.dir != PortDir::Internal)
-            .map(|s| {
-                let dir = if s.dir == PortDir::Input {
-                    "input"
-                } else {
-                    "output"
-                };
-                format!("{dir} wire [{}:0] {}", s.width - 1, mangle(&s.name))
-            })
-            .collect();
-        writeln!(out, "module {}(", mangle(&self.name)).unwrap();
-        writeln!(out, "  input wire clk,").unwrap();
-        writeln!(out, "  {}", ports.join(",\n  ")).unwrap();
-        writeln!(out, ");").unwrap();
-        for s in &self.signals {
-            if s.dir == PortDir::Internal {
-                writeln!(out, "  wire [{}:0] {};", s.width - 1, mangle(&s.name)).unwrap();
-            }
-        }
-        for c in &self.cells {
-            let ins: Vec<String> = c
-                .inputs
-                .iter()
-                .map(|&s| mangle(&self.signals[s.index()].name))
-                .collect();
-            let outs: Vec<String> = c
-                .outputs
-                .iter()
-                .map(|&s| mangle(&self.signals[s.index()].name))
-                .collect();
-            writeln!(
-                out,
-                "  {} {} (.clk(clk), .in({{{}}}), .out({{{}}}));",
-                c.kind.verilog_module(),
-                mangle(&c.name),
-                ins.join(", "),
-                outs.join(", ")
-            )
-            .unwrap();
-        }
-        for a in &self.assigns {
-            let dst = mangle(&self.signals[a.dst.index()].name);
-            let src = mangle(&self.signals[a.src.index()].name);
-            match a.guard {
-                None => writeln!(out, "  assign {dst} = {src};").unwrap(),
-                Some(g) => {
-                    let g = mangle(&self.signals[g.index()].name);
-                    writeln!(out, "  assign {dst} = {g} ? {src} : 'x;").unwrap()
-                }
-            }
-        }
-        writeln!(out, "endmodule").unwrap();
-        out
-    }
-}
-
-fn mangle(name: &str) -> String {
-    name.replace(['.', '[', ']', '<', '>', ' '], "_")
 }

@@ -660,15 +660,6 @@ fn state_bits_accounting() {
 }
 
 #[test]
-fn verilog_emission_smoke() {
-    let (n, _) = binop_netlist(CellKind::Add { width: 8 });
-    let v = n.to_verilog();
-    assert!(v.contains("module binop"));
-    assert!(v.contains("std_add"));
-    assert!(v.contains("endmodule"));
-}
-
-#[test]
 fn ascii_wave_renders() {
     let mut n = Netlist::new("wave");
     let a = n.add_input("a", 8);

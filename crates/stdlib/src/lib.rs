@@ -40,8 +40,12 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+// Extern parameters are user input: a cell field narrows one with
+// `param_u32`, which refuses a value past 32 bits, never wraps it.
+#![deny(clippy::cast_possible_truncation)]
+
 pub use fil_build::{BuildOutput, BuildRequest};
-use filament_core::{parse_program, PrimitiveRegistry, Program};
+use filament_core::{param_u32, parse_program, ParamTooLarge, PrimitiveRegistry, Program};
 use rtl_sim::CellKind;
 
 use std::collections::HashSet;
@@ -221,13 +225,13 @@ fn std_extern_names() -> &'static HashSet<String> {
     })
 }
 
-/// The process-wide elaborated-netlist cache backing
+/// The process-wide elaborated-netlist memo backing
 /// `BuildRequest::netlist` requests: lowered programs that are
 /// byte-identical (the driver's determinism guarantee) share one
 /// elaboration, keyed by [`fil_build::netcache::netlist_key`].
-fn netlist_cache() -> &'static fil_build::NetlistCache {
-    static CACHE: OnceLock<fil_build::NetlistCache> = OnceLock::new();
-    CACHE.get_or_init(|| fil_build::NetlistCache::new(32))
+fn netlist_memo() -> &'static fil_build::NetlistMemo {
+    static MEMO: OnceLock<fil_build::NetlistMemo> = OnceLock::new();
+    MEMO.get_or_init(|| fil_build::NetlistMemo::new(32))
 }
 
 /// Runs one [`BuildRequest`] against the standard library: parse (timed,
@@ -267,8 +271,7 @@ pub fn build(req: &fil_build::BuildRequest) -> Result<fil_build::BuildOutput, Lo
 
 /// [`build`] lowering through a caller-supplied primitive registry
 /// instead of [`StdRegistry`] (the registry's fingerprint comes from
-/// `req.options.salt`). Runs the driver on the calling thread —
-/// registries are not required to be `Sync`.
+/// `req.options.salt`).
 ///
 /// # Errors
 ///
@@ -299,10 +302,7 @@ fn run_request(
         return Ok(output);
     }
     let mut out = if req.needs_lowering() {
-        match registry {
-            None => fil_build::build_program(&raw.program, &StdRegistry, &opts)?,
-            Some(r) => fil_build::build_program_serial(&raw.program, r, &opts)?,
-        }
+        fil_build::build_program(&raw.program, registry.unwrap_or(&StdRegistry), &opts)?
     } else {
         fil_build::expand_program(&raw.program, &opts)?
     };
@@ -319,9 +319,9 @@ fn run_request(
         let span = |name| lane.as_ref().map(|l| l.span("build", name));
         if let Some(top) = &req.want_netlist {
             let _span = span("elaborate");
-            let (netlist, from_cache) = netlist_cache()
-                .get_or_elaborate(&lowered, top, opts.opt_level)
-                .map_err(|e| LoadError::Driver(e.to_string()))?;
+            let (netlist, from_cache) =
+                fil_build::netcache::elaborate(netlist_memo(), &lowered, top, opts.opt_level)
+                    .map_err(|e| LoadError::Driver(e.to_string()))?;
             output.netlist = Some(netlist);
             output.netlist_from_cache = from_cache;
         }
@@ -381,71 +381,71 @@ fn timed_parse(user_src: &str, opts: &fil_build::BuildOptions) -> Result<TimedPa
 pub struct StdRegistry;
 
 impl PrimitiveRegistry for StdRegistry {
-    fn primitive(&self, name: &str, params: &[u64]) -> Option<CellKind> {
-        let w = |i: usize| params.get(i).copied().unwrap_or(32) as u32;
-        Some(match name {
-            "Add" => CellKind::Add { width: w(0) },
-            "Sub" => CellKind::Sub { width: w(0) },
-            "MultComb" => CellKind::MulComb { width: w(0) },
+    fn primitive(&self, name: &str, params: &[u64]) -> Result<Option<CellKind>, ParamTooLarge> {
+        let w = |i: usize| param_u32(params, i, 32);
+        Ok(Some(match name {
+            "Add" => CellKind::Add { width: w(0)? },
+            "Sub" => CellKind::Sub { width: w(0)? },
+            "MultComb" => CellKind::MulComb { width: w(0)? },
             "Mult" => CellKind::MultSeq {
-                width: w(0),
+                width: w(0)?,
                 latency: 2,
             },
             "FastMult" => CellKind::MultPipe {
-                width: w(0),
+                width: w(0)?,
                 latency: 2,
             },
             "LogiMult" => CellKind::MultPipe {
-                width: w(0),
+                width: w(0)?,
                 latency: 3,
             },
-            "And" => CellKind::And { width: w(0) },
-            "Or" => CellKind::Or { width: w(0) },
-            "Xor" => CellKind::Xor { width: w(0) },
-            "Not" => CellKind::Not { width: w(0) },
-            "Mux" => CellKind::Mux { width: w(0) },
-            "Eq" => CellKind::Eq { width: w(0) },
-            "Lt" => CellKind::Lt { width: w(0) },
-            "Ge" => CellKind::Ge { width: w(0) },
+            "And" => CellKind::And { width: w(0)? },
+            "Or" => CellKind::Or { width: w(0)? },
+            "Xor" => CellKind::Xor { width: w(0)? },
+            "Not" => CellKind::Not { width: w(0)? },
+            "Mux" => CellKind::Mux { width: w(0)? },
+            "Eq" => CellKind::Eq { width: w(0)? },
+            "Lt" => CellKind::Lt { width: w(0)? },
+            "Ge" => CellKind::Ge { width: w(0)? },
             "ShlConst" => CellKind::ShlConst {
-                width: w(0),
-                amount: w(1),
+                width: w(0)?,
+                amount: w(1)?,
             },
             "ShrConst" => CellKind::ShrConst {
-                width: w(0),
-                amount: w(1),
+                width: w(0)?,
+                amount: w(1)?,
             },
-            "Shl" => CellKind::ShlDyn { width: w(0) },
-            "Shr" => CellKind::ShrDyn { width: w(0) },
+            "Shl" => CellKind::ShlDyn { width: w(0)? },
+            "Shr" => CellKind::ShrDyn { width: w(0)? },
             "Slice" => CellKind::Slice {
-                in_width: w(0),
-                hi: w(1),
-                lo: w(2),
+                in_width: w(0)?,
+                hi: w(1)?,
+                lo: w(2)?,
             },
             "Concat" => CellKind::Concat {
-                hi_width: w(0),
-                lo_width: w(1),
+                hi_width: w(0)?,
+                lo_width: w(1)?,
             },
             "ZExt" => CellKind::ZeroExt {
-                in_width: w(0),
-                out_width: w(1),
+                in_width: w(0)?,
+                out_width: w(1)?,
             },
-            "ReduceOr" => CellKind::ReduceOr { width: w(0) },
-            "ReduceAnd" => CellKind::ReduceAnd { width: w(0) },
-            "Clz" => CellKind::Clz { width: w(0) },
+            "ReduceOr" => CellKind::ReduceOr { width: w(0)? },
+            "ReduceAnd" => CellKind::ReduceAnd { width: w(0)? },
+            "Clz" => CellKind::Clz { width: w(0)? },
             "SBox" => CellKind::SBox,
             "Register" | "Prev" => CellKind::Reg {
-                width: w(0),
+                width: w(0)?,
                 init: 0,
                 has_en: true,
             },
             "Delay" | "ContPrev" => CellKind::Reg {
-                width: w(0),
+                width: w(0)?,
                 init: 0,
                 has_en: false,
             },
-            _ => return None,
-        })
+            _ => return Ok(None),
+        }))
     }
 }
 
@@ -521,11 +521,28 @@ mod tests {
         for sig in p.externs.iter() {
             let params: Vec<u64> = sig.params.iter().map(|_| 8).collect();
             assert!(
-                StdRegistry.primitive(&sig.name, &params).is_some(),
+                matches!(StdRegistry.primitive(&sig.name, &params), Ok(Some(_))),
                 "no primitive for {}",
                 sig.name
             );
         }
+    }
+
+    #[test]
+    fn parameters_past_32_bits_are_refused() {
+        // 2^32 + 1 would wrap to a shift by 1.
+        let amount = (1 << 32) + 1;
+        assert_eq!(
+            StdRegistry.primitive("ShlConst", &[8, amount]),
+            Err(ParamTooLarge { index: 1 })
+        );
+        assert_eq!(
+            StdRegistry.primitive("ShlConst", &[8, 1]),
+            Ok(Some(CellKind::ShlConst {
+                width: 8,
+                amount: 1
+            }))
+        );
     }
 
     #[test]
@@ -546,7 +563,7 @@ mod tests {
                     _ => 8,
                 })
                 .collect();
-            let kind = StdRegistry.primitive(&sig.name, &params).unwrap();
+            let kind = StdRegistry.primitive(&sig.name, &params).unwrap().unwrap();
             let (ins, outs) = calyx_lite::primitive_ports(&kind);
             let have: std::collections::HashSet<&str> =
                 ins.iter().chain(&outs).map(|&(n, _)| n).collect();

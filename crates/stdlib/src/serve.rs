@@ -305,7 +305,7 @@ fn handle_connection(stream: UnixStream, shared: &Shared, control: bool) {
                 let pairs = snapshot_stats(shared);
                 let mut out = vec![RESP_STATS];
                 let mut w = Writer::new(&mut out);
-                w.u32(pairs.len() as u32);
+                w.len_prefix(pairs.len());
                 for (name, value) in pairs {
                     w.str(name);
                     w.u64(value);
@@ -403,7 +403,7 @@ fn snapshot_stats(shared: &Shared) -> Vec<(&'static str, u64)> {
             s.malformed_frames.load(Ordering::Relaxed),
         ),
         ("memo_len", shared.flight.memo_len() as u64),
-        ("netlist_cache_len", crate::netlist_cache().len() as u64),
+        ("netlist_cache_len", crate::netlist_memo().memo_len() as u64),
     ]
 }
 
