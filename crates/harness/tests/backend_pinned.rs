@@ -6,8 +6,11 @@
 //! suite records FNV-64 digests of `emit_program` and of the elaborated
 //! netlist's signal, cell and assignment tables, in table order, for every
 //! corpus design at `-O0` and `-O2` and for 500 seeded fuzz programs at
-//! both levels. It also pins the full `Display` text of every elaboration
-//! error kind on small hand-built programs.
+//! both levels. The same designs and programs also go through the
+//! whole-program path (`mono::expand`, then `lower_program` on the top)
+//! and get a digest of `emit_program` each. It also pins the full
+//! `Display` text of every elaboration error kind on small hand-built
+//! programs.
 //!
 //! An intentional back-end change regenerates the digests:
 //!
@@ -75,6 +78,25 @@ fn lowered(
         .unwrap_or_else(|e| panic!("{name} -O{level}: {e}"))
         .lowered
         .expect("lowered was requested")
+}
+
+/// `emit_program` of the whole-program path: the standard library plus
+/// `src`, through `mono::expand` and `lower_program` on `top`.
+fn whole_program_verilog(
+    name: &str,
+    src: &str,
+    top: &str,
+    registry: &dyn filament_core::PrimitiveRegistry,
+) -> String {
+    let mut program = fil_stdlib::std_program();
+    program.extend(
+        filament_core::parse_program(src).unwrap_or_else(|e| panic!("{name}: parse: {e}")),
+    );
+    let expanded = filament_core::mono::expand(&program)
+        .unwrap_or_else(|e| panic!("{name}: mono::expand: {e}"));
+    let lowered = filament_core::lower_program(&expanded, top, registry)
+        .unwrap_or_else(|e| panic!("{name}: lower_program: {e}"));
+    calyx_lite::emit_program(&lowered)
 }
 
 /// `(verilog, netlist tables)` of one lowered program.
@@ -375,6 +397,31 @@ fn render() -> String {
                 digest(&tables)
             );
         }
+    }
+    for (name, src, top) in fil_designs::corpus() {
+        let v = whole_program_verilog(&name, &src, top, &reticle::ReticleRegistry);
+        let _ = writeln!(out, "lower_program/corpus/{name} {:016x}", digest(&v));
+    }
+    for block in 0..FUZZ_CASES / 100 {
+        let mut verilog = String::new();
+        for k in 0..100 {
+            let case = fil_harness::fuzz::gen::generate(FUZZ_SEED + block * 100 + k);
+            let name = format!("fuzz seed {}", case.seed);
+            let top = fil_harness::fuzz::gen::TOP;
+            verilog.push_str(&whole_program_verilog(
+                &name,
+                &case.source,
+                top,
+                &fil_stdlib::StdRegistry,
+            ));
+        }
+        let _ = writeln!(
+            out,
+            "lower_program/fuzz/{}..{} {:016x}",
+            block * 100,
+            block * 100 + 100,
+            digest(&verilog)
+        );
     }
     let (verilog, tables) = backend_text("handmade", &handmade(), "Top.v$1");
     let _ = writeln!(
