@@ -1,19 +1,19 @@
-//! The build driver: schedules per-component compile units over the
-//! monomorph dependency DAG, with an in-session dedup cache, an optional
-//! cross-session artifact cache, and an optional worker pool.
+//! The build driver: runs `mono`'s compile units on a worker pool, with an
+//! in-session dedup cache, an optional cross-session artifact cache, and
+//! per-unit checking, lowering and optimization.
 //!
 //! # Units
 //!
-//! A *unit* is one `(source component, resolved parameter vector)` pair —
-//! exactly the monomorphizer's cache key. Processing a unit:
+//! A *unit* is one [`UnitKey`]: a source component at a resolved parameter
+//! vector. Processing a unit:
 //!
 //! 1. **probe** the artifact cache (when `cache_dir` is set) by the unit's
 //!    content hash; a valid artifact supplies the expanded component, the
 //!    dependency list, and (for full builds) the lowered component — no
 //!    expand/check/lower work at all;
 //! 2. otherwise **expand** the unit through
-//!    [`filament_core::mono::elaborate_component`], recording each callee
-//!    instantiation as a dependency edge instead of recursing;
+//!    [`mono::elaborate_component`], which records each callee
+//!    instantiation as a dependency;
 //! 3. for full builds, **check** and **lower** it against its scope: the
 //!    externs it instantiates, its own signature and the concrete
 //!    signatures of its direct dependencies (reconstructed from their
@@ -21,34 +21,30 @@
 //!    modular-compilation story);
 //! 4. **store** the artifact.
 //!
-//! Dependencies discovered in step 1/2 are pushed onto the shared queue;
-//! workers drain it until the transitive closure of the parameter-free
-//! roots is built.
+//! Workers drain a shared [`mono::UnitQueue`], which schedules a unit's
+//! dependencies when it finishes, until the roots' closure is built.
 //!
 //! # Determinism
 //!
-//! Unit processing is a pure function of `(program, unit)`: callee
-//! references are emitted as content-addressed placeholder names, so no
-//! unit ever depends on scheduling order. The final **merge** is serial
-//! and deterministic — it walks the recorded dependency graph in the exact
-//! order the recursive monomorphizer would have (roots in declaration
-//! order, dependencies in body order, names claimed pre-order, components
-//! emitted post-order) and rewrites placeholders to final names. `-j1` and
-//! `-jN`, cold and warm, therefore produce byte-identical expanded
-//! programs, Calyx, and Verilog — and the expanded program is byte-equal
-//! to [`filament_core::mono::expand`]'s output.
+//! Unit processing is a pure function of `(program, unit)`: callees are
+//! referenced by placeholder ([`UnitKey::placeholder`]), so no unit
+//! depends on scheduling order. The serial **merge** lays the units out
+//! with [`mono::layout`], as [`mono::expand`] does, and renames the
+//! placeholders. `-j1` and `-jN`, cold and warm, therefore produce
+//! byte-identical expanded programs, Calyx, and Verilog, and the expanded
+//! program is [`mono::expand`]'s.
 
 use crate::artifact::{self, Artifact, ARTIFACT_VERSION};
 use crate::ast_bin;
-use crate::key::{fnv64, structural_hash, ContentHash, KeySpace};
+use crate::key::{structural_hash, ContentHash, KeySpace};
 use calyx_lite as cl;
-use filament_core::ast::{Command, Component, Id, Program, Signature};
-use filament_core::mono::{self, CalleeResolver, MAX_DEPTH};
+use filament_core::ast::{Component, Id, Program, Signature};
+use filament_core::mono::{self, UnitKey};
 use filament_core::{
     check_component, check_program, lower_component_unit, CheckError, MonoError, MonoStats,
     PrimitiveRegistry,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -289,6 +285,7 @@ fn run(
     opts: &BuildOptions,
     jobs: usize,
 ) -> Result<DriverOutput, BuildError> {
+    mono::validate(program)?;
     let externs = extern_set(program);
     if registry.is_some() {
         externs.ensure_checked(program)?;
@@ -380,47 +377,8 @@ fn gc_cache(dir: &std::path::Path, limit: u64) -> u64 {
 
 // ------------------------------------------------------------------ units
 
-/// The monomorphizer's cache key: one compile unit.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct UnitKey {
-    component: Id,
-    values: Vec<u64>,
-}
-
-/// The session-stable placeholder name a unit's component carries until
-/// the merge assigns final names. A pure function of the key, so units
-/// built in any order — or in an earlier session — agree on it.
-fn placeholder(key: &UnitKey) -> Id {
-    let mut bytes = Vec::with_capacity(8 * key.values.len());
-    for v in &key.values {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    format!(
-        "U_{:016x}",
-        fnv64(&[b"unit", key.component.as_bytes(), &bytes])
-    )
-}
-
-/// The human-readable name a unit will (almost always) receive at merge:
-/// the component plus its free parameter values. Used to rewrite
-/// placeholder names out of diagnostics.
-fn provisional(program: &Program, key: &UnitKey) -> Id {
-    if key.values.is_empty() {
-        return key.component.clone();
-    }
-    let mut name = key.component.clone();
-    let decls = program.component(&key.component).map(|c| &c.sig.params);
-    for (i, v) in key.values.iter().enumerate() {
-        if decls.is_some_and(|d| d.get(i).is_some_and(|p| p.is_derived())) {
-            continue;
-        }
-        name.push('_');
-        name.push_str(&v.to_string());
-    }
-    name
-}
-
 /// A processed unit, placeholder-named throughout.
+#[derive(Default)]
 struct UnitDone {
     /// The expanded component; `None` for cache loads when the caller
     /// asked for no expanded output (the component then never leaves its
@@ -430,8 +388,6 @@ struct UnitDone {
     lowered: Option<cl::Component>,
     structural: Vec<cl::Component>,
     mono: MonoStats,
-    /// Repeat instantiation sites within this unit's body.
-    local_hits: u64,
     /// Loaded from the artifact cache (zero work done).
     loaded: bool,
     /// The cache was probed and had no usable artifact.
@@ -492,12 +448,10 @@ pub fn phase_us(wall: Duration) -> u64 {
 // -------------------------------------------------------------- scheduler
 
 struct Shared {
-    queue: VecDeque<(UnitKey, usize)>,
-    scheduled: HashSet<UnitKey>,
+    queue: mono::UnitQueue,
     done: HashMap<UnitKey, UnitDone>,
     running: usize,
     error: Option<BuildError>,
-    session_hits: u64,
 }
 
 struct Ctx<'p> {
@@ -590,7 +544,6 @@ impl<'p> Ctx<'p> {
         opts: &'p BuildOptions,
         externs: &ExternSet,
     ) -> Result<Self, BuildError> {
-        mono::validate(program)?;
         let cache_dir = match &opts.cache_dir {
             Some(dir) => {
                 std::fs::create_dir_all(dir)
@@ -602,25 +555,12 @@ impl<'p> Ctx<'p> {
         let keys = cache_dir
             .is_some()
             .then(|| KeySpace::with_extern_hashes(program, &externs.hashes));
-        let mut shared = Shared {
-            queue: VecDeque::new(),
-            scheduled: HashSet::new(),
+        let shared = Shared {
+            queue: mono::UnitQueue::new(program),
             done: HashMap::new(),
             running: 0,
             error: None,
-            session_hits: 0,
         };
-        for comp in &program.components {
-            if comp.sig.params.is_empty() {
-                let key = UnitKey {
-                    component: comp.sig.name.clone(),
-                    values: Vec::new(),
-                };
-                if shared.scheduled.insert(key.clone()) {
-                    shared.queue.push_back((key, 0));
-                }
-            }
-        }
         let cache_salt = match opts.opt_level {
             0 => opts.salt.clone(),
             level => format!("{}|O{level}", opts.salt),
@@ -652,7 +592,7 @@ fn worker(
                 if s.error.is_some() {
                     return;
                 }
-                if let Some(item) = s.queue.pop_front() {
+                if let Some(item) = s.queue.pop() {
                     s.running += 1;
                     break item;
                 }
@@ -679,24 +619,15 @@ fn worker(
                 .unwrap_or_else(|| "unknown panic".into());
             Err(BuildError::Io(format!(
                 "building {}: internal panic: {msg}",
-                provisional(ctx.program, &key)
+                key.provisional(ctx.program)
             )))
         });
         let mut s = ctx.shared.lock().unwrap();
         s.running -= 1;
         match result {
             Ok(unit) => {
-                for dep in &unit.deps {
-                    if s.scheduled.contains(dep) {
-                        s.session_hits += 1;
-                    } else if depth + 1 >= MAX_DEPTH {
-                        s.error.get_or_insert(BuildError::Mono(MonoError::TooDeep {
-                            component: dep.component.clone(),
-                        }));
-                    } else {
-                        s.scheduled.insert(dep.clone());
-                        s.queue.push_back((dep.clone(), depth + 1));
-                    }
+                if let Err(e) = s.queue.schedule(&unit.deps, depth) {
+                    s.error.get_or_insert(BuildError::Mono(e));
                 }
                 s.done.insert(key, unit);
             }
@@ -710,36 +641,6 @@ fn worker(
 }
 
 // --------------------------------------------------------- unit processing
-
-/// Records callee instantiations as dependency edges instead of recursing.
-struct Recorder<'p> {
-    self_key: &'p UnitKey,
-    deps: Vec<UnitKey>,
-    seen: HashSet<UnitKey>,
-    local_hits: u64,
-}
-
-impl CalleeResolver for Recorder<'_> {
-    fn resolve(&mut self, callee: &str, values: Vec<u64>) -> Result<Id, MonoError> {
-        let key = UnitKey {
-            component: callee.to_owned(),
-            values,
-        };
-        if key == *self.self_key {
-            return Err(MonoError::Recursive {
-                component: key.component,
-                params: key.values,
-            });
-        }
-        let name = placeholder(&key);
-        if self.seen.insert(key.clone()) {
-            self.deps.push(key);
-        } else {
-            self.local_hits += 1;
-        }
-        Ok(name)
-    }
-}
 
 /// Opens a per-unit phase span on `lane` (no-op when tracing is off),
 /// labeling it with the unit's human-readable name.
@@ -785,7 +686,7 @@ fn process_unit(
     lane: Option<&fil_trace::Lane<'_>>,
 ) -> Result<UnitDone, BuildError> {
     // Computed only when tracing: span labels cost a name render.
-    let unit_name = lane.map(|_| provisional(ctx.program, key));
+    let unit_name = lane.map(|_| key.provisional(ctx.program));
     // Cache probe.
     let path = ctx.keys.as_ref().and_then(|keys| {
         let hash = keys.unit_hash(
@@ -822,22 +723,14 @@ fn process_unit(
     }
 
     // Expand.
-    let self_name = placeholder(key);
-    let mut rec = Recorder {
-        self_key: key,
-        deps: Vec::new(),
-        seen: HashSet::new(),
-        local_hits: 0,
-    };
     let timer = Instant::now();
     let span = unit_span(lane, "expand", &unit_name);
-    let (component, mono_stats) = mono::elaborate_component(
-        &ctx.index,
-        &key.component,
-        &key.values,
-        &self_name,
-        &mut rec,
-    )?; // an early return still records the span — the guard drops
+    // An early return still records the span: the guard drops.
+    let mono::Elaborated {
+        component,
+        deps,
+        stats: mono_stats,
+    } = mono::elaborate_component(&ctx.index, key)?;
     drop(span);
     let mut ns = PhaseNs {
         expand: elapsed_ns(timer),
@@ -850,10 +743,15 @@ fn process_unit(
     let (mut lowered, structural) = match registry {
         None => (None, Vec::new()),
         Some(registry) => {
-            let names = || readable_names(ctx.program, key, &rec.deps);
+            let names = || -> HashMap<Id, Id> {
+                let units = std::iter::once(key).chain(&deps);
+                units
+                    .map(|k| (k.placeholder(), k.provisional(ctx.program)))
+                    .collect()
+            };
             let timer = Instant::now();
             let span = unit_span(lane, "check", &unit_name);
-            let scope = unit_scope(ctx.program, &component, &rec.deps)?;
+            let scope = unit_scope(ctx.program, &component, &deps)?;
             check_component(&scope, &component)
                 .map_err(|errs| BuildError::Check(rewrite_check(errs, &names())))?;
             drop(span);
@@ -921,8 +819,7 @@ fn process_unit(
         let art = Artifact {
             component: key.component.clone(),
             values: key.values.clone(),
-            deps: rec
-                .deps
+            deps: deps
                 .iter()
                 .map(|d| (d.component.clone(), d.values.clone()))
                 .collect(),
@@ -934,16 +831,15 @@ fn process_unit(
 
     Ok(UnitDone {
         component: Some(component),
-        deps: rec.deps,
+        deps,
         lowered,
         structural,
         mono: mono_stats,
-        local_hits: rec.local_hits,
-        loaded: false,
         cache_missed,
         stored,
         ns,
         opt: opt_report,
+        ..UnitDone::default()
     })
 }
 
@@ -967,7 +863,7 @@ fn try_load(
     // the artifact.
     let component = if want_expanded {
         let c = ast_bin::decode(&art.expanded_ast).ok()?;
-        if c.sig.name != placeholder(key) {
+        if c.sig.name != key.placeholder() {
             return None;
         }
         Some(c)
@@ -992,13 +888,8 @@ fn try_load(
             .collect(),
         lowered,
         structural,
-        mono: MonoStats::default(),
-        local_hits: 0,
         loaded: true,
-        cache_missed: false,
-        stored: false,
-        ns: PhaseNs::default(),
-        opt: fil_opt::OptReport::default(),
+        ..UnitDone::default()
     })
 }
 
@@ -1036,7 +927,7 @@ fn unit_scope(
         let src = program
             .component(&dep.component)
             .expect("recorded deps exist in the source program");
-        let sig = mono::elaborate_signature(&src.sig, &dep.values, &placeholder(dep))?;
+        let sig = mono::elaborate_signature(&src.sig, &dep.values, &dep.placeholder())?;
         components.push(Component {
             sig,
             body: Vec::new(),
@@ -1046,16 +937,6 @@ fn unit_scope(
         externs: Arc::clone(&program.externs),
         components,
     })
-}
-
-/// Placeholder → human-readable name map for diagnostics.
-fn readable_names(program: &Program, key: &UnitKey, deps: &[UnitKey]) -> HashMap<Id, Id> {
-    let mut names = HashMap::new();
-    names.insert(placeholder(key), provisional(program, key));
-    for dep in deps {
-        names.insert(placeholder(dep), provisional(program, dep));
-    }
-    names
 }
 
 fn rewrite_str(s: &str, names: &HashMap<Id, Id>) -> String {
@@ -1154,9 +1035,8 @@ fn finish(program: &Program, ctx: Ctx<'_>, lowering: bool) -> Result<DriverOutpu
     Ok(out)
 }
 
-/// Serial, deterministic merge: assigns final names and emission order by
-/// replaying the recursive monomorphizer's traversal over the recorded
-/// dependency graph, then rewrites placeholders everywhere.
+/// Serial, deterministic merge: lays the units out as [`mono::expand`]
+/// does ([`mono::layout`]), then renames placeholders everywhere.
 fn merge(
     program: &Program,
     shared: Shared,
@@ -1164,83 +1044,7 @@ fn merge(
     emit_expanded: bool,
 ) -> Result<DriverOutput, BuildError> {
     let mut done = shared.done;
-    // Name claiming replicates `mono::expand`: source names are taken;
-    // monomorphs claim `Comp_v0_v1` (free values only) pre-order,
-    // disambiguating with trailing underscores.
-    let mut taken: HashSet<Id> = program
-        .components
-        .iter()
-        .map(|c| c.sig.name.clone())
-        .chain(program.externs.iter().map(|s| s.name.clone()))
-        .collect();
-    let mut final_names: HashMap<Id, Id> = HashMap::new(); // placeholder → final
-    let mut order: Vec<UnitKey> = Vec::new();
-    // Iterative DFS with an explicit stack (grey-marking for cycle
-    // detection); dependency edges are visited in recorded (body) order.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        Grey,
-        Black,
-    }
-    let mut marks: HashMap<UnitKey, Mark> = HashMap::new();
-    enum Step {
-        Enter(UnitKey),
-        Exit(UnitKey),
-    }
-    let roots: Vec<UnitKey> = program
-        .components
-        .iter()
-        .filter(|c| c.sig.params.is_empty())
-        .map(|c| UnitKey {
-            component: c.sig.name.clone(),
-            values: Vec::new(),
-        })
-        .collect();
-    for root in roots {
-        let mut stack = vec![Step::Enter(root)];
-        while let Some(step) = stack.pop() {
-            match step {
-                Step::Enter(key) => {
-                    match marks.get(&key) {
-                        Some(Mark::Black) => continue,
-                        Some(Mark::Grey) => {
-                            return Err(BuildError::Mono(MonoError::Recursive {
-                                component: key.component,
-                                params: key.values,
-                            }));
-                        }
-                        None => {}
-                    }
-                    // Claim the final name (pre-order, like mono::expand).
-                    let name = if key.values.is_empty() {
-                        key.component.clone()
-                    } else {
-                        let mut n = provisional(program, &key);
-                        while taken.contains(&n) {
-                            n.push('_');
-                        }
-                        taken.insert(n.clone());
-                        n
-                    };
-                    final_names.insert(placeholder(&key), name);
-                    marks.insert(key.clone(), Mark::Grey);
-                    let unit = done
-                        .get(&key)
-                        .expect("every scheduled unit completed before merge");
-                    stack.push(Step::Exit(key.clone()));
-                    // Reverse so the first recorded dep is processed first.
-                    for dep in unit.deps.iter().rev() {
-                        stack.push(Step::Enter(dep.clone()));
-                    }
-                }
-                Step::Exit(key) => {
-                    marks.insert(key.clone(), Mark::Black);
-                    order.push(key);
-                }
-            }
-        }
-    }
-
+    let (order, names) = mono::layout(program, |key| &done[key].deps)?;
     // Emit, rewriting placeholders to final names.
     let mut expanded = if emit_expanded {
         Program {
@@ -1253,10 +1057,10 @@ fn merge(
     let mut lowered_out = lowering.then(cl::Program::new);
     let mut stats = BuildStats {
         units: order.len() as u64,
-        session_hits: shared.session_hits,
+        session_hits: shared.queue.hits,
         ..BuildStats::default()
     };
-    stats.mono.cache_hits = shared.session_hits;
+    stats.mono.cache_hits = shared.queue.hits;
     stats.mono.cache_misses = order.len() as u64;
     let mut ns = PhaseNs::default();
     for key in &order {
@@ -1268,7 +1072,6 @@ fn merge(
         } else {
             stats.expanded += 1;
             stats.mono.absorb(&unit.mono);
-            stats.mono.cache_hits += unit.local_hits;
             if unit.lowered.is_some() {
                 stats.checked += 1;
                 stats.lowered += 1;
@@ -1280,7 +1083,7 @@ fn merge(
             let mut comp = unit
                 .component
                 .expect("expanded components are materialized when requested");
-            rename_expanded(&mut comp, &final_names);
+            mono::rename_expanded(&mut comp, &names);
             expanded.components.push(comp);
         }
         if let Some(out) = &mut lowered_out {
@@ -1290,7 +1093,7 @@ fn merge(
                 }
             }
             if let Some(mut lc) = unit.lowered {
-                rename_lowered(&mut lc, &final_names);
+                rename_lowered(&mut lc, &names);
                 out.add_component(lc);
             }
         }
@@ -1301,19 +1104,6 @@ fn merge(
         lowered: lowered_out,
         stats,
     })
-}
-
-fn rename_expanded(c: &mut Component, names: &HashMap<Id, Id>) {
-    if let Some(n) = names.get(&c.sig.name) {
-        c.sig.name = n.clone();
-    }
-    for cmd in &mut c.body {
-        if let Command::Instance { component, .. } = cmd {
-            if let Some(n) = names.get(component) {
-                *component = n.clone();
-            }
-        }
-    }
 }
 
 fn rename_lowered(c: &mut cl::Component, names: &HashMap<Id, Id>) {

@@ -27,6 +27,10 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
 
+/// One 64-bit FNV-1a pass over delimited parts, for checksums; `mono`'s,
+/// which names units with it.
+pub use filament_core::mono::fnv64;
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -107,20 +111,6 @@ pub fn structural_hash<T: Hash>(value: &T) -> ContentHash {
     let mut h = Hasher::new();
     value.hash(&mut h);
     h.content_hash()
-}
-
-/// One 64-bit FNV-1a pass over the given parts — for checksums and
-/// session-stable placeholder names.
-pub fn fnv64(parts: &[&[u8]]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for part in parts {
-        for &byte in *part {
-            h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
-        // Delimit parts so concatenation is unambiguous.
-        h = (h ^ 0xff).wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// Per-source-component closure hashes for one program.

@@ -8,9 +8,10 @@
 //! its dependencies' signatures. This crate exploits that:
 //!
 //! * **Units.** The pipeline is split into per-`(component, params)`
-//!   compile units, the monomorphizer's own cache key
-//!   ([`filament_core::mono::elaborate_component`] elaborates one unit;
-//!   [`filament_core::lower_component_unit`] lowers one).
+//!   compile units, `mono`'s own ([`filament_core::mono::UnitKey`]):
+//!   [`filament_core::mono::elaborate_component`] elaborates one unit,
+//!   [`filament_core::lower_component_unit`] lowers one. The driver adds
+//!   the threads, the caches, checking, lowering and optimization.
 //! * **Content-addressed caching.** Each unit is keyed by a 128-bit hash
 //!   of its component's pretty-printed source, the pretty-printed sources
 //!   of everything it can statically reach, its resolved parameter
@@ -24,11 +25,11 @@
 //! * **Parallel scheduling.** Units run on a `std::thread` worker pool
 //!   (`--jobs N`) over the dynamically discovered dependency DAG.
 //! * **Determinism.** Unit outputs are order-independent
-//!   (content-addressed placeholder names) and the final merge replays
-//!   the recursive monomorphizer's traversal, so `-j1`/`-jN` and
-//!   cold/warm builds produce byte-identical expanded programs and
-//!   Verilog — the expanded program matches
-//!   [`filament_core::mono::expand`] exactly.
+//!   (content-addressed placeholder names) and the final merge lays the
+//!   units out as [`filament_core::mono::expand`] does
+//!   ([`filament_core::mono::layout`]), so `-j1`/`-jN` and cold/warm
+//!   builds produce byte-identical expanded programs and Verilog — the
+//!   expanded program matches [`filament_core::mono::expand`] exactly.
 //!
 //! # Examples
 //!

@@ -56,7 +56,7 @@ fn opts(jobs: usize, cache: Option<&PathBuf>) -> BuildOptions {
 fn expansion_matches_mono_expand_exactly() {
     // Loops, dedup across two roots, derived-style arithmetic, recursion
     // through distinct keys, and the user-name collision dodge — every
-    // case must come out byte-identical to the recursive monomorphizer.
+    // case must come out byte-identical to the serial `mono::expand`.
     let sources = [
         format!(
             "{DELAY_EXT}
@@ -103,7 +103,7 @@ fn expansion_matches_mono_expand_exactly() {
                 "driver -j{jobs} diverged from mono::expand on:\n{src}"
             );
             assert_eq!(out.expanded, via_mono);
-            // Cache accounting matches the recursive monomorphizer.
+            // Cache accounting matches `mono::expand`'s.
             assert_eq!(out.stats.mono.cache_hits, mono_stats.cache_hits, "{src}");
             assert_eq!(out.stats.mono.cache_misses, mono_stats.cache_misses);
             assert_eq!(out.stats.mono.loops_unrolled, mono_stats.loops_unrolled);

@@ -407,6 +407,13 @@ impl fmt::Display for IName {
     }
 }
 
+/// A name as the user wrote it, for diagnostics. The parser names the
+/// instance of a fused `x := new C<G>(..)` `x#inst` (flattened `x_1#inst`,
+/// unflattened `x#inst[i]`); that instance is written `x` (`x_1`, `x[i]`).
+pub(crate) fn written(name: impl fmt::Display) -> String {
+    name.to_string().replacen("#inst", "", 1)
+}
+
 impl From<&str> for IName {
     fn from(s: &str) -> Self {
         IName::plain(s)

@@ -10,8 +10,8 @@
 use super::sig::{CTime, SigEnv};
 use super::{CheckError, ErrorKind};
 use crate::ast::{
-    Command, Component, ConstEvalError, ConstExpr, ConstraintOp, Delay, Id, Port, Program, Range,
-    Signature, Time,
+    written, Command, Component, ConstEvalError, ConstExpr, ConstraintOp, Delay, Id, Port, Program,
+    Range, Signature, Time,
 };
 use std::collections::HashMap;
 
@@ -219,7 +219,8 @@ impl<'a> Body<'a> {
     ) -> Option<Def> {
         let (comp, errors) = (&self.sig.name, &mut self.errors);
         let Some(callee) = program.sig(component) else {
-            err!(errors, comp, Binding: "instance {name} references unknown component {component}");
+            err!(errors, comp, Binding: "instance {} references unknown component \
+                {component}", written(name));
             return None;
         };
         if callee.name == *comp {
@@ -229,8 +230,8 @@ impl<'a> Body<'a> {
         if !super::signature_is_concrete(callee, &mut Vec::new()) {
             // The callee reports its own diagnostics; here we only refuse
             // to reason about symbolic intervals.
-            err!(errors, comp, Unelaborated: "instance {name} instantiates {component}, whose \
-                signature contains unelaborated parameter arithmetic");
+            err!(errors, comp, Unelaborated: "instance {} instantiates {component}, whose \
+                signature contains unelaborated parameter arithmetic", written(name));
             return None;
         }
         // An instantiation supplies one value per *free* parameter;
@@ -238,17 +239,18 @@ impl<'a> Body<'a> {
         // values appended), which is equally valid.
         let free = callee.free_param_count();
         if params.len() != free && !callee.is_full_value_count(params.len()) {
-            err!(errors, comp, Binding: "instance {name}: component {component} takes {free} \
-                parameters, got {}", params.len());
+            err!(errors, comp, Binding: "instance {}: component {component} takes {free} \
+                parameters, got {}", written(name), params.len());
             return None;
         }
         for q in params.iter().flat_map(ConstExpr::params) {
             if self.sig.has_param(&q) {
             } else if q.contains('.') {
                 err!(errors, comp, Unelaborated:
-                    "instance {name}: instance parameter {q} not resolved; run mono::expand first");
+                    "instance {}: instance parameter {q} not resolved; run mono::expand first",
+                    written(name));
             } else {
-                err!(errors, comp, Binding: "instance {name}: unknown parameter {q}");
+                err!(errors, comp, Binding: "instance {}: unknown parameter {q}", written(name));
             }
         }
         let start = self.values.len();
@@ -274,7 +276,8 @@ impl<'a> Body<'a> {
     ) -> Option<Def> {
         let comp = &self.sig.name;
         let Some(&Def::Instance(inst)) = self.defs.get(instance) else {
-            err!(self.errors, comp, Binding: "invocation {name} uses unknown instance {instance}");
+            err!(self.errors, comp, Binding: "invocation {name} uses unknown instance {}",
+                written(instance));
             return None;
         };
         let callee = self.instances[inst].sig;

@@ -172,8 +172,8 @@ pub use lower::{
     lower_component_unit, lower_program, param_u32, LoweredUnit, ParamTooLarge, PrimitiveRegistry,
 };
 pub use mono::{
-    elaborate_component, elaborate_signature, expand, expand_with_stats, CalleeResolver, MonoError,
-    MonoStats, ProgramIndex,
+    elaborate_component, elaborate_signature, expand, expand_with_stats, MonoError, MonoStats,
+    ProgramIndex,
 };
 pub use parser::{parse_program, ParseError};
 pub use sem::{component_log, safe_pipelining_horizon, Log, LogViolation};

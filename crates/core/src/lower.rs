@@ -12,7 +12,9 @@
 //! synthesized guards are disjoint, which the simulator additionally
 //! re-checks dynamically ([`rtl_sim::SimError::WriteConflict`]).
 
-use crate::ast::{Command, Component, ConstEvalError, Id, Port, Program, Range, Signature, Time};
+use crate::ast::{
+    written, Command, Component, ConstEvalError, Id, Port, Program, Range, Signature, Time,
+};
 use calyx_lite as cl;
 use fil_bits::Value;
 use rtl_sim::CellKind;
@@ -198,6 +200,11 @@ impl std::error::Error for LowerError {}
 /// a Calyx-lite program (Figure 6's full flow minus the final Verilog step,
 /// which [`calyx_lite::emit_program`] provides).
 ///
+/// Each component is lowered once, as a unit ([`lower_component_unit`]).
+/// Its subcomponent cells are then visited in body order: a structural
+/// extern implementation is added where first referenced, and a user
+/// callee is emitted, with its own callees, before the component.
+///
 /// # Errors
 ///
 /// Returns a [`LowerError`]; programs should be type-checked first.
@@ -206,9 +213,35 @@ pub fn lower_program(
     top: &str,
     registry: &dyn PrimitiveRegistry,
 ) -> Result<cl::Program, LowerError> {
+    let lower = |name: &str| {
+        let comp = program
+            .component(name)
+            .ok_or_else(|| LowerError::UnknownComponent(name.to_owned()))?;
+        lower_component_unit(program, comp, registry)
+    };
     let mut out = cl::Program::new();
-    let mut done = HashSet::new();
-    lower_component(program, top, registry, &mut out, &mut done)?;
+    let mut reached = HashSet::from([top.to_owned()]);
+    // Each unit being walked, with the index of its next cell.
+    let mut stack = vec![(lower(top)?, 0)];
+    while let Some((unit, next)) = stack.last_mut() {
+        let Some(cell) = unit.component.cells.get(*next) else {
+            let (unit, _) = stack.pop().expect("the loop saw a unit");
+            out.add_component(unit.component);
+            continue;
+        };
+        *next += 1;
+        let cl::CellProto::Component(sub) = &cell.proto else {
+            continue;
+        };
+        if let Some(s) = unit.structural.iter().find(|s| s.name == *sub) {
+            if out.component(sub).is_none() {
+                out.add_component(s.clone());
+            }
+        } else if reached.insert(sub.clone()) {
+            let sub = lower(sub)?;
+            stack.push((sub, 0));
+        }
+    }
     Ok(out)
 }
 
@@ -223,70 +256,6 @@ pub struct LoweredUnit {
     /// Structural implementations of externs it instantiates (e.g. a
     /// Reticle-generated DSP cascade), in first-reference order.
     pub structural: Vec<cl::Component>,
-}
-
-/// Lowers exactly one component — without recursing into the user
-/// components it instantiates, which are expected to be lowered separately
-/// and merged by name. This is the per-unit lowering API the `fil-build`
-/// driver schedules over the monomorph dependency DAG; [`lower_program`]
-/// remains the whole-program entry point and produces identical components.
-///
-/// `scope` must hold the signature of everything `comp` instantiates
-/// (externs and user components); only signatures are read from it.
-///
-/// # Errors
-///
-/// As [`lower_program`], for failures inside this component.
-pub fn lower_component_unit(
-    scope: &Program,
-    comp: &Component,
-    registry: &dyn PrimitiveRegistry,
-) -> Result<LoweredUnit, LowerError> {
-    let mut sink = Sink::Unit(Vec::new());
-    let component = lower_one(scope, comp, registry, &mut sink)?;
-    let Sink::Unit(structural) = sink else {
-        unreachable!("the unit path's sink")
-    };
-    Ok(LoweredUnit {
-        component,
-        structural,
-    })
-}
-
-/// Where a single-component lowering sends what its instances pull in:
-/// the unit path collects structural extern implementations (deduplicated
-/// by name) and leaves user subcomponents to the driver; the whole-program
-/// path adds both to its output, lowering subcomponents recursively.
-enum Sink<'a> {
-    Unit(Vec<cl::Component>),
-    Program {
-        program: &'a Program,
-        registry: &'a dyn PrimitiveRegistry,
-        out: &'a mut cl::Program,
-        done: &'a mut HashSet<Id>,
-    },
-}
-
-impl Sink<'_> {
-    fn structural(&mut self, c: cl::Component) {
-        match self {
-            Sink::Unit(subs) if !subs.iter().any(|s| s.name == c.name) => subs.push(c),
-            Sink::Program { out, .. } if out.component(&c.name).is_none() => out.add_component(c),
-            _ => {}
-        }
-    }
-
-    fn user_dep(&mut self, dep: &str) -> Result<(), LowerError> {
-        match self {
-            Sink::Unit(_) => Ok(()),
-            Sink::Program {
-                program,
-                registry,
-                out,
-                done,
-            } => lower_component(program, dep, *registry, out, done),
-        }
-    }
 }
 
 /// A constant's value, or the diagnostic for why it has none. Like every
@@ -345,7 +314,7 @@ fn time_off(t: &Time, component: &str, site: &dyn Fn() -> String) -> Result<u64,
 fn flat_name<'n>(n: &'n crate::ast::IName, component: &str) -> Result<&'n Id, LowerError> {
     n.flat().ok_or_else(|| LowerError::Unelaborated {
         component: component.into(),
-        construct: format!("indexed name {n}"),
+        construct: format!("indexed name {}", written(n)),
     })
 }
 
@@ -386,37 +355,23 @@ fn reject_generate_constructs(comp: &Component) -> Result<(), LowerError> {
     Ok(())
 }
 
-fn lower_component(
-    program: &Program,
-    name: &str,
-    registry: &dyn PrimitiveRegistry,
-    out: &mut cl::Program,
-    done: &mut HashSet<Id>,
-) -> Result<(), LowerError> {
-    if done.contains(name) {
-        return Ok(());
-    }
-    done.insert(name.to_owned());
-    let comp = program
-        .component(name)
-        .ok_or_else(|| LowerError::UnknownComponent(name.to_owned()))?;
-    let mut sink = Sink::Program {
-        program,
-        registry,
-        out: &mut *out,
-        done: &mut *done,
-    };
-    let c = lower_one(program, comp, registry, &mut sink)?;
-    out.add_component(c);
-    Ok(())
-}
-
-fn lower_one(
+/// Lowers exactly one component — without recursing into the user
+/// components it instantiates, which are lowered as units of their own and
+/// merged by name. [`lower_program`] and the `fil-build` driver both lower
+/// every component through here.
+///
+/// `program` must hold the signature of everything `comp` instantiates
+/// (externs and user components); only signatures are read from it.
+///
+/// # Errors
+///
+/// As [`lower_program`], for failures inside this component.
+pub fn lower_component_unit(
     program: &Program,
     comp: &Component,
     registry: &dyn PrimitiveRegistry,
-    sink: &mut Sink<'_>,
-) -> Result<cl::Component, LowerError> {
+) -> Result<LoweredUnit, LowerError> {
+    let mut structural: Vec<cl::Component> = Vec::new();
     let sig = &comp.sig;
     let name = sig.name.as_str();
     // Generate constructs (loops, conditionals, bundle ports/elements) must
@@ -463,7 +418,7 @@ fn lower_one(
                 .iter()
                 .map(|p| {
                     constant(p.eval_closed(), name, &|| {
-                        format!("parameter of instance {iname}")
+                        format!("parameter of instance {}", written(iname))
                     })
                 })
                 .collect::<Result<_, _>>()?;
@@ -472,11 +427,11 @@ fn lower_one(
             // full (already-elaborated) list.
             let values = callee.resolve_param_values(&given).map_err(|e| match e {
                 crate::ast::ParamResolveError::Arity { .. } => LowerError::IllTyped {
-                    detail: format!("instance {iname}: {} {e}", callee.name),
+                    detail: format!("instance {}: {} {e}", written(iname), callee.name),
                 },
                 _ => LowerError::NonConstant {
                     component: name.into(),
-                    site: format!("parameters of instance {iname}"),
+                    site: format!("parameters of instance {}", written(iname)),
                     param: match &e {
                         crate::ast::ParamResolveError::Eval {
                             cause: ConstEvalError::Unbound(p),
@@ -500,7 +455,10 @@ fn lower_one(
                     let param = callee.params.get(e.index).map_or("?", |p| p.name.as_str());
                     LowerError::TooLarge {
                         component: name.into(),
-                        site: format!("parameter {param} of instance {iname} ({component})"),
+                        site: format!(
+                            "parameter {param} of instance {} ({component})",
+                            written(iname)
+                        ),
                         value: values.get(e.index).copied().unwrap_or_default(),
                         limit: u32::MAX.into(),
                     }
@@ -519,16 +477,16 @@ fn lower_one(
                     if let Some(e) = mismatch(&|p| ports.clone().any(|(n, _)| n == p)) {
                         return Err(e);
                     }
-                    let mangled = sub.name.clone();
-                    sink.structural(sub);
-                    c.add_subcomponent(iname.clone(), mangled);
+                    c.add_subcomponent(iname.clone(), sub.name.clone());
+                    if !structural.iter().any(|s| s.name == sub.name) {
+                        structural.push(sub);
+                    }
                 } else {
                     return Err(LowerError::NoPrimitive {
                         name: component.clone(),
                     });
                 }
             } else {
-                sink.user_dep(component)?;
                 c.add_subcomponent(iname.clone(), component.clone());
             }
             inst_at.insert(iname, insts.len());
@@ -581,7 +539,7 @@ fn lower_one(
         let inst = *inst_at
             .get(instance.as_str())
             .ok_or_else(|| LowerError::IllTyped {
-                detail: format!("unknown instance {instance}"),
+                detail: format!("unknown instance {}", written(instance)),
             })?;
         let callee = insts[inst].sig;
         if events.len() != callee.events.len() || args.len() != callee.inputs.len() {
@@ -753,7 +711,10 @@ fn lower_one(
         c.assign(cl::PortRef::this(dname.clone()), src_of(src, width));
     }
 
-    Ok(c)
+    Ok(LoweredUnit {
+        component: c,
+        structural,
+    })
 }
 
 fn sig_port_names(sig: &Signature) -> impl Iterator<Item = &str> {

@@ -26,8 +26,19 @@
 //!    time, feeds the cache key, and is readable by the caller as `inst.W`
 //!    in its own widths, offsets and bundle ranges,
 //! 6. **monomorphizes instantiations** — each `(component, params)` pair is
-//!    elaborated exactly once through a content-keyed cache; `Process[32]`
+//!    a unit ([`UnitKey`]), elaborated exactly once; `Process[32]`
 //!    instantiated from a hundred sites yields one `Process_32`.
+//!
+//! [`elaborate_component`] elaborates one unit against the source program
+//! alone: an instantiated user component is recorded as a dependency and
+//! referenced by its unit's placeholder name ([`UnitKey::placeholder`]),
+//! never elaborated in place. [`expand`] runs the units through a
+//! [`UnitQueue`], first in first out from the parameter-free roots, then
+//! lays them out ([`layout`]: emission order and final names such as
+//! `Process_32`) and renames the placeholders ([`rename_expanded`]). The
+//! `fil-build` driver runs the same queue on a worker pool, behind an
+//! artifact cache, and merges through the same layout, so its expanded
+//! program is [`expand`]'s.
 //!
 //! Each body keeps one instance table: `(callee signature, resolved
 //! values)` entries behind one map from flattened instance and invocation
@@ -46,22 +57,23 @@
 //! primitive registry reads their parameter *values*) and only concrete
 //! components, so checking and lowering run on it unchanged. Expansion is
 //! idempotent. Recursive generators (a component instantiating itself at
-//! *smaller* parameters) elaborate up to a fixed depth; re-entering the
-//! same `(component, params)` key is reported as divergence.
+//! *smaller* parameters) elaborate up to a fixed dependency depth
+//! ([`MAX_DEPTH`]); a unit that reaches itself is reported as divergence.
 
 use crate::ast::{
-    Command, Component, ConstEvalError, ConstExpr, Delay, EventDecl, IName, Id, ParamResolveError,
-    Port, PortDef, Program, Range, Signature, Time,
+    written, Command, Component, ConstEvalError, ConstExpr, Delay, EventDecl, IName, Id,
+    ParamResolveError, Port, PortDef, Program, Range, Signature, Time,
 };
 use std::cell::Cell;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
-/// Maximum depth of nested `(component, params)` elaborations: deep enough
-/// for any reasonable recursive generator, small enough to catch divergence
-/// quickly. Public so external drivers scheduling units over the monomorph
-/// DAG can enforce the same bound.
+/// Maximum dependency depth of a unit below the root that first reaches it
+/// (roots are at depth 0): deep enough for any reasonable recursive
+/// generator, small enough to catch divergence quickly.
+/// [`UnitQueue::schedule`] enforces it for [`expand`] and the `fil-build`
+/// driver alike.
 pub const MAX_DEPTH: usize = 64;
 
 /// Ceiling on commands visited and loop iterations run per component, so
@@ -72,13 +84,14 @@ const MAX_COMMANDS: usize = 1 << 20;
 /// Ceiling on elements per bundle port, for the same reason.
 const MAX_BUNDLE: u64 = 1 << 16;
 
-/// Elaboration statistics, chiefly for observing the monomorphization
-/// cache.
+/// Elaboration statistics, chiefly for observing how the unit graph
+/// deduplicates instantiations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MonoStats {
-    /// `(component, params)` instantiations answered from the cache.
+    /// Instantiations of a unit already reached, answered without
+    /// elaborating it again.
     pub cache_hits: u64,
-    /// Instantiations that required a fresh elaboration.
+    /// Units elaborated: one per distinct `(component, params)` pair.
     pub cache_misses: u64,
     /// `for`-generate loops unrolled (counted once per syntactic loop per
     /// enclosing elaboration).
@@ -158,12 +171,13 @@ pub enum MonoError {
         /// The parameter values of the repeated key.
         params: Vec<u64>,
     },
-    /// Elaboration exceeded the nested-instantiation depth limit.
+    /// A unit lies [`MAX_DEPTH`] dependencies below its root.
     TooDeep {
         /// The component that exceeded the limit.
         component: Id,
     },
-    /// A single component expanded past the command-count ceiling.
+    /// A single component visited more commands and ran more loop
+    /// iterations, together, than the ceiling allows.
     TooLarge {
         /// The oversized component.
         component: Id,
@@ -234,7 +248,8 @@ impl fmt::Display for MonoError {
             ),
             MonoError::TooLarge { component } => write!(
                 f,
-                "component {component} expands to more than {MAX_COMMANDS} commands"
+                "component {component} expands to more than {MAX_COMMANDS} commands and loop \
+                 iterations"
             ),
             MonoError::Bundle {
                 component,
@@ -326,37 +341,34 @@ pub fn expand(program: &Program) -> Result<Program, MonoError> {
 /// As [`expand`].
 pub fn expand_with_stats(program: &Program) -> Result<(Program, MonoStats), MonoError> {
     validate(program)?;
-    // Every name already claimed by the source program: monomorph names
-    // must not collide with user components or externs (a user-written
-    // `Inner_8` next to `Inner[W]` instantiated at 8 would otherwise merge
-    // silently).
-    let taken = program
-        .components
-        .iter()
-        .map(|c| c.sig.name.clone())
-        .chain(program.externs.iter().map(|s| s.name.clone()))
-        .collect();
     let index = ProgramIndex::new(program);
-    let mut m = Mono {
-        index: &index,
-        out: Vec::new(),
-        cache: HashMap::new(),
-        stack: Vec::new(),
-        taken,
-        stats: MonoStats::default(),
-    };
-    for comp in &program.components {
-        if comp.sig.params.is_empty() {
-            m.instantiate(&comp.sig.name, Vec::new())?;
-        }
+    let mut queue = UnitQueue::new(program);
+    let mut units = HashMap::new();
+    while let Some((key, depth)) = queue.pop() {
+        let unit = elaborate_component(&index, &key)?;
+        queue.schedule(&unit.deps, depth)?;
+        units.insert(key, unit);
     }
-    Ok((
-        Program {
-            externs: program.externs.clone(),
-            components: m.out,
-        },
-        m.stats,
-    ))
+    let (order, names) = layout(program, |key| &units[key].deps)?;
+    let mut stats = MonoStats {
+        cache_hits: queue.hits,
+        cache_misses: order.len() as u64,
+        ..MonoStats::default()
+    };
+    let mut components = Vec::with_capacity(order.len());
+    for key in &order {
+        let mut unit = units
+            .remove(key)
+            .expect("every scheduled unit was elaborated");
+        stats.absorb(&unit.stats);
+        rename_expanded(&mut unit.component, &names);
+        components.push(unit.component);
+    }
+    let expanded = Program {
+        externs: program.externs.clone(),
+        components,
+    };
+    Ok((expanded, stats))
 }
 
 /// Every extern and user component of a program by name, so elaboration
@@ -424,60 +436,160 @@ pub fn validate(program: &Program) -> Result<(), MonoError> {
     Ok(())
 }
 
-/// How a body elaboration turns a user-component instantiation into the
-/// name of the concrete component the emitted `new` command references.
-///
-/// [`expand`] resolves recursively (elaborating the callee on the spot,
-/// through the monomorphization cache). An incremental build driver can
-/// instead *record* the `(callee, values)` pair as a dependency edge and
-/// hand back a deterministic placeholder, elaborating each unit exactly
-/// once — possibly in parallel, possibly from a cross-session artifact
-/// cache — and renaming placeholders when the units are merged.
-pub trait CalleeResolver {
-    /// Resolves instantiating `callee` at `values` (one value per callee
-    /// parameter, derived parameters included) to a concrete component
-    /// name.
+// ------------------------------------------------------------------ units
+
+/// One compile unit: a user component at one parameter vector (one value
+/// per parameter, derived parameters included). A unit is elaborated on
+/// its own; the units it instantiates are its dependencies, recorded
+/// rather than elaborated in place.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct UnitKey {
+    /// The source component.
+    pub component: Id,
+    /// Its parameter values.
+    pub values: Vec<u64>,
+}
+
+impl UnitKey {
+    /// Every parameter-free user component, in declaration order: the
+    /// units every other unit is reached from.
+    fn roots(program: &Program) -> impl Iterator<Item = UnitKey> + '_ {
+        let roots = program
+            .components
+            .iter()
+            .filter(|c| c.sig.params.is_empty());
+        roots.map(|c| UnitKey {
+            component: c.sig.name.clone(),
+            values: Vec::new(),
+        })
+    }
+
+    /// The name the unit's component carries until [`layout`] names it: a
+    /// pure function of the key, so units elaborated in any order, on any
+    /// thread or in an earlier session agree on it.
+    pub fn placeholder(&self) -> Id {
+        let values: Vec<u8> = self.values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let hash = fnv64(&[b"unit", self.component.as_bytes(), &values]);
+        format!("U_{hash:016x}")
+    }
+
+    /// The name [`layout`] gives the unit unless that name is taken: the
+    /// component, then `_v` per free parameter value. Diagnostics show it
+    /// in place of the placeholder.
+    pub fn provisional(&self, program: &Program) -> Id {
+        let mut name = self.component.clone();
+        let decls = program.component(&self.component).map(|c| &c.sig.params);
+        for (i, v) in self.values.iter().enumerate() {
+            if decls.is_some_and(|d| d.get(i).is_some_and(|p| p.is_derived())) {
+                continue;
+            }
+            name.push('_');
+            name.push_str(&v.to_string());
+        }
+        name
+    }
+}
+
+/// FNV-1a (64-bit) over `parts`, each followed by a delimiter byte so
+/// concatenations are unambiguous. Stable across sessions, unlike the
+/// standard library's hashers.
+pub fn fnv64(parts: &[&[u8]]) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = OFFSET;
+    for part in parts {
+        for &byte in *part {
+            h = (h ^ u64::from(byte)).wrapping_mul(PRIME);
+        }
+        h = (h ^ 0xff).wrapping_mul(PRIME);
+    }
+    h
+}
+
+/// The units left to elaborate, first in first out: the roots, then each
+/// unit's dependencies as the unit finishes. Every unit is scheduled once,
+/// at its dependency depth from the root that first reached it.
+pub struct UnitQueue {
+    pending: VecDeque<(UnitKey, usize)>,
+    scheduled: HashSet<UnitKey>,
+    /// Dependency edges to a unit already scheduled: instantiations the
+    /// unit graph answers without elaborating again.
+    pub hits: u64,
+}
+
+impl UnitQueue {
+    /// A queue holding `program`'s roots at depth 0.
+    pub fn new(program: &Program) -> Self {
+        UnitQueue {
+            pending: UnitKey::roots(program).map(|key| (key, 0)).collect(),
+            scheduled: UnitKey::roots(program).collect(),
+            hits: 0,
+        }
+    }
+
+    /// The next unit to elaborate, and its depth.
+    pub fn pop(&mut self) -> Option<(UnitKey, usize)> {
+        self.pending.pop_front()
+    }
+
+    /// Schedules `deps`, the dependencies of a unit at `depth`.
     ///
     /// # Errors
     ///
-    /// Returns a [`MonoError`] — typically [`MonoError::Recursive`] or
-    /// [`MonoError::TooDeep`] from the resolver's own cycle accounting, or
-    /// any elaboration error of the callee when resolving recursively.
-    fn resolve(&mut self, callee: &str, values: Vec<u64>) -> Result<Id, MonoError>;
+    /// [`MonoError::TooDeep`] when a new unit would be [`MAX_DEPTH`] deep.
+    pub fn schedule(&mut self, deps: &[UnitKey], depth: usize) -> Result<(), MonoError> {
+        for dep in deps {
+            if self.scheduled.contains(dep) {
+                self.hits += 1;
+            } else if depth + 1 >= MAX_DEPTH {
+                return Err(MonoError::TooDeep {
+                    component: dep.component.clone(),
+                });
+            } else {
+                self.scheduled.insert(dep.clone());
+                self.pending.push_back((dep.clone(), depth + 1));
+            }
+        }
+        Ok(())
+    }
 }
 
-/// Elaborates a single `(component, values)` unit: the signature and body
-/// of `component` under the parameter environment of `values`, with every
-/// user-component instantiation routed through `resolver` (externs are
-/// emitted in place with literal parameter lists). The produced component
-/// is named `mono_name`.
-///
-/// `values` must carry one value per parameter of `component` (derived
-/// parameters included), as [`Signature::resolve_param_values`] returns.
-///
-/// This is the per-unit engine behind [`expand`] — and the entry point the
-/// `fil-build` driver uses to elaborate units independently.
+/// One unit, elaborated by [`elaborate_component`].
+#[derive(Debug, Clone)]
+pub struct Elaborated {
+    /// The concrete component, named by the unit's placeholder; its user
+    /// instances reference their units' placeholders.
+    pub component: Component,
+    /// The units it instantiates, each once, in body order.
+    pub deps: Vec<UnitKey>,
+    /// What elaborating it did; `cache_hits` counts its repeat
+    /// instantiations of a dependency.
+    pub stats: MonoStats,
+}
+
+/// Elaborates one unit: the signature and body of `unit.component` under
+/// the parameter environment of `unit.values`. Externs are instantiated in
+/// place with literal parameter lists; every user-component instantiation
+/// becomes a dependency. [`expand`] and the `fil-build` driver elaborate
+/// every unit through here.
 ///
 /// # Errors
 ///
 /// Returns a [`MonoError`] naming the component and site of the failure.
 pub fn elaborate_component(
     index: &ProgramIndex<'_>,
-    component: &str,
-    values: &[u64],
-    mono_name: &str,
-    resolver: &mut dyn CalleeResolver,
-) -> Result<(Component, MonoStats), MonoError> {
+    unit: &UnitKey,
+) -> Result<Elaborated, MonoError> {
     let comp = index
         .components
-        .get(component)
+        .get(unit.component.as_str())
         .ok_or_else(|| MonoError::UnknownComponent {
-            component: component.to_owned(),
-            callee: component.to_owned(),
+            component: unit.component.clone(),
+            callee: unit.component.clone(),
         })?;
     let mut stats = MonoStats::default();
-    let params = comp.sig.param_env(values);
-    let (sig, own_bundles) = elab_sig(&comp.sig, &params, mono_name, &mut stats)?;
+    let params = comp.sig.param_env(&unit.values);
+    let (sig, own_bundles) = elab_sig(&comp.sig, &params, &unit.placeholder(), &mut stats)?;
     let mut elab = Elab {
         frame: None,
         table: Table {
@@ -489,7 +601,9 @@ pub fn elaborate_component(
             frames: Vec::new(),
             scanned: false,
         },
-        resolver,
+        unit,
+        deps: Vec::new(),
+        seen: HashSet::new(),
         stats,
         sig: &comp.sig,
         own_bundles,
@@ -498,7 +612,96 @@ pub fn elaborate_component(
     let mut body = Vec::new();
     elab.elab_commands(&comp.body, &mut body)?;
     elab.stats.commands_emitted += body.len() as u64;
-    Ok((Component { sig, body }, elab.stats))
+    Ok(Elaborated {
+        component: Component { sig, body },
+        deps: elab.deps,
+        stats: elab.stats,
+    })
+}
+
+/// Lays out the units reachable from `program`'s roots, with `deps`
+/// giving each unit's dependencies: returns them in emission order, and
+/// each unit's final name by placeholder. The walk is depth first: roots
+/// in declaration order, dependencies in body order. A unit is named when
+/// first reached and emitted after its dependencies. Roots keep their
+/// names; other units claim [`UnitKey::provisional`], with `_` appended
+/// while the name is a source component's, an extern's or an earlier
+/// unit's.
+///
+/// # Errors
+///
+/// [`MonoError::Recursive`] when a unit reaches itself.
+pub fn layout<'d>(
+    program: &Program,
+    deps: impl Fn(&UnitKey) -> &'d [UnitKey],
+) -> Result<(Vec<UnitKey>, HashMap<Id, Id>), MonoError> {
+    let sources = program.components.iter().map(|c| &c.sig.name);
+    let mut taken: HashSet<Id> = sources
+        .chain(program.externs.iter().map(|s| &s.name))
+        .cloned()
+        .collect();
+    let (mut order, mut names) = (Vec::new(), HashMap::new());
+    // `false` while a unit's dependencies are being walked.
+    let mut emitted: HashMap<UnitKey, bool> = HashMap::new();
+    enum Step {
+        Enter(UnitKey),
+        Exit(UnitKey),
+    }
+    for root in UnitKey::roots(program) {
+        let mut stack = vec![Step::Enter(root)];
+        while let Some(step) = stack.pop() {
+            let key = match step {
+                Step::Enter(key) => key,
+                Step::Exit(key) => {
+                    emitted.insert(key.clone(), true);
+                    order.push(key);
+                    continue;
+                }
+            };
+            match emitted.get(&key) {
+                Some(true) => continue,
+                Some(false) => {
+                    return Err(MonoError::Recursive {
+                        component: key.component,
+                        params: key.values,
+                    })
+                }
+                None => {}
+            }
+            let name = if key.values.is_empty() {
+                key.component.clone()
+            } else {
+                let mut n = key.provisional(program);
+                while taken.contains(&n) {
+                    n.push('_');
+                }
+                taken.insert(n.clone());
+                n
+            };
+            names.insert(key.placeholder(), name);
+            emitted.insert(key.clone(), false);
+            // Reversed, so the first dependency is walked first.
+            let next = deps(&key).iter().rev().cloned().map(Step::Enter);
+            stack.push(Step::Exit(key));
+            stack.extend(next);
+        }
+    }
+    Ok((order, names))
+}
+
+/// Renames a unit's component and the units it instantiates from
+/// placeholders to the names in `names`.
+pub fn rename_expanded(c: &mut Component, names: &HashMap<Id, Id>) {
+    if let Some(n) = names.get(&c.sig.name) {
+        c.sig.name = n.clone();
+    }
+    for cmd in &mut c.body {
+        if let Command::Instance { component, .. } = cmd {
+            if let Some(n) = names.get(component) {
+                *component = n.clone();
+            }
+        }
+    }
 }
 
 /// Elaborates just a signature under a concrete parameter vector: widths
@@ -518,19 +721,6 @@ pub fn elaborate_signature(
 ) -> Result<Signature, MonoError> {
     let env = sig.param_env(values);
     elab_sig(sig, &env, mono_name, &mut MonoStats::default()).map(|(s, _)| s)
-}
-
-struct Mono<'p> {
-    index: &'p ProgramIndex<'p>,
-    out: Vec<Component>,
-    /// `(component, params)` → concrete component name.
-    cache: HashMap<(Id, Vec<u64>), Id>,
-    /// Keys currently being elaborated (cycle detection).
-    stack: Vec<(Id, Vec<u64>)>,
-    /// Names already claimed (source components, externs, and emitted
-    /// monomorphs) — fresh monomorph names are disambiguated against this.
-    taken: HashSet<Id>,
-    stats: MonoStats,
 }
 
 /// Concrete `(lo, hi)` extents of a signature's bundle ports, by name.
@@ -807,14 +997,16 @@ impl<'p> Table<'p> {
 }
 
 /// The elaboration engine for one component body: a pure function of the
-/// source program and the parameter environment, except that
-/// user-component instantiations go through the pluggable
-/// [`CalleeResolver`].
-struct Elab<'p, 'r> {
+/// source program, the parameter environment and the unit.
+struct Elab<'p, 'k> {
     table: Table<'p>,
     /// The loop bindings in scope.
     frame: Frame,
-    resolver: &'r mut dyn CalleeResolver,
+    /// The unit being elaborated: instantiating it again diverges.
+    unit: &'k UnitKey,
+    /// The units it instantiates, each once, in body order.
+    deps: Vec<UnitKey>,
+    seen: HashSet<UnitKey>,
     stats: MonoStats,
     /// The enclosing (original) signature, whose name diagnostics report.
     /// A body name that is *not* one of its ports but is bound in the
@@ -825,12 +1017,6 @@ struct Elab<'p, 'r> {
     /// Commands and loop iterations left before [`MonoError::TooLarge`];
     /// each emits at most one command, so this also bounds the output.
     budget: usize,
-}
-
-impl CalleeResolver for Mono<'_> {
-    fn resolve(&mut self, callee: &str, values: Vec<u64>) -> Result<Id, MonoError> {
-        self.instantiate(callee, values)
-    }
 }
 
 /// Resolves the values supplied for `callee` into one value per parameter
@@ -865,76 +1051,29 @@ fn resolve_params(
     })
 }
 
-impl<'p> Mono<'p> {
-    /// Returns the concrete name for `component` instantiated at `values`
-    /// (one value per parameter as [`resolve_params`] returns, or one per
-    /// free parameter — both forms normalize to the
-    /// same cache key), elaborating it first unless cached.
-    fn instantiate(&mut self, component: &str, values: Vec<u64>) -> Result<Id, MonoError> {
-        let enclosing = self.stack.last().map(|(c, _)| c.as_str());
-        let comp =
-            self.index
-                .components
-                .get(component)
-                .ok_or_else(|| MonoError::UnknownComponent {
-                    component: enclosing.unwrap_or_default().to_owned(),
-                    callee: component.to_owned(),
-                })?;
-        // Normalize to the full value vector *before* forming the cache key
-        // so free-length and full-length calls of the same instantiation
-        // share one monomorph (instantiation sites pre-resolve; this also
-        // gives direct callers real arity/derivation diagnostics).
-        let values = resolve_params(
-            &comp.sig,
-            &values,
-            enclosing.unwrap_or(component),
-            &|param| format!("derived parameter {param} of {component}"),
-        )?;
-        let key = (component.to_owned(), values.clone());
-        if let Some(name) = self.cache.get(&key) {
-            self.stats.cache_hits += 1;
-            return Ok(name.clone());
-        }
-        self.stats.cache_misses += 1;
-        if self.stack.contains(&key) {
-            return Err(MonoError::Recursive {
-                component: component.to_owned(),
-                params: values,
-            });
-        }
-        if self.stack.len() >= MAX_DEPTH {
-            return Err(MonoError::TooDeep {
-                component: component.to_owned(),
-            });
-        }
-        // Monomorph names carry the caller-supplied (free) values only —
-        // derived values are a function of them. Roots keep their own
-        // (already claimed) name; others are disambiguated against
-        // user-written components/externs and earlier monomorphs.
-        let mut mono_name = component.to_owned();
-        if !values.is_empty() {
-            for (d, v) in comp.sig.params.iter().zip(&values) {
-                if !d.is_derived() {
-                    mono_name.push_str(&format!("_{v}"));
-                }
-            }
-            while self.taken.contains(&mono_name) {
-                mono_name.push('_');
-            }
-            self.taken.insert(mono_name.clone());
-        }
-        self.stack.push(key.clone());
-        let index = self.index;
-        let (elaborated, stats) = elaborate_component(index, component, &values, &mono_name, self)?;
-        self.stack.pop();
-        self.stats.absorb(&stats);
-        self.out.push(elaborated);
-        self.cache.insert(key, mono_name.clone());
-        Ok(mono_name)
-    }
-}
-
 impl<'p> Elab<'p, '_> {
+    /// Records instantiating the unit `(component, values)` as a
+    /// dependency, returning the name to reference it by: its placeholder.
+    fn record(&mut self, component: &str, values: Vec<u64>) -> Result<Id, MonoError> {
+        let key = UnitKey {
+            component: component.to_owned(),
+            values,
+        };
+        if key == *self.unit {
+            return Err(MonoError::Recursive {
+                component: key.component,
+                params: key.values,
+            });
+        }
+        let name = key.placeholder();
+        if self.seen.insert(key.clone()) {
+            self.deps.push(key);
+        } else {
+            self.stats.cache_hits += 1;
+        }
+        Ok(name)
+    }
+
     /// Evaluates `e` in scope. Like every diagnostic site in elaboration,
     /// `site` is rendered only when evaluation fails.
     fn eval(&mut self, e: &ConstExpr, site: &dyn Fn() -> String) -> Result<u64, MonoError> {
@@ -944,8 +1083,9 @@ impl<'p> Elab<'p, '_> {
 
     fn elab_name(&mut self, n: &IName) -> Result<IName, MonoError> {
         let name = self.table.mangle(n, self.frame);
-        name.map(IName::plain)
-            .map_err(|cause| MonoError::eval(&self.sig.name, format!("index of {n}"), cause))
+        name.map(IName::plain).map_err(|cause| {
+            MonoError::eval(&self.sig.name, format!("index of {}", written(n)), cause)
+        })
     }
 
     /// Bounds-checks element `k` of a bundle of `extent`, when the bundle
@@ -1110,7 +1250,9 @@ impl<'p> Elab<'p, '_> {
                     let name = self.elab_name(name)?;
                     let given: Vec<u64> = params
                         .iter()
-                        .map(|p| self.eval(p, &|| format!("parameter of instance {name}")))
+                        .map(|p| {
+                            self.eval(p, &|| format!("parameter of instance {}", written(&name)))
+                        })
                         .collect::<Result<_, _>>()?;
                     let Some((sig, is_extern)) = self.table.index.callee(callee) else {
                         return Err(MonoError::UnknownComponent {
@@ -1119,7 +1261,10 @@ impl<'p> Elab<'p, '_> {
                         });
                     };
                     let values = resolve_params(sig, &given, &self.sig.name, &|param| {
-                        format!("derived parameter {param} of instance {name} ({callee})")
+                        format!(
+                            "derived parameter {param} of instance {} ({callee})",
+                            written(&name)
+                        )
                     })?;
                     self.stats.derivations_evaluated +=
                         (sig.params.len() - sig.free_param_count()) as u64;
@@ -1143,7 +1288,7 @@ impl<'p> Elab<'p, '_> {
                         let params = values.into_iter().map(ConstExpr::Lit).collect();
                         (callee.clone(), params)
                     } else {
-                        (self.resolver.resolve(callee, values)?, Vec::new())
+                        (self.record(callee, values)?, Vec::new())
                     };
                     out.push(Command::Instance {
                         name,
@@ -1706,17 +1851,9 @@ mod tests {
     }
 
     #[test]
-    fn elaborate_component_records_deps_via_resolver() {
-        // The per-unit entry point: callee instantiations go through the
-        // resolver instead of being elaborated recursively.
-        struct Recorder(Vec<(String, Vec<u64>)>);
-        impl CalleeResolver for Recorder {
-            fn resolve(&mut self, callee: &str, values: Vec<u64>) -> Result<Id, MonoError> {
-                let name = format!("UNIT_{}_{}", callee, self.0.len());
-                self.0.push((callee.to_owned(), values));
-                Ok(name)
-            }
-        }
+    fn elaborate_component_records_deps() {
+        // The per-unit entry point: callee instantiations are recorded as
+        // dependencies and referenced by placeholder, not elaborated.
         let p = parse_program(&format!(
             "{DELAY_EXT}
              comp Inner[W]<G: 1>(@[G, G+1] x: W) -> (@[G+1, G+2] o: W) {{
@@ -1730,18 +1867,18 @@ mod tests {
              }}"
         ))
         .unwrap();
-        let mut rec = Recorder(Vec::new());
-        let (comp, stats) =
-            elaborate_component(&ProgramIndex::new(&p), "Pair", &[8], "Pair_8", &mut rec).unwrap();
-        assert_eq!(comp.sig.name, "Pair_8");
-        assert_eq!(
-            rec.0,
-            vec![
-                ("Inner".to_owned(), vec![8]),
-                ("Inner".to_owned(), vec![16])
-            ]
-        );
-        // The emitted instances reference the resolver's names.
+        let unit = |component: &str, w| UnitKey {
+            component: component.into(),
+            values: vec![w],
+        };
+        let Elaborated {
+            component: comp,
+            deps,
+            stats,
+        } = elaborate_component(&ProgramIndex::new(&p), &unit("Pair", 8)).unwrap();
+        assert_eq!(comp.sig.name, unit("Pair", 8).placeholder());
+        assert_eq!(deps, vec![unit("Inner", 8), unit("Inner", 16)]);
+        // The emitted instances reference their units' placeholders.
         let callees: Vec<_> = comp
             .body
             .iter()
@@ -1750,7 +1887,13 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(callees, vec!["UNIT_Inner_0", "UNIT_Inner_1"]);
+        assert_eq!(
+            callees,
+            vec![
+                unit("Inner", 8).placeholder(),
+                unit("Inner", 16).placeholder()
+            ]
+        );
         // Two fused instance+invoke pairs plus the output connection.
         assert_eq!(stats.commands_emitted, 5);
         // The dependency's concrete interface is reconstructible without
@@ -1905,10 +2048,12 @@ mod tests {
 
     #[test]
     fn bundle_errors_are_specific() {
-        // Empty index range (symbolic, so the parser cannot catch it).
+        // Empty index range (symbolic, so the parser cannot catch it). The
+        // caller passes no argument, so its own elaboration succeeds and
+        // the callee's unit reports the range.
         let err = expand_src(
             "comp B[N]<G: 1>(@[G, G+1] in[i: N..N]: 8) -> () { }
-             comp Main<G: 1>(@[G, G+1] a: 8) -> () { b := new B[3]<G>(a); }",
+             comp Main<G: 1>(@[G, G+1] a: 8) -> () { b := new B[3]<G>(); }",
         )
         .unwrap_err();
         assert!(matches!(err, MonoError::Bundle { .. }), "{err}");

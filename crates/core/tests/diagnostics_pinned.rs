@@ -724,25 +724,30 @@ fn core_outcome(program: &Program) -> String {
     }
 }
 
+/// A pipeline case's outcomes through the core passes and through the
+/// build driver, or its parse error.
+fn pipeline(src: &str) -> Result<(String, String), String> {
+    let user = parse_program(src).map_err(|e| e.to_string())?;
+    let mut program = fil_stdlib::std_program();
+    program.extend(user);
+    let build = match fil_stdlib::build(&BuildRequest::new(src).verilog()) {
+        Ok(_) => "ok".to_owned(),
+        Err(e) => e.to_string().replace('\n', " || "),
+    };
+    Ok((core_outcome(&program), build))
+}
+
 fn render(label: &str, mode: Mode, src: &str, out: &mut String) {
     match mode {
-        Mode::Pipeline => {
-            let user = match parse_program(src) {
-                Ok(p) => p,
-                Err(e) => {
-                    let _ = writeln!(out, "{label} parse: {e}");
-                    return;
-                }
-            };
-            let mut program = fil_stdlib::std_program();
-            program.extend(user);
-            let _ = writeln!(out, "{label} core: {}", core_outcome(&program));
-            let build = match fil_stdlib::build(&BuildRequest::new(src).verilog()) {
-                Ok(_) => "ok".to_owned(),
-                Err(e) => e.to_string().replace('\n', " || "),
-            };
-            let _ = writeln!(out, "{label} build: {build}");
-        }
+        Mode::Pipeline => match pipeline(src) {
+            Ok((core, build)) => {
+                let _ = writeln!(out, "{label} core: {core}");
+                let _ = writeln!(out, "{label} build: {build}");
+            }
+            Err(e) => {
+                let _ = writeln!(out, "{label} parse: {e}");
+            }
+        },
         Mode::Raw => {
             let program = match parse_program(src) {
                 Ok(p) => p,
@@ -819,4 +824,30 @@ fn every_case_is_rejected() {
             "{label} is accepted by every stage:\n{out}"
         );
     }
+}
+
+/// The core passes and the build driver elaborate, check and lower through
+/// one unit engine: every pipeline case ends the same way on both, once
+/// the core's stage prefix is stripped.
+#[test]
+fn core_and_build_agree_on_every_pipeline_case() {
+    let mut disagree = Vec::new();
+    for &(label, mode, src) in CASES {
+        let (Mode::Pipeline, Ok((core, build))) = (mode, pipeline(src)) else {
+            continue;
+        };
+        let core = ["expand: ", "check: ", "lower: "]
+            .iter()
+            .find_map(|stage| core.strip_prefix(stage))
+            .unwrap_or(&core);
+        if core != build {
+            disagree.push(format!("  {label}\n    core:  {core}\n    build: {build}"));
+        }
+    }
+    assert!(
+        disagree.is_empty(),
+        "core and build disagree on {} case(s):\n{}",
+        disagree.len(),
+        disagree.join("\n")
+    );
 }

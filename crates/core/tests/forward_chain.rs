@@ -95,6 +95,6 @@ fn a_cyclic_chain_reports_the_first_unbound_read() {
     let err = expand_timed(Order::Cyclic).expect_err("a cycle cannot resolve");
     assert_eq!(
         err.to_string(),
-        "in component Main: parameter of instance a0#inst: parameter a1.W is unbound"
+        "in component Main: parameter of instance a0: parameter a1.W is unbound"
     );
 }

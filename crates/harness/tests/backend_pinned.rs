@@ -89,9 +89,8 @@ fn whole_program_verilog(
     registry: &dyn filament_core::PrimitiveRegistry,
 ) -> String {
     let mut program = fil_stdlib::std_program();
-    program.extend(
-        filament_core::parse_program(src).unwrap_or_else(|e| panic!("{name}: parse: {e}")),
-    );
+    program
+        .extend(filament_core::parse_program(src).unwrap_or_else(|e| panic!("{name}: parse: {e}")));
     let expanded = filament_core::mono::expand(&program)
         .unwrap_or_else(|e| panic!("{name}: mono::expand: {e}"));
     let lowered = filament_core::lower_program(&expanded, top, registry)

@@ -63,7 +63,7 @@ fn artifact_names(dir: &Path) -> Vec<String> {
 #[test]
 fn corpus_builds_are_deterministic_across_jobs_and_cache_state() {
     for (name, src, _top) in fil_designs::corpus() {
-        // Independent reference: the recursive monomorphizer.
+        // Reference: the serial `mono::expand`, no threads and no caches.
         let raw = with_std_raw(&src).unwrap();
         let reference =
             filament_core::pretty::print_program(&filament_core::mono::expand(&raw).unwrap());
