@@ -36,7 +36,9 @@ use calyx_lite::serial::{DecodeError, Reader, Writer};
 ///
 /// v2: the pretty-printed expanded text is gone; the [`crate::ast_bin`]
 /// encoding is the one stored form of the expanded component.
-pub const ARTIFACT_VERSION: u32 = 2;
+/// v3: lowered components carry a symbol table, and every reference is a
+/// `u32` symbol into it (`calyx_lite::serial::FORMAT_VERSION` 2).
+pub const ARTIFACT_VERSION: u32 = 3;
 
 const MAGIC: [u8; 4] = *b"FILB";
 
@@ -175,7 +177,7 @@ mod tests {
         let mut c = cl::Component::new("U_0123456789abcdef");
         c.add_input("x", 8);
         c.add_output("o", 8);
-        c.assign(cl::PortRef::this("o"), cl::Src::this("x"));
+        c.assign("o", "x");
         Artifact {
             component: "Systolic".into(),
             values: vec![8, 32, 64],

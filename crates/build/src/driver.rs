@@ -1002,6 +1002,10 @@ fn rewrite_lower(
             component: rewrite_str(&component, names),
             construct: rewrite_str(&construct, names),
         },
+        ZeroWidth { component, site } => ZeroWidth {
+            component: rewrite_str(&component, names),
+            site: rewrite_str(&site, names),
+        },
         IllTyped { detail } => IllTyped {
             detail: rewrite_str(&detail, names),
         },

@@ -76,13 +76,12 @@ mod tests {
     use super::*;
 
     fn program(width: u32) -> cl::Program {
-        use cl::{PortRef, Src};
         let mut c = cl::Component::new("Main");
         c.add_input("x", width);
         c.add_output("o", width);
         c.add_primitive("n0", rtl_sim::CellKind::Not { width });
-        c.assign(PortRef::cell("n0", "in"), Src::this("x"));
-        c.assign(PortRef::this("o"), Src::port(PortRef::cell("n0", "out")));
+        c.assign(("n0", "in"), "x");
+        c.assign("o", ("n0", "out"));
         let mut p = cl::Program::new();
         p.add_component(c);
         p

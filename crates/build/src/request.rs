@@ -879,11 +879,7 @@ mod tests {
         for (i, kind) in kinds.into_iter().enumerate() {
             c.add_primitive(format!("p{i}"), kind);
         }
-        c.assign_guarded(
-            calyx_lite::PortRef::this("o"),
-            calyx_lite::Src::port(calyx_lite::PortRef::cell("k", "out")),
-            calyx_lite::Guard::Any(vec![calyx_lite::PortRef::this("x")]),
-        );
+        c.assign_guarded("o", ("k", "out"), ["x"]);
         let mut comp = Vec::new();
         serial::encode_component(&c, &mut comp);
 
@@ -898,9 +894,9 @@ mod tests {
         ];
         let want = [
             ("encode_request", 0x7d3ea7d7ed60ca4b),
-            ("encode_output", 0xab69ac65e2dd12b5),
-            ("encode_component", 0x20796330b3999eda),
-            ("encode_netlist", 0xc41e1be35b5ca78a),
+            ("encode_output", 0x07a4d6796b611b62),
+            ("encode_component", 0x7559c9803a393e26),
+            ("encode_netlist", 0x3c1c9c3f42c940bd),
         ];
         assert_eq!(got, want, "a wire or serial layout changed");
     }

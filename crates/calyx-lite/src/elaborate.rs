@@ -1,8 +1,7 @@
 //! Hierarchical elaboration: flattening a component tree into a netlist.
 
-use crate::ir::{primitive_ports, CalyxError, CellProto, Component, Guard, PortRef, Program, Src};
-use rtl_sim::{CellKind, Netlist, SignalId};
-use std::collections::HashMap;
+use crate::ir::{primitive_ports, CalyxError, CellProto, Component, Names, PortRef, Program, Src};
+use rtl_sim::{CellKind, Netlist, PortDir, SignalId};
 use std::ops::Range;
 
 /// Flattens the hierarchy rooted at `top` into a simulatable
@@ -26,14 +25,16 @@ pub fn elaborate(program: &Program, top: &str) -> Result<Netlist, CalyxError> {
     };
     // Top-level ports.
     let mut ports = Vec::with_capacity(top_comp.inputs.len() + top_comp.outputs.len());
-    for (name, width) in &top_comp.inputs {
-        let id = ctx.netlist.add_input(name.as_str(), *width);
-        ports.push((name.as_str(), id, *width));
-    }
-    for (name, width) in &top_comp.outputs {
-        let id = ctx.netlist.add_signal(name.as_str(), *width);
-        ctx.netlist.mark_output(id);
-        ports.push((name.as_str(), id, *width));
+    let names = &top_comp.names;
+    let dirs = [
+        (&top_comp.inputs, PortDir::Input),
+        (&top_comp.outputs, PortDir::Output),
+    ];
+    for (list, dir) in dirs {
+        for &(sym, width) in list {
+            let id = ctx.signal(names[sym].to_owned(), width, dir)?;
+            ports.push((&names[sym], id, width));
+        }
     }
     ctx.instantiate(top_comp, "", &ports, &mut vec![top_comp.name.as_str()])?;
     Ok(ctx.netlist)
@@ -60,6 +61,15 @@ fn dotted(base: &str, rest: &str) -> String {
 }
 
 impl<'p> Ctx<'p> {
+    /// Adds a signal, or reports the name as a duplicate.
+    fn signal(&mut self, name: String, width: u32, dir: PortDir) -> Result<SignalId, CalyxError> {
+        self.netlist
+            .try_add_signal(name, width, dir)
+            .map_err(|old| {
+                CalyxError::Duplicate(format!("signal {}", self.netlist.signal(old).name))
+            })
+    }
+
     /// Adds a fresh one-output cell (`prefix$N` under `path`) and returns
     /// its `width`-bit output.
     fn fresh_cell(
@@ -69,16 +79,16 @@ impl<'p> Ctx<'p> {
         kind: CellKind,
         inputs: Vec<SignalId>,
         width: u32,
-    ) -> SignalId {
+    ) -> Result<SignalId, CalyxError> {
         self.fresh += 1;
         let name = if path.is_empty() {
             format!("{prefix}${}", self.fresh)
         } else {
             format!("{path}.{prefix}${}", self.fresh)
         };
-        let out = self.netlist.add_signal(dotted(&name, "out"), width);
+        let out = self.signal(dotted(&name, "out"), width, PortDir::Internal)?;
         self.netlist.add_cell(name, kind, inputs, vec![out]);
-        out
+        Ok(out)
     }
 
     /// Instantiates `comp` at hierarchical prefix `path` whose own ports are
@@ -91,19 +101,21 @@ impl<'p> Ctx<'p> {
         own_ports: &[Pin<'p>],
         stack: &mut Vec<&'p str>,
     ) -> Result<(), CalyxError> {
-        // Every cell's ports in one table; each cell name maps to its range.
+        let names = &comp.names;
+        // Every cell's ports in one table; `cells[sym]` is the range of the
+        // cell named `sym`.
         let mut pins: Vec<Pin<'p>> = Vec::new();
-        let mut cells: HashMap<&'p str, Range<usize>> = HashMap::with_capacity(comp.cells.len());
+        let mut cells: Vec<Option<Range<usize>>> = vec![None; names.len()];
 
         // Create signals for every cell's ports; recurse into subcomponents.
         for cell in &comp.cells {
-            let cell_path = dotted(path, &cell.name);
+            let cell_path = dotted(path, &names[cell.name]);
             let start = pins.len();
             match &cell.proto {
                 CellProto::Primitive(kind) => {
                     let (ins, outs) = primitive_ports(kind);
                     for &(pname, w) in ins.iter().chain(&outs) {
-                        let id = self.netlist.add_signal(dotted(&cell_path, pname), w);
+                        let id = self.signal(dotted(&cell_path, pname), w, PortDir::Internal)?;
                         pins.push((pname, id, w));
                     }
                     let ids = |r: Range<usize>| pins[r].iter().map(|p| p.1).collect();
@@ -120,35 +132,37 @@ impl<'p> Ctx<'p> {
                         .program
                         .component(sub_name)
                         .ok_or_else(|| CalyxError::UnknownComponent(sub_name.clone()))?;
-                    for (pname, w) in sub.inputs.iter().chain(&sub.outputs) {
-                        let id = self.netlist.add_signal(dotted(&cell_path, pname), *w);
-                        pins.push((pname, id, *w));
+                    for &(psym, w) in sub.inputs.iter().chain(&sub.outputs) {
+                        let pname = &sub.names[psym];
+                        let id = self.signal(dotted(&cell_path, pname), w, PortDir::Internal)?;
+                        pins.push((pname, id, w));
                     }
                     stack.push(sub_name);
                     self.instantiate(sub, &cell_path, &pins[start..], stack)?;
                     stack.pop();
                 }
             }
-            cells.insert(&cell.name, start..pins.len());
+            cells[cell.name.index()] = Some(start..pins.len());
         }
 
         let resolve = |r: &PortRef| -> Result<(SignalId, u32), CalyxError> {
-            let ports = match &r.cell {
+            let ports = match r.cell {
                 None => own_ports,
                 Some(c) => {
-                    &pins[cells.get(c.as_str()).cloned().ok_or_else(|| {
-                        CalyxError::UnknownCell {
+                    &pins[cells[c.index()]
+                        .clone()
+                        .ok_or_else(|| CalyxError::UnknownCell {
                             component: comp.name.clone(),
-                            cell: c.clone(),
-                        }
-                    })?]
+                            cell: names[c].to_owned(),
+                        })?]
                 }
             };
-            let pin = ports.iter().find(|(name, ..)| *name == r.port);
+            let port = &names[r.port];
+            let pin = ports.iter().find(|(name, ..)| *name == port);
             pin.map(|&(_, id, w)| (id, w))
                 .ok_or_else(|| CalyxError::UnknownPort {
                     component: comp.name.clone(),
-                    port: r.to_string(),
+                    port: names.port(*r),
                 })
         };
 
@@ -160,7 +174,7 @@ impl<'p> Ctx<'p> {
                 Src::Const(v) => {
                     let kind = CellKind::Const { value: v.clone() };
                     (
-                        self.fresh_cell("const", path, kind, vec![], v.width()),
+                        self.fresh_cell("const", path, kind, vec![], v.width())?,
                         v.width(),
                     )
                 }
@@ -168,22 +182,25 @@ impl<'p> Ctx<'p> {
             if dst_w != src_w {
                 return Err(CalyxError::WidthMismatch {
                     component: comp.name.clone(),
-                    site: format!("{} = {:?}", assign.dst, assign.src),
+                    site: format!(
+                        "{} = {}",
+                        names.port(assign.dst),
+                        src_text(names, &assign.src)
+                    ),
                     dst: dst_w,
                     src: src_w,
                 });
             }
-            match &assign.guard {
-                Guard::True => self.netlist.connect(dst, src),
-                Guard::Any(ports) if ports.is_empty() => self.netlist.connect(dst, src),
-                Guard::Any(ports) => {
+            match assign.guard.ports() {
+                [] => self.netlist.connect(dst, src),
+                ports => {
                     let mut acc: Option<SignalId> = None;
                     for p in ports {
                         let (sig, w) = resolve(p)?;
                         if w != 1 {
                             return Err(CalyxError::WidthMismatch {
                                 component: comp.name.clone(),
-                                site: format!("guard {p}"),
+                                site: format!("guard {}", names.port(*p)),
                                 dst: 1,
                                 src: w,
                             });
@@ -192,7 +209,7 @@ impl<'p> Ctx<'p> {
                             None => sig,
                             Some(prev) => {
                                 let or = CellKind::Or { width: 1 };
-                                self.fresh_cell("or", path, or, vec![prev, sig], 1)
+                                self.fresh_cell("or", path, or, vec![prev, sig], 1)?
                             }
                         });
                     }
@@ -202,5 +219,18 @@ impl<'p> Ctx<'p> {
             }
         }
         Ok(())
+    }
+}
+
+/// `src` as width-mismatch diagnostics spell it: the derived `Debug` of a
+/// reference by names, or of the constant.
+fn src_text(names: &Names, src: &Src) -> String {
+    match src {
+        Src::Port(p) => format!(
+            "Port(PortRef {{ cell: {:?}, port: {:?} }})",
+            p.cell.map(|c| &names[c]),
+            &names[p.port]
+        ),
+        Src::Const(v) => format!("Const({v:?})"),
     }
 }

@@ -133,6 +133,12 @@ pub fn primitive_ports(kind: &CellKind) -> (PortList, PortList) {
     }
 }
 
+/// The most states a [`CellKind::ShiftFsm`] may have: 2^16. An FSM is a
+/// shift register with one output pin, wire and Verilog net per state
+/// (and [`primitive_ports`] keeps one name per state for good), so
+/// `lower` refuses a longer one and the decoder rejects it.
+pub const MAX_FSM_STATES: u32 = 1 << 16;
+
 /// What a cell instantiates: a leaf primitive or another component.
 #[derive(Debug, Clone)]
 pub enum CellProto {
@@ -142,49 +148,186 @@ pub enum CellProto {
     Component(String),
 }
 
+/// A name in a [`Component`]'s symbol table, [`Names`]: a cell, a port,
+/// or a name that no cell or port of the component has (elaboration
+/// reports it as unknown).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Sym(pub(crate) u32);
+
+impl Sym {
+    /// The position of this name in its table.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// A component's symbol table: each cell and port name it mentions, once,
+/// in first-mention order. It is the only place a component keeps names;
+/// cells, port lists and assignments hold [`Sym`]s into it.
+#[derive(Clone, Default)]
+pub struct Names {
+    /// Every name, back to back; name `i` ends at `ends[i]`.
+    text: String,
+    ends: Vec<u32>,
+    index: rtl_sim::NameIndex,
+}
+
+impl Names {
+    /// The symbol of `name`, added if the table lacks it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table's text would reach 4 GiB.
+    pub fn intern(&mut self, name: &str) -> Sym {
+        let id = u32::try_from(self.ends.len()).expect("symbol tables hold under 2^32 names");
+        let (text, ends) = (&self.text, &self.ends);
+        match self
+            .index
+            .insert(name, id, |i| slice(text, ends, i as usize))
+        {
+            Err(old) => Sym(old),
+            Ok(()) => {
+                self.text.push_str(name);
+                let end = u32::try_from(self.text.len()).expect("symbol tables hold under 4 GiB");
+                self.ends.push(end);
+                Sym(id)
+            }
+        }
+    }
+
+    /// The symbol of `name`, if the table has it.
+    pub fn get(&self, name: &str) -> Option<Sym> {
+        let (text, ends) = (&self.text, &self.ends);
+        self.index
+            .get(name, |i| slice(text, ends, i as usize))
+            .map(Sym)
+    }
+
+    /// The number of names.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the table is empty.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Every name, in symbol order.
+    pub fn iter(&self) -> impl Iterator<Item = &str> {
+        (0..self.ends.len()).map(|i| slice(&self.text, &self.ends, i))
+    }
+
+    /// `cell.port`, or `port` alone for the component's own ports.
+    pub fn port(&self, p: PortRef) -> String {
+        match p.cell {
+            Some(c) => format!("{}.{}", &self[c], &self[p.port]),
+            None => self[p.port].to_owned(),
+        }
+    }
+}
+
+/// Name `i` of a table's `text` and `ends`.
+fn slice<'t>(text: &'t str, ends: &[u32], i: usize) -> &'t str {
+    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+    &text[start..ends[i] as usize]
+}
+
+impl std::ops::Index<Sym> for Names {
+    type Output = str;
+    fn index(&self, s: Sym) -> &str {
+        slice(&self.text, &self.ends, s.index())
+    }
+}
+
+impl fmt::Debug for Names {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A named cell instance inside a component.
 #[derive(Debug, Clone)]
 pub struct Cell {
     /// Instance name.
-    pub name: String,
+    pub name: Sym,
     /// What it instantiates.
     pub proto: CellProto,
 }
 
 /// A reference to a port: either `cell.port` or a port of the enclosing
-/// component (`cell == None`).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// component (`cell == None`), both names in the component's [`Names`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortRef {
     /// The owning cell, or `None` for the enclosing component's ports.
-    pub cell: Option<String>,
+    pub cell: Option<Sym>,
     /// The port name.
-    pub port: String,
+    pub port: Sym,
 }
 
 impl PortRef {
     /// A port on a cell: `cell.port`.
-    pub fn cell(cell: impl Into<String>, port: impl Into<String>) -> Self {
+    pub fn cell(cell: Sym, port: Sym) -> Self {
         PortRef {
-            cell: Some(cell.into()),
-            port: port.into(),
+            cell: Some(cell),
+            port,
         }
     }
 
     /// A port of the enclosing component.
-    pub fn this(port: impl Into<String>) -> Self {
-        PortRef {
-            cell: None,
-            port: port.into(),
-        }
+    pub fn this(port: Sym) -> Self {
+        PortRef { cell: None, port }
     }
 }
 
-impl fmt::Display for PortRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.cell {
-            Some(c) => write!(f, "{c}.{}", self.port),
-            None => write!(f, "{}", self.port),
-        }
+/// A port named for [`Component`]'s builder: a port of the component by
+/// name (`"x"`), a cell's port by names (`("add0", "out")`), or a
+/// [`PortRef`] as it is.
+pub trait IntoPort {
+    /// The reference, interning its names into `names`.
+    fn into_port(self, names: &mut Names) -> PortRef;
+}
+
+impl IntoPort for PortRef {
+    fn into_port(self, _: &mut Names) -> PortRef {
+        self
+    }
+}
+
+impl IntoPort for &str {
+    fn into_port(self, names: &mut Names) -> PortRef {
+        PortRef::this(names.intern(self))
+    }
+}
+
+impl<C: AsRef<str>, P: AsRef<str>> IntoPort for (C, P) {
+    fn into_port(self, names: &mut Names) -> PortRef {
+        PortRef::cell(names.intern(self.0.as_ref()), names.intern(self.1.as_ref()))
+    }
+}
+
+/// A source for [`Component`]'s builder: any [`IntoPort`], a constant
+/// [`Value`], or a [`Src`].
+pub trait IntoSrc {
+    /// The source, interning its names into `names`.
+    fn into_src(self, names: &mut Names) -> Src;
+}
+
+impl<T: IntoPort> IntoSrc for T {
+    fn into_src(self, names: &mut Names) -> Src {
+        Src::Port(self.into_port(names))
+    }
+}
+
+impl IntoSrc for Value {
+    fn into_src(self, _: &mut Names) -> Src {
+        Src::Const(self)
+    }
+}
+
+impl IntoSrc for Src {
+    fn into_src(self, _: &mut Names) -> Src {
+        self
     }
 }
 
@@ -195,23 +338,6 @@ pub enum Src {
     Port(PortRef),
     /// A constant value.
     Const(Value),
-}
-
-impl Src {
-    /// Shorthand for a port source.
-    pub fn port(p: PortRef) -> Self {
-        Src::Port(p)
-    }
-
-    /// Shorthand for a port of the enclosing component.
-    pub fn this(port: impl Into<String>) -> Self {
-        Src::Port(PortRef::this(port))
-    }
-
-    /// Shorthand for a constant source.
-    pub fn konst(v: Value) -> Self {
-        Src::Const(v)
-    }
 }
 
 /// An assignment guard: a disjunction of 1-bit ports (Section 5.2's
@@ -225,26 +351,18 @@ pub enum Guard {
 }
 
 impl Guard {
-    /// Guard from a single port.
-    pub fn port(p: PortRef) -> Self {
-        Guard::Any(vec![p])
+    /// The disjuncts; empty for the trivially-true guard (both
+    /// `Guard::True` and an empty `Guard::Any`).
+    pub fn ports(&self) -> &[PortRef] {
+        match self {
+            Guard::True => &[],
+            Guard::Any(ports) => ports,
+        }
     }
 
     /// True if this is the trivial guard.
     pub fn is_true(&self) -> bool {
-        matches!(self, Guard::True) || matches!(self, Guard::Any(v) if v.is_empty())
-    }
-}
-
-impl fmt::Display for Guard {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Guard::True => write!(f, "1"),
-            Guard::Any(ports) => {
-                let parts: Vec<String> = ports.iter().map(|p| p.to_string()).collect();
-                write!(f, "{}", parts.join(" || "))
-            }
-        }
+        self.ports().is_empty()
     }
 }
 
@@ -259,7 +377,8 @@ pub struct Assign {
     pub guard: Guard,
 }
 
-/// A Calyx-lite component: ports, cells, and wires (guarded assignments).
+/// A Calyx-lite component: ports, cells, and wires (guarded assignments),
+/// over one symbol table.
 ///
 /// The `control` section of real Calyx is always empty for Filament output
 /// (Figure 6), so it is omitted entirely.
@@ -267,10 +386,12 @@ pub struct Assign {
 pub struct Component {
     /// Component name.
     pub name: String,
+    /// Every cell and port name the component mentions.
+    pub names: Names,
     /// Input ports `(name, width)`.
-    pub inputs: Vec<(String, u32)>,
+    pub inputs: Vec<(Sym, u32)>,
     /// Output ports `(name, width)`.
-    pub outputs: Vec<(String, u32)>,
+    pub outputs: Vec<(Sym, u32)>,
     /// Cell instances.
     pub cells: Vec<Cell>,
     /// Guarded assignments.
@@ -282,6 +403,7 @@ impl Component {
     pub fn new(name: impl Into<String>) -> Self {
         Component {
             name: name.into(),
+            names: Names::default(),
             inputs: Vec::new(),
             outputs: Vec::new(),
             cells: Vec::new(),
@@ -290,33 +412,41 @@ impl Component {
     }
 
     /// Declares an input port.
-    pub fn add_input(&mut self, name: impl Into<String>, width: u32) {
-        self.inputs.push((name.into(), width));
+    pub fn add_input(&mut self, name: impl AsRef<str>, width: u32) -> Sym {
+        let sym = self.names.intern(name.as_ref());
+        self.inputs.push((sym, width));
+        sym
     }
 
     /// Declares an output port.
-    pub fn add_output(&mut self, name: impl Into<String>, width: u32) {
-        self.outputs.push((name.into(), width));
+    pub fn add_output(&mut self, name: impl AsRef<str>, width: u32) -> Sym {
+        let sym = self.names.intern(name.as_ref());
+        self.outputs.push((sym, width));
+        sym
     }
 
     /// Adds a primitive cell.
-    pub fn add_primitive(&mut self, name: impl Into<String>, kind: CellKind) {
-        self.cells.push(Cell {
-            name: name.into(),
-            proto: CellProto::Primitive(kind),
-        });
+    pub fn add_primitive(&mut self, name: impl AsRef<str>, kind: CellKind) -> Sym {
+        self.add_cell(name, CellProto::Primitive(kind))
     }
 
     /// Adds a sub-component cell.
-    pub fn add_subcomponent(&mut self, name: impl Into<String>, component: impl Into<String>) {
-        self.cells.push(Cell {
-            name: name.into(),
-            proto: CellProto::Component(component.into()),
-        });
+    pub fn add_subcomponent(&mut self, name: impl AsRef<str>, component: impl Into<String>) -> Sym {
+        self.add_cell(name, CellProto::Component(component.into()))
+    }
+
+    fn add_cell(&mut self, name: impl AsRef<str>, proto: CellProto) -> Sym {
+        let name = self.names.intern(name.as_ref());
+        self.cells.push(Cell { name, proto });
+        name
     }
 
     /// Adds an unguarded assignment.
-    pub fn assign(&mut self, dst: PortRef, src: Src) {
+    pub fn assign(&mut self, dst: impl IntoPort, src: impl IntoSrc) {
+        let (dst, src) = (
+            dst.into_port(&mut self.names),
+            src.into_src(&mut self.names),
+        );
         self.assigns.push(Assign {
             dst,
             src,
@@ -324,14 +454,24 @@ impl Component {
         });
     }
 
-    /// Adds a guarded assignment.
-    pub fn assign_guarded(&mut self, dst: PortRef, src: Src, guard: Guard) {
+    /// Adds an assignment guarded by the disjunction of `guard`.
+    pub fn assign_guarded<P: IntoPort>(
+        &mut self,
+        dst: impl IntoPort,
+        src: impl IntoSrc,
+        guard: impl IntoIterator<Item = P>,
+    ) {
+        let (dst, src) = (
+            dst.into_port(&mut self.names),
+            src.into_src(&mut self.names),
+        );
+        let guard = Guard::Any(
+            guard
+                .into_iter()
+                .map(|p| p.into_port(&mut self.names))
+                .collect(),
+        );
         self.assigns.push(Assign { dst, src, guard });
-    }
-
-    /// Finds a cell by name.
-    pub fn cell(&self, name: &str) -> Option<&Cell> {
-        self.cells.iter().find(|c| c.name == name)
     }
 }
 

@@ -16,7 +16,7 @@
 //! # Examples
 //!
 //! ```
-//! use calyx_lite::{Component, PortRef, Program, Src};
+//! use calyx_lite::{Component, Program};
 //! use rtl_sim::CellKind;
 //!
 //! let mut c = Component::new("main");
@@ -24,9 +24,14 @@
 //! c.add_input("b", 8);
 //! c.add_output("out", 8);
 //! c.add_primitive("add0", CellKind::Add { width: 8 });
-//! c.assign(PortRef::cell("add0", "left"), Src::this("a"));
-//! c.assign(PortRef::cell("add0", "right"), Src::this("b"));
-//! c.assign(PortRef::this("out"), Src::port(PortRef::cell("add0", "out")));
+//! c.assign(("add0", "left"), "a");
+//! c.assign(("add0", "right"), "b");
+//! c.assign("out", ("add0", "out"));
+//! // Each name is stored once, in the component's symbol table; cells,
+//! // ports and assignments refer to it by `Sym`.
+//! assert_eq!(c.names.len(), 6);
+//! let calyx_lite::Src::Port(read) = c.assigns[2].src else { unreachable!() };
+//! assert_eq!(c.names.port(read), "add0.out");
 //!
 //! let mut p = Program::new();
 //! p.add_component(c);
@@ -47,7 +52,8 @@ mod verilog;
 
 pub use elaborate::elaborate;
 pub use ir::{
-    primitive_ports, Assign, CalyxError, Cell, CellProto, Component, Guard, PortRef, Program, Src,
+    primitive_ports, Assign, CalyxError, Cell, CellProto, Component, Guard, IntoPort, IntoSrc,
+    Names, PortRef, Program, Src, Sym, MAX_FSM_STATES,
 };
 pub use serial::{decode_component, decode_netlist, encode_component, encode_netlist, DecodeError};
 pub use verilog::emit_program;

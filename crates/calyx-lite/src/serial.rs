@@ -18,20 +18,23 @@
 //! below changes, and old artifacts simply decode as
 //! [`DecodeError::Version`] (the driver treats that as a cache miss).
 
-use crate::ir::{Assign, Cell, CellProto, Component, Guard, PortRef, Src};
+use crate::ir::{Assign, Cell, CellProto, Component, Guard, PortRef, Src, Sym, MAX_FSM_STATES};
 use fil_bits::Value;
 use rtl_sim::CellKind;
 use std::fmt;
 
 /// Version of the binary layout. Decoders reject anything else.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Magic bytes opening every encoded component.
 const MAGIC: [u8; 4] = *b"CLC1";
 
-/// Widest [`Value`] the decoder will materialize (a corrupted width prefix
-/// must not allocate unbounded memory).
+/// Widest [`Value`], port or pin the decoder will materialize (a corrupted
+/// width prefix must not allocate unbounded memory).
 const MAX_VALUE_WIDTH: u32 = 1 << 20;
+
+/// The cell field of a [`PortRef`] to a port of the component itself.
+const NO_CELL: u32 = u32::MAX;
 
 /// Decoding failures. All of them are recoverable: the caller should treat
 /// the input as a stale or corrupted artifact and rebuild.
@@ -191,11 +194,12 @@ impl<'a> Reader<'a> {
         self.array().map(u64::from_le_bytes)
     }
     pub fn str(&mut self) -> Result<String, DecodeError> {
+        self.str_ref().map(str::to_owned)
+    }
+    /// A string, validated in place and borrowed from the input.
+    pub fn str_ref(&mut self) -> Result<&'a str, DecodeError> {
         let n = self.u32()? as usize;
-        // Validate in place, allocate once.
-        std::str::from_utf8(self.take(n)?)
-            .map(str::to_owned)
-            .map_err(|_| DecodeError::Invalid("string"))
+        std::str::from_utf8(self.take(n)?).map_err(|_| DecodeError::Invalid("string"))
     }
     pub fn opt_str(&mut self) -> Result<Option<String>, DecodeError> {
         match self.u8()? {
@@ -238,15 +242,15 @@ impl Writer<'_> {
             self.u64(*limb);
         }
     }
-    fn port_ref(&mut self, p: &PortRef) {
-        self.opt_str(p.cell.as_deref());
-        self.str(&p.port);
+    fn port_ref(&mut self, p: PortRef) {
+        self.u32(p.cell.map_or(NO_CELL, |c| c.0));
+        self.u32(p.port.0);
     }
     fn src(&mut self, s: &Src) {
         match s {
             Src::Port(p) => {
                 self.u8(0);
-                self.port_ref(p);
+                self.port_ref(*p);
             }
             Src::Const(v) => {
                 self.u8(1);
@@ -260,7 +264,7 @@ impl Writer<'_> {
             Guard::Any(ports) => {
                 self.u8(1);
                 self.len_prefix(ports.len());
-                for p in ports {
+                for &p in ports {
                     self.port_ref(p);
                 }
             }
@@ -331,22 +335,27 @@ impl Writer<'_> {
     }
 }
 
-/// Appends the canonical encoding of `c` to `out`.
+/// Appends the canonical encoding of `c` to `out`: the symbol table once,
+/// then every port, cell and reference as `u32` symbols into it.
 pub fn encode_component(c: &Component, out: &mut Vec<u8>) {
     let mut w = Writer::new(out);
     w.raw(&MAGIC);
     w.u32(FORMAT_VERSION);
     w.str(&c.name);
+    w.len_prefix(c.names.len());
+    for name in c.names.iter() {
+        w.str(name);
+    }
     for ports in [&c.inputs, &c.outputs] {
         w.len_prefix(ports.len());
-        for (name, width) in ports {
-            w.str(name);
-            w.u32(*width);
+        for &(name, width) in ports {
+            w.u32(name.0);
+            w.u32(width);
         }
     }
     w.len_prefix(c.cells.len());
     for cell in &c.cells {
-        w.str(&cell.name);
+        w.u32(cell.name.0);
         match &cell.proto {
             CellProto::Primitive(kind) => {
                 w.u8(0);
@@ -360,13 +369,22 @@ pub fn encode_component(c: &Component, out: &mut Vec<u8>) {
     }
     w.len_prefix(c.assigns.len());
     for a in &c.assigns {
-        w.port_ref(&a.dst);
+        w.port_ref(a.dst);
         w.src(&a.src);
         w.guard(&a.guard);
     }
 }
 
 // --------------------------------------------------------------- decoding
+
+/// `s` as a symbol of a table of `names` entries.
+fn sym_in(s: u32, names: usize) -> Result<Sym, DecodeError> {
+    if (s as usize) < names {
+        Ok(Sym(s))
+    } else {
+        Err(DecodeError::Invalid("symbol"))
+    }
+}
 
 impl Reader<'_> {
     fn bool(&mut self) -> Result<bool, DecodeError> {
@@ -394,33 +412,73 @@ impl Reader<'_> {
         }
         Ok(value)
     }
-    fn port_ref(&mut self) -> Result<PortRef, DecodeError> {
-        let cell = self.opt_str()?;
-        let port = self.str()?;
-        Ok(PortRef { cell, port })
+    /// A symbol of a table of `names` entries.
+    fn sym(&mut self, names: usize) -> Result<Sym, DecodeError> {
+        sym_in(self.u32()?, names)
     }
-    fn src(&mut self) -> Result<Src, DecodeError> {
+    /// A port or pin width.
+    fn width(&mut self) -> Result<u32, DecodeError> {
+        match self.u32()? {
+            w if (1..=MAX_VALUE_WIDTH).contains(&w) => Ok(w),
+            _ => Err(DecodeError::Invalid("port width")),
+        }
+    }
+    fn port_ref(&mut self, names: usize) -> Result<PortRef, DecodeError> {
+        let cell = match self.u32()? {
+            NO_CELL => None,
+            cell => Some(sym_in(cell, names)?),
+        };
+        Ok(PortRef {
+            cell,
+            port: self.sym(names)?,
+        })
+    }
+    fn src(&mut self, names: usize) -> Result<Src, DecodeError> {
         match self.u8()? {
-            0 => Ok(Src::Port(self.port_ref()?)),
+            0 => Ok(Src::Port(self.port_ref(names)?)),
             1 => Ok(Src::Const(self.value()?)),
             tag => Err(bad_tag("src", tag)),
         }
     }
-    fn guard(&mut self) -> Result<Guard, DecodeError> {
+    fn guard(&mut self, names: usize) -> Result<Guard, DecodeError> {
         match self.u8()? {
             0 => Ok(Guard::True),
             1 => {
-                let n = self.count(5)?;
+                let n = self.count(8)?;
                 let mut ports = Vec::with_capacity(n);
                 for _ in 0..n {
-                    ports.push(self.port_ref()?);
+                    ports.push(self.port_ref(names)?);
                 }
                 Ok(Guard::Any(ports))
             }
             tag => Err(bad_tag("guard", tag)),
         }
     }
+    /// A cell kind that elaboration, emission and the optimizer take as
+    /// it is: every pin 1 to [`MAX_VALUE_WIDTH`] bits wide, a slice
+    /// inside its input, a zero-extension that does not narrow, and an
+    /// FSM of 1 to [`MAX_FSM_STATES`] states.
     fn cell_kind(&mut self) -> Result<CellKind, DecodeError> {
+        use CellKind::*;
+        let kind = self.any_cell_kind()?;
+        let sound = match kind {
+            Slice { in_width, hi, lo } => lo <= hi && hi < in_width,
+            Concat { hi_width, lo_width } => hi_width.max(lo_width) <= MAX_VALUE_WIDTH,
+            ZeroExt {
+                in_width,
+                out_width,
+            } => in_width <= out_width,
+            ShiftFsm { n } => n <= MAX_FSM_STATES,
+            _ => true,
+        };
+        let widths = || kind.input_widths().into_iter().chain(kind.output_widths());
+        if sound && widths().all(|w| (1..=MAX_VALUE_WIDTH).contains(&w)) {
+            Ok(kind)
+        } else {
+            Err(DecodeError::Invalid("cell kind"))
+        }
+    }
+    fn any_cell_kind(&mut self) -> Result<CellKind, DecodeError> {
         use CellKind::*;
         Ok(match self.u8()? {
             0 => Const {
@@ -500,16 +558,19 @@ pub fn decode_component(bytes: &[u8]) -> Result<(Component, usize), DecodeError>
     let mut r = Reader::new(bytes);
     r.header(MAGIC, FORMAT_VERSION)?;
     let mut c = Component::new(r.str()?);
-    for _ in 0..r.count(8)? {
-        let (name, width) = (r.str()?, r.u32()?);
-        c.add_input(name, width);
+    let names = r.count(4)?;
+    for i in 0..names {
+        if c.names.intern(r.str_ref()?).index() != i {
+            return Err(DecodeError::Invalid("duplicate name"));
+        }
     }
-    for _ in 0..r.count(8)? {
-        let (name, width) = (r.str()?, r.u32()?);
-        c.add_output(name, width);
+    for ports in [&mut c.inputs, &mut c.outputs] {
+        for _ in 0..r.count(8)? {
+            ports.push((r.sym(names)?, r.width()?));
+        }
     }
-    for _ in 0..r.count(6)? {
-        let name = r.str()?;
+    for _ in 0..r.count(5)? {
+        let name = r.sym(names)?;
         let proto = match r.u8()? {
             0 => CellProto::Primitive(r.cell_kind()?),
             1 => CellProto::Component(r.str()?),
@@ -517,10 +578,10 @@ pub fn decode_component(bytes: &[u8]) -> Result<(Component, usize), DecodeError>
         };
         c.cells.push(Cell { name, proto });
     }
-    for _ in 0..r.count(12)? {
-        let dst = r.port_ref()?;
-        let src = r.src()?;
-        let guard = r.guard()?;
+    for _ in 0..r.count(18)? {
+        let dst = r.port_ref(names)?;
+        let src = r.src(names)?;
+        let guard = r.guard(names)?;
         c.assigns.push(Assign { dst, src, guard });
     }
     Ok((c, r.pos()))
@@ -691,16 +752,13 @@ mod tests {
             },
         );
         c.add_subcomponent("sub0", "Inner_8");
-        c.assign(PortRef::cell("add0", "left"), Src::this("x"));
+        c.assign(("add0", "left"), "x");
         c.assign_guarded(
-            PortRef::cell("r", "in"),
-            Src::konst(Value::from_u64(8, 41)),
-            Guard::Any(vec![
-                PortRef::cell("G_fsm", "_0"),
-                PortRef::cell("G_fsm", "_2"),
-            ]),
+            ("r", "in"),
+            Value::from_u64(8, 41),
+            [("G_fsm", "_0"), ("G_fsm", "_2")],
         );
-        c.assign(PortRef::this("o"), Src::port(PortRef::cell("k", "out")));
+        c.assign("o", ("k", "out"));
         c
     }
 
@@ -864,13 +922,13 @@ mod tests {
         let mut inner = Component::new("Inner_8");
         inner.add_input("x", 8);
         inner.add_output("o", 8);
-        inner.assign(PortRef::this("o"), Src::this("x"));
+        inner.assign("o", "x");
         let mut outer = Component::new("Top");
         outer.add_input("x", 8);
         outer.add_output("o", 8);
         outer.add_subcomponent("i0", "Inner_8");
-        outer.assign(PortRef::cell("i0", "x"), Src::this("x"));
-        outer.assign(PortRef::this("o"), Src::port(PortRef::cell("i0", "o")));
+        outer.assign(("i0", "x"), "x");
+        outer.assign("o", ("i0", "o"));
         let mut bytes = Vec::new();
         encode_component(&outer, &mut bytes);
         encode_component(&inner, &mut bytes);

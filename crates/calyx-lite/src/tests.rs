@@ -1,6 +1,6 @@
 //! Tests for the Calyx-lite IR, elaboration, and emission.
 
-use crate::{CalyxError, Component, Guard, PortRef, Program, Src};
+use crate::{CalyxError, Component, Guard, IntoPort, Names, PortRef, Program, Src};
 use fil_bits::Value;
 use rtl_sim::{CellKind, Sim};
 
@@ -19,30 +19,14 @@ fn figure6_program() -> Program {
     c.add_primitive("Gf", CellKind::ShiftFsm { n: 3 });
     c.add_primitive("A", CellKind::Add { width: 32 });
     // Gf.go = go; out = A.out;
-    c.assign(PortRef::cell("Gf", "go"), Src::this("go"));
-    c.assign(PortRef::this("out"), Src::port(PortRef::cell("A", "out")));
+    c.assign(("Gf", "go"), "go");
+    c.assign("out", ("A", "out"));
     // A.left = Gf._0 ? a; A.right = Gf._0 ? a;
-    c.assign_guarded(
-        PortRef::cell("A", "left"),
-        Src::this("a"),
-        Guard::port(PortRef::cell("Gf", "_0")),
-    );
-    c.assign_guarded(
-        PortRef::cell("A", "right"),
-        Src::this("a"),
-        Guard::port(PortRef::cell("Gf", "_0")),
-    );
+    c.assign_guarded(("A", "left"), "a", [("Gf", "_0")]);
+    c.assign_guarded(("A", "right"), "a", [("Gf", "_0")]);
     // A.left = Gf._2 ? b; A.right = Gf._2 ? b;
-    c.assign_guarded(
-        PortRef::cell("A", "left"),
-        Src::this("b"),
-        Guard::port(PortRef::cell("Gf", "_2")),
-    );
-    c.assign_guarded(
-        PortRef::cell("A", "right"),
-        Src::this("b"),
-        Guard::port(PortRef::cell("Gf", "_2")),
-    );
+    c.assign_guarded(("A", "left"), "b", [("Gf", "_2")]);
+    c.assign_guarded(("A", "right"), "b", [("Gf", "_2")]);
     let mut p = Program::new();
     p.add_component(c);
     p
@@ -84,15 +68,11 @@ fn guard_disjunction_builds_or_tree() {
     c.add_output("out", 8);
     c.add_primitive("Gf", CellKind::ShiftFsm { n: 3 });
     c.add_primitive("A", CellKind::Add { width: 8 });
-    c.assign(PortRef::cell("Gf", "go"), Src::this("go"));
-    let guard = Guard::Any(vec![
-        PortRef::cell("Gf", "_0"),
-        PortRef::cell("Gf", "_1"),
-        PortRef::cell("Gf", "_2"),
-    ]);
-    c.assign_guarded(PortRef::cell("A", "left"), Src::this("x"), guard.clone());
-    c.assign_guarded(PortRef::cell("A", "right"), Src::this("x"), guard);
-    c.assign(PortRef::this("out"), Src::port(PortRef::cell("A", "out")));
+    c.assign(("Gf", "go"), "go");
+    let guard = [("Gf", "_0"), ("Gf", "_1"), ("Gf", "_2")];
+    c.assign_guarded(("A", "left"), "x", guard.clone());
+    c.assign_guarded(("A", "right"), "x", guard);
+    c.assign("out", ("A", "out"));
     let mut p = Program::new();
     p.add_component(c);
     let n = p.elaborate("main").unwrap();
@@ -118,9 +98,9 @@ fn constant_sources() {
     let mut c = Component::new("main");
     c.add_output("out", 8);
     c.add_primitive("A", CellKind::Add { width: 8 });
-    c.assign(PortRef::cell("A", "left"), Src::konst(v(8, 40)));
-    c.assign(PortRef::cell("A", "right"), Src::konst(v(8, 2)));
-    c.assign(PortRef::this("out"), Src::port(PortRef::cell("A", "out")));
+    c.assign(("A", "left"), v(8, 40));
+    c.assign(("A", "right"), v(8, 2));
+    c.assign("out", ("A", "out"));
     let mut p = Program::new();
     p.add_component(c);
     let n = p.elaborate("main").unwrap();
@@ -136,20 +116,17 @@ fn hierarchical_elaboration() {
     sub.add_input("x", 8);
     sub.add_output("y", 8);
     sub.add_primitive("A", CellKind::Add { width: 8 });
-    sub.assign(PortRef::cell("A", "left"), Src::this("x"));
-    sub.assign(PortRef::cell("A", "right"), Src::konst(v(8, 1)));
-    sub.assign(PortRef::this("y"), Src::port(PortRef::cell("A", "out")));
+    sub.assign(("A", "left"), "x");
+    sub.assign(("A", "right"), v(8, 1));
+    sub.assign("y", ("A", "out"));
 
     let mut main = Component::new("main");
     main.add_output("out", 8);
     main.add_subcomponent("i0", "inc");
     main.add_subcomponent("i1", "inc");
-    main.assign(PortRef::cell("i0", "x"), Src::konst(v(8, 5)));
-    main.assign(
-        PortRef::cell("i1", "x"),
-        Src::port(PortRef::cell("i0", "y")),
-    );
-    main.assign(PortRef::this("out"), Src::port(PortRef::cell("i1", "y")));
+    main.assign(("i0", "x"), v(8, 5));
+    main.assign(("i1", "x"), ("i0", "y"));
+    main.assign("out", ("i1", "y"));
 
     let mut p = Program::new();
     p.add_component(sub);
@@ -177,7 +154,7 @@ fn unknown_component_rejected() {
 fn unknown_cell_rejected() {
     let mut c = Component::new("main");
     c.add_output("out", 8);
-    c.assign(PortRef::this("out"), Src::port(PortRef::cell("ghost", "y")));
+    c.assign("out", ("ghost", "y"));
     let mut p = Program::new();
     p.add_component(c);
     let err = p.elaborate("main").unwrap_err();
@@ -190,7 +167,7 @@ fn unknown_port_rejected() {
     let mut c = Component::new("main");
     c.add_output("out", 8);
     c.add_primitive("A", CellKind::Add { width: 8 });
-    c.assign(PortRef::this("out"), Src::port(PortRef::cell("A", "nope")));
+    c.assign("out", ("A", "nope"));
     let mut p = Program::new();
     p.add_component(c);
     assert!(matches!(
@@ -204,7 +181,7 @@ fn width_mismatch_rejected() {
     let mut c = Component::new("main");
     c.add_input("x", 16);
     c.add_output("out", 8);
-    c.assign(PortRef::this("out"), Src::this("x"));
+    c.assign("out", "x");
     let mut p = Program::new();
     p.add_component(c);
     assert!(matches!(
@@ -240,11 +217,7 @@ fn mixed_guard_widths_rejected() {
     c.add_input("g", 8); // too wide for a guard
     c.add_input("x", 8);
     c.add_output("out", 8);
-    c.assign_guarded(
-        PortRef::this("out"),
-        Src::this("x"),
-        Guard::port(PortRef::this("g")),
-    );
+    c.assign_guarded("out", "x", ["g"]);
     let mut p = Program::new();
     p.add_component(c);
     assert!(matches!(
@@ -265,29 +238,35 @@ fn verilog_emission_mentions_modules_and_guards() {
 }
 
 #[test]
-fn port_ref_display() {
-    assert_eq!(PortRef::cell("A", "left").to_string(), "A.left");
-    assert_eq!(PortRef::this("go").to_string(), "go");
-    assert_eq!(Guard::True.to_string(), "1");
-    assert_eq!(
-        Guard::Any(vec![PortRef::cell("Gf", "_0"), PortRef::cell("Gf", "_1")]).to_string(),
-        "Gf._0 || Gf._1"
-    );
+fn symbols_name_each_cell_and_port_once() {
+    let mut c = Component::new("main");
+    c.add_primitive("A", CellKind::Add { width: 8 });
+    c.assign(("A", "left"), "go");
+    c.assign(("A", "right"), "go");
+    let names: Vec<&str> = c.names.iter().collect();
+    assert_eq!(names, ["A", "left", "go", "right"]);
+    assert_eq!(c.names.port(c.assigns[0].dst), "A.left");
+    assert_eq!(c.names.port(c.assigns[1].dst), "A.right");
+    let go = PortRef::this(c.names.get("go").unwrap());
+    assert_eq!(c.assigns[1].src, Src::Port(go));
+    assert_eq!(c.names.port(go), "go");
+    assert_eq!(c.names.get("nope"), None);
 }
 
 #[test]
 fn component_lookup() {
     let p = figure6_program();
     let c = p.component("main").unwrap();
-    assert!(c.cell("A").is_some());
-    assert!(c.cell("nope").is_none());
+    assert_eq!(c.names.get("A"), Some(c.cells[1].name));
+    assert!(c.names.get("nope").is_none());
     assert!(p.component("nope").is_none());
     assert_eq!(p.components().len(), 1);
 }
 
 #[test]
 fn guard_is_true_classification() {
+    let mut names = Names::default();
     assert!(Guard::True.is_true());
     assert!(Guard::Any(vec![]).is_true());
-    assert!(!Guard::port(PortRef::this("g")).is_true());
+    assert!(!Guard::Any(vec!["g".into_port(&mut names)]).is_true());
 }

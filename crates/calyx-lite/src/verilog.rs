@@ -5,7 +5,7 @@
 //! It is meant for inspection and for hand-off to external toolchains; our
 //! evaluation simulates the elaborated netlist directly.
 
-use crate::ir::{CellProto, Component, Guard, PortRef, Program, Src};
+use crate::ir::{CellProto, Component, Names, PortRef, Program, Src};
 use std::fmt::Write as _;
 
 /// Appends the identifier `cell_name` (or `name` off any cell) with the
@@ -18,8 +18,8 @@ fn push_ident(out: &mut String, cell: Option<&str>, name: &str) {
     }));
 }
 
-fn push_port(out: &mut String, p: &PortRef) {
-    push_ident(out, p.cell.as_deref(), &p.port);
+fn push_port(out: &mut String, names: &Names, p: PortRef) {
+    push_ident(out, p.cell.map(|c| &names[c]), &names[p.port]);
 }
 
 /// Emits all components of a program as Verilog modules.
@@ -33,29 +33,31 @@ pub fn emit_program(program: &Program) -> String {
 }
 
 fn emit_component(comp: &Component, out: &mut String) {
+    let names = &comp.names;
     out.push_str("module ");
     push_ident(out, None, &comp.name);
     out.push_str("(\n  input wire clk");
     for (dir, ports) in [("input", &comp.inputs), ("output", &comp.outputs)] {
-        for (n, w) in ports {
+        for &(n, w) in ports {
             write!(out, ",\n  {dir} wire [{}:0] ", w - 1).unwrap();
-            push_ident(out, None, n);
+            push_ident(out, None, &names[n]);
         }
     }
     out.push_str("\n);\n");
 
     // Wires for every cell port.
     for cell in &comp.cells {
+        let cell_name = &names[cell.name];
         match &cell.proto {
             CellProto::Primitive(kind) => {
                 let (ins, outs) = crate::ir::primitive_ports(kind);
                 for (p, w) in ins.iter().chain(&outs) {
                     write!(out, "  wire [{}:0] ", w - 1).unwrap();
-                    push_ident(out, Some(&cell.name), p);
+                    push_ident(out, Some(cell_name), p);
                     out.push_str(";\n");
                 }
                 write!(out, "  {} #() ", kind.verilog_module()).unwrap();
-                push_ident(out, None, &cell.name);
+                push_ident(out, None, cell_name);
                 out.push_str(" (");
                 for (i, (p, _)) in ins.iter().chain(&outs).enumerate() {
                     if i > 0 {
@@ -64,7 +66,7 @@ fn emit_component(comp: &Component, out: &mut String) {
                     out.push('.');
                     push_ident(out, None, p);
                     out.push('(');
-                    push_ident(out, Some(&cell.name), p);
+                    push_ident(out, Some(cell_name), p);
                     out.push(')');
                 }
                 out.push_str(");\n");
@@ -73,7 +75,7 @@ fn emit_component(comp: &Component, out: &mut String) {
                 out.push_str("  ");
                 push_ident(out, None, sub);
                 out.push(' ');
-                push_ident(out, None, &cell.name);
+                push_ident(out, None, cell_name);
                 out.push_str(" (.clk(clk) /* subcomponent ports elided */);\n");
             }
         }
@@ -81,24 +83,21 @@ fn emit_component(comp: &Component, out: &mut String) {
 
     for assign in &comp.assigns {
         out.push_str("  assign ");
-        push_port(out, &assign.dst);
+        push_port(out, names, assign.dst);
         out.push_str(" = ");
-        let guard: &[PortRef] = match &assign.guard {
-            Guard::Any(ports) => ports,
-            Guard::True => &[],
-        };
+        let guard = assign.guard.ports();
         if !guard.is_empty() {
             out.push('(');
             for (i, p) in guard.iter().enumerate() {
                 if i > 0 {
                     out.push_str(" | ");
                 }
-                push_port(out, p);
+                push_port(out, names, *p);
             }
             out.push_str(") ? ");
         }
         match &assign.src {
-            Src::Port(p) => push_port(out, p),
+            Src::Port(p) => push_port(out, names, *p),
             Src::Const(v) => write!(out, "{}'h{:x}", v.width(), v).unwrap(),
         }
         out.push_str(if guard.is_empty() { ";\n" } else { " : 'x;\n" });

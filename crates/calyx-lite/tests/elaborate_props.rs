@@ -2,7 +2,7 @@
 //! behavior and resource counts for randomly generated adder-tree
 //! hierarchies.
 
-use calyx_lite::{Component, PortRef, Program, Src};
+use calyx_lite::{Component, Program};
 use fil_bits::Value;
 use proptest::prelude::*;
 use rtl_sim::{CellKind, Sim};
@@ -16,20 +16,17 @@ fn nested_program(depth: u32, constants: &[u64]) -> Program {
         c.add_input("x", 16);
         c.add_output("y", 16);
         c.add_primitive("add", CellKind::Add { width: 16 });
-        c.assign(PortRef::cell("add", "left"), Src::this("x"));
+        c.assign(("add", "left"), "x");
         c.assign(
-            PortRef::cell("add", "right"),
-            Src::konst(Value::from_u64(16, constants[level as usize])),
+            ("add", "right"),
+            Value::from_u64(16, constants[level as usize]),
         );
         if level + 1 < depth {
             c.add_subcomponent("inner", format!("level{}", level + 1));
-            c.assign(
-                PortRef::cell("inner", "x"),
-                Src::port(PortRef::cell("add", "out")),
-            );
-            c.assign(PortRef::this("y"), Src::port(PortRef::cell("inner", "y")));
+            c.assign(("inner", "x"), ("add", "out"));
+            c.assign("y", ("inner", "y"));
         } else {
-            c.assign(PortRef::this("y"), Src::port(PortRef::cell("add", "out")));
+            c.assign("y", ("add", "out"));
         }
         p.add_component(c);
     }

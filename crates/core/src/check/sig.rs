@@ -322,6 +322,10 @@ pub(crate) fn check_signature(sig: &Signature, is_extern: bool, errors: &mut Vec
         // Literal and single-parameter widths (the common forms) are
         // checked without collecting their parameters.
         match &p.width {
+            ConstExpr::Lit(0) => {
+                err!(errors, comp, Width: "port {} has width 0; a port is at least 1 bit wide", p.name);
+                continue;
+            }
             ConstExpr::Lit(_) => continue,
             ConstExpr::Param(w) if sig.has_param(w) => continue,
             _ => {}

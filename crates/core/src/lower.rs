@@ -106,7 +106,7 @@ pub enum LowerError {
         cause: String,
     },
     /// A width does not fit in 32 bits, or an FSM state count is over
-    /// [`MAX_FSM_STATES`].
+    /// [`calyx_lite::MAX_FSM_STATES`].
     TooLarge {
         /// The enclosing component.
         component: String,
@@ -116,6 +116,13 @@ pub enum LowerError {
         value: u64,
         /// The largest value allowed there.
         limit: u64,
+    },
+    /// A cell pin or a literal would be zero bits wide.
+    ZeroWidth {
+        /// The enclosing component.
+        component: String,
+        /// Where it happened.
+        site: String,
     },
     /// The component still contains generate constructs; run
     /// [`crate::mono::expand`] before lowering.
@@ -176,6 +183,9 @@ impl fmt::Display for LowerError {
                 "in component {component}: {site} is {value}, more than the largest \
                  supported value {limit}"
             ),
+            LowerError::ZeroWidth { component, site } => {
+                write!(f, "in component {component}: {site} has width 0")
+            }
             LowerError::Unelaborated {
                 component,
                 construct,
@@ -276,12 +286,6 @@ fn constant(
     })
 }
 
-/// The most states one event's FSM may have: 2^16. The largest corpus
-/// FSM (DivIter's) has 8 states, so this leaves 8 192x headroom. An FSM
-/// is a shift register with one output pin, wire and Verilog net per
-/// state, so a longer one is refused rather than built.
-pub const MAX_FSM_STATES: u64 = 1 << 16;
-
 /// Narrows a width or state count to the netlist's `u32`.
 fn to_u32(value: u64, component: &str, site: &dyn Fn() -> String) -> Result<u32, LowerError> {
     u32::try_from(value).map_err(|_| LowerError::TooLarge {
@@ -374,6 +378,10 @@ pub fn lower_component_unit(
     let mut structural: Vec<cl::Component> = Vec::new();
     let sig = &comp.sig;
     let name = sig.name.as_str();
+    let zero_width = |site: String| LowerError::ZeroWidth {
+        component: name.into(),
+        site,
+    };
     // Generate constructs (loops, conditionals, bundle ports/elements) must
     // have been discharged by mono::expand.
     reject_generate_constructs(comp)?;
@@ -397,6 +405,8 @@ pub fn lower_component_unit(
     // ----------------------------------------------------------- instances
     struct Inst<'p> {
         name: &'p Id,
+        /// The cell's symbol.
+        cell: cl::Sym,
         sig: &'p Signature,
         /// One value per callee parameter, derived parameters included.
         values: Vec<u64>,
@@ -450,7 +460,7 @@ pub fn lower_component_unit(
                     port: port.to_owned(),
                 })
             };
-            if program.is_extern(component) {
+            let cell = if program.is_extern(component) {
                 let too_large = |e: ParamTooLarge| {
                     let param = callee.params.get(e.index).map_or("?", |p| p.name.as_str());
                     LowerError::TooLarge {
@@ -469,29 +479,38 @@ pub fn lower_component_unit(
                     {
                         return Err(e);
                     }
-                    c.add_primitive(iname.clone(), kind);
+                    if let Some((pin, _)) = pins.iter().chain(&pouts).find(|p| p.1 == 0) {
+                        return Err(zero_width(format!(
+                            "pin {pin} of instance {} ({component})",
+                            written(iname)
+                        )));
+                    }
+                    c.add_primitive(iname, kind)
                 } else if let Some(sub) =
                     registry.structural(component, &values).map_err(too_large)?
                 {
                     let ports = sub.inputs.iter().chain(&sub.outputs);
-                    if let Some(e) = mismatch(&|p| ports.clone().any(|(n, _)| n == p)) {
+                    if let Some(e) = mismatch(&|p| ports.clone().any(|&(n, _)| &sub.names[n] == p))
+                    {
                         return Err(e);
                     }
-                    c.add_subcomponent(iname.clone(), sub.name.clone());
+                    let cell = c.add_subcomponent(iname, sub.name.clone());
                     if !structural.iter().any(|s| s.name == sub.name) {
                         structural.push(sub);
                     }
+                    cell
                 } else {
                     return Err(LowerError::NoPrimitive {
                         name: component.clone(),
                     });
                 }
             } else {
-                c.add_subcomponent(iname.clone(), component.clone());
-            }
+                c.add_subcomponent(iname, component.clone())
+            };
             inst_at.insert(iname, insts.len());
             insts.push(Inst {
                 name: iname,
+                cell,
                 sig: callee,
                 values,
             });
@@ -582,9 +601,10 @@ pub fn lower_component_unit(
     }
 
     // Instantiate one FSM per used non-phantom event and hook its trigger to
-    // the interface port.
-    let fsm_name = |event: &str| format!("{event}_fsm");
-    for (ev, max) in sig.events.iter().zip(max_state) {
+    // the interface port. State pins `_0`, `_1`, … are interned once.
+    let mut fsm: Vec<Option<cl::Sym>> = vec![None; sig.events.len()];
+    let mut pins: Vec<cl::Sym> = Vec::new();
+    for (k, (ev, max)) in sig.events.iter().zip(max_state).enumerate() {
         let Some(max) = max else {
             continue;
         };
@@ -596,34 +616,46 @@ pub fn lower_component_unit(
         let n = to_u32(states, name, &site)?;
         // Checked before the cell exists: its output pins, wires and
         // Verilog all grow with the state count.
-        if states > MAX_FSM_STATES {
+        if n > cl::MAX_FSM_STATES {
             return Err(LowerError::TooLarge {
                 component: name.into(),
                 site: site(),
                 value: states,
-                limit: MAX_FSM_STATES,
+                limit: cl::MAX_FSM_STATES.into(),
             });
         }
-        c.add_primitive(fsm_name(&ev.name), CellKind::ShiftFsm { n });
-        c.assign(
-            cl::PortRef::cell(fsm_name(&ev.name), "go"),
-            cl::Src::this(iface.name.clone()),
-        );
+        let cell = c.add_primitive(format!("{}_fsm", ev.name), CellKind::ShiftFsm { n });
+        while pins.len() < n as usize {
+            pins.push(c.names.intern(&format!("_{}", pins.len())));
+        }
+        let go = c.names.intern("go");
+        c.assign(cl::PortRef::cell(cell, go), iface.name.as_str());
+        fsm[k] = Some(cell);
     }
+    // `event._i`, a state of the event's FSM. An event without one (the
+    // checker rules that out) gets a name no cell has, for elaboration to
+    // report.
+    let state = |names: &mut cl::Names, event: &str, i: u64| {
+        let cell = own_event(event).and_then(|k| fsm[k]);
+        let cell = cell.unwrap_or_else(|| names.intern(&format!("{event}_fsm")));
+        let pin = usize::try_from(i).ok().and_then(|i| pins.get(i).copied());
+        cl::PortRef::cell(cell, pin.unwrap_or_else(|| names.intern(&format!("_{i}"))))
+    };
 
     // -------------------------------------------------------- assignments
-    let src_of = |p: &Port, width: u32| -> cl::Src {
-        match p {
-            Port::This(name) => cl::Src::this(name.clone()),
+    let src_of = |names: &mut cl::Names, p: &Port, width: u32, site: &dyn Fn() -> String| {
+        Ok(match p {
+            Port::This(port) => cl::Src::Port(cl::PortRef::this(names.intern(port))),
             Port::Inv { invocation, port } => {
-                let inst = insts[invs[inv_at[invocation.base.as_str()]].inst].name;
-                cl::Src::port(cl::PortRef::cell(inst.clone(), port.clone()))
+                let inst = &insts[invs[inv_at[invocation.base.as_str()]].inst];
+                cl::Src::Port(cl::PortRef::cell(inst.cell, names.intern(port)))
             }
-            Port::Lit(n) => cl::Src::konst(Value::from_u64(width, *n)),
+            Port::Lit(_) if width == 0 => return Err(zero_width(site())),
+            Port::Lit(n) => cl::Src::Const(Value::from_u64(width, *n)),
             Port::Bundle { .. } | Port::InvBundle { .. } => {
                 unreachable!("bundle elements rejected by reject_generate_constructs")
             }
-        }
+        })
     };
 
     // Interface triggers, merged per (instance, interface port) so pipelined
@@ -631,7 +663,7 @@ pub fn lower_component_unit(
     // walked in body order and the merged map is ordered, so the emitted
     // assignments (and the state order inside each guard) are deterministic
     // — a requirement for byte-identical `-j1`/`-jN` driver builds.
-    let mut triggers = BTreeMap::<(&Id, &Id), Vec<cl::PortRef>>::new();
+    let mut triggers = BTreeMap::<(&Id, &Id), (cl::Sym, Vec<cl::PortRef>)>::new();
     for inv in &invs {
         let inst = &insts[inv.inst];
         for (ev, t) in inst.sig.events.iter().zip(inv.events) {
@@ -647,18 +679,14 @@ pub fn lower_component_unit(
                 });
             }
             let off = time_off(t, name, &|| format!("trigger of invocation {}", inv.name))?;
-            triggers
-                .entry((inst.name, &iface.name))
-                .or_default()
-                .push(cl::PortRef::cell(fsm_name(&t.event), format!("_{off}")));
+            let state = state(&mut c.names, &t.event, off);
+            let entry = triggers.entry((inst.name, &iface.name));
+            entry.or_insert((inst.cell, Vec::new())).1.push(state);
         }
     }
-    for ((inst, port), states) in triggers {
-        c.assign_guarded(
-            cl::PortRef::cell(inst.clone(), port.clone()),
-            cl::Src::konst(Value::from_u64(1, 1)),
-            cl::Guard::Any(states),
-        );
+    for ((_, port), (cell, states)) in triggers {
+        let dst = cl::PortRef::cell(cell, c.names.intern(port));
+        c.assign_guarded(dst, Value::from_u64(1, 1), states);
     }
 
     // Data arguments with synthesized guards (Section 5.2).
@@ -673,8 +701,10 @@ pub fn lower_component_unit(
             if let Port::Inv { invocation, .. } = arg {
                 flat_name(invocation, name)?;
             }
-            let dst = cl::PortRef::cell(inst.name.clone(), pdef.name.clone());
-            let src = src_of(arg, width);
+            let dst = cl::PortRef::cell(inst.cell, c.names.intern(&pdef.name));
+            let src = src_of(&mut c.names, arg, width, &|| {
+                format!("literal argument {} of invocation {iname}", pdef.name)
+            })?;
             if is_phantom(&req.start.event) {
                 c.assign(dst, src);
             } else {
@@ -682,9 +712,9 @@ pub fn lower_component_unit(
                 let start = time_off(&req.start, name, &site)?;
                 let end = time_off(&req.end, name, &site)?;
                 let states: Vec<cl::PortRef> = (start..end)
-                    .map(|i| cl::PortRef::cell(fsm_name(&req.start.event), format!("_{i}")))
+                    .map(|i| state(&mut c.names, &req.start.event, i))
                     .collect();
-                c.assign_guarded(dst, src, cl::Guard::Any(states));
+                c.assign_guarded(dst, src, states);
             }
         }
     }
@@ -708,7 +738,10 @@ pub fn lower_component_unit(
             })?,
             None => 32,
         };
-        c.assign(cl::PortRef::this(dname.clone()), src_of(src, width));
+        let src = src_of(&mut c.names, src, width, &|| {
+            format!("literal for output {dname}")
+        })?;
+        c.assign(dname.as_str(), src);
     }
 
     Ok(LoweredUnit {

@@ -699,6 +699,25 @@ const CASES: &[(&str, Mode, &str)] = &[
            o = s.out;
          }",
     ),
+    // Once compiled to `input wire [4294967295:0] x` and aborted `sim`:
+    // the checker took a zero-width port.
+    (
+        "check.zero-width-port",
+        Mode::Pipeline,
+        "comp Main<G: 1>(@[G, G+1] x: 0) -> (@[G, G+1] o: 0) {
+           o = x;
+         }",
+    ),
+    // Once aborted `compile`: lowering built zero-width pins and a
+    // zero-width literal.
+    (
+        "lower.zero-width-pin",
+        Mode::Pipeline,
+        "comp Main<G: 1>(@[G, G+1] x: 8) -> (@[G, G+1] o: 8) {
+           a := new Add[0]<G>(0, 0);
+           o = x;
+         }",
+    ),
 ];
 
 /// The joined `Display` text of a check failure.

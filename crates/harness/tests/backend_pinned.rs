@@ -18,7 +18,7 @@
 //! UPDATE_GOLDEN=1 cargo test -p fil-harness --test backend_pinned
 //! ```
 
-use calyx_lite::{CalyxError, Component, Guard, PortRef, Program, Src};
+use calyx_lite::{CalyxError, Component, IntoPort, Program};
 use fil_bits::Value;
 use fil_build::key::fnv64;
 use fil_stdlib::BuildRequest;
@@ -187,42 +187,32 @@ fn handmade() -> Program {
         leaf.add_primitive(format!("c[{i}].k$"), kind);
     }
     leaf.add_primitive("fsm<G>", ShiftFsm { n: 12 });
-    let c = |i: u32, port: &str| PortRef::cell(format!("c[{i}].k$"), port);
-    leaf.assign(PortRef::cell("fsm<G>", "go"), Src::this("go"));
-    leaf.assign(c(1, "left"), Src::this("in.x$[0]"));
-    leaf.assign(c(1, "right"), Src::konst(Value::from_u64(w, 3)));
-    leaf.assign_guarded(c(2, "left"), Src::port(c(0, "out")), Guard::Any(Vec::new()));
-    leaf.assign_guarded(
-        c(15, "in1"),
-        Src::port(c(2, "out")),
-        Guard::port(PortRef::cell("fsm<G>", "_0")),
-    );
-    leaf.assign_guarded(
-        PortRef::this("out<y>"),
-        Src::port(c(1, "out")),
-        Guard::Any(vec![
-            PortRef::this("go"),
-            PortRef::cell("fsm<G>", "_11"),
-            PortRef::cell("fsm<G>", "_3"),
-        ]),
-    );
+    let c = |i: u32, port: &'static str| (format!("c[{i}].k$"), port);
+    leaf.assign(("fsm<G>", "go"), "go");
+    leaf.assign(c(1, "left"), "in.x$[0]");
+    leaf.assign(c(1, "right"), Value::from_u64(w, 3));
+    leaf.assign_guarded(c(2, "left"), c(0, "out"), Vec::<&str>::new());
+    leaf.assign_guarded(c(15, "in1"), c(2, "out"), [("fsm<G>", "_0")]);
+    let guard = [
+        "go".into_port(&mut leaf.names),
+        ("fsm<G>", "_11").into_port(&mut leaf.names),
+        ("fsm<G>", "_3").into_port(&mut leaf.names),
+    ];
+    leaf.assign_guarded("out<y>", c(1, "out"), guard);
     let mut top = Component::new("Top.v$1");
     top.add_input("a[0]", w);
     top.add_input("go", 1);
     top.add_output("o.p", w);
     top.add_subcomponent("l$0", "Leaf<4>");
     top.add_subcomponent("l[1]", "Leaf<4>");
-    top.assign(PortRef::cell("l$0", "in.x$[0]"), Src::this("a[0]"));
-    top.assign(PortRef::cell("l$0", "go"), Src::this("go"));
-    top.assign(
-        PortRef::cell("l[1]", "in.x$[0]"),
-        Src::port(PortRef::cell("l$0", "out<y>")),
-    );
-    top.assign_guarded(
-        PortRef::this("o.p"),
-        Src::port(PortRef::cell("l[1]", "out<y>")),
-        Guard::Any(vec![PortRef::this("go"), PortRef::cell("l$0", "go")]),
-    );
+    top.assign(("l$0", "in.x$[0]"), "a[0]");
+    top.assign(("l$0", "go"), "go");
+    top.assign(("l[1]", "in.x$[0]"), ("l$0", "out<y>"));
+    let guard = [
+        "go".into_port(&mut top.names),
+        ("l$0", "go").into_port(&mut top.names),
+    ];
+    top.assign_guarded("o.p", ("l[1]", "out<y>"), guard);
     let mut p = Program::new();
     p.add_component(leaf);
     p.add_component(top);
@@ -256,36 +246,36 @@ fn error_cases() -> Vec<(&'static str, Program, &'static str)> {
     cases.push(("unknown-subcomponent", program(vec![c]), "Main"));
 
     let mut c = adder();
-    c.assign(PortRef::cell("ghost", "in"), Src::this("a"));
+    c.assign(("ghost", "in"), "a");
     cases.push(("unknown-cell-dst", program(vec![c]), "Main"));
 
     let mut c = adder();
-    c.assign(PortRef::this("o"), Src::port(PortRef::cell("ghost", "out")));
+    c.assign("o", ("ghost", "out"));
     cases.push(("unknown-cell-src", program(vec![c]), "Main"));
 
     let mut c = adder();
-    c.assign_guarded(
-        PortRef::this("o"),
-        Src::port(PortRef::cell("add0", "out")),
-        Guard::Any(vec![PortRef::this("g"), PortRef::cell("ghost", "go")]),
-    );
+    let guard = [
+        "g".into_port(&mut c.names),
+        ("ghost", "go").into_port(&mut c.names),
+    ];
+    c.assign_guarded("o", ("add0", "out"), guard);
     cases.push(("unknown-cell-guard", program(vec![c]), "Main"));
 
     let mut c = adder();
-    c.assign(PortRef::cell("add0", "bogus"), Src::this("a"));
+    c.assign(("add0", "bogus"), "a");
     cases.push(("unknown-port-cell", program(vec![c]), "Main"));
 
     let mut c = adder();
-    c.assign(PortRef::cell("add0", "left"), Src::this("bogus"));
+    c.assign(("add0", "left"), "bogus");
     cases.push(("unknown-port-this", program(vec![c]), "Main"));
 
     let mut inner = Component::new("Inner");
     inner.add_input("x", 4);
     inner.add_output("y", 4);
-    inner.assign(PortRef::this("y"), Src::this("x"));
+    inner.assign("y", "x");
     let mut c = adder();
     c.add_subcomponent("i0", "Inner");
-    c.assign(PortRef::cell("i0", "z"), Src::this("a"));
+    c.assign(("i0", "z"), "a");
     cases.push((
         "unknown-port-subcomponent",
         program(vec![c, inner.clone()]),
@@ -293,19 +283,16 @@ fn error_cases() -> Vec<(&'static str, Program, &'static str)> {
     ));
 
     let mut c = adder();
-    c.assign(PortRef::cell("add0", "left"), Src::this("g"));
+    c.assign(("add0", "left"), "g");
     cases.push(("width-mismatch-port", program(vec![c]), "Main"));
 
     let mut c = adder();
-    c.assign(
-        PortRef::cell("add0", "left"),
-        Src::konst(Value::from_u64(5, 3)),
-    );
+    c.assign(("add0", "left"), Value::from_u64(5, 3));
     cases.push(("width-mismatch-const", program(vec![c]), "Main"));
 
     let mut c = adder();
     c.add_subcomponent("i0", "Inner");
-    c.assign(PortRef::cell("i0", "x"), Src::this("a"));
+    c.assign(("i0", "x"), "a");
     cases.push((
         "width-mismatch-subcomponent",
         program(vec![c, inner.clone()]),
@@ -313,11 +300,7 @@ fn error_cases() -> Vec<(&'static str, Program, &'static str)> {
     ));
 
     let mut c = adder();
-    c.assign_guarded(
-        PortRef::this("o"),
-        Src::port(PortRef::cell("add0", "out")),
-        Guard::Any(vec![PortRef::this("g"), PortRef::this("a")]),
-    );
+    c.assign_guarded("o", ("add0", "out"), ["g", "a"]);
     cases.push(("width-mismatch-guard", program(vec![c]), "Main"));
 
     let mut c = adder();
@@ -336,9 +319,9 @@ fn error_cases() -> Vec<(&'static str, Program, &'static str)> {
     // parent's own assignments are resolved, and cells are visited in
     // declaration order.
     let mut bad_inner = inner.clone();
-    bad_inner.assign(PortRef::this("y"), Src::this("w"));
+    bad_inner.assign("y", "w");
     let mut c = adder();
-    c.assign(PortRef::cell("ghost", "in"), Src::this("a"));
+    c.assign(("ghost", "in"), "a");
     c.add_subcomponent("i0", "Inner");
     cases.push(("child-before-parent", program(vec![c, bad_inner]), "Main"));
 
@@ -348,8 +331,8 @@ fn error_cases() -> Vec<(&'static str, Program, &'static str)> {
     cases.push(("cells-in-order", program(vec![c]), "Main"));
 
     let mut c = adder();
-    c.assign(PortRef::cell("add0", "left"), Src::this("g"));
-    c.assign(PortRef::cell("ghost", "in"), Src::this("a"));
+    c.assign(("add0", "left"), "g");
+    c.assign(("ghost", "in"), "a");
     cases.push(("assigns-in-order", program(vec![c]), "Main"));
 
     cases

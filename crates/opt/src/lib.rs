@@ -61,12 +61,13 @@
 //! rendering.
 
 use calyx_lite::{
-    primitive_ports, Assign, Cell, CellProto, Component, Guard, PortRef, Program, Src,
+    primitive_ports, Assign, Cell, CellProto, Component, Guard, Names, PortRef, Program, Src, Sym,
 };
 use fil_bits::Value;
 use rtl_sim::CellKind;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
@@ -321,18 +322,21 @@ impl Notes {
 
 /// Renders an assignment the way `rtl_sim::Netlist::describe_assign`
 /// renders its elaborated form: `dst = src` or `dst = g0 || g1 ? src`.
-fn describe(a: &Assign) -> String {
-    let src = render_src(&a.src);
-    if a.guard.is_true() {
-        format!("{} = {}", a.dst, src)
-    } else {
-        format!("{} = {} ? {}", a.dst, a.guard, src)
+fn describe(names: &Names, a: &Assign) -> String {
+    let mut out = format!("{} = ", names.port(a.dst));
+    for (i, &p) in a.guard.ports().iter().enumerate() {
+        let sep = if i == 0 { "" } else { " || " };
+        let _ = write!(out, "{sep}{}", names.port(p));
     }
+    if !a.guard.is_true() {
+        out.push_str(" ? ");
+    }
+    out + &render_src(names, &a.src)
 }
 
-fn render_src(s: &Src) -> String {
+fn render_src(names: &Names, s: &Src) -> String {
     match s {
-        Src::Port(p) => p.to_string(),
+        Src::Port(p) => names.port(*p),
         Src::Const(v) => render_value(v),
     }
 }
@@ -354,22 +358,81 @@ fn render_value(v: &Value) -> String {
     format!("{}'h{}", v.width(), hex)
 }
 
-/// A guard's disjuncts; empty for the trivially-true guard (both
-/// `Guard::True` and an empty `Guard::Any`).
-fn guard_ports(g: &Guard) -> &[PortRef] {
-    match g {
-        Guard::True => &[],
-        Guard::Any(ports) => ports,
+/// A map from a component's symbols, as a `Vec` allocated on the first
+/// insert (most passes on most iterations rewrite nothing).
+struct BySym<T> {
+    len: usize,
+    slots: Vec<Option<T>>,
+}
+
+impl<T> BySym<T> {
+    fn new(names: &Names) -> Self {
+        BySym {
+            len: names.len(),
+            slots: Vec::new(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    fn get(&self, s: Sym) -> Option<&T> {
+        self.slots.get(s.index())?.as_ref()
+    }
+
+    fn insert(&mut self, s: Sym, v: T) -> Option<T> {
+        if self.slots.is_empty() {
+            self.slots.resize_with(self.len, || None);
+        }
+        self.slots[s.index()].replace(v)
     }
 }
 
+/// One pass's rewrites of cell outputs: each rewritten cell is removed,
+/// and reads of its `out` pin read its source instead. Every rewritten pin
+/// is an `out` pin, so the map is indexed by the cell's symbol.
+struct Repl {
+    out: Option<Sym>,
+    src: BySym<Src>,
+    /// The rewritten cells, in the order found.
+    keys: Vec<Sym>,
+}
+
+impl Repl {
+    fn new(c: &Component) -> Self {
+        Repl {
+            out: c.names.get("out"),
+            src: BySym::new(&c.names),
+            keys: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, cell: Sym, src: Src) {
+        if self.src.insert(cell, src).is_none() {
+            self.keys.push(cell);
+        }
+    }
+
+    /// What a read of `p` reads after the rewrite, if it changes.
+    fn get(&self, p: PortRef) -> Option<&Src> {
+        match p.cell {
+            Some(cell) if Some(p.port) == self.out => self.src.get(cell),
+            _ => None,
+        }
+    }
+}
+
+/// The group of a symbol naming no cell.
+const NO_GROUP: u32 = u32::MAX;
+
 /// The assignments into each cell, grouped once per pass so later driver
-/// lookups borrow instead of building keys. Groups are keyed by cell name,
-/// so a destination cell that is not declared still gets a group, after
-/// the declared ones.
-struct Fanin<'a> {
-    /// Cell name → group.
-    ids: HashMap<&'a str, usize>,
+/// lookups index instead of search. Groups are keyed by cell symbol, so a
+/// destination cell that is not declared still gets a group, after the
+/// declared ones.
+struct Fanin {
+    /// Symbol → group, or [`NO_GROUP`].
+    ids: Vec<u32>,
     /// The group of `c.cells[i]`.
     cell: Vec<usize>,
     /// `order[start[g]..start[g + 1]]`: the assignments into group `g`,
@@ -378,20 +441,21 @@ struct Fanin<'a> {
     order: Vec<usize>,
 }
 
-impl<'a> Fanin<'a> {
-    fn new(c: &'a Component) -> Self {
-        let mut ids: HashMap<&str, usize> = HashMap::with_capacity(c.cells.len());
-        let mut id = |name: &'a str| {
-            let next = ids.len();
-            *ids.entry(name).or_insert(next)
+impl Fanin {
+    fn new(c: &Component) -> Self {
+        let mut ids = vec![NO_GROUP; c.names.len()];
+        let mut groups = 0;
+        let mut id = |s: Sym| {
+            let g = &mut ids[s.index()];
+            if *g == NO_GROUP {
+                *g = groups;
+                groups += 1;
+            }
+            *g as usize
         };
-        let cell: Vec<usize> = c.cells.iter().map(|x| id(&x.name)).collect();
-        let dst: Vec<Option<usize>> = c
-            .assigns
-            .iter()
-            .map(|a| a.dst.cell.as_deref().map(&mut id))
-            .collect();
-        let groups = ids.len();
+        let cell: Vec<usize> = c.cells.iter().map(|x| id(x.name)).collect();
+        let dst: Vec<Option<usize>> = c.assigns.iter().map(|a| a.dst.cell.map(&mut id)).collect();
+        let groups = groups as usize;
         let mut start = vec![0; groups + 1];
         for &g in dst.iter().flatten() {
             start[g + 1] += 1;
@@ -428,91 +492,85 @@ impl<'a> Fanin<'a> {
         self.group(self.cell[i])
     }
 
-    /// The group of the cell owning `p`, if any.
-    fn of_port(&self, p: &PortRef) -> Option<usize> {
-        self.ids.get(p.cell.as_deref()?).copied()
+    /// The group of the cell named `s`, if any.
+    fn of_sym(&self, s: Sym) -> Option<usize> {
+        let g = self.ids[s.index()];
+        (g != NO_GROUP).then_some(g as usize)
     }
 }
 
 /// How a cell input pin is driven.
-enum PinState<'a> {
+enum PinState {
     /// Constant: a single unguarded `Src::Const` driver, no driver at
     /// all (undriven signals settle to zero), or a single *guarded*
     /// constant-zero driver — inactive guards also read as zero, so a
     /// guarded zero is zero on every cycle.
     Const(Value),
     /// A single unguarded port driver.
-    Wire(&'a PortRef),
-    /// Anything else: guarded or multiple drivers.
+    Wire(PortRef),
+    /// Anything else: guarded or multiple drivers, or a constant of
+    /// another width than the pin's.
     Opaque,
 }
 
 /// The state of `pin`, given the assignments into its cell.
-fn pin_state<'a>(c: &'a Component, drivers: &[usize], pin: &str, width: u32) -> PinState<'a> {
+fn pin_state(c: &Component, drivers: &[usize], pin: &str, width: u32) -> PinState {
     let mut into_pin = drivers
         .iter()
         .map(|&i| &c.assigns[i])
-        .filter(|a| a.dst.port == pin);
+        .filter(|a| &c.names[a.dst.port] == pin);
     match (into_pin.next(), into_pin.next()) {
         (None, _) => PinState::Const(Value::zero(width)),
-        (Some(a), None) => {
-            if !a.guard.is_true() {
-                // `dst = g ? 0` is zero whether or not g is active.
-                return match &a.src {
-                    Src::Const(v) if v.is_zero() => PinState::Const(v.clone()),
-                    _ => PinState::Opaque,
-                };
-            }
-            match &a.src {
-                Src::Const(v) => PinState::Const(v.clone()),
-                Src::Port(p) => PinState::Wire(p),
-            }
-        }
+        (Some(a), None) => match &a.src {
+            Src::Const(v) if v.width() != width => PinState::Opaque,
+            // `dst = g ? 0` is zero whether or not g is active.
+            Src::Const(v) if a.guard.is_true() || v.is_zero() => PinState::Const(v.clone()),
+            Src::Port(p) if a.guard.is_true() => PinState::Wire(*p),
+            _ => PinState::Opaque,
+        },
         _ => PinState::Opaque,
     }
 }
 
-impl PinState<'_> {
+impl PinState {
     fn as_src(&self) -> Option<Src> {
         match self {
             PinState::Const(v) => Some(Src::Const(v.clone())),
-            PinState::Wire(p) => Some(Src::Port((*p).clone())),
+            PinState::Wire(p) => Some(Src::Port(*p)),
             PinState::Opaque => None,
         }
     }
 }
 
-/// Removes `dead` cells and every assignment targeting their pins.
-/// Returns the number of removed constructs (cells + assigns).
+/// Removes the cells `dead` names and every assignment targeting their
+/// pins. Returns the number of removed constructs (cells + assigns).
 fn remove_cells(
     c: &mut Component,
-    dead: &HashSet<String>,
+    dead: impl Fn(Sym) -> bool,
     pass: &'static str,
-    replacement: &dyn Fn(&str) -> String,
+    replacement: &dyn Fn(Sym) -> String,
     notes: &mut Notes,
 ) -> u64 {
-    if dead.is_empty() {
-        return 0;
-    }
     if notes.on {
-        for cell in c.cells.iter().filter(|cell| dead.contains(&cell.name)) {
+        for cell in c.cells.iter().filter(|cell| dead(cell.name)) {
+            let name = &c.names[cell.name];
             notes.add(pass, || {
                 let original = match &cell.proto {
-                    CellProto::Primitive(kind) => format!("cell {} ({})", cell.name, kind.label()),
-                    CellProto::Component(sub) => format!("cell {} ({sub})", cell.name),
+                    CellProto::Primitive(kind) => format!("cell {name} ({})", kind.label()),
+                    CellProto::Component(sub) => format!("cell {name} ({sub})"),
                 };
-                (original, replacement(&cell.name))
+                (original, replacement(cell.name))
             });
         }
     }
     let mut removed = 0u64;
     c.cells.retain(|cell| {
-        let keep = !dead.contains(&cell.name);
+        let keep = !dead(cell.name);
         removed += u64::from(!keep);
         keep
     });
     c.assigns.retain(|a| {
-        let keep = !matches!(&a.dst.cell, Some(n) if dead.contains(n));
+        let keep = !a.dst.cell.is_some_and(&dead);
         removed += u64::from(!keep);
         keep
     });
@@ -522,58 +580,59 @@ fn remove_cells(
 /// Path-compresses forwarding chains built in a single sweep (`a → b.out`
 /// and `b.out → c` become `a → c`), so readers never land on a port of a
 /// cell that the same sweep removes. Keys on a wire cycle (a combinational
-/// loop of identity cells) are dropped from both `repl` and `dead`: such a
-/// design can't settle anyway, but the optimizer must not turn it into a
-/// netlist that doesn't even elaborate.
-fn compress_chains(repl: &mut HashMap<PortRef, Src>, dead: &mut HashSet<String>) {
-    let keys: Vec<PortRef> = repl.keys().cloned().collect();
-    let mut cyclic: Vec<PortRef> = Vec::new();
-    for k in keys {
-        let mut chain = vec![k.clone()];
-        let mut cur = repl[&k].clone();
-        while let Src::Port(p) = &cur {
-            if chain.contains(p) {
+/// loop of identity cells) are dropped: such a design can't settle
+/// anyway, but the optimizer must not turn it into a netlist that doesn't
+/// even elaborate.
+fn compress_chains(repl: &mut Repl) {
+    let mut cyclic: Vec<Sym> = Vec::new();
+    for &k in &repl.keys {
+        let mut chain = vec![k];
+        let mut cur = repl.src.get(k).cloned().expect("keys are rewritten");
+        while let Src::Port(p) = cur {
+            let Some(next) = repl.get(p) else { break };
+            let cell = p.cell.expect("rewritten pins are cell pins");
+            if chain.contains(&cell) {
                 cyclic.append(&mut chain);
                 break;
             }
-            let Some(next) = repl.get(p) else { break };
-            chain.push(p.clone());
+            chain.push(cell);
             cur = next.clone();
         }
         if !chain.is_empty() {
-            repl.insert(k, cur);
+            repl.src.insert(k, cur);
         }
     }
-    for k in cyclic {
-        if let Some(cell) = &k.cell {
-            dead.remove(cell);
-        }
-        repl.remove(&k);
+    for &k in &cyclic {
+        repl.src.slots[k.index()] = None;
     }
+    repl.keys.retain(|k| !cyclic.contains(k));
 }
 
-/// Rewrites read sites per `repl` (keys are cell output ports): assignment
+/// Removes the cells `repl` rewrites and rewrites their reads: assignment
 /// sources are substituted, guard ports mapping to constants simplify the
 /// disjunction, and assignments whose guard becomes never-active are
 /// dropped. Returns the rewrite count.
-fn replace_reads(
+fn apply(
     c: &mut Component,
-    repl: &HashMap<PortRef, Src>,
+    repl: &Repl,
     pass: &'static str,
+    replacement: &dyn Fn(Sym) -> String,
     notes: &mut Notes,
 ) -> u64 {
-    if repl.is_empty() {
+    if repl.keys.is_empty() {
         return 0;
     }
-    let mut n = 0u64;
+    let dead = |s: Sym| repl.src.get(s).is_some();
+    let mut n = remove_cells(c, dead, pass, replacement, notes);
+    let names = &c.names;
     c.assigns.retain_mut(|a| {
-        let src_hit = matches!(&a.src, Src::Port(p) if repl.contains_key(p));
-        let guard_hit = guard_ports(&a.guard).iter().any(|p| repl.contains_key(p));
+        let src_hit = matches!(a.src, Src::Port(p) if repl.get(p).is_some());
+        let guard_hit = a.guard.ports().iter().any(|&p| repl.get(p).is_some());
         if !(src_hit || guard_hit) {
             return true;
         }
-        let before = notes.on.then(|| describe(a));
-        if let Src::Port(p) = &a.src {
+        let before = notes.on.then(|| describe(names, a));
+        if let Src::Port(p) = a.src {
             if let Some(r) = repl.get(p) {
                 a.src = r.clone();
             }
@@ -582,11 +641,11 @@ fn replace_reads(
         if guard_hit {
             let mut always = false;
             let mut out = Vec::new();
-            for p in guard_ports(&a.guard) {
+            for &p in a.guard.ports() {
                 match repl.get(p) {
                     Some(Src::Const(v)) => always |= !v.is_zero(),
-                    Some(Src::Port(q)) => out.push(q.clone()),
-                    None => out.push(p.clone()),
+                    Some(Src::Port(q)) => out.push(*q),
+                    None => out.push(p),
                 }
             }
             if always {
@@ -604,7 +663,7 @@ fn replace_reads(
             let after = if never {
                 "removed (guard never active)".to_owned()
             } else {
-                describe(a)
+                describe(names, a)
             };
             (before.unwrap_or_default(), after)
         });
@@ -616,8 +675,7 @@ fn replace_reads(
 /// Pass 1: constant folding and propagation.
 fn const_fold(c: &mut Component, cfg: &OptConfig, notes: &mut Notes) -> u64 {
     let fanin = Fanin::new(c);
-    let mut repl: HashMap<PortRef, Src> = HashMap::new();
-    let mut dead = HashSet::new();
+    let mut repl = Repl::new(c);
     for (ci, cell) in c.cells.iter().enumerate() {
         let CellProto::Primitive(kind) = &cell.proto else {
             continue;
@@ -650,7 +708,7 @@ fn const_fold(c: &mut Component, cfg: &OptConfig, notes: &mut Notes) -> u64 {
                     let guarded_const = drivers
                         .iter()
                         .map(|&i| &c.assigns[i])
-                        .filter(|a| a.dst.port == *pin)
+                        .filter(|a| &c.names[a.dst.port] == *pin)
                         .find_map(|a| match &a.src {
                             Src::Const(v) => Some(v.clone()),
                             Src::Port(_) => None,
@@ -673,26 +731,21 @@ fn const_fold(c: &mut Component, cfg: &OptConfig, notes: &mut Notes) -> u64 {
         }
         let ins: Vec<&Value> = vals.iter().collect();
         let value = kind.eval_values(&ins).swap_remove(0);
-        repl.insert(PortRef::cell(cell.name.clone(), "out"), Src::Const(value));
-        dead.insert(cell.name.clone());
+        repl.insert(cell.name, Src::Const(value));
     }
-    drop(fanin);
-    let folded_desc = |name: &str| match repl.get(&PortRef::cell(name, "out")) {
+    let folded_desc = |cell: Sym| match repl.src.get(cell) {
         Some(Src::Const(v)) => format!("folded to {}", render_value(v)),
         _ => "folded to ".to_owned(),
     };
-    let mut n = remove_cells(c, &dead, PASSES[0], &folded_desc, notes);
-    n += replace_reads(c, &repl, PASSES[0], notes);
-    n
+    apply(c, &repl, PASSES[0], &folded_desc, notes)
 }
 
 /// Pass 2: strength reduction.
 fn strength(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
     let fanin = Fanin::new(c);
     let record = notes.on;
-    let mut repl: HashMap<PortRef, Src> = HashMap::new();
-    let mut dead = HashSet::new();
-    let mut forwarded: HashMap<String, String> = HashMap::new();
+    let mut repl = Repl::new(c);
+    let mut forwarded = BySym::new(&c.names);
     // Mult-by-2^k plans: (cell index, shift amount, surviving pin name).
     let mut shl_plans: Vec<(usize, u32, &'static str)> = Vec::new();
 
@@ -702,14 +755,12 @@ fn strength(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
         };
         let drivers = fanin.drivers_of(ci);
         let pin = |p: &str, w: u32| pin_state(c, drivers, p, w);
-        let out = || PortRef::cell(cell.name.clone(), "out");
         // Forward `cell.out` readers to `src`; the cell dies.
-        let mut fwd = |src: Src, repl: &mut HashMap<PortRef, Src>, dead: &mut HashSet<String>| {
+        let mut fwd = |src: Src, repl: &mut Repl| {
             if record {
-                forwarded.insert(cell.name.clone(), render_src(&src));
+                forwarded.insert(cell.name, render_src(&c.names, &src));
             }
-            repl.insert(out(), src);
-            dead.insert(cell.name.clone());
+            repl.insert(cell.name, src);
         };
         match *kind {
             CellKind::MulComb { width } => {
@@ -722,14 +773,14 @@ fn strength(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
                 };
                 let Some(k) = konst else { continue };
                 if k.is_zero() {
-                    fwd(Src::Const(Value::zero(width)), &mut repl, &mut dead);
+                    fwd(Src::Const(Value::zero(width)), &mut repl);
                 } else if k.limbs().iter().map(|l| l.count_ones()).sum::<u32>() == 1 {
                     let amount = k.significant_bits() - 1;
                     if amount == 0 {
                         // Multiplication by one: a wire, when the other
                         // pin is forwardable.
                         if let Some(src) = var.as_src() {
-                            fwd(src, &mut repl, &mut dead);
+                            fwd(src, &mut repl);
                         }
                     } else {
                         let sp: &'static str = if var_pin == "left" { "left" } else { "right" };
@@ -740,7 +791,7 @@ fn strength(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
             CellKind::Add { width } => match (pin("left", width), pin("right", width)) {
                 (PinState::Const(v), other) | (other, PinState::Const(v)) if v.is_zero() => {
                     if let Some(src) = other.as_src() {
-                        fwd(src, &mut repl, &mut dead);
+                        fwd(src, &mut repl);
                     }
                 }
                 _ => {}
@@ -749,26 +800,26 @@ fn strength(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
                 match (pin("left", width), pin("right", width)) {
                     (PinState::Const(v), other) | (other, PinState::Const(v)) if v.is_zero() => {
                         if let Some(src) = other.as_src() {
-                            fwd(src, &mut repl, &mut dead);
+                            fwd(src, &mut repl);
                         }
                     }
                     (PinState::Const(v), _) | (_, PinState::Const(v))
                         if v == Value::ones(width) && matches!(kind, CellKind::Or { .. }) =>
                     {
-                        fwd(Src::Const(Value::ones(width)), &mut repl, &mut dead);
+                        fwd(Src::Const(Value::ones(width)), &mut repl);
                     }
                     _ => {}
                 }
             }
             CellKind::And { width } => match (pin("left", width), pin("right", width)) {
                 (PinState::Const(v), _) | (_, PinState::Const(v)) if v.is_zero() => {
-                    fwd(Src::Const(Value::zero(width)), &mut repl, &mut dead);
+                    fwd(Src::Const(Value::zero(width)), &mut repl);
                 }
                 (PinState::Const(v), other) | (other, PinState::Const(v))
                     if v == Value::ones(width) =>
                 {
                     if let Some(src) = other.as_src() {
-                        fwd(src, &mut repl, &mut dead);
+                        fwd(src, &mut repl);
                     }
                 }
                 _ => {}
@@ -777,7 +828,7 @@ fn strength(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
                 if let PinState::Const(v) = pin("right", width) {
                     if v.is_zero() {
                         if let Some(src) = pin("left", width).as_src() {
-                            fwd(src, &mut repl, &mut dead);
+                            fwd(src, &mut repl);
                         }
                     }
                 }
@@ -786,7 +837,7 @@ fn strength(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
                 if let PinState::Const(v) = pin("right", width) {
                     if v.is_zero() {
                         if let Some(src) = pin("left", width).as_src() {
-                            fwd(src, &mut repl, &mut dead);
+                            fwd(src, &mut repl);
                         }
                     }
                 }
@@ -795,69 +846,62 @@ fn strength(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
                 if let PinState::Const(sel) = pin("sel", 1) {
                     let chosen = if sel.as_bool() { "in1" } else { "in0" };
                     if let Some(src) = pin(chosen, width).as_src() {
-                        fwd(src, &mut repl, &mut dead);
+                        fwd(src, &mut repl);
                     }
                 }
             }
             _ => {}
         }
     }
-    drop(fanin);
-
     let mut n = 0u64;
     // Apply the Mult → ShlConst rewrites: swap the kind, then (in one
     // sweep over the assignments) retarget the surviving operand's
     // assigns to the `in` pin and drop the constant pin's assigns.
-    let mut retarget: HashMap<String, &'static str> = HashMap::new();
-    for (ci, amount, keep_pin) in shl_plans {
-        let cell = &mut c.cells[ci];
-        let CellProto::Primitive(CellKind::MulComb { width }) = cell.proto else {
-            continue;
-        };
-        notes.add(PASSES[1], || {
-            (
-                format!("cell {} (mul)", cell.name),
-                format!("shl by {amount}"),
-            )
-        });
-        cell.proto = CellProto::Primitive(CellKind::ShlConst { width, amount });
-        retarget.insert(cell.name.clone(), keep_pin);
-        n += 1;
-    }
-    if !retarget.is_empty() {
+    if !shl_plans.is_empty() {
+        let in_pin = c.names.intern("in");
+        let mut retarget = BySym::new(&c.names);
+        for (ci, amount, keep_pin) in shl_plans {
+            let cell = &mut c.cells[ci];
+            let CellProto::Primitive(CellKind::MulComb { width }) = cell.proto else {
+                continue;
+            };
+            let name = &c.names[cell.name];
+            notes.add(PASSES[1], || {
+                (format!("cell {name} (mul)"), format!("shl by {amount}"))
+            });
+            cell.proto = CellProto::Primitive(CellKind::ShlConst { width, amount });
+            retarget.insert(cell.name, c.names.get(keep_pin));
+            n += 1;
+        }
         c.assigns.retain_mut(|a| {
-            let Some(&keep_pin) = a.dst.cell.as_ref().and_then(|cn| retarget.get(cn)) else {
+            let Some(&keep_pin) = a.dst.cell.and_then(|cn| retarget.get(cn)) else {
                 return true;
             };
-            if a.dst.port == keep_pin {
-                a.dst.port = "in".to_owned();
+            if Some(a.dst.port) == keep_pin {
+                a.dst.port = in_pin;
                 true
             } else {
                 false // The constant operand's driver.
             }
         });
     }
-    compress_chains(&mut repl, &mut dead);
-    let fwd_desc = move |name: &str| {
-        format!(
-            "forwarded to {}",
-            forwarded.get(name).cloned().unwrap_or_default()
-        )
+    compress_chains(&mut repl);
+    let fwd_desc = |cell: Sym| {
+        let to = forwarded.get(cell).map_or("", String::as_str);
+        format!("forwarded to {to}")
     };
-    n += remove_cells(c, &dead, PASSES[1], &fwd_desc, notes);
-    n += replace_reads(c, &repl, PASSES[1], notes);
-    n
+    n + apply(c, &repl, PASSES[1], &fwd_desc, notes)
 }
 
 /// Pass 3: copy/wire forwarding of identity cells.
 fn forward(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
     let fanin = Fanin::new(c);
-    let mut repl: HashMap<PortRef, Src> = HashMap::new();
-    let mut dead = HashSet::new();
-    let mut forwarded: HashMap<String, String> = HashMap::new();
+    let mut repl = Repl::new(c);
+    let mut forwarded = BySym::new(&c.names);
     // Guard-aware forwarding: `z.in = Any(S) ? src` makes `z.out` equal
-    // `src` exactly while some state in S is active. Keyed by `z.out`.
-    let mut windowed: HashMap<PortRef, (BTreeSet<PortRef>, Src)> = HashMap::new();
+    // `src` exactly while some state in S is active. Keyed by `z`; S is
+    // sorted.
+    let mut windowed: BySym<(Vec<PortRef>, Src)> = BySym::new(&c.names);
     for (ci, cell) in c.cells.iter().enumerate() {
         let CellProto::Primitive(kind) = &cell.proto else {
             continue;
@@ -878,10 +922,9 @@ fn forward(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
         let width = kind.input_widths()[0];
         if let Some(src) = pin_state(c, drivers, "in", width).as_src() {
             if notes.on {
-                forwarded.insert(cell.name.clone(), render_src(&src));
+                forwarded.insert(cell.name, render_src(&c.names, &src));
             }
-            repl.insert(PortRef::cell(cell.name.clone(), "out"), src);
-            dead.insert(cell.name.clone());
+            repl.insert(cell.name, src);
             continue;
         }
         // The availability argument (Section 5.2): lowering guards every
@@ -891,26 +934,24 @@ fn forward(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
         let mut into_in = drivers
             .iter()
             .map(|&i| &c.assigns[i])
-            .filter(|a| a.dst.port == "in");
+            .filter(|a| &c.names[a.dst.port] == "in");
         if let (Some(a), None) = (into_in.next(), into_in.next()) {
+            let out = repl.out.map(|out| PortRef::cell(cell.name, out));
             if let Guard::Any(states) = &a.guard {
-                let out = PortRef::cell(cell.name.clone(), "out");
-                if !states.is_empty() && a.src != Src::Port(out.clone()) {
-                    windowed.insert(out, (states.iter().cloned().collect(), a.src.clone()));
+                if !states.is_empty() && Some(&a.src) != out.map(Src::Port).as_ref() {
+                    let mut states = states.clone();
+                    states.sort_unstable();
+                    windowed.insert(cell.name, (states, a.src.clone()));
                 }
             }
         }
     }
-    drop(fanin);
-    compress_chains(&mut repl, &mut dead);
-    let fwd_desc = move |name: &str| {
-        format!(
-            "forwarded to {}",
-            forwarded.get(name).cloned().unwrap_or_default()
-        )
+    compress_chains(&mut repl);
+    let fwd_desc = |cell: Sym| {
+        let to = forwarded.get(cell).map_or("", String::as_str);
+        format!("forwarded to {to}")
     };
-    let mut n = remove_cells(c, &dead, PASSES[2], &fwd_desc, notes);
-    n += replace_reads(c, &repl, PASSES[2], notes);
+    let mut n = apply(c, &repl, PASSES[2], &fwd_desc, notes);
     if windowed.is_empty() {
         return n;
     }
@@ -919,21 +960,26 @@ fn forward(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
     // directly — interval containment makes the forwarding sound without
     // any reachability analysis. The cell itself is left to dce, which
     // collects it once the last read is gone.
+    let names = &c.names;
     for a in &mut c.assigns {
-        let Src::Port(p) = &a.src else { continue };
-        let Some((states, src)) = windowed.get(p) else {
+        let Src::Port(p) = a.src else { continue };
+        let Some((states, src)) = p
+            .cell
+            .filter(|_| Some(p.port) == repl.out)
+            .and_then(|z| windowed.get(z))
+        else {
             continue;
         };
-        let Guard::Any(reads) = &a.guard else {
-            continue;
-        };
-        if reads.is_empty() || !reads.iter().all(|q| states.contains(q)) {
+        let reads = a.guard.ports();
+        if reads.is_empty() || !reads.iter().all(|q| states.binary_search(q).is_ok()) {
             continue;
         }
-        let before = notes.on.then(|| describe(a));
+        let before = notes.on.then(|| describe(names, a));
         a.src = src.clone();
         n += 1;
-        notes.add(PASSES[2], || (before.unwrap_or_default(), describe(a)));
+        notes.add(PASSES[2], || {
+            (before.unwrap_or_default(), describe(names, a))
+        });
     }
     n
 }
@@ -941,18 +987,19 @@ fn forward(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
 /// Pass 4: local CSE by structural hash-consing.
 fn cse(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
     let mut fanin = Fanin::new(c);
-    // Canonical driver order: by pin name, and in assignment order within
-    // a pin (the sort is stable).
+    // Canonical driver order: by pin, and in assignment order within a
+    // pin (the sort is stable).
     for g in 0..fanin.groups() {
         let (from, to) = (fanin.start[g], fanin.start[g + 1]);
-        fanin.order[from..to].sort_by(|&x, &y| c.assigns[x].dst.port.cmp(&c.assigns[y].dst.port));
+        fanin.order[from..to].sort_by_key(|&x| c.assigns[x].dst.port);
     }
     // Representatives by structural hash: `heads` holds the latest
     // representative with a hash, `chain` links it to earlier ones with
     // the same hash (distinct cells whose hashes collide).
     let mut heads: HashMap<u64, usize> = HashMap::with_capacity(c.cells.len());
     let mut chain: Vec<Option<usize>> = vec![None; c.cells.len()];
-    let mut rename: HashMap<String, String> = HashMap::new();
+    let mut rename = BySym::new(&c.names);
+    let mut merged = 0u64;
     for (ci, cell) in c.cells.iter().enumerate() {
         let drivers = fanin.drivers_of(ci);
         let hash = cell_hash(c, cell, drivers);
@@ -965,42 +1012,39 @@ fn cse(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
         }
         match candidate {
             Some(r) => {
-                let rep = &c.cells[r].name;
+                let (name, rep) = (&c.names[cell.name], &c.names[c.cells[r].name]);
                 notes.add(PASSES[3], || {
-                    (format!("cell {}", cell.name), format!("merged into {rep}"))
+                    (format!("cell {name}"), format!("merged into {rep}"))
                 });
-                rename.insert(cell.name.clone(), rep.clone());
+                if rename.insert(cell.name, c.cells[r].name).is_none() {
+                    merged += 1;
+                }
             }
             None => chain[ci] = heads.insert(hash, ci),
         }
     }
-    drop(fanin);
-    if rename.is_empty() {
+    if merged == 0 {
         return 0;
     }
-    let mut n = 0u64;
-    c.cells.retain(|cell| !rename.contains_key(&cell.name));
+    c.cells.retain(|cell| rename.get(cell.name).is_none());
     c.assigns
-        .retain(|a| !matches!(&a.dst.cell, Some(cn) if rename.contains_key(cn)));
-    let fix = |p: &mut PortRef, n: &mut u64| {
-        if let Some(cn) = &p.cell {
-            if let Some(rep) = rename.get(cn) {
-                p.cell = Some(rep.clone());
-                *n += 1;
-            }
+        .retain(|a| !a.dst.cell.is_some_and(|cn| rename.get(cn).is_some()));
+    let mut n = merged;
+    let mut fix = |p: &mut PortRef| {
+        if let Some(&rep) = p.cell.and_then(|cn| rename.get(cn)) {
+            p.cell = Some(rep);
+            n += 1;
         }
     };
     for a in &mut c.assigns {
         if let Src::Port(p) = &mut a.src {
-            fix(p, &mut n);
+            fix(p);
         }
         if let Guard::Any(ports) = &mut a.guard {
-            for p in ports {
-                fix(p, &mut n);
-            }
+            ports.iter_mut().for_each(&mut fix);
         }
     }
-    n + rename.len() as u64
+    n
 }
 
 /// A 64-bit structural hash of a cell's kind and its drivers (in CSE's
@@ -1013,8 +1057,7 @@ fn cell_hash(c: &Component, cell: &Cell, drivers: &[usize]) -> u64 {
     }
     for &i in drivers {
         let a = &c.assigns[i];
-        a.dst.port.hash(&mut h);
-        guard_ports(&a.guard).hash(&mut h);
+        (a.dst.port, a.guard.ports()).hash(&mut h);
         match &a.src {
             Src::Port(p) => (0u8, p).hash(&mut h),
             Src::Const(v) => (1u8, v).hash(&mut h),
@@ -1035,9 +1078,7 @@ fn same_cell(c: &Component, x: &Cell, x_drivers: &[usize], y: &Cell, y_drivers: 
         && x_drivers.len() == y_drivers.len()
         && x_drivers.iter().zip(y_drivers).all(|(&i, &j)| {
             let (a, b) = (&c.assigns[i], &c.assigns[j]);
-            a.dst.port == b.dst.port
-                && a.src == b.src
-                && guard_ports(&a.guard) == guard_ports(&b.guard)
+            a.dst.port == b.dst.port && a.src == b.src && a.guard.ports() == b.guard.ports()
         })
 }
 
@@ -1049,12 +1090,12 @@ fn dce(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
     let mut live = vec![false; fanin.groups()];
     let mut work = Vec::new();
     let mut read = |a: &Assign, work: &mut Vec<usize>| {
-        let src = match &a.src {
+        let src = match a.src {
             Src::Port(p) => Some(p),
             Src::Const(_) => None,
         };
-        for p in src.into_iter().chain(guard_ports(&a.guard)) {
-            if let Some(g) = fanin.of_port(p) {
+        for p in src.iter().chain(a.guard.ports()) {
+            if let Some(g) = p.cell.and_then(|s| fanin.of_sym(s)) {
                 if !live[g] {
                     live[g] = true;
                     work.push(g);
@@ -1071,15 +1112,16 @@ fn dce(c: &mut Component, _cfg: &OptConfig, notes: &mut Notes) -> u64 {
             read(&c.assigns[i], &mut work);
         }
     }
-    let dead: HashSet<String> = c
-        .cells
-        .iter()
-        .zip(&fanin.cell)
-        .filter(|&(_, &g)| !live[g])
-        .map(|(cell, _)| cell.name.clone())
-        .collect();
-    drop(fanin);
-    remove_cells(c, &dead, PASSES[4], &|_| "removed (dead)".to_owned(), notes)
+    // Only declared cells die: assignments into an undeclared cell stay.
+    let mut dead = vec![false; fanin.groups()];
+    for &g in &fanin.cell {
+        dead[g] = !live[g];
+    }
+    if !dead.contains(&true) {
+        return 0;
+    }
+    let dead = |s: Sym| fanin.of_sym(s).is_some_and(|g| dead[g]);
+    remove_cells(c, dead, PASSES[4], &|_| "removed (dead)".to_owned(), notes)
 }
 
 #[cfg(test)]

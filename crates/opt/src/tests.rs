@@ -1,5 +1,5 @@
 use super::*;
-use calyx_lite::{Guard, PortRef, Src};
+use calyx_lite::{PortRef, Src};
 use fil_bits::Value;
 use rtl_sim::{CellKind, Sim};
 
@@ -9,6 +9,16 @@ fn v(width: u32, x: u64) -> Value {
 
 fn cfg(level: u8) -> OptConfig {
     OptConfig::level(level)
+}
+
+/// `p` by names: `cell.port`, or `port`.
+fn show(c: &Component, p: PortRef) -> String {
+    c.names.port(p)
+}
+
+/// The names of `c`'s cells, in order.
+fn cell_names(c: &Component) -> Vec<&str> {
+    c.cells.iter().map(|x| &c.names[x.name]).collect()
 }
 
 /// Elaborates `c` alone and evaluates it combinationally on `inputs`.
@@ -23,7 +33,10 @@ fn eval(c: &Component, inputs: &[(&str, Value)]) -> Vec<(String, Value)> {
     sim.settle().expect("settle");
     c.outputs
         .iter()
-        .map(|(name, _)| (name.clone(), sim.peek_by_name(name).clone()))
+        .map(|&(name, _)| {
+            let name = &c.names[name];
+            (name.to_owned(), sim.peek_by_name(name).clone())
+        })
         .collect()
 }
 
@@ -43,9 +56,9 @@ fn const_fold_adder() {
     let mut c = Component::new("T");
     c.add_output("out", 8);
     c.add_primitive("add", CellKind::Add { width: 8 });
-    c.assign(PortRef::cell("add", "left"), Src::konst(v(8, 3)));
-    c.assign(PortRef::cell("add", "right"), Src::konst(v(8, 4)));
-    c.assign(PortRef::this("out"), Src::port(PortRef::cell("add", "out")));
+    c.assign(("add", "left"), v(8, 3));
+    c.assign(("add", "right"), v(8, 4));
+    c.assign("out", ("add", "out"));
 
     let (c, report) = check_equiv(c, 1, &[]);
     assert!(c.cells.is_empty(), "adder should fold: {:?}", c.cells);
@@ -63,9 +76,9 @@ fn const_fold_undriven_pin_is_zero() {
     let mut c = Component::new("T");
     c.add_output("out", 8);
     c.add_primitive("and", CellKind::And { width: 8 });
-    c.assign(PortRef::cell("and", "left"), Src::konst(v(8, 5)));
+    c.assign(("and", "left"), v(8, 5));
     // `and.right` left undriven on purpose.
-    c.assign(PortRef::this("out"), Src::port(PortRef::cell("and", "out")));
+    c.assign("out", ("and", "out"));
 
     let (c, _) = check_equiv(c, 1, &[]);
     assert!(c.cells.is_empty());
@@ -80,14 +93,11 @@ fn const_fold_matches_simulator_semantics() {
     c.add_output("out", 8);
     c.add_primitive("sub", CellKind::Sub { width: 8 });
     c.add_primitive("mul", CellKind::MulComb { width: 8 });
-    c.assign(PortRef::cell("sub", "left"), Src::konst(v(8, 200)));
-    c.assign(PortRef::cell("sub", "right"), Src::konst(v(8, 100)));
-    c.assign(
-        PortRef::cell("mul", "left"),
-        Src::port(PortRef::cell("sub", "out")),
-    );
-    c.assign(PortRef::cell("mul", "right"), Src::konst(v(8, 3)));
-    c.assign(PortRef::this("out"), Src::port(PortRef::cell("mul", "out")));
+    c.assign(("sub", "left"), v(8, 200));
+    c.assign(("sub", "right"), v(8, 100));
+    c.assign(("mul", "left"), ("sub", "out"));
+    c.assign(("mul", "right"), v(8, 3));
+    c.assign("out", ("mul", "out"));
 
     let (c, _) = check_equiv(c, 1, &[]);
     assert!(c.cells.is_empty(), "both cells should fold: {:?}", c.cells);
@@ -108,8 +118,8 @@ fn const_fold_skips_registers() {
             has_en: false,
         },
     );
-    c.assign(PortRef::cell("r", "in"), Src::konst(v(8, 9)));
-    c.assign(PortRef::this("out"), Src::port(PortRef::cell("r", "out")));
+    c.assign(("r", "in"), v(8, 9));
+    c.assign("out", ("r", "out"));
 
     let mut c2 = c.clone();
     optimize_component(&mut c2, &cfg(2));
@@ -124,13 +134,16 @@ fn strength_mul_pow2_becomes_shl() {
     c.add_input("a", 8);
     c.add_output("out", 8);
     c.add_primitive("mul", CellKind::MulComb { width: 8 });
-    c.assign(PortRef::cell("mul", "left"), Src::this("a"));
-    c.assign(PortRef::cell("mul", "right"), Src::konst(v(8, 8)));
-    c.assign(PortRef::this("out"), Src::port(PortRef::cell("mul", "out")));
+    c.assign(("mul", "left"), "a");
+    c.assign(("mul", "right"), v(8, 8));
+    c.assign("out", ("mul", "out"));
 
     let (c, report) = check_equiv(c, 1, &[("a", v(8, 13))]);
     assert_eq!(c.cells.len(), 1);
-    assert_eq!(c.cells[0].name, "mul", "name must survive the rewrite");
+    assert_eq!(
+        &c.names[c.cells[0].name], "mul",
+        "name must survive the rewrite"
+    );
     assert!(matches!(
         c.cells[0].proto,
         CellProto::Primitive(CellKind::ShlConst {
@@ -139,10 +152,7 @@ fn strength_mul_pow2_becomes_shl() {
         })
     ));
     // The surviving operand now drives the unary `in` pin.
-    assert!(c
-        .assigns
-        .iter()
-        .any(|a| a.dst == PortRef::cell("mul", "in")));
+    assert!(c.assigns.iter().any(|a| show(&c, a.dst) == "mul.in"));
     assert!(report.passes[1].rewrites > 0);
     assert!(report
         .originals_of("mul")
@@ -159,12 +169,12 @@ fn strength_mul_zero_and_one() {
     c.add_output("o1", 8);
     c.add_primitive("m0", CellKind::MulComb { width: 8 });
     c.add_primitive("m1", CellKind::MulComb { width: 8 });
-    c.assign(PortRef::cell("m0", "left"), Src::this("a"));
-    c.assign(PortRef::cell("m0", "right"), Src::konst(v(8, 0)));
-    c.assign(PortRef::cell("m1", "left"), Src::konst(v(8, 1)));
-    c.assign(PortRef::cell("m1", "right"), Src::this("a"));
-    c.assign(PortRef::this("o0"), Src::port(PortRef::cell("m0", "out")));
-    c.assign(PortRef::this("o1"), Src::port(PortRef::cell("m1", "out")));
+    c.assign(("m0", "left"), "a");
+    c.assign(("m0", "right"), v(8, 0));
+    c.assign(("m1", "left"), v(8, 1));
+    c.assign(("m1", "right"), "a");
+    c.assign("o0", ("m0", "out"));
+    c.assign("o1", ("m1", "out"));
 
     let (c, _) = check_equiv(c, 1, &[("a", v(8, 77))]);
     assert!(
@@ -185,20 +195,20 @@ fn strength_identities_forward() {
     c.add_primitive("p", CellKind::Add { width: 8 });
     c.add_primitive("q", CellKind::And { width: 8 });
     c.add_primitive("r", CellKind::Xor { width: 8 });
-    c.assign(PortRef::cell("p", "left"), Src::this("a"));
-    c.assign(PortRef::cell("p", "right"), Src::konst(v(8, 0)));
-    c.assign(PortRef::cell("q", "left"), Src::this("a"));
-    c.assign(PortRef::cell("q", "right"), Src::konst(v(8, 0xff)));
-    c.assign(PortRef::cell("r", "left"), Src::konst(v(8, 0)));
-    c.assign(PortRef::cell("r", "right"), Src::this("a"));
-    c.assign(PortRef::this("add0"), Src::port(PortRef::cell("p", "out")));
-    c.assign(PortRef::this("and1"), Src::port(PortRef::cell("q", "out")));
-    c.assign(PortRef::this("xor0"), Src::port(PortRef::cell("r", "out")));
+    c.assign(("p", "left"), "a");
+    c.assign(("p", "right"), v(8, 0));
+    c.assign(("q", "left"), "a");
+    c.assign(("q", "right"), v(8, 0xff));
+    c.assign(("r", "left"), v(8, 0));
+    c.assign(("r", "right"), "a");
+    c.assign("add0", ("p", "out"));
+    c.assign("and1", ("q", "out"));
+    c.assign("xor0", ("r", "out"));
 
     let (c, _) = check_equiv(c, 1, &[("a", v(8, 0x5a))]);
     assert!(c.cells.is_empty(), "all identities collapse: {:?}", c.cells);
     for a in &c.assigns {
-        assert!(matches!(&a.src, Src::Port(p) if *p == PortRef::this("a")));
+        assert!(matches!(&a.src, Src::Port(p) if show(&c, *p) == "a"));
     }
 }
 
@@ -210,14 +220,14 @@ fn strength_mux_const_sel() {
     c.add_input("b", 8);
     c.add_output("out", 8);
     c.add_primitive("m", CellKind::Mux { width: 8 });
-    c.assign(PortRef::cell("m", "sel"), Src::konst(v(1, 1)));
-    c.assign(PortRef::cell("m", "in0"), Src::this("a"));
-    c.assign(PortRef::cell("m", "in1"), Src::this("b"));
-    c.assign(PortRef::this("out"), Src::port(PortRef::cell("m", "out")));
+    c.assign(("m", "sel"), v(1, 1));
+    c.assign(("m", "in0"), "a");
+    c.assign(("m", "in1"), "b");
+    c.assign("out", ("m", "out"));
 
     let (c, _) = check_equiv(c, 1, &[("a", v(8, 1)), ("b", v(8, 2))]);
     assert!(c.cells.is_empty());
-    assert!(matches!(&c.assigns[0].src, Src::Port(p) if *p == PortRef::this("b")));
+    assert!(matches!(&c.assigns[0].src, Src::Port(p) if show(&c, *p) == "b"));
 }
 
 /// Identity cells (full-width slice, same-width zero-extend, shift by 0)
@@ -249,20 +259,14 @@ fn forward_identity_cells() {
             amount: 0,
         },
     );
-    c.assign(PortRef::cell("sl", "in"), Src::this("a"));
-    c.assign(
-        PortRef::cell("zx", "in"),
-        Src::port(PortRef::cell("sl", "out")),
-    );
-    c.assign(
-        PortRef::cell("sh", "in"),
-        Src::port(PortRef::cell("zx", "out")),
-    );
-    c.assign(PortRef::this("out"), Src::port(PortRef::cell("sh", "out")));
+    c.assign(("sl", "in"), "a");
+    c.assign(("zx", "in"), ("sl", "out"));
+    c.assign(("sh", "in"), ("zx", "out"));
+    c.assign("out", ("sh", "out"));
 
     let (c, report) = check_equiv(c, 1, &[("a", v(8, 0xa5))]);
     assert!(c.cells.is_empty(), "wire chain collapses: {:?}", c.cells);
-    assert!(matches!(&c.assigns[0].src, Src::Port(p) if *p == PortRef::this("a")));
+    assert!(matches!(&c.assigns[0].src, Src::Port(p) if show(&c, *p) == "a"));
     assert!(report.passes[2].rewrites > 0);
 }
 
@@ -277,8 +281,8 @@ fn forward_guarded_identity_with_contained_window() {
     c.add_input("a", 8);
     c.add_output("out", 8);
     c.add_primitive("fsm", CellKind::ShiftFsm { n: 1 });
-    c.assign(PortRef::cell("fsm", "go"), Src::this("go"));
-    let s0 = PortRef::cell("fsm", "_0");
+    c.assign(("fsm", "go"), "go");
+    let s0 = ("fsm", "_0");
     c.add_primitive(
         "zx",
         CellKind::ZeroExt {
@@ -286,34 +290,22 @@ fn forward_guarded_identity_with_contained_window() {
             out_width: 8,
         },
     );
-    c.assign_guarded(
-        PortRef::cell("zx", "in"),
-        Src::this("a"),
-        Guard::port(s0.clone()),
-    );
+    c.assign_guarded(("zx", "in"), "a", [s0.clone()]);
     c.add_primitive("add", CellKind::Add { width: 8 });
-    c.assign_guarded(
-        PortRef::cell("add", "left"),
-        Src::port(PortRef::cell("zx", "out")),
-        Guard::port(s0.clone()),
-    );
-    c.assign_guarded(
-        PortRef::cell("add", "right"),
-        Src::this("a"),
-        Guard::port(s0),
-    );
-    c.assign(PortRef::this("out"), Src::port(PortRef::cell("add", "out")));
+    c.assign_guarded(("add", "left"), ("zx", "out"), [s0.clone()]);
+    c.assign_guarded(("add", "right"), "a", [s0]);
+    c.assign("out", ("add", "out"));
 
     let (c, report) = check_equiv(c, 1, &[("go", v(1, 1)), ("a", v(8, 21))]);
-    let names: Vec<&str> = c.cells.iter().map(|x| x.name.as_str()).collect();
+    let names: Vec<&str> = cell_names(&c);
     assert_eq!(names, ["fsm", "add"], "the wire cell dies, the adder stays");
     assert!(report.passes[2].rewrites > 0, "forward must have fired");
     let left = c
         .assigns
         .iter()
-        .find(|a| a.dst == PortRef::cell("add", "left"))
+        .find(|a| show(&c, a.dst) == "add.left")
         .unwrap();
-    assert!(matches!(&left.src, Src::Port(p) if *p == PortRef::this("a")));
+    assert!(matches!(&left.src, Src::Port(p) if show(&c, *p) == "a"));
 }
 
 /// A reader guarded by a state *outside* the driver's window must NOT
@@ -325,7 +317,7 @@ fn forward_guarded_identity_respects_window_containment() {
     c.add_input("a", 8);
     c.add_output("out", 8);
     c.add_primitive("fsm", CellKind::ShiftFsm { n: 2 });
-    c.assign(PortRef::cell("fsm", "go"), Src::this("go"));
+    c.assign(("fsm", "go"), "go");
     c.add_primitive(
         "zx",
         CellKind::ZeroExt {
@@ -333,30 +325,22 @@ fn forward_guarded_identity_respects_window_containment() {
             out_width: 8,
         },
     );
-    c.assign_guarded(
-        PortRef::cell("zx", "in"),
-        Src::this("a"),
-        Guard::port(PortRef::cell("fsm", "_0")),
-    );
+    c.assign_guarded(("zx", "in"), "a", [("fsm", "_0")]);
     // Reads one cycle after the driver's window.
-    c.assign_guarded(
-        PortRef::this("out"),
-        Src::port(PortRef::cell("zx", "out")),
-        Guard::port(PortRef::cell("fsm", "_1")),
-    );
+    c.assign_guarded("out", ("zx", "out"), [("fsm", "_1")]);
 
     let mut c2 = c.clone();
     optimize_component(&mut c2, &cfg(2));
     let reader = c2
         .assigns
         .iter()
-        .find(|a| a.dst == PortRef::this("out"))
+        .find(|a| show(&c2, a.dst) == "out")
         .unwrap();
     assert!(
-        matches!(&reader.src, Src::Port(p) if *p == PortRef::cell("zx", "out")),
+        matches!(&reader.src, Src::Port(p) if show(&c2, *p) == "zx.out"),
         "disjoint windows must not forward"
     );
-    assert!(c2.cells.iter().any(|cell| cell.name == "zx"));
+    assert!(c2.cells.iter().any(|cell| c2.names[cell.name] == *"zx"));
 }
 
 /// A guarded constant-zero driver still counts as constant zero (inactive
@@ -369,28 +353,20 @@ fn guarded_zero_operand_is_constant() {
     c.add_input("a", 8);
     c.add_output("out", 8);
     c.add_primitive("fsm", CellKind::ShiftFsm { n: 1 });
-    c.assign(PortRef::cell("fsm", "go"), Src::this("go"));
+    c.assign(("fsm", "go"), "go");
     c.add_primitive("add", CellKind::Add { width: 8 });
-    c.assign(PortRef::cell("add", "left"), Src::this("a"));
-    c.assign_guarded(
-        PortRef::cell("add", "right"),
-        Src::konst(v(8, 0)),
-        Guard::port(PortRef::cell("fsm", "_0")),
-    );
-    c.assign(PortRef::this("out"), Src::port(PortRef::cell("add", "out")));
+    c.assign(("add", "left"), "a");
+    c.assign_guarded(("add", "right"), v(8, 0), [("fsm", "_0")]);
+    c.assign("out", ("add", "out"));
 
     let (c, _) = check_equiv(c, 1, &[("go", v(1, 1)), ("a", v(8, 77))]);
     assert!(
-        !c.cells.iter().any(|cell| cell.name == "add"),
+        !c.cells.iter().any(|cell| c.names[cell.name] == *"add"),
         "the adder is an identity: {:?}",
         c.cells
     );
-    let reader = c
-        .assigns
-        .iter()
-        .find(|a| a.dst == PortRef::this("out"))
-        .unwrap();
-    assert!(matches!(&reader.src, Src::Port(p) if *p == PortRef::this("a")));
+    let reader = c.assigns.iter().find(|a| show(&c, a.dst) == "out").unwrap();
+    assert!(matches!(&reader.src, Src::Port(p) if show(&c, *p) == "a"));
 }
 
 /// A proper (narrowing) slice is NOT an identity and must survive.
@@ -407,8 +383,8 @@ fn forward_keeps_narrowing_slice() {
             lo: 0,
         },
     );
-    c.assign(PortRef::cell("sl", "in"), Src::this("a"));
-    c.assign(PortRef::this("out"), Src::port(PortRef::cell("sl", "out")));
+    c.assign(("sl", "in"), "a");
+    c.assign("out", ("sl", "out"));
 
     let (c, _) = check_equiv(c, 2, &[("a", v(8, 0xa5))]);
     assert_eq!(c.cells.len(), 1);
@@ -425,22 +401,21 @@ fn cse_merges_identical_cells() {
     c.add_output("y", 8);
     for name in ["add1", "add2"] {
         c.add_primitive(name, CellKind::Add { width: 8 });
-        c.assign(PortRef::cell(name, "left"), Src::this("a"));
-        c.assign(PortRef::cell(name, "right"), Src::this("b"));
+        c.assign((name, "left"), "a");
+        c.assign((name, "right"), "b");
     }
-    c.assign(PortRef::this("x"), Src::port(PortRef::cell("add1", "out")));
-    c.assign(PortRef::this("y"), Src::port(PortRef::cell("add2", "out")));
+    c.assign("x", ("add1", "out"));
+    c.assign("y", ("add2", "out"));
 
     let (c, report) = check_equiv(c, 2, &[("a", v(8, 3)), ("b", v(8, 9))]);
     assert_eq!(c.cells.len(), 1);
-    assert_eq!(c.cells[0].name, "add1", "first cell is the representative");
+    assert_eq!(
+        &c.names[c.cells[0].name], "add1",
+        "first cell is the representative"
+    );
     for out in ["x", "y"] {
-        let a = c
-            .assigns
-            .iter()
-            .find(|a| a.dst == PortRef::this(out))
-            .unwrap();
-        assert!(matches!(&a.src, Src::Port(p) if *p == PortRef::cell("add1", "out")));
+        let a = c.assigns.iter().find(|a| show(&c, a.dst) == out).unwrap();
+        assert!(matches!(&a.src, Src::Port(p) if show(&c, *p) == "add1.out"));
     }
     assert!(report.passes[3].rewrites > 0);
 }
@@ -454,11 +429,11 @@ fn cse_requires_level_two() {
     c.add_output("y", 8);
     for name in ["add1", "add2"] {
         c.add_primitive(name, CellKind::Add { width: 8 });
-        c.assign(PortRef::cell(name, "left"), Src::this("a"));
-        c.assign(PortRef::cell(name, "right"), Src::this("a"));
+        c.assign((name, "left"), "a");
+        c.assign((name, "right"), "a");
     }
-    c.assign(PortRef::this("x"), Src::port(PortRef::cell("add1", "out")));
-    c.assign(PortRef::this("y"), Src::port(PortRef::cell("add2", "out")));
+    c.assign("x", ("add1", "out"));
+    c.assign("y", ("add2", "out"));
 
     let mut c1 = c.clone();
     optimize_component(&mut c1, &cfg(1));
@@ -477,17 +452,13 @@ fn cse_respects_guards() {
     c.add_output("y", 8);
     for name in ["add1", "add2"] {
         c.add_primitive(name, CellKind::Add { width: 8 });
-        c.assign(PortRef::cell(name, "right"), Src::this("a"));
+        c.assign((name, "right"), "a");
     }
-    c.assign_guarded(
-        PortRef::cell("add1", "left"),
-        Src::this("a"),
-        Guard::port(PortRef::this("g")),
-    );
-    c.assign(PortRef::cell("add2", "left"), Src::this("a"));
+    c.assign_guarded(("add1", "left"), "a", ["g"]);
+    c.assign(("add2", "left"), "a");
 
-    c.assign(PortRef::this("x"), Src::port(PortRef::cell("add1", "out")));
-    c.assign(PortRef::this("y"), Src::port(PortRef::cell("add2", "out")));
+    c.assign("x", ("add1", "out"));
+    c.assign("y", ("add2", "out"));
 
     let mut c2 = c.clone();
     optimize_component(&mut c2, &cfg(2));
@@ -502,18 +473,14 @@ fn dce_liveness_through_guards() {
     c.add_output("out", 8);
     // Live through a guard only.
     c.add_primitive("nz", CellKind::ReduceOr { width: 8 });
-    c.assign(PortRef::cell("nz", "in"), Src::this("a"));
-    c.assign_guarded(
-        PortRef::this("out"),
-        Src::this("a"),
-        Guard::port(PortRef::cell("nz", "out")),
-    );
+    c.assign(("nz", "in"), "a");
+    c.assign_guarded("out", "a", [("nz", "out")]);
     // Dead: computed, never observed.
     c.add_primitive("junk", CellKind::Not { width: 8 });
-    c.assign(PortRef::cell("junk", "in"), Src::this("a"));
+    c.assign(("junk", "in"), "a");
 
     let (c, report) = check_equiv(c, 1, &[("a", v(8, 3))]);
-    let names: Vec<&str> = c.cells.iter().map(|x| x.name.as_str()).collect();
+    let names: Vec<&str> = cell_names(&c);
     assert_eq!(names, ["nz"], "guard keeps nz live, junk dies");
     assert!(report
         .notes
@@ -544,20 +511,11 @@ fn fixpoint_terminates_on_register_loop() {
         },
     );
     c.add_primitive("inc", CellKind::Add { width: 8 });
-    c.assign(
-        PortRef::cell("inc", "left"),
-        Src::port(PortRef::cell("r2", "out")),
-    );
-    c.assign(PortRef::cell("inc", "right"), Src::konst(v(8, 1)));
-    c.assign(
-        PortRef::cell("r1", "in"),
-        Src::port(PortRef::cell("inc", "out")),
-    );
-    c.assign(
-        PortRef::cell("r2", "in"),
-        Src::port(PortRef::cell("r1", "out")),
-    );
-    c.assign(PortRef::this("out"), Src::port(PortRef::cell("r1", "out")));
+    c.assign(("inc", "left"), ("r2", "out"));
+    c.assign(("inc", "right"), v(8, 1));
+    c.assign(("r1", "in"), ("inc", "out"));
+    c.assign(("r2", "in"), ("r1", "out"));
+    c.assign("out", ("r1", "out"));
 
     let mut c2 = c.clone();
     let report = optimize_component(&mut c2, &cfg(2));
@@ -575,9 +533,9 @@ fn level_zero_is_identity() {
     let mut c = Component::new("T");
     c.add_output("out", 8);
     c.add_primitive("add", CellKind::Add { width: 8 });
-    c.assign(PortRef::cell("add", "left"), Src::konst(v(8, 3)));
-    c.assign(PortRef::cell("add", "right"), Src::konst(v(8, 4)));
-    c.assign(PortRef::this("out"), Src::port(PortRef::cell("add", "out")));
+    c.assign(("add", "left"), v(8, 3));
+    c.assign(("add", "right"), v(8, 4));
+    c.assign("out", ("add", "out"));
 
     let report = optimize_component(&mut c, &cfg(0));
     assert_eq!(c.cells.len(), 1);
@@ -594,12 +552,8 @@ fn guard_constant_simplification() {
     c.add_output("out", 8);
     // `one.out` is the constant 1 (1'b1): `out = one.out ? a` ⇒ `out = a`.
     c.add_primitive("one", CellKind::ReduceOr { width: 8 });
-    c.assign(PortRef::cell("one", "in"), Src::konst(v(8, 255)));
-    c.assign_guarded(
-        PortRef::this("out"),
-        Src::this("a"),
-        Guard::port(PortRef::cell("one", "out")),
-    );
+    c.assign(("one", "in"), v(8, 255));
+    c.assign_guarded("out", "a", [("one", "out")]);
 
     let (c, _) = check_equiv(c, 1, &[("a", v(8, 42))]);
     assert!(c.cells.is_empty());
@@ -612,12 +566,8 @@ fn guard_constant_simplification() {
     c.add_input("a", 8);
     c.add_output("out", 8);
     c.add_primitive("zero", CellKind::ReduceOr { width: 8 });
-    c.assign(PortRef::cell("zero", "in"), Src::konst(v(8, 0)));
-    c.assign_guarded(
-        PortRef::this("out"),
-        Src::this("a"),
-        Guard::port(PortRef::cell("zero", "out")),
-    );
+    c.assign(("zero", "in"), v(8, 0));
+    c.assign_guarded("out", "a", [("zero", "out")]);
     let (c, _) = check_equiv(c, 1, &[("a", v(8, 42))]);
     assert!(c.cells.is_empty());
     assert!(
@@ -637,9 +587,9 @@ fn inject_bad_fold_is_unsound_on_purpose() {
         c.add_input("a", 8);
         c.add_output("out", 8);
         c.add_primitive("add", CellKind::Add { width: 8 });
-        c.assign(PortRef::cell("add", "left"), Src::this("a"));
-        c.assign(PortRef::cell("add", "right"), Src::konst(v(8, 4)));
-        c.assign(PortRef::this("out"), Src::port(PortRef::cell("add", "out")));
+        c.assign(("add", "left"), "a");
+        c.assign(("add", "right"), v(8, 4));
+        c.assign("out", ("add", "out"));
         c
     };
     // Healthy optimizer: the partially-constant adder survives (+4 is not
@@ -695,9 +645,9 @@ fn optimize_program_all_components() {
         let mut c = Component::new(name);
         c.add_output("out", 8);
         c.add_primitive("add", CellKind::Add { width: 8 });
-        c.assign(PortRef::cell("add", "left"), Src::konst(v(8, 1)));
-        c.assign(PortRef::cell("add", "right"), Src::konst(v(8, 2)));
-        c.assign(PortRef::this("out"), Src::port(PortRef::cell("add", "out")));
+        c.assign(("add", "left"), v(8, 1));
+        c.assign(("add", "right"), v(8, 2));
+        c.assign("out", ("add", "out"));
         p.add_component(c);
     }
     let report = optimize_program(&mut p, &cfg(2));
@@ -720,19 +670,15 @@ fn cse_canonical_driver_order_and_trivial_guards() {
     c.add_output("y", 8);
     c.add_primitive("add1", CellKind::Add { width: 8 });
     c.add_primitive("add2", CellKind::Add { width: 8 });
-    c.assign(PortRef::cell("add1", "left"), Src::this("a"));
-    c.assign(PortRef::cell("add1", "right"), Src::this("b"));
-    c.assign_guarded(
-        PortRef::cell("add2", "right"),
-        Src::this("b"),
-        Guard::Any(vec![]),
-    );
-    c.assign(PortRef::cell("add2", "left"), Src::this("a"));
-    c.assign(PortRef::this("x"), Src::port(PortRef::cell("add1", "out")));
-    c.assign(PortRef::this("y"), Src::port(PortRef::cell("add2", "out")));
+    c.assign(("add1", "left"), "a");
+    c.assign(("add1", "right"), "b");
+    c.assign_guarded(("add2", "right"), "b", Vec::<PortRef>::new());
+    c.assign(("add2", "left"), "a");
+    c.assign("x", ("add1", "out"));
+    c.assign("y", ("add2", "out"));
 
     let (c, report) = check_equiv(c, 2, &[("a", v(8, 3)), ("b", v(8, 9))]);
-    let names: Vec<&str> = c.cells.iter().map(|x| x.name.as_str()).collect();
+    let names: Vec<&str> = cell_names(&c);
     assert_eq!(names, ["add1"]);
     assert!(report.notes.iter().any(|n| n.pass == "cse"
         && n.original == "cell add2"
@@ -757,10 +703,10 @@ fn cse_exact_comparison_separates_near_twins() {
     c.add_output("y", 4);
     c.add_primitive("lo", slice(3, 0));
     c.add_primitive("hi", slice(7, 4));
-    c.assign(PortRef::cell("lo", "in"), Src::this("a"));
-    c.assign(PortRef::cell("hi", "in"), Src::this("a"));
-    c.assign(PortRef::this("x"), Src::port(PortRef::cell("lo", "out")));
-    c.assign(PortRef::this("y"), Src::port(PortRef::cell("hi", "out")));
+    c.assign(("lo", "in"), "a");
+    c.assign(("hi", "in"), "a");
+    c.assign("x", ("lo", "out"));
+    c.assign("y", ("hi", "out"));
     let mut c2 = c.clone();
     optimize_component(&mut c2, &cfg(2));
     assert_eq!(c2.cells.len(), 2, "different slices must not merge");
@@ -792,19 +738,11 @@ fn cse_exact_comparison_separates_near_twins() {
     c.add_output("y", 8);
     for (name, first, second) in [("n1", "g", "h"), ("n2", "h", "g")] {
         c.add_primitive(name, CellKind::Not { width: 8 });
-        c.assign_guarded(
-            PortRef::cell(name, "in"),
-            Src::this("a"),
-            Guard::port(PortRef::this(first)),
-        );
-        c.assign_guarded(
-            PortRef::cell(name, "in"),
-            Src::this("b"),
-            Guard::port(PortRef::this(second)),
-        );
+        c.assign_guarded((name, "in"), "a", [first]);
+        c.assign_guarded((name, "in"), "b", [second]);
     }
-    c.assign(PortRef::this("x"), Src::port(PortRef::cell("n1", "out")));
-    c.assign(PortRef::this("y"), Src::port(PortRef::cell("n2", "out")));
+    c.assign("x", ("n1", "out"));
+    c.assign("y", ("n2", "out"));
     optimize_component(&mut c, &cfg(2));
     assert_eq!(c.cells.len(), 2, "driver sets differ per guard");
 }
@@ -821,19 +759,18 @@ fn inverter_chain(n: usize, observed: bool) -> Component {
         c.add_primitive(format!("n{i}"), CellKind::Not { width: 8 });
     }
     for i in 0..n {
-        let src = if i == 0 {
-            Src::this("a")
+        let dst = (format!("n{i}"), "in");
+        if i == 0 {
+            c.assign(dst, "a");
         } else {
-            Src::port(PortRef::cell(format!("n{}", i - 1), "out"))
-        };
-        c.assign(PortRef::cell(format!("n{i}"), "in"), src);
+            c.assign(dst, (format!("n{}", i - 1), "out"));
+        }
     }
-    let last = if observed {
-        Src::port(PortRef::cell(format!("n{}", n - 1), "out"))
+    if observed {
+        c.assign("out", (format!("n{}", n - 1), "out"));
     } else {
-        Src::this("a")
-    };
-    c.assign(PortRef::this("out"), last);
+        c.assign("out", "a");
+    }
     c
 }
 
@@ -872,8 +809,8 @@ fn fixpoint_stops_after_dce_only_iteration() {
     c.add_input("a", 8);
     c.add_output("out", 8);
     c.add_primitive("junk", CellKind::Not { width: 8 });
-    c.assign(PortRef::cell("junk", "in"), Src::this("a"));
-    c.assign(PortRef::this("out"), Src::this("a"));
+    c.assign(("junk", "in"), "a");
+    c.assign("out", "a");
     let report = optimize_component(&mut c, &cfg(2));
     assert!(c.cells.is_empty());
     assert_eq!(report.passes[4].rewrites, 2);
@@ -888,11 +825,11 @@ fn fixpoint_stops_after_dce_only_iteration() {
     c.add_input("a", 8);
     c.add_output("out", 8);
     c.add_primitive("add", CellKind::Add { width: 8 });
-    c.assign(PortRef::cell("add", "left"), Src::konst(v(8, 3)));
-    c.assign(PortRef::cell("add", "right"), Src::konst(v(8, 4)));
+    c.assign(("add", "left"), v(8, 3));
+    c.assign(("add", "right"), v(8, 4));
     c.add_primitive("junk", CellKind::Not { width: 8 });
-    c.assign(PortRef::cell("junk", "in"), Src::this("a"));
-    c.assign(PortRef::this("out"), Src::port(PortRef::cell("add", "out")));
+    c.assign(("junk", "in"), "a");
+    c.assign("out", ("add", "out"));
     let report = optimize_component(&mut c, &cfg(2));
     assert!(c.cells.is_empty());
     assert_eq!(report.iterations, 2);
@@ -915,24 +852,18 @@ fn every_pass_fires() -> Component {
     c.add_output("w", 8);
     // const-fold: 2 + 3.
     c.add_primitive("k", CellKind::Add { width: 8 });
-    c.assign(PortRef::cell("k", "left"), Src::konst(v(8, 2)));
-    c.assign(PortRef::cell("k", "right"), Src::konst(v(8, 3)));
+    c.assign(("k", "left"), v(8, 2));
+    c.assign(("k", "right"), v(8, 3));
     // strength: a * 4 and a + 0.
     c.add_primitive("m", CellKind::MulComb { width: 8 });
-    c.assign(PortRef::cell("m", "left"), Src::this("a"));
-    c.assign(PortRef::cell("m", "right"), Src::konst(v(8, 4)));
+    c.assign(("m", "left"), "a");
+    c.assign(("m", "right"), v(8, 4));
     c.add_primitive("p", CellKind::Add { width: 8 });
-    c.assign(PortRef::cell("p", "left"), Src::this("a"));
-    c.assign(
-        PortRef::cell("p", "right"),
-        Src::port(PortRef::cell("k", "out")),
-    );
+    c.assign(("p", "left"), "a");
+    c.assign(("p", "right"), ("k", "out"));
     c.add_primitive("p0", CellKind::Add { width: 8 });
-    c.assign(
-        PortRef::cell("p0", "left"),
-        Src::port(PortRef::cell("m", "out")),
-    );
-    c.assign(PortRef::cell("p0", "right"), Src::konst(v(8, 0)));
+    c.assign(("p0", "left"), ("m", "out"));
+    c.assign(("p0", "right"), v(8, 0));
     // forward: an identity slice, and a zero-extension written in state
     // `s` and read in state `s`.
     c.add_primitive(
@@ -943,10 +874,7 @@ fn every_pass_fires() -> Component {
             lo: 0,
         },
     );
-    c.assign(
-        PortRef::cell("id", "in"),
-        Src::port(PortRef::cell("p0", "out")),
-    );
+    c.assign(("id", "in"), ("p0", "out"));
     c.add_primitive(
         "win",
         CellKind::ZeroExt {
@@ -954,29 +882,18 @@ fn every_pass_fires() -> Component {
             out_width: 8,
         },
     );
-    c.assign_guarded(
-        PortRef::cell("win", "in"),
-        Src::this("a"),
-        Guard::port(PortRef::this("s")),
-    );
+    c.assign_guarded(("win", "in"), "a", ["s"]);
     // cse: a twin of `p`.
     c.add_primitive("q", CellKind::Add { width: 8 });
-    c.assign(PortRef::cell("q", "left"), Src::this("a"));
-    c.assign(
-        PortRef::cell("q", "right"),
-        Src::port(PortRef::cell("k", "out")),
-    );
+    c.assign(("q", "left"), "a");
+    c.assign(("q", "right"), ("k", "out"));
     // dce: never read.
     c.add_primitive("junk", CellKind::Not { width: 8 });
-    c.assign(PortRef::cell("junk", "in"), Src::this("a"));
-    c.assign(PortRef::this("x"), Src::port(PortRef::cell("id", "out")));
-    c.assign(PortRef::this("y"), Src::port(PortRef::cell("p", "out")));
-    c.assign(PortRef::this("z"), Src::port(PortRef::cell("q", "out")));
-    c.assign_guarded(
-        PortRef::this("w"),
-        Src::port(PortRef::cell("win", "out")),
-        Guard::port(PortRef::this("s")),
-    );
+    c.assign(("junk", "in"), "a");
+    c.assign("x", ("id", "out"));
+    c.assign("y", ("p", "out"));
+    c.assign("z", ("q", "out"));
+    c.assign_guarded("w", ("win", "out"), ["s"]);
     c
 }
 

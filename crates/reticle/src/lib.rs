@@ -18,7 +18,7 @@
 // refuses a value past 32 bits, never wraps it.
 #![deny(clippy::cast_possible_truncation)]
 
-use calyx_lite::{Component, PortRef, Src};
+use calyx_lite::Component;
 use fil_bits::Value;
 use filament_core::{param_u32, ParamTooLarge, PrimitiveRegistry};
 use rtl_sim::CellKind;
@@ -68,28 +68,22 @@ pub fn generate_tdot(width: u32) -> Component {
     c.add_primitive("dsp1", dsp(false, true));
     c.add_primitive("dsp2", dsp(false, true));
 
-    let zero = Src::konst(Value::zero(width));
+    let zero = Value::zero(width);
     for (cell, a, b) in [
         ("dsp0", "a0", "b0"),
         ("dsp1", "a1", "b1"),
         ("dsp2", "a2", "b2"),
     ] {
-        c.assign(PortRef::cell(cell, "a"), Src::this(a));
-        c.assign(PortRef::cell(cell, "b"), Src::this(b));
+        c.assign((cell, "a"), a);
+        c.assign((cell, "b"), b);
     }
-    c.assign(PortRef::cell("dsp0", "c"), Src::this("c"));
-    c.assign(PortRef::cell("dsp0", "pcin"), zero.clone());
-    c.assign(PortRef::cell("dsp1", "c"), zero.clone());
-    c.assign(
-        PortRef::cell("dsp1", "pcin"),
-        Src::port(PortRef::cell("dsp0", "p")),
-    );
-    c.assign(PortRef::cell("dsp2", "c"), zero);
-    c.assign(
-        PortRef::cell("dsp2", "pcin"),
-        Src::port(PortRef::cell("dsp1", "p")),
-    );
-    c.assign(PortRef::this("y"), Src::port(PortRef::cell("dsp2", "p")));
+    c.assign(("dsp0", "c"), "c");
+    c.assign(("dsp0", "pcin"), zero.clone());
+    c.assign(("dsp1", "c"), zero.clone());
+    c.assign(("dsp1", "pcin"), ("dsp0", "p"));
+    c.assign(("dsp2", "c"), zero);
+    c.assign(("dsp2", "pcin"), ("dsp1", "p"));
+    c.assign("y", ("dsp2", "p"));
     c
 }
 

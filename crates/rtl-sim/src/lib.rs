@@ -83,6 +83,7 @@
 mod cell;
 mod engine;
 mod graph;
+mod names;
 mod netlist;
 mod profile;
 mod sim;
@@ -90,6 +91,7 @@ mod wave;
 
 pub use cell::{CellKind, AES_SBOX};
 pub use engine::MAX_WORDS;
+pub use names::NameIndex;
 pub use netlist::{Assign, CellId, CellInst, Netlist, NetlistError, PortDir, Signal, SignalId};
 pub use profile::ProfileReport;
 pub use sim::{BatchSim, Sim, SimError};

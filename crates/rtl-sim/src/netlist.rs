@@ -2,8 +2,8 @@
 
 use crate::cell::CellKind;
 use crate::graph::FlatGraph;
+use crate::names::NameIndex;
 use crate::sim::SimError;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -162,7 +162,8 @@ impl std::error::Error for NetlistError {}
 pub struct Netlist {
     name: String,
     signals: Vec<Signal>,
-    by_name: HashMap<String, SignalId>,
+    /// Signal names → ids, reading names from `signals`.
+    by_name: NameIndex,
     cells: Vec<CellInst>,
     assigns: Vec<Assign>,
     /// The flattened graph (or its validation error), built by the first
@@ -176,7 +177,6 @@ impl fmt::Debug for Netlist {
         f.debug_struct("Netlist")
             .field("name", &self.name)
             .field("signals", &self.signals)
-            .field("by_name", &self.by_name)
             .field("cells", &self.cells)
             .field("assigns", &self.assigns)
             .finish_non_exhaustive()
@@ -216,17 +216,32 @@ impl Netlist {
     }
 
     fn add_signal_dir(&mut self, name: impl Into<String>, width: u32, dir: PortDir) -> SignalId {
+        self.try_add_signal(name, width, dir)
+            .unwrap_or_else(|old| panic!("duplicate signal name {}", self.signal(old).name))
+    }
+
+    /// Adds a signal, or returns the id of the signal that already has its
+    /// name. The name is stored once and hashed once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width == 0`.
+    pub fn try_add_signal(
+        &mut self,
+        name: impl Into<String>,
+        width: u32,
+        dir: PortDir,
+    ) -> Result<SignalId, SignalId> {
         let name = name.into();
         assert!(width > 0, "signal {name} must have width >= 1");
-        assert!(
-            !self.by_name.contains_key(&name),
-            "duplicate signal name {name}"
-        );
+        let id = id32(self.signals.len());
+        let signals = &self.signals;
+        self.by_name
+            .insert(&name, id, |i| signals[i as usize].name.as_str())
+            .map_err(SignalId)?;
         self.flat.take();
-        let id = SignalId(id32(self.signals.len()));
-        self.by_name.insert(name.clone(), id);
         self.signals.push(Signal { name, width, dir });
-        id
+        Ok(SignalId(id))
     }
 
     /// Marks an existing signal as a top-level output.
@@ -290,7 +305,10 @@ impl Netlist {
 
     /// Looks a signal up by name.
     pub fn signal_by_name(&self, name: &str) -> Option<SignalId> {
-        self.by_name.get(name).copied()
+        let signals = &self.signals;
+        self.by_name
+            .get(name, |i| signals[i as usize].name.as_str())
+            .map(SignalId)
     }
 
     /// The signal table.
