@@ -8,18 +8,158 @@
 use crate::ir::{CellProto, Component, Names, PortRef, Program, Src};
 use std::fmt::Write as _;
 
+/// Verilog-2005's reserved words, sorted.
+const KEYWORDS: [&str; 124] = [
+    "always",
+    "and",
+    "assign",
+    "automatic",
+    "begin",
+    "buf",
+    "bufif0",
+    "bufif1",
+    "case",
+    "casex",
+    "casez",
+    "cell",
+    "cmos",
+    "config",
+    "deassign",
+    "default",
+    "defparam",
+    "design",
+    "disable",
+    "edge",
+    "else",
+    "end",
+    "endcase",
+    "endconfig",
+    "endfunction",
+    "endgenerate",
+    "endmodule",
+    "endprimitive",
+    "endspecify",
+    "endtable",
+    "endtask",
+    "event",
+    "for",
+    "force",
+    "forever",
+    "fork",
+    "function",
+    "generate",
+    "genvar",
+    "highz0",
+    "highz1",
+    "if",
+    "ifnone",
+    "incdir",
+    "include",
+    "initial",
+    "inout",
+    "input",
+    "instance",
+    "integer",
+    "join",
+    "large",
+    "liblist",
+    "library",
+    "localparam",
+    "macromodule",
+    "medium",
+    "module",
+    "nand",
+    "negedge",
+    "nmos",
+    "nor",
+    "noshowcancelled",
+    "not",
+    "notif0",
+    "notif1",
+    "or",
+    "output",
+    "parameter",
+    "pmos",
+    "posedge",
+    "primitive",
+    "pull0",
+    "pull1",
+    "pulldown",
+    "pullup",
+    "pulsestyle_ondetect",
+    "pulsestyle_onevent",
+    "rcmos",
+    "real",
+    "realtime",
+    "reg",
+    "release",
+    "repeat",
+    "rnmos",
+    "rpmos",
+    "rtran",
+    "rtranif0",
+    "rtranif1",
+    "scalared",
+    "showcancelled",
+    "signed",
+    "small",
+    "specify",
+    "specparam",
+    "strong0",
+    "strong1",
+    "supply0",
+    "supply1",
+    "table",
+    "task",
+    "time",
+    "tran",
+    "tranif0",
+    "tranif1",
+    "tri",
+    "tri0",
+    "tri1",
+    "triand",
+    "trior",
+    "trireg",
+    "unsigned",
+    "use",
+    "uwire",
+    "vectored",
+    "wait",
+    "wand",
+    "weak0",
+    "weak1",
+    "while",
+    "wire",
+    "wor",
+    "xnor",
+    "xor",
+];
+
 /// Appends the identifier `cell_name` (or `name` off any cell) with the
-/// characters Verilog identifiers cannot hold replaced by `_`.
+/// characters Verilog identifiers cannot hold replaced by `_`, and a `_`
+/// after a reserved word (an instance named `small`).
 fn push_ident(out: &mut String, cell: Option<&str>, name: &str) {
+    let start = out.len();
     let chars = cell.into_iter().flat_map(|c| c.chars().chain(['_']));
     out.extend(chars.chain(name.chars()).map(|ch| match ch {
-        '.' | '$' | '<' | '>' | '[' | ']' => '_',
+        '.' | '$' | '<' | '>' | '[' | ']' | '#' => '_',
         ch => ch,
     }));
+    if KEYWORDS.binary_search(&&out[start..]).is_ok() {
+        out.push('_');
+    }
+}
+
+/// A cell under the name the user wrote: the fused `x := new C<G>(..)`
+/// lowers to cell `x#inst`, written `x`, a name the checker reserves for
+/// the invocation (which emits nothing of its own).
+fn written(cell: &str) -> &str {
+    cell.strip_suffix("#inst").unwrap_or(cell)
 }
 
 fn push_port(out: &mut String, names: &Names, p: PortRef) {
-    push_ident(out, p.cell.map(|c| &names[c]), &names[p.port]);
+    push_ident(out, p.cell.map(|c| written(&names[c])), &names[p.port]);
 }
 
 /// Emits all components of a program as Verilog modules.
@@ -47,7 +187,7 @@ fn emit_component(comp: &Component, out: &mut String) {
 
     // Wires for every cell port.
     for cell in &comp.cells {
-        let cell_name = &names[cell.name];
+        let cell_name = written(&names[cell.name]);
         match &cell.proto {
             CellProto::Primitive(kind) => {
                 let (ins, outs) = crate::ir::primitive_ports(kind);
