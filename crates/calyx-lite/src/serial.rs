@@ -456,18 +456,13 @@ impl Reader<'_> {
     }
     /// A cell kind that elaboration, emission and the optimizer take as
     /// it is: every pin 1 to [`MAX_VALUE_WIDTH`] bits wide, a slice
-    /// inside its input, a zero-extension that does not narrow, and an
-    /// FSM of 1 to [`MAX_FSM_STATES`] states.
+    /// inside its input, and an FSM of at most [`MAX_FSM_STATES`] states.
     fn cell_kind(&mut self) -> Result<CellKind, DecodeError> {
         use CellKind::*;
         let kind = self.any_cell_kind()?;
         let sound = match kind {
             Slice { in_width, hi, lo } => lo <= hi && hi < in_width,
             Concat { hi_width, lo_width } => hi_width.max(lo_width) <= MAX_VALUE_WIDTH,
-            ZeroExt {
-                in_width,
-                out_width,
-            } => in_width <= out_width,
             ShiftFsm { n } => n <= MAX_FSM_STATES,
             _ => true,
         };
@@ -828,6 +823,11 @@ mod tests {
             ZeroExt {
                 in_width: 18,
                 out_width: 36,
+            },
+            // A narrowing zero-extension truncates.
+            ZeroExt {
+                in_width: 36,
+                out_width: 18,
             },
             ReduceOr { width: 19 },
             ReduceAnd { width: 20 },

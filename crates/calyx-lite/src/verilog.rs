@@ -9,130 +9,22 @@ use crate::ir::{CellProto, Component, Names, PortRef, Program, Src};
 use std::fmt::Write as _;
 
 /// Verilog-2005's reserved words, sorted.
+#[rustfmt::skip]
 const KEYWORDS: [&str; 124] = [
-    "always",
-    "and",
-    "assign",
-    "automatic",
-    "begin",
-    "buf",
-    "bufif0",
-    "bufif1",
-    "case",
-    "casex",
-    "casez",
-    "cell",
-    "cmos",
-    "config",
-    "deassign",
-    "default",
-    "defparam",
-    "design",
-    "disable",
-    "edge",
-    "else",
-    "end",
-    "endcase",
-    "endconfig",
-    "endfunction",
-    "endgenerate",
-    "endmodule",
-    "endprimitive",
-    "endspecify",
-    "endtable",
-    "endtask",
-    "event",
-    "for",
-    "force",
-    "forever",
-    "fork",
-    "function",
-    "generate",
-    "genvar",
-    "highz0",
-    "highz1",
-    "if",
-    "ifnone",
-    "incdir",
-    "include",
-    "initial",
-    "inout",
-    "input",
-    "instance",
-    "integer",
-    "join",
-    "large",
-    "liblist",
-    "library",
-    "localparam",
-    "macromodule",
-    "medium",
-    "module",
-    "nand",
-    "negedge",
-    "nmos",
-    "nor",
-    "noshowcancelled",
-    "not",
-    "notif0",
-    "notif1",
-    "or",
-    "output",
-    "parameter",
-    "pmos",
-    "posedge",
-    "primitive",
-    "pull0",
-    "pull1",
-    "pulldown",
-    "pullup",
-    "pulsestyle_ondetect",
-    "pulsestyle_onevent",
-    "rcmos",
-    "real",
-    "realtime",
-    "reg",
-    "release",
-    "repeat",
-    "rnmos",
-    "rpmos",
-    "rtran",
-    "rtranif0",
-    "rtranif1",
-    "scalared",
-    "showcancelled",
-    "signed",
-    "small",
-    "specify",
-    "specparam",
-    "strong0",
-    "strong1",
-    "supply0",
-    "supply1",
-    "table",
-    "task",
-    "time",
-    "tran",
-    "tranif0",
-    "tranif1",
-    "tri",
-    "tri0",
-    "tri1",
-    "triand",
-    "trior",
-    "trireg",
-    "unsigned",
-    "use",
-    "uwire",
-    "vectored",
-    "wait",
-    "wand",
-    "weak0",
-    "weak1",
-    "while",
-    "wire",
-    "wor",
-    "xnor",
+    "always", "and", "assign", "automatic", "begin", "buf", "bufif0", "bufif1", "case", "casex",
+    "casez", "cell", "cmos", "config", "deassign", "default", "defparam", "design", "disable",
+    "edge", "else", "end", "endcase", "endconfig", "endfunction", "endgenerate", "endmodule",
+    "endprimitive", "endspecify", "endtable", "endtask", "event", "for", "force", "forever",
+    "fork", "function", "generate", "genvar", "highz0", "highz1", "if", "ifnone", "incdir",
+    "include", "initial", "inout", "input", "instance", "integer", "join", "large", "liblist",
+    "library", "localparam", "macromodule", "medium", "module", "nand", "negedge", "nmos", "nor",
+    "noshowcancelled", "not", "notif0", "notif1", "or", "output", "parameter", "pmos", "posedge",
+    "primitive", "pull0", "pull1", "pulldown", "pullup", "pulsestyle_ondetect",
+    "pulsestyle_onevent", "rcmos", "real", "realtime", "reg", "release", "repeat", "rnmos",
+    "rpmos", "rtran", "rtranif0", "rtranif1", "scalared", "showcancelled", "signed", "small",
+    "specify", "specparam", "strong0", "strong1", "supply0", "supply1", "table", "task", "time",
+    "tran", "tranif0", "tranif1", "tri", "tri0", "tri1", "triand", "trior", "trireg", "unsigned",
+    "use", "uwire", "vectored", "wait", "wand", "weak0", "weak1", "while", "wire", "wor", "xnor",
     "xor",
 ];
 
@@ -146,7 +38,9 @@ fn push_ident(out: &mut String, cell: Option<&str>, name: &str) {
         '.' | '$' | '<' | '>' | '[' | ']' | '#' => '_',
         ch => ch,
     }));
-    if KEYWORDS.binary_search(&&out[start..]).is_ok() {
+    // `cell_port` spells a reserved word only as `pulsestyle_on…`.
+    let lone = cell.is_none_or(|c| c == "pulsestyle");
+    if lone && KEYWORDS.binary_search(&&out[start..]).is_ok() {
         out.push('_');
     }
 }
@@ -204,7 +98,7 @@ fn emit_component(comp: &Component, out: &mut String) {
                         out.push_str(", ");
                     }
                     out.push('.');
-                    push_ident(out, None, p);
+                    out.push_str(p); // A primitive's pin: never reserved.
                     out.push('(');
                     push_ident(out, Some(cell_name), p);
                     out.push(')');

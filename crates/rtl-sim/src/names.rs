@@ -22,16 +22,6 @@ pub struct NameIndex {
 }
 
 impl NameIndex {
-    /// The number of names indexed.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no name is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     #[allow(clippy::cast_possible_truncation)] // The low 32 bits, on purpose.
     fn hash(&self, name: &str) -> u32 {
         self.keys.hash_one(name) as u32
@@ -113,7 +103,6 @@ mod tests {
             let id = u32::try_from(i).unwrap();
             assert_eq!(index.insert(n, id, |k| &names[k as usize]), Ok(()));
         }
-        assert_eq!(index.len(), 1000);
         for (i, n) in names.iter().enumerate() {
             assert_eq!(index.get(n, |k| &names[k as usize]), Some(i as u32));
             assert_eq!(index.insert(n, 5000, |k| &names[k as usize]), Err(i as u32));
